@@ -229,12 +229,14 @@ def _cmd_lcs(args) -> int:
             "Mn_over_ln_n": r.ratio,
             "log_Mn_over_log_n": r.ratio_loglog,
             "target": r.target,
+            "target_certified": r.target_certified,
         }
         for r in rows_data
     ]
     _emit(
         args,
-        ["n", "trials", "mean_Mn", "std_Mn", "Mn_over_ln_n", "log_Mn_over_log_n", "target"],
+        ["n", "trials", "mean_Mn", "std_Mn", "Mn_over_ln_n", "log_Mn_over_log_n", "target",
+         "target_certified"],
         rows,
     )
     return EXIT_OK

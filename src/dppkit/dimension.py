@@ -13,7 +13,6 @@ computed N is reported as ``fekete_lower``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ SNQ_CAP = 22
 SIGMA_CAP = 18
 WALSH_CAP_BITS = 20
 DEFAULT_BETA_POINTS = 41
-SUBTREE_DEPTH = 4
 
 LOG2 = math.log(2.0)
 
@@ -50,62 +48,21 @@ def _dfs_accumulate(state: PrefixState, n_max: int, q: float, sums: np.ndarray, 
             _dfs_accumulate(child, n_max, q, sums, comp)
 
 
-def _subtree_roots(root: PrefixState, depth: int) -> list[PrefixState]:
-    states = [root]
-    for _ in range(depth):
-        states = [s.extend(b) for s in states for b in (0, 1)]
-    return states
-
-
 def s_n_q_table(sym: Symbol, n_max: int, q: float, threads: int = 1) -> np.ndarray:
-    """log2 S_N^(q) for N = 1..n_max, in one traversal of the prefix tree."""
+    """log2 S_N^(q) for N = 1..n_max, in one traversal of the prefix tree.
+
+    ``threads`` is accepted for interface stability.  The traversal is
+    serial, so the result does not depend on it.
+    """
     if n_max < 1 or n_max > SNQ_CAP:
         raise SizeCapError(f"s_n_q_table: need 1 <= n_max <= {SNQ_CAP}")
     if q <= 1:
         raise ValueError("s_n_q_table: need q > 1")
     require_range(sym)
-    root = PrefixState.root(sym, n_max)
     sums = np.zeros(n_max)
     comp = np.zeros(n_max)
-    split = min(SUBTREE_DEPTH, n_max)
-    if threads > 1 and n_max > split:
-        roots = _subtree_roots(root, split)
-        for st in roots:
-            level = st.length - 1
-            sums[level] += math.exp(q * st.log_prob)
-        partials = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(_subtree_job, st, n_max, q) for st in roots
-            ]
-            partials = [f.result() for f in futs]
-        # deterministic reduction: subtree index order
-        for ps, pc in partials:
-            sums += ps
-        # levels above the split need their interior prefixes too
-        for st in _all_interior(root, split):
-            level = st.length - 1
-            sums[level] += math.exp(q * st.log_prob)
-    else:
-        _dfs_accumulate(root, n_max, q, sums, comp)
+    _dfs_accumulate(PrefixState.root(sym, n_max), n_max, q, sums, comp)
     return np.log2(sums)
-
-
-def _subtree_job(state: PrefixState, n_max: int, q: float):
-    sums = np.zeros(n_max)
-    comp = np.zeros(n_max)
-    if state.length < n_max:
-        _dfs_accumulate(state, n_max, q, sums, comp)
-    return sums, comp
-
-
-def _all_interior(root: PrefixState, depth: int) -> list[PrefixState]:
-    out = []
-    frontier = [root]
-    for _ in range(depth - 1):
-        frontier = [s.extend(b) for s in frontier for b in (0, 1)]
-        out.extend(frontier)
-    return out
 
 
 def s_n_q(sym: Symbol, N: int, q: float, threads: int = 1) -> float:

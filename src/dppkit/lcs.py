@@ -1,9 +1,18 @@
 """Longest common substring of two sampled prefixes and the growth-rate
 experiment that tracks mean M_n / ln(n) against (2/ln 2) / dim2.
 
-M_n is computed exactly by building a suffix automaton over x's prefix and
-scanning it with y's prefix (linear time); a quadratic dynamic-programming
-oracle validates the automaton on small inputs.
+M_n is computed exactly from packed window codes.  Every length-64 window
+of each prefix becomes one uint64, most significant bit first, and the
+full windows of each prefix are sorted.  Two windows share as many leading
+bits as their XOR has leading zeros, and the closest code to a query in a
+sorted set is one of its two searchsorted neighbours, so the best match of
+every window costs one search.  The last 63 windows of each prefix, which
+run past its end, are capped at their own length: against the other
+prefix's full windows through the same search, and against its tail
+windows pair by pair.  The result is exact whenever M_n < 64.  An answer
+of 64 or more falls back to a suffix automaton over x's prefix scanned
+with y's prefix (linear time, pure Python).  A quadratic
+dynamic-programming oracle validates both routes on small inputs.
 
 The experiment reports both normalizations, mean M_n / ln(n) and
 log(M_n) / log(n); the former is the one with a finite limiting target,
@@ -21,33 +30,103 @@ from . import dimension, sampler
 from .symbol import Symbol
 
 LOG2 = math.log(2.0)
+WINDOW = 64  # bits per packed window code
 
 
-def _prefix_bits(x, n: int) -> list[int]:
+def _prefix_bits(x, n: int) -> np.ndarray:
+    """x[:n] as a uint8 array, after checking that all of x is binary."""
     if isinstance(x, sampler.BinarySequence):
         x = x.bits
     if isinstance(x, str):
-        if any(ch not in "01" for ch in x):
-            raise ValueError("sequences must be binary")
-        bits = [1 if ch == "1" else 0 for ch in x]
+        bits = np.frombuffer(x.encode(), dtype=np.uint8) - np.uint8(ord("0"))
     else:
-        bits = np.asarray(x).astype(np.int64).tolist()
-        if any(b not in (0, 1) for b in bits):
+        bits = np.asarray(x)
+        if bits.ndim != 1:
             raise ValueError("sequences must be binary")
-    if len(bits) < n:
-        raise ValueError(f"sequence of length {len(bits)} shorter than n = {n}")
-    return bits[:n]
+        bits = bits.astype(np.int64)
+    if np.any((bits < 0) | (bits > 1)):
+        raise ValueError("sequences must be binary")
+    if bits.size < n:
+        raise ValueError(f"sequence of length {bits.size} shorter than n = {n}")
+    return bits[:n].astype(np.uint8)
+
+
+def _window_codes(bits: np.ndarray) -> np.ndarray:
+    """uint64 code of the WINDOW bits starting at each position, most
+    significant bit first; windows running past the end are padded with 0s."""
+    n = bits.size
+    nbytes = -(-n // 8)
+    packed = np.zeros(nbytes + 9, dtype=np.uint64)
+    packed[:nbytes] = np.packbits(bits)
+    # big-endian word at every byte offset, then 8 bit-offset shifts of it
+    words = np.zeros(nbytes, dtype=np.uint64)
+    for j in range(8):
+        words |= packed[j:j + nbytes] << np.uint64(56 - 8 * j)
+    spill = packed[8:8 + nbytes]
+    codes = np.empty((nbytes, 8), dtype=np.uint64)
+    codes[:, 0] = words
+    for r in range(1, 8):
+        codes[:, r] = (words << np.uint64(r)) | (spill >> np.uint64(8 - r))
+    return codes.ravel()[:n]
+
+
+def _leading_zeros(v: np.ndarray) -> np.ndarray:
+    """Leading zero bits of each uint64 (WINDOW for 0)."""
+    v = v.copy()
+    for s in (1, 2, 4, 8, 16, 32):  # smear the highest set bit rightwards
+        v |= v >> np.uint64(s)
+    return WINDOW - np.bitwise_count(v).astype(np.int64)
+
+
+def _nearest_xor(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Smallest XOR of each query with any of the sorted codes.
+
+    The smallest XOR has the most leading zeros, i.e. the longest common
+    leading bits, and over a sorted set it sits at a searchsorted
+    neighbour.  Sorted queries make the search itself several times faster.
+    """
+    idx = np.searchsorted(sorted_codes, queries)
+    below = sorted_codes[np.maximum(idx - 1, 0)]
+    above = sorted_codes[np.minimum(idx, sorted_codes.size - 1)]
+    return np.minimum(queries ^ below, queries ^ above)
 
 
 def lcs_length(x, y, n: int | None = None) -> int:
-    """Exact length of the longest common substring of x[:n] and y[:n]."""
+    """Exact length of the longest common substring of x[:n] and y[:n].
+
+    Answers below WINDOW come from sorted window codes; an answer of
+    WINDOW or more is recomputed by the suffix automaton.
+    """
     if n is None:
         n = min(len(x), len(y))
     if n < 1:
         raise ValueError("lcs_length: need n >= 1")
     xs = _prefix_bits(x, n)
     ys = _prefix_bits(y, n)
+    cx = _window_codes(xs)
+    cy = _window_codes(ys)
+    full = max(n - WINDOW + 1, 0)          # windows lying wholly inside
+    tail_len = np.arange(n - full, 0, -1)  # own lengths of the tail windows
+    best = 0
+    if full:
+        sx = np.sort(cx[:full])
+        sy = np.sort(cy[:full])
+        best = WINDOW - int(_nearest_xor(sx, sy).min()).bit_length()
+        # a tail window's own length caps every candidate alike, so the
+        # nearest neighbour still gives its best match
+        for sorted_full, tail in ((sx, cy[full:]), (sy, cx[full:])):
+            common = np.minimum(_leading_zeros(_nearest_xor(sorted_full, tail)), tail_len)
+            best = max(best, int(common.max()))
+    common = _leading_zeros(cx[full:, None] ^ cy[None, full:])
+    common = np.minimum(common, np.minimum(tail_len[:, None], tail_len[None, :]))
+    best = max(best, int(common.max()))
+    if best >= WINDOW:
+        return _lcs_automaton(xs.tolist(), ys.tolist())
+    return best
 
+
+def _lcs_automaton(xs: list[int], ys: list[int]) -> int:
+    """Longest common substring by a suffix automaton of xs scanned with ys."""
     # suffix automaton of xs over the binary alphabet
     sa_len = [0]
     sa_link = [-1]
@@ -128,6 +207,7 @@ class LcsExperimentRow:
     ratio: float            # mean_Mn / ln(n)
     ratio_loglog: float     # mean over trials of log(M_n) / log(n)
     target: float           # (2/ln 2) / dim2
+    target_certified: bool  # dim2 was given, or its estimate is certified
 
 
 def _trial_seeds(seed: int, n_index: int, trial: int) -> tuple[int, int]:
@@ -142,18 +222,22 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
                     dim2_nmax: int = 12) -> list[LcsExperimentRow]:
     """Mean growth of M_n over independent sampled pairs, per n in n_grid.
 
-    The target column divides 2/ln 2 by ``dim2`` (the certified finite-N
-    lower bound from the dimension module when not supplied).  Trial t of
-    row j derives its two sampling seeds from SeedSequence((seed, (j, t))),
-    so results are independent of execution order and thread count.
+    The target column divides 2/ln 2 by ``dim2``.  When ``dim2`` is not
+    supplied it is the finite-N ``fekete_lower`` of the dimension module,
+    and ``target_certified`` says whether that is a certified lower bound
+    (it is not for two-sided symbols).  Trial t of row j derives its two
+    sampling seeds from SeedSequence((seed, (j, t))), so results are
+    independent of execution order and thread count.
     """
     ns = [int(v) for v in n_grid]
     if not ns or any(v < 2 for v in ns):
         raise ValueError("rate_experiment: n_grid must contain integers >= 2")
     if trials < 1:
         raise ValueError("rate_experiment: need trials >= 1")
+    certified = True
     if dim2 is None:
-        dim2 = dimension.dim_q_estimate(sym, 2, dim2_nmax).fekete_lower
+        est = dimension.dim_q_estimate(sym, 2, dim2_nmax)
+        dim2, certified = est.fekete_lower, est.certified
     target = (2.0 / LOG2) / dim2
 
     def one_trial(n_index: int, n: int, trial: int) -> int:
@@ -180,6 +264,7 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
                 ratio=float(values.mean() / math.log(n)),
                 ratio_loglog=float(logs.mean()),
                 target=target,
+                target_certified=certified,
             )
         )
     return rows

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, toeplitz
-from .symbol import DEFAULT_TRUNCATION, Symbol, TailSum, contraction_margin, g_coeff_fn, tail_sum
+from .symbol import (DEFAULT_TRUNCATION, Symbol, TailSum, contraction_margin, g_coeff_fn,
+                     require_range, tail_sum)
 
 FINITE_WINDOW_CAP = 7
 FINITE_WINDOW_HARD_CAP = 10
@@ -49,6 +50,7 @@ def psi_lower_bound(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION)
     """1 - exp(-tail/(ell+1)); truncating the tail keeps this a valid lower bound."""
     if ell < 1:
         raise ValueError("psi_lower_bound: need ell >= 1")
+    require_range(sym)
     t = tail_sum(sym, ell, truncation)
     return -math.expm1(-t.value / (ell + 1.0))
 
@@ -61,6 +63,7 @@ def psi_upper_bound(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION)
 def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> PsiBoundReport:
     if ell < 1:
         raise ValueError("psi_bound_report: need ell >= 1")
+    require_range(sym)
     t = tail_sum(sym, ell, truncation)
     lower = -math.expm1(-t.value / (ell + 1.0))
     tau = contraction_margin(sym)
@@ -141,6 +144,7 @@ def psi_finite_window(sym: Symbol, ell: int, N: int, cap: int = FINITE_WINDOW_CA
     """Exhaustive max of |R - 1| over the 4^N word pairs."""
     if ell < 1 or N < 1:
         raise ValueError("psi_finite_window: need ell >= 1 and N >= 1")
+    require_range(sym)
     cap = min(int(cap), FINITE_WINDOW_HARD_CAP)
     if N > cap:
         raise SizeCapError(f"finite-window size {N} exceeds cap {cap}")
@@ -179,6 +183,7 @@ def allones_lower_witness(sym: Symbol, ell: int, N: int) -> float:
     contribution to psi(ell) at window size N."""
     if ell < 1 or N < 1:
         raise ValueError("allones_lower_witness: need ell >= 1 and N >= 1")
+    require_range(sym)
     t = toeplitz.build_T_window(sym, N)
     lam = toeplitz.build_lambda(sym, N, ell)
     k = np.linalg.solve(t, lam.conj().T) @ np.linalg.solve(t, lam)

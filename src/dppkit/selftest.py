@@ -13,25 +13,32 @@ from . import dimension, lcs, measure, mixing, sampler
 from .symbol import Symbol, contraction_margin, tail_sum
 
 
+def _require(ok, what: str) -> None:
+    """Fail a check; unlike ``assert`` this still runs under ``python -O``."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _check_symbol_values() -> None:
     poi = Symbol.poisson(0.5, 0.25)
-    assert math.isclose(poi.eval(0.0), 5.0 / 6.0, rel_tol=1e-12)
-    assert math.isclose(poi.coeff(2).real, 1.0 / 32.0, rel_tol=1e-13)
-    assert math.isclose(contraction_margin(poi), 1.0 / 6.0, rel_tol=1e-12)
-    assert tail_sum(Symbol.raised_cosine(0.5, 0.5), 1).value == 0.0
+    _require(math.isclose(poi.eval(0.0), 5.0 / 6.0, rel_tol=1e-12), "poisson f(0)")
+    _require(math.isclose(poi.coeff(2).real, 1.0 / 32.0, rel_tol=1e-13), "poisson fhat(2)")
+    _require(math.isclose(contraction_margin(poi), 1.0 / 6.0, rel_tol=1e-12), "poisson margin")
+    _require(tail_sum(Symbol.raised_cosine(0.5, 0.5), 1).value == 0.0, "raised-cosine tail")
 
 
 def _check_cylinder_values() -> None:
     rc = Symbol.raised_cosine(0.5, 0.5)
-    assert math.isclose(measure.cylinder_prob(rc, "11"), 3.0 / 16.0, rel_tol=1e-12)
-    assert math.isclose(measure.cylinder_prob(rc, "10"), 5.0 / 16.0, rel_tol=1e-12)
-    assert math.isclose(measure.conditional_next(rc, "1"), 3.0 / 8.0, rel_tol=1e-12)
+    _require(math.isclose(measure.cylinder_prob(rc, "11"), 3.0 / 16.0, rel_tol=1e-12), "P[11]")
+    _require(math.isclose(measure.cylinder_prob(rc, "10"), 5.0 / 16.0, rel_tol=1e-12), "P[10]")
+    _require(math.isclose(measure.conditional_next(rc, "1"), 3.0 / 8.0, rel_tol=1e-12),
+             "P[1 | 1]")
 
 
 def _check_normalization() -> None:
     for sym in (Symbol.poisson(0.5, 0.25), Symbol.raised_cosine(0.5, 0.25)):
         logs = measure.cylinder_log_probs_direct(sym, 8)
-        assert abs(np.exp(logs).sum() - 1.0) < 1e-10
+        _require(abs(np.exp(logs).sum() - 1.0) < 1e-10, "cylinder sum")
 
 
 def _check_ratio_identity() -> None:
@@ -43,7 +50,7 @@ def _check_ratio_identity() -> None:
         w1 = "".join(rng.choice(["0", "1"], n))
         w2 = "".join(rng.choice(["0", "1"], n))
         rep = measure.correlation_ratio(sym, w1, w2, ell)
-        assert abs(rep.ratio - 1.0) <= rep.simon_bound + 1e-9
+        _require(abs(rep.ratio - 1.0) <= rep.simon_bound + 1e-9, "Simon bound")
 
 
 def _check_determinant_identities() -> None:
@@ -52,22 +59,22 @@ def _check_determinant_identities() -> None:
     b = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     lhs = np.linalg.det(np.eye(4) - a @ b)
     rhs = np.linalg.det(np.eye(6) - b @ a)
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    _require(abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs)), "Sylvester identity")
     m = rng.standard_normal((5, 5))
     total = sum(
         np.linalg.det(m[np.ix_(ix, ix)]) if (ix := [k for k in range(5) if (j >> k) & 1]) else 1.0
         for j in range(32)
     )
-    assert abs(np.linalg.det(np.eye(5) + m) - total) <= 1e-9
+    _require(abs(np.linalg.det(np.eye(5) + m) - total) <= 1e-9, "principal-minor expansion")
 
 
 def _check_dimension_oracles() -> None:
     for sym in (Symbol.raised_cosine(0.5, 0.5), Symbol.poisson(0.75, 0.125)):
         s = dimension.s_n_q(sym, 6, 2)
         sig = dimension.sigma_n_2(sym, 6)
-        assert abs(s - (math.log2(sig) - 6)) < 1e-9
+        _require(abs(s - (math.log2(sig) - 6)) < 1e-9, "S_6 vs sigma_6")
     est = dimension.dim_q_estimate(Symbol.constant(0.5), 2, 6)
-    assert np.allclose(est.table.estimate_N, 1.0, atol=1e-12)
+    _require(np.allclose(est.table.estimate_N, 1.0, atol=1e-12), "fair-coin dimension")
 
 
 def _check_psi_sandwich() -> None:
@@ -77,26 +84,28 @@ def _check_psi_sandwich() -> None:
         for n in (1, 2, 3):
             wit = mixing.allones_lower_witness(sym, ell, n)
             fin = mixing.psi_finite_window(sym, ell, n).value
-            assert wit <= fin + 1e-12 and fin <= upper + 1e-9
+            _require(wit <= fin + 1e-12 and fin <= upper + 1e-9, "psi sandwich")
 
 
 def _check_sampler_fit() -> None:
     rep = sampler.empirical_cylinder_test(Symbol.poisson(0.5, 0.25), 2, 20_000, seed=2024)
-    assert rep.p_value > 1e-3
+    _require(rep.p_value > 1e-3, "fit p-value")
     neg = sampler.empirical_cylinder_test(
         Symbol.poisson(0.5, 0.25), 3, 20_000, seed=2024, model=Symbol.constant(0.5)
     )
-    assert neg.p_value < 1e-6
+    _require(neg.p_value < 1e-6, "misfit p-value")
 
 
 def _check_lcs() -> None:
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(2, 120))
+    ns = [int(rng.integers(2, 120)) for _ in range(20)] + [63, 64, 65, 130]
+    for n in ns:
         x = rng.integers(0, 2, n)
         y = rng.integers(0, 2, n)
-        assert lcs.lcs_length(x, y, n) == lcs.lcs_length_dp(x, y, n)
-    assert lcs.lcs_length("0110", "1001", 4) == 2
+        _require(lcs.lcs_length(x, y, n) == lcs.lcs_length_dp(x, y, n), f"n = {n}")
+    z = rng.integers(0, 2, 130)
+    _require(lcs.lcs_length(z, z, 130) == 130, "identical pair")  # automaton fallback
+    _require(lcs.lcs_length("0110", "1001", 4) == 2, "0110 vs 1001")
 
 
 CHECKS = [
@@ -108,7 +117,7 @@ CHECKS = [
     ("dimension oracle equivalence", _check_dimension_oracles),
     ("psi sandwich", _check_psi_sandwich),
     ("sampler goodness of fit", _check_sampler_fit),
-    ("lcs automaton vs dp", _check_lcs),
+    ("lcs packed codes and automaton vs dp", _check_lcs),
 ]
 
 

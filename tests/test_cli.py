@@ -1,15 +1,18 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dppkit
 from dppkit import Symbol, cylinder_prob
 from dppkit.cli import main
 
 POISSON = '{"family":"poisson","params":{"c":0.5,"r":0.25}}'
 FAIR = '{"family":"constant","params":{"a":0.5}}'
+POI_HIGH = '{"family":"poisson","params":{"c":0.75,"r":0.125}}'
 
 
 def run_cli(argv, capsys):
@@ -126,7 +129,9 @@ def test_lcs_experiment_csv(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,trials,mean_Mn,std_Mn,Mn_over_ln_n,log_Mn_over_log_n,target"
+    assert lines[0] == (
+        "n,trials,mean_Mn,std_Mn,Mn_over_ln_n,log_Mn_over_log_n,target,target_certified"
+    )
     assert len(lines) == 3
     assert int(lines[1].split(",")[0]) == 256
 
@@ -146,6 +151,12 @@ def test_threads_do_not_change_bytes(capsys):
     assert code == 0
     code, out4, _ = run_cli(base + ["--threads", "4"], capsys)
     assert out1 == out4
+    # N = 5 is the smallest n_max that used to be split over threads
+    base = ["dimension", "--symbol", POI_HIGH, "--nmax", "5"]
+    code, out1, _ = run_cli(base + ["--threads", "1"], capsys)
+    assert code == 0
+    code, out2, _ = run_cli(base + ["--threads", "2"], capsys)
+    assert out1 == out2
 
 
 def test_malformed_json_exit_64(capsys):
@@ -166,6 +177,14 @@ def test_range_violation_exit_2(capsys):
     code, _, err = run_cli(["cylinder", "--symbol", bad, "--word", "1"], capsys)
     assert code == 2
     assert "HypothesisError" in err
+
+
+def test_psi_range_violation_exit_2(capsys):
+    bad = '{"family":"power_decay","params":{"a":0.5,"c":0.1,"p":0.75,"cutoff":1000000}}'
+    code, out, err = run_cli(["psi", "--symbol", bad], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "HypothesisError"
 
 
 def test_cap_violation_exit_2(capsys):
@@ -198,3 +217,21 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 8
+
+
+def test_selftest_fails_under_optimize():
+    # python -O strips assert statements; the battery must still catch a
+    # broken cylinder probability and exit 1
+    src = os.path.dirname(os.path.dirname(dppkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import runpy, sys\n"
+        "import dppkit.measure\n"
+        "dppkit.measure.cylinder_prob = lambda *args, **kwargs: 0.25\n"
+        "sys.argv = ['dppkit', 'selftest']\n"
+        "runpy.run_module('dppkit', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 1
+    assert "FAIL cylinder hand values" in proc.stdout

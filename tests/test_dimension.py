@@ -53,7 +53,7 @@ def test_s_n_q_table_is_consistent(poi_high):
 def test_s_n_q_threads_deterministic(poi_high):
     seq = s_n_q_table(poi_high, 9, 2, threads=1)
     par = s_n_q_table(poi_high, 9, 2, threads=4)
-    assert np.allclose(seq, par, atol=1e-11)
+    assert np.array_equal(seq, par)
 
 
 def test_sigma_n_2_values(fair, rc_half):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dppkit import lcs_length, lcs_length_dp, rate_experiment, sample_prefix
+from dppkit import Symbol, lcs_length, lcs_length_dp, rate_experiment, sample_prefix
 
 
 def test_examples():
@@ -19,21 +19,44 @@ def test_prefix_restriction():
     assert lcs_length(x, y, 7) == 4   # both contain "1111"
 
 
-def test_input_validation():
+def test_input_validation(fair):
     with pytest.raises(ValueError):
         lcs_length("01", "0101", 3)
     with pytest.raises(ValueError):
         lcs_length("012", "010", 3)
+    short = sample_prefix(fair, 10, seed=3)
+    with pytest.raises(ValueError):
+        lcs_length(short, short, 11)
+
+
+def _oracle_cases(rng):
+    """(x, y, n) pairs covering both sides of the 64-bit window code."""
+    for _ in range(200):
+        n = max(1, int(np.exp(rng.uniform(0, math.log(2000)))))
+        yield rng.integers(0, 2, n), rng.integers(0, 2, n), n
+    for n in range(1, 131):  # every tail / full-window split
+        yield rng.integers(0, 2, n), rng.integers(0, 2, n), n
+    for bias in (0.02, 0.98):  # long runs of one symbol
+        for n in (50, 200, 1000):
+            yield (rng.random(n) < bias).astype(int), (rng.random(n) < bias).astype(int), n
+    for length in (63, 64, 65):  # a planted common substring either side of 64
+        for n in (length, 100, 700):
+            x = rng.integers(0, 2, n)
+            y = rng.integers(0, 2, n)
+            word = rng.integers(0, 2, length)
+            i, j = rng.integers(0, n - length + 1, 2)
+            x[i:i + length] = word
+            y[j:j + length] = word
+            yield x, y, n
+    for n in (1, 63, 64, 65, 300):
+        zeros = np.zeros(n, dtype=int)
+        yield zeros, zeros.copy(), n
 
 
 def test_oracle_agreement_random_pairs():
     rng = np.random.default_rng(55)
-    for _ in range(200):
-        n = int(np.exp(rng.uniform(0, math.log(2000))))
-        n = max(1, n)
-        x = rng.integers(0, 2, n)
-        y = rng.integers(0, 2, n)
-        assert lcs_length(x, y, n) == lcs_length_dp(x, y, n)
+    for x, y, n in _oracle_cases(rng):
+        assert lcs_length(x, y, n) == lcs_length_dp(x, y, n), n
 
 
 def test_monotone_in_n():
@@ -68,6 +91,7 @@ def test_rate_experiment_rows(fair):
         assert row.ratio == pytest.approx(row.mean_Mn / math.log(row.n))
         assert row.target == pytest.approx(2.0 / math.log(2.0))
         assert 0 < row.ratio_loglog < 1.0
+        assert row.target_certified
 
 
 def test_rate_experiment_threads_deterministic(fair):
@@ -79,6 +103,14 @@ def test_rate_experiment_threads_deterministic(fair):
 def test_rate_experiment_default_dim2(fair):
     rows = rate_experiment(fair, [128], trials=2, seed=1, dim2_nmax=6)
     assert rows[0].target == pytest.approx(2.0 / math.log(2.0), abs=1e-9)
+    assert rows[0].target_certified
+
+
+def test_rate_experiment_flags_uncertified_target():
+    # two-sided symbol: fekete_lower is an estimate, not a certified bound
+    rows = rate_experiment(Symbol.raised_cosine(0.5, 0.25), [128], trials=2, seed=1,
+                           dim2_nmax=6)
+    assert not rows[0].target_certified
 
 
 def test_identical_pair_guard():
