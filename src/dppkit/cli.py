@@ -123,11 +123,9 @@ def _cmd_cylinder(args) -> int:
             raise SizeCapError("cylinder enumeration caps at N = 12")
         logs = measure.cylinder_log_probs_direct(sym, args.N)
         words = None
-        for m, lp in enumerate(logs):
-            word = "".join("1" if (m >> k) & 1 else "0" for k in range(args.N))
-            rows.append(
-                {"word": word, "probability": math.exp(lp), "log2_probability": lp / math.log(2)}
-            )
+        for bits, lp in zip(measure.word_bits(args.N), logs):
+            rows.append({"word": measure._word_str(bits), "probability": math.exp(lp),
+                         "log2_probability": lp / math.log(2)})
     else:
         raise _CliError(EXIT_USAGE, "cylinder: provide --word or --N")
     if words is not None:
@@ -155,11 +153,13 @@ def _cmd_psi(args) -> int:
                 "finite_window_value": fin.value,
                 "upper_bound": rep.upper_bound,
                 "tau": rep.tau,
+                "upper_approximate": rep.upper_approximate,
             }
         )
     _emit(
         args,
-        ["ell", "lower_bound", "finite_window_N", "finite_window_value", "upper_bound", "tau"],
+        ["ell", "lower_bound", "finite_window_N", "finite_window_value", "upper_bound", "tau",
+         "upper_approximate"],
         rows,
     )
     return EXIT_OK

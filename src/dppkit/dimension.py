@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import toeplitz
-from .measure import PrefixState
+from .measure import PrefixState, word_bits
 from .mixing import SizeCapError
 from .symbol import Symbol, g_coeff_fn, one_sidedness, require_range
 
@@ -92,8 +92,7 @@ def subset_dets(sym: Symbol, N: int) -> np.ndarray:
         raise SizeCapError(f"subset determinants: need 1 <= N <= {SIGMA_CAP}")
     require_range(sym)
     tg = toeplitz.build_T(g_coeff_fn(sym), np.arange(1, N + 1))
-    masks = np.arange(2 ** N, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(N)[None, :]) & 1
+    bits = word_bits(N)
     popcount = bits.sum(axis=1)
     out = np.empty(2 ** N)
     out[0] = 1.0  # empty subset convention

@@ -48,6 +48,11 @@ def _word_str(eps: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in eps)
 
 
+def word_bits(N: int) -> np.ndarray:
+    """(2^N, N) bits of every length-N word; row m holds bit k as (m >> k) & 1."""
+    return (np.arange(2 ** N, dtype=np.int64)[:, None] >> np.arange(N)[None, :]) & 1
+
+
 def _log_prob_from_matrix(m: np.ndarray, n_bits: int) -> float:
     """log mu from det(D(theta) T(g) + I), validating sign/phase."""
     logabs, phase = toeplitz.log_det(m)
@@ -311,9 +316,7 @@ def cylinder_log_probs_direct(sym: Symbol, N: int) -> np.ndarray:
     if not (1 <= N <= 14):
         raise ValueError("cylinder_log_probs_direct: need 1 <= N <= 14")
     tg = toeplitz.build_T(g_coeff_fn(sym), np.arange(1, N + 1))
-    masks = np.arange(2 ** N, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(N)[None, :]) & 1
-    theta = 2.0 * bits - 1.0
+    theta = 2.0 * word_bits(N) - 1.0
     mats = theta[:, :, None] * tg[None, :, :] + np.eye(N, dtype=tg.dtype)
     sign, logabs = np.linalg.slogdet(mats)
     bad = np.abs(np.imag(sign)) > IMAG_TOL if np.iscomplexobj(sign) else np.zeros(sign.shape, bool)

@@ -7,6 +7,18 @@ at fixed window size N and gap ell.  The analytic bounds use the one-sided
 tail sum of n*|fhat(n)|^2; truncation rounds the lower bound down (still a
 valid lower bound) and the upper bound carries the analytic remainder when
 the family provides one, else it is flagged approximate.
+
+The finite-window value comes from the Schur complement of the joint
+2N x 2N matrix [[A(eps), D(theta) Lambda], [D(theta') Lambda*, A(eps')]]
+with A(eps) = D(theta) T_N(g) + I:
+
+    log R(eps, eps') = log det(I - Q(eps') P(eps)),
+    P(eps) = A(eps)^-1 D(theta) Lambda,  Q(eps') = A(eps')^-1 D(theta') Lambda*,
+
+so the 2^N solves are shared and each pair costs one N x N determinant.
+Q(eps') P(eps) is the operator H behind the Simon trace-norm bound.  No
+marginal log-determinant is subtracted, so band-limited symbols at gaps
+past the bandwidth give exactly 0.
 """
 from __future__ import annotations
 
@@ -100,80 +112,59 @@ class FiniteWindowDetails:
     hs_norm_sq: float          # ||Lambda||_HS^2
 
 
-def _mask_word(mask: int, n: int) -> str:
-    return "".join("1" if (mask >> k) & 1 else "0" for k in range(n))
-
-
-def _enumerate_ratio_grid(sym: Symbol, ell: int, N: int) -> np.ndarray:
-    """log R over all word pairs, batched."""
-    tg = g_coeff_fn(sym)
-    base = toeplitz.build_T(tg, toeplitz.joint_index_set(N, ell))
-    masks = np.arange(2 ** N, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(N)[None, :]) & 1).astype(np.float64)
-    theta = 2.0 * bits - 1.0
-
-    tN = base[:N, :N]
-    mats = theta[:, :, None] * tN[None] + np.eye(N, dtype=base.dtype)
-    sign, logp = np.linalg.slogdet(mats)
+def _coupling_stacks(sym: Symbol, ell: int, N: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(eps) = A(eps)^-1 D(theta) Lambda_g and Q(eps') = A(eps')^-1 D(theta') Lambda_g*
+    for every word, with A(eps) = D(theta) T_N(g) + I; stacks of shape (2^N, N, N)."""
+    if ell < 1 or N < 1:
+        raise ValueError("finite-window search: need ell >= 1 and N >= 1")
+    require_range(sym)
+    if N > cap:
+        raise SizeCapError(f"finite-window size {N} exceeds cap {cap}")
+    base = toeplitz.build_T(g_coeff_fn(sym), toeplitz.joint_index_set(N, ell))
+    theta = 2.0 * measure.word_bits(N) - 1.0
+    a = theta[:, :, None] * base[:N, :N] + np.eye(N, dtype=base.dtype)
+    sign, _ = np.linalg.slogdet(a)
     if np.any(np.real(sign) <= 0):
         raise measure.NumericsError("vanishing marginal in finite-window enumeration")
-    logp = logp - N * math.log(2.0)
+    # columns 0..N-1 hold Lambda_g (top-right block), N..2N-1 Lambda_g* (bottom-left)
+    pq = np.linalg.solve(a, theta[:, :, None] * np.hstack([base[:N, N:], base[N:, :N]]))
+    return pq[:, :, :N], pq[:, :, N:]
 
-    eye2 = np.eye(2 * N, dtype=base.dtype)
-    logj = np.empty((2 ** N, 2 ** N))
-    chunk = max(1, 2 ** 14 // 2 ** N)
-    for lo in range(0, 2 ** N, chunk):
-        hi = min(lo + chunk, 2 ** N)
-        pair_theta = np.concatenate(
-            [
-                np.repeat(theta[lo:hi], 2 ** N, axis=0),
-                np.tile(theta, (hi - lo, 1)),
-            ],
-            axis=1,
-        )
-        mats = pair_theta[:, :, None] * base[None] + eye2
-        sign, lj = np.linalg.slogdet(mats)
+
+def _log_ratio_grid(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """log R[eps, eps'] = log det(I - Q(eps') P(eps)), 2^14 pairs per batch."""
+    words, n = p.shape[:2]
+    eye = np.eye(n, dtype=p.dtype)
+    out = np.empty((words, words))
+    chunk = max(1, 2 ** 14 // words)
+    for lo in range(0, words, chunk):
+        # H[eps, eps'] = Q(eps') P(eps); the joint determinant's sign is the
+        # sign of det(I - H) times the two positive marginal signs
+        sign, out[lo:lo + chunk] = np.linalg.slogdet(eye - q[None, :] @ p[lo:lo + chunk, None])
         if np.any(np.real(sign) <= 0):
             raise measure.NumericsError("vanishing joint in finite-window enumeration")
-        logj[lo:hi] = lj.reshape(hi - lo, 2 ** N)
-    logj -= 2 * N * math.log(2.0)
-    return logj - logp[:, None] - logp[None, :]
+    return out
 
 
 def psi_finite_window(sym: Symbol, ell: int, N: int, cap: int = FINITE_WINDOW_CAP) -> FiniteWindowPsi:
     """Exhaustive max of |R - 1| over the 4^N word pairs."""
-    if ell < 1 or N < 1:
-        raise ValueError("psi_finite_window: need ell >= 1 and N >= 1")
-    require_range(sym)
-    cap = min(int(cap), FINITE_WINDOW_HARD_CAP)
-    if N > cap:
-        raise SizeCapError(f"finite-window size {N} exceeds cap {cap}")
+    p, q = _coupling_stacks(sym, ell, N, min(int(cap), FINITE_WINDOW_HARD_CAP))
     if N > FINITE_WINDOW_CAP:
         warnings.warn(f"finite-window search at N={N} evaluates 4^{N} ratios", stacklevel=2)
-    measure_dev = np.abs(np.expm1(_enumerate_ratio_grid(sym, ell, N)))
-    i, j = np.unravel_index(int(np.argmax(measure_dev)), measure_dev.shape)
+    dev = np.abs(np.expm1(_log_ratio_grid(p, q)))
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    words = measure.word_bits(N)
     return FiniteWindowPsi(
-        int(ell), int(N), float(measure_dev[i, j]), _mask_word(i, N), _mask_word(j, N)
+        int(ell), int(N), float(dev[i, j]), measure._word_str(words[i]), measure._word_str(words[j])
     )
 
 
 def finite_window_details(sym: Symbol, ell: int, N: int, cap: int = FINITE_WINDOW_CAP) -> FiniteWindowDetails:
     """Deviation and trace-norm grids for every word pair (test harness)."""
-    if N > min(int(cap), 8):  # the (4^N, N, N) svd grid gets heavy past 8
-        raise SizeCapError(f"finite-window size {N} exceeds cap {cap}")
-    dev = np.abs(np.expm1(_enumerate_ratio_grid(sym, ell, N)))
-
-    t = toeplitz.build_T_window(sym, N)
-    lam = toeplitz.build_lambda(sym, N, ell)
-    masks = np.arange(2 ** N, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(N)[None, :]) & 1).astype(np.float64)
-    diag = bits - 1.0
-    mats = np.broadcast_to(t, (2 ** N, N, N)).copy()
-    mats[:, np.arange(N), np.arange(N)] += diag
-    inv = np.linalg.inv(mats)
-    p = inv @ lam                  # A(eps)^-1 Lambda
-    q = inv @ lam.conj().T         # A(eps')^-1 Lambda*
-    h = q[None, :] @ p[:, None]    # H[eps, eps'] = q[eps'] p[eps]
+    # the (4^N, N, N) svd grid gets heavy past N = 8
+    p, q = _coupling_stacks(sym, ell, N, min(int(cap), 8))
+    dev = np.abs(np.expm1(_log_ratio_grid(p, q)))
+    h = q[None, :] @ p[:, None]
     hnorm = np.linalg.svd(h, compute_uv=False).sum(axis=-1)
     return FiniteWindowDetails(dev, hnorm, toeplitz.hs_norm_sq_lambda(sym, N, ell))
 

@@ -87,6 +87,16 @@ def _check_psi_sandwich() -> None:
             _require(wit <= fin + 1e-12 and fin <= upper + 1e-9, "psi sandwich")
 
 
+def _check_finite_window_grid() -> None:
+    words = [measure._word_str(bits) for bits in measure.word_bits(2)]
+    for sym in (Symbol.poisson(0.5, 0.25), Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])):
+        for ell in (1, 2):
+            brute = max(abs(measure.correlation_ratio(sym, w1, w2, ell).ratio - 1.0)
+                        for w1 in words for w2 in words)
+            fin = mixing.psi_finite_window(sym, ell, 2).value
+            _require(abs(fin - brute) <= 1e-12, f"finite-window grid at ell = {ell}")
+
+
 def _check_sampler_fit() -> None:
     rep = sampler.empirical_cylinder_test(Symbol.poisson(0.5, 0.25), 2, 20_000, seed=2024)
     _require(rep.p_value > 1e-3, "fit p-value")
@@ -116,6 +126,7 @@ CHECKS = [
     ("determinant identities", _check_determinant_identities),
     ("dimension oracle equivalence", _check_dimension_oracles),
     ("psi sandwich", _check_psi_sandwich),
+    ("finite-window grid vs per-pair ratios", _check_finite_window_grid),
     ("sampler goodness of fit", _check_sampler_fit),
     ("lcs packed codes and automaton vs dp", _check_lcs),
 ]

@@ -62,11 +62,31 @@ def test_psi_rows(capsys):
     code, out, _ = run_cli(["psi", "--symbol", POISSON, "--ell", "1..3", "--N", "2"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "ell,lower_bound,finite_window_N,finite_window_value,upper_bound,tau"
+    assert lines[0] == (
+        "ell,lower_bound,finite_window_N,finite_window_value,upper_bound,tau,upper_approximate"
+    )
     assert len(lines) == 4
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[5]) == pytest.approx(1.0 / 6.0, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "spec, approximate",
+    [
+        ('{"family":"power_decay","params":{"a":0.5,"c":0.01,"p":1.0,"cutoff":1000000}}', True),
+        (POISSON, False),
+    ],
+)
+def test_psi_rows_flag_approximate_upper_bound(capsys, spec, approximate):
+    code, out, _ = run_cli(["psi", "--symbol", spec, "--ell", "1", "--N", "1"], capsys)
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row[4] != "" and row[6] == str(approximate)
+    code, out, _ = run_cli(
+        ["psi", "--symbol", spec, "--ell", "1", "--N", "1", "--format", "json"], capsys
+    )
+    assert json.loads(out)["rows"][0]["upper_approximate"] is approximate
 
 
 def test_psi_upper_not_applicable_is_empty_field(capsys):

@@ -11,10 +11,15 @@ from dppkit import (
     psi_finite_window,
     psi_lower_bound,
     psi_upper_bound,
+    toeplitz,
 )
+from dppkit.measure import word_bits
 from dppkit.mixing import SizeCapError, finite_window_details
+from dppkit.symbol import HypothesisError, g_coeff_fn
 
 from conftest import random_interior_symbol
+
+COMPLEX_TRIG = Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])  # bandwidth 3
 
 
 def _poisson_tail(c, r, ell, nmax=400):
@@ -90,10 +95,13 @@ def test_finite_window_cap():
 
 
 def test_band_limited_exact_independence():
-    sym = Symbol.trig_poly([0.5, 0.08, 0.05, 0.02])  # bandwidth 3
-    for ell in (3, 4):
-        assert psi_finite_window(sym, ell, 3).value == pytest.approx(0.0, abs=1e-12)
-    assert psi_finite_window(sym, 2, 2).value > 1e-6
+    # at gaps past the bandwidth the coupling block is exactly zero, so R = 1
+    # holds in floating point too
+    for sym in (Symbol.trig_poly([0.5, 0.08, 0.05, 0.02]), COMPLEX_TRIG):  # bandwidth 3
+        for ell in (3, 4, 6):
+            for n in (3, 5):
+                assert psi_finite_window(sym, ell, n).value == 0.0
+        assert psi_finite_window(sym, 2, 2).value > 1e-6
 
 
 def test_allones_witness_values(fair, rc_half, poi_half):
@@ -166,3 +174,71 @@ def test_finite_window_randomized_matches_reports():
                 w2 = "".join("1" if (j >> k) & 1 else "0" for k in range(n))
                 brute = max(brute, abs(correlation_ratio(sym, w1, w2, ell).ratio - 1.0))
         assert got.value == pytest.approx(brute, abs=1e-11)
+
+
+def _joint_slogdet_log_ratio(sym, ell, n):
+    """log R over all word pairs from batched 2N x 2N joint determinants
+    minus both marginal log-determinants (the route the Schur complement
+    replaced)."""
+    base = toeplitz.build_T(g_coeff_fn(sym), toeplitz.joint_index_set(n, ell))
+    theta = 2.0 * word_bits(n) - 1.0
+    _, logp = np.linalg.slogdet(theta[:, :, None] * base[:n, :n] + np.eye(n))
+    pair_theta = np.concatenate(
+        [np.repeat(theta, 2 ** n, axis=0), np.tile(theta, (2 ** n, 1))], axis=1
+    )
+    sign, logj = np.linalg.slogdet(pair_theta[:, :, None] * base + np.eye(2 * n))
+    assert np.all(np.real(sign) > 0)
+    return logj.reshape(2 ** n, 2 ** n) - logp[:, None] - logp[None, :]
+
+
+def test_finite_window_matches_joint_determinant_oracle():
+    rng = np.random.default_rng(7)
+    symbols = [random_interior_symbol(rng) for _ in range(6)] + [COMPLEX_TRIG]
+    assert any(not sym.has_real_coeffs for sym in symbols)
+    for sym in symbols:
+        for n in range(1, 6):
+            for ell in range(1, 5):
+                want = np.abs(np.expm1(_joint_slogdet_log_ratio(sym, ell, n)))
+                det = finite_window_details(sym, ell, n)
+                np.testing.assert_allclose(det.deviation, want, rtol=0, atol=1e-12)
+                got = psi_finite_window(sym, ell, n).value
+                assert got == pytest.approx(want.max(), abs=1e-12)
+
+
+def test_finite_window_poisson_rank_one_oracle():
+    # fhat(n) = c r^|n| makes Lambda_g = u v^T of rank one, so
+    # |R - 1| = |u^T A(eps)^-1 D(theta) u| |v^T A(eps')^-1 D(theta') v|
+    # with no cancellation
+    n = 4
+    theta = 2.0 * word_bits(n) - 1.0
+    for c, r in ((0.5, 0.25), (0.75, 0.125)):
+        sym = Symbol.poisson(c, r)
+        t = toeplitz.build_T(g_coeff_fn(sym), np.arange(1, n + 1))
+        for ell in range(1, 9):
+            u = r ** np.arange(n - 1, -1, -1)
+            v = 2.0 * c * r ** np.arange(ell + 1, ell + n + 1)
+            a = np.array([u @ np.linalg.solve(th[:, None] * t + np.eye(n), th * u) for th in theta])
+            b = np.array([v @ np.linalg.solve(th[:, None] * t + np.eye(n), th * v) for th in theta])
+            want = np.abs(np.outer(a, b))
+            assert psi_finite_window(sym, ell, n).value == pytest.approx(want.max(), rel=0, abs=1e-15)
+            np.testing.assert_allclose(finite_window_details(sym, ell, n).deviation, want,
+                                       rtol=0, atol=1e-15)
+
+
+def test_details_checks_range():
+    sym = Symbol.raised_cosine(0.5, 0.9)  # range [-0.4, 1.4]
+    with pytest.raises(HypothesisError):
+        psi_finite_window(sym, 1, 2)
+    with pytest.raises(HypothesisError):
+        finite_window_details(sym, 1, 2)
+
+
+def test_details_cap_message_names_binding_cap():
+    with pytest.raises(SizeCapError, match="exceeds cap 8"):
+        finite_window_details(Symbol.constant(0.5), 1, 9, cap=10)
+
+
+def test_details_rejects_zero_gap():
+    with pytest.raises(ValueError, match="need ell >= 1") as info:
+        finite_window_details(Symbol.constant(0.5), 0, 2)
+    assert "build_lambda" not in str(info.value)
