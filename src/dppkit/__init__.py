@@ -3,10 +3,15 @@ processes on the integer lattice induced by a [0,1]-valued symbol on the
 circle - cylinder probabilities, mixing bounds, L^q-dimension estimates,
 exact sampling, and the longest-common-substring growth experiment."""
 
-from .symbol import (
+from .errors import (
+    ConditioningError,
     HypothesisError,
-    Symbol,
+    NumericsError,
+    SizeCapError,
     SymbolSpecError,
+)
+from .symbol import (
+    Symbol,
     TailDecay,
     TailSum,
     complement,
@@ -29,8 +34,6 @@ from .toeplitz import (
     trace_norm,
 )
 from .measure import (
-    ConditioningError,
-    NumericsError,
     PrefixState,
     RatioReport,
     conditional_next,
@@ -43,7 +46,6 @@ from .measure import (
 from .mixing import (
     FiniteWindowPsi,
     PsiBoundReport,
-    SizeCapError,
     allones_lower_witness,
     psi_bound_report,
     psi_finite_window,

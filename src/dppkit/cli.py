@@ -5,7 +5,8 @@ selftest.  Results are emitted as CSV (default) or JSON with deterministic
 bytes for a fixed configuration and seed.
 
 Exit codes: 0 success; 1 internal numeric failure; 2 hypothesis or size-cap
-violation; 64 malformed symbol spec / usage.
+violation; 64 malformed symbol spec / usage.  ``main`` maps error classes to
+them through ``_EXIT_CODES``.  ``--threads`` is accepted and has no effect.
 """
 from __future__ import annotations
 
@@ -17,19 +18,13 @@ import sys
 import numpy as np
 
 from . import dimension, lcs, measure, mixing, sampler, selftest
-from .mixing import SizeCapError
-from .symbol import HypothesisError, Symbol, SymbolSpecError, symbol_from_json
+from .errors import ConditioningError, HypothesisError, SizeCapError, SymbolSpecError
+from .symbol import Symbol, symbol_from_json
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_HYPOTHESIS = 2
 EXIT_USAGE = 64
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def _load_symbol(text: str) -> Symbol:
@@ -38,17 +33,17 @@ def _load_symbol(text: str) -> Symbol:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _CliError(EXIT_USAGE, f"cannot read symbol file: {exc}") from exc
+            raise ValueError(f"cannot read symbol file: {exc}") from exc
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _CliError(
-            EXIT_USAGE, f"malformed symbol JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        raise ValueError(
+            f"malformed symbol JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     try:
         return symbol_from_json(spec)
     except SymbolSpecError as exc:
-        raise _CliError(EXIT_USAGE, f"invalid symbol spec: {exc}") from exc
+        raise SymbolSpecError(f"invalid symbol spec: {exc}") from exc
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -69,9 +64,9 @@ def _parse_int_list(text: str, what: str) -> list[int]:
             else:
                 out.append(one(part))
     except ValueError as exc:
-        raise _CliError(EXIT_USAGE, f"cannot parse {what}: {text!r}") from exc
+        raise ValueError(f"cannot parse {what}: {text!r}") from exc
     if not out:
-        raise _CliError(EXIT_USAGE, f"empty {what}")
+        raise ValueError(f"empty {what}")
     return out
 
 
@@ -127,7 +122,7 @@ def _cmd_cylinder(args) -> int:
             rows.append({"word": measure._word_str(bits), "probability": math.exp(lp),
                          "log2_probability": lp / math.log(2)})
     else:
-        raise _CliError(EXIT_USAGE, "cylinder: provide --word or --N")
+        raise ValueError("cylinder: provide --word or --N")
     if words is not None:
         for w in words:
             lp = measure.cylinder_log_prob(sym, w)
@@ -169,14 +164,13 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise _CliError(EXIT_USAGE, f"cannot parse {what}: {text!r}") from exc
+        raise ValueError(f"cannot parse {what}: {text!r}") from exc
 
 
 def _cmd_dimension(args) -> int:
     sym = _load_symbol(args.symbol)
     beta_grid = _parse_float_list(args.beta_grid, "--beta-grid") if args.beta_grid else None
-    est = dimension.dim_q_estimate(sym, args.q, args.nmax, threads=args.threads,
-                                   beta_grid=beta_grid)
+    est = dimension.dim_q_estimate(sym, args.q, args.nmax, beta_grid=beta_grid)
     rows = []
     for n, l2, e in zip(est.table.N, est.table.log2_S_N, est.table.estimate_N):
         rows.append(
@@ -219,7 +213,7 @@ def _cmd_sample(args) -> int:
 def _cmd_lcs(args) -> int:
     sym = _load_symbol(args.symbol)
     ns = _parse_int_list(args.ngrid, "--ngrid")
-    rows_data = lcs.rate_experiment(sym, ns, args.trials, args.seed, threads=args.threads)
+    rows_data = lcs.rate_experiment(sym, ns, args.trials, args.seed)
     rows = [
         {
             "n": r.n,
@@ -307,6 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_diagnostic(exc: Exception) -> str:
+    return json.dumps({"error": type(exc).__name__, "message": str(exc)})
+
+
+# (error classes, exit code, stderr line); the first row that matches wins
+_EXIT_CODES = (
+    ((HypothesisError, SizeCapError, ConditioningError), EXIT_HYPOTHESIS, _json_diagnostic),
+    ((ArithmeticError, np.linalg.LinAlgError), EXIT_NUMERIC, _json_diagnostic),
+    ((ValueError,), EXIT_USAGE, lambda exc: f"error: {exc}"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -315,21 +321,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (HypothesisError, SizeCapError, measure.ConditioningError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (measure.NumericsError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_NUMERIC
-    except SymbolSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ValueError, ArithmeticError) as exc:
+        _, code, line = next(row for row in _EXIT_CODES if isinstance(exc, row[0]))
+        print(line(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

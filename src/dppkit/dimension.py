@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import toeplitz
+from .errors import SizeCapError
 from .measure import PrefixState, word_bits
-from .mixing import SizeCapError
 from .symbol import Symbol, g_coeff_fn, one_sidedness, require_range
 
 SNQ_CAP = 22
@@ -48,12 +48,8 @@ def _dfs_accumulate(state: PrefixState, n_max: int, q: float, sums: np.ndarray, 
             _dfs_accumulate(child, n_max, q, sums, comp)
 
 
-def s_n_q_table(sym: Symbol, n_max: int, q: float, threads: int = 1) -> np.ndarray:
-    """log2 S_N^(q) for N = 1..n_max, in one traversal of the prefix tree.
-
-    ``threads`` is accepted for interface stability.  The traversal is
-    serial, so the result does not depend on it.
-    """
+def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
+    """log2 S_N^(q) for N = 1..n_max, in one traversal of the prefix tree."""
     if n_max < 1 or n_max > SNQ_CAP:
         raise SizeCapError(f"s_n_q_table: need 1 <= n_max <= {SNQ_CAP}")
     if q <= 1:
@@ -65,9 +61,9 @@ def s_n_q_table(sym: Symbol, n_max: int, q: float, threads: int = 1) -> np.ndarr
     return np.log2(sums)
 
 
-def s_n_q(sym: Symbol, N: int, q: float, threads: int = 1) -> float:
+def s_n_q(sym: Symbol, N: int, q: float) -> float:
     """log2 S_N^(q)."""
-    return float(s_n_q_table(sym, N, q, threads)[N - 1])
+    return float(s_n_q_table(sym, N, q)[N - 1])
 
 
 def s_n_q_direct(sym: Symbol, N: int, q: float) -> float:
@@ -171,9 +167,8 @@ class DimensionEstimate:
     szego_upper: float | None
 
 
-def dim_q_estimate(sym: Symbol, q: float, n_max: int, threads: int = 1,
-                   beta_grid=None) -> DimensionEstimate:
-    log2s = s_n_q_table(sym, n_max, q, threads)
+def dim_q_estimate(sym: Symbol, q: float, n_max: int, beta_grid=None) -> DimensionEstimate:
+    log2s = s_n_q_table(sym, n_max, q)
     ns = np.arange(1, n_max + 1)
     est = -log2s / ((q - 1.0) * ns)
     table = SNQTable(q, ns, log2s, est)
@@ -215,7 +210,7 @@ class SubmultReport:
     rows: list
 
 
-def submult_check(sym: Symbol, q: float, pairs, threads: int = 1) -> SubmultReport:
+def submult_check(sym: Symbol, q: float, pairs) -> SubmultReport:
     """Evaluate log2 S_{M+N} <= log2 S_M + log2 S_N on the given (M, N) pairs.
 
     Evaluates regardless of the one-sidedness hypothesis; ``hypothesis_ok``
@@ -225,7 +220,7 @@ def submult_check(sym: Symbol, q: float, pairs, threads: int = 1) -> SubmultRepo
     if not pairs or any(m < 1 or n < 1 for m, n in pairs):
         raise ValueError("submult_check: pairs must contain positive integers")
     top = max(m + n for m, n in pairs)
-    log2s = s_n_q_table(sym, top, q, threads)
+    log2s = s_n_q_table(sym, top, q)
     rows = [
         SubmultRow(m, n, float(log2s[m - 1]), float(log2s[n - 1]), float(log2s[m + n - 1]))
         for m, n in pairs
@@ -238,15 +233,13 @@ def submult_check(sym: Symbol, q: float, pairs, threads: int = 1) -> SubmultRepo
 
 def corr_dim_szego_lower(sym: Symbol, grid: int = toeplitz.SZEGO_GRID) -> float:
     """(1/log 2) * integral of log(2 / (1 + g^2)), g = 2f - 1; always <= 1."""
+    require_range(sym)
     g = 2.0 * sym.values_on_grid(grid) - 1.0
-    integral = float(np.mean(np.log(2.0 / (1.0 + g * g))))
-    return integral / LOG2
+    return toeplitz.szego_log_integral(2.0 / (1.0 + g * g)).value / LOG2
 
 
-def _upper_bound_at_beta(g: np.ndarray, beta: float, clamp: float = toeplitz.SZEGO_CLAMP):
-    vals = (1.0 + beta * g) ** 2 / (1.0 + beta * beta)
-    clamped = bool(np.any(vals < clamp))
-    integral = float(np.mean(np.log(np.maximum(vals, clamp))))
+def _upper_bound_at_beta(g: np.ndarray, beta: float) -> tuple[float, bool]:
+    integral, clamped = toeplitz.szego_log_integral((1.0 + beta * g) ** 2 / (1.0 + beta * beta))
     return 1.0 - integral / LOG2, clamped
 
 
@@ -259,6 +252,7 @@ def corr_dim_szego_upper(sym: Symbol, beta_grid=None, grid: int = toeplitz.SZEGO
     clamping are skipped (clamping would spoil validity); beta = 0 always
     gives the safe value 1.
     """
+    require_range(sym)
     if beta_grid is None:
         beta_grid = np.linspace(-1.0, 1.0, DEFAULT_BETA_POINTS)
     betas = np.asarray(beta_grid, dtype=float)

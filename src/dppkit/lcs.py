@@ -21,7 +21,6 @@ the latter is kept for reference output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,16 +217,14 @@ def _trial_seeds(seed: int, n_index: int, trial: int) -> tuple[int, int]:
 
 
 def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
-                    dim2: float | None = None, threads: int = 1,
-                    dim2_nmax: int = 12) -> list[LcsExperimentRow]:
+                    dim2: float | None = None, dim2_nmax: int = 12) -> list[LcsExperimentRow]:
     """Mean growth of M_n over independent sampled pairs, per n in n_grid.
 
     The target column divides 2/ln 2 by ``dim2``.  When ``dim2`` is not
     supplied it is the finite-N ``fekete_lower`` of the dimension module,
     and ``target_certified`` says whether that is a certified lower bound
     (it is not for two-sided symbols).  Trial t of row j derives its two
-    sampling seeds from SeedSequence((seed, (j, t))), so results are
-    independent of execution order and thread count.
+    sampling seeds from SeedSequence((seed, (j, t))).
     """
     ns = [int(v) for v in n_grid]
     if not ns or any(v < 2 for v in ns):
@@ -248,12 +245,7 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
 
     rows = []
     for j, n in enumerate(ns):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futs = [pool.submit(one_trial, j, n, t) for t in range(trials)]
-                values = np.array([f.result() for f in futs], dtype=float)
-        else:
-            values = np.array([one_trial(j, n, t) for t in range(trials)], dtype=float)
+        values = np.array([one_trial(j, n, t) for t in range(trials)], dtype=float)
         logs = np.log(np.maximum(values, 1.0)) / math.log(n)
         rows.append(
             LcsExperimentRow(

@@ -19,18 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import toeplitz
+from .errors import ConditioningError, NumericsError
 from .symbol import Symbol, g_coeff_fn, require_range
 
 IMAG_TOL = 1e-10
-ENUM_CAP = 22
-
-
-class ConditioningError(ArithmeticError):
-    """A conditional probability could not be formed (vanishing prefix mass)."""
-
-
-class NumericsError(ArithmeticError):
-    """A quantity that must be a probability came out structurally wrong."""
 
 
 def _parse_word(word) -> np.ndarray:

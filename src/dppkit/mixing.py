@@ -29,15 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, toeplitz
+from .errors import NumericsError, SizeCapError
 from .symbol import (DEFAULT_TRUNCATION, Symbol, TailSum, contraction_margin, g_coeff_fn,
                      require_range, tail_sum)
 
 FINITE_WINDOW_CAP = 7
 FINITE_WINDOW_HARD_CAP = 10
-
-
-class SizeCapError(ValueError):
-    """An enumeration exceeded its configured size cap."""
 
 
 @dataclass(frozen=True)
@@ -60,11 +57,7 @@ class PsiBoundReport:
 
 def psi_lower_bound(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> float:
     """1 - exp(-tail/(ell+1)); truncating the tail keeps this a valid lower bound."""
-    if ell < 1:
-        raise ValueError("psi_lower_bound: need ell >= 1")
-    require_range(sym)
-    t = tail_sum(sym, ell, truncation)
-    return -math.expm1(-t.value / (ell + 1.0))
+    return psi_bound_report(sym, ell, truncation).lower_bound
 
 
 def psi_upper_bound(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> float | None:
@@ -125,7 +118,7 @@ def _coupling_stacks(sym: Symbol, ell: int, N: int, cap: int) -> tuple[np.ndarra
     a = theta[:, :, None] * base[:N, :N] + np.eye(N, dtype=base.dtype)
     sign, _ = np.linalg.slogdet(a)
     if np.any(np.real(sign) <= 0):
-        raise measure.NumericsError("vanishing marginal in finite-window enumeration")
+        raise NumericsError("vanishing marginal in finite-window enumeration")
     # columns 0..N-1 hold Lambda_g (top-right block), N..2N-1 Lambda_g* (bottom-left)
     pq = np.linalg.solve(a, theta[:, :, None] * np.hstack([base[:N, N:], base[N:, :N]]))
     return pq[:, :, :N], pq[:, :, N:]
@@ -142,7 +135,7 @@ def _log_ratio_grid(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         # sign of det(I - H) times the two positive marginal signs
         sign, out[lo:lo + chunk] = np.linalg.slogdet(eye - q[None, :] @ p[lo:lo + chunk, None])
         if np.any(np.real(sign) <= 0):
-            raise measure.NumericsError("vanishing joint in finite-window enumeration")
+            raise NumericsError("vanishing joint in finite-window enumeration")
     return out
 
 

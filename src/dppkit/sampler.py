@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .measure import ConditioningError, PrefixState, cylinder_log_probs_direct
-from .mixing import SizeCapError
+from .errors import ConditioningError, SizeCapError
+from .measure import PrefixState, _word_str, cylinder_log_probs_direct
 from .symbol import Symbol, require_range
 
 WINDOW_COEFF_TOL = 1e-16
@@ -41,7 +41,7 @@ class BinarySequence:
         return self.bits.size
 
     def to01(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return _word_str(self.bits)
 
     def to_hex(self) -> str:
         return np.packbits(self.bits).tobytes().hex()

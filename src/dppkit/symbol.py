@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import HypothesisError, SymbolSpecError
+
 RANGE_TOL = 1e-10
 RANGE_GRID = 4096
 QUAD_GRID = 16384
@@ -37,14 +39,6 @@ _FAMILY_PARAMS = {
     "power_decay": ("a", "c", "p", "cutoff"),
     "arc_indicator": ("alpha", "beta"),
 }
-
-
-class SymbolSpecError(ValueError):
-    """Malformed symbol specification (bad family, params, or coefficients)."""
-
-
-class HypothesisError(ValueError):
-    """A theorem hypothesis (range, contraction margin, one-sidedness) fails."""
 
 
 def _require(cond: bool, msg: str) -> None:

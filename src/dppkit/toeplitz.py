@@ -11,7 +11,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .symbol import HypothesisError, Symbol
+from .errors import HypothesisError
+from .symbol import Symbol
 
 SZEGO_GRID = 16384
 SZEGO_CLAMP = 1e-14
@@ -68,15 +69,6 @@ def joint_window_block(source, N: int, ell: int) -> np.ndarray:
     """2N x 2N window matrix over joint_index_set(N, ell); equals the block
     matrix [[T_N, Lambda], [Lambda*, T_N]]."""
     return build_T(source, joint_index_set(N, ell))
-
-
-def matrix_to_csv(m: np.ndarray) -> str:
-    """Debug serialization: one row per line, entries as re+imj."""
-    m = np.atleast_2d(np.asarray(m))
-    lines = []
-    for row in m:
-        lines.append(",".join(repr(complex(v)) if np.iscomplexobj(m) else repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 class LogDet(NamedTuple):

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dppkit
@@ -211,6 +214,60 @@ def test_cap_violation_exit_2(capsys):
     code, _, err = run_cli(["dimension", "--symbol", FAIR, "--nmax", "30"], capsys)
     assert code == 2
     assert "SizeCapError" in err
+
+
+def _raising(exc_type):
+    def raise_planted(*args, **kwargs):
+        raise exc_type("planted")
+
+    return raise_planted
+
+
+@pytest.mark.parametrize(
+    "argv, planted, code, error",
+    [
+        (["psi", "--symbol", "@missing.json"], None, 64, "cannot read symbol file"),
+        (["psi", "--symbol", POISSON, "--ell", "1..x"], None, 64, "cannot parse --ell"),
+        (["cylinder", "--symbol", POISSON], None, 64, "cylinder: provide --word or --N"),
+        (["psi", "--symbol", POISSON, "--ell", "1"], dppkit.ConditioningError, 2,
+         "ConditioningError"),
+        (["psi", "--symbol", POISSON, "--ell", "1"], dppkit.NumericsError, 1, "NumericsError"),
+        (["psi", "--symbol", POISSON, "--ell", "1"], np.linalg.LinAlgError, 1, "LinAlgError"),
+    ],
+)
+def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):
+    monkeypatch.chdir(tmp_path)
+    if planted is not None:
+        monkeypatch.setattr(dppkit.mixing, "psi_finite_window", _raising(planted))
+    got, out, err = run_cli(argv, capsys)
+    assert got == code and out == ""
+    if code == 64:
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+    else:
+        assert json.loads(err) == {"error": error, "message": "planted"}
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    commands = shlex.split(block.replace("\\\n", " "))
+    examples, current = [], None
+    for tok in commands:
+        if tok == "dppkit":
+            current = []
+            examples.append(current)
+        else:
+            current.append(tok)
+    return [argv for argv in examples if argv != ["selftest"]]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "symbol.json").write_text(POISSON, encoding="utf-8")
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert out
 
 
 def test_bad_word_exit_64(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dppkit import (
+    HypothesisError,
     Symbol,
     corr_dim_szego_lower,
     corr_dim_szego_upper,
@@ -48,12 +49,6 @@ def test_s_n_q_table_is_consistent(poi_high):
     tab = s_n_q_table(poi_high, 8, 2)
     for n in (1, 4, 8):
         assert tab[n - 1] == pytest.approx(s_n_q(poi_high, n, 2), abs=1e-12)
-
-
-def test_s_n_q_threads_deterministic(poi_high):
-    seq = s_n_q_table(poi_high, 9, 2, threads=1)
-    par = s_n_q_table(poi_high, 9, 2, threads=4)
-    assert np.array_equal(seq, par)
 
 
 def test_sigma_n_2_values(fair, rc_half):
@@ -155,6 +150,13 @@ def test_corr_dim_szego_upper_values(fair):
     assert corr_dim_szego_upper(fair) == pytest.approx(1.0, abs=1e-12)
     got = corr_dim_szego_upper(Symbol.constant(0.75))
     assert got == pytest.approx(IID_34_DIM2, abs=1e-9)
+
+
+@pytest.mark.parametrize("bound", [corr_dim_szego_lower, corr_dim_szego_upper])
+def test_corr_dim_szego_bounds_check_range(bound):
+    # range [-0.4, 1.4]: a quadrature over it is no bound on any dimension
+    with pytest.raises(HypothesisError):
+        bound(Symbol.raised_cosine(0.5, 0.9))
 
 
 def test_corr_dim_bounds_bracket_one_sided_symbols(poi_high):

@@ -94,12 +94,6 @@ def test_rate_experiment_rows(fair):
         assert row.target_certified
 
 
-def test_rate_experiment_threads_deterministic(fair):
-    a = rate_experiment(fair, [512], trials=6, seed=4, dim2=1.0)
-    b = rate_experiment(fair, [512], trials=6, seed=4, dim2=1.0, threads=3)
-    assert a == b
-
-
 def test_rate_experiment_default_dim2(fair):
     rows = rate_experiment(fair, [128], trials=2, seed=1, dim2_nmax=6)
     assert rows[0].target == pytest.approx(2.0 / math.log(2.0), abs=1e-9)

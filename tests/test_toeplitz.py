@@ -84,17 +84,6 @@ def test_log_det_examples():
     assert la == -math.inf and phase == 0.0
 
 
-def test_matrix_to_csv_roundtrip():
-    from dppkit.toeplitz import matrix_to_csv
-
-    m = np.array([[0.5, 0.25], [0.25, 0.5]])
-    text = matrix_to_csv(m)
-    back = np.array([[float(v) for v in line.split(",")] for line in text.strip().splitlines()])
-    assert np.array_equal(back, m)
-    c = np.array([[1 + 2j]])
-    assert "1+2j" in matrix_to_csv(c)
-
-
 def test_trace_norm_examples():
     assert trace_norm(np.diag([1.0, -2.0, 3.0])) == pytest.approx(6.0)
     assert trace_norm(np.zeros((3, 3))) == 0.0
