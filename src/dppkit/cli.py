@@ -1,12 +1,20 @@
 """Batch command-line front door.
 
 Subcommands: coeffs, cylinder, psi, dimension, sample, lcs-experiment,
-selftest.  Results are emitted as CSV (default) or JSON with deterministic
-bytes for a fixed configuration and seed.
+selftest.  ``main`` loads the symbol once and passes it to the subcommand's
+handler, which returns its column names and its rows; ``_emit`` writes them
+to ``--out`` (default stdout) as CSV (default) or JSON, with deterministic
+bytes for a fixed configuration and seed.  ``sample`` returns no columns,
+only lines: a JSON header, then the bits of each trajectory.
+
+Each subcommand registers only the options it reads (the README lists
+them): ``--symbol`` and ``--out`` on all but selftest, ``--format`` on all
+but sample and selftest, ``--seed`` on sample and lcs-experiment only.
+``--threads`` is accepted everywhere and has no effect.
 
 Exit codes: 0 success; 1 internal numeric failure; 2 hypothesis or size-cap
 violation; 64 malformed symbol spec / usage.  ``main`` maps error classes to
-them through ``_EXIT_CODES``.  ``--threads`` is accepted and has no effect.
+them through ``_EXIT_CODES``.
 """
 from __future__ import annotations
 
@@ -78,17 +86,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(args, columns: list[str], rows: list[dict], meta: dict | None = None) -> None:
+def _emit(args, columns: tuple[str, ...] | None, rows: list) -> None:
+    """Write rows to ``--out`` (default stdout): CSV or JSON keyed by the
+    column names, or, when ``columns`` is None, one preformatted line per row."""
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
-        if args.format == "csv":
+        if columns is None:
+            out.writelines(line + "\n" for line in rows)
+        elif args.format == "csv":
             out.write(",".join(columns) + "\n")
             for row in rows:
-                out.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+                out.write(",".join(map(_fmt, row)) + "\n")
         else:
-            doc = {"rows": rows}
-            if meta:
-                doc["meta"] = meta
+            doc = {"rows": [dict(zip(columns, row)) for row in rows]}
             json.dump(doc, out, indent=2, sort_keys=True, default=_fmt)
             out.write("\n")
     finally:
@@ -96,68 +106,38 @@ def _emit(args, columns: list[str], rows: list[dict], meta: dict | None = None) 
             out.close()
 
 
-# -- subcommands -----------------------------------------------------------
+# -- subcommands: each returns (column names, rows) ------------------------
 
 
-def _cmd_coeffs(args) -> int:
-    sym = _load_symbol(args.symbol)
+def _cmd_coeffs(sym: Symbol, args):
     ns = np.arange(0, args.nmax + 1)
-    cs = sym.coeffs(ns)
-    rows = [{"n": int(n), "re": float(c.real), "im": float(c.imag)} for n, c in zip(ns, cs)]
-    _emit(args, ["n", "re", "im"], rows)
-    return EXIT_OK
+    rows = [(int(n), float(c.real), float(c.imag)) for n, c in zip(ns, sym.coeffs(ns))]
+    return ("n", "re", "im"), rows
 
 
-def _cmd_cylinder(args) -> int:
-    sym = _load_symbol(args.symbol)
-    rows = []
+def _cmd_cylinder(sym: Symbol, args):
     if args.word:
-        words = args.word
+        logs = [(w, measure.cylinder_log_prob(sym, w)) for w in args.word]
     elif args.N:
         if args.N > 12:
             raise SizeCapError("cylinder enumeration caps at N = 12")
-        logs = measure.cylinder_log_probs_direct(sym, args.N)
-        words = None
-        for bits, lp in zip(measure.word_bits(args.N), logs):
-            rows.append({"word": measure._word_str(bits), "probability": math.exp(lp),
-                         "log2_probability": lp / math.log(2)})
+        logs = zip(map(measure._word_str, measure.word_bits(args.N)),
+                   measure.cylinder_log_probs_direct(sym, args.N))
     else:
         raise ValueError("cylinder: provide --word or --N")
-    if words is not None:
-        for w in words:
-            lp = measure.cylinder_log_prob(sym, w)
-            rows.append(
-                {"word": w, "probability": math.exp(lp), "log2_probability": lp / math.log(2)}
-            )
-    _emit(args, ["word", "probability", "log2_probability"], rows)
-    return EXIT_OK
+    rows = [(w, math.exp(lp), lp / math.log(2)) for w, lp in logs]
+    return ("word", "probability", "log2_probability"), rows
 
 
-def _cmd_psi(args) -> int:
-    sym = _load_symbol(args.symbol)
-    ells = _parse_int_list(args.ell, "--ell")
+def _cmd_psi(sym: Symbol, args):
     rows = []
-    for ell in ells:
+    for ell in _parse_int_list(args.ell, "--ell"):
         rep = mixing.psi_bound_report(sym, ell, args.truncation)
         fin = mixing.psi_finite_window(sym, ell, args.N)
-        rows.append(
-            {
-                "ell": ell,
-                "lower_bound": rep.lower_bound,
-                "finite_window_N": fin.N,
-                "finite_window_value": fin.value,
-                "upper_bound": rep.upper_bound,
-                "tau": rep.tau,
-                "upper_approximate": rep.upper_approximate,
-            }
-        )
-    _emit(
-        args,
-        ["ell", "lower_bound", "finite_window_N", "finite_window_value", "upper_bound", "tau",
-         "upper_approximate"],
-        rows,
-    )
-    return EXIT_OK
+        rows.append((ell, rep.lower_bound, fin.N, fin.value, rep.upper_bound, rep.tau,
+                     rep.upper_approximate))
+    return ("ell", "lower_bound", "finite_window_N", "finite_window_value", "upper_bound", "tau",
+            "upper_approximate"), rows
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -167,77 +147,31 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise ValueError(f"cannot parse {what}: {text!r}") from exc
 
 
-def _cmd_dimension(args) -> int:
-    sym = _load_symbol(args.symbol)
+def _cmd_dimension(sym: Symbol, args):
     beta_grid = _parse_float_list(args.beta_grid, "--beta-grid") if args.beta_grid else None
     est = dimension.dim_q_estimate(sym, args.q, args.nmax, beta_grid=beta_grid)
-    rows = []
-    for n, l2, e in zip(est.table.N, est.table.log2_S_N, est.table.estimate_N):
-        rows.append(
-            {
-                "q": args.q,
-                "N": int(n),
-                "log2_S_N": float(l2),
-                "estimate_N": float(e),
-                "fekete_lower": est.fekete_lower,
-                "last_estimate": est.last_estimate,
-                "certified": est.certified,
-                "szego_lower": est.szego_lower,
-                "szego_upper": est.szego_upper,
-            }
-        )
-    _emit(
-        args,
-        ["q", "N", "log2_S_N", "estimate_N", "fekete_lower", "last_estimate", "certified",
-         "szego_lower", "szego_upper"],
-        rows,
-    )
-    return EXIT_OK
+    summary = (est.fekete_lower, est.last_estimate, est.certified, est.szego_lower,
+               est.szego_upper)
+    rows = [(args.q, int(n), float(l2), float(e)) + summary
+            for n, l2, e in zip(est.table.N, est.table.log2_S_N, est.table.estimate_N)]
+    return ("q", "N", "log2_S_N", "estimate_N", "fekete_lower", "last_estimate", "certified",
+            "szego_lower", "szego_upper"), rows
 
 
-def _cmd_sample(args) -> int:
-    sym = _load_symbol(args.symbol)
+def _cmd_sample(sym: Symbol, args):
+    """A JSON header line, then one line of bits per trajectory (no columns)."""
     seqs = sampler.sample_many(sym, args.n, args.trajectories, args.seed)
     header = {"symbol": sym.spec_dict(), "seed": args.seed, "n": args.n}
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
-    try:
-        out.write(json.dumps(header, sort_keys=True) + "\n")
-        for seq in seqs:
-            out.write((seq.to_hex() if args.encoding == "hex" else seq.to01()) + "\n")
-    finally:
-        if args.out is not None:
-            out.close()
-    return EXIT_OK
+    bits = [seq.to_hex() if args.encoding == "hex" else seq.to01() for seq in seqs]
+    return None, [json.dumps(header, sort_keys=True)] + bits
 
 
-def _cmd_lcs(args) -> int:
-    sym = _load_symbol(args.symbol)
+def _cmd_lcs(sym: Symbol, args):
     ns = _parse_int_list(args.ngrid, "--ngrid")
-    rows_data = lcs.rate_experiment(sym, ns, args.trials, args.seed)
-    rows = [
-        {
-            "n": r.n,
-            "trials": r.trials,
-            "mean_Mn": r.mean_Mn,
-            "std_Mn": r.std_Mn,
-            "Mn_over_ln_n": r.ratio,
-            "log_Mn_over_log_n": r.ratio_loglog,
-            "target": r.target,
-            "target_certified": r.target_certified,
-        }
-        for r in rows_data
-    ]
-    _emit(
-        args,
-        ["n", "trials", "mean_Mn", "std_Mn", "Mn_over_ln_n", "log_Mn_over_log_n", "target",
-         "target_certified"],
-        rows,
-    )
-    return EXIT_OK
-
-
-def _cmd_selftest(args) -> int:
-    return EXIT_OK if selftest.run_selftest() else EXIT_NUMERIC
+    rows = [(r.n, r.trials, r.mean_Mn, r.std_Mn, r.ratio, r.ratio_loglog, r.target,
+             r.target_certified) for r in lcs.rate_experiment(sym, ns, args.trials, args.seed)]
+    return ("n", "trials", "mean_Mn", "std_Mn", "Mn_over_ln_n", "log_Mn_over_log_n", "target",
+            "target_certified"), rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,13 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, symbol=True):
+    def common(p, symbol=True, fmt=True, seed=False):
         if symbol:
             p.add_argument("--symbol", required=True,
                            help="inline JSON symbol spec, or @file")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--out", default=None, help="output path (default stdout)")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("coeffs", help="Fourier coefficients fhat(0..nmax)")
@@ -283,21 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_dimension)
 
     p = sub.add_parser("sample", help="sample process prefixes")
-    common(p)
+    common(p, fmt=False, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trajectories", type=int, default=1)
     p.add_argument("--encoding", choices=("ascii", "hex"), default="ascii")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("lcs-experiment", help="longest-common-substring growth law")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--ngrid", default="2^10,2^12", help="prefix lengths, e.g. 2^12..  or 1024,4096")
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(fn=_cmd_lcs)
 
     p = sub.add_parser("selftest", help="run the built-in invariant battery")
-    common(p, symbol=False)
-    p.set_defaults(fn=_cmd_selftest)
+    common(p, symbol=False, fmt=False)
     return parser
 
 
@@ -319,12 +254,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    if args.command == "selftest":
+        return EXIT_OK if selftest.run_selftest() else EXIT_NUMERIC
     try:
-        return args.fn(args)
+        _emit(args, *args.fn(_load_symbol(args.symbol), args))
     except (ValueError, ArithmeticError) as exc:
         _, code, line = next(row for row in _EXIT_CODES if isinstance(exc, row[0]))
         print(line(exc), file=sys.stderr)
         return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

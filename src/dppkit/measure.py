@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import toeplitz
-from .errors import ConditioningError, NumericsError
+from .errors import ConditioningError, NumericsError, SizeCapError
 from .symbol import Symbol, g_coeff_fn, require_range
 
 IMAG_TOL = 1e-10
@@ -306,7 +306,8 @@ def cylinder_log_probs_direct(sym: Symbol, N: int) -> np.ndarray:
     """
     require_range(sym)
     if not (1 <= N <= 14):
-        raise ValueError("cylinder_log_probs_direct: need 1 <= N <= 14")
+        error = ValueError if N < 1 else SizeCapError
+        raise error("cylinder_log_probs_direct: need 1 <= N <= 14")
     tg = toeplitz.build_T(g_coeff_fn(sym), np.arange(1, N + 1))
     theta = 2.0 * word_bits(N) - 1.0
     mats = theta[:, :, None] * tg[None, :, :] + np.eye(N, dtype=tg.dtype)

@@ -23,7 +23,6 @@ past the bandwidth give exactly 0.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ from .symbol import (DEFAULT_TRUNCATION, Symbol, TailSum, contraction_margin, g_
                      require_range, tail_sum)
 
 FINITE_WINDOW_CAP = 7
-FINITE_WINDOW_HARD_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -105,14 +103,14 @@ class FiniteWindowDetails:
     hs_norm_sq: float          # ||Lambda||_HS^2
 
 
-def _coupling_stacks(sym: Symbol, ell: int, N: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """P(eps) = A(eps)^-1 D(theta) Lambda_g and Q(eps') = A(eps')^-1 D(theta') Lambda_g*
     for every word, with A(eps) = D(theta) T_N(g) + I; stacks of shape (2^N, N, N)."""
     if ell < 1 or N < 1:
         raise ValueError("finite-window search: need ell >= 1 and N >= 1")
     require_range(sym)
-    if N > cap:
-        raise SizeCapError(f"finite-window size {N} exceeds cap {cap}")
+    if N > FINITE_WINDOW_CAP:
+        raise SizeCapError(f"finite-window size {N} exceeds cap {FINITE_WINDOW_CAP}")
     base = toeplitz.build_T(g_coeff_fn(sym), toeplitz.joint_index_set(N, ell))
     theta = 2.0 * measure.word_bits(N) - 1.0
     a = theta[:, :, None] * base[:N, :N] + np.eye(N, dtype=base.dtype)
@@ -139,11 +137,9 @@ def _log_ratio_grid(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def psi_finite_window(sym: Symbol, ell: int, N: int, cap: int = FINITE_WINDOW_CAP) -> FiniteWindowPsi:
-    """Exhaustive max of |R - 1| over the 4^N word pairs."""
-    p, q = _coupling_stacks(sym, ell, N, min(int(cap), FINITE_WINDOW_HARD_CAP))
-    if N > FINITE_WINDOW_CAP:
-        warnings.warn(f"finite-window search at N={N} evaluates 4^{N} ratios", stacklevel=2)
+def psi_finite_window(sym: Symbol, ell: int, N: int) -> FiniteWindowPsi:
+    """Exhaustive max of |R - 1| over the 4^N word pairs, N <= FINITE_WINDOW_CAP."""
+    p, q = _coupling_stacks(sym, ell, N)
     dev = np.abs(np.expm1(_log_ratio_grid(p, q)))
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     words = measure.word_bits(N)
@@ -152,10 +148,9 @@ def psi_finite_window(sym: Symbol, ell: int, N: int, cap: int = FINITE_WINDOW_CA
     )
 
 
-def finite_window_details(sym: Symbol, ell: int, N: int, cap: int = FINITE_WINDOW_CAP) -> FiniteWindowDetails:
+def finite_window_details(sym: Symbol, ell: int, N: int) -> FiniteWindowDetails:
     """Deviation and trace-norm grids for every word pair (test harness)."""
-    # the (4^N, N, N) svd grid gets heavy past N = 8
-    p, q = _coupling_stacks(sym, ell, N, min(int(cap), 8))
+    p, q = _coupling_stacks(sym, ell, N)
     dev = np.abs(np.expm1(_log_ratio_grid(p, q)))
     h = q[None, :] @ p[:, None]
     hnorm = np.linalg.svd(h, compute_uv=False).sum(axis=-1)

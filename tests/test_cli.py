@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -11,11 +13,12 @@ import pytest
 
 import dppkit
 from dppkit import Symbol, cylinder_prob
-from dppkit.cli import main
+from dppkit.cli import build_parser, main
 
 POISSON = '{"family":"poisson","params":{"c":0.5,"r":0.25}}'
 FAIR = '{"family":"constant","params":{"a":0.5}}'
 POI_HIGH = '{"family":"poisson","params":{"c":0.75,"r":0.125}}'
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -38,6 +41,14 @@ def test_coeffs_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rows"][0] == {"n": 0, "re": 0.5, "im": 0.0}
+
+
+def test_coeffs_empty_rows(capsys):
+    code, out, _ = run_cli(["coeffs", "--symbol", POISSON, "--nmax", "-1"], capsys)
+    assert code == 0 and out == "n,re,im\n"
+    code, out, _ = run_cli(["coeffs", "--symbol", POISSON, "--nmax", "-1", "--format", "json"],
+                           capsys)
+    assert code == 0 and json.loads(out) == {"rows": []}
 
 
 def test_cylinder_word(capsys):
@@ -248,8 +259,7 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, err
 
 
 def _readme_cli_examples() -> list[list[str]]:
-    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
     commands = shlex.split(block.replace("\\\n", " "))
     examples, current = [], None
     for tok in commands:
@@ -268,6 +278,42 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
     assert out
+
+
+def _readme_option_table() -> dict[str, set[str]]:
+    table = README.read_text(encoding="utf-8").split("| subcommand | options |", 1)[1]
+    rows = [line.split("|")[1:3] for line in table.split("\n\n", 1)[0].splitlines()
+            if line.startswith("| `")]
+    return {name.strip(" `"): set(re.findall(r"`([^`]+)`", options)) for name, options in rows}
+
+
+def test_readme_option_table_matches_parser():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    registered = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert registered == _readme_option_table()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--symbol", FAIR, "--n", "8", "--seed", "3", "--format", "json"],
+        ["selftest", "--out", "f"],
+        ["selftest", "--seed", "1"],
+        ["psi", "--symbol", POISSON, "--ell", "1", "--N", "1", "--seed", "1"],
+        ["coeffs", "--symbol", POISSON, "--seed", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_unread_options_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert not (tmp_path / "f").exists()
 
 
 def test_bad_word_exit_64(capsys):

@@ -16,6 +16,7 @@ from dppkit import (
     submult_check,
 )
 from dppkit.dimension import s_n_q_direct, subset_dets, walsh_tuple_coefficient
+from dppkit.measure import cylinder_log_probs_direct
 from dppkit.mixing import SizeCapError
 from dppkit.symbol import g_coeff_fn
 from dppkit import build_T
@@ -223,3 +224,14 @@ def test_non_integer_q_is_uncertified(poi_high):
 def test_s_n_q_cap():
     with pytest.raises(SizeCapError):
         s_n_q(Symbol.constant(0.5), 23, 2)
+
+
+def test_direct_enumeration_cap():
+    sym = Symbol.poisson(0.5, 0.25)
+    with pytest.raises(SizeCapError):
+        s_n_q_direct(sym, 15, 2)
+    with pytest.raises(SizeCapError):
+        cylinder_log_probs_direct(sym, 15)
+    with pytest.raises(ValueError) as info:
+        cylinder_log_probs_direct(sym, 0)
+    assert not isinstance(info.value, SizeCapError)

@@ -234,8 +234,8 @@ def test_details_checks_range():
 
 
 def test_details_cap_message_names_binding_cap():
-    with pytest.raises(SizeCapError, match="exceeds cap 8"):
-        finite_window_details(Symbol.constant(0.5), 1, 9, cap=10)
+    with pytest.raises(SizeCapError, match="exceeds cap 7"):
+        finite_window_details(Symbol.constant(0.5), 1, 8)
 
 
 def test_details_rejects_zero_gap():
