@@ -12,13 +12,10 @@ from .errors import (
 )
 from .symbol import (
     Symbol,
-    TailDecay,
     TailSum,
-    complement,
     contraction_margin,
     one_sidedness,
     symbol_from_json,
-    tail_decay_exponent,
     tail_sum,
 )
 from .toeplitz import (
@@ -27,8 +24,6 @@ from .toeplitz import (
     build_T,
     build_T_window,
     build_lambda,
-    hs_norm_sq_lambda,
-    joint_window_block,
     log_det,
     szego_log_integral,
     trace_norm,
@@ -41,7 +36,6 @@ from .measure import (
     cylinder_log_prob,
     cylinder_prob,
     joint_cylinder_log_prob,
-    joint_cylinder_prob,
 )
 from .mixing import (
     FiniteWindowPsi,
@@ -49,8 +43,6 @@ from .mixing import (
     allones_lower_witness,
     psi_bound_report,
     psi_finite_window,
-    psi_lower_bound,
-    psi_upper_bound,
 )
 from .dimension import (
     DimensionEstimate,

@@ -89,7 +89,10 @@ def _fmt(value) -> str:
 def _emit(args, columns: tuple[str, ...] | None, rows: list) -> None:
     """Write rows to ``--out`` (default stdout): CSV or JSON keyed by the
     column names, or, when ``columns`` is None, one preformatted line per row."""
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
+    try:
+        out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from exc
     try:
         if columns is None:
             out.writelines(line + "\n" for line in rows)
@@ -110,6 +113,8 @@ def _emit(args, columns: tuple[str, ...] | None, rows: list) -> None:
 
 
 def _cmd_coeffs(sym: Symbol, args):
+    if args.nmax < 0:
+        raise ValueError("coeffs: --nmax must be at least 0")
     ns = np.arange(0, args.nmax + 1)
     rows = [(int(n), float(c.real), float(c.imag)) for n, c in zip(ns, sym.coeffs(ns))]
     return ("n", "re", "im"), rows
@@ -118,7 +123,9 @@ def _cmd_coeffs(sym: Symbol, args):
 def _cmd_cylinder(sym: Symbol, args):
     if args.word:
         logs = [(w, measure.cylinder_log_prob(sym, w)) for w in args.word]
-    elif args.N:
+    elif args.N is not None:
+        if args.N < 1:
+            raise ValueError("cylinder: --N must be at least 1")
         if args.N > 12:
             raise SizeCapError("cylinder enumeration caps at N = 12")
         logs = zip(map(measure._word_str, measure.word_bits(args.N)),

@@ -1,6 +1,7 @@
-"""Moment sums S_N^(q) = sum over length-N words of mu([word])^q, their
-subset-determinant and parity-tuple oracles, Fekete-certified dimension
-lower bounds, and quadrature bounds on the correlation dimension.
+"""Moment sums S_N^(q) = sum over length-N words of mu([word])^q, the
+subset-determinant and parity-tuple sums Sigma_N that cross-check them
+(sigma_n_2, sigma_n_q_walsh), Fekete-certified dimension lower bounds, and
+quadrature bounds on the correlation dimension.
 
 For one-sided symbols (f >= 1/2 or f <= 1/2) S_N is sub-multiplicative, so
 -log2 S_N is superadditive and every finite-N estimate
@@ -66,15 +67,6 @@ def s_n_q(sym: Symbol, N: int, q: float) -> float:
     return float(s_n_q_table(sym, N, q)[N - 1])
 
 
-def s_n_q_direct(sym: Symbol, N: int, q: float) -> float:
-    """log2 S_N^(q) via one batched determinant per word (oracle route)."""
-    from .measure import cylinder_log_probs_direct
-
-    logs = cylinder_log_probs_direct(sym, N)
-    finite = logs[logs > -math.inf]
-    return float(np.log2(np.sum(np.exp(q * finite))))
-
-
 # -- subset-determinant and parity-tuple oracles -----------------------------
 
 
@@ -107,14 +99,6 @@ def sigma_n_2(sym: Symbol, N: int) -> float:
     """Sum over subsets J of [N] of det^2 T_J(g); equals 2^N S_N^(2)."""
     a = subset_dets(sym, N)
     return float(np.sum(a * a))
-
-
-def walsh_tuple_coefficient(masks: "list[int]", N: int) -> int:
-    """1 iff every position appears an even number of times across the tuple."""
-    for k in range(N):
-        if sum((m >> k) & 1 for m in masks) % 2:
-            return 0
-    return 1
 
 
 def sigma_n_q_walsh(sym: Symbol, N: int, q: int) -> float:
@@ -231,10 +215,10 @@ def submult_check(sym: Symbol, q: float, pairs) -> SubmultReport:
 # -- quadrature bounds on the correlation dimension ---------------------------
 
 
-def corr_dim_szego_lower(sym: Symbol, grid: int = toeplitz.SZEGO_GRID) -> float:
+def corr_dim_szego_lower(sym: Symbol) -> float:
     """(1/log 2) * integral of log(2 / (1 + g^2)), g = 2f - 1; always <= 1."""
     require_range(sym)
-    g = 2.0 * sym.values_on_grid(grid) - 1.0
+    g = 2.0 * sym.values_on_grid(toeplitz.SZEGO_GRID) - 1.0
     return toeplitz.szego_log_integral(2.0 / (1.0 + g * g)).value / LOG2
 
 
@@ -243,8 +227,7 @@ def _upper_bound_at_beta(g: np.ndarray, beta: float) -> tuple[float, bool]:
     return 1.0 - integral / LOG2, clamped
 
 
-def corr_dim_szego_upper(sym: Symbol, beta_grid=None, grid: int = toeplitz.SZEGO_GRID,
-                         refine: bool = True) -> float:
+def corr_dim_szego_upper(sym: Symbol, beta_grid=None) -> float:
     """min over beta in [-1,1] of 1 - (1/log 2) integral log((1+beta*g)^2/(1+beta^2)).
 
     Every beta yields a valid upper bound; a grid scan plus bounded scalar
@@ -258,23 +241,22 @@ def corr_dim_szego_upper(sym: Symbol, beta_grid=None, grid: int = toeplitz.SZEGO
     betas = np.asarray(beta_grid, dtype=float)
     if betas.size == 0 or np.any(np.abs(betas) > 1.0):
         raise ValueError("beta grid must be non-empty within [-1, 1]")
-    g = 2.0 * sym.values_on_grid(grid) - 1.0
+    g = 2.0 * sym.values_on_grid(toeplitz.SZEGO_GRID) - 1.0
     best = 1.0  # beta = 0
     best_beta = 0.0
     for beta in betas:
         val, clamped = _upper_bound_at_beta(g, float(beta))
         if not clamped and val < best:
             best, best_beta = val, float(beta)
-    if refine:
-        lo = max(-1.0, best_beta - 0.1)
-        hi = min(1.0, best_beta + 0.1)
+    lo = max(-1.0, best_beta - 0.1)
+    hi = min(1.0, best_beta + 0.1)
 
-        def objective(beta: float) -> float:
-            val, clamped = _upper_bound_at_beta(g, beta)
-            return math.inf if clamped else val
+    def objective(beta: float) -> float:
+        val, clamped = _upper_bound_at_beta(g, beta)
+        return math.inf if clamped else val
 
-        res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        if res.fun < best:
-            best = float(res.fun)
+    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10})
+    if res.fun < best:
+        best = float(res.fun)
     return best

@@ -30,6 +30,7 @@ from .symbol import Symbol
 
 LOG2 = math.log(2.0)
 WINDOW = 64  # bits per packed window code
+DIM2_NMAX = 12  # depth of the moment sums behind a default dim2
 
 
 def _prefix_bits(x, n: int) -> np.ndarray:
@@ -217,13 +218,13 @@ def _trial_seeds(seed: int, n_index: int, trial: int) -> tuple[int, int]:
 
 
 def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
-                    dim2: float | None = None, dim2_nmax: int = 12) -> list[LcsExperimentRow]:
+                    dim2: float | None = None) -> list[LcsExperimentRow]:
     """Mean growth of M_n over independent sampled pairs, per n in n_grid.
 
     The target column divides 2/ln 2 by ``dim2``.  When ``dim2`` is not
-    supplied it is the finite-N ``fekete_lower`` of the dimension module,
-    and ``target_certified`` says whether that is a certified lower bound
-    (it is not for two-sided symbols).  Trial t of row j derives its two
+    supplied it is the ``fekete_lower`` of the dimension module up to
+    N = DIM2_NMAX, and ``target_certified`` says whether that is a certified
+    lower bound (it is not for two-sided symbols).  Trial t of row j derives its two
     sampling seeds from SeedSequence((seed, (j, t))).
     """
     ns = [int(v) for v in n_grid]
@@ -233,7 +234,7 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
         raise ValueError("rate_experiment: need trials >= 1")
     certified = True
     if dim2 is None:
-        est = dimension.dim_q_estimate(sym, 2, dim2_nmax)
+        est = dimension.dim_q_estimate(sym, 2, DIM2_NMAX)
         dim2, certified = est.fekete_lower, est.certified
     target = (2.0 / LOG2) / dim2
 

@@ -45,13 +45,22 @@ def word_bits(N: int) -> np.ndarray:
     return (np.arange(2 ** N, dtype=np.int64)[:, None] >> np.arange(N)[None, :]) & 1
 
 
+def _unresolved(position: int, log_mass: float, s_abs: float, residue: float) -> ConditioningError:
+    """An imaginary residue above IMAG_TOL in a factor s (one extension
+    factor, or a whole determinant): on a word this improbable the
+    floating-point route has lost real accuracy too, so no number is given."""
+    return ConditioningError(
+        "prefix mass %.3g too small to resolve at position %d: |s| = %.3g, imaginary residue %.3g"
+        % (math.exp(log_mass), position, s_abs, residue))
+
+
 def _log_prob_from_matrix(m: np.ndarray, n_bits: int) -> float:
     """log mu from det(D(theta) T(g) + I), validating sign/phase."""
     logabs, phase = toeplitz.log_det(m)
     if logabs == -math.inf:
         return -math.inf
     if abs(phase.imag) > IMAG_TOL:
-        raise NumericsError(f"cylinder determinant has imaginary phase {phase!r}")
+        raise _unresolved(n_bits - 1, logabs - n_bits * math.log(2.0), math.exp(logabs), phase.imag)
     if phase.real < 0:
         if logabs < -200.0:
             return -math.inf
@@ -78,21 +87,6 @@ def cylinder_prob(sym: Symbol, word) -> float:
     return math.exp(cylinder_log_prob(sym, word))
 
 
-def cylinder_prob_direct(sym: Symbol, word) -> float:
-    """mu([word]) from det(D(2 eps - 1) T_N(f) + D(1 - eps)); slow cross-check route."""
-    require_range(sym)
-    eps = _parse_word(word)
-    n = eps.size
-    t = toeplitz.build_T_window(sym, n)
-    m = (2.0 * eps - 1.0)[:, None] * t + np.diag(1.0 - eps)
-    val = np.linalg.det(m)
-    if np.iscomplexobj(val):
-        if abs(val.imag) > IMAG_TOL:
-            raise NumericsError(f"cylinder determinant has imaginary part {val.imag!r}")
-        val = val.real
-    return float(val)
-
-
 def joint_cylinder_log_prob(sym: Symbol, word, word_prime, gap_ell: int) -> float:
     """Natural log of mu([word] n shift^-(N+ell) [word_prime])."""
     require_range(sym)
@@ -106,10 +100,6 @@ def joint_cylinder_log_prob(sym: Symbol, word, word_prime, gap_ell: int) -> floa
     theta = np.concatenate([2.0 * eps - 1.0, 2.0 * eps_p - 1.0])
     m = _signed_g_matrix(sym, theta, toeplitz.joint_index_set(n, gap_ell))
     return _log_prob_from_matrix(m, 2 * n)
-
-
-def joint_cylinder_prob(sym: Symbol, word, word_prime, gap_ell: int) -> float:
-    return math.exp(joint_cylinder_log_prob(sym, word, word_prime, gap_ell))
 
 
 @dataclass(frozen=True)
@@ -242,9 +232,7 @@ class PrefixState:
         _, _, alpha = self._extension()
         if not self.gd.real:
             if abs(alpha.imag) > IMAG_TOL:
-                raise NumericsError(
-                    f"conditional at position {self.length} has imaginary part {alpha.imag!r}"
-                )
+                raise _unresolved(self.length, self.log_prob, abs(1.0 + alpha), alpha.imag)
             alpha = alpha.real
         p1 = 0.5 * (1.0 + alpha)
         if p1 < -1e-9 or p1 > 1.0 + 1e-9:
@@ -261,9 +249,7 @@ class PrefixState:
             s_real = s
         else:
             if abs(s.imag) > IMAG_TOL:
-                raise NumericsError(
-                    f"extension factor at position {self.length} has imaginary part {s.imag!r}"
-                )
+                raise _unresolved(self.length, self.log_prob, abs(s), s.imag)
             s_real = s.real
         if s_real <= 0.0:
             raise ConditioningError(
@@ -312,9 +298,10 @@ def cylinder_log_probs_direct(sym: Symbol, N: int) -> np.ndarray:
     theta = 2.0 * word_bits(N) - 1.0
     mats = theta[:, :, None] * tg[None, :, :] + np.eye(N, dtype=tg.dtype)
     sign, logabs = np.linalg.slogdet(mats)
-    bad = np.abs(np.imag(sign)) > IMAG_TOL if np.iscomplexobj(sign) else np.zeros(sign.shape, bool)
-    if np.any(bad):
-        raise NumericsError("cylinder determinant has imaginary phase")
+    bad = np.nonzero(np.abs(np.imag(sign)) > IMAG_TOL)[0]
+    if bad.size:
+        i = bad[0]
+        raise _unresolved(N - 1, logabs[i] - N * math.log(2.0), math.exp(logabs[i]), sign[i].imag)
     neg = np.real(sign) <= 0
     out = logabs - N * math.log(2.0)
     out[neg] = -math.inf

@@ -53,17 +53,9 @@ class PsiBoundReport:
     upper_approximate: bool
 
 
-def psi_lower_bound(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> float:
-    """1 - exp(-tail/(ell+1)); truncating the tail keeps this a valid lower bound."""
-    return psi_bound_report(sym, ell, truncation).lower_bound
-
-
-def psi_upper_bound(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> float | None:
-    """(tail/tau^2) exp(1 + tail/tau^2), or None when tau <= 0."""
-    return psi_bound_report(sym, ell, truncation).upper_bound
-
-
 def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> PsiBoundReport:
+    """lower = 1 - exp(-tail/(ell+1)), which truncating the tail keeps valid;
+    upper = (tail/tau^2) exp(1 + tail/tau^2), or None when tau <= 0."""
     if ell < 1:
         raise ValueError("psi_bound_report: need ell >= 1")
     require_range(sym)
@@ -91,16 +83,6 @@ class FiniteWindowPsi:
     value: float
     argmax_word: str
     argmax_word_prime: str
-
-
-@dataclass(frozen=True)
-class FiniteWindowDetails:
-    """Per-pair grids from the exhaustive search; index m encodes bit k of
-    the word as (m >> k) & 1."""
-
-    deviation: np.ndarray      # (2^N, 2^N) |R - 1|, rows = eps, cols = eps'
-    h_trace_norm: np.ndarray   # (2^N, 2^N) ||H||_1
-    hs_norm_sq: float          # ||Lambda||_HS^2
 
 
 def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +128,6 @@ def psi_finite_window(sym: Symbol, ell: int, N: int) -> FiniteWindowPsi:
     return FiniteWindowPsi(
         int(ell), int(N), float(dev[i, j]), measure._word_str(words[i]), measure._word_str(words[j])
     )
-
-
-def finite_window_details(sym: Symbol, ell: int, N: int) -> FiniteWindowDetails:
-    """Deviation and trace-norm grids for every word pair (test harness)."""
-    p, q = _coupling_stacks(sym, ell, N)
-    dev = np.abs(np.expm1(_log_ratio_grid(p, q)))
-    h = q[None, :] @ p[:, None]
-    hnorm = np.linalg.svd(h, compute_uv=False).sum(axis=-1)
-    return FiniteWindowDetails(dev, hnorm, toeplitz.hs_norm_sq_lambda(sym, N, ell))
 
 
 def allones_lower_witness(sym: Symbol, ell: int, N: int) -> float:

@@ -24,8 +24,6 @@ from .errors import ConditioningError, SizeCapError
 from .measure import PrefixState, _word_str, cylinder_log_probs_direct
 from .symbol import Symbol, require_range
 
-WINDOW_COEFF_TOL = 1e-16
-AUTO_WINDOW_CAP = 4096
 EXACT_LENGTH_CAP = 2048
 
 
@@ -48,7 +46,7 @@ class BinarySequence:
 
 
 def _auto_window(sym: Symbol, n: int) -> int | None:
-    bw = sym.effective_bandwidth(tol=WINDOW_COEFF_TOL, cap=AUTO_WINDOW_CAP)
+    bw = sym.effective_bandwidth()
     if bw is not None:
         return bw
     if n > EXACT_LENGTH_CAP:

@@ -80,7 +80,7 @@ def _check_dimension_oracles() -> None:
 def _check_psi_sandwich() -> None:
     sym = Symbol.poisson(0.5, 0.25)
     for ell in (1, 2):
-        upper = mixing.psi_upper_bound(sym, ell)
+        upper = mixing.psi_bound_report(sym, ell).upper_bound
         for n in (1, 2, 3):
             wit = mixing.allones_lower_witness(sym, ell, n)
             fin = mixing.psi_finite_window(sym, ell, n).value

@@ -20,8 +20,9 @@ from .errors import HypothesisError, SymbolSpecError
 
 RANGE_TOL = 1e-10
 RANGE_GRID = 4096
-QUAD_GRID = 16384
 DEFAULT_TRUNCATION = 100_000
+BANDWIDTH_TOL = 1e-16
+BANDWIDTH_CAP = 4096
 
 FAMILIES = (
     "constant",
@@ -104,24 +105,6 @@ class Symbol:
         _require(0.0 <= alpha < beta <= 1.0, "arc_indicator: need 0 <= alpha < beta <= 1")
         return cls("arc_indicator", {"alpha": float(alpha), "beta": float(beta)})
 
-    @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], bandwidth: int | None = None,
-                      grid: int = QUAD_GRID) -> "Symbol":
-        """Trig-poly approximation of a user-supplied pointwise symbol.
-
-        Coefficients come from trapezoid quadrature (an FFT on a uniform
-        ``grid``); exact for band-limited inputs with bandwidth < grid/2.
-        """
-        t = np.arange(grid) / grid
-        vals = np.asarray(fn(t), dtype=float)
-        _require(vals.shape == (grid,), "from_function: fn must map a grid to a real grid")
-        c = np.fft.rfft(vals) / grid
-        bw = grid // 2 - 1 if bandwidth is None else int(bandwidth)
-        _require(0 <= bw < grid // 2, "from_function: bandwidth out of range for grid")
-        c = c[: bw + 1]
-        c[0] = c[0].real
-        return cls.trig_poly(c)
-
     # -- coefficients ---------------------------------------------------
 
     def coeff(self, n: int) -> complex:
@@ -182,19 +165,20 @@ class Symbol:
             return 0 if self.params["r"] == 0.0 or self.params["c"] == 0.0 else None
         return None
 
-    def effective_bandwidth(self, tol: float = 1e-16, cap: int = 4096) -> int | None:
-        """Smallest B with |fhat(n)| <= tol for all n > B, or None if > cap."""
+    def effective_bandwidth(self) -> int | None:
+        """Smallest B with |fhat(n)| <= BANDWIDTH_TOL for all n > B, or None
+        if B > BANDWIDTH_CAP."""
         bw = self.bandwidth
         if bw is not None:
             return bw
         if self.family == "poisson":
             c, r = abs(self.params["c"]), abs(self.params["r"])
-            if c <= tol:
+            if c <= BANDWIDTH_TOL:
                 return 0
-            b = int(math.ceil(math.log(tol / c) / math.log(r))) if r > 0 else 0
-            return b if b <= cap else None
-        mags = np.abs(self.coeffs(np.arange(cap + 1)))
-        above = np.nonzero(mags > tol)[0]
+            b = int(math.ceil(math.log(BANDWIDTH_TOL / c) / math.log(r))) if r > 0 else 0
+            return b if b <= BANDWIDTH_CAP else None
+        mags = np.abs(self.coeffs(np.arange(BANDWIDTH_CAP + 1)))
+        above = np.nonzero(mags > BANDWIDTH_TOL)[0]
         if above.size == 0:
             return 0
         # arc_indicator tails decay like 1/n: never below tol within cap
@@ -340,14 +324,12 @@ class TailSum:
     ``remainder_bound`` bounds the dropped tail beyond the truncation when
     the family's decay gives one (band-limited: 0; geometric / power with
     p > 1: closed form; otherwise None and the sum is flagged approximate).
-    ``symmetric`` doubles the sum to cover negative frequencies.
     """
 
     cutoff_ell: int
     truncation_n: int
     value: float
     remainder_bound: float | None
-    symmetric: bool = False
 
     @property
     def exact(self) -> bool:
@@ -389,9 +371,8 @@ def _power_remainder(sym: Symbol, truncation: int) -> float | None:
     return c * c * truncation ** (2 - 2 * p) / (2 * p - 2)
 
 
-def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION,
-             symmetric: bool = False) -> TailSum:
-    """Sum of n*|fhat(n)|^2 for ell < n <= truncation (doubled when symmetric)."""
+def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> TailSum:
+    """Sum of n*|fhat(n)|^2 for ell < n <= truncation."""
     if not (0 <= ell < truncation):
         raise ValueError("tail_sum: need 0 <= ell < truncation")
     bw = sym.bandwidth
@@ -401,65 +382,7 @@ def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION,
     else:
         ns = np.arange(ell + 1, hi + 1)
         value = float(np.sum(ns * np.abs(sym.coeffs(ns)) ** 2))
-    rem = _tail_remainder(sym, truncation)
-    if symmetric:
-        value *= 2.0
-        rem = None if rem is None else 2.0 * rem
-    return TailSum(int(ell), int(truncation), value, rem, symmetric)
-
-
-@dataclass(frozen=True)
-class TailDecay:
-    """Fitted polynomial decay of ell -> tail_sum(ell).
-
-    kind is "exponent" (tail ~ C * ell^-exponent), "exact_bandwidth"
-    (tails vanish beyond the bandwidth) or "super_polynomial" (local
-    log-log slopes keep steepening, e.g. geometric decay).
-    """
-
-    kind: str
-    exponent: float | None
-
-
-def tail_decay_exponent(sym: Symbol, ell_grid, truncation: int = DEFAULT_TRUNCATION) -> TailDecay:
-    """Least-squares decay exponent of the tail sums over ell_grid."""
-    ells = [int(e) for e in ell_grid]
-    if len(ells) < 3 or any(b <= a for a, b in zip(ells, ells[1:])):
-        raise ValueError("tail_decay_exponent: need >= 3 strictly increasing cutoffs")
-    tails = np.array([tail_sum(sym, e, truncation).value for e in ells])
-    if np.all(tails == 0.0):
-        return TailDecay("exact_bandwidth", None)
-    if np.any(tails <= 0.0):
-        raise ValueError("tail_decay_exponent: some tail sums vanish on the grid")
-    x, y = np.log(ells), np.log(tails)
-    local = np.diff(y) / np.diff(x)
-    mags = -local
-    if np.all(mags[1:] > 1.5 * mags[:-1]):
-        return TailDecay("super_polynomial", None)
-    slope = np.polyfit(x, y, 1)[0]
-    return TailDecay("exponent", float(-slope))
-
-
-def complement(sym: Symbol) -> Symbol:
-    """The symbol 1 - f (exact for families closed under complement,
-    a machine-precision trig_poly truncation otherwise)."""
-    fam, p = sym.family, sym.params
-    if fam == "constant":
-        return Symbol.constant(1.0 - p["a"])
-    if fam == "raised_cosine":
-        return Symbol.raised_cosine(1.0 - p["a"], -p["b"])
-    if fam == "trig_poly":
-        tab = -sym.table.copy()
-        tab[0] = 1.0 - sym.table[0]
-        return Symbol.trig_poly(tab)
-    if fam == "power_decay":
-        return Symbol.power_decay(1.0 - p["a"], -p["c"], p["p"], p["cutoff"])
-    bw = sym.effective_bandwidth(tol=1e-18, cap=8192)
-    if bw is None:
-        raise SymbolSpecError(f"complement of {fam} symbol is not representable")
-    tab = -sym.coeffs(np.arange(bw + 1))
-    tab[0] = 1.0 - sym.fhat0
-    return Symbol.trig_poly(tab)
+    return TailSum(int(ell), int(truncation), value, _tail_remainder(sym, truncation))
 
 
 def g_coeff_fn(sym: Symbol) -> Callable[[np.ndarray], np.ndarray]:

@@ -65,12 +65,6 @@ def joint_index_set(N: int, ell: int) -> np.ndarray:
     return np.concatenate([np.arange(1, N + 1), np.arange(N + ell + 1, 2 * N + ell + 1)])
 
 
-def joint_window_block(source, N: int, ell: int) -> np.ndarray:
-    """2N x 2N window matrix over joint_index_set(N, ell); equals the block
-    matrix [[T_N, Lambda], [Lambda*, T_N]]."""
-    return build_T(source, joint_index_set(N, ell))
-
-
 class LogDet(NamedTuple):
     """log|det| plus the unit phase (sign for real input); singular
     matrices report log_abs = -inf with phase 0."""
@@ -100,18 +94,6 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def hs_norm_sq_lambda(source, N: int, ell: int) -> float:
-    """Squared Frobenius norm of the coupling block, by the closed form
-    sum_{k=1}^{N} k |fhat(ell+k)|^2 + sum_{k=N+1}^{2N-1} (2N-k) |fhat(ell+k)|^2."""
-    if N < 1 or ell < 1:
-        raise ValueError("hs_norm_sq_lambda: need N >= 1 and ell >= 1")
-    look = _coeff_lookup(source)
-    k = np.arange(1, 2 * N)
-    weights = np.minimum(k, 2 * N - k)
-    vals = np.abs(look(ell + k)) ** 2
-    return float(np.sum(weights * vals))
-
-
 class SzegoIntegral(NamedTuple):
     """Quadrature of log(phi); ``clamped`` flags nodes pushed up to the
     clamp floor (the true integral may be -inf)."""
@@ -120,22 +102,16 @@ class SzegoIntegral(NamedTuple):
     clamped: bool
 
 
-def szego_log_integral(phi, grid: int = SZEGO_GRID, clamp: float = SZEGO_CLAMP) -> SzegoIntegral:
-    """Trapezoid quadrature of integral_0^1 log(phi(t)) dt for phi >= 0.
-
-    ``phi`` is a callable on [0,1) or an array of values on the uniform
-    grid t_k = k/grid.  Values below ``clamp`` are clamped and flagged.
-    """
-    if callable(phi):
-        vals = np.asarray(phi(np.arange(grid) / grid), dtype=float)
-    else:
-        vals = np.asarray(phi, dtype=float)
-        grid = vals.size
+def szego_log_integral(values) -> SzegoIntegral:
+    """Trapezoid quadrature of integral_0^1 log(phi(t)) dt for phi >= 0,
+    from the values of phi on a uniform grid t_k = k/grid.  Values below
+    SZEGO_CLAMP are clamped and flagged."""
+    vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("szego_log_integral: phi must give a 1-d grid of values")
     if np.any(vals < 0):
         raise HypothesisError("szego_log_integral: phi must be non-negative")
-    clamped = bool(np.any(vals < clamp))
-    vals = np.maximum(vals, clamp)
+    clamped = bool(np.any(vals < SZEGO_CLAMP))
+    vals = np.maximum(vals, SZEGO_CLAMP)
     # uniform periodic grid: trapezoid == mean of node values
     return SzegoIntegral(float(np.mean(np.log(vals))), clamped)

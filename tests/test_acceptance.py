@@ -17,8 +17,7 @@ from dppkit import (
     cylinder_prob,
     dim_q_estimate,
     empirical_cylinder_test,
-    psi_lower_bound,
-    psi_upper_bound,
+    psi_bound_report,
     psi_finite_window,
     rate_experiment,
     s_n_q,
@@ -27,9 +26,9 @@ from dppkit import (
     sigma_n_q_walsh,
 )
 from dppkit.measure import cylinder_log_probs_direct
-from dppkit.mixing import finite_window_details
 
 from conftest import random_interior_symbol
+from oracles import finite_window_details
 
 IID_34_DIM2 = -math.log2(5.0 / 8.0)
 
@@ -58,8 +57,8 @@ def test_criterion_01_product_measure_exactness():
             probs = np.exp(cylinder_log_probs_direct(fair, n))
             assert np.max(np.abs(probs - 2.0 ** -n)) <= 1e-12
         for ell in (1, 2, 3):
-            assert psi_lower_bound(fair, ell) == 0.0
-            assert psi_upper_bound(fair, ell) == 0.0
+            assert psi_bound_report(fair, ell).lower_bound == 0.0
+            assert psi_bound_report(fair, ell).upper_bound == 0.0
             for n in (1, 3, 5):
                 assert psi_finite_window(fair, ell, n).value <= 1e-12
         for q in (2, 3):
@@ -97,7 +96,7 @@ def test_criterion_04_psi_sandwich():
         for sym in (Symbol.poisson(0.5, 0.25), Symbol.poisson(0.75, 0.125)):
             tau = contraction_margin(sym)
             for ell in range(1, 7):
-                upper = psi_upper_bound(sym, ell)
+                upper = psi_bound_report(sym, ell).upper_bound
                 for n in range(1, 7):
                     details = finite_window_details(sym, ell, n)
                     witness = allones_lower_witness(sym, ell, n)

@@ -44,11 +44,15 @@ def test_coeffs_json(capsys):
 
 
 def test_coeffs_empty_rows(capsys):
-    code, out, _ = run_cli(["coeffs", "--symbol", POISSON, "--nmax", "-1"], capsys)
-    assert code == 0 and out == "n,re,im\n"
-    code, out, _ = run_cli(["coeffs", "--symbol", POISSON, "--nmax", "-1", "--format", "json"],
+    # a negative --nmax is a usage error, not a header with no rows; --nmax 0
+    # prints the one row fhat(0)
+    code, out, err = run_cli(["coeffs", "--symbol", POISSON, "--nmax", "-1"], capsys)
+    assert code == 64 and out == "" and err == "error: coeffs: --nmax must be at least 0\n"
+    code, out, _ = run_cli(["coeffs", "--symbol", POISSON, "--nmax", "0"], capsys)
+    assert code == 0 and out == "n,re,im\n0,0.5,0.0\n"
+    code, out, _ = run_cli(["coeffs", "--symbol", POISSON, "--nmax", "0", "--format", "json"],
                            capsys)
-    assert code == 0 and json.loads(out) == {"rows": []}
+    assert code == 0 and json.loads(out) == {"rows": [{"n": 0, "re": 0.5, "im": 0.0}]}
 
 
 def test_cylinder_word(capsys):
@@ -227,6 +231,25 @@ def test_cap_violation_exit_2(capsys):
     assert "SizeCapError" in err
 
 
+def test_unresolved_prefix_mass_exit_2(capsys):
+    # arc_indicator(0.1, 0.45) has range exactly [0, 1]: past N = 9 some words
+    # are too improbable for the prefix recursion and the batched determinant
+    arc = '{"family":"arc_indicator","params":{"alpha":0.1,"beta":0.45}}'
+    for argv in (["dimension", "--symbol", arc, "--q", "2", "--nmax", "10"],
+                 ["cylinder", "--symbol", arc, "--N", "10"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "ConditioningError"
+        assert re.fullmatch(r"prefix mass \S+ too small to resolve at position 9: "
+                            r"\|s\| = \S+, imaginary residue \S+", diag["message"])
+        assert "np.float64" not in diag["message"]
+    code, out, _ = run_cli(["dimension", "--symbol", arc, "--q", "2", "--nmax", "9"], capsys)
+    assert code == 0 and len(out.splitlines()) == 10
+    code, out, _ = run_cli(["cylinder", "--symbol", arc, "--N", "8"], capsys)
+    assert code == 0 and len(out.splitlines()) == 2 ** 8 + 1
+
+
 def _raising(exc_type):
     def raise_planted(*args, **kwargs):
         raise exc_type("planted")
@@ -244,6 +267,8 @@ def _raising(exc_type):
          "ConditioningError"),
         (["psi", "--symbol", POISSON, "--ell", "1"], dppkit.NumericsError, 1, "NumericsError"),
         (["psi", "--symbol", POISSON, "--ell", "1"], np.linalg.LinAlgError, 1, "LinAlgError"),
+        (["cylinder", "--symbol", POISSON, "--N", "0"], None, 64, "cylinder: --N must be at least 1"),
+        (["coeffs", "--symbol", POISSON, "--out", "nodir/x.csv"], None, 64, "cannot write --out: "),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):

@@ -15,13 +15,14 @@ from dppkit import (
     sigma_n_q_walsh,
     submult_check,
 )
-from dppkit.dimension import s_n_q_direct, subset_dets, walsh_tuple_coefficient
+from dppkit.dimension import subset_dets
 from dppkit.measure import cylinder_log_probs_direct
 from dppkit.mixing import SizeCapError
 from dppkit.symbol import g_coeff_fn
 from dppkit import build_T
 
 from conftest import random_interior_symbol
+from oracles import s_n_q_direct, walsh_tuple_coefficient
 
 LOG2 = math.log(2.0)
 IID_34_DIM2 = -math.log2(5.0 / 8.0)  # i.i.d. Bernoulli(3/4) correlation dimension
@@ -139,15 +140,8 @@ def test_corr_dim_szego_lower_values(fair):
     assert corr_dim_szego_lower(Symbol.constant(0.75)) == pytest.approx(IID_34_DIM2, rel=1e-12)
 
 
-def test_corr_dim_szego_lower_grid_stability(rc_half):
-    a = corr_dim_szego_lower(rc_half, grid=2 ** 12)
-    b = corr_dim_szego_lower(rc_half, grid=2 ** 14)
-    assert a == pytest.approx(b, abs=1e-8)
-    assert a <= 1.0
-
-
 def test_corr_dim_szego_upper_values(fair):
-    assert corr_dim_szego_upper(fair, beta_grid=[0.0], refine=False) == 1.0
+    assert corr_dim_szego_upper(fair, beta_grid=[0.0]) == 1.0
     assert corr_dim_szego_upper(fair) == pytest.approx(1.0, abs=1e-12)
     got = corr_dim_szego_upper(Symbol.constant(0.75))
     assert got == pytest.approx(IID_34_DIM2, abs=1e-9)

@@ -95,15 +95,14 @@ def test_rate_experiment_rows(fair):
 
 
 def test_rate_experiment_default_dim2(fair):
-    rows = rate_experiment(fair, [128], trials=2, seed=1, dim2_nmax=6)
+    rows = rate_experiment(fair, [128], trials=2, seed=1)
     assert rows[0].target == pytest.approx(2.0 / math.log(2.0), abs=1e-9)
     assert rows[0].target_certified
 
 
 def test_rate_experiment_flags_uncertified_target():
     # two-sided symbol: fekete_lower is an estimate, not a certified bound
-    rows = rate_experiment(Symbol.raised_cosine(0.5, 0.25), [128], trials=2, seed=1,
-                           dim2_nmax=6)
+    rows = rate_experiment(Symbol.raised_cosine(0.5, 0.25), [128], trials=2, seed=1)
     assert not rows[0].target_certified
 
 

@@ -6,28 +6,26 @@ import pytest
 from dppkit import (
     HypothesisError,
     Symbol,
-    complement,
     conditional_next,
     contraction_margin,
     correlation_ratio,
     cylinder_log_prob,
     cylinder_prob,
-    hs_norm_sq_lambda,
-    joint_cylinder_prob,
 )
-from dppkit.measure import (
-    PrefixState,
-    cylinder_log_probs_direct,
-    cylinder_prob_direct,
-)
+from dppkit.measure import PrefixState, cylinder_log_probs_direct
 from dppkit import build_T, joint_cylinder_log_prob
 from dppkit.symbol import g_coeff_fn
 
 from conftest import random_interior_symbol
+from oracles import complement, cylinder_prob_direct, hs_norm_sq_lambda
 
 
 def _all_words(n):
     return ["".join("1" if (m >> k) & 1 else "0" for k in range(n)) for m in range(2 ** n)]
+
+
+def joint_cylinder_prob(sym, word, word_prime, gap_ell):
+    return math.exp(joint_cylinder_log_prob(sym, word, word_prime, gap_ell))
 
 
 def test_cylinder_prob_product_measure(fair):

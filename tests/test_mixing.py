@@ -9,15 +9,14 @@ from dppkit import (
     contraction_margin,
     psi_bound_report,
     psi_finite_window,
-    psi_lower_bound,
-    psi_upper_bound,
     toeplitz,
 )
 from dppkit.measure import word_bits
-from dppkit.mixing import SizeCapError, finite_window_details
+from dppkit.mixing import SizeCapError
 from dppkit.symbol import HypothesisError, g_coeff_fn
 
 from conftest import random_interior_symbol
+from oracles import finite_window_details
 
 COMPLEX_TRIG = Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])  # bandwidth 3
 
@@ -28,25 +27,25 @@ def _poisson_tail(c, r, ell, nmax=400):
 
 
 def test_psi_lower_bound_zero_for_band_limited(fair, rc_half):
-    assert psi_lower_bound(fair, 1) == 0.0
-    assert psi_lower_bound(rc_half, 1) == 0.0
+    assert psi_bound_report(fair, 1).lower_bound == 0.0
+    assert psi_bound_report(rc_half, 1).lower_bound == 0.0
 
 
 def test_psi_lower_bound_poisson_geometric(poi_half):
     # independent geometric-sum oracle for the tail
     tail = _poisson_tail(0.5, 0.25, ell=1)
     want = 1.0 - math.exp(-tail / 2.0)
-    assert psi_lower_bound(poi_half, 1) == pytest.approx(want, rel=1e-12)
+    assert psi_bound_report(poi_half, 1).lower_bound == pytest.approx(want, rel=1e-12)
     # truncating the tail keeps the bound on the certified (low) side
-    assert psi_lower_bound(poi_half, 1, truncation=3) <= want
+    assert psi_bound_report(poi_half, 1, truncation=3).lower_bound <= want
 
 
 def test_psi_upper_bound_values(fair, poi_half):
-    assert psi_upper_bound(fair, 1) == 0.0
-    assert psi_upper_bound(Symbol.arc_indicator(0.0, 0.5), 1) is None
+    assert psi_bound_report(fair, 1).upper_bound == 0.0
+    assert psi_bound_report(Symbol.arc_indicator(0.0, 0.5), 1).upper_bound is None
     tail = _poisson_tail(0.5, 0.25, ell=2)
     x = tail / (1.0 / 6.0) ** 2
-    assert psi_upper_bound(poi_half, 2) == pytest.approx(x * math.exp(1.0 + x), rel=1e-9)
+    assert psi_bound_report(poi_half, 2).upper_bound == pytest.approx(x * math.exp(1.0 + x), rel=1e-9)
 
 
 def test_psi_upper_bound_remainder_keeps_validity(poi_half):
@@ -123,7 +122,7 @@ def test_witness_hs_chain(poi_high):
 def test_sandwich_small(poi_half, poi_high):
     for sym in (poi_half, poi_high):
         for ell in (1, 2, 3):
-            upper = psi_upper_bound(sym, ell)
+            upper = psi_bound_report(sym, ell).upper_bound
             for n in (1, 2, 3, 4):
                 wit = allones_lower_witness(sym, ell, n)
                 fin = psi_finite_window(sym, ell, n).value
@@ -132,7 +131,7 @@ def test_sandwich_small(poi_half, poi_high):
 
 
 def test_upper_bound_monotone_in_ell(poi_half):
-    ups = [psi_upper_bound(poi_half, ell) for ell in range(1, 7)]
+    ups = [psi_bound_report(poi_half, ell).upper_bound for ell in range(1, 7)]
     assert all(b <= a + 1e-15 for a, b in zip(ups, ups[1:]))
 
 

@@ -9,14 +9,17 @@ from dppkit import (
     build_T,
     build_T_window,
     build_lambda,
-    hs_norm_sq_lambda,
-    joint_window_block,
     log_det,
     szego_log_integral,
     tail_sum,
     trace_norm,
 )
+from dppkit.toeplitz import SZEGO_GRID, joint_index_set
+
 from conftest import random_interior_symbol
+from oracles import hs_norm_sq_lambda
+
+GRID_T = np.arange(SZEGO_GRID) / SZEGO_GRID
 
 
 # -- builders ----------------------------------------------------------------
@@ -60,7 +63,7 @@ def test_build_lambda_entry_formula():
 
 def test_joint_window_block_structure(poi_half):
     n, ell = 3, 2
-    block = joint_window_block(poi_half, n, ell)
+    block = build_T(poi_half, joint_index_set(n, ell))
     t = build_T_window(poi_half, n)
     lam = build_lambda(poi_half, n, ell)
     assert np.allclose(block[:n, :n], t)
@@ -111,15 +114,15 @@ def test_hs_norm_matches_frobenius_and_brackets():
 
 
 def test_szego_examples():
-    const = szego_log_integral(lambda t: np.ones_like(t))
+    const = szego_log_integral(np.ones(SZEGO_GRID))
     assert const.value == pytest.approx(0.0, abs=1e-14)
     assert not const.clamped
-    half = szego_log_integral(lambda t: np.full_like(t, 0.5))
+    half = szego_log_integral(np.full(SZEGO_GRID, 0.5))
     assert half.value == pytest.approx(math.log(0.5), rel=1e-14)
 
 
 def test_szego_fejer_against_finite_window_determinant(rc_half):
-    quad = szego_log_integral(lambda t: rc_half.eval(t))
+    quad = szego_log_integral(rc_half.eval(GRID_T))
     assert quad.value == pytest.approx(-2.0 * math.log(2.0), abs=1e-2)
     finite = log_det(build_T_window(rc_half, 256)).log_abs / 256.0
     # first-order agreement; the finite-window correction at N=256 is ~0.022
@@ -128,10 +131,10 @@ def test_szego_fejer_against_finite_window_determinant(rc_half):
 
 def test_szego_clamp_flag_and_negativity():
     arc = Symbol.arc_indicator(0.0, 0.5)
-    res = szego_log_integral(lambda t: arc.eval(t))
+    res = szego_log_integral(arc.eval(GRID_T))
     assert res.clamped
     with pytest.raises(HypothesisError):
-        szego_log_integral(lambda t: np.cos(2 * np.pi * t))
+        szego_log_integral(np.cos(2 * np.pi * GRID_T))
 
 
 # -- determinant identity property suite --------------------------------------
