@@ -19,6 +19,7 @@ POISSON = '{"family":"poisson","params":{"c":0.5,"r":0.25}}'
 FAIR = '{"family":"constant","params":{"a":0.5}}'
 POI_HIGH = '{"family":"poisson","params":{"c":0.75,"r":0.125}}'
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(argv, capsys):
@@ -296,13 +297,72 @@ def _readme_cli_examples() -> list[list[str]]:
     return [argv for argv in examples if argv != ["selftest"]]
 
 
-@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=lambda argv: argv[0])
-def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys, argv):
+def _golden_bytes(name, argv, tmp_path, monkeypatch, capsys) -> str:
+    """Run argv in tmp_path (holding symbol.json) and compare its exit code,
+    stdout and stderr with tests/golden/<name>.txt.  With DPPKIT_WRITE_GOLDEN=1
+    in the environment the file is (re)written instead; goldens are written
+    from a commit whose CLI bytes are known good, never to make a change pass."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "symbol.json").write_text(POISSON, encoding="utf-8")
     code, out, err = run_cli(argv, capsys)
-    assert code == 0 and err == ""
-    assert out
+    got = f"$ dppkit {shlex.join(argv)}\nexit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+    path = GOLDEN / f"{name}.txt"
+    if os.environ.get("DPPKIT_WRITE_GOLDEN") == "1":
+        path.write_text(got, encoding="utf-8")
+    assert got == path.read_text(encoding="utf-8")
+    return code
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys, request, argv):
+    name = f"readme-{request.node.callspec.id}"
+    assert _golden_bytes(name, argv, tmp_path, monkeypatch, capsys) == 0
+
+
+RC_BAD = '{"family":"raised_cosine","params":{"a":0.5,"b":0.9}}'
+ARC = '{"family":"arc_indicator","params":{"alpha":0.1,"beta":0.45}}'
+TRIG = ('{"family":"trig_poly","coeffs":[{"n":0,"re":0.5},{"n":1,"re":0.1,"im":0.12},'
+        '{"n":2,"re":-0.05,"im":0.07}]}')
+GOLDEN_CASES = {
+    # out-of-range symbols on every subcommand (coeffs needs no range)
+    "range-coeffs": ["coeffs", "--symbol", RC_BAD, "--nmax", "2"],
+    "range-cylinder-word": ["cylinder", "--symbol", RC_BAD, "--word", "1"],
+    "range-cylinder-N": ["cylinder", "--symbol", RC_BAD, "--N", "3"],
+    "range-psi": ["psi", "--symbol", RC_BAD, "--ell", "1"],
+    "range-psi-power-decay": ["psi", "--symbol", '{"family":"power_decay","params":'
+                              '{"a":0.5,"c":0.1,"p":0.75,"cutoff":1000000}}'],
+    "range-dimension": ["dimension", "--symbol", RC_BAD, "--nmax", "4"],
+    "range-sample": ["sample", "--symbol", RC_BAD, "--n", "8"],
+    "range-sample-iid": ["sample", "--symbol", '{"family":"constant","params":{"a":1.5}}',
+                         "--n", "8"],
+    "range-lcs": ["lcs-experiment", "--symbol", RC_BAD, "--ngrid", "16", "--trials", "2"],
+    # usage errors and size caps
+    "usage-missing-file": ["psi", "--symbol", "@missing.json"],
+    "usage-bad-ell": ["psi", "--symbol", POISSON, "--ell", "1..x"],
+    "usage-cylinder-no-word": ["cylinder", "--symbol", POISSON],
+    "usage-cylinder-N0": ["cylinder", "--symbol", POISSON, "--N", "0"],
+    "usage-bad-word": ["cylinder", "--symbol", FAIR, "--word", "10a"],
+    "usage-malformed-json": ["cylinder", "--symbol", "{oops", "--word", "1"],
+    "usage-unknown-field": ["cylinder", "--symbol",
+                            '{"family":"constant","params":{"a":0.5},"mystery":1}', "--word", "1"],
+    "usage-out-nodir": ["coeffs", "--symbol", POISSON, "--out", "nodir/x.csv"],
+    "cap-cylinder-N13": ["cylinder", "--symbol", POISSON, "--N", "13"],
+    "cap-psi-N8": ["psi", "--symbol", POISSON, "--ell", "1", "--N", "8"],
+    "cap-dimension-nmax30": ["dimension", "--symbol", FAIR, "--nmax", "30"],
+    # symbols with range exactly [0, 1], and a complex band-limited symbol
+    "arc-cylinder-N8": ["cylinder", "--symbol", ARC, "--N", "8"],
+    "arc-cylinder-N10": ["cylinder", "--symbol", ARC, "--N", "10"],
+    "arc-dimension-nmax10": ["dimension", "--symbol", ARC, "--nmax", "10"],
+    "arc-psi": ["psi", "--symbol", ARC, "--ell", "1..3", "--N", "5"],
+    "trig-cylinder-N": ["cylinder", "--symbol", TRIG, "--N", "5"],
+    "trig-cylinder-word": ["cylinder", "--symbol", TRIG, "--word", "0110", "--word", "111"],
+    "trig-psi": ["psi", "--symbol", TRIG, "--ell", "1..3", "--N", "3", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_cli_bytes_match_golden(tmp_path, monkeypatch, capsys, name):
+    _golden_bytes(name, GOLDEN_CASES[name], tmp_path, monkeypatch, capsys)
 
 
 def _readme_option_table() -> dict[str, set[str]]:
