@@ -54,7 +54,6 @@ from .dimension import (
     s_n_q_table,
     sigma_n_2,
     sigma_n_q_walsh,
-    submult_check,
 )
 from .sampler import BinarySequence, empirical_cylinder_test, sample_many, sample_prefix
 from .lcs import LcsExperimentRow, lcs_length, lcs_length_dp, rate_experiment

@@ -121,6 +121,8 @@ def _cmd_coeffs(sym: Symbol, args):
 
 
 def _cmd_cylinder(sym: Symbol, args):
+    if args.word and args.N is not None:
+        raise ValueError("cylinder: give --word or --N, not both")
     if args.word:
         logs = [(w, measure.cylinder_log_prob(sym, w)) for w in args.word]
     elif args.N is not None:

@@ -51,11 +51,11 @@ def _dfs_accumulate(state: PrefixState, n_max: int, q: float, sums: np.ndarray, 
 
 def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
     """log2 S_N^(q) for N = 1..n_max, in one traversal of the prefix tree."""
-    if n_max < 1 or n_max > SNQ_CAP:
-        raise SizeCapError(f"s_n_q_table: need 1 <= n_max <= {SNQ_CAP}")
+    if not (1 <= n_max <= SNQ_CAP):
+        error = ValueError if n_max < 1 else SizeCapError
+        raise error(f"s_n_q_table: need 1 <= n_max <= {SNQ_CAP}")
     if q <= 1:
         raise ValueError("s_n_q_table: need q > 1")
-    require_range(sym)
     sums = np.zeros(n_max)
     comp = np.zeros(n_max)
     _dfs_accumulate(PrefixState.root(sym, n_max), n_max, q, sums, comp)
@@ -78,7 +78,6 @@ def subset_dets(sym: Symbol, N: int) -> np.ndarray:
     """
     if not (1 <= N <= SIGMA_CAP):
         raise SizeCapError(f"subset determinants: need 1 <= N <= {SIGMA_CAP}")
-    require_range(sym)
     tg = toeplitz.build_T(g_coeff_fn(sym), np.arange(1, N + 1))
     bits = word_bits(N)
     popcount = bits.sum(axis=1)
@@ -173,52 +172,18 @@ def dim_q_estimate(sym: Symbol, q: float, n_max: int, beta_grid=None) -> Dimensi
     )
 
 
-@dataclass(frozen=True)
-class SubmultRow:
-    M: int
-    N: int
-    log2_S_M: float
-    log2_S_N: float
-    log2_S_MN: float
-
-    @property
-    def margin(self) -> float:
-        """log2 S_M + log2 S_N - log2 S_{M+N}; >= 0 under one-sidedness."""
-        return self.log2_S_M + self.log2_S_N - self.log2_S_MN
-
-
-@dataclass(frozen=True)
-class SubmultReport:
-    q: float
-    hypothesis_ok: bool
-    rows: list
-
-
-def submult_check(sym: Symbol, q: float, pairs) -> SubmultReport:
-    """Evaluate log2 S_{M+N} <= log2 S_M + log2 S_N on the given (M, N) pairs.
-
-    Evaluates regardless of the one-sidedness hypothesis; ``hypothesis_ok``
-    records whether the margins are certified to be non-negative.
-    """
-    pairs = [(int(m), int(n)) for m, n in pairs]
-    if not pairs or any(m < 1 or n < 1 for m, n in pairs):
-        raise ValueError("submult_check: pairs must contain positive integers")
-    top = max(m + n for m, n in pairs)
-    log2s = s_n_q_table(sym, top, q)
-    rows = [
-        SubmultRow(m, n, float(log2s[m - 1]), float(log2s[n - 1]), float(log2s[m + n - 1]))
-        for m, n in pairs
-    ]
-    return SubmultReport(q, one_sidedness(sym) != 0, rows)
-
-
 # -- quadrature bounds on the correlation dimension ---------------------------
+
+
+def _g_on_szego_grid(sym: Symbol) -> np.ndarray:
+    """g = 2f - 1 at the quadrature nodes; the range gate of the pointwise route."""
+    require_range(sym)
+    return 2.0 * sym.values_on_grid(toeplitz.SZEGO_GRID) - 1.0
 
 
 def corr_dim_szego_lower(sym: Symbol) -> float:
     """(1/log 2) * integral of log(2 / (1 + g^2)), g = 2f - 1; always <= 1."""
-    require_range(sym)
-    g = 2.0 * sym.values_on_grid(toeplitz.SZEGO_GRID) - 1.0
+    g = _g_on_szego_grid(sym)
     return toeplitz.szego_log_integral(2.0 / (1.0 + g * g)).value / LOG2
 
 
@@ -235,13 +200,12 @@ def corr_dim_szego_upper(sym: Symbol, beta_grid=None) -> float:
     clamping are skipped (clamping would spoil validity); beta = 0 always
     gives the safe value 1.
     """
-    require_range(sym)
+    g = _g_on_szego_grid(sym)
     if beta_grid is None:
         beta_grid = np.linspace(-1.0, 1.0, DEFAULT_BETA_POINTS)
     betas = np.asarray(beta_grid, dtype=float)
     if betas.size == 0 or np.any(np.abs(betas) > 1.0):
         raise ValueError("beta grid must be non-empty within [-1, 1]")
-    g = 2.0 * sym.values_on_grid(toeplitz.SZEGO_GRID) - 1.0
     best = 1.0  # beta = 0
     best_beta = 0.0
     for beta in betas:

@@ -10,6 +10,13 @@ Probability of the word eps (length N, signs theta = 2*eps - 1):
 Joint probability across a gap ell uses the same formula over the index
 set {1..N} u {N+ell+1..N+ell+N}.  Words are exposed 0-based; by
 stationarity the window anchor is irrelevant.
+
+Every such determinant, det(D(theta) T_J(g) + I) over n = |J| bits, is
+judged by ``_log_probs`` (the finite-window marginals of ``mixing`` too)
+under one rule: an imaginary phase above IMAG_TOL raises ConditioningError
+(the word is too improbable to resolve); a zero determinant, or a negative
+one with log|det| < -200, is mass 0; any other negative determinant raises
+NumericsError.  Otherwise log mu = log|det| - n log 2.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ import numpy as np
 
 from . import toeplitz
 from .errors import ConditioningError, NumericsError, SizeCapError
-from .symbol import Symbol, g_coeff_fn, require_range
+from .symbol import Symbol, g_coeff_fn
 
 IMAG_TOL = 1e-10
 
@@ -54,32 +61,34 @@ def _unresolved(position: int, log_mass: float, s_abs: float, residue: float) ->
         % (math.exp(log_mass), position, s_abs, residue))
 
 
-def _log_prob_from_matrix(m: np.ndarray, n_bits: int) -> float:
-    """log mu from det(D(theta) T(g) + I), validating sign/phase."""
-    logabs, phase = toeplitz.log_det(m)
-    if logabs == -math.inf:
-        return -math.inf
-    if abs(phase.imag) > IMAG_TOL:
-        raise _unresolved(n_bits - 1, logabs - n_bits * math.log(2.0), math.exp(logabs), phase.imag)
-    if phase.real < 0:
-        if logabs < -200.0:
-            return -math.inf
-        raise NumericsError("cylinder determinant is negative")
-    return logabs - n_bits * math.log(2.0)
-
-
-def _signed_g_matrix(sym: Symbol, theta: np.ndarray, J: np.ndarray) -> np.ndarray:
+def _signed_windows(sym: Symbol, theta: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """D(theta) T_J(g) + I for each row of signs theta (shape (..., |J|))."""
     tg = toeplitz.build_T(g_coeff_fn(sym), J)
-    return theta[:, None] * tg + np.eye(len(J), dtype=tg.dtype)
+    return theta[..., None] * tg + np.eye(len(J), dtype=tg.dtype)
+
+
+def _log_probs(mats: np.ndarray) -> np.ndarray:
+    """log mu for a stack of det(D(theta) T_J(g) + I), under the module's one rule."""
+    sign, logabs = np.linalg.slogdet(mats)
+    n_bits = mats.shape[-1]
+    out = logabs - n_bits * math.log(2.0)
+    bad = np.nonzero(np.abs(np.imag(sign)) > IMAG_TOL)[0]
+    if bad.size:
+        i = bad[0]
+        raise _unresolved(n_bits - 1, out[i], math.exp(logabs[i]), sign[i].imag)
+    null = np.real(sign) <= 0  # zero, or negative
+    if np.any(null & (logabs >= -200.0)):
+        raise NumericsError("cylinder determinant is negative")
+    out[null] = -math.inf
+    return out
 
 
 def cylinder_log_prob(sym: Symbol, word) -> float:
     """Natural log of mu([word])."""
-    require_range(sym)
     eps = _parse_word(word)
     theta = 2.0 * eps - 1.0
-    m = _signed_g_matrix(sym, theta, np.arange(1, eps.size + 1))
-    return _log_prob_from_matrix(m, eps.size)
+    mats = _signed_windows(sym, theta[None], np.arange(1, eps.size + 1))
+    return float(_log_probs(mats)[0])
 
 
 def cylinder_prob(sym: Symbol, word) -> float:
@@ -89,7 +98,6 @@ def cylinder_prob(sym: Symbol, word) -> float:
 
 def joint_cylinder_log_prob(sym: Symbol, word, word_prime, gap_ell: int) -> float:
     """Natural log of mu([word] n shift^-(N+ell) [word_prime])."""
-    require_range(sym)
     eps = _parse_word(word)
     eps_p = _parse_word(word_prime)
     if eps.size != eps_p.size:
@@ -98,8 +106,8 @@ def joint_cylinder_log_prob(sym: Symbol, word, word_prime, gap_ell: int) -> floa
         raise ValueError("gap ell must be >= 1")
     n = eps.size
     theta = np.concatenate([2.0 * eps - 1.0, 2.0 * eps_p - 1.0])
-    m = _signed_g_matrix(sym, theta, toeplitz.joint_index_set(n, gap_ell))
-    return _log_prob_from_matrix(m, 2 * n)
+    mats = _signed_windows(sym, theta[None], toeplitz.joint_index_set(n, gap_ell))
+    return float(_log_probs(mats)[0])
 
 
 @dataclass(frozen=True)
@@ -203,7 +211,6 @@ class PrefixState:
 
     @classmethod
     def root(cls, sym: Symbol, max_len: int, window: int | None = None) -> "PrefixState":
-        require_range(sym)
         gd = _GData(sym, max_len + (window or 0) + 1)
         dtype = np.float64 if gd.real else np.complex128
         empty = np.zeros(0, dtype=dtype)
@@ -290,19 +297,7 @@ def cylinder_log_probs_direct(sym: Symbol, N: int) -> np.ndarray:
     Word index m encodes bit k as (m >> k) & 1 (bit 0 first).  Memory is
     O(2^N N^2); intended as an oracle and for CLI enumeration at small N.
     """
-    require_range(sym)
     if not (1 <= N <= 14):
         error = ValueError if N < 1 else SizeCapError
         raise error("cylinder_log_probs_direct: need 1 <= N <= 14")
-    tg = toeplitz.build_T(g_coeff_fn(sym), np.arange(1, N + 1))
-    theta = 2.0 * word_bits(N) - 1.0
-    mats = theta[:, :, None] * tg[None, :, :] + np.eye(N, dtype=tg.dtype)
-    sign, logabs = np.linalg.slogdet(mats)
-    bad = np.nonzero(np.abs(np.imag(sign)) > IMAG_TOL)[0]
-    if bad.size:
-        i = bad[0]
-        raise _unresolved(N - 1, logabs[i] - N * math.log(2.0), math.exp(logabs[i]), sign[i].imag)
-    neg = np.real(sign) <= 0
-    out = logabs - N * math.log(2.0)
-    out[neg] = -math.inf
-    return out
+    return _log_probs(_signed_windows(sym, 2.0 * word_bits(N) - 1.0, np.arange(1, N + 1)))

@@ -90,14 +90,12 @@ def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndar
     for every word, with A(eps) = D(theta) T_N(g) + I; stacks of shape (2^N, N, N)."""
     if ell < 1 or N < 1:
         raise ValueError("finite-window search: need ell >= 1 and N >= 1")
-    require_range(sym)
     if N > FINITE_WINDOW_CAP:
         raise SizeCapError(f"finite-window size {N} exceeds cap {FINITE_WINDOW_CAP}")
     base = toeplitz.build_T(g_coeff_fn(sym), toeplitz.joint_index_set(N, ell))
     theta = 2.0 * measure.word_bits(N) - 1.0
     a = theta[:, :, None] * base[:N, :N] + np.eye(N, dtype=base.dtype)
-    sign, _ = np.linalg.slogdet(a)
-    if np.any(np.real(sign) <= 0):
+    if np.any(measure._log_probs(a) == -math.inf):
         raise NumericsError("vanishing marginal in finite-window enumeration")
     # columns 0..N-1 hold Lambda_g (top-right block), N..2N-1 Lambda_g* (bottom-left)
     pq = np.linalg.solve(a, theta[:, :, None] * np.hstack([base[:N, N:], base[N:, :N]]))

@@ -22,7 +22,7 @@ from scipy import stats
 
 from .errors import ConditioningError, SizeCapError
 from .measure import PrefixState, _word_str, cylinder_log_probs_direct
-from .symbol import Symbol, require_range
+from .symbol import Symbol, g_coeff_fn
 
 EXACT_LENGTH_CAP = 2048
 
@@ -65,7 +65,7 @@ def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "
     """
     if n < 1:
         raise ValueError("sample_prefix: need n >= 1")
-    require_range(sym)
+    ghat = g_coeff_fn(sym)  # the range gate, also for the i.i.d. path
     if window == "auto":
         window = _auto_window(sym, n)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -73,7 +73,7 @@ def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "
     bits = np.empty(n, dtype=np.uint8)
     if window == 0:
         # conditionals are constant: i.i.d. Bernoulli(fhat(0)) fast path
-        p1 = 0.5 * (1.0 + (2.0 * sym.fhat0 - 1.0))
+        p1 = 0.5 * (1.0 + ghat(np.zeros(1, dtype=np.int64))[0].real)
         np.less(uni, p1, out=bits.view(bool))
     else:
         state = PrefixState.root(sym, n if window is None else 0, window=window)

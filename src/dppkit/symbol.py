@@ -343,19 +343,21 @@ class TailSum:
         return self.value + self.remainder_bound
 
 
+def _poisson_tail(sym: Symbol, t: int) -> float:
+    """sum_{n > t} n |fhat(n)|^2 = c^2 x^{t+1} (1 + t y) / y^2 with x = r^2 and
+    y = 1 - x, formed as (1 - r)(1 + r) so that it keeps its digits as r -> 1."""
+    c, r = sym.params["c"], abs(sym.params["r"])
+    y = (1.0 - r) * (1.0 + r)
+    return c * c * r ** (2 * t + 2) * (1.0 + t * y) / (y * y)
+
+
 def _tail_remainder(sym: Symbol, truncation: int) -> float | None:
     """Bound on sum_{n > truncation} n |fhat(n)|^2, or None when unknown."""
     bw = sym.bandwidth
     if bw is not None:
         return 0.0 if truncation >= bw else _power_remainder(sym, truncation)
     if sym.family == "poisson":
-        c, r = sym.params["c"], abs(sym.params["r"])
-        x = r * r
-        if x == 0.0:
-            return 0.0
-        t = truncation
-        # sum_{n>t} n x^n = x^{t+1} ((t+1) - t x) / (1-x)^2
-        return c * c * x ** (t + 1) * ((t + 1) - t * x) / (1 - x) ** 2
+        return _poisson_tail(sym, truncation)
     return None
 
 
@@ -377,16 +379,25 @@ def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> Tai
         raise ValueError("tail_sum: need 0 <= ell < truncation")
     bw = sym.bandwidth
     hi = truncation if bw is None else min(truncation, bw)
-    if hi <= ell:
-        value = 0.0
-    else:
+    value = None
+    if bw is None and sym.family == "poisson":
+        head, rest = _poisson_tail(sym, ell), _poisson_tail(sym, truncation)
+        if 2.0 * rest <= head:  # the difference cancels at most one bit
+            value = head - rest
+    if value is None:
         ns = np.arange(ell + 1, hi + 1)
-        value = float(np.sum(ns * np.abs(sym.coeffs(ns)) ** 2))
+        value = float(np.sum(ns * np.abs(sym.coeffs(ns)) ** 2)) if hi > ell else 0.0
     return TailSum(int(ell), int(truncation), value, _tail_remainder(sym, truncation))
 
 
 def g_coeff_fn(sym: Symbol) -> Callable[[np.ndarray], np.ndarray]:
-    """Coefficient lookup for g = 2f - 1 (ghat(n) = 2 fhat(n) - delta_0)."""
+    """Coefficient lookup for g = 2f - 1 (ghat(n) = 2 fhat(n) - delta_0).
+
+    This is the range gate: every route that forms g comes through here, and
+    ``require_range`` refuses a symbol with |g| > 1 before any coefficient
+    is read.
+    """
+    require_range(sym)
 
     def ghat(ns):
         ns = np.asarray(ns)

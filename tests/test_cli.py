@@ -270,6 +270,10 @@ def _raising(exc_type):
         (["psi", "--symbol", POISSON, "--ell", "1"], np.linalg.LinAlgError, 1, "LinAlgError"),
         (["cylinder", "--symbol", POISSON, "--N", "0"], None, 64, "cylinder: --N must be at least 1"),
         (["coeffs", "--symbol", POISSON, "--out", "nodir/x.csv"], None, 64, "cannot write --out: "),
+        (["cylinder", "--symbol", POISSON, "--word", "1", "--N", "3"], None, 64,
+         "cylinder: give --word or --N, not both"),
+        (["dimension", "--symbol", FAIR, "--nmax", "0"], None, 64,
+         "s_n_q_table: need 1 <= n_max <= 22"),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):
@@ -299,16 +303,17 @@ def _readme_cli_examples() -> list[list[str]]:
 
 def _golden_bytes(name, argv, tmp_path, monkeypatch, capsys) -> str:
     """Run argv in tmp_path (holding symbol.json) and compare its exit code,
-    stdout and stderr with tests/golden/<name>.txt.  With DPPKIT_WRITE_GOLDEN=1
-    in the environment the file is (re)written instead; goldens are written
-    from a commit whose CLI bytes are known good, never to make a change pass."""
+    stdout and stderr with tests/golden/<name>.txt.  A missing golden is
+    written and the test fails, so a new one is never accepted unread; write
+    goldens only from a commit whose CLI bytes are known good."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "symbol.json").write_text(POISSON, encoding="utf-8")
     code, out, err = run_cli(argv, capsys)
     got = f"$ dppkit {shlex.join(argv)}\nexit: {code}\n--- stdout\n{out}--- stderr\n{err}"
     path = GOLDEN / f"{name}.txt"
-    if os.environ.get("DPPKIT_WRITE_GOLDEN") == "1":
+    if not path.exists():
         path.write_text(got, encoding="utf-8")
+        pytest.fail(f"wrote missing golden {path.name}")
     assert got == path.read_text(encoding="utf-8")
     return code
 

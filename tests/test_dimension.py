@@ -13,7 +13,6 @@ from dppkit import (
     s_n_q_table,
     sigma_n_2,
     sigma_n_q_walsh,
-    submult_check,
 )
 from dppkit.dimension import subset_dets
 from dppkit.measure import cylinder_log_probs_direct
@@ -161,15 +160,14 @@ def test_corr_dim_bounds_bracket_one_sided_symbols(poi_high):
         assert est.last_estimate <= est.szego_upper + 1e-6
 
 
-def test_submult_check(poi_high):
-    rep = submult_check(poi_high, 2, [(2, 2), (3, 4), (5, 5)])
-    assert rep.hypothesis_ok
-    for row in rep.rows:
-        assert row.margin >= -1e-9
-    fair_rep = submult_check(Symbol.constant(0.5), 2, [(2, 3)])
-    assert fair_rep.rows[0].margin == pytest.approx(0.0, abs=1e-12)
-    two_sided = submult_check(Symbol.poisson(0.5, 0.25), 2, [(2, 2)])
-    assert not two_sided.hypothesis_ok
+def test_submult_margins_from_s_n_q_table(poi_high):
+    # margin log2 S_M + log2 S_N - log2 S_{M+N} >= 0 for one-sided symbols,
+    # exactly 0 for the fair coin (S_N = 2^-N)
+    tab = s_n_q_table(poi_high, 10, 2)
+    for m, n in [(2, 2), (3, 4), (5, 5)]:
+        assert tab[m - 1] + tab[n - 1] - tab[m + n - 1] >= -1e-9
+    fair = s_n_q_table(Symbol.constant(0.5), 5, 2)
+    assert fair[1] + fair[2] - fair[4] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_moment_sum_bounded_by_squared_average_window(poi_high):
@@ -229,3 +227,4 @@ def test_direct_enumeration_cap():
     with pytest.raises(ValueError) as info:
         cylinder_log_probs_direct(sym, 0)
     assert not isinstance(info.value, SizeCapError)
+

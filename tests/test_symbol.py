@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -94,6 +95,25 @@ def test_tail_sum_values(fair, rc_half, poi_half):
     got = tail_sum(poi_half, 0, truncation=100)
     assert got.value == pytest.approx(4.0 / 225.0, rel=1e-12)
     assert got.remainder_bound is not None and got.remainder_bound < 1e-100
+
+
+@pytest.mark.parametrize("c, r", [(0.5, 0.25), (0.75, 0.125), (0.3, -0.6), (0.5, 0.9)])
+def test_poisson_tail_sum_matches_mpmath(c, r):
+    # sum_{n > t} n c^2 x^n = c^2 x^{t+1} ((t+1) - t x) / (1-x)^2, x = r^2, at 50 digits
+    with mpmath.workdps(50):
+        x = mpmath.mpf(r) ** 2
+
+        def tail(t):
+            return mpmath.mpf(c) ** 2 * x ** (t + 1) * ((t + 1) - t * x) / (1 - x) ** 2
+
+        sym = Symbol.poisson(c, r)
+        for ell in range(13):
+            for truncation in (ell + 1, ell + 7, 200, 100_000):
+                got = tail_sum(sym, ell, truncation)
+                want = tail(ell) - tail(truncation)
+                assert abs(got.value - want) <= 1e-15 * want
+                rem = tail(truncation)  # below the double range it rounds to 0
+                assert abs(got.remainder_bound - rem) <= 1e-15 * rem + 1e-300
 
 
 def test_tail_sum_monotone_and_bandlimited(rc_half, poi_half):
