@@ -12,11 +12,22 @@ The finite-window value comes from the Schur complement of the joint
 2N x 2N matrix [[A(eps), D(theta) Lambda], [D(theta') Lambda*, A(eps')]]
 with A(eps) = D(theta) T_N(g) + I:
 
-    log R(eps, eps') = log det(I - Q(eps') P(eps)),
-    P(eps) = A(eps)^-1 D(theta) Lambda,  Q(eps') = A(eps')^-1 D(theta') Lambda*,
+    R(eps, eps') = det(I - Q(eps') P(eps)),
+    P(eps) = A(eps)^-1 D(theta) Lambda,  Q(eps') = A(eps')^-1 D(theta') Lambda*.
 
-so the 2^N solves are shared and each pair costs one N x N determinant.
-Q(eps') P(eps) is the operator H behind the Simon trace-norm bound.  No
+Lambda = Lambda_g is factored exactly as U M V^T with the smallest inner
+sizes r x r' the symbol gives: r = r' = 1 for a non-degenerate poisson
+(geometric coefficients), the nonzero rows and columns of Lambda otherwise
+(r = max(0, B - ell) for bandwidth B, r = N with U = V = I for a full
+block).  Sylvester's identity det(I - AB) = det(I - BA) then gives
+
+    R(eps, eps') = det(I_r' - Y(eps') X(eps)),
+    X(eps) = U* A(eps)^-1 D(theta) U M,  Y(eps') = V^T A(eps')^-1 D(theta') conj(V) M*,
+
+so the 2^N solves are shared and each pair costs one r' x r' determinant.
+For r' = 1 the deviation is |R - 1| = |K| with K = Y X, read off without
+forming 1 - K, so it keeps its relative accuracy as psi gets small; for
+r' >= 2 it is |expm1(log|det(I - K)|)|; for r = 0 it is exactly 0.  No
 marginal log-determinant is subtracted, so band-limited symbols at gaps
 past the bandwidth give exactly 0.
 """
@@ -85,9 +96,27 @@ class FiniteWindowPsi:
     argmax_word_prime: str
 
 
+def _coupling_factors(sym: Symbol, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real U (N x r) and V (N x r'), and M (r x r'), with lam = Lambda_g = U M V^T.
+
+    A non-degenerate poisson has lam[i, j] = ghat(ell + 1) r^(N-1-i) r^j, so
+    M is the corner entry ghat(ell + 1) and every entry of U and V is at most
+    1 in modulus.  Any other symbol keeps the nonzero rows and columns of lam
+    (exact zeros of the coefficient lookup), so U and V are columns of I."""
+    N = lam.shape[0]
+    if sym.family == "poisson" and sym.bandwidth is None:
+        r = sym.params["r"]
+        return r ** np.arange(N - 1, -1, -1)[:, None], lam[N - 1:, :1], r ** np.arange(N)[:, None]
+    rows = np.flatnonzero(np.any(lam != 0, axis=1))
+    cols = np.flatnonzero(np.any(lam != 0, axis=0))
+    eye = np.eye(N)
+    return eye[:, rows], lam[np.ix_(rows, cols)], eye[:, cols]
+
+
 def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(eps) = A(eps)^-1 D(theta) Lambda_g and Q(eps') = A(eps')^-1 D(theta') Lambda_g*
-    for every word, with A(eps) = D(theta) T_N(g) + I; stacks of shape (2^N, N, N)."""
+    """X(eps) = U* A(eps)^-1 D(theta) U M and Y(eps') = V^T A(eps')^-1 D(theta') conj(V) M*
+    for every word, with A(eps) = D(theta) T_N(g) + I; stacks of shape
+    (2^N, r, r') and (2^N, r', r)."""
     if ell < 1 or N < 1:
         raise ValueError("finite-window search: need ell >= 1 and N >= 1")
     if N > FINITE_WINDOW_CAP:
@@ -97,30 +126,35 @@ def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndar
     a = theta[:, :, None] * base[:N, :N] + np.eye(N, dtype=base.dtype)
     if np.any(measure._log_probs(a) == -math.inf):
         raise NumericsError("vanishing marginal in finite-window enumeration")
-    # columns 0..N-1 hold Lambda_g (top-right block), N..2N-1 Lambda_g* (bottom-left)
-    pq = np.linalg.solve(a, theta[:, :, None] * np.hstack([base[:N, N:], base[N:, :N]]))
-    return pq[:, :, :N], pq[:, :, N:]
+    u, m, v = _coupling_factors(sym, base[:N, N:])
+    rp = m.shape[1]
+    # U and V are real, so U* = U^T and conj(V) = V
+    sol = np.linalg.solve(a, theta[:, :, None] * np.hstack([u @ m, v @ m.conj().T]))
+    return u.T @ sol[:, :, :rp], v.T @ sol[:, :, rp:]
 
 
-def _log_ratio_grid(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """log R[eps, eps'] = log det(I - Q(eps') P(eps)), 2^14 pairs per batch."""
-    words, n = p.shape[:2]
-    eye = np.eye(n, dtype=p.dtype)
-    out = np.empty((words, words))
-    chunk = max(1, 2 ** 14 // words)
-    for lo in range(0, words, chunk):
-        # H[eps, eps'] = Q(eps') P(eps); the joint determinant's sign is the
-        # sign of det(I - H) times the two positive marginal signs
-        sign, out[lo:lo + chunk] = np.linalg.slogdet(eye - q[None, :] @ p[lo:lo + chunk, None])
-        if np.any(np.real(sign) <= 0):
+def _deviation_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|R - 1| for every pair, R[eps, eps'] = det(I - K), K = Y(eps') X(eps)."""
+    words, r, rp = x.shape
+    if r == 0:
+        return np.zeros((words, words))
+    k = y[None, :] @ x[:, None]
+    # the joint determinant's sign is the sign of det(I - K) times the two
+    # positive marginal signs
+    if rp == 1:
+        k = k[:, :, 0, 0]
+        if np.any(np.real(k) >= 1.0):
             raise NumericsError("vanishing joint in finite-window enumeration")
-    return out
+        return np.abs(k)
+    sign, logabs = np.linalg.slogdet(np.eye(rp, dtype=k.dtype) - k)
+    if np.any(np.real(sign) <= 0):
+        raise NumericsError("vanishing joint in finite-window enumeration")
+    return np.abs(np.expm1(logabs))
 
 
 def psi_finite_window(sym: Symbol, ell: int, N: int) -> FiniteWindowPsi:
     """Exhaustive max of |R - 1| over the 4^N word pairs, N <= FINITE_WINDOW_CAP."""
-    p, q = _coupling_stacks(sym, ell, N)
-    dev = np.abs(np.expm1(_log_ratio_grid(p, q)))
+    dev = _deviation_grid(*_coupling_stacks(sym, ell, N))
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     words = measure.word_bits(N)
     return FiniteWindowPsi(

@@ -324,16 +324,14 @@ class TailSum:
     ``remainder_bound`` bounds the dropped tail beyond the truncation when
     the family's decay gives one (band-limited: 0; geometric / power with
     p > 1: closed form; otherwise None and the sum is flagged approximate).
+    A geometric remainder may underflow to 0.0, so 0.0 does not mean the
+    sum is exact.
     """
 
     cutoff_ell: int
     truncation_n: int
     value: float
     remainder_bound: float | None
-
-    @property
-    def exact(self) -> bool:
-        return self.remainder_bound == 0.0
 
     @property
     def certified_total(self) -> float | None:

@@ -3,9 +3,9 @@
 Each computes a quantity the library also computes, by a slower or more
 literal route: the direct cylinder determinant, moment sums from one
 batched determinant per word, the parity coefficient of the Walsh tuple
-sum, the complement symbol 1 - f, the per-pair deviation and trace-norm
-grids of the finite-window search, and the closed-form Hilbert-Schmidt
-norm of the coupling block.
+sum, the complement symbol 1 - f, the N x N P/Q route of the
+finite-window search with its per-pair deviation and trace-norm grids,
+and the closed-form Hilbert-Schmidt norm of the coupling block.
 """
 from __future__ import annotations
 
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dppkit import toeplitz
-from dppkit.errors import NumericsError, SymbolSpecError
+from dppkit import measure, toeplitz
+from dppkit.errors import NumericsError, SizeCapError, SymbolSpecError
 from dppkit.measure import IMAG_TOL, _parse_word, cylinder_log_probs_direct
-from dppkit.mixing import _coupling_stacks, _log_ratio_grid
-from dppkit.symbol import Symbol, require_range
+from dppkit.mixing import FINITE_WINDOW_CAP
+from dppkit.symbol import Symbol, g_coeff_fn, require_range
 
 
 def cylinder_prob_direct(sym: Symbol, word) -> float:
@@ -87,6 +87,38 @@ class FiniteWindowDetails:
     deviation: np.ndarray      # (2^N, 2^N) |R - 1|, rows = eps, cols = eps'
     h_trace_norm: np.ndarray   # (2^N, 2^N) ||H||_1, H = Q(eps') P(eps)
     hs_norm_sq: float          # ||Lambda||_HS^2
+
+
+def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(eps) = A(eps)^-1 D(theta) Lambda_g and Q(eps') = A(eps')^-1 D(theta') Lambda_g*
+    for every word, with A(eps) = D(theta) T_N(g) + I; stacks of shape (2^N, N, N)."""
+    if ell < 1 or N < 1:
+        raise ValueError("finite-window search: need ell >= 1 and N >= 1")
+    if N > FINITE_WINDOW_CAP:
+        raise SizeCapError(f"finite-window size {N} exceeds cap {FINITE_WINDOW_CAP}")
+    base = toeplitz.build_T(g_coeff_fn(sym), toeplitz.joint_index_set(N, ell))
+    theta = 2.0 * measure.word_bits(N) - 1.0
+    a = theta[:, :, None] * base[:N, :N] + np.eye(N, dtype=base.dtype)
+    if np.any(measure._log_probs(a) == -math.inf):
+        raise NumericsError("vanishing marginal in finite-window enumeration")
+    # columns 0..N-1 hold Lambda_g (top-right block), N..2N-1 Lambda_g* (bottom-left)
+    pq = np.linalg.solve(a, theta[:, :, None] * np.hstack([base[:N, N:], base[N:, :N]]))
+    return pq[:, :, :N], pq[:, :, N:]
+
+
+def _log_ratio_grid(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """log R[eps, eps'] = log det(I - Q(eps') P(eps)), 2^14 pairs per batch."""
+    words, n = p.shape[:2]
+    eye = np.eye(n, dtype=p.dtype)
+    out = np.empty((words, words))
+    chunk = max(1, 2 ** 14 // words)
+    for lo in range(0, words, chunk):
+        # H[eps, eps'] = Q(eps') P(eps); the joint determinant's sign is the
+        # sign of det(I - H) times the two positive marginal signs
+        sign, out[lo:lo + chunk] = np.linalg.slogdet(eye - q[None, :] @ p[lo:lo + chunk, None])
+        if np.any(np.real(sign) <= 0):
+            raise NumericsError("vanishing joint in finite-window enumeration")
+    return out
 
 
 def finite_window_details(sym: Symbol, ell: int, N: int) -> FiniteWindowDetails:

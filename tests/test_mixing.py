@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from dppkit.mixing import SizeCapError
 from dppkit.symbol import HypothesisError, g_coeff_fn
 
 from conftest import random_interior_symbol
-from oracles import finite_window_details
+from oracles import _coupling_stacks, _log_ratio_grid, finite_window_details
 
 COMPLEX_TRIG = Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])  # bandwidth 3
 
@@ -219,9 +220,71 @@ def test_finite_window_poisson_rank_one_oracle():
             a = np.array([u @ np.linalg.solve(th[:, None] * t + np.eye(n), th * u) for th in theta])
             b = np.array([v @ np.linalg.solve(th[:, None] * t + np.eye(n), th * v) for th in theta])
             want = np.abs(np.outer(a, b))
-            assert psi_finite_window(sym, ell, n).value == pytest.approx(want.max(), rel=0, abs=1e-15)
+            assert psi_finite_window(sym, ell, n).value == pytest.approx(want.max(), rel=1e-14, abs=0)
             np.testing.assert_allclose(finite_window_details(sym, ell, n).deviation, want,
                                        rtol=0, atol=1e-15)
+
+
+# (symbol, whether Lambda_g has full rank N at every N and ell tested, so
+# that the factored route runs the oracle's arithmetic)
+FACTOR_CASES = {
+    "poisson": (Symbol.poisson(0.5, 0.25), False),
+    "poisson-negative-r": (Symbol.poisson(0.5, -0.25), False),
+    "poisson-zero-r": (Symbol.poisson(0.5, 0.0), False),
+    "constant": (Symbol.constant(0.3), False),
+    "raised_cosine": (Symbol.raised_cosine(0.5, 0.25), False),
+    "trig-complex": (COMPLEX_TRIG, False),  # ell = 1, 2 < B = 3 <= ell = 3, 4
+    "power_decay": (Symbol.power_decay(0.5, 0.05, 1.5, 64), True),
+    "arc_indicator": (Symbol.arc_indicator(0.1, 0.45), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+def test_finite_window_matches_full_window_oracle(name):
+    # the r x r Sylvester route against the N x N P/Q route it replaced
+    sym, full_rank = FACTOR_CASES[name]
+    for n in range(1, 6):
+        for ell in range(1, 5):
+            dev = np.abs(np.expm1(_log_ratio_grid(*_coupling_stacks(sym, ell, n))))
+            got = psi_finite_window(sym, ell, n)
+            pair = int(got.argmax_word[::-1], 2), int(got.argmax_word_prime[::-1], 2)
+            if full_rank and n >= 2:
+                assert pair == np.unravel_index(int(np.argmax(dev)), dev.shape)
+                assert got.value == dev[pair]
+                continue
+            # the same pair, up to pairs the oracle cannot tell apart from the
+            # maximum (at N = 1 with ghat(0) = 0 all four pairs tie exactly)
+            tol = max(1e-12 * dev.max(), 1e-15)
+            assert dev.max() - dev[pair] <= tol
+            assert abs(got.value - dev.max()) <= tol
+
+
+def _mp_deviation(sym, ell, word, word_prime):
+    """|R - 1| = |det(joint) / (det(A(eps)) det(A(eps'))) - 1| for one pair,
+    from the signed windows D(theta) T_J(g) + I at the working precision."""
+    c, r = mpmath.mpf(sym.params["c"]), mpmath.mpf(sym.params["r"])
+    n = len(word)
+    theta = [2 * int(b) - 1 for b in word + word_prime]
+    pos = list(range(n)) + list(range(n + ell, 2 * n + ell))
+
+    def signed_det(idx):
+        return mpmath.det(mpmath.matrix(
+            [[theta[a] * (2 * c * r ** abs(pos[a] - pos[b]) - (a == b)) + (a == b) for b in idx]
+             for a in idx]))
+
+    joint = signed_det(range(2 * n))
+    return abs(joint / (signed_det(range(n)) * signed_det(range(n, 2 * n))) - 1)
+
+
+@pytest.mark.parametrize("c,r", [(0.5, 0.25), (0.75, 0.125)])
+def test_finite_window_poisson_matches_mpmath(c, r):
+    # |R - 1| falls to 1e-15 by ell = 8, where 1 - det(I - Q P) kept no digits
+    sym = Symbol.poisson(c, r)
+    with mpmath.workdps(50):
+        for ell in range(1, 9):
+            got = psi_finite_window(sym, ell, 4)
+            want = _mp_deviation(sym, ell, got.argmax_word, got.argmax_word_prime)
+            assert abs(got.value - want) <= 1e-14 * want
 
 
 def test_details_checks_range():

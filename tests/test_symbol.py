@@ -120,7 +120,7 @@ def test_tail_sum_monotone_and_bandlimited(rc_half, poi_half):
     vals = [tail_sum(poi_half, ell, 200).value for ell in range(8)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert tail_sum(rc_half, 1, 50).value == 0.0
-    assert tail_sum(rc_half, 1, 50).exact
+    assert tail_sum(rc_half, 1, 50).remainder_bound == 0.0
 
 
 def test_poisson_remainder_is_a_true_bound(poi_half):
