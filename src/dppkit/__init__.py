@@ -22,8 +22,6 @@ from .toeplitz import (
     LogDet,
     SzegoIntegral,
     build_T,
-    build_T_window,
-    build_lambda,
     log_det,
     szego_log_integral,
     trace_norm,

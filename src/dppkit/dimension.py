@@ -138,7 +138,8 @@ class DimensionEstimate:
     ``certified`` is True when the symbol is one-sided around 1/2 and q is
     an integer >= 2, the regime where sub-multiplicativity makes
     ``fekete_lower`` a true lower bound.  Quadrature bounds on the
-    correlation dimension are attached for q = 2.
+    correlation dimension are attached for q = 2; ``beta_grid`` tunes the
+    upper one, so it is refused at any other q.
     """
 
     q: float
@@ -151,6 +152,8 @@ class DimensionEstimate:
 
 
 def dim_q_estimate(sym: Symbol, q: float, n_max: int, beta_grid=None) -> DimensionEstimate:
+    if beta_grid is not None and q != 2:
+        raise ValueError(f"beta grid applies only to q = 2, got q = {q:g}")
     log2s = s_n_q_table(sym, n_max, q)
     ns = np.arange(1, n_max + 1)
     est = -log2s / ((q - 1.0) * ns)

@@ -96,28 +96,33 @@ def cylinder_prob(sym: Symbol, word) -> float:
     return math.exp(cylinder_log_prob(sym, word))
 
 
-def joint_cylinder_log_prob(sym: Symbol, word, word_prime, gap_ell: int) -> float:
-    """Natural log of mu([word] n shift^-(N+ell) [word_prime])."""
+def _joint_window(sym: Symbol, word, word_prime, gap_ell: int) -> np.ndarray:
+    """The 2N x 2N signed joint window D(theta) T_J(g) + I of a word pair across a gap."""
     eps = _parse_word(word)
     eps_p = _parse_word(word_prime)
     if eps.size != eps_p.size:
         raise ValueError("joint cylinder words must have equal length")
     if gap_ell < 1:
         raise ValueError("gap ell must be >= 1")
-    n = eps.size
     theta = np.concatenate([2.0 * eps - 1.0, 2.0 * eps_p - 1.0])
-    mats = _signed_windows(sym, theta[None], toeplitz.joint_index_set(n, gap_ell))
-    return float(_log_probs(mats)[0])
+    return _signed_windows(sym, theta, toeplitz.joint_index_set(eps.size, gap_ell))
+
+
+def joint_cylinder_log_prob(sym: Symbol, word, word_prime, gap_ell: int) -> float:
+    """Natural log of mu([word] n shift^-(N+ell) [word_prime])."""
+    return float(_log_probs(_joint_window(sym, word, word_prime, gap_ell)[None])[0])
 
 
 @dataclass(frozen=True)
 class RatioReport:
     """Correlation ratio R = joint / (p * p') for a pair of words across a gap.
 
-    The ratio is computed both directly and as det(I - H) with
-    H = [T + D(eps' - 1)]^-1 Lambda* [T + D(eps - 1)]^-1 Lambda; the two
-    must agree to 1e-8 relative.  ``simon_bound`` = ||H||_1 exp(||H||_1 + 1)
-    dominates |R - 1|.
+    All of it is read off the signed joint window
+    M = [[A(eps), B], [C, A(eps')]] = D(theta) T_J(g) + I: the marginals
+    from the diagonal blocks, the joint from M itself, and
+    H = A(eps')^-1 C A(eps)^-1 B, with R = det(I - H) by the Schur
+    complement.  The direct ratio and det(I - H) must agree to 1e-8
+    relative.  ``simon_bound`` = ||H||_1 exp(||H||_1 + 1) dominates |R - 1|.
     """
 
     ratio: float
@@ -129,22 +134,17 @@ class RatioReport:
 
 
 def correlation_ratio(sym: Symbol, word, word_prime, gap_ell: int) -> RatioReport:
-    eps = _parse_word(word)
-    eps_p = _parse_word(word_prime)
-    n = eps.size
-    log_p = cylinder_log_prob(sym, eps)
-    log_p2 = cylinder_log_prob(sym, eps_p)
+    m = _joint_window(sym, word, word_prime, gap_ell)
+    n = len(m) // 2
+    a1, a2 = m[:n, :n], m[n:, n:]
+    log_p, log_p2 = map(float, _log_probs(np.stack([a1, a2])))
     if not (math.isfinite(log_p) and math.isfinite(log_p2)):
         raise ConditioningError("marginal cylinder probability vanishes")
-    log_joint = joint_cylinder_log_prob(sym, eps, eps_p, gap_ell)
+    log_joint = float(_log_probs(m[None])[0])
     ratio_direct = math.exp(log_joint - log_p - log_p2)
 
-    t = toeplitz.build_T_window(sym, n)
-    lam = toeplitz.build_lambda(sym, n, gap_ell)
-    a1 = t + np.diag(eps - 1.0)
-    a2 = t + np.diag(eps_p - 1.0)
     try:
-        h = np.linalg.solve(a2, lam.conj().T) @ np.linalg.solve(a1, lam)
+        h = np.linalg.solve(a2, m[n:, :n]) @ np.linalg.solve(a1, m[:n, n:])
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"degenerate symbol: {exc}") from exc
     logabs, phase = toeplitz.log_det(np.eye(n, dtype=h.dtype) - h)

@@ -60,7 +60,6 @@ class PsiBoundReport:
     upper_bound: float | None
     tau: float
     tail: TailSum
-    truncation: int
     upper_approximate: bool
 
 
@@ -82,7 +81,7 @@ def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION
             approx = True
         x = total / (tau * tau)
         upper = x * math.exp(1.0 + x)
-    return PsiBoundReport(int(ell), lower, upper, tau, t, int(truncation), approx)
+    return PsiBoundReport(int(ell), lower, upper, tau, t, approx)
 
 
 @dataclass(frozen=True)
@@ -163,14 +162,15 @@ def psi_finite_window(sym: Symbol, ell: int, N: int) -> FiniteWindowPsi:
 
 
 def allones_lower_witness(sym: Symbol, ell: int, N: int) -> float:
-    """1 - det(I - T^-1 Lambda* T^-1 Lambda): the all-ones word's certified
-    contribution to psi(ell) at window size N."""
+    """1 - det(I - K) for the all-ones signed joint window [[A, B], [C, A]]
+    (theta = +1, so A = T_N(g) + I), K = A^-1 C A^-1 B: the all-ones word's
+    certified contribution to psi(ell) at window size N.  Formed as
+    -expm1(sum log1p(-lambda_i)) over the eigenvalues of K, which lie in
+    [0, 1], so it keeps its relative accuracy as the witness gets small."""
     if ell < 1 or N < 1:
         raise ValueError("allones_lower_witness: need ell >= 1 and N >= 1")
-    require_range(sym)
-    t = toeplitz.build_T_window(sym, N)
-    lam = toeplitz.build_lambda(sym, N, ell)
-    k = np.linalg.solve(t, lam.conj().T) @ np.linalg.solve(t, lam)
-    logabs, phase = toeplitz.log_det(np.eye(N, dtype=k.dtype) - k)
-    det = (math.exp(logabs) * phase).real if logabs > -math.inf else 0.0
-    return max(0.0, 1.0 - det)
+    m = measure._signed_windows(sym, np.ones(2 * N), toeplitz.joint_index_set(N, ell))
+    a = m[:N, :N]
+    k = np.linalg.solve(a, m[N:, :N]) @ np.linalg.solve(a, m[:N, N:])
+    lam = np.minimum(np.linalg.eigvals(k).real, 1.0)
+    return max(0.0, -math.expm1(np.log1p(-lam).sum()))

@@ -1,8 +1,11 @@
-"""Dense Toeplitz windows, off-diagonal coupling blocks, and the
-log-determinant / norm / quadrature kernels behind the probability layer.
+"""Dense Toeplitz windows over an index set, and the log-determinant /
+norm / quadrature kernels behind the probability layer.
 
-Matrices are plain numpy arrays; builders return a real dtype whenever the
-coefficient source is real (even symbols), complex otherwise.
+The window builder takes a coefficient function, not a symbol: the
+library passes ``symbol.g_coeff_fn``, so every window it forms is one of
+g = 2f - 1 behind the range gate.  Matrices are plain numpy arrays; the
+builder returns a real dtype whenever the coefficients are real (even
+symbols), complex otherwise.
 """
 from __future__ import annotations
 
@@ -12,18 +15,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import HypothesisError
-from .symbol import Symbol
 
 SZEGO_GRID = 16384
 SZEGO_CLAMP = 1e-14
-
-
-def _coeff_lookup(source) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(source, Symbol):
-        return source.coeffs
-    if callable(source):
-        return lambda ns: np.asarray(source(ns))
-    raise TypeError("coefficient source must be a Symbol or a callable(ns) -> coeffs")
 
 
 def _realify(m: np.ndarray) -> np.ndarray:
@@ -32,8 +26,8 @@ def _realify(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def build_T(source, J) -> np.ndarray:
-    """Window matrix [fhat(i - j)] for i, j in the strictly increasing set J."""
+def build_T(coeffs: Callable[[np.ndarray], np.ndarray], J) -> np.ndarray:
+    """Window matrix [coeffs(i - j)] for i, j in the strictly increasing set J."""
     J = np.asarray(J, dtype=np.int64)
     if J.ndim != 1:
         raise ValueError("J must be a 1-d integer set")
@@ -42,22 +36,7 @@ def build_T(source, J) -> np.ndarray:
     if J.size == 0:
         return np.zeros((0, 0))
     gaps = np.subtract.outer(J, J)
-    return _realify(_coeff_lookup(source)(gaps))
-
-
-def build_T_window(source, N: int) -> np.ndarray:
-    """The N x N window over consecutive positions."""
-    return build_T(source, np.arange(1, N + 1))
-
-
-def build_lambda(source, N: int, ell: int) -> np.ndarray:
-    """Coupling block of two length-N windows separated by a gap ell:
-    entries fhat(i - j - N - ell) for 1-based i, j."""
-    if N < 1 or ell < 1:
-        raise ValueError("build_lambda: need N >= 1 and ell >= 1")
-    i = np.arange(1, N + 1)
-    gaps = np.subtract.outer(i, i + N + ell)
-    return _realify(_coeff_lookup(source)(gaps))
+    return _realify(np.asarray(coeffs(gaps)))
 
 
 def joint_index_set(N: int, ell: int) -> np.ndarray:

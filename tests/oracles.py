@@ -1,11 +1,13 @@
 """Reference routes the tests compare the library against.
 
 Each computes a quantity the library also computes, by a slower or more
-literal route: the direct cylinder determinant, moment sums from one
-batched determinant per word, the parity coefficient of the Walsh tuple
-sum, the complement symbol 1 - f, the N x N P/Q route of the
-finite-window search with its per-pair deviation and trace-norm grids,
-and the closed-form Hilbert-Schmidt norm of the coupling block.
+literal route: the f-route window and coupling-block builders with the
+correlation-ratio matrix H and the all-ones witness formed from them, the
+direct cylinder determinant, moment sums from one batched determinant per
+word, the parity coefficient of the Walsh tuple sum, the complement symbol
+1 - f, the N x N P/Q route of the finite-window search with its per-pair
+deviation and trace-norm grids, and the closed-form Hilbert-Schmidt norm
+of the coupling block.
 """
 from __future__ import annotations
 
@@ -21,11 +23,40 @@ from dppkit.mixing import FINITE_WINDOW_CAP
 from dppkit.symbol import Symbol, g_coeff_fn, require_range
 
 
+def build_T_window(sym: Symbol, N: int) -> np.ndarray:
+    """The N x N window [fhat(i - j)] over consecutive positions."""
+    return toeplitz.build_T(sym.coeffs, np.arange(1, N + 1))
+
+
+def build_lambda(sym: Symbol, N: int, ell: int) -> np.ndarray:
+    """Coupling block of two length-N windows separated by a gap ell:
+    entries fhat(i - j - N - ell) for 1-based i, j."""
+    i = np.arange(1, N + 1)
+    lam = sym.coeffs(np.subtract.outer(i, i + N + ell))
+    return lam.real.copy() if np.all(lam.imag == 0.0) else lam
+
+
+def ratio_h(sym: Symbol, word, word_prime, ell: int) -> np.ndarray:
+    """H = [T + D(eps' - 1)]^-1 Lambda* [T + D(eps - 1)]^-1 Lambda, so that
+    R(eps, eps') = det(I - H), from the f-route builders."""
+    eps, eps_p = _parse_word(word), _parse_word(word_prime)
+    t = build_T_window(sym, eps.size)
+    lam = build_lambda(sym, eps.size, ell)
+    return np.linalg.solve(t + np.diag(eps_p - 1.0), lam.conj().T) @ np.linalg.solve(
+        t + np.diag(eps - 1.0), lam)
+
+
+def allones_witness(sym: Symbol, ell: int, N: int) -> float:
+    """1 - det(I - K) with K = T^-1 Lambda* T^-1 Lambda, the all-ones H."""
+    k = ratio_h(sym, "1" * N, "1" * N, ell)
+    return 1.0 - float(np.linalg.det(np.eye(N) - k).real)
+
+
 def cylinder_prob_direct(sym: Symbol, word) -> float:
     """mu([word]) from det(D(2 eps - 1) T_N(f) + D(1 - eps))."""
     require_range(sym)
     eps = _parse_word(word)
-    t = toeplitz.build_T_window(sym, eps.size)
+    t = build_T_window(sym, eps.size)
     val = np.linalg.det((2.0 * eps - 1.0)[:, None] * t + np.diag(1.0 - eps))
     if np.iscomplexobj(val):
         if abs(val.imag) > IMAG_TOL:

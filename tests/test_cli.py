@@ -274,6 +274,8 @@ def _raising(exc_type):
          "cylinder: give --word or --N, not both"),
         (["dimension", "--symbol", FAIR, "--nmax", "0"], None, 64,
          "s_n_q_table: need 1 <= n_max <= 22"),
+        (["dimension", "--symbol", FAIR, "--q", "3", "--beta-grid", "7"], None, 64,
+         "beta grid applies only to q = 2, got q = 3"),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):

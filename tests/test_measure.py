@@ -17,7 +17,8 @@ from dppkit import build_T, joint_cylinder_log_prob
 from dppkit.symbol import g_coeff_fn
 
 from conftest import random_interior_symbol
-from oracles import complement, cylinder_prob_direct, hs_norm_sq_lambda
+from oracles import (build_T_window, build_lambda, complement, cylinder_prob_direct,
+                     hs_norm_sq_lambda)
 
 
 def _all_words(n):
@@ -217,8 +218,6 @@ def test_joint_log_prob_direct_block_form(poi_half):
     n, ell = 3, 1
     eps = np.array([1, 0, 1])
     eps_p = np.array([0, 1, 1])
-    from dppkit import build_T_window, build_lambda
-
     t = build_T_window(poi_half, n)
     lam = build_lambda(poi_half, n, ell)
     big = np.block([[t, lam], [lam.conj().T, t]])

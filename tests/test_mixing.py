@@ -8,16 +8,21 @@ from dppkit import (
     Symbol,
     allones_lower_witness,
     contraction_margin,
+    correlation_ratio,
+    cylinder_log_prob,
+    joint_cylinder_log_prob,
     psi_bound_report,
     psi_finite_window,
     toeplitz,
+    trace_norm,
 )
 from dppkit.measure import word_bits
 from dppkit.mixing import SizeCapError
 from dppkit.symbol import HypothesisError, g_coeff_fn
 
 from conftest import random_interior_symbol
-from oracles import _coupling_stacks, _log_ratio_grid, finite_window_details
+from oracles import (_coupling_stacks, _log_ratio_grid, allones_witness, finite_window_details,
+                     ratio_h)
 
 COMPLEX_TRIG = Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])  # bandwidth 3
 
@@ -259,6 +264,31 @@ def test_finite_window_matches_full_window_oracle(name):
             assert abs(got.value - dev.max()) <= tol
 
 
+@pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+def test_correlation_ratio_matches_f_route_oracle(name):
+    # the report read off one signed joint window: the three logs and the
+    # ratio exactly as the cylinder routes give them, H as the f-route gives it
+    sym = FACTOR_CASES[name][0]
+    rng = np.random.default_rng(17)
+    for n in range(1, 8):
+        for ell in range(1, 9):
+            for _ in range(3):
+                w1, w2 = ("".join(rng.choice(["0", "1"], n)) for _ in range(2))
+                rep = correlation_ratio(sym, w1, w2, ell)
+                log_p, log_p2 = cylinder_log_prob(sym, w1), cylinder_log_prob(sym, w2)
+                log_joint = joint_cylinder_log_prob(sym, w1, w2, ell)
+                assert (rep.log_p_eps, rep.log_p_eps_prime, rep.log_joint) == (log_p, log_p2, log_joint)
+                assert rep.ratio == math.exp(log_joint - log_p - log_p2)
+                hnorm = trace_norm(ratio_h(sym, w1, w2, ell))
+                assert abs(rep.h_trace_norm - hnorm) <= 1e-12 * hnorm
+                bound = hnorm * math.exp(hnorm + 1.0)
+                assert abs(rep.simon_bound - bound) <= 1e-12 * bound
+    with pytest.raises(ValueError, match="^joint cylinder words must have equal length$"):
+        correlation_ratio(sym, "10", "1", 1)
+    with pytest.raises(ValueError, match="^gap ell must be >= 1$"):
+        correlation_ratio(sym, "1", "1", 0)
+
+
 def _mp_deviation(sym, ell, word, word_prime):
     """|R - 1| = |det(joint) / (det(A(eps)) det(A(eps'))) - 1| for one pair,
     from the signed windows D(theta) T_J(g) + I at the working precision."""
@@ -304,3 +334,23 @@ def test_details_rejects_zero_gap():
     with pytest.raises(ValueError, match="need ell >= 1") as info:
         finite_window_details(Symbol.constant(0.5), 0, 2)
     assert "build_lambda" not in str(info.value)
+
+
+def test_allones_witness_poisson_matches_mpmath(poi_high):
+    # the witness is 1 - R for the all-ones pair; by ell = 8 it is 5.6e-17,
+    # below the last digit of 1 - det(I - K)
+    with mpmath.workdps(50):
+        for ell in range(1, 9):
+            want = _mp_deviation(poi_high, ell, "1111", "1111")
+            assert abs(allones_lower_witness(poi_high, ell, 4) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("sym", [COMPLEX_TRIG, Symbol.arc_indicator(0.1, 0.45),
+                                 Symbol.power_decay(0.5, 0.05, 1.5, 64),
+                                 Symbol.raised_cosine(0.5, 0.25)], ids=lambda s: s.family)
+def test_allones_witness_matches_f_route_oracle(sym):
+    # the oracle forms 1 - det(I - K), so it is good to a few ulps of 1 only
+    for n in range(1, 8):
+        for ell in range(1, 9):
+            want = allones_witness(sym, ell, n)
+            assert allones_lower_witness(sym, ell, n) == pytest.approx(want, rel=1e-12, abs=1e-15)
