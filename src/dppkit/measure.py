@@ -144,9 +144,10 @@ def correlation_ratio(sym: Symbol, word, word_prime, gap_ell: int) -> RatioRepor
     ratio_direct = math.exp(log_joint - log_p - log_p2)
 
     try:
-        h = np.linalg.solve(a2, m[n:, :n]) @ np.linalg.solve(a1, m[:n, n:])
+        sol = np.linalg.solve(np.stack([a2, a1]), np.stack([m[n:, :n], m[:n, n:]]))
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"degenerate symbol: {exc}") from exc
+    h = sol[0] @ sol[1]
     logabs, phase = toeplitz.log_det(np.eye(n, dtype=h.dtype) - h)
     ratio_det = (math.exp(logabs) * phase).real if logabs > -math.inf else 0.0
 

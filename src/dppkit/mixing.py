@@ -16,20 +16,22 @@ with A(eps) = D(theta) T_N(g) + I:
     P(eps) = A(eps)^-1 D(theta) Lambda,  Q(eps') = A(eps')^-1 D(theta') Lambda*.
 
 Lambda = Lambda_g is factored exactly as U M V^T with the smallest inner
-sizes r x r' the symbol gives: r = r' = 1 for a non-degenerate poisson
-(geometric coefficients), the nonzero rows and columns of Lambda otherwise
-(r = max(0, B - ell) for bandwidth B, r = N with U = V = I for a full
-block).  Sylvester's identity det(I - AB) = det(I - BA) then gives
+size r the symbol gives: r = 1 for a non-degenerate poisson (geometric
+coefficients), the nonzero rows and columns of Lambda otherwise (r =
+max(0, B - ell) for bandwidth B, r = N with U = V = I for a full block).
+Sylvester's identity det(I - AB) = det(I - BA) then gives
 
-    R(eps, eps') = det(I_r' - Y(eps') X(eps)),
+    R(eps, eps') = det(I_r - Y(eps') X(eps)),
     X(eps) = U* A(eps)^-1 D(theta) U M,  Y(eps') = V^T A(eps')^-1 D(theta') conj(V) M*,
 
-so the 2^N solves are shared and each pair costs one r' x r' determinant.
-For r' = 1 the deviation is |R - 1| = |K| with K = Y X, read off without
-forming 1 - K, so it keeps its relative accuracy as psi gets small; for
-r' >= 2 it is |expm1(log|det(I - K)|)|; for r = 0 it is exactly 0.  No
-marginal log-determinant is subtracted, so band-limited symbols at gaps
-past the bandwidth give exactly 0.
+so the 2^N solves are shared.  For r <= 2 the whole grid is closed form:
+R - 1 = -tr K + det K with K = Y X, where tr K over every pair is one
+matrix product of the flattened stacks and det K = det Y det X (zero for
+r <= 1).  It is read off without forming 1 - det(I - K), so it keeps its
+relative accuracy as psi gets small.  For r >= 3 each pair costs one
+r x r slogdet and the deviation is |expm1(log|det(I - K)|)|.  No marginal
+log-determinant is subtracted, so band-limited symbols at gaps past the
+bandwidth (r = 0) give exactly 0.
 """
 from __future__ import annotations
 
@@ -86,7 +88,10 @@ def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION
 
 @dataclass(frozen=True)
 class FiniteWindowPsi:
-    """Exact max of |R - 1| over all word pairs at window size N, gap ell."""
+    """Exact max of |R - 1| over all word pairs at window size N, gap ell.
+
+    On a tie the argmax is the first maximal pair in row-major order of the
+    word indices m (bit k of the word is (m >> k) & 1), eps before eps'."""
 
     ell: int
     N: int
@@ -96,26 +101,31 @@ class FiniteWindowPsi:
 
 
 def _coupling_factors(sym: Symbol, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real U (N x r) and V (N x r'), and M (r x r'), with lam = Lambda_g = U M V^T.
+    """Real U and V (N x r) and M (r x r), with lam = Lambda_g = U M V^T.
 
     A non-degenerate poisson has lam[i, j] = ghat(ell + 1) r^(N-1-i) r^j, so
     M is the corner entry ghat(ell + 1) and every entry of U and V is at most
     1 in modulus.  Any other symbol keeps the nonzero rows and columns of lam
-    (exact zeros of the coefficient lookup), so U and V are columns of I."""
+    (exact zeros of the coefficient lookup), so U and V are columns of I.
+    Row N-1-k and column k of the Toeplitz block lam hold the same entries
+    ghat(-(ell+1+k)) .. ghat(-(ell+N+k)), so the nonzero rows mirror the
+    nonzero columns and M is square."""
     N = lam.shape[0]
     if sym.family == "poisson" and sym.bandwidth is None:
         r = sym.params["r"]
         return r ** np.arange(N - 1, -1, -1)[:, None], lam[N - 1:, :1], r ** np.arange(N)[:, None]
     rows = np.flatnonzero(np.any(lam != 0, axis=1))
     cols = np.flatnonzero(np.any(lam != 0, axis=0))
+    if not np.array_equal(rows, N - 1 - cols[::-1]):
+        raise NumericsError("coupling block rows and columns do not mirror")
     eye = np.eye(N)
     return eye[:, rows], lam[np.ix_(rows, cols)], eye[:, cols]
 
 
 def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """X(eps) = U* A(eps)^-1 D(theta) U M and Y(eps') = V^T A(eps')^-1 D(theta') conj(V) M*
-    for every word, with A(eps) = D(theta) T_N(g) + I; stacks of shape
-    (2^N, r, r') and (2^N, r', r)."""
+    for every word, with A(eps) = D(theta) T_N(g) + I; two stacks of shape
+    (2^N, r, r)."""
     if ell < 1 or N < 1:
         raise ValueError("finite-window search: need ell >= 1 and N >= 1")
     if N > FINITE_WINDOW_CAP:
@@ -126,26 +136,26 @@ def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndar
     if np.any(measure._log_probs(a) == -math.inf):
         raise NumericsError("vanishing marginal in finite-window enumeration")
     u, m, v = _coupling_factors(sym, base[:N, N:])
-    rp = m.shape[1]
+    r = m.shape[1]
     # U and V are real, so U* = U^T and conj(V) = V
     sol = np.linalg.solve(a, theta[:, :, None] * np.hstack([u @ m, v @ m.conj().T]))
-    return u.T @ sol[:, :, :rp], v.T @ sol[:, :, rp:]
+    return u.T @ sol[:, :, :r], v.T @ sol[:, :, r:]
 
 
 def _deviation_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|R - 1| for every pair, R[eps, eps'] = det(I - K), K = Y(eps') X(eps)."""
-    words, r, rp = x.shape
-    if r == 0:
-        return np.zeros((words, words))
-    k = y[None, :] @ x[:, None]
+    words, r = x.shape[:2]
     # the joint determinant's sign is the sign of det(I - K) times the two
-    # positive marginal signs
-    if rp == 1:
-        k = k[:, :, 0, 0]
-        if np.any(np.real(k) >= 1.0):
+    # positive marginal signs, so the joint vanishes where Re(R) <= 0
+    if r <= 2:
+        # 1 - R = tr K - det K; tr(Y' X) is the dot product of X and Y'^T
+        t = x.reshape(words, -1) @ y.transpose(0, 2, 1).reshape(words, -1).T
+        if r == 2:
+            t -= np.multiply.outer(np.linalg.det(x), np.linalg.det(y))
+        if np.any(np.real(t) >= 1.0):
             raise NumericsError("vanishing joint in finite-window enumeration")
-        return np.abs(k)
-    sign, logabs = np.linalg.slogdet(np.eye(rp, dtype=k.dtype) - k)
+        return np.abs(t)
+    sign, logabs = np.linalg.slogdet(np.eye(r, dtype=x.dtype) - y[None, :] @ x[:, None])
     if np.any(np.real(sign) <= 0):
         raise NumericsError("vanishing joint in finite-window enumeration")
     return np.abs(np.expm1(logabs))
@@ -170,7 +180,7 @@ def allones_lower_witness(sym: Symbol, ell: int, N: int) -> float:
     if ell < 1 or N < 1:
         raise ValueError("allones_lower_witness: need ell >= 1 and N >= 1")
     m = measure._signed_windows(sym, np.ones(2 * N), toeplitz.joint_index_set(N, ell))
-    a = m[:N, :N]
-    k = np.linalg.solve(a, m[N:, :N]) @ np.linalg.solve(a, m[:N, N:])
+    sol = np.linalg.solve(m[:N, :N], np.hstack([m[N:, :N], m[:N, N:]]))
+    k = sol[:, :N] @ sol[:, N:]
     lam = np.minimum(np.linalg.eigvals(k).real, 1.0)
     return max(0.0, -math.expm1(np.log1p(-lam).sum()))

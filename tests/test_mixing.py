@@ -11,13 +11,15 @@ from dppkit import (
     correlation_ratio,
     cylinder_log_prob,
     joint_cylinder_log_prob,
+    mixing,
     psi_bound_report,
     psi_finite_window,
     toeplitz,
     trace_norm,
 )
+from dppkit.errors import NumericsError
 from dppkit.measure import word_bits
-from dppkit.mixing import SizeCapError
+from dppkit.mixing import SizeCapError, _deviation_grid
 from dppkit.symbol import HypothesisError, g_coeff_fn
 
 from conftest import random_interior_symbol
@@ -253,9 +255,20 @@ def test_finite_window_matches_full_window_oracle(name):
             dev = np.abs(np.expm1(_log_ratio_grid(*_coupling_stacks(sym, ell, n))))
             got = psi_finite_window(sym, ell, n)
             pair = int(got.argmax_word[::-1], 2), int(got.argmax_word_prime[::-1], 2)
-            if full_rank and n >= 2:
+            if full_rank and n >= 3:
                 assert pair == np.unravel_index(int(np.argmax(dev)), dev.shape)
                 assert got.value == dev[pair]
+                continue
+            if full_rank:
+                # r = n <= 2 takes the closed form, which is closer to the
+                # 50-digit grid than the oracle (up to 3.9e-10 relative off
+                # at n = 2 on power_decay)
+                words = ["".join(str(b) for b in w) for w in word_bits(n)]
+                with mpmath.workdps(50):
+                    want = [[_mp_deviation(sym, ell, w1, w2) for w2 in words] for w1 in words]
+                best = max(map(max, want))
+                assert abs(got.value - want[pair[0]][pair[1]]) <= 1e-15 * best
+                assert best - want[pair[0]][pair[1]] <= 1e-15 * best
                 continue
             # the same pair, up to pairs the oracle cannot tell apart from the
             # maximum (at N = 1 with ghat(0) = 0 all four pairs tie exactly)
@@ -291,15 +304,23 @@ def test_correlation_ratio_matches_f_route_oracle(name):
 
 def _mp_deviation(sym, ell, word, word_prime):
     """|R - 1| = |det(joint) / (det(A(eps)) det(A(eps'))) - 1| for one pair,
-    from the signed windows D(theta) T_J(g) + I at the working precision."""
-    c, r = mpmath.mpf(sym.params["c"]), mpmath.mpf(sym.params["r"])
+    from the signed windows D(theta) T_J(g) + I at the working precision.
+    ghat(n) = 2 fhat(n) - [n = 0] takes fhat = c r^|n| from the parameters
+    for poisson, else from the coefficient lookup, whose values are exact
+    doubles."""
     n = len(word)
     theta = [2 * int(b) - 1 for b in word + word_prime]
     pos = list(range(n)) + list(range(n + ell, 2 * n + ell))
+    gaps = range(-(2 * n + ell), 2 * n + ell + 1)
+    if sym.family == "poisson":
+        c, r = mpmath.mpf(sym.params["c"]), mpmath.mpf(sym.params["r"])
+        fhat = {d: c * r ** abs(d) for d in gaps}
+    else:
+        fhat = {d: mpmath.mpmathify(complex(f)) for d, f in zip(gaps, sym.coeffs(np.array(gaps)))}
 
     def signed_det(idx):
         return mpmath.det(mpmath.matrix(
-            [[theta[a] * (2 * c * r ** abs(pos[a] - pos[b]) - (a == b)) + (a == b) for b in idx]
+            [[theta[a] * (2 * fhat[pos[a] - pos[b]] - (a == b)) + (a == b) for b in idx]
              for a in idx]))
 
     joint = signed_det(range(2 * n))
@@ -315,6 +336,74 @@ def test_finite_window_poisson_matches_mpmath(c, r):
             got = psi_finite_window(sym, ell, 4)
             want = _mp_deviation(sym, ell, got.argmax_word, got.argmax_word_prime)
             assert abs(got.value - want) <= 1e-14 * want
+
+
+# coupling rank r = 2: COMPLEX_TRIG at ell = 1 (B - ell = 2) for N >= 2, and
+# full-block symbols at N = 2
+RANK_TWO_CASES = [(COMPLEX_TRIG, 1, n) for n in range(1, 8)] + [
+    (sym, ell, 2) for sym in (Symbol.power_decay(0.5, 0.05, 1.5, 64), Symbol.arc_indicator(0.1, 0.45))
+    for ell in range(1, 9)]
+
+
+@pytest.mark.parametrize("sym,ell,n", RANK_TWO_CASES,
+                         ids=[f"{s.family}-ell{ell}-N{n}" for s, ell, n in RANK_TWO_CASES])
+def test_finite_window_rank_two_matches_mpmath(sym, ell, n):
+    # -tr K + det Y det X keeps the digits that expm1(log|det(I - K)|) loses
+    got = psi_finite_window(sym, ell, n)
+    with mpmath.workdps(50):
+        want = _mp_deviation(sym, ell, got.argmax_word, got.argmax_word_prime)
+    assert abs(got.value - want) <= 1e-15 * want
+
+
+def test_deviation_grid_rank_zero_is_exact_zero():
+    for dtype in (float, complex):
+        x = np.zeros((8, 0, 0), dtype=dtype)
+        got = _deviation_grid(x, x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.zeros((8, 8)))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_deviation_grid_closed_form_matches_slogdet(r, dtype):
+    # -tr K + det Y det X against R from one slogdet of I - K per pair (R is
+    # complex for random complex stacks, so the phase is kept)
+    rng = np.random.default_rng(r)
+    for scale in (0.3, 0.05):
+        x, y = (scale * rng.standard_normal((16, r, r)) for _ in range(2))
+        if dtype is complex:
+            x = x + 1j * scale * rng.standard_normal((16, r, r))
+            y = y + 1j * scale * rng.standard_normal((16, r, r))
+        sign, logabs = np.linalg.slogdet(np.eye(r) - y[None, :] @ x[:, None])
+        want = np.abs(sign * np.exp(logabs) - 1.0)
+        np.testing.assert_allclose(_deviation_grid(x, y), want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("k11", [1.0, 2.0])
+def test_deviation_grid_vanishing_joint_raises(r, k11):
+    # K = diag(k11, 0, ...) on one pair gives R = 1 - k11 <= 0
+    x = np.zeros((4, r, r))
+    y = np.zeros((4, r, r))
+    y[1, 0, 0] = 1.0
+    assert np.all(_deviation_grid(x, y) == 0.0)
+    x[2, 0, 0] = k11
+    with pytest.raises(NumericsError, match="^vanishing joint in finite-window enumeration$"):
+        _deviation_grid(x, y)
+
+
+def test_finite_window_argmax_is_first_in_row_major_order(monkeypatch, poi_half):
+    # ghat(0) = 0 at N = 1: all four pairs tie exactly
+    dev = _deviation_grid(*mixing._coupling_stacks(poi_half, 1, 1))
+    assert np.all(dev == dev.max())
+    got = psi_finite_window(poi_half, 1, 1)
+    assert (got.argmax_word, got.argmax_word_prime) == ("0", "0")
+    # a planted grid whose maximum first appears at (1, 2); index m holds bit k as (m >> k) & 1
+    planted = np.zeros((4, 4))
+    planted[1, 2] = planted[2, 1] = planted[3, 0] = 0.5
+    monkeypatch.setattr(mixing, "_deviation_grid", lambda x, y: planted)
+    got = psi_finite_window(poi_half, 1, 2)
+    assert (got.value, got.argmax_word, got.argmax_word_prime) == (0.5, "10", "01")
 
 
 def test_details_checks_range():
