@@ -48,7 +48,6 @@ from .dimension import (
     corr_dim_szego_lower,
     corr_dim_szego_upper,
     dim_q_estimate,
-    s_n_q,
     s_n_q_table,
     sigma_n_2,
     sigma_n_q_walsh,

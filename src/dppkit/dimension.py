@@ -62,11 +62,6 @@ def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
     return np.log2(sums)
 
 
-def s_n_q(sym: Symbol, N: int, q: float) -> float:
-    """log2 S_N^(q)."""
-    return float(s_n_q_table(sym, N, q)[N - 1])
-
-
 # -- subset-determinant and parity-tuple oracles -----------------------------
 
 

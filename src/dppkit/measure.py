@@ -191,47 +191,108 @@ class _GData:
 class PrefixState:
     """State of one cylinder prefix, extended one bit at a time.
 
-    Maintains the trailing ``window`` x ``window`` corner of the inverse of
+    Holds the trailing ``window`` x ``window`` corner of the inverse of
     D(theta) T_k(g) + I (the full inverse when window is None), which is all
-    the next conditional probability needs.  Extension costs O(window^2).
-    The corner recursion is exact when the symbol bandwidth fits inside the
-    window; a finite window on a non-band-limited symbol truncates
-    coefficients beyond it.
+    the next conditional probability needs.  ``extend`` does only scalar
+    work: the extension factor s, its checks and ``log_prob``.  The child
+    keeps (parent, bit sign, s) and forms its corner and ``theta`` on its
+    first ``conditional_one`` or ``extend``, or when ``corner`` or ``theta``
+    is first read.  That costs O(window^2) and drops the parent, so the
+    leaves of a prefix tree never form a corner and a chain holds at most
+    one parent.  The corner recursion is exact when the symbol bandwidth
+    fits inside the window; a finite window on a non-band-limited symbol
+    truncates coefficients beyond it.
     """
 
-    __slots__ = ("gd", "window", "length", "theta", "corner", "log_prob", "_ext")
+    __slots__ = ("gd", "window", "length", "log_prob", "_theta", "_corner", "_ext",
+                 "_parent", "_tp", "_s")
 
-    def __init__(self, gd: _GData, window, length, theta, corner, log_prob):
+    def __init__(self, gd: _GData, window, length, log_prob, parent=None, tp=None, s=None):
         self.gd = gd
         self.window = window
         self.length = length
-        self.theta = theta
-        self.corner = corner
         self.log_prob = log_prob
-        self._ext = None
+        self._theta = self._corner = self._ext = None
+        self._parent = parent
+        self._tp = tp
+        self._s = s
 
     @classmethod
     def root(cls, sym: Symbol, max_len: int, window: int | None = None) -> "PrefixState":
         gd = _GData(sym, max_len + (window or 0) + 1)
         dtype = np.float64 if gd.real else np.complex128
-        empty = np.zeros(0, dtype=dtype)
-        return cls(gd, window, 0, empty, np.zeros((0, 0), dtype=dtype), 0.0)
+        state = cls(gd, window, 0, 0.0)
+        state._theta = np.zeros(0, dtype=dtype)
+        state._corner = np.zeros((0, 0), dtype=dtype)
+        return state
+
+    def _build(self) -> None:
+        """Form corner and theta from the parent's, then drop the parent.
+
+        With (u, w) from the parent's extension, the bordered inverse is
+        [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].  When the window is
+        full its oldest row and column fall out, so they are never formed.
+        """
+        parent, tp, s = self._parent, self._tp, self._s
+        u, w, _ = parent._ext
+        corner = parent._corner
+        j = corner.shape[0]
+        keep = j + 1 if self.window is None else min(j + 1, self.window)
+        lo = j + 1 - keep
+        e = np.empty((keep, keep), dtype=corner.dtype)
+        ts = tp / s
+        if keep > 1:
+            m = keep - 1
+            if lo and m == 1:
+                # numpy rounds a complex product in a row of length 1 unlike
+                # one in a longer row, so the one kept entry is formed in its
+                # untrimmed row
+                row = np.multiply.outer(u[1:], w)
+                row *= ts
+                row += corner[1:]
+                e[0, 0] = row[0, 1]
+            else:
+                block = e[:m, :m]
+                np.multiply.outer(u[lo:], w[lo:], out=block)
+                block *= ts
+                block += corner[lo:, lo:]
+            e[:m, m] = -u[lo:] / s
+            e[m, :m] = -ts * w[lo:]
+        if keep:
+            e[-1, -1] = 1.0 / s
+        self._corner = e
+        self._theta = np.concatenate((parent._theta, (tp,)))[lo:]
+        self._parent = None
+
+    @property
+    def corner(self) -> np.ndarray:
+        if self._corner is None:
+            self._build()
+        return self._corner
+
+    @property
+    def theta(self) -> np.ndarray:
+        if self._theta is None:
+            self._build()
+        return self._theta
 
     def _extension(self):
         """(u, w, alpha) for appending position length+1."""
         if self._ext is None:
-            gd, k = self.gd, self.length
-            j = self.corner.shape[0]
+            if self._corner is None:
+                self._build()
+            gd, corner = self.gd, self._corner
+            j = corner.shape[0]
             if j == 0:
-                dtype = self.corner.dtype
+                dtype = corner.dtype
                 self._ext = (np.zeros(0, dtype=dtype), np.zeros(0, dtype=dtype), gd.g0)
             else:
                 # corner covers rows/cols k-j+1..k; new column entries are
                 # theta_i * ghat(i - (k+1)), new row entries ghat(k+1 - j')
-                b = self.theta[-j:] * gd.gneg[j:0:-1]
+                b = self._theta[-j:] * gd.gneg[j:0:-1]
                 r = gd.gpos[j:0:-1]
-                u = self.corner @ b
-                w = r @ self.corner
+                u = corner @ b
+                w = r @ corner
                 self._ext = (u, w, gd.g0 - r @ u)
         return self._ext
 
@@ -250,7 +311,8 @@ class PrefixState:
         return min(max(p1, 0.0), 1.0)
 
     def extend(self, bit: int) -> "PrefixState":
-        u, w, alpha = self._extension()
+        """The child prefix with ``bit`` appended; its corner is formed lazily."""
+        alpha = self._extension()[2]
         tp = 2.0 * bit - 1.0
         s = 1.0 + tp * alpha
         if self.gd.real:
@@ -263,24 +325,8 @@ class PrefixState:
             raise ConditioningError(
                 f"prefix probability vanishes extending with bit {bit} at position {self.length}"
             )
-        j = self.corner.shape[0]
-        e = np.empty((j + 1, j + 1), dtype=self.corner.dtype)
-        if j:
-            np.multiply.outer(u, w, out=e[:j, :j])
-            e[:j, :j] *= tp / s
-            e[:j, :j] += self.corner
-            e[:j, j] = -u / s
-            e[j, :j] = -(tp / s) * w
-        e[j, j] = 1.0 / s
-        if self.window is not None and j + 1 > self.window:
-            e = np.ascontiguousarray(e[1:, 1:])
-        theta = np.append(self.theta, tp)
-        if self.window is not None and theta.size > self.window:
-            theta = theta[theta.size - self.window:]
-        return PrefixState(
-            self.gd, self.window, self.length + 1, theta, e,
-            self.log_prob + math.log(s_real / 2.0),
-        )
+        return PrefixState(self.gd, self.window, self.length + 1,
+                           self.log_prob + math.log(s_real / 2.0), self, tp, s)
 
 
 def conditional_next(sym: Symbol, word) -> float:

@@ -125,7 +125,8 @@ def _coupling_factors(sym: Symbol, lam: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """X(eps) = U* A(eps)^-1 D(theta) U M and Y(eps') = V^T A(eps')^-1 D(theta') conj(V) M*
     for every word, with A(eps) = D(theta) T_N(g) + I; two stacks of shape
-    (2^N, r, r)."""
+    (2^N, r, r).  At r = 0 no solve is needed, but the marginals are still
+    checked."""
     if ell < 1 or N < 1:
         raise ValueError("finite-window search: need ell >= 1 and N >= 1")
     if N > FINITE_WINDOW_CAP:
@@ -137,6 +138,9 @@ def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndar
         raise NumericsError("vanishing marginal in finite-window enumeration")
     u, m, v = _coupling_factors(sym, base[:N, N:])
     r = m.shape[1]
+    if r == 0:
+        empty = np.zeros((2 ** N, 0, 0), dtype=a.dtype)
+        return empty, empty
     # U and V are real, so U* = U^T and conj(V) = V
     sol = np.linalg.solve(a, theta[:, :, None] * np.hstack([u @ m, v @ m.conj().T]))
     return u.T @ sol[:, :, :r], v.T @ sol[:, :, r:]

@@ -70,7 +70,7 @@ def _check_determinant_identities() -> None:
 
 def _check_dimension_oracles() -> None:
     for sym in (Symbol.raised_cosine(0.5, 0.5), Symbol.poisson(0.75, 0.125)):
-        s = dimension.s_n_q(sym, 6, 2)
+        s = dimension.s_n_q_table(sym, 6, 2)[-1]
         sig = dimension.sigma_n_2(sym, 6)
         _require(abs(s - (math.log2(sig) - 6)) < 1e-9, "S_6 vs sigma_6")
     est = dimension.dim_q_estimate(Symbol.constant(0.5), 2, 6)

@@ -6,8 +6,9 @@ correlation-ratio matrix H and the all-ones witness formed from them, the
 direct cylinder determinant, moment sums from one batched determinant per
 word, the parity coefficient of the Walsh tuple sum, the complement symbol
 1 - f, the N x N P/Q route of the finite-window search with its per-pair
-deviation and trace-norm grids, and the closed-form Hilbert-Schmidt norm
-of the coupling block.
+deviation and trace-norm grids, the closed-form Hilbert-Schmidt norm
+of the coupling block, and the eager prefix extension that forms every
+child's inverse corner as soon as the child is created.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dppkit import measure, toeplitz
-from dppkit.errors import NumericsError, SizeCapError, SymbolSpecError
-from dppkit.measure import IMAG_TOL, _parse_word, cylinder_log_probs_direct
+from dppkit.errors import ConditioningError, NumericsError, SizeCapError, SymbolSpecError
+from dppkit.measure import IMAG_TOL, _GData, _parse_word, _unresolved, cylinder_log_probs_direct
 from dppkit.mixing import FINITE_WINDOW_CAP
 from dppkit.symbol import Symbol, g_coeff_fn, require_range
 
@@ -158,3 +159,102 @@ def finite_window_details(sym: Symbol, ell: int, N: int) -> FiniteWindowDetails:
     dev = np.abs(np.expm1(_log_ratio_grid(p, q)))
     hnorm = np.linalg.svd(q[None, :] @ p[:, None], compute_uv=False).sum(axis=-1)
     return FiniteWindowDetails(dev, hnorm, hs_norm_sq_lambda(sym, N, ell))
+
+
+class EagerPrefixState:
+    """The eager prefix extension: each ``extend`` forms the child's corner
+    and theta at once.  The library's lazy ``PrefixState`` must match it
+    bit for bit.
+
+    State of one cylinder prefix, extended one bit at a time.
+
+    Maintains the trailing ``window`` x ``window`` corner of the inverse of
+    D(theta) T_k(g) + I (the full inverse when window is None), which is all
+    the next conditional probability needs.  Extension costs O(window^2).
+    The corner recursion is exact when the symbol bandwidth fits inside the
+    window; a finite window on a non-band-limited symbol truncates
+    coefficients beyond it.
+    """
+
+    __slots__ = ("gd", "window", "length", "theta", "corner", "log_prob", "_ext")
+
+    def __init__(self, gd: _GData, window, length, theta, corner, log_prob):
+        self.gd = gd
+        self.window = window
+        self.length = length
+        self.theta = theta
+        self.corner = corner
+        self.log_prob = log_prob
+        self._ext = None
+
+    @classmethod
+    def root(cls, sym: Symbol, max_len: int, window: int | None = None) -> "EagerPrefixState":
+        gd = _GData(sym, max_len + (window or 0) + 1)
+        dtype = np.float64 if gd.real else np.complex128
+        empty = np.zeros(0, dtype=dtype)
+        return cls(gd, window, 0, empty, np.zeros((0, 0), dtype=dtype), 0.0)
+
+    def _extension(self):
+        """(u, w, alpha) for appending position length+1."""
+        if self._ext is None:
+            gd, k = self.gd, self.length
+            j = self.corner.shape[0]
+            if j == 0:
+                dtype = self.corner.dtype
+                self._ext = (np.zeros(0, dtype=dtype), np.zeros(0, dtype=dtype), gd.g0)
+            else:
+                # corner covers rows/cols k-j+1..k; new column entries are
+                # theta_i * ghat(i - (k+1)), new row entries ghat(k+1 - j')
+                b = self.theta[-j:] * gd.gneg[j:0:-1]
+                r = gd.gpos[j:0:-1]
+                u = self.corner @ b
+                w = r @ self.corner
+                self._ext = (u, w, gd.g0 - r @ u)
+        return self._ext
+
+    def conditional_one(self) -> float:
+        """P(next bit = 1 | prefix)."""
+        _, _, alpha = self._extension()
+        if not self.gd.real:
+            if abs(alpha.imag) > IMAG_TOL:
+                raise _unresolved(self.length, self.log_prob, abs(1.0 + alpha), alpha.imag)
+            alpha = alpha.real
+        p1 = 0.5 * (1.0 + alpha)
+        if p1 < -1e-9 or p1 > 1.0 + 1e-9:
+            raise ConditioningError(
+                f"conditional probability {p1!r} out of range at position {self.length}"
+            )
+        return min(max(p1, 0.0), 1.0)
+
+    def extend(self, bit: int) -> "EagerPrefixState":
+        u, w, alpha = self._extension()
+        tp = 2.0 * bit - 1.0
+        s = 1.0 + tp * alpha
+        if self.gd.real:
+            s_real = s
+        else:
+            if abs(s.imag) > IMAG_TOL:
+                raise _unresolved(self.length, self.log_prob, abs(s), s.imag)
+            s_real = s.real
+        if s_real <= 0.0:
+            raise ConditioningError(
+                f"prefix probability vanishes extending with bit {bit} at position {self.length}"
+            )
+        j = self.corner.shape[0]
+        e = np.empty((j + 1, j + 1), dtype=self.corner.dtype)
+        if j:
+            np.multiply.outer(u, w, out=e[:j, :j])
+            e[:j, :j] *= tp / s
+            e[:j, :j] += self.corner
+            e[:j, j] = -u / s
+            e[j, :j] = -(tp / s) * w
+        e[j, j] = 1.0 / s
+        if self.window is not None and j + 1 > self.window:
+            e = np.ascontiguousarray(e[1:, 1:])
+        theta = np.append(self.theta, tp)
+        if self.window is not None and theta.size > self.window:
+            theta = theta[theta.size - self.window:]
+        return EagerPrefixState(
+            self.gd, self.window, self.length + 1, theta, e,
+            self.log_prob + math.log(s_real / 2.0),
+        )

@@ -20,7 +20,6 @@ from dppkit import (
     psi_bound_report,
     psi_finite_window,
     rate_experiment,
-    s_n_q,
     s_n_q_table,
     sigma_n_2,
     sigma_n_q_walsh,
@@ -72,7 +71,7 @@ def test_criterion_02_hand_derived_determinants():
         rc = Symbol.raised_cosine(0.5, 0.5)
         assert cylinder_prob(rc, "11") == pytest.approx(3.0 / 16.0, abs=1e-12)
         assert cylinder_prob(rc, "10") == pytest.approx(5.0 / 16.0, abs=1e-12)
-        assert 2.0 ** s_n_q(rc, 2, 2) == pytest.approx(17.0 / 64.0, abs=1e-12)
+        assert 2.0 ** s_n_q_table(rc, 2, 2)[-1] == pytest.approx(17.0 / 64.0, abs=1e-12)
         assert sigma_n_2(rc, 2) == pytest.approx(17.0 / 16.0, abs=1e-12)
 
 
@@ -125,7 +124,7 @@ def test_criterion_05_dimension_oracle_equivalence():
                 for q in (2, 3):
                     walsh = sigma_n_q_walsh(sym, n, q)
                     assert math.log2(walsh) == pytest.approx(
-                        (q - 1) * n + s_n_q(sym, n, q), abs=1e-8
+                        (q - 1) * n + s_n_q_table(sym, n, q)[-1], abs=1e-8
                     )
 
 

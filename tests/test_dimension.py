@@ -9,7 +9,6 @@ from dppkit import (
     corr_dim_szego_lower,
     corr_dim_szego_upper,
     dim_q_estimate,
-    s_n_q,
     s_n_q_table,
     sigma_n_2,
     sigma_n_q_walsh,
@@ -28,13 +27,13 @@ IID_34_DIM2 = -math.log2(5.0 / 8.0)  # i.i.d. Bernoulli(3/4) correlation dimensi
 
 
 def test_s_n_q_product_measure(fair):
-    assert s_n_q(fair, 3, 2) == pytest.approx(-3.0, abs=1e-12)
-    assert s_n_q(fair, 5, 3) == pytest.approx(-10.0, abs=1e-12)
+    assert s_n_q_table(fair, 3, 2)[-1] == pytest.approx(-3.0, abs=1e-12)
+    assert s_n_q_table(fair, 5, 3)[-1] == pytest.approx(-10.0, abs=1e-12)
 
 
 def test_s_n_q_hand_values(rc_half):
-    assert 2.0 ** s_n_q(rc_half, 1, 2) == pytest.approx(0.5, rel=1e-12)
-    assert 2.0 ** s_n_q(rc_half, 2, 2) == pytest.approx(17.0 / 64.0, rel=1e-12)
+    assert 2.0 ** s_n_q_table(rc_half, 1, 2)[-1] == pytest.approx(0.5, rel=1e-12)
+    assert 2.0 ** s_n_q_table(rc_half, 2, 2)[-1] == pytest.approx(17.0 / 64.0, rel=1e-12)
 
 
 def test_s_n_q_matches_direct_oracle():
@@ -43,13 +42,13 @@ def test_s_n_q_matches_direct_oracle():
         sym = random_interior_symbol(rng)
         n = int(rng.integers(1, 11))
         q = int(rng.integers(2, 4))
-        assert s_n_q(sym, n, q) == pytest.approx(s_n_q_direct(sym, n, q), abs=1e-9)
+        assert s_n_q_table(sym, n, q)[-1] == pytest.approx(s_n_q_direct(sym, n, q), abs=1e-9)
 
 
 def test_s_n_q_table_is_consistent(poi_high):
     tab = s_n_q_table(poi_high, 8, 2)
     for n in (1, 4, 8):
-        assert tab[n - 1] == pytest.approx(s_n_q(poi_high, n, 2), abs=1e-12)
+        assert tab[n - 1] == pytest.approx(s_n_q_table(poi_high, n, 2)[-1], abs=1e-12)
 
 
 def test_sigma_n_2_values(fair, rc_half):
@@ -65,7 +64,7 @@ def test_sigma_matches_moment_sum():
     for _ in range(6):
         sym = random_interior_symbol(rng)
         n = int(rng.integers(1, 11))
-        assert math.log2(sigma_n_2(sym, n)) - n == pytest.approx(s_n_q(sym, n, 2), abs=1e-9)
+        assert math.log2(sigma_n_2(sym, n)) - n == pytest.approx(s_n_q_table(sym, n, 2)[-1], abs=1e-9)
 
 
 def test_walsh_examples(fair, rc_half):
@@ -81,7 +80,7 @@ def test_walsh_matches_other_routes():
         for n, q in ((2, 2), (4, 2), (3, 3), (5, 3)):
             walsh = sigma_n_q_walsh(sym, n, q)
             assert math.log2(walsh) == pytest.approx(
-                (q - 1) * n + s_n_q(sym, n, q), abs=1e-8
+                (q - 1) * n + s_n_q_table(sym, n, q)[-1], abs=1e-8
             )
             if q == 2:
                 assert walsh == pytest.approx(sigma_n_2(sym, n), rel=1e-11)
@@ -184,7 +183,7 @@ def test_moment_sum_bounded_by_squared_average_window(poi_high):
         return np.where(np.abs(ns) <= 2 * b, picked, 0.0) / 2.0 + 0.5 * (ns == 0)
 
     for n in (3, 6, 9):
-        lhs = s_n_q(poi_high, n, 2)
+        lhs = s_n_q_table(poi_high, n, 2)[-1]
         rhs = np.linalg.slogdet(build_T(hcoef, np.arange(1, n + 1)))[1] / LOG2
         assert lhs <= rhs + 1e-9
 
@@ -210,12 +209,12 @@ def test_non_integer_q_is_uncertified(poi_high):
     assert not est.certified
     assert np.all(np.isfinite(est.table.estimate_N))
     with pytest.raises(ValueError):
-        s_n_q(poi_high, 4, 1.0)
+        s_n_q_table(poi_high, 4, 1.0)
 
 
 def test_s_n_q_cap():
     with pytest.raises(SizeCapError):
-        s_n_q(Symbol.constant(0.5), 23, 2)
+        s_n_q_table(Symbol.constant(0.5), 23, 2)
 
 
 def test_direct_enumeration_cap():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dppkit import (
+    ConditioningError,
     HypothesisError,
     Symbol,
     conditional_next,
@@ -11,14 +12,16 @@ from dppkit import (
     correlation_ratio,
     cylinder_log_prob,
     cylinder_prob,
+    dimension,
+    s_n_q_table,
 )
 from dppkit.measure import PrefixState, cylinder_log_probs_direct
 from dppkit import build_T, joint_cylinder_log_prob
 from dppkit.symbol import g_coeff_fn
 
 from conftest import random_interior_symbol
-from oracles import (build_T_window, build_lambda, complement, cylinder_prob_direct,
-                     hs_norm_sq_lambda)
+from oracles import (EagerPrefixState, build_T_window, build_lambda, complement,
+                     cylinder_prob_direct, hs_norm_sq_lambda)
 
 
 def _all_words(n):
@@ -211,6 +214,92 @@ def test_windowed_prefix_state_exact_for_band_limited():
         full = full.extend(int(b))
         windowed = windowed.extend(int(b))
     assert windowed.log_prob == pytest.approx(full.log_prob, abs=1e-11)
+
+
+LAZY_SYMBOLS = {
+    "poisson": Symbol.poisson(0.75, 0.125),
+    "raised_cosine": Symbol.raised_cosine(0.55, 0.3),
+    "power_decay": Symbol.power_decay(0.5, 0.1, 2.0, 64),
+    "trig_poly-complex": Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]),
+    "arc_indicator": Symbol.arc_indicator(0.3, 0.7),
+}
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ConditioningError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("window", [None, 0, 1, 2, 3, 5])
+@pytest.mark.parametrize("name", sorted(LAZY_SYMBOLS))
+def test_lazy_prefix_state_matches_eager_oracle(name, window):
+    # log_prob, conditional_one, corner and theta equal the eager route bit
+    # for bit along random paths; each step first touches the lazy child
+    # through a different entry point, and some children are never queried
+    sym = LAZY_SYMBOLS[name]
+    rng = np.random.default_rng(61)
+    for _ in range(3):
+        lazy = PrefixState.root(sym, 24, window=window)
+        eager = EagerPrefixState.root(sym, 24, window=window)
+        for _ in range(24):
+            first = rng.integers(0, 4)
+            if first == 1:
+                assert _same(lazy.corner, eager.corner)
+            elif first == 2:
+                assert _same(lazy.theta, eager.theta)
+            if first != 3:
+                p1 = _outcome(lazy.conditional_one)
+                assert p1 == _outcome(eager.conditional_one)
+                if isinstance(p1, str):  # a truncated window can leave [0, 1]
+                    break
+            if rng.integers(0, 2):
+                assert _same(lazy.corner, eager.corner) and _same(lazy.theta, eager.theta)
+            bit = int(rng.integers(0, 2))
+            lazy, eager = _outcome(lambda: lazy.extend(bit)), _outcome(lambda: eager.extend(bit))
+            if isinstance(lazy, str):
+                assert lazy == eager
+                break
+            assert lazy.log_prob == eager.log_prob
+        else:
+            assert _same(lazy.corner, eager.corner) and _same(lazy.theta, eager.theta)
+            if window is not None:
+                assert lazy.corner.shape == (window, window)
+
+
+def test_lazy_child_drops_its_parent():
+    state = PrefixState.root(Symbol.poisson(0.5, 0.25), 8).extend(1)
+    assert state._parent is not None
+    state.conditional_one()
+    assert state._parent is None
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", ["poisson", "raised_cosine", "trig_poly-complex"])
+def test_moment_sums_match_eager_oracle_walk(monkeypatch, name, q):
+    sym = LAZY_SYMBOLS[name]
+    lazy = s_n_q_table(sym, 10, q)
+    monkeypatch.setattr(dimension, "PrefixState", EagerPrefixState)
+    assert lazy.tobytes() == s_n_q_table(sym, 10, q).tobytes()
+
+
+@pytest.mark.parametrize("route", [PrefixState, EagerPrefixState])
+def test_lazy_extend_raises_where_eager_does(monkeypatch, route):
+    # the same ConditioningError at the same bit: an imaginary residue on a
+    # tree walk, and a vanishing factor on a chain
+    monkeypatch.setattr(dimension, "PrefixState", route)
+    with pytest.raises(ConditioningError, match=r"^prefix mass 3\.62e-19 too small to resolve "
+                       r"at position 9: \|s\| = 2, imaginary residue -6\.36e-10$"):
+        s_n_q_table(Symbol.arc_indicator(0.1, 0.45), 10, 2)
+    state = route.root(Symbol.constant(1.0), 3).extend(1)
+    with pytest.raises(ConditioningError,
+                       match="^prefix probability vanishes extending with bit 0 at position 1$"):
+        state.extend(0)
 
 
 def test_joint_log_prob_direct_block_form(poi_half):

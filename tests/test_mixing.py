@@ -111,6 +111,23 @@ def test_band_limited_exact_independence():
         assert psi_finite_window(sym, 2, 2).value > 1e-6
 
 
+def test_finite_window_rank_zero_needs_no_solve(monkeypatch):
+    # past the bandwidth the coupling rank is 0: the grid is exact zeros, so
+    # the value is 0.0 at the first pair, and no linear solve is made
+    def no_solve(*args):
+        raise AssertionError("linear solve at coupling rank 0")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    for sym in (Symbol.trig_poly([0.5, 0.08, 0.05, 0.02]), COMPLEX_TRIG):  # bandwidth 3
+        for ell in (3, 4, 8):
+            for n in (1, 4, 7):
+                got = psi_finite_window(sym, ell, n)
+                assert (got.value, got.argmax_word, got.argmax_word_prime) == (0.0, "0" * n, "0" * n)
+    # the marginal check still runs: f = 1 gives the word "0" mass 0
+    with pytest.raises(NumericsError, match="^vanishing marginal in finite-window enumeration$"):
+        psi_finite_window(Symbol.constant(1.0), 1, 3)
+
+
 def test_allones_witness_values(fair, rc_half, poi_half):
     assert allones_lower_witness(fair, 1, 3) == 0.0
     assert allones_lower_witness(rc_half, 1, 3) == pytest.approx(0.0, abs=1e-14)

@@ -18,7 +18,7 @@ PUBLIC = [
     "cylinder_log_prob", "cylinder_prob", "dim_q_estimate", "dimension",
     "empirical_cylinder_test", "errors", "joint_cylinder_log_prob", "lcs", "lcs_length",
     "lcs_length_dp", "log_det", "measure", "mixing", "one_sidedness", "psi_bound_report",
-    "psi_finite_window", "rate_experiment", "s_n_q", "s_n_q_table", "sample_many",
+    "psi_finite_window", "rate_experiment", "s_n_q_table", "sample_many",
     "sample_prefix", "sampler", "sigma_n_2", "sigma_n_q_walsh", "symbol", "symbol_from_json",
     "szego_log_integral", "tail_sum", "toeplitz", "trace_norm",
 ]

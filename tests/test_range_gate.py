@@ -19,7 +19,6 @@ from dppkit import (
     psi_bound_report,
     psi_finite_window,
     rate_experiment,
-    s_n_q,
     s_n_q_table,
     sample_many,
     sample_prefix,
@@ -43,7 +42,6 @@ CALLS = {
     "psi_finite_window": lambda s: psi_finite_window(s, 1, 2),
     "allones_lower_witness": lambda s: allones_lower_witness(s, 1, 2),
     "s_n_q_table": lambda s: s_n_q_table(s, 4, 2),
-    "s_n_q": lambda s: s_n_q(s, 4, 2),
     "dim_q_estimate": lambda s: dim_q_estimate(s, 2, 4),
     "subset_dets": lambda s: subset_dets(s, 3),
     "sigma_n_2": lambda s: sigma_n_2(s, 3),
