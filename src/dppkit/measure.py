@@ -207,7 +207,7 @@ class PrefixState:
     __slots__ = ("gd", "window", "length", "log_prob", "_theta", "_corner", "_ext",
                  "_parent", "_tp", "_s")
 
-    def __init__(self, gd: _GData, window, length, log_prob, parent=None, tp=None, s=None):
+    def __init__(self, gd: _GData, window, length, log_prob, *, parent=None, tp=None, s=None):
         self.gd = gd
         self.window = window
         self.length = length
@@ -231,7 +231,11 @@ class PrefixState:
 
         With (u, w) from the parent's extension, the bordered inverse is
         [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].  When the window is
-        full its oldest row and column fall out, so they are never formed.
+        full its oldest row and column fall out: that row is never formed,
+        and the kept rows are formed at their untrimmed length, so numpy
+        rounds every entry as it would in the untrimmed inverse.  They are
+        formed as their own contiguous array, which numpy loops over faster
+        than over a strided view of the corner.
         """
         parent, tp, s = self._parent, self._tp, self._s
         u, w, _ = parent._ext
@@ -239,26 +243,15 @@ class PrefixState:
         j = corner.shape[0]
         keep = j + 1 if self.window is None else min(j + 1, self.window)
         lo = j + 1 - keep
-        e = np.empty((keep, keep), dtype=corner.dtype)
         ts = tp / s
-        if keep > 1:
-            m = keep - 1
-            if lo and m == 1:
-                # numpy rounds a complex product in a row of length 1 unlike
-                # one in a longer row, so the one kept entry is formed in its
-                # untrimmed row
-                row = np.multiply.outer(u[1:], w)
-                row *= ts
-                row += corner[1:]
-                e[0, 0] = row[0, 1]
-            else:
-                block = e[:m, :m]
-                np.multiply.outer(u[lo:], w[lo:], out=block)
-                block *= ts
-                block += corner[lo:, lo:]
-            e[:m, m] = -u[lo:] / s
-            e[m, :m] = -ts * w[lo:]
+        rows = np.multiply.outer(u[lo:], w)
+        rows *= ts
+        rows += corner[lo:]
+        e = np.empty((keep, keep), dtype=corner.dtype)
         if keep:
+            e[:-1, :-1] = rows[:, lo:]
+            e[:-1, -1] = (-u / s)[lo:]
+            e[-1, :-1] = (-ts * w)[lo:]
             e[-1, -1] = 1.0 / s
         self._corner = e
         self._theta = np.concatenate((parent._theta, (tp,)))[lo:]
@@ -326,7 +319,7 @@ class PrefixState:
                 f"prefix probability vanishes extending with bit {bit} at position {self.length}"
             )
         return PrefixState(self.gd, self.window, self.length + 1,
-                           self.log_prob + math.log(s_real / 2.0), self, tp, s)
+                           self.log_prob + math.log(s_real / 2.0), parent=self, tp=tp, s=s)
 
 
 def conditional_next(sym: Symbol, word) -> float:

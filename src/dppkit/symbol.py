@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import HypothesisError, SymbolSpecError
 
@@ -350,20 +349,6 @@ def _poisson_tail(sym: Symbol, t: int) -> float:
     return c * c * r ** (2 * t + 2) * (1.0 + t * y) / (y * y)
 
 
-def _power_tail(sym: Symbol, ell: int, hi: int) -> float | None:
-    """sum_{ell < n <= hi} n |fhat(n)|^2 = c^2 sum n^{1-2p} in closed form: a
-    digamma difference at p = 1, a Hurwitz zeta difference at p > 1.  None
-    at p < 1, or when the difference would cancel more than one bit."""
-    c, p = sym.params["c"], sym.params["p"]
-    if p == 1.0:
-        head, rest = special.psi(hi + 1.0), special.psi(ell + 1.0)
-    elif p > 1.0:
-        head, rest = special.zeta(2.0 * p - 1.0, ell + 1.0), special.zeta(2.0 * p - 1.0, hi + 1.0)
-    else:
-        return None
-    return c * c * float(head - rest) if 2.0 * rest <= head else None
-
-
 def _tail_remainder(sym: Symbol, truncation: int) -> float | None:
     """Bound on sum_{n > truncation} n |fhat(n)|^2, or None when unknown."""
     bw = sym.bandwidth
@@ -387,8 +372,7 @@ def _power_remainder(sym: Symbol, truncation: int) -> float | None:
 
 
 def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> TailSum:
-    """Sum of n*|fhat(n)|^2 for ell < n <= truncation; closed form for poisson
-    and for power_decay at p >= 1 where the difference keeps its digits."""
+    """Sum of n*|fhat(n)|^2 for ell < n <= truncation."""
     if not (0 <= ell < truncation):
         raise ValueError("tail_sum: need 0 <= ell < truncation")
     bw = sym.bandwidth
@@ -398,8 +382,6 @@ def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> Tai
         head, rest = _poisson_tail(sym, ell), _poisson_tail(sym, truncation)
         if 2.0 * rest <= head:  # the difference cancels at most one bit
             value = head - rest
-    elif sym.family == "power_decay" and hi > ell:
-        value = _power_tail(sym, ell, hi)
     if value is None:
         ns = np.arange(ell + 1, hi + 1)
         value = float(np.sum(ns * np.abs(sym.coeffs(ns)) ** 2)) if hi > ell else 0.0

@@ -116,39 +116,6 @@ def test_poisson_tail_sum_matches_mpmath(c, r):
                 assert abs(got.remainder_bound - rem) <= 1e-15 * rem + 1e-300
 
 
-@pytest.mark.parametrize("p", [0.75, 1.0, 1.5, 2.0, 3.0])
-def test_power_decay_tail_sum_matches_mpmath(p):
-    # sum_{ell < n <= hi} n c^2 n^{-2p} with hi = min(truncation, cutoff) is
-    # c^2 (z(ell + 1) - z(hi + 1)), z(a) = -digamma(a) at p = 1 and the Hurwitz
-    # zeta(2p - 1, a) otherwise, at 50 digits
-    c = 0.05
-    with mpmath.workdps(50):
-        s = 2 * mpmath.mpf(p) - 1
-
-        def z(a):
-            return -mpmath.psi(0, a) if p == 1.0 else mpmath.zeta(s, a)
-
-        for cutoff in (64, 10 ** 6):
-            sym = Symbol.power_decay(0.5, c, p, cutoff)
-            for ell in range(13):
-                for truncation in (ell + 1, ell + 7, 200, 100_000):
-                    got = tail_sum(sym, ell, truncation).value
-                    want = mpmath.mpf(c) ** 2 * (z(ell + 1) - z(min(truncation, cutoff) + 1))
-                    assert abs(got - want) <= 1e-15 * want
-
-
-def test_power_decay_tail_sum_reads_no_coefficients(monkeypatch):
-    # at p >= 1 the 10^5-term sum is closed form; p < 1 keeps the explicit sum
-    def no_lookup(self, ns):
-        raise AssertionError("coefficient lookup")
-
-    monkeypatch.setattr(Symbol, "coeffs", no_lookup)
-    for p in (1.0, 1.5):
-        assert tail_sum(Symbol.power_decay(0.5, 0.01, p, 10 ** 6), 1).value > 0.0
-    with pytest.raises(AssertionError, match="coefficient lookup"):
-        tail_sum(Symbol.power_decay(0.5, 0.01, 0.75, 10 ** 6), 1)
-
-
 def test_tail_sum_monotone_and_bandlimited(rc_half, poi_half):
     vals = [tail_sum(poi_half, ell, 200).value for ell in range(8)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
