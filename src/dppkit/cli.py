@@ -9,8 +9,8 @@ only lines: a JSON header, then the bits of each trajectory.
 
 Each subcommand registers only the options it reads (the README lists
 them): ``--symbol`` and ``--out`` on all but selftest, ``--format`` on all
-but sample and selftest, ``--seed`` on sample and lcs-experiment only.
-``--threads`` is accepted everywhere and has no effect.
+but sample and selftest, ``--seed`` on sample and lcs-experiment only;
+selftest takes none.
 
 Exit codes: 0 success; 1 internal numeric failure; 2 hypothesis or size-cap
 violation; 64 malformed symbol spec / usage.  ``main`` maps error classes to
@@ -149,16 +149,8 @@ def _cmd_psi(sym: Symbol, args):
             "upper_approximate"), rows
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {what}: {text!r}") from exc
-
-
 def _cmd_dimension(sym: Symbol, args):
-    beta_grid = _parse_float_list(args.beta_grid, "--beta-grid") if args.beta_grid else None
-    est = dimension.dim_q_estimate(sym, args.q, args.nmax, beta_grid=beta_grid)
+    est = dimension.dim_q_estimate(sym, args.q, args.nmax)
     summary = (est.fekete_lower, est.last_estimate, est.certified, est.szego_lower,
                est.szego_upper)
     rows = [(args.q, int(n), float(l2), float(e)) + summary
@@ -190,16 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, symbol=True, fmt=True, seed=False):
-        if symbol:
-            p.add_argument("--symbol", required=True,
-                           help="inline JSON symbol spec, or @file")
-            p.add_argument("--out", default=None, help="output path (default stdout)")
+    def common(p, fmt=True, seed=False):
+        p.add_argument("--symbol", required=True, help="inline JSON symbol spec, or @file")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("coeffs", help="Fourier coefficients fhat(0..nmax)")
     common(p)
@@ -223,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--beta-grid", default=None,
-                   help="comma-separated betas in [-1,1] for the upper bound")
     p.set_defaults(fn=_cmd_dimension)
 
     p = sub.add_parser("sample", help="sample process prefixes")
@@ -240,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(fn=_cmd_lcs)
 
-    p = sub.add_parser("selftest", help="run the built-in invariant battery")
-    common(p, symbol=False, fmt=False)
+    sub.add_parser("selftest", help="run the built-in invariant battery")
     return parser
 
 

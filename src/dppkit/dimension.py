@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import toeplitz
 from .errors import SizeCapError
@@ -27,9 +26,11 @@ from .symbol import Symbol, g_coeff_fn, one_sidedness, require_range
 SNQ_CAP = 22
 SIGMA_CAP = 18
 WALSH_CAP_BITS = 20
-DEFAULT_BETA_POINTS = 41
+BETA_POINTS = 41
+BETA_XATOL = 1e-10
 
 LOG2 = math.log(2.0)
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # -- S_N^{(q)} via depth-first prefix-tree traversal -------------------------
@@ -72,7 +73,8 @@ def subset_dets(sym: Symbol, N: int) -> np.ndarray:
     contained in [-1, 1]; the empty subset contributes 1.
     """
     if not (1 <= N <= SIGMA_CAP):
-        raise SizeCapError(f"subset determinants: need 1 <= N <= {SIGMA_CAP}")
+        error = ValueError if N < 1 else SizeCapError
+        raise error(f"subset determinants: need 1 <= N <= {SIGMA_CAP}")
     tg = toeplitz.build_T(g_coeff_fn(sym), np.arange(1, N + 1))
     bits = word_bits(N)
     popcount = bits.sum(axis=1)
@@ -133,8 +135,7 @@ class DimensionEstimate:
     ``certified`` is True when the symbol is one-sided around 1/2 and q is
     an integer >= 2, the regime where sub-multiplicativity makes
     ``fekete_lower`` a true lower bound.  Quadrature bounds on the
-    correlation dimension are attached for q = 2; ``beta_grid`` tunes the
-    upper one, so it is refused at any other q.
+    correlation dimension are attached for q = 2.
     """
 
     q: float
@@ -146,9 +147,7 @@ class DimensionEstimate:
     szego_upper: float | None
 
 
-def dim_q_estimate(sym: Symbol, q: float, n_max: int, beta_grid=None) -> DimensionEstimate:
-    if beta_grid is not None and q != 2:
-        raise ValueError(f"beta grid applies only to q = 2, got q = {q:g}")
+def dim_q_estimate(sym: Symbol, q: float, n_max: int) -> DimensionEstimate:
     log2s = s_n_q_table(sym, n_max, q)
     ns = np.arange(1, n_max + 1)
     est = -log2s / ((q - 1.0) * ns)
@@ -158,7 +157,7 @@ def dim_q_estimate(sym: Symbol, q: float, n_max: int, beta_grid=None) -> Dimensi
     upper = None
     if q == 2:
         lower = corr_dim_szego_lower(sym)
-        upper = corr_dim_szego_upper(sym, beta_grid)
+        upper = corr_dim_szego_upper(sym)
     return DimensionEstimate(
         q=q,
         table=table,
@@ -190,35 +189,37 @@ def _upper_bound_at_beta(g: np.ndarray, beta: float) -> tuple[float, bool]:
     return 1.0 - integral / LOG2, clamped
 
 
-def corr_dim_szego_upper(sym: Symbol, beta_grid=None) -> float:
+def corr_dim_szego_upper(sym: Symbol) -> float:
     """min over beta in [-1,1] of 1 - (1/log 2) integral log((1+beta*g)^2/(1+beta^2)).
 
-    Every beta yields a valid upper bound; a grid scan plus bounded scalar
-    refinement returns a near-optimal one.  Betas whose integrand needed
-    clamping are skipped (clamping would spoil validity); beta = 0 always
-    gives the safe value 1.
+    Every beta yields a valid upper bound, and the objective is convex in
+    beta (log(1+beta*g)^2 and -log(1+beta^2) are concave on [-1, 1]), so a
+    grid scan bracketed by a golden-section search returns the minimum.
+    Betas whose integrand needed clamping count as +inf (clamping would
+    spoil validity); beta = 0 always gives the safe value 1.
     """
     g = _g_on_szego_grid(sym)
-    if beta_grid is None:
-        beta_grid = np.linspace(-1.0, 1.0, DEFAULT_BETA_POINTS)
-    betas = np.asarray(beta_grid, dtype=float)
-    if betas.size == 0 or np.any(np.abs(betas) > 1.0):
-        raise ValueError("beta grid must be non-empty within [-1, 1]")
-    best = 1.0  # beta = 0
-    best_beta = 0.0
-    for beta in betas:
-        val, clamped = _upper_bound_at_beta(g, float(beta))
-        if not clamped and val < best:
-            best, best_beta = val, float(beta)
-    lo = max(-1.0, best_beta - 0.1)
-    hi = min(1.0, best_beta + 0.1)
 
     def objective(beta: float) -> float:
         val, clamped = _upper_bound_at_beta(g, beta)
         return math.inf if clamped else val
 
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    if res.fun < best:
-        best = float(res.fun)
-    return best
+    best, best_beta = 1.0, 0.0  # beta = 0
+    for beta in np.linspace(-1.0, 1.0, BETA_POINTS):
+        val = objective(float(beta))
+        if val < best:
+            best, best_beta = val, float(beta)
+    # golden-section search on the bracket around the best grid point
+    a, b = max(-1.0, best_beta - 0.1), min(1.0, best_beta + 0.1)
+    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > BETA_XATOL:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - INV_PHI * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INV_PHI * (b - a)
+            fd = objective(d)
+    return min(best, fc, fd)

@@ -43,7 +43,7 @@ import numpy as np
 from . import measure, toeplitz
 from .errors import NumericsError, SizeCapError
 from .symbol import (DEFAULT_TRUNCATION, Symbol, TailSum, contraction_margin, g_coeff_fn,
-                     require_range, tail_sum)
+                     require_range, tail_log_bound, tail_sum)
 
 FINITE_WINDOW_CAP = 7
 
@@ -52,9 +52,11 @@ FINITE_WINDOW_CAP = 7
 class PsiBoundReport:
     """Certified bounds on psi(ell).
 
-    ``upper_bound`` is None when the contraction margin tau is not positive
-    (the sufficient condition fails); ``upper_approximate`` flags a missing
-    analytic remainder for the truncated tail.
+    ``upper_bound`` is 0.0 for a band-limited symbol at ell >= its
+    bandwidth, at any tau, where psi(ell) = 0 exactly; otherwise it is None
+    when the contraction margin tau is not positive (the sufficient
+    condition fails).  ``upper_approximate`` flags a missing analytic
+    remainder for the truncated tail.
     """
 
     ell: int
@@ -67,7 +69,9 @@ class PsiBoundReport:
 
 def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> PsiBoundReport:
     """lower = 1 - exp(-tail/(ell+1)), which truncating the tail keeps valid;
-    upper = (tail/tau^2) exp(1 + tail/tau^2), or None when tau <= 0."""
+    upper = (tail/tau^2) exp(1 + tail/tau^2), or None when tau <= 0.  Where
+    the tail's closed form underflows, the upper bound is formed from the
+    tail's logarithm and rounded up, so it stays positive."""
     if ell < 1:
         raise ValueError("psi_bound_report: need ell >= 1")
     require_range(sym)
@@ -76,7 +80,12 @@ def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION
     tau = contraction_margin(sym)
     upper = None
     approx = False
-    if tau > 0.0:
+    log_total = tail_log_bound(sym, ell)
+    if sym.bandwidth is not None and ell >= sym.bandwidth:
+        upper = 0.0  # Lambda_g = 0: the two windows are independent
+    elif tau > 0.0 and log_total is not None:
+        upper = _upper_from_log(log_total - 2.0 * math.log(tau))
+    elif tau > 0.0:
         total = t.certified_total
         if total is None:
             total = t.value
@@ -84,6 +93,14 @@ def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION
         x = total / (tau * tau)
         upper = x * math.exp(1.0 + x)
     return PsiBoundReport(int(ell), lower, upper, tau, t, approx)
+
+
+def _upper_from_log(log_x: float) -> float:
+    """x exp(1 + x) from log x, widened by 1e-12 |log| (far above the
+    rounding of log x) and rounded up to the next float, so it is positive
+    and never below the exact value."""
+    log_upper = log_x + 1.0 + math.exp(log_x)
+    return math.nextafter(math.exp(log_upper + 1e-12 * abs(log_upper)), math.inf)
 
 
 @dataclass(frozen=True)

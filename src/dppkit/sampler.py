@@ -15,10 +15,10 @@ an explicit approximate window chosen by the caller.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConditioningError, SizeCapError
 from .measure import PrefixState, _word_str, cylinder_log_probs_direct
@@ -85,12 +85,25 @@ def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "
     return BinarySequence(bits, int(seed), sym.fingerprint)
 
 
-def sample_many(sym: Symbol, n: int, count: int, seed: int,
-                window: "int | None | str" = "auto") -> list[BinarySequence]:
+def sample_many(sym: Symbol, n: int, count: int, seed: int) -> list[BinarySequence]:
     """Independent trajectories; trajectory i uses stream seed ^ i."""
     if count < 1:
         raise ValueError("sample_many: need count >= 1")
-    return [sample_prefix(sym, n, int(seed) ^ i, window) for i in range(count)]
+    return [sample_prefix(sym, n, int(seed) ^ i) for i in range(count)]
+
+
+def _chi2_sf_odd(x: float, dof: int) -> float:
+    """P(chi^2_dof > x) for odd dof (Abramowitz-Stegun 26.4.4):
+    erfc(sqrt(x/2)) plus the positive terms sqrt(2/pi) e^(-x/2) x^(r-1/2) / (2r-1)!!
+    for r = 1 .. (dof-1)/2.  Past x of about 1400 the factor e^(-x/2) is
+    subnormal, so the value loses digits and then reads 0.0; the true value
+    there is below 1e-250."""
+    total = math.erfc(math.sqrt(0.5 * x))
+    term = math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x)
+    for r in range(1, (dof + 1) // 2):
+        total += term
+        term *= x / (2 * r + 1)
+    return total
 
 
 @dataclass(frozen=True)
@@ -130,5 +143,5 @@ def empirical_cylinder_test(sym: Symbol, word_len: int, n_samples: int, seed: in
         raise ConditioningError("expected cell counts below 5; increase n_samples")
     statistic = float(np.sum((counts - expected) ** 2 / expected))
     dof = 2 ** word_len - 1
-    p_value = float(stats.chi2.sf(statistic, dof))
+    p_value = _chi2_sf_odd(statistic, dof)
     return CylinderFitReport(word_len, n_samples, statistic, dof, p_value, counts, expected)

@@ -132,14 +132,14 @@ CHECKS = [
 ]
 
 
-def run_selftest(emit=print) -> bool:
+def run_selftest() -> bool:
     ok = True
     for name, fn in CHECKS:
         try:
             fn()
         except Exception as exc:  # keep going; report all failures
             ok = False
-            emit(f"FAIL {name}: {exc!r}")
+            print(f"FAIL {name}: {exc!r}")
         else:
-            emit(f"PASS {name}")
+            print(f"PASS {name}")
     return ok

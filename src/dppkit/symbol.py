@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -23,6 +24,8 @@ RANGE_GRID = 4096
 DEFAULT_TRUNCATION = 100_000
 BANDWIDTH_TOL = 1e-16
 BANDWIDTH_CAP = 4096
+ONE_SIDED_TOL = 1e-9
+LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
 FAMILIES = (
     "constant",
@@ -308,11 +311,11 @@ def contraction_margin(sym: Symbol) -> float:
     return min(sym.f_min, 1.0 - sym.f_max)
 
 
-def one_sidedness(sym: Symbol, tol: float = 1e-9) -> int:
-    """+1 if f >= 1/2, -1 if f <= 1/2, 0 otherwise."""
-    if sym.f_min >= 0.5 - tol:
+def one_sidedness(sym: Symbol) -> int:
+    """+1 if f >= 1/2, -1 if f <= 1/2 (each to ONE_SIDED_TOL), 0 otherwise."""
+    if sym.f_min >= 0.5 - ONE_SIDED_TOL:
         return 1
-    if sym.f_max <= 0.5 + tol:
+    if sym.f_max <= 0.5 + ONE_SIDED_TOL:
         return -1
     return 0
 
@@ -347,6 +350,20 @@ def _poisson_tail(sym: Symbol, t: int) -> float:
     c, r = sym.params["c"], abs(sym.params["r"])
     y = (1.0 - r) * (1.0 + r)
     return c * c * r ** (2 * t + 2) * (1.0 + t * y) / (y * y)
+
+
+def tail_log_bound(sym: Symbol, ell: int) -> float | None:
+    """log of the full tail sum_{n > ell} n |fhat(n)|^2 of a non-degenerate
+    poisson symbol whose closed form passes below the normal float range
+    (where ``tail_sum`` loses digits or reads 0.0); None otherwise."""
+    if sym.family != "poisson" or sym.bandwidth is not None:
+        return None
+    c, r = abs(sym.params["c"]), abs(sym.params["r"])
+    log_head = 2.0 * math.log(c) + (2 * ell + 2) * math.log(r)
+    if log_head >= LOG_MIN_NORMAL:
+        return None
+    y = (1.0 - r) * (1.0 + r)
+    return log_head + math.log1p(ell * y) - 2.0 * math.log(y)
 
 
 def _tail_remainder(sym: Symbol, truncation: int) -> float | None:

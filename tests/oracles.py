@@ -7,8 +7,10 @@ direct cylinder determinant, moment sums from one batched determinant per
 word, the parity coefficient of the Walsh tuple sum, the complement symbol
 1 - f, the N x N P/Q route of the finite-window search with its per-pair
 deviation and trace-norm grids, the closed-form Hilbert-Schmidt norm
-of the coupling block, and the eager prefix extension that forms every
-child's inverse corner as soon as the child is created.
+of the coupling block, the eager prefix extension that forms every
+child's inverse corner as soon as the child is created, and the Szego upper
+bound on the correlation dimension by scipy's bounded Brent search and by a
+fine beta grid.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dppkit import measure, toeplitz
+from dppkit import dimension, measure, toeplitz
 from dppkit.errors import ConditioningError, NumericsError, SizeCapError, SymbolSpecError
 from dppkit.measure import IMAG_TOL, _GData, _parse_word, _unresolved, cylinder_log_probs_direct
 from dppkit.mixing import FINITE_WINDOW_CAP
@@ -258,3 +260,32 @@ class EagerPrefixState:
             self.gd, self.window, self.length + 1, theta, e,
             self.log_prob + math.log(s_real / 2.0),
         )
+
+
+def corr_dim_szego_upper_brent(sym: Symbol) -> float:
+    """The Szego upper bound from the 41-point beta grid refined by scipy's
+    bounded Brent search on the +-0.1 bracket around its best point, to
+    xatol = 1e-10."""
+    from scipy.optimize import minimize_scalar
+
+    g = dimension._g_on_szego_grid(sym)
+
+    def objective(beta: float) -> float:
+        val, clamped = dimension._upper_bound_at_beta(g, beta)
+        return math.inf if clamped else val
+
+    best, best_beta = 1.0, 0.0
+    for beta in np.linspace(-1.0, 1.0, 41):
+        val = objective(float(beta))
+        if val < best:
+            best, best_beta = val, float(beta)
+    bracket = (max(-1.0, best_beta - 0.1), min(1.0, best_beta + 0.1))
+    res = minimize_scalar(objective, bounds=bracket, method="bounded", options={"xatol": 1e-10})
+    return min(best, float(res.fun))
+
+
+def corr_dim_szego_upper_grid(sym: Symbol, points: int) -> float:
+    """The smallest unclamped Szego upper bound over an even beta grid on [-1, 1]."""
+    g = dimension._g_on_szego_grid(sym)
+    vals = [dimension._upper_bound_at_beta(g, float(b)) for b in np.linspace(-1.0, 1.0, points)]
+    return min(val for val, clamped in vals if not clamped)

@@ -17,7 +17,6 @@ from dppkit.cli import build_parser, main
 
 POISSON = '{"family":"poisson","params":{"c":0.5,"r":0.25}}'
 FAIR = '{"family":"constant","params":{"a":0.5}}'
-POI_HIGH = '{"family":"poisson","params":{"c":0.75,"r":0.125}}'
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -128,14 +127,19 @@ def test_dimension_uniform(capsys):
 
 
 def test_dimension_beta_grid_flag(capsys):
+    # --beta-grid 0.0,0.5 once reached szego_upper = -log2(5/8) here; the
+    # default search reaches it unaided, and the flag is a usage error
     biased = '{"family":"constant","params":{"a":0.75}}'
-    code, out, _ = run_cli(
-        ["dimension", "--symbol", biased, "--nmax", "2", "--beta-grid", "0.0,0.5"], capsys
-    )
+    code, out, _ = run_cli(["dimension", "--symbol", biased, "--nmax", "2"], capsys)
     assert code == 0
     import math
     row = out.strip().splitlines()[1].split(",")
     assert float(row[8]) == pytest.approx(-math.log2(5 / 8), abs=1e-9)
+    code, out, err = run_cli(
+        ["dimension", "--symbol", biased, "--nmax", "2", "--beta-grid", "0.0,0.5"], capsys
+    )
+    assert code == 64 and out == ""
+    assert "unrecognized arguments: --beta-grid 0.0,0.5" in err
 
 
 def test_sample_determinism_and_header(capsys):
@@ -182,20 +186,6 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0
     assert out_path.read_text().splitlines()[0] == "n,re,im"
-
-
-def test_threads_do_not_change_bytes(capsys):
-    base = ["lcs-experiment", "--symbol", FAIR, "--ngrid", "2^8", "--trials", "6", "--seed", "12"]
-    code, out1, _ = run_cli(base + ["--threads", "1"], capsys)
-    assert code == 0
-    code, out4, _ = run_cli(base + ["--threads", "4"], capsys)
-    assert out1 == out4
-    # N = 5 is the smallest n_max that used to be split over threads
-    base = ["dimension", "--symbol", POI_HIGH, "--nmax", "5"]
-    code, out1, _ = run_cli(base + ["--threads", "1"], capsys)
-    assert code == 0
-    code, out2, _ = run_cli(base + ["--threads", "2"], capsys)
-    assert out1 == out2
 
 
 def test_malformed_json_exit_64(capsys):
@@ -274,8 +264,6 @@ def _raising(exc_type):
          "cylinder: give --word or --N, not both"),
         (["dimension", "--symbol", FAIR, "--nmax", "0"], None, 64,
          "s_n_q_table: need 1 <= n_max <= 22"),
-        (["dimension", "--symbol", FAIR, "--q", "3", "--beta-grid", "7"], None, 64,
-         "beta grid applies only to q = 2, got q = 3"),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):
@@ -397,6 +385,12 @@ def test_readme_option_table_matches_parser():
         ["selftest", "--seed", "1"],
         ["psi", "--symbol", POISSON, "--ell", "1", "--N", "1", "--seed", "1"],
         ["coeffs", "--symbol", POISSON, "--seed", "1"],
+        # --threads and --beta-grid are retired: every computation is
+        # serial, and the beta search already reaches the convex minimum
+        ["selftest", "--threads", "1"],
+        ["lcs-experiment", "--symbol", FAIR, "--ngrid", "2^8", "--trials", "6", "--threads", "4"],
+        ["dimension", "--symbol", '{"family":"constant","params":{"a":0.75}}', "--nmax", "2",
+         "--beta-grid", "0.0,0.5"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )

@@ -20,7 +20,8 @@ from dppkit.symbol import g_coeff_fn
 from dppkit import build_T
 
 from conftest import random_interior_symbol
-from oracles import s_n_q_direct, walsh_tuple_coefficient
+from oracles import (corr_dim_szego_upper_brent, corr_dim_szego_upper_grid, s_n_q_direct,
+                     walsh_tuple_coefficient)
 
 LOG2 = math.log(2.0)
 IID_34_DIM2 = -math.log2(5.0 / 8.0)  # i.i.d. Bernoulli(3/4) correlation dimension
@@ -139,10 +140,29 @@ def test_corr_dim_szego_lower_values(fair):
 
 
 def test_corr_dim_szego_upper_values(fair):
-    assert corr_dim_szego_upper(fair, beta_grid=[0.0]) == 1.0
     assert corr_dim_szego_upper(fair) == pytest.approx(1.0, abs=1e-12)
     got = corr_dim_szego_upper(Symbol.constant(0.75))
     assert got == pytest.approx(IID_34_DIM2, abs=1e-9)
+
+
+SZEGO_CASES = [random_interior_symbol(np.random.default_rng(seed)) for seed in range(16)] + [
+    Symbol.arc_indicator(0.0, 0.5), Symbol.arc_indicator(0.1, 0.45),
+    # the benchmark workload symbols
+    Symbol.poisson(0.75, 0.125), Symbol.poisson(0.5, 0.25), Symbol.raised_cosine(0.75, 0.25),
+    Symbol.raised_cosine(0.5, 0.25), Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]),
+    Symbol.power_decay(0.5, 0.1, 2, 64), Symbol.constant(0.5), Symbol.constant(0.75),
+]
+
+
+@pytest.mark.parametrize("sym", SZEGO_CASES,
+                         ids=[f"{sym.family}{i}" for i, sym in enumerate(SZEGO_CASES)])
+def test_corr_dim_szego_upper_matches_brent_and_fine_grid(sym):
+    # the objective is convex in beta, so the golden-section search lands
+    # where scipy's bounded Brent search did, and no point of a 2001-point
+    # grid beats it
+    got = corr_dim_szego_upper(sym)
+    assert abs(got - corr_dim_szego_upper_brent(sym)) <= 1e-15
+    assert got <= corr_dim_szego_upper_grid(sym, 2001) + 1e-15
 
 
 @pytest.mark.parametrize("bound", [corr_dim_szego_lower, corr_dim_szego_upper])
@@ -223,7 +243,10 @@ def test_direct_enumeration_cap():
         s_n_q_direct(sym, 15, 2)
     with pytest.raises(SizeCapError):
         cylinder_log_probs_direct(sym, 15)
-    with pytest.raises(ValueError) as info:
-        cylinder_log_probs_direct(sym, 0)
-    assert not isinstance(info.value, SizeCapError)
+    # a count below 1 is a usage error, not a size cap, on every enumeration
+    for enumerate_zero in (lambda: cylinder_log_probs_direct(sym, 0), lambda: subset_dets(sym, 0),
+                           lambda: sigma_n_2(sym, 0), lambda: sigma_n_q_walsh(sym, 0, 2)):
+        with pytest.raises(ValueError) as info:
+            enumerate_zero()
+        assert not isinstance(info.value, SizeCapError)
 

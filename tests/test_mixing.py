@@ -56,6 +56,36 @@ def test_psi_upper_bound_values(fair, poi_half):
     assert psi_bound_report(poi_half, 2).upper_bound == pytest.approx(x * math.exp(1.0 + x), rel=1e-9)
 
 
+@pytest.mark.parametrize("c, r, ell", [(0.5, 0.25, 268), (0.75, 0.125, 179), (0.5, 0.25, 400)])
+def test_psi_upper_bound_survives_tail_underflow(c, r, ell):
+    # the poisson tail's closed form underflows to 0.0 at these gaps, and
+    # the bound read 0.0 (certified); from the tail's logarithm, rounded up,
+    # it is positive and never below the 50-digit value, which at ell = 400
+    # is itself below the least subnormal
+    rep = psi_bound_report(Symbol.poisson(c, r), ell)
+    with mpmath.workdps(50):
+        x2 = mpmath.mpf(r) ** 2
+        tail = mpmath.mpf(c) ** 2 * x2 ** (ell + 1) * (1 + ell * (1 - x2)) / (1 - x2) ** 2
+        x = tail / mpmath.mpf(rep.tau) ** 2
+        want = x * mpmath.exp(1 + x)
+        assert 0.0 < rep.upper_bound and want <= rep.upper_bound
+        assert rep.upper_bound <= max(want * (1 + 1e-8), want + 2 * 5e-324)
+    assert not rep.upper_approximate
+
+
+def test_psi_upper_bound_zero_past_bandwidth_at_any_tau():
+    # raised_cosine(0.75, 0.25) has bandwidth 1 and range [0.5, 1], so tau =
+    # 0; psi(ell) = 0 for every ell >= 1, and the bound is 0.0, not None
+    sym = Symbol.raised_cosine(0.75, 0.25)
+    words = ["".join(str(b) for b in w) for w in word_bits(2)]
+    for ell in (1, 2):
+        rep = psi_bound_report(sym, ell)
+        assert rep.tau == 0.0 and rep.upper_bound == 0.0 and not rep.upper_approximate
+        assert psi_finite_window(sym, ell, 2).value == 0.0
+        with mpmath.workdps(50):
+            assert max(_mp_deviation(sym, ell, w1, w2) for w1 in words for w2 in words) < 1e-45
+
+
 def test_psi_upper_bound_remainder_keeps_validity(poi_half):
     # heavily truncated report stays above the well-resolved bound
     coarse = psi_bound_report(poi_half, 1, truncation=3)

@@ -1,5 +1,7 @@
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +44,16 @@ def test_traced_names_resolve(monkeypatch):
             assert hasattr(obj, part), f"perfbench traces dppkit.{module}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj)
+
+
+def test_import_loads_no_scipy():
+    # the package depends on numpy alone; scipy is only a test oracle, and
+    # importing it would cost every CLI call and benchmark set-up a second
+    src = os.path.dirname(os.path.dirname(dppkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys, dppkit\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -12,6 +12,7 @@ from dppkit import (
     sample_prefix,
 )
 from dppkit.mixing import SizeCapError
+from dppkit.sampler import _chi2_sf_odd
 
 
 def test_reproducibility(poi_half):
@@ -122,3 +123,15 @@ def test_empirical_word_distribution_small(rc_half):
     freq = rep.counts / rep.n_samples
     pexp = rep.expected / rep.n_samples
     assert np.all(np.abs(freq - pexp) <= 4 * np.sqrt(pexp * (1 - pexp) / rep.n_samples))
+
+
+@pytest.mark.parametrize("word_len", range(1, 7))
+def test_chi2_sf_odd_matches_scipy(word_len):
+    # the cylinder test's degrees of freedom, 2^word_len - 1, are odd
+    from scipy.stats import chi2
+
+    dof = 2 ** word_len - 1
+    xs = np.concatenate([np.geomspace(1e-12, 1.0, 200), np.linspace(0.0, 400.0, 4001)[1:]])
+    got = np.array([_chi2_sf_odd(float(x), dof) for x in xs])
+    want = chi2.sf(xs, dof)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
