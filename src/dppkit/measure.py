@@ -169,17 +169,45 @@ def correlation_ratio(sym: Symbol, word, word_prime, gap_ell: int) -> RatioRepor
 # -- incremental prefix factorization ---------------------------------------
 
 
+def _one_number(sym: Symbol, window: int | None) -> bool:
+    """Whether the prefix state of ``sym`` is one number: for a
+    non-degenerate poisson symbol or a real one of bandwidth <= 1, when the
+    window is None or covers the effective bandwidth."""
+    if sym.family == "poisson" and sym.bandwidth is None:
+        if window is None:
+            return True
+        bw = sym.effective_bandwidth()
+        return bw is not None and window >= bw
+    bw = sym.bandwidth
+    return sym.has_real_coeffs and bw is not None and bw <= 1 and (window is None or window >= bw)
+
+
 class _GData:
-    """Cached g-coefficients for prefix extension up to a maximal depth."""
+    """Cached g-coefficients for prefix extension up to a maximal depth.
 
-    __slots__ = ("g0", "gpos", "gneg", "real")
+    With ``one_number`` only the constants of the one-number recursion are
+    kept (see ``PrefixState``): ``kx`` with alpha = g0 - kx x, and for
+    poisson ``c2`` = 2c and ``r2`` = r^2 (``c2`` is None at bandwidth <= 1).
+    """
 
-    def __init__(self, sym: Symbol, max_len: int):
+    __slots__ = ("g0", "gpos", "gneg", "real", "kx", "c2", "r2")
+
+    def __init__(self, sym: Symbol, max_len: int, one_number: bool = False):
         ghat = g_coeff_fn(sym)
+        self.real = sym.has_real_coeffs
+        self.kx = self.c2 = self.r2 = None
+        if one_number:
+            g0, g1 = ghat(np.arange(2)).real.tolist()
+            self.g0 = g0
+            if sym.family == "poisson" and sym.bandwidth is None:
+                c, r = sym.params["c"], sym.params["r"]
+                self.kx, self.c2, self.r2 = 4.0 * c * c, 2.0 * c, r * r
+            else:
+                self.kx = g1
+            return
         ns = np.arange(max_len + 1)
         pos = ghat(ns)
         neg = ghat(-ns)
-        self.real = sym.has_real_coeffs
         if self.real:
             pos = pos.real.copy()
             neg = neg.real.copy()
@@ -191,23 +219,37 @@ class _GData:
 class PrefixState:
     """State of one cylinder prefix, extended one bit at a time.
 
-    Holds the trailing ``window`` x ``window`` corner of the inverse of
-    D(theta) T_k(g) + I (the full inverse when window is None), which is all
-    the next conditional probability needs.  ``extend`` does only scalar
-    work: the extension factor s, its checks and ``log_prob``.  The child
-    keeps (parent, bit sign, s) and forms its corner and ``theta`` on its
-    first ``conditional_one`` or ``extend``, or when ``corner`` or ``theta``
-    is first read.  That costs O(window^2) and drops the parent, so the
-    leaves of a prefix tree never form a corner and a chain holds at most
-    one parent.  The corner recursion is exact when the symbol bandwidth
-    fits inside the window; a finite window on a non-band-limited symbol
-    truncates coefficients beyond it.
+    For a non-degenerate poisson symbol, or a real one of bandwidth <= 1,
+    the state is one number x, exact at every length, when the window is
+    None or covers the effective bandwidth.  Each bit of sign tp costs O(1):
+    alpha = g0 - kx x, s = 1 + tp alpha, and
+
+      poisson (fhat(n) = c r^|n|, so every vector of the extension is
+      geometric; kx = 4c^2):  x <- r^2 (x + tp (1 - 2c x)^2 / s);
+      bandwidth <= 1 (the 1 x 1 corner tp/s; kx = ghat(1)):  x <- ghat(1) tp/s,
+
+    both from x = 0.  At bandwidth <= 1 this rounds as the corner route does.
+    Such a state has no ``corner`` or ``theta``: reading them raises
+    AttributeError.
+
+    Every other state holds the trailing ``window`` x ``window`` corner of
+    the inverse of D(theta) T_k(g) + I (the full inverse when window is
+    None), which is all the next conditional probability needs.  ``extend``
+    does only scalar work: the extension factor s, its checks and
+    ``log_prob``.  The child keeps (parent, bit sign, s) and forms its
+    corner and ``theta`` on its first ``conditional_one`` or ``extend``, or
+    when ``corner`` or ``theta`` is first read.  That costs O(window^2) and
+    drops the parent, so the leaves of a prefix tree never form a corner and
+    a chain holds at most one parent.  The corner recursion is exact when
+    the symbol bandwidth fits inside the window; a finite window on a
+    non-band-limited symbol truncates coefficients beyond it.
     """
 
     __slots__ = ("gd", "window", "length", "log_prob", "_theta", "_corner", "_ext",
-                 "_parent", "_tp", "_s")
+                 "_parent", "_tp", "_s", "_x")
 
-    def __init__(self, gd: _GData, window, length, log_prob, *, parent=None, tp=None, s=None):
+    def __init__(self, gd: _GData, window, length, log_prob, *, parent=None, tp=None, s=None,
+                 x=None):
         self.gd = gd
         self.window = window
         self.length = length
@@ -216,10 +258,14 @@ class PrefixState:
         self._parent = parent
         self._tp = tp
         self._s = s
+        self._x = x
 
     @classmethod
     def root(cls, sym: Symbol, max_len: int, window: int | None = None) -> "PrefixState":
-        gd = _GData(sym, max_len + (window or 0) + 1)
+        one_number = _one_number(sym, window)
+        gd = _GData(sym, max_len + (window or 0) + 1, one_number)
+        if one_number:
+            return cls(gd, window, 0, 0.0, x=0.0)
         dtype = np.float64 if gd.real else np.complex128
         state = cls(gd, window, 0, 0.0)
         state._theta = np.zeros(0, dtype=dtype)
@@ -237,6 +283,8 @@ class PrefixState:
         formed as their own contiguous array, which numpy loops over faster
         than over a strided view of the corner.
         """
+        if self._x is not None:
+            raise AttributeError("a one-number prefix state has no inverse corner or theta")
         parent, tp, s = self._parent, self._tp, self._s
         u, w, _ = parent._ext
         corner = parent._corner
@@ -289,9 +337,16 @@ class PrefixState:
                 self._ext = (u, w, gd.g0 - r @ u)
         return self._ext
 
+    def _alpha(self):
+        """alpha for appending position length+1, from x or the corner."""
+        x = self._x
+        if x is None:
+            return self._extension()[2]
+        return self.gd.g0 - self.gd.kx * x
+
     def conditional_one(self) -> float:
         """P(next bit = 1 | prefix)."""
-        _, _, alpha = self._extension()
+        alpha = self._alpha()
         if not self.gd.real:
             if abs(alpha.imag) > IMAG_TOL:
                 raise _unresolved(self.length, self.log_prob, abs(1.0 + alpha), alpha.imag)
@@ -304,11 +359,13 @@ class PrefixState:
         return min(max(p1, 0.0), 1.0)
 
     def extend(self, bit: int) -> "PrefixState":
-        """The child prefix with ``bit`` appended; its corner is formed lazily."""
-        alpha = self._extension()[2]
+        """The child prefix with ``bit`` appended: its one number at once, or
+        its corner lazily."""
+        alpha = self._alpha()
         tp = 2.0 * bit - 1.0
         s = 1.0 + tp * alpha
-        if self.gd.real:
+        gd = self.gd
+        if gd.real:
             s_real = s
         else:
             if abs(s.imag) > IMAG_TOL:
@@ -318,8 +375,16 @@ class PrefixState:
             raise ConditioningError(
                 f"prefix probability vanishes extending with bit {bit} at position {self.length}"
             )
-        return PrefixState(self.gd, self.window, self.length + 1,
-                           self.log_prob + math.log(s_real / 2.0), parent=self, tp=tp, s=s)
+        log_prob = self.log_prob + math.log(s_real / 2.0)
+        x = self._x
+        if x is None:
+            return PrefixState(gd, self.window, self.length + 1, log_prob, parent=self, tp=tp, s=s)
+        if gd.c2 is None:
+            x = tp / s * gd.kx
+        else:
+            d = 1.0 - gd.c2 * x
+            x = gd.r2 * (x + tp * d * d / s)
+        return PrefixState(gd, self.window, self.length + 1, log_prob, x=x)
 
 
 def conditional_next(sym: Symbol, word) -> float:

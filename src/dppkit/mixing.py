@@ -69,9 +69,10 @@ class PsiBoundReport:
 
 def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> PsiBoundReport:
     """lower = 1 - exp(-tail/(ell+1)), which truncating the tail keeps valid;
-    upper = (tail/tau^2) exp(1 + tail/tau^2), or None when tau <= 0.  Where
-    the tail's closed form underflows, the upper bound is formed from the
-    tail's logarithm and rounded up, so it stays positive."""
+    upper = (tail/tau^2) exp(1 + tail/tau^2), or None when tau <= 0, rounded
+    up so that it is never below the exact value of that formula.  Where the
+    tail passes below the normal float range, the upper bound is formed from
+    the tail's logarithm (``tail_log_bound``), so it stays positive."""
     if ell < 1:
         raise ValueError("psi_bound_report: need ell >= 1")
     require_range(sym)
@@ -80,19 +81,29 @@ def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION
     tau = contraction_margin(sym)
     upper = None
     approx = False
-    log_total = tail_log_bound(sym, ell)
     if sym.bandwidth is not None and ell >= sym.bandwidth:
         upper = 0.0  # Lambda_g = 0: the two windows are independent
-    elif tau > 0.0 and log_total is not None:
-        upper = _upper_from_log(log_total - 2.0 * math.log(tau))
     elif tau > 0.0:
-        total = t.certified_total
-        if total is None:
-            total = t.value
-            approx = True
-        x = total / (tau * tau)
-        upper = x * math.exp(1.0 + x)
+        approx = t.remainder_bound is None
+        log_total = tail_log_bound(sym, t)
+        if log_total is not None:
+            upper = _upper_from_log(log_total - 2.0 * math.log(tau))
+        else:
+            upper = _upper_rounded_up(t.value if approx else t.certified_total, tau)
     return PsiBoundReport(int(ell), lower, upper, tau, t, approx)
+
+
+def _upper_rounded_up(total: float, tau: float) -> float:
+    """x exp(1 + x) with x = total / tau^2, never below its exact value.
+
+    Its five roundings (tau^2, the division, 1 + x, exp and the product),
+    each within u = 2^-53 relative and exp within 2u, put it within
+    (6 + 3x) u of the exact value to first order.  It is widened by
+    (7 + 4x) u, which also covers the rounding of the widening term, and
+    the sum is rounded up to the next float."""
+    x = total / (tau * tau)
+    upper = x * math.exp(1.0 + x)
+    return math.nextafter(upper + upper * (7.0 + 4.0 * x) * 2.0 ** -53, math.inf)
 
 
 def _upper_from_log(log_x: float) -> float:

@@ -6,12 +6,15 @@ so a prefix of length n consumes exactly n uniforms from a PCG64 stream
 seeded with the trajectory seed.  Multi-trajectory runs give trajectory i
 the stream seed ^ i.
 
-The factorization keeps only a trailing window of the inverse state, which
-is exact when the symbol is band-limited and the window covers the
-bandwidth; for symbols with fast-decaying coefficients the automatic window
-drops only coefficients below 1e-16.  Symbols without a usable decay run
-with the full state (quadratic cost per step) under a length cap, or with
-an explicit approximate window chosen by the caller.
+A poisson symbol, or a real one of bandwidth <= 1, has a one-number state
+(see ``measure.PrefixState``): exact at every length and O(1) per bit, so
+its automatic window always samples exactly and no length cap applies.
+Any other state keeps a trailing window of the inverse, which is exact
+when the symbol is band-limited and the window covers the bandwidth; for
+symbols with fast-decaying coefficients the automatic window drops only
+coefficients below 1e-16.  Symbols without a usable decay run with the full
+state (quadratic cost per step) under a length cap, or with an explicit
+approximate window chosen by the caller.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, SizeCapError
-from .measure import PrefixState, _word_str, cylinder_log_probs_direct
+from .measure import PrefixState, _one_number, _word_str, cylinder_log_probs_direct
 from .symbol import Symbol, g_coeff_fn
 
 EXACT_LENGTH_CAP = 2048
@@ -49,7 +52,7 @@ def _auto_window(sym: Symbol, n: int) -> int | None:
     bw = sym.effective_bandwidth()
     if bw is not None:
         return bw
-    if n > EXACT_LENGTH_CAP:
+    if n > EXACT_LENGTH_CAP and not _one_number(sym, None):
         raise SizeCapError(
             f"no usable coefficient decay: exact sampling caps at n = {EXACT_LENGTH_CAP}; "
             "pass an explicit window for approximate sampling"

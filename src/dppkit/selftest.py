@@ -41,6 +41,18 @@ def _check_normalization() -> None:
         _require(abs(np.exp(logs).sum() - 1.0) < 1e-10, "cylinder sum")
 
 
+def _check_one_number_state() -> None:
+    for sym in (Symbol.poisson(0.5, 0.25), Symbol.raised_cosine(0.5, 0.25)):
+        _require(measure._one_number(sym, None), "one-number state chosen")
+        direct = measure.cylinder_log_probs_direct(sym, 8)
+        root = measure.PrefixState.root(sym, 8)
+        for m in range(2 ** 8):
+            state = root
+            for k in range(8):
+                state = state.extend((m >> k) & 1)
+            _require(abs(state.log_prob - direct[m]) <= 1e-12, f"log mu of word {m}")
+
+
 def _check_ratio_identity() -> None:
     rng = np.random.default_rng(1729)
     sym = Symbol.poisson(0.5, 0.3)
@@ -122,6 +134,7 @@ CHECKS = [
     ("symbol closed-form values", _check_symbol_values),
     ("cylinder hand values", _check_cylinder_values),
     ("cylinder normalization", _check_normalization),
+    ("one-number prefix state vs determinants", _check_one_number_state),
     ("ratio identity and Simon bound", _check_ratio_identity),
     ("determinant identities", _check_determinant_identities),
     ("dimension oracle equivalence", _check_dimension_oracles),

@@ -352,18 +352,42 @@ def _poisson_tail(sym: Symbol, t: int) -> float:
     return c * c * r ** (2 * t + 2) * (1.0 + t * y) / (y * y)
 
 
-def tail_log_bound(sym: Symbol, ell: int) -> float | None:
-    """log of the full tail sum_{n > ell} n |fhat(n)|^2 of a non-degenerate
-    poisson symbol whose closed form passes below the normal float range
-    (where ``tail_sum`` loses digits or reads 0.0); None otherwise."""
-    if sym.family != "poisson" or sym.bandwidth is not None:
+def tail_log_bound(sym: Symbol, t: TailSum) -> float | None:
+    """log of the tail that ``t`` bounds, formed from the log-coefficients,
+    where that tail passes below the normal float range (so its linear form
+    loses digits or reads 0.0); None elsewhere, at no cost beyond a compare.
+
+    A non-degenerate poisson symbol gives the closed form of its full tail
+    sum_{n > ell} n |fhat(n)|^2 once its factor c^2 r^(2 ell + 2) is below
+    the normal range.  Any other symbol whose linear total ``t.value`` +
+    ``t.remainder_bound`` is below it gives the log of the same sum over
+    ell < n <= truncation, plus the remainder bound (recomputed in log form
+    for power_decay, whose coefficient lookup itself reads 0.0 once
+    c / n^p underflows).  A band-limited symbol needs ell < its bandwidth.
+    """
+    ell, bw = t.cutoff_ell, sym.bandwidth
+    if sym.family == "poisson" and bw is None:
+        c, r = abs(sym.params["c"]), abs(sym.params["r"])
+        log_head = 2.0 * math.log(c) + (2 * ell + 2) * math.log(r)
+        if log_head >= LOG_MIN_NORMAL:
+            return None
+        y = (1.0 - r) * (1.0 + r)
+        return log_head + math.log1p(ell * y) - 2.0 * math.log(y)
+    if t.value + (t.remainder_bound or 0.0) >= sys.float_info.min:
         return None
-    c, r = abs(sym.params["c"]), abs(sym.params["r"])
-    log_head = 2.0 * math.log(c) + (2 * ell + 2) * math.log(r)
-    if log_head >= LOG_MIN_NORMAL:
-        return None
-    y = (1.0 - r) * (1.0 + r)
-    return log_head + math.log1p(ell * y) - 2.0 * math.log(y)
+    hi = t.truncation_n if bw is None else min(t.truncation_n, bw)
+    ns = np.arange(ell + 1, hi + 1)
+    if sym.family == "power_decay":
+        log_c, p = math.log(abs(sym.params["c"])), sym.params["p"]
+        terms = np.log(ns) + 2.0 * (log_c - p * np.log(ns))
+        if hi < bw and p > 1.0:  # the remainder bound c^2 hi^(2-2p) / (2p-2)
+            terms = np.append(terms, 2.0 * log_c + (2.0 - 2.0 * p) * math.log(hi)
+                              - math.log(2.0 * p - 2.0))
+    else:
+        with np.errstate(divide="ignore"):
+            terms = np.log(ns) + 2.0 * np.log(np.abs(sym.coeffs(ns)))
+    top = float(terms.max())
+    return top + math.log(float(np.sum(np.exp(terms - top))))
 
 
 def _tail_remainder(sym: Symbol, truncation: int) -> float | None:

@@ -166,7 +166,9 @@ def finite_window_details(sym: Symbol, ell: int, N: int) -> FiniteWindowDetails:
 class EagerPrefixState:
     """The eager prefix extension: each ``extend`` forms the child's corner
     and theta at once.  The library's lazy ``PrefixState`` must match it
-    bit for bit.
+    bit for bit.  It is also the matrix route for the poisson and real
+    bandwidth <= 1 symbols whose ``PrefixState`` is one number: this class
+    never takes that route.
 
     State of one cylinder prefix, extended one bit at a time.
 

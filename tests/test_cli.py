@@ -444,3 +444,27 @@ def test_selftest_fails_under_optimize():
                           env=env, timeout=300)
     assert proc.returncode == 1
     assert "FAIL cylinder hand values" in proc.stdout
+
+
+def test_selftest_catches_a_broken_one_number_state_under_optimize():
+    # a one-number extension whose log_prob drifts by 1e-11 per bit fails
+    # the battery's check against the batched determinants, also under -O
+    src = os.path.dirname(os.path.dirname(dppkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import runpy, sys\n"
+        "from dppkit.measure import PrefixState\n"
+        "extend = PrefixState.extend\n"
+        "def drift(self, bit):\n"
+        "    child = extend(self, bit)\n"
+        "    if child._x is not None:\n"
+        "        child.log_prob += 1e-11\n"
+        "    return child\n"
+        "PrefixState.extend = drift\n"
+        "sys.argv = ['dppkit', 'selftest']\n"
+        "runpy.run_module('dppkit', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 1
+    assert "FAIL one-number prefix state vs determinants" in proc.stdout

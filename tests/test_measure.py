@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +16,7 @@ from dppkit import (
     dimension,
     s_n_q_table,
 )
-from dppkit.measure import PrefixState, cylinder_log_probs_direct
+from dppkit.measure import PrefixState, _one_number, cylinder_log_probs_direct
 from dppkit import build_T, joint_cylinder_log_prob
 from dppkit.symbol import g_coeff_fn
 
@@ -244,8 +245,15 @@ def test_lazy_prefix_state_matches_eager_oracle(name, window):
     # through a different entry point, and some children are never queried.
     # Every window width up to 12 is covered: numpy may round a complex
     # product in a short row unlike one in a longer row, and a trimmed
-    # corner must still match the untrimmed one entry for entry
+    # corner must still match the untrimmed one entry for entry.  Where the
+    # state is one number (poisson at window None, raised_cosine at windows
+    # >= 1) there is no corner, and the number is checked against the eager
+    # route instead
     sym = LAZY_SYMBOLS[name]
+    if _one_number(sym, window):
+        ulps = None if sym.bandwidth is not None else WELL_CONDITIONED_ULPS
+        _check_one_number_paths(sym, window, ulps, paths=3, bits=24)
+        return
     rng = np.random.default_rng(61)
     for _ in range(3):
         lazy = PrefixState.root(sym, 24, window=window)
@@ -278,16 +286,119 @@ def test_lazy_prefix_state_matches_eager_oracle(name, window):
 def test_prefix_state_parent_is_keyword_only():
     # the constructor's old positional form (gd, window, length, theta,
     # corner, log_prob) fails at once instead of building a wrong state
-    root = PrefixState.root(Symbol.poisson(0.5, 0.25), 8)
+    root = PrefixState.root(LAZY_SYMBOLS["power_decay"], 8)
     with pytest.raises(TypeError):
         PrefixState(root.gd, None, 0, root.theta, root.corner, 0.0)
 
 
 def test_lazy_child_drops_its_parent():
-    state = PrefixState.root(Symbol.poisson(0.5, 0.25), 8).extend(1)
+    state = PrefixState.root(LAZY_SYMBOLS["power_decay"], 8).extend(1)
     assert state._parent is not None
     state.conditional_one()
     assert state._parent is None
+
+
+# symbols whose prefix state is one number at window None, by name
+ONE_NUMBER_SYMBOLS = {
+    "poisson(0.002,0.995)": Symbol.poisson(0.002, 0.995),
+    "poisson(0.4,0.4)": Symbol.poisson(0.4, 0.4),
+    "poisson(0.5,-0.3)": Symbol.poisson(0.5, -0.3),
+    "poisson(0.75,0.125)": Symbol.poisson(0.75, 0.125),
+    "raised_cosine(0.55,0.3)": Symbol.raised_cosine(0.55, 0.3),
+    "raised_cosine(0.75,0.25)": Symbol.raised_cosine(0.75, 0.25),
+    "constant(0.3)": Symbol.constant(0.3),
+    "trig_poly(real,B=1)": Symbol.trig_poly([0.4, -0.2]),
+    "power_decay(cutoff=1)": Symbol.power_decay(0.5, 0.2, 3.0, 1),
+    "poisson(0.5,0)": Symbol.poisson(0.5, 0.0),
+}
+# tolerances against the eager route and a 50-digit determinant, in units
+# of u = 2^-53: (conditional_one absolute, log_prob relative).  The symbol
+# of poisson(0.002,0.995) dips to f = 5e-6, so its extension factors
+# s = 1 + tp alpha come near 1e-5 and lose digits in either route: on a
+# 14-bit word the eager route is 1,027 u from the 50-digit value
+ULPS = {"poisson(0.002,0.995)": (32, 8192)}
+WELL_CONDITIONED_ULPS = (8, 16)
+U = 2.0 ** -53
+
+
+def _check_one_number_paths(sym, window, ulps, paths, bits, seed=62):
+    """log_prob and conditional_one of the one-number state against the
+    eager corner route along random paths: equal when ulps is None
+    (bandwidth <= 1 rounds the same), else within the given ulps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(paths):
+        state = PrefixState.root(sym, bits, window=window)
+        eager = EagerPrefixState.root(sym, bits, window=window)
+        for bit in rng.integers(0, 2, bits):
+            p1, want = state.conditional_one(), eager.conditional_one()
+            assert p1 == want if ulps is None else abs(p1 - want) <= ulps[0] * U
+            state, eager = state.extend(int(bit)), eager.extend(int(bit))
+            if ulps is None:
+                assert state.log_prob == eager.log_prob
+            else:
+                assert abs(state.log_prob - eager.log_prob) <= ulps[1] * U * abs(eager.log_prob)
+
+
+def test_one_number_choice():
+    # poisson and real bandwidth <= 1 symbols, at window None or one that
+    # covers the effective bandwidth; every other symbol or window keeps
+    # the corner
+    poi = Symbol.poisson(0.5, 0.25)
+    assert poi.effective_bandwidth() == 27
+    assert _one_number(poi, None) and _one_number(poi, 27) and not _one_number(poi, 26)
+    assert not _one_number(Symbol.poisson(0.002, 0.995), 4096)  # no effective bandwidth
+    rc = Symbol.raised_cosine(0.55, 0.3)
+    assert _one_number(rc, None) and _one_number(rc, 1) and not _one_number(rc, 0)
+    assert _one_number(Symbol.constant(0.3), 0)
+    for name in ("power_decay", "trig_poly-complex", "arc_indicator"):
+        assert not _one_number(LAZY_SYMBOLS[name], None)
+    assert not _one_number(Symbol.trig_poly([0.5, 0.1, 0.05]), None)  # real, bandwidth 2
+    assert not _one_number(Symbol.trig_poly([0.5, 0.1j]), None)       # complex, bandwidth 1
+
+
+@pytest.mark.parametrize("name", sorted(ONE_NUMBER_SYMBOLS))
+def test_one_number_state_matches_eager_oracle(name):
+    sym = ONE_NUMBER_SYMBOLS[name]
+    assert _one_number(sym, None)
+    ulps = None if sym.bandwidth is not None else ULPS.get(name, WELL_CONDITIONED_ULPS)
+    _check_one_number_paths(sym, None, ulps, paths=4, bits=160)
+
+
+def test_one_number_state_has_no_corner():
+    # no src caller reads corner or theta; on a one-number state they raise
+    for sym in (Symbol.poisson(0.5, 0.25), Symbol.raised_cosine(0.55, 0.3)):
+        state = PrefixState.root(sym, 8)
+        for st in (state, state.extend(1)):
+            for attr in ("corner", "theta"):
+                with pytest.raises(AttributeError, match="one-number prefix state has no inverse"):
+                    getattr(st, attr)
+
+
+def _mp_log_prob(sym, word):
+    """log mu([word]) = log det(D(theta) T_N(g) + I) - N log 2, at 50 digits."""
+    n = len(word)
+    ghat = g_coeff_fn(sym)
+    g = {d: mpmath.mpf(float(v.real)) for d, v in zip(range(-n, n + 1), ghat(np.arange(-n, n + 1)))}
+    with mpmath.workdps(50):
+        m = mpmath.matrix(n, n)
+        for i in range(n):
+            t = 1 if word[i] == "1" else -1
+            for j in range(n):
+                m[i, j] = t * g[i - j] + (1 if i == j else 0)
+        return mpmath.log(mpmath.det(m)) - n * mpmath.log(2)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_NUMBER_SYMBOLS))
+def test_one_number_log_prob_matches_mpmath(name):
+    sym = ONE_NUMBER_SYMBOLS[name]
+    rng = np.random.default_rng(63)
+    words = ["1" * 14, "0" * 14, "10" * 7] + ["".join(rng.choice(["0", "1"], 14)) for _ in range(3)]
+    for word in words:
+        state = PrefixState.root(sym, len(word))
+        for ch in word:
+            state = state.extend(int(ch))
+        want = _mp_log_prob(sym, word)
+        assert abs(state.log_prob - want) <= ULPS.get(name, WELL_CONDITIONED_ULPS)[1] * U * abs(want)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -297,6 +408,15 @@ def test_moment_sums_match_eager_oracle_walk(monkeypatch, name, q):
     lazy = s_n_q_table(sym, 10, q)
     monkeypatch.setattr(dimension, "PrefixState", EagerPrefixState)
     assert lazy.tobytes() == s_n_q_table(sym, 10, q).tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", sorted(ONE_NUMBER_SYMBOLS))
+def test_one_number_moment_sums_match_eager_oracle_walk(monkeypatch, name, q):
+    sym = ONE_NUMBER_SYMBOLS[name]
+    fast = s_n_q_table(sym, 10, q)
+    monkeypatch.setattr(dimension, "PrefixState", EagerPrefixState)
+    assert np.max(np.abs(fast - s_n_q_table(sym, 10, q))) <= 1e-14
 
 
 @pytest.mark.parametrize("route", [PrefixState, EagerPrefixState])

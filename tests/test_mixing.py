@@ -73,6 +73,69 @@ def test_psi_upper_bound_survives_tail_underflow(c, r, ell):
     assert not rep.upper_approximate
 
 
+def _mp_tail(sym, ell, hi):
+    """sum_{ell < n <= hi} n |fhat(n)|^2 at the working precision, from each
+    coefficient's exact formula (the lookup underflows for power_decay)."""
+    if sym.family == "power_decay":
+        c, p = mpmath.mpf(sym.params["c"]), mpmath.mpf(sym.params["p"])
+        return mpmath.fsum(n * (c / mpmath.mpf(n) ** p) ** 2 for n in range(ell + 1, hi + 1))
+    return mpmath.fsum(n * mpmath.mpf(abs(complex(sym.table[n]))) ** 2 for n in range(ell + 1, hi + 1))
+
+
+@pytest.mark.parametrize("sym, ells", [
+    (Symbol.trig_poly([0.5, 0.1, 1e-170]), [1]),
+    (Symbol.power_decay(0.5, 0.1, 300.0, 1000), [3, 11, 12, 998, 999]),
+], ids=["trig_poly", "power_decay"])
+def test_psi_upper_bound_survives_coefficient_underflow(sym, ells):
+    # |fhat(n)|^2, or the power_decay lookup fhat(n) itself, underflows, so
+    # the linear tail reads 0.0 and the bound read a certified 0.0 although
+    # psi(ell) > 0; from the log-coefficients it is positive and never below
+    # the 50-digit value.  0.0 stays for ell >= the bandwidth
+    for ell in ells:
+        rep = psi_bound_report(sym, ell)
+        assert rep.tail.value == 0.0 and not rep.upper_approximate
+        with mpmath.workdps(50):
+            x = _mp_tail(sym, ell, sym.bandwidth) / mpmath.mpf(rep.tau) ** 2
+            want = x * mpmath.exp(1 + x)
+            assert 0.0 < rep.upper_bound and want <= rep.upper_bound
+            assert rep.upper_bound <= max(want * (1 + 1e-8), want + 2 * 5e-324)
+    assert psi_bound_report(sym, sym.bandwidth).upper_bound == 0.0
+
+
+def test_psi_upper_bound_from_log_keeps_the_remainder():
+    # the tail over 1 < n <= 10 underflows, and the remainder bound
+    # c^2 10^(2-2p) / (2p - 2) past the truncation is 15% of the total; the
+    # bound covers the partial sum plus that remainder
+    sym = Symbol.power_decay(0.5, 1e-170, 1.5, 10 ** 6)
+    rep = psi_bound_report(sym, 1, truncation=10)
+    assert rep.tail.value == 0.0 and not rep.upper_approximate
+    with mpmath.workdps(50):
+        c = mpmath.mpf(1e-170)
+        total = _mp_tail(sym, 1, 10) + c ** 2 * mpmath.mpf(10) ** -1
+        x = total / mpmath.mpf(rep.tau) ** 2
+        want = x * mpmath.exp(1 + x)
+        assert want <= rep.upper_bound <= max(want * (1 + 1e-8), want + 2 * 5e-324)
+
+
+@pytest.mark.parametrize("sym, ells", [
+    (Symbol.poisson(0.5, 0.25), range(1, 40)),
+    (Symbol.poisson(0.75, 0.125), range(1, 30)),
+    (Symbol.trig_poly([0.5, 0.1 + 0.12j, -0.05 + 0.07j]), [1]),
+], ids=["poisson(0.5,0.25)", "poisson(0.75,0.125)", "trig_poly"])
+def test_psi_upper_bound_rounds_up(sym, ells):
+    # in the normal range the bound is never below the 50-digit value of
+    # x exp(1 + x) from the same float tail and tau, and at most
+    # (16 + 8x) u above it; round to nearest was below it at 31 of the 39
+    # poisson(0.5,0.25) gaps
+    u = 2.0 ** -53
+    for ell in ells:
+        rep = psi_bound_report(sym, ell)
+        with mpmath.workdps(50):
+            x = mpmath.mpf(rep.tail.certified_total) / mpmath.mpf(rep.tau) ** 2
+            want = x * mpmath.exp(1 + x)
+            assert want <= rep.upper_bound <= want * (1 + (16 + 8 * x) * u), ell
+
+
 def test_psi_upper_bound_zero_past_bandwidth_at_any_tau():
     # raised_cosine(0.75, 0.25) has bandwidth 1 and range [0.5, 1], so tau =
     # 0; psi(ell) = 0 for every ell >= 1, and the bound is 0.0, not None

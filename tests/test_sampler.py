@@ -5,6 +5,7 @@ import pytest
 
 from dppkit import (
     Symbol,
+    sampler,
     conditional_next,
     cylinder_prob,
     empirical_cylinder_test,
@@ -13,6 +14,8 @@ from dppkit import (
 )
 from dppkit.mixing import SizeCapError
 from dppkit.sampler import _chi2_sf_odd
+
+from oracles import EagerPrefixState
 
 
 def test_reproducibility(poi_half):
@@ -107,6 +110,40 @@ def test_encodings(fair):
     assert len(seq.to01()) == 16
     assert len(seq.to_hex()) == 4
     assert seq.to01() == format(int(seq.to_hex(), 16), "016b")
+
+
+def _eager_bits(monkeypatch, sym, n, seed, window):
+    """The sampler's bits with every prefix state formed by the eager corner route."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sampler, "PrefixState", EagerPrefixState)
+        return sample_prefix(sym, n, seed, window=window).bits
+
+
+@pytest.mark.parametrize("sym", [
+    Symbol.poisson(0.5, 0.25), Symbol.poisson(0.75, 0.125), Symbol.poisson(0.4, 0.4),
+    Symbol.poisson(0.5, -0.3), Symbol.raised_cosine(0.55, 0.3),
+], ids=["poisson(0.5,0.25)", "poisson(0.75,0.125)", "poisson(0.4,0.4)", "poisson(0.5,-0.3)",
+        "raised_cosine(0.55,0.3)"])
+def test_one_number_samples_match_eager_oracle(monkeypatch, sym):
+    # the one-number state draws the bits of the eager corner route.  At
+    # 2,048 bits the eager full state costs about 30 s a trajectory, so it
+    # runs at the effective bandwidth: exact for raised_cosine, and for
+    # poisson it drops only coefficients below 1e-16 (the full state is
+    # compared on 512 bits below)
+    window = sym.effective_bandwidth()
+    for seed in range(5):
+        fast = sample_prefix(sym, 2048, seed)
+        assert np.array_equal(fast.bits, _eager_bits(monkeypatch, sym, 2048, seed, window))
+
+
+def test_poisson_without_usable_decay_samples_past_the_cap(monkeypatch):
+    # effective bandwidth > BANDWIDTH_CAP: the one-number state is exact at
+    # O(1) per bit, so the length cap of the matrix states does not apply
+    sym = Symbol.poisson(0.002, 0.995)
+    assert sym.effective_bandwidth() is None
+    seq = sample_prefix(sym, 4096, 1)
+    assert seq.bits.shape == (4096,)
+    assert np.array_equal(seq.bits[:512], _eager_bits(monkeypatch, sym, 512, 1, None))
 
 
 def test_no_decay_needs_cap_or_window():
