@@ -10,6 +10,15 @@ For one-sided symbols (f >= 1/2 or f <= 1/2) S_N is sub-multiplicative, so
 
 is a certified lower bound on the limiting dimension; the supremum over
 computed N is reported as ``fekete_lower``.
+
+``s_n_q_table`` walks the prefix tree level by level inside subtrees whose
+deepest stack of inverse corners fits in STACK_BYTES, so the corners of a
+whole level are formed in one stacked update (see ``measure.PrefixState``),
+and walks the subtree roots depth first.  Each level is Kahan-summed in
+lexicographic order, as a depth-first walk sums it, so the sums do not
+depend on the cut.  On a tree that meets an unresolvable prefix the
+ConditioningError names the first such prefix in level order within its
+subtree (a depth-first walk names the first in depth-first order).
 """
 from __future__ import annotations
 
@@ -19,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import toeplitz
-from .errors import SizeCapError
+from .errors import ConditioningError, SizeCapError
 from .measure import PrefixState, word_bits
 from .symbol import Symbol, g_coeff_fn, one_sidedness, require_range
 
 SNQ_CAP = 22
+# bytes of the deepest level of inverse corners a level-order subtree holds
+STACK_BYTES = 256 * 1024
 SIGMA_CAP = 18
 WALSH_CAP_BITS = 20
 BETA_POINTS = 41
@@ -33,34 +44,75 @@ LOG2 = math.log(2.0)
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-# -- S_N^{(q)} via depth-first prefix-tree traversal -------------------------
+# -- S_N^{(q)} via level-order prefix-tree traversal --------------------------
 
 
-def _dfs_accumulate(state: PrefixState, n_max: int, q: float, sums: np.ndarray, comp: np.ndarray) -> None:
-    """Add exp(q * log mu) for every descendant prefix, Kahan-compensated per level."""
-    for bit in (0, 1):
-        child = state.extend(bit)
-        level = child.length - 1
-        term = math.exp(q * child.log_prob)
-        y = term - comp[level]
-        t = sums[level] + y
-        comp[level] = (t - sums[level]) - y
-        sums[level] = t
-        if child.length < n_max:
-            _dfs_accumulate(child, n_max, q, sums, comp)
+def _stack_rows(state: PrefixState, length: int) -> int:
+    """How many inverse corners of prefixes of ``length`` fit in STACK_BYTES."""
+    itemsize = 8 if state.gd.real else 16
+    return STACK_BYTES // (length * length * itemsize)
+
+
+def _level_accumulate(level: list, n_max: int, q: float, sums: np.ndarray,
+                      comp: np.ndarray) -> None:
+    """Add exp(q * log mu) for every descendant prefix of the prefixes in
+    ``level``, which are consecutive in lexicographic order.
+
+    The descendants are walked level by level while the next level's corner
+    stack fits in STACK_BYTES (the leaves form no corners).  Then the
+    deepest level held is cut into runs of consecutive prefixes whose whole
+    subtrees fit, or into single prefixes, and each is walked in turn.  So
+    every level's terms arrive in lexicographic order and are Kahan-summed
+    in it.
+    """
+    while True:
+        depth = level[0].length
+        total, c = float(sums[depth]), float(comp[depth])
+        children = []
+        for state in level:
+            for bit in (0, 1):
+                child = state.extend(bit)
+                y = math.exp(q * child.log_prob) - c
+                t = total + y
+                c = (t - total) - y
+                total = t
+                children.append(child)
+        sums[depth], comp[depth] = total, c
+        if depth + 1 == n_max:
+            return
+        level = children
+        if depth + 2 < n_max and 2 * len(level) > _stack_rows(level[0], depth + 2):
+            break
+    # a run of r prefixes holds r 2^(n_max - 2 - depth) corners at length n_max - 1
+    run = max(1, _stack_rows(level[0], n_max - 1) >> (n_max - 2 - depth))
+    for i in range(0, len(level), run):
+        _level_accumulate(level[i:i + run], n_max, q, sums, comp)
 
 
 def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
-    """log2 S_N^(q) for N = 1..n_max, in one traversal of the prefix tree."""
+    """log2 S_N^(q) for N = 1..n_max, in one traversal of the prefix tree.
+
+    Raises ConditioningError where S_N < 2^(N - 1022): below that, terms
+    that round into the subnormal range can move the sum by more than one
+    ulp, and a sum of 0.0 has no logarithm.
+    """
     if not (1 <= n_max <= SNQ_CAP):
         error = ValueError if n_max < 1 else SizeCapError
         raise error(f"s_n_q_table: need 1 <= n_max <= {SNQ_CAP}")
-    if q <= 1:
-        raise ValueError("s_n_q_table: need q > 1")
+    if not (math.isfinite(q) and q > 1):
+        raise ValueError("s_n_q_table: need finite q > 1")
     sums = np.zeros(n_max)
     comp = np.zeros(n_max)
-    _dfs_accumulate(PrefixState.root(sym, n_max), n_max, q, sums, comp)
-    return np.log2(sums)
+    _level_accumulate([PrefixState.root(sym, n_max)], n_max, q, sums, comp)
+    with np.errstate(divide="ignore"):
+        log2s = np.log2(sums)
+    low = np.nonzero(log2s < np.arange(1, n_max + 1) - 1022)[0]
+    if low.size:
+        n = int(low[0]) + 1
+        raise ConditioningError(
+            f"moment sum S_N^(q) underflows at N = {n}, q = {q:g}: "
+            f"log2 S_N = {log2s[n - 1]:.6g} < N - 1022 = {n - 1022}")
+    return log2s
 
 
 # -- subset-determinant and parity-tuple oracles -----------------------------

@@ -216,6 +216,124 @@ class _GData:
         self.gneg = neg
 
 
+def _bordered(source, pick, tp, s, window):
+    """The trailing corners and thetas of children formed from ``source``,
+    the (corner, theta, u, w) of their parents: one child per entry of
+    ``pick`` (its parent's row; None for the one row of a stack of one),
+    of bit sign tp and extension factor s.  Either one child, with a numpy
+    scalar s, or a stack of them, with arrays tp and s.
+
+    A child's bordered inverse is [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].
+    When the window is full its oldest row and column fall out: that row is
+    never formed, and the kept rows are formed at their untrimmed length, so
+    numpy rounds every entry as it would in the untrimmed inverse of one
+    prefix on its own.
+    """
+    corner, theta, u, w = source
+    if pick is not None:
+        theta, u, w = theta[pick], u[pick], w[pick]
+    j = u.shape[-1]
+    keep = j + 1 if window is None else min(j + 1, window)
+    lo = j + 1 - keep
+    ts = tp / s
+    if s.ndim:  # one tp and s per child: shape them against its rows
+        s_col, mts_col, ts_blk, w_row = s[:, None], (-ts)[:, None], ts[:, None, None], w[:, None, :]
+    else:  # numpy scalars broadcast against one child as they are
+        s_col, mts_col, ts_blk, w_row = s, -ts, ts, w
+    # the lasting arrays before the temporary rows: the other order fragments
+    # the C heap of a long full-window chain (7% more peak resident memory)
+    e = np.empty(s.shape + (keep, keep), dtype=corner.dtype)
+    th = np.empty(s.shape + (keep,), dtype=corner.dtype)
+    rows = u[..., lo:, None] * w_row
+    rows *= ts_blk
+    rows += corner[lo:] if pick is None else corner[pick, lo:]
+    if keep:
+        e[..., :-1, :-1] = rows[..., lo:]
+        np.divide(u[..., lo:], -s_col, out=e[..., :-1, -1])
+        e[..., -1, :-1] = (mts_col * w)[..., lo:]
+        e[..., -1, -1] = 1.0 / s
+        th[..., :-1] = theta[..., lo:]
+        th[..., -1] = tp
+    return e, th
+
+
+class _CornerStack:
+    """The inverse corners of n prefixes of one length, as one (n, k, k)
+    stack, with their signs theta as one (n, k) stack.  A stack of one (a
+    chain) keeps its arrays without the leading axis, as numpy sets up 2-D
+    arithmetic faster than 3-D.
+
+    ``PrefixState.extend`` appends each child of a row to the stack's
+    ``pending`` child stack: its parent row, bit sign tp and extension
+    factor s.  A child stack keeps the arrays of its parent that it needs
+    (``source``), not the parent itself, so no reference cycle forms.  It
+    forms the corners of all its children in one stacked update on first
+    use (``formed``), then drops ``source``; a child appended after that
+    starts a new stack.  ``extension`` forms every row's (u, w, alpha) in
+    one stacked update too.
+    """
+
+    __slots__ = ("gd", "window", "source", "kids", "corner", "theta", "uw", "alphas", "pending")
+
+    def __init__(self, gd: _GData, window, parent=None, corner=None, theta=None):
+        self.gd = gd
+        self.window = window
+        self.source = None if parent is None else (parent.corner, parent.theta, *parent.uw)
+        self.kids = []
+        self.corner = corner
+        self.theta = theta
+        self.uw = self.alphas = self.pending = None
+
+    def formed(self) -> "_CornerStack":
+        if self.corner is None:
+            self._form()
+        return self
+
+    def _form(self) -> None:
+        """Form corner and theta from the parent's (see ``_bordered``), then
+        drop them.  Each child is formed on its own where its parent's corner
+        is 1 x 1: numpy rounds a 1 x 1 complex product of one prefix in its
+        scalar loop, but those of several prefixes in its SIMD loop, whose
+        fused multiply-add rounds differently.
+        """
+        source, kids, window = self.source, self.kids, self.window
+        dtype = source[0].dtype
+        if len(kids) == 1:
+            (row, tp, s), = kids
+            pick = None if source[2].ndim == 1 else row
+            self.corner, self.theta = _bordered(source, pick, tp, dtype.type(s), window)
+        else:
+            if source[2].ndim == 1:
+                source = [a[None] for a in source]
+            rows, tp, s = zip(*kids)
+            tp, s = np.array(tp), np.array(s, dtype=dtype)
+            if source[2].shape[-1] == 1:
+                parts = [_bordered(source, row, tp[k], s[k], window) for k, row in enumerate(rows)]
+                self.corner, self.theta = map(np.stack, zip(*parts))
+            else:
+                self.corner, self.theta = _bordered(source, np.array(rows), tp, s, window)
+        self.source = self.kids = None
+
+    def extension(self) -> list:
+        """alpha of every row, forming each row's (u, w) for appending the
+        next position in one stacked update."""
+        if self.alphas is None:
+            gd, corner, theta = self.gd, self.formed().corner, self.theta
+            j = corner.shape[-1]
+            # corner covers rows/cols k-j+1..k; new column entries are
+            # theta_i * ghat(i - (k+1)), new row entries ghat(k+1 - j')
+            b = theta * gd.gneg[j:0:-1]
+            r = gd.gpos[j:0:-1]
+            if corner.ndim == 2:
+                u = corner @ b
+                self.alphas = [gd.g0 - r @ u]
+            else:
+                u = (corner @ b[..., None])[..., 0]
+                self.alphas = (gd.g0 - (r @ u[..., None])[..., 0]).tolist()
+            self.uw = (u, r @ corner)
+        return self.alphas
+
+
 class PrefixState:
     """State of one cylinder prefix, extended one bit at a time.
 
@@ -232,32 +350,32 @@ class PrefixState:
     Such a state has no ``corner`` or ``theta``: reading them raises
     AttributeError.
 
-    Every other state holds the trailing ``window`` x ``window`` corner of
-    the inverse of D(theta) T_k(g) + I (the full inverse when window is
-    None), which is all the next conditional probability needs.  ``extend``
-    does only scalar work: the extension factor s, its checks and
-    ``log_prob``.  The child keeps (parent, bit sign, s) and forms its
-    corner and ``theta`` on its first ``conditional_one`` or ``extend``, or
-    when ``corner`` or ``theta`` is first read.  That costs O(window^2) and
-    drops the parent, so the leaves of a prefix tree never form a corner and
-    a chain holds at most one parent.  The corner recursion is exact when
-    the symbol bandwidth fits inside the window; a finite window on a
-    non-band-limited symbol truncates coefficients beyond it.
+    Every other state is one row of a stack of prefixes of its length
+    (``_CornerStack``).  Its row holds the trailing ``window`` x ``window``
+    corner of the inverse of D(theta) T_k(g) + I (the full inverse when
+    window is None), which is all the next conditional probability needs.
+    ``extend`` does only scalar work: the extension factor s, its checks and
+    ``log_prob``; it appends the child to its row's pending child stack.
+    That stack forms the corners of all its children together, at O(window^2)
+    each, on the first ``conditional_one`` or ``extend`` of any of them, or
+    when ``corner`` or ``theta`` is first read, and then drops the parent
+    arrays it kept.  So the leaves of a prefix tree never form a corner, the
+    children of a whole tree level form theirs in one stacked update, and a
+    chain (a stack of one) holds at most one parent corner.  The corner
+    recursion is exact when the symbol bandwidth fits inside the window; a
+    finite window on a non-band-limited symbol truncates coefficients beyond
+    it.
     """
 
-    __slots__ = ("gd", "window", "length", "log_prob", "_theta", "_corner", "_ext",
-                 "_parent", "_tp", "_s", "_x")
+    __slots__ = ("gd", "window", "length", "log_prob", "_stack", "_row", "_x")
 
-    def __init__(self, gd: _GData, window, length, log_prob, *, parent=None, tp=None, s=None,
-                 x=None):
+    def __init__(self, gd: _GData, window, length, log_prob, *, stack=None, row=0, x=None):
         self.gd = gd
         self.window = window
         self.length = length
         self.log_prob = log_prob
-        self._theta = self._corner = self._ext = None
-        self._parent = parent
-        self._tp = tp
-        self._s = s
+        self._stack = stack
+        self._row = row
         self._x = x
 
     @classmethod
@@ -267,81 +385,31 @@ class PrefixState:
         if one_number:
             return cls(gd, window, 0, 0.0, x=0.0)
         dtype = np.float64 if gd.real else np.complex128
-        state = cls(gd, window, 0, 0.0)
-        state._theta = np.zeros(0, dtype=dtype)
-        state._corner = np.zeros((0, 0), dtype=dtype)
-        return state
+        stack = _CornerStack(gd, window, corner=np.zeros((0, 0), dtype=dtype),
+                             theta=np.zeros(0, dtype=dtype))
+        return cls(gd, window, 0, 0.0, stack=stack)
 
-    def _build(self) -> None:
-        """Form corner and theta from the parent's, then drop the parent.
-
-        With (u, w) from the parent's extension, the bordered inverse is
-        [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].  When the window is
-        full its oldest row and column fall out: that row is never formed,
-        and the kept rows are formed at their untrimmed length, so numpy
-        rounds every entry as it would in the untrimmed inverse.  They are
-        formed as their own contiguous array, which numpy loops over faster
-        than over a strided view of the corner.
-        """
+    def _formed_stack(self) -> _CornerStack:
         if self._x is not None:
             raise AttributeError("a one-number prefix state has no inverse corner or theta")
-        parent, tp, s = self._parent, self._tp, self._s
-        u, w, _ = parent._ext
-        corner = parent._corner
-        j = corner.shape[0]
-        keep = j + 1 if self.window is None else min(j + 1, self.window)
-        lo = j + 1 - keep
-        ts = tp / s
-        rows = np.multiply.outer(u[lo:], w)
-        rows *= ts
-        rows += corner[lo:]
-        e = np.empty((keep, keep), dtype=corner.dtype)
-        if keep:
-            e[:-1, :-1] = rows[:, lo:]
-            e[:-1, -1] = (-u / s)[lo:]
-            e[-1, :-1] = (-ts * w)[lo:]
-            e[-1, -1] = 1.0 / s
-        self._corner = e
-        self._theta = np.concatenate((parent._theta, (tp,)))[lo:]
-        self._parent = None
+        return self._stack.formed()
 
     @property
     def corner(self) -> np.ndarray:
-        if self._corner is None:
-            self._build()
-        return self._corner
+        corner = self._formed_stack().corner
+        return corner if corner.ndim == 2 else corner[self._row]
 
     @property
     def theta(self) -> np.ndarray:
-        if self._theta is None:
-            self._build()
-        return self._theta
-
-    def _extension(self):
-        """(u, w, alpha) for appending position length+1."""
-        if self._ext is None:
-            if self._corner is None:
-                self._build()
-            gd, corner = self.gd, self._corner
-            j = corner.shape[0]
-            if j == 0:
-                dtype = corner.dtype
-                self._ext = (np.zeros(0, dtype=dtype), np.zeros(0, dtype=dtype), gd.g0)
-            else:
-                # corner covers rows/cols k-j+1..k; new column entries are
-                # theta_i * ghat(i - (k+1)), new row entries ghat(k+1 - j')
-                b = self._theta[-j:] * gd.gneg[j:0:-1]
-                r = gd.gpos[j:0:-1]
-                u = corner @ b
-                w = r @ corner
-                self._ext = (u, w, gd.g0 - r @ u)
-        return self._ext
+        theta = self._formed_stack().theta
+        return theta if theta.ndim == 1 else theta[self._row]
 
     def _alpha(self):
-        """alpha for appending position length+1, from x or the corner."""
+        """alpha for appending position length+1, from x or the corner stack."""
         x = self._x
         if x is None:
-            return self._extension()[2]
+            stack = self._stack
+            return (stack.alphas or stack.extension())[self._row]
         return self.gd.g0 - self.gd.kx * x
 
     def conditional_one(self) -> float:
@@ -360,7 +428,7 @@ class PrefixState:
 
     def extend(self, bit: int) -> "PrefixState":
         """The child prefix with ``bit`` appended: its one number at once, or
-        its corner lazily."""
+        its row of the pending child stack."""
         alpha = self._alpha()
         tp = 2.0 * bit - 1.0
         s = 1.0 + tp * alpha
@@ -378,7 +446,14 @@ class PrefixState:
         log_prob = self.log_prob + math.log(s_real / 2.0)
         x = self._x
         if x is None:
-            return PrefixState(gd, self.window, self.length + 1, log_prob, parent=self, tp=tp, s=s)
+            stack = self._stack
+            child = stack.pending
+            if child is None or child.corner is not None:
+                child = stack.pending = _CornerStack(gd, self.window, parent=stack)
+            kids = child.kids
+            kids.append((self._row, tp, s))
+            return PrefixState(gd, self.window, self.length + 1, log_prob, stack=child,
+                               row=len(kids) - 1)
         if gd.c2 is None:
             x = tp / s * gd.kx
         else:

@@ -81,10 +81,13 @@ def _check_determinant_identities() -> None:
 
 
 def _check_dimension_oracles() -> None:
-    for sym in (Symbol.raised_cosine(0.5, 0.5), Symbol.poisson(0.75, 0.125)):
+    # two one-number states, and a complex band-limited symbol whose moment
+    # sums take the stacked inverse-corner route
+    for sym in (Symbol.raised_cosine(0.5, 0.5), Symbol.poisson(0.75, 0.125),
+                Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])):
         s = dimension.s_n_q_table(sym, 6, 2)[-1]
         sig = dimension.sigma_n_2(sym, 6)
-        _require(abs(s - (math.log2(sig) - 6)) < 1e-9, "S_6 vs sigma_6")
+        _require(abs(s - (math.log2(sig) - 6)) < 1e-9, f"S_6 vs sigma_6 of {sym.family}")
     est = dimension.dim_q_estimate(Symbol.constant(0.5), 2, 6)
     _require(np.allclose(est.table.estimate_N, 1.0, atol=1e-12), "fair-coin dimension")
 

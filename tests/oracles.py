@@ -8,7 +8,8 @@ word, the parity coefficient of the Walsh tuple sum, the complement symbol
 1 - f, the N x N P/Q route of the finite-window search with its per-pair
 deviation and trace-norm grids, the closed-form Hilbert-Schmidt norm
 of the coupling block, the eager prefix extension that forms every
-child's inverse corner as soon as the child is created, and the Szego upper
+child's inverse corner as soon as the child is created, the depth-first
+moment-sum walk of the prefix tree, and the Szego upper
 bound on the correlation dimension by scipy's bounded Brent search and by a
 fine beta grid.
 """
@@ -262,6 +263,35 @@ class EagerPrefixState:
             self.gd, self.window, self.length + 1, theta, e,
             self.log_prob + math.log(s_real / 2.0),
         )
+
+
+def _dfs_accumulate(state, n_max: int, qs: tuple, sums: np.ndarray, comp: np.ndarray) -> None:
+    """Add exp(q * log mu) for every descendant prefix and every q in qs,
+    Kahan-compensated per level."""
+    for bit in (0, 1):
+        child = state.extend(bit)
+        level = child.length - 1
+        for i, q in enumerate(qs):
+            term = math.exp(q * child.log_prob)
+            y = term - comp[i, level]
+            t = sums[i, level] + y
+            comp[i, level] = (t - sums[i, level]) - y
+            sums[i, level] = t
+        if child.length < n_max:
+            _dfs_accumulate(child, n_max, qs, sums, comp)
+
+
+def s_n_q_table_dfs(sym: Symbol, n_max: int, q, route=EagerPrefixState) -> np.ndarray:
+    """log2 S_N^(q) for N = 1..n_max by a depth-first walk of the prefix
+    tree of ``route`` states: every level's terms in lexicographic order,
+    each level Kahan-summed, as the level-order walk must sum them.  A tuple
+    of q gives one row per q from the one walk."""
+    qs = q if isinstance(q, tuple) else (q,)
+    sums = np.zeros((len(qs), n_max))
+    comp = np.zeros((len(qs), n_max))
+    _dfs_accumulate(route.root(sym, n_max), n_max, qs, sums, comp)
+    out = np.log2(sums)
+    return out if isinstance(q, tuple) else out[0]
 
 
 def corr_dim_szego_upper_brent(sym: Symbol) -> float:

@@ -344,6 +344,10 @@ GOLDEN_CASES = {
     "cap-cylinder-N13": ["cylinder", "--symbol", POISSON, "--N", "13"],
     "cap-psi-N8": ["psi", "--symbol", POISSON, "--ell", "1", "--N", "8"],
     "cap-dimension-nmax30": ["dimension", "--symbol", FAIR, "--nmax", "30"],
+    # moment sums below 2^(N - 1022), which subnormal terms can move by more than one ulp
+    "underflow-dimension-q200": ["dimension", "--symbol",
+                                 '{"family":"poisson","params":{"c":0.75,"r":0.125}}',
+                                 "--q", "200", "--nmax", "14"],
     # symbols with range exactly [0, 1], and a complex band-limited symbol
     "arc-cylinder-N8": ["cylinder", "--symbol", ARC, "--N", "8"],
     "arc-cylinder-N10": ["cylinder", "--symbol", ARC, "--N", "10"],
@@ -468,3 +472,28 @@ def test_selftest_catches_a_broken_one_number_state_under_optimize():
                           env=env, timeout=300)
     assert proc.returncode == 1
     assert "FAIL one-number prefix state vs determinants" in proc.stdout
+
+
+def test_selftest_catches_a_broken_stacked_corner_build_under_optimize():
+    # a stacked corner update (several children formed together) that is off
+    # by one part in 10^6 fails the battery's moment-sum check, also under -O
+    src = os.path.dirname(os.path.dirname(dppkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import runpy, sys\n"
+        "from dppkit.measure import _CornerStack\n"
+        "form = _CornerStack._form\n"
+        "def skewed(self):\n"
+        "    stacked = len(self.kids) > 1\n"
+        "    form(self)\n"
+        "    if stacked:\n"
+        "        self.corner = self.corner * (1.0 + 1e-6)\n"
+        "_CornerStack._form = skewed\n"
+        "sys.argv = ['dppkit', 'selftest']\n"
+        "runpy.run_module('dppkit', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 1
+    assert "FAIL dimension oracle equivalence" in proc.stdout
+    assert "S_6 vs sigma_6 of trig_poly" in proc.stdout

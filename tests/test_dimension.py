@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dppkit import (
+    ConditioningError,
     HypothesisError,
     Symbol,
     corr_dim_szego_lower,
@@ -230,6 +231,28 @@ def test_non_integer_q_is_uncertified(poi_high):
     assert np.all(np.isfinite(est.table.estimate_N))
     with pytest.raises(ValueError):
         s_n_q_table(poi_high, 4, 1.0)
+
+
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_q_is_rejected(poi_high, q):
+    # nan <= 1 is False, so a bare q > 1 check would let nan through to NaN rows
+    with pytest.raises(ValueError, match="need finite q > 1"):
+        s_n_q_table(poi_high, 4, q)
+    with pytest.raises(ValueError, match="need finite q > 1"):
+        dim_q_estimate(poi_high, q, 4)
+
+
+def test_moment_sum_underflow_raises():
+    # at q = 200 the N = 12 sum is subnormal and N = 13, 14 round to 0.0;
+    # the first N with log2 S_N < N - 1022 is named, with q
+    sym = Symbol.poisson(0.75, 0.125)
+    with pytest.raises(ConditioningError, match=r"^moment sum S_N\^\(q\) underflows at N = 12, "
+                       r"q = 200: log2 S_N = -1046\.07 < N - 1022 = -1010$"):
+        s_n_q_table(sym, 14, 200)
+    # up to N = 11 every sum is normal, and the table is returned
+    table = s_n_q_table(sym, 11, 200)
+    assert np.all(table >= np.arange(1, 12) - 1022)
+    assert table[-1] == pytest.approx(-958.5226514136235, rel=1e-12)
 
 
 def test_s_n_q_cap():

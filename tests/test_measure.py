@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -22,7 +23,7 @@ from dppkit.symbol import g_coeff_fn
 
 from conftest import random_interior_symbol
 from oracles import (EagerPrefixState, build_T_window, build_lambda, complement,
-                     cylinder_prob_direct, hs_norm_sq_lambda)
+                     cylinder_prob_direct, hs_norm_sq_lambda, s_n_q_table_dfs)
 
 
 def _all_words(n):
@@ -292,10 +293,11 @@ def test_prefix_state_parent_is_keyword_only():
 
 
 def test_lazy_child_drops_its_parent():
+    # a child's stack keeps its parent's arrays until its corners are formed
     state = PrefixState.root(LAZY_SYMBOLS["power_decay"], 8).extend(1)
-    assert state._parent is not None
+    assert state._stack.source is not None
     state.conditional_one()
-    assert state._parent is None
+    assert state._stack.source is None
 
 
 # symbols whose prefix state is one number at window None, by name
@@ -403,34 +405,110 @@ def test_one_number_log_prob_matches_mpmath(name):
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("name", ["poisson", "raised_cosine", "trig_poly-complex"])
-def test_moment_sums_match_eager_oracle_walk(monkeypatch, name, q):
+def test_moment_sums_match_eager_oracle_walk(name, q):
     sym = LAZY_SYMBOLS[name]
-    lazy = s_n_q_table(sym, 10, q)
-    monkeypatch.setattr(dimension, "PrefixState", EagerPrefixState)
-    assert lazy.tobytes() == s_n_q_table(sym, 10, q).tobytes()
+    assert s_n_q_table(sym, 10, q).tobytes() == s_n_q_table_dfs(sym, 10, q).tobytes()
 
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("name", sorted(ONE_NUMBER_SYMBOLS))
-def test_one_number_moment_sums_match_eager_oracle_walk(monkeypatch, name, q):
+def test_one_number_moment_sums_match_eager_oracle_walk(name, q):
     sym = ONE_NUMBER_SYMBOLS[name]
-    fast = s_n_q_table(sym, 10, q)
-    monkeypatch.setattr(dimension, "PrefixState", EagerPrefixState)
-    assert np.max(np.abs(fast - s_n_q_table(sym, 10, q))) <= 1e-14
+    assert np.max(np.abs(s_n_q_table(sym, 10, q) - s_n_q_table_dfs(sym, 10, q))) <= 1e-14
 
 
 @pytest.mark.parametrize("route", [PrefixState, EagerPrefixState])
-def test_lazy_extend_raises_where_eager_does(monkeypatch, route):
+def test_lazy_extend_raises_where_eager_does(route):
     # the same ConditioningError at the same bit: an imaginary residue on a
-    # tree walk, and a vanishing factor on a chain
-    monkeypatch.setattr(dimension, "PrefixState", route)
+    # tree walk (the library's level-order walk, and the depth-first walk
+    # of the eager route), and a vanishing factor on a chain
+    walk = s_n_q_table if route is PrefixState else s_n_q_table_dfs
     with pytest.raises(ConditioningError, match=r"^prefix mass 3\.62e-19 too small to resolve "
                        r"at position 9: \|s\| = 2, imaginary residue -6\.36e-10$"):
-        s_n_q_table(Symbol.arc_indicator(0.1, 0.45), 10, 2)
+        walk(Symbol.arc_indicator(0.1, 0.45), 10, 2)
     state = route.root(Symbol.constant(1.0), 3).extend(1)
     with pytest.raises(ConditioningError,
                        match="^prefix probability vanishes extending with bit 0 at position 1$"):
         state.extend(0)
+
+
+def _first_subtree_depth(sym) -> int:
+    """How many levels the level-order walk takes before it first cuts a
+    level into runs: every level whose corner stack fits in STACK_BYTES,
+    and the leaves below the deepest one (leaves form no corners)."""
+    itemsize = 8 if sym.has_real_coeffs else 16
+    return 1 + max(d for d in range(1, 23) if 2 ** d * d * d * itemsize <= dimension.STACK_BYTES)
+
+
+QS = (2, 3, 2.5)
+# the deepest oracle walk per symbol: arc_indicator(0.3,0.7) meets a
+# vanishing extension factor on a 15-bit prefix
+ORACLE_DEPTH = {"power_decay": 16, "trig_poly-complex": 16, "arc_indicator": 14}
+
+
+@pytest.fixture(scope="module")
+def dfs_oracle():
+    """The depth-first eager walk of each symbol to its oracle depth, on first use."""
+    return {}
+
+
+@pytest.mark.parametrize("n_max", ["h-1", "h", "h+1", 16])
+@pytest.mark.parametrize("name", sorted(ORACLE_DEPTH))
+def test_level_order_moment_sums_match_dfs_oracle(dfs_oracle, name, n_max):
+    # byte for byte, for every q: one whole subtree (h - 1 and h levels),
+    # the first cut into runs (h + 1), and a tree of many runs (16 levels).
+    # A level's sum does not depend on n_max, so one depth-first walk of
+    # the eager route is the oracle of every n_max up to its depth
+    sym = LAZY_SYMBOLS[name]
+    h = _first_subtree_depth(sym)
+    n = n_max if isinstance(n_max, int) else h + {"h-1": -1, "h": 0, "h+1": 1}[n_max]
+    depth = ORACLE_DEPTH[name]
+    if n > depth:
+        # past it both walks raise the same error
+        want = _outcome(lambda: s_n_q_table_dfs(sym, n, QS))
+        assert isinstance(want, str)
+        assert all(_outcome(lambda: s_n_q_table(sym, n, q)) == want for q in QS)
+        return
+    if name not in dfs_oracle:
+        dfs_oracle[name] = s_n_q_table_dfs(sym, depth, QS)
+    for q, want in zip(QS, dfs_oracle[name]):
+        assert s_n_q_table(sym, n, q).tobytes() == want[:n].tobytes()
+
+
+def test_level_order_walk_visits_each_level_in_lexicographic_order(monkeypatch):
+    # Kahan sums are close to order-free, so byte-equal sums alone would
+    # not show a run walked out of turn: compare each level's sequence of
+    # log-probabilities with the depth-first walk's, across cuts into runs
+    sym = LAZY_SYMBOLS["power_decay"]
+    n_max = _first_subtree_depth(sym) + 3
+    seen = {}
+    for route in (PrefixState, EagerPrefixState):
+        extend = route.extend
+
+        def recording(self, bit, extend=extend, route=route):
+            child = extend(self, bit)
+            seen.setdefault(route, {}).setdefault(child.length, []).append(child.log_prob)
+            return child
+
+        monkeypatch.setattr(route, "extend", recording)
+    s_n_q_table(sym, n_max, 2)
+    s_n_q_table_dfs(sym, n_max, 2)
+    assert seen[PrefixState] == seen[EagerPrefixState]
+    assert [len(seen[PrefixState][n]) for n in range(1, n_max + 1)] == [2 ** n for n in range(1, n_max + 1)]
+
+
+def test_level_order_walk_holds_no_whole_level():
+    # the deepest level at n_max 16 holds 2^15 corners of 15 x 15 (59 MB);
+    # the walk holds a few stacks of at most STACK_BYTES each
+    sym = LAZY_SYMBOLS["power_decay"]
+    s_n_q_table(sym, 4, 2)
+    tracemalloc.start()
+    try:
+        s_n_q_table(sym, 16, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * dimension.STACK_BYTES
 
 
 def test_joint_log_prob_direct_block_form(poi_half):
