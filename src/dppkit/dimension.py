@@ -103,7 +103,7 @@ def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
         raise ValueError("s_n_q_table: need finite q > 1")
     sums = np.zeros(n_max)
     comp = np.zeros(n_max)
-    _level_accumulate([PrefixState.root(sym, n_max)], n_max, q, sums, comp)
+    _level_accumulate([PrefixState.root(sym)], n_max, q, sums, comp)
     with np.errstate(divide="ignore"):
         log2s = np.log2(sums)
     low = np.nonzero(log2s < np.arange(1, n_max + 1) - 1022)[0]

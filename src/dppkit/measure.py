@@ -30,6 +30,8 @@ from .errors import ConditioningError, NumericsError, SizeCapError
 from .symbol import Symbol, g_coeff_fn
 
 IMAG_TOL = 1e-10
+# g-coefficients a full-state prefix caches at first (see ``_GData``)
+COEFF_BLOCK = 64
 
 
 def _parse_word(word) -> np.ndarray:
@@ -170,50 +172,52 @@ def correlation_ratio(sym: Symbol, word, word_prime, gap_ell: int) -> RatioRepor
 
 
 def _one_number(sym: Symbol, window: int | None) -> bool:
-    """Whether the prefix state of ``sym`` is one number: for a
-    non-degenerate poisson symbol or a real one of bandwidth <= 1, when the
-    window is None or covers the effective bandwidth."""
-    if sym.family == "poisson" and sym.bandwidth is None:
-        if window is None:
-            return True
-        bw = sym.effective_bandwidth()
-        return bw is not None and window >= bw
+    """Whether the prefix state of ``sym`` is one number: for a geometric
+    (non-degenerate poisson) symbol at window None, and for a real one of
+    bandwidth <= 1 at window None or one that covers the bandwidth."""
+    if sym.geometric is not None:
+        return window is None
     bw = sym.bandwidth
     return sym.has_real_coeffs and bw is not None and bw <= 1 and (window is None or window >= bw)
 
 
 class _GData:
-    """Cached g-coefficients for prefix extension up to a maximal depth.
+    """Cached g-coefficients for prefix extension.
 
     With ``one_number`` only the constants of the one-number recursion are
-    kept (see ``PrefixState``): ``kx`` with alpha = g0 - kx x, and for
-    poisson ``c2`` = 2c and ``r2`` = r^2 (``c2`` is None at bandwidth <= 1).
+    kept (see ``PrefixState``): ``kx`` with alpha = g0 - kx x, and for a
+    geometric symbol ``c2`` = 2c and ``r2`` = r^2 (``c2`` is None at
+    bandwidth <= 1).  Otherwise ``gpos`` and ``gneg`` hold ghat(n) and
+    ghat(-n) for n = 0 .. size - 1, of the symbol's coefficient dtype: window
+    + 1 of them for a windowed state, else COEFF_BLOCK at first, doubled
+    whenever a corner outgrows them (see ``reversed_rows``).
     """
 
-    __slots__ = ("g0", "gpos", "gneg", "real", "kx", "c2", "r2")
+    __slots__ = ("ghat", "g0", "gpos", "gneg", "real", "kx", "c2", "r2")
 
-    def __init__(self, sym: Symbol, max_len: int, one_number: bool = False):
-        ghat = g_coeff_fn(sym)
+    def __init__(self, sym: Symbol, window: int | None, one_number: bool = False):
+        ghat = self.ghat = g_coeff_fn(sym)
         self.real = sym.has_real_coeffs
         self.kx = self.c2 = self.r2 = None
         if one_number:
-            g0, g1 = ghat(np.arange(2)).real.tolist()
+            g0, g1 = ghat(np.arange(2)).tolist()
             self.g0 = g0
-            if sym.family == "poisson" and sym.bandwidth is None:
-                c, r = sym.params["c"], sym.params["r"]
+            if sym.geometric is not None:
+                c, r = sym.geometric
                 self.kx, self.c2, self.r2 = 4.0 * c * c, 2.0 * c, r * r
             else:
                 self.kx = g1
             return
-        ns = np.arange(max_len + 1)
-        pos = ghat(ns)
-        neg = ghat(-ns)
-        if self.real:
-            pos = pos.real.copy()
-            neg = neg.real.copy()
-        self.g0 = pos[0]
-        self.gpos = pos
-        self.gneg = neg
+        self.gpos = np.zeros(0)
+        self.reversed_rows(COEFF_BLOCK - 1 if window is None else window)
+        self.g0 = self.gpos[0]
+
+    def reversed_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """ghat(-j) .. ghat(-1) and ghat(j) .. ghat(1), as reversed views."""
+        if j >= self.gpos.size:
+            ns = np.arange(max(j + 1, 2 * self.gpos.size))
+            self.gpos, self.gneg = self.ghat(ns), self.ghat(-ns)
+        return self.gneg[j:0:-1], self.gpos[j:0:-1]
 
 
 def _bordered(source, pick, tp, s, window):
@@ -322,8 +326,8 @@ class _CornerStack:
             j = corner.shape[-1]
             # corner covers rows/cols k-j+1..k; new column entries are
             # theta_i * ghat(i - (k+1)), new row entries ghat(k+1 - j')
-            b = theta * gd.gneg[j:0:-1]
-            r = gd.gpos[j:0:-1]
+            gneg, r = gd.reversed_rows(j)
+            b = theta * gneg
             if corner.ndim == 2:
                 u = corner @ b
                 self.alphas = [gd.g0 - r @ u]
@@ -337,12 +341,12 @@ class _CornerStack:
 class PrefixState:
     """State of one cylinder prefix, extended one bit at a time.
 
-    For a non-degenerate poisson symbol, or a real one of bandwidth <= 1,
-    the state is one number x, exact at every length, when the window is
-    None or covers the effective bandwidth.  Each bit of sign tp costs O(1):
-    alpha = g0 - kx x, s = 1 + tp alpha, and
+    For a geometric symbol (``Symbol.geometric``) at window None, or a real
+    one of bandwidth <= 1 at window None or one that covers the bandwidth,
+    the state is one number x, exact at every length.  Each bit of sign tp
+    costs O(1): alpha = g0 - kx x, s = 1 + tp alpha, and
 
-      poisson (fhat(n) = c r^|n|, so every vector of the extension is
+      geometric (fhat(n) = c r^|n|, so every vector of the extension is
       geometric; kx = 4c^2):  x <- r^2 (x + tp (1 - 2c x)^2 / s);
       bandwidth <= 1 (the 1 x 1 corner tp/s; kx = ghat(1)):  x <- ghat(1) tp/s,
 
@@ -362,9 +366,9 @@ class PrefixState:
     arrays it kept.  So the leaves of a prefix tree never form a corner, the
     children of a whole tree level form theirs in one stacked update, and a
     chain (a stack of one) holds at most one parent corner.  The corner
-    recursion is exact when the symbol bandwidth fits inside the window; a
-    finite window on a non-band-limited symbol truncates coefficients beyond
-    it.
+    recursion is exact when the window is None or covers the symbol's
+    bandwidth; any other window truncates the coefficients beyond it (a
+    geometric symbol too, whose one-number state needs window None).
     """
 
     __slots__ = ("gd", "window", "length", "log_prob", "_stack", "_row", "_x")
@@ -379,9 +383,13 @@ class PrefixState:
         self._x = x
 
     @classmethod
-    def root(cls, sym: Symbol, max_len: int, window: int | None = None) -> "PrefixState":
+    def root(cls, sym: Symbol, *, window: int | None = None) -> "PrefixState":
+        """The empty prefix; ``window`` is None (the full state) or an int >= 0."""
+        if window is not None and (isinstance(window, bool) or not isinstance(window, (int, np.integer))
+                                   or window < 0):
+            raise ValueError(f"prefix state window must be None or an int >= 0, got {window!r}")
         one_number = _one_number(sym, window)
-        gd = _GData(sym, max_len + (window or 0) + 1, one_number)
+        gd = _GData(sym, window, one_number)
         if one_number:
             return cls(gd, window, 0, 0.0, x=0.0)
         dtype = np.float64 if gd.real else np.complex128
@@ -464,7 +472,7 @@ class PrefixState:
 
 def conditional_next(sym: Symbol, word) -> float:
     """P(x_N = 1 | the first N bits equal word); word may be empty."""
-    state = PrefixState.root(sym, (len(word) if word is not None else 0) + 1)
+    state = PrefixState.root(sym)
     if word is not None and len(word) > 0:
         for bit in _parse_word(word):
             state = state.extend(int(bit))

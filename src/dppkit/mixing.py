@@ -139,8 +139,8 @@ def _coupling_factors(sym: Symbol, lam: np.ndarray) -> tuple[np.ndarray, np.ndar
     ghat(-(ell+1+k)) .. ghat(-(ell+N+k)), so the nonzero rows mirror the
     nonzero columns and M is square."""
     N = lam.shape[0]
-    if sym.family == "poisson" and sym.bandwidth is None:
-        r = sym.params["r"]
+    if sym.geometric is not None:
+        r = sym.geometric[1]
         return r ** np.arange(N - 1, -1, -1)[:, None], lam[N - 1:, :1], r ** np.arange(N)[:, None]
     rows = np.flatnonzero(np.any(lam != 0, axis=1))
     cols = np.flatnonzero(np.any(lam != 0, axis=0))

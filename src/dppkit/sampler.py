@@ -6,15 +6,14 @@ so a prefix of length n consumes exactly n uniforms from a PCG64 stream
 seeded with the trajectory seed.  Multi-trajectory runs give trajectory i
 the stream seed ^ i.
 
-A poisson symbol, or a real one of bandwidth <= 1, has a one-number state
-(see ``measure.PrefixState``): exact at every length and O(1) per bit, so
-its automatic window always samples exactly and no length cap applies.
-Any other state keeps a trailing window of the inverse, which is exact
-when the symbol is band-limited and the window covers the bandwidth; for
-symbols with fast-decaying coefficients the automatic window drops only
-coefficients below 1e-16.  Symbols without a usable decay run with the full
-state (quadratic cost per step) under a length cap, or with an explicit
-approximate window chosen by the caller.
+The automatic window is the symbol's exact bandwidth, or None (the full
+state) when it has none, so automatic sampling is always exact.  A poisson
+symbol, or a real one of bandwidth <= 1, has a one-number state there (see
+``measure.PrefixState``): O(1) per bit, with no length cap.  A band-limited
+symbol keeps a trailing window of the inverse as wide as its bandwidth.
+Any other symbol runs with the full state (quadratic cost per step) under
+a length cap, or with an explicit window chosen by the caller, which
+truncates the coefficients beyond it.
 """
 from __future__ import annotations
 
@@ -24,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, SizeCapError
-from .measure import PrefixState, _one_number, _word_str, cylinder_log_probs_direct
-from .symbol import Symbol, g_coeff_fn
+from .measure import PrefixState, _word_str, cylinder_log_probs_direct
+from .symbol import Symbol
 
 EXACT_LENGTH_CAP = 2048
 
@@ -49,37 +48,35 @@ class BinarySequence:
 
 
 def _auto_window(sym: Symbol, n: int) -> int | None:
-    bw = sym.effective_bandwidth()
-    if bw is not None:
-        return bw
-    if n > EXACT_LENGTH_CAP and not _one_number(sym, None):
+    bw = sym.bandwidth
+    if bw is None and sym.geometric is None and n > EXACT_LENGTH_CAP:
         raise SizeCapError(
             f"no usable coefficient decay: exact sampling caps at n = {EXACT_LENGTH_CAP}; "
             "pass an explicit window for approximate sampling"
         )
-    return None
+    return bw
 
 
 def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "auto") -> BinarySequence:
     """Sample the first n coordinates of the one-sided process.
 
     Same (seed, symbol, n) always yields identical bits; trajectories are
-    strictly sequential internally.
+    strictly sequential internally.  ``window`` is "auto", None (the full
+    state) or an int >= 0 (see ``measure.PrefixState``).
     """
     if n < 1:
         raise ValueError("sample_prefix: need n >= 1")
-    ghat = g_coeff_fn(sym)  # the range gate, also for the i.i.d. path
     if window == "auto":
         window = _auto_window(sym, n)
+    state = PrefixState.root(sym, window=window)  # the range gate, also for the i.i.d. path
     rng = np.random.Generator(np.random.PCG64(seed))
     uni = rng.random(n)
     bits = np.empty(n, dtype=np.uint8)
     if window == 0:
         # conditionals are constant: i.i.d. Bernoulli(fhat(0)) fast path
-        p1 = 0.5 * (1.0 + ghat(np.zeros(1, dtype=np.int64))[0].real)
+        p1 = 0.5 * (1.0 + state.gd.g0.real)
         np.less(uni, p1, out=bits.view(bool))
     else:
-        state = PrefixState.root(sym, n if window is None else 0, window=window)
         for k in range(n):
             p1 = state.conditional_one()
             bit = 1 if uni[k] < p1 else 0

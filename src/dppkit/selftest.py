@@ -45,7 +45,7 @@ def _check_one_number_state() -> None:
     for sym in (Symbol.poisson(0.5, 0.25), Symbol.raised_cosine(0.5, 0.25)):
         _require(measure._one_number(sym, None), "one-number state chosen")
         direct = measure.cylinder_log_probs_direct(sym, 8)
-        root = measure.PrefixState.root(sym, 8)
+        root = measure.PrefixState.root(sym)
         for m in range(2 ** 8):
             state = root
             for k in range(8):

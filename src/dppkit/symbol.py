@@ -22,8 +22,6 @@ from .errors import HypothesisError, SymbolSpecError
 RANGE_TOL = 1e-10
 RANGE_GRID = 4096
 DEFAULT_TRUNCATION = 100_000
-BANDWIDTH_TOL = 1e-16
-BANDWIDTH_CAP = 4096
 ONE_SIDED_TOL = 1e-9
 LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
@@ -115,25 +113,24 @@ class Symbol:
         return complex(self.coeffs(np.array([n]))[0])
 
     def coeffs(self, ns) -> np.ndarray:
-        """Vectorized fhat over an integer array."""
+        """Vectorized fhat over an integer array: float64 when
+        ``has_real_coeffs`` holds, complex otherwise."""
         ns = np.asarray(ns)
         a = np.abs(ns)
         fam, p = self.family, self.params
         if fam == "constant":
-            return np.where(ns == 0, p["a"], 0.0).astype(complex)
+            return np.where(ns == 0, p["a"], 0.0)
         if fam == "raised_cosine":
-            out = np.where(ns == 0, p["a"], 0.0) + np.where(a == 1, p["b"] / 2.0, 0.0)
-            return out.astype(complex)
+            return np.where(ns == 0, p["a"], 0.0) + np.where(a == 1, p["b"] / 2.0, 0.0)
         if fam == "poisson":
-            return (p["c"] * np.float_power(p["r"], a)).astype(complex)
+            return p["c"] * np.float_power(p["r"], a)
         if fam == "power_decay":
-            out = np.where(ns == 0, p["a"], 0.0).astype(float)
             mask = (a >= 1) & (a <= p["cutoff"])
-            out = out + np.where(mask, p["c"] * np.float_power(np.maximum(a, 1), -p["p"]), 0.0)
-            return out.astype(complex)
+            return (np.where(ns == 0, p["a"], 0.0)
+                    + np.where(mask, p["c"] * np.float_power(np.maximum(a, 1), -p["p"]), 0.0))
         if fam == "trig_poly":
-            tab = self.table
-            out = np.zeros(ns.shape, dtype=complex)
+            tab = self.table.real if self.has_real_coeffs else self.table
+            out = np.zeros(ns.shape, dtype=tab.dtype)
             mask = a < tab.size
             vals = tab[a[mask]]
             out[mask] = np.where(ns[mask] >= 0, vals, np.conj(vals))
@@ -168,28 +165,18 @@ class Symbol:
             return 0 if self.params["r"] == 0.0 or self.params["c"] == 0.0 else None
         return None
 
-    def effective_bandwidth(self) -> int | None:
-        """Smallest B with |fhat(n)| <= BANDWIDTH_TOL for all n > B, or None
-        if B > BANDWIDTH_CAP."""
-        bw = self.bandwidth
-        if bw is not None:
-            return bw
-        if self.family == "poisson":
-            c, r = abs(self.params["c"]), abs(self.params["r"])
-            if c <= BANDWIDTH_TOL:
-                return 0
-            b = int(math.ceil(math.log(BANDWIDTH_TOL / c) / math.log(r))) if r > 0 else 0
-            return b if b <= BANDWIDTH_CAP else None
-        mags = np.abs(self.coeffs(np.arange(BANDWIDTH_CAP + 1)))
-        above = np.nonzero(mags > BANDWIDTH_TOL)[0]
-        if above.size == 0:
-            return 0
-        # arc_indicator tails decay like 1/n: never below tol within cap
-        return None if self.family == "arc_indicator" else int(above[-1])
+    @cached_property
+    def geometric(self) -> tuple[float, float] | None:
+        """(c, r) with fhat(n) = c r^|n| for a non-degenerate poisson symbol
+        (c != 0 and r != 0), else None."""
+        if self.family != "poisson" or self.bandwidth is not None:
+            return None
+        return self.params["c"], self.params["r"]
 
     @cached_property
     def has_real_coeffs(self) -> bool:
-        """True when every fhat(n) is real (even symbol); enables a real fast path."""
+        """True when every fhat(n) is real (even symbol): ``coeffs`` is then
+        float64, and every matrix formed from it real."""
         if self.family == "trig_poly":
             return bool(np.all(self.table.imag == 0.0))
         return self.family != "arc_indicator"
@@ -344,10 +331,11 @@ class TailSum:
         return self.value + self.remainder_bound
 
 
-def _poisson_tail(sym: Symbol, t: int) -> float:
+def _geometric_tail(sym: Symbol, t: int) -> float:
     """sum_{n > t} n |fhat(n)|^2 = c^2 x^{t+1} (1 + t y) / y^2 with x = r^2 and
     y = 1 - x, formed as (1 - r)(1 + r) so that it keeps its digits as r -> 1."""
-    c, r = sym.params["c"], abs(sym.params["r"])
+    c, r = sym.geometric
+    r = abs(r)
     y = (1.0 - r) * (1.0 + r)
     return c * c * r ** (2 * t + 2) * (1.0 + t * y) / (y * y)
 
@@ -366,8 +354,8 @@ def tail_log_bound(sym: Symbol, t: TailSum) -> float | None:
     c / n^p underflows).  A band-limited symbol needs ell < its bandwidth.
     """
     ell, bw = t.cutoff_ell, sym.bandwidth
-    if sym.family == "poisson" and bw is None:
-        c, r = abs(sym.params["c"]), abs(sym.params["r"])
+    if sym.geometric is not None:
+        c, r = map(abs, sym.geometric)
         log_head = 2.0 * math.log(c) + (2 * ell + 2) * math.log(r)
         if log_head >= LOG_MIN_NORMAL:
             return None
@@ -395,17 +383,15 @@ def _tail_remainder(sym: Symbol, truncation: int) -> float | None:
     bw = sym.bandwidth
     if bw is not None:
         return 0.0 if truncation >= bw else _power_remainder(sym, truncation)
-    if sym.family == "poisson":
-        return _poisson_tail(sym, truncation)
+    if sym.geometric is not None:
+        return _geometric_tail(sym, truncation)
     return None
 
 
 def _power_remainder(sym: Symbol, truncation: int) -> float | None:
     if sym.family != "power_decay":
         return None
-    c, p, cutoff = sym.params["c"], sym.params["p"], sym.params["cutoff"]
-    if truncation >= cutoff:
-        return 0.0
+    c, p = sym.params["c"], sym.params["p"]
     if p <= 1.0:
         return None
     # sum_{t < n <= cutoff} c^2 n^{1-2p} <= c^2 integral_t^inf x^{1-2p} dx
@@ -419,8 +405,8 @@ def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> Tai
     bw = sym.bandwidth
     hi = truncation if bw is None else min(truncation, bw)
     value = None
-    if bw is None and sym.family == "poisson":
-        head, rest = _poisson_tail(sym, ell), _poisson_tail(sym, truncation)
+    if sym.geometric is not None:
+        head, rest = _geometric_tail(sym, ell), _geometric_tail(sym, truncation)
         if 2.0 * rest <= head:  # the difference cancels at most one bit
             value = head - rest
     if value is None:

@@ -3,9 +3,9 @@ norm / quadrature kernels behind the probability layer.
 
 The window builder takes a coefficient function, not a symbol: the
 library passes ``symbol.g_coeff_fn``, so every window it forms is one of
-g = 2f - 1 behind the range gate.  Matrices are plain numpy arrays; the
-builder returns a real dtype whenever the coefficients are real (even
-symbols), complex otherwise.
+g = 2f - 1 behind the range gate.  Matrices are plain numpy arrays; a
+window has the dtype of its coefficient function's values (real exactly
+when the symbol has real coefficients).
 """
 from __future__ import annotations
 
@@ -20,14 +20,9 @@ SZEGO_GRID = 16384
 SZEGO_CLAMP = 1e-14
 
 
-def _realify(m: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(m) and np.all(m.imag == 0.0):
-        return m.real.copy()
-    return m
-
-
 def build_T(coeffs: Callable[[np.ndarray], np.ndarray], J) -> np.ndarray:
-    """Window matrix [coeffs(i - j)] for i, j in the strictly increasing set J."""
+    """Window matrix [coeffs(i - j)] for i, j in the strictly increasing set J,
+    of the dtype that ``coeffs`` returns (float64 for an empty J)."""
     J = np.asarray(J, dtype=np.int64)
     if J.ndim != 1:
         raise ValueError("J must be a 1-d integer set")
@@ -36,7 +31,7 @@ def build_T(coeffs: Callable[[np.ndarray], np.ndarray], J) -> np.ndarray:
     if J.size == 0:
         return np.zeros((0, 0))
     gaps = np.subtract.outer(J, J)
-    return _realify(np.asarray(coeffs(gaps)))
+    return np.asarray(coeffs(gaps))
 
 
 def joint_index_set(N: int, ell: int) -> np.ndarray:

@@ -193,8 +193,8 @@ class EagerPrefixState:
         self._ext = None
 
     @classmethod
-    def root(cls, sym: Symbol, max_len: int, window: int | None = None) -> "EagerPrefixState":
-        gd = _GData(sym, max_len + (window or 0) + 1)
+    def root(cls, sym: Symbol, *, window: int | None = None) -> "EagerPrefixState":
+        gd = _GData(sym, window)
         dtype = np.float64 if gd.real else np.complex128
         empty = np.zeros(0, dtype=dtype)
         return cls(gd, window, 0, empty, np.zeros((0, 0), dtype=dtype), 0.0)
@@ -210,8 +210,8 @@ class EagerPrefixState:
             else:
                 # corner covers rows/cols k-j+1..k; new column entries are
                 # theta_i * ghat(i - (k+1)), new row entries ghat(k+1 - j')
-                b = self.theta[-j:] * gd.gneg[j:0:-1]
-                r = gd.gpos[j:0:-1]
+                gneg, r = gd.reversed_rows(j)
+                b = self.theta[-j:] * gneg
                 u = self.corner @ b
                 w = r @ self.corner
                 self._ext = (u, w, gd.g0 - r @ u)
@@ -289,7 +289,7 @@ def s_n_q_table_dfs(sym: Symbol, n_max: int, q, route=EagerPrefixState) -> np.nd
     qs = q if isinstance(q, tuple) else (q,)
     sums = np.zeros((len(qs), n_max))
     comp = np.zeros((len(qs), n_max))
-    _dfs_accumulate(route.root(sym, n_max), n_max, qs, sums, comp)
+    _dfs_accumulate(route.root(sym), n_max, qs, sums, comp)
     out = np.log2(sums)
     return out if isinstance(q, tuple) else out[0]
 

@@ -416,10 +416,13 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_console_entry_point():
+    src = os.path.dirname(os.path.dirname(dppkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dppkit.cli", "cylinder", "--symbol", FAIR, "--word", "101"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "word,probability,log2_probability"

@@ -17,7 +17,7 @@ from dppkit import (
     dimension,
     s_n_q_table,
 )
-from dppkit.measure import PrefixState, _one_number, cylinder_log_probs_direct
+from dppkit.measure import COEFF_BLOCK, PrefixState, _one_number, cylinder_log_probs_direct
 from dppkit import build_T, joint_cylinder_log_prob
 from dppkit.symbol import g_coeff_fn
 
@@ -198,7 +198,7 @@ def test_prefix_state_log_prob_matches_direct():
         sym = random_interior_symbol(rng)
         n = int(rng.integers(1, 10))
         bits = rng.integers(0, 2, n)
-        state = PrefixState.root(sym, n)
+        state = PrefixState.root(sym)
         for b in bits:
             state = state.extend(int(b))
         word = "".join(str(int(b)) for b in bits)
@@ -209,8 +209,8 @@ def test_windowed_prefix_state_exact_for_band_limited():
     sym = Symbol.raised_cosine(0.55, 0.3)
     rng = np.random.default_rng(27)
     bits = rng.integers(0, 2, 60)
-    full = PrefixState.root(sym, 60)
-    windowed = PrefixState.root(sym, 60, window=sym.bandwidth)
+    full = PrefixState.root(sym)
+    windowed = PrefixState.root(sym, window=sym.bandwidth)
     for b in bits:
         assert windowed.conditional_one() == pytest.approx(full.conditional_one(), abs=1e-13)
         full = full.extend(int(b))
@@ -257,8 +257,8 @@ def test_lazy_prefix_state_matches_eager_oracle(name, window):
         return
     rng = np.random.default_rng(61)
     for _ in range(3):
-        lazy = PrefixState.root(sym, 24, window=window)
-        eager = EagerPrefixState.root(sym, 24, window=window)
+        lazy = PrefixState.root(sym, window=window)
+        eager = EagerPrefixState.root(sym, window=window)
         for _ in range(24):
             first = rng.integers(0, 4)
             if first == 1:
@@ -287,17 +287,36 @@ def test_lazy_prefix_state_matches_eager_oracle(name, window):
 def test_prefix_state_parent_is_keyword_only():
     # the constructor's old positional form (gd, window, length, theta,
     # corner, log_prob) fails at once instead of building a wrong state
-    root = PrefixState.root(LAZY_SYMBOLS["power_decay"], 8)
+    root = PrefixState.root(LAZY_SYMBOLS["power_decay"])
     with pytest.raises(TypeError):
         PrefixState(root.gd, None, 0, root.theta, root.corner, 0.0)
 
 
 def test_lazy_child_drops_its_parent():
     # a child's stack keeps its parent's arrays until its corners are formed
-    state = PrefixState.root(LAZY_SYMBOLS["power_decay"], 8).extend(1)
+    state = PrefixState.root(LAZY_SYMBOLS["power_decay"]).extend(1)
     assert state._stack.source is not None
     state.conditional_one()
     assert state._stack.source is None
+
+
+@pytest.mark.parametrize("name", ["power_decay", "trig_poly-complex"])
+def test_full_state_chain_outgrows_its_coefficient_cache(name):
+    # root(sym) sizes its g-coefficients itself: a full-state chain runs
+    # past the first block and past its doubling, and log_prob follows the
+    # direct determinant; the eager oracle grows its cache the same way and
+    # matches the lazy state bit for bit
+    sym = LAZY_SYMBOLS[name]
+    bits = np.random.default_rng(64).integers(0, 2, 2 * COEFF_BLOCK + 20)
+    lazy, eager = PrefixState.root(sym), EagerPrefixState.root(sym)
+    for k, bit in enumerate(bits, start=1):
+        assert lazy.conditional_one() == eager.conditional_one()
+        lazy, eager = lazy.extend(int(bit)), eager.extend(int(bit))
+        assert lazy.log_prob == eager.log_prob
+        if k in (40, COEFF_BLOCK + 1, len(bits)):
+            word = "".join(map(str, bits[:k]))
+            assert lazy.log_prob == pytest.approx(cylinder_log_prob(sym, word), rel=1e-11)
+    assert lazy.gd.gpos.size == eager.gd.gpos.size == 4 * COEFF_BLOCK
 
 
 # symbols whose prefix state is one number at window None, by name
@@ -329,8 +348,8 @@ def _check_one_number_paths(sym, window, ulps, paths, bits, seed=62):
     (bandwidth <= 1 rounds the same), else within the given ulps."""
     rng = np.random.default_rng(seed)
     for _ in range(paths):
-        state = PrefixState.root(sym, bits, window=window)
-        eager = EagerPrefixState.root(sym, bits, window=window)
+        state = PrefixState.root(sym, window=window)
+        eager = EagerPrefixState.root(sym, window=window)
         for bit in rng.integers(0, 2, bits):
             p1, want = state.conditional_one(), eager.conditional_one()
             assert p1 == want if ulps is None else abs(p1 - want) <= ulps[0] * U
@@ -342,13 +361,12 @@ def _check_one_number_paths(sym, window, ulps, paths, bits, seed=62):
 
 
 def test_one_number_choice():
-    # poisson and real bandwidth <= 1 symbols, at window None or one that
-    # covers the effective bandwidth; every other symbol or window keeps
-    # the corner
+    # a geometric symbol at window None, a real bandwidth <= 1 symbol at
+    # window None or one that covers the bandwidth; every other symbol or
+    # window keeps the corner (an explicit window truncates a geometric
+    # symbol, however wide)
     poi = Symbol.poisson(0.5, 0.25)
-    assert poi.effective_bandwidth() == 27
-    assert _one_number(poi, None) and _one_number(poi, 27) and not _one_number(poi, 26)
-    assert not _one_number(Symbol.poisson(0.002, 0.995), 4096)  # no effective bandwidth
+    assert _one_number(poi, None) and not _one_number(poi, 27) and not _one_number(poi, 4096)
     rc = Symbol.raised_cosine(0.55, 0.3)
     assert _one_number(rc, None) and _one_number(rc, 1) and not _one_number(rc, 0)
     assert _one_number(Symbol.constant(0.3), 0)
@@ -369,7 +387,7 @@ def test_one_number_state_matches_eager_oracle(name):
 def test_one_number_state_has_no_corner():
     # no src caller reads corner or theta; on a one-number state they raise
     for sym in (Symbol.poisson(0.5, 0.25), Symbol.raised_cosine(0.55, 0.3)):
-        state = PrefixState.root(sym, 8)
+        state = PrefixState.root(sym)
         for st in (state, state.extend(1)):
             for attr in ("corner", "theta"):
                 with pytest.raises(AttributeError, match="one-number prefix state has no inverse"):
@@ -396,7 +414,7 @@ def test_one_number_log_prob_matches_mpmath(name):
     rng = np.random.default_rng(63)
     words = ["1" * 14, "0" * 14, "10" * 7] + ["".join(rng.choice(["0", "1"], 14)) for _ in range(3)]
     for word in words:
-        state = PrefixState.root(sym, len(word))
+        state = PrefixState.root(sym)
         for ch in word:
             state = state.extend(int(ch))
         want = _mp_log_prob(sym, word)
@@ -426,7 +444,7 @@ def test_lazy_extend_raises_where_eager_does(route):
     with pytest.raises(ConditioningError, match=r"^prefix mass 3\.62e-19 too small to resolve "
                        r"at position 9: \|s\| = 2, imaginary residue -6\.36e-10$"):
         walk(Symbol.arc_indicator(0.1, 0.45), 10, 2)
-    state = route.root(Symbol.constant(1.0), 3).extend(1)
+    state = route.root(Symbol.constant(1.0)).extend(1)
     with pytest.raises(ConditioningError,
                        match="^prefix probability vanishes extending with bit 0 at position 1$"):
         state.extend(0)

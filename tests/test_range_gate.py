@@ -36,7 +36,7 @@ CALLS = {
     "joint_cylinder_log_prob": lambda s: joint_cylinder_log_prob(s, "1", "0", 1),
     "correlation_ratio": lambda s: correlation_ratio(s, "1", "1", 1),
     "conditional_next": lambda s: conditional_next(s, "1"),
-    "PrefixState.root": lambda s: PrefixState.root(s, 4),
+    "PrefixState.root": lambda s: PrefixState.root(s),
     "cylinder_log_probs_direct": lambda s: cylinder_log_probs_direct(s, 3),
     "psi_bound_report": lambda s: psi_bound_report(s, 1),
     "psi_finite_window": lambda s: psi_finite_window(s, 1, 2),

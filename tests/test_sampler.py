@@ -72,7 +72,7 @@ def test_sampler_conditionals_match_measure(poi_half):
     seq = sample_prefix(poi_half, 12, seed=99)
     for k in range(1, 9):
         word = "".join(str(int(b)) for b in seq.bits[:k])
-        state = PrefixState.root(poi_half, 12)
+        state = PrefixState.root(poi_half)
         for b in seq.bits[:k]:
             state = state.extend(int(b))
         assert state.conditional_one() == pytest.approx(conditional_next(poi_half, word), abs=1e-12)
@@ -127,23 +127,40 @@ def _eager_bits(monkeypatch, sym, n, seed, window):
 def test_one_number_samples_match_eager_oracle(monkeypatch, sym):
     # the one-number state draws the bits of the eager corner route.  At
     # 2,048 bits the eager full state costs about 30 s a trajectory, so it
-    # runs at the effective bandwidth: exact for raised_cosine, and for
-    # poisson it drops only coefficients below 1e-16 (the full state is
-    # compared on 512 bits below)
-    window = sym.effective_bandwidth()
+    # runs at a window: the bandwidth for raised_cosine (exact), and for
+    # poisson the last n with |fhat(n)| > 1e-16, so that it drops only
+    # coefficients below that (the full state is compared on 512 bits below)
+    if sym.geometric is None:
+        window = sym.bandwidth
+    else:
+        c, r = map(abs, sym.geometric)
+        window = math.ceil(math.log(1e-16 / c) / math.log(r))
+        assert abs(sym.coeff(window + 1)) <= 1e-16 < abs(sym.coeff(window - 1))
     for seed in range(5):
         fast = sample_prefix(sym, 2048, seed)
         assert np.array_equal(fast.bits, _eager_bits(monkeypatch, sym, 2048, seed, window))
 
 
 def test_poisson_without_usable_decay_samples_past_the_cap(monkeypatch):
-    # effective bandwidth > BANDWIDTH_CAP: the one-number state is exact at
-    # O(1) per bit, so the length cap of the matrix states does not apply
+    # |fhat(n)| stays above 1e-16 up to n = 6,000: the one-number state is
+    # exact at O(1) per bit, so the length cap of the matrix states does not
+    # apply
     sym = Symbol.poisson(0.002, 0.995)
-    assert sym.effective_bandwidth() is None
+    assert abs(sym.coeff(6000)) > 1e-16
     seq = sample_prefix(sym, 4096, 1)
     assert seq.bits.shape == (4096,)
     assert np.array_equal(seq.bits[:512], _eager_bits(monkeypatch, sym, 512, 1, None))
+
+
+@pytest.mark.parametrize("window", [-1, -3, 2.5, True, False, 0.0, "3"])
+@pytest.mark.parametrize("sym", [Symbol.raised_cosine(0.5, 0.25), Symbol.power_decay(0.5, 0.1, 2, 64)],
+                         ids=["raised_cosine", "power_decay"])
+def test_window_must_be_none_or_an_int_at_least_0(sym, window):
+    # PrefixState.root refuses it, before the i.i.d. path at window 0 too
+    with pytest.raises(ValueError, match="window must be None or an int >= 0"):
+        sample_prefix(sym, 40, 1, window=window)
+    assert np.array_equal(sample_prefix(sym, 40, 1, window=np.int64(2)).bits,
+                          sample_prefix(sym, 40, 1, window=2).bits)
 
 
 def test_no_decay_needs_cap_or_window():

@@ -7,12 +7,15 @@ import pytest
 
 from dppkit import (
     Symbol,
+    build_T,
     SymbolSpecError,
     contraction_margin,
     one_sidedness,
     symbol_from_json,
     tail_sum,
 )
+
+from dppkit.symbol import g_coeff_fn
 
 from oracles import complement
 
@@ -153,14 +156,43 @@ def test_complement_symbols():
     assert np.allclose(comp.eval(t), 1.0 - poi.eval(t), atol=1e-12)
 
 
-def test_effective_bandwidth():
-    assert Symbol.constant(0.5).effective_bandwidth() == 0
-    assert Symbol.raised_cosine(0.5, 0.25).effective_bandwidth() == 1
-    poi = Symbol.poisson(0.5, 0.25)
-    b = poi.effective_bandwidth()
-    assert b is not None
-    assert abs(poi.coeff(b + 1)) <= 1e-16 < abs(poi.coeff(b - 1))
-    assert Symbol.arc_indicator(0.1, 0.4).effective_bandwidth() is None
+def test_bandwidth_and_geometric():
+    # the exact bandwidth (None for poisson and arc_indicator), and (c, r)
+    # for a poisson symbol exactly when it has none
+    cases = [
+        (Symbol.constant(0.5), 0, None), (Symbol.raised_cosine(0.5, 0.25), 1, None),
+        (Symbol.raised_cosine(0.5, 0.0), 0, None), (Symbol.power_decay(0.5, 0.1, 2.0, 64), 64, None),
+        (Symbol.trig_poly([0.5, 0.1, 0.05j, 0.0]), 2, None), (Symbol.poisson(0.5, 0.0), 0, None),
+        (Symbol.poisson(0.0, 0.5), 0, None), (Symbol.poisson(0.5, 0.25), None, (0.5, 0.25)),
+        (Symbol.poisson(0.5, -0.3), None, (0.5, -0.3)), (Symbol.arc_indicator(0.1, 0.4), None, None),
+    ]
+    for sym, bandwidth, geometric in cases:
+        assert sym.bandwidth == bandwidth and sym.geometric == geometric
+
+
+DTYPE_CASES = {
+    "constant": (Symbol.constant(0.5), True),
+    "raised_cosine": (Symbol.raised_cosine(0.5, 0.25), True),
+    "poisson": (Symbol.poisson(0.5, 0.25), True),
+    "power_decay": (Symbol.power_decay(0.5, 0.1, 2.0, 64), True),
+    "trig_poly-real": (Symbol.trig_poly([0.5, 0.1, 0.05]), True),
+    "trig_poly-complex": (Symbol.trig_poly([0.5, 0.1, 0.05j]), False),
+    "arc_indicator": (Symbol.arc_indicator(0.1, 0.4), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_CASES))
+def test_coefficient_dtype_follows_has_real_coeffs(name):
+    # coeffs, and every window built from them, are float64 exactly when
+    # has_real_coeffs holds; coeff(n) is complex either way.  The complex
+    # trig_poly's window over gaps 0..1 holds only real values, and stays
+    # complex
+    sym, real = DTYPE_CASES[name]
+    assert sym.has_real_coeffs == real
+    want = np.float64 if real else np.complex128
+    assert sym.coeffs(np.arange(-5, 6)).dtype == want
+    assert build_T(g_coeff_fn(sym), [1, 2]).dtype == want
+    assert type(sym.coeff(2)) is complex
 
 
 def test_json_roundtrip():
