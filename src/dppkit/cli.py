@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import dimension, lcs, measure, mixing, sampler, selftest
-from .errors import ConditioningError, HypothesisError, SizeCapError, SymbolSpecError
+from .errors import ConditioningError, HypothesisError, SizeCapError, SymbolSpecError, require_int
 from .symbol import Symbol, symbol_from_json
 
 EXIT_OK = 0
@@ -113,9 +113,8 @@ def _emit(args, columns: tuple[str, ...] | None, rows: list) -> None:
 
 
 def _cmd_coeffs(sym: Symbol, args):
-    if args.nmax < 0:
-        raise ValueError("coeffs: --nmax must be at least 0")
-    ns = np.arange(0, args.nmax + 1)
+    nmax = require_int(args.nmax, 0, None, "coeffs: --nmax must be at least 0")
+    ns = np.arange(0, nmax + 1)
     rows = [(int(n), float(c.real), float(c.imag)) for n, c in zip(ns, sym.coeffs(ns))]
     return ("n", "re", "im"), rows
 

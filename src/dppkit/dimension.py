@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import toeplitz
-from .errors import ConditioningError, SizeCapError
+from .errors import ConditioningError, SizeCapError, require_int
 from .measure import PrefixState, word_bits
 from .symbol import Symbol, g_coeff_fn, one_sidedness, require_range
 
@@ -96,9 +96,7 @@ def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
     that round into the subnormal range can move the sum by more than one
     ulp, and a sum of 0.0 has no logarithm.
     """
-    if not (1 <= n_max <= SNQ_CAP):
-        error = ValueError if n_max < 1 else SizeCapError
-        raise error(f"s_n_q_table: need 1 <= n_max <= {SNQ_CAP}")
+    n_max = require_int(n_max, 1, SNQ_CAP, f"s_n_q_table: need 1 <= n_max <= {SNQ_CAP}")
     if not (math.isfinite(q) and q > 1):
         raise ValueError("s_n_q_table: need finite q > 1")
     sums = np.zeros(n_max)
@@ -124,9 +122,7 @@ def subset_dets(sym: Symbol, N: int) -> np.ndarray:
     Entries lie in [-1, 1] since the spectrum of every window of g is
     contained in [-1, 1]; the empty subset contributes 1.
     """
-    if not (1 <= N <= SIGMA_CAP):
-        error = ValueError if N < 1 else SizeCapError
-        raise error(f"subset determinants: need 1 <= N <= {SIGMA_CAP}")
+    N = require_int(N, 1, SIGMA_CAP, f"subset determinants: need 1 <= N <= {SIGMA_CAP}")
     tg = toeplitz.build_T(g_coeff_fn(sym), np.arange(1, N + 1))
     bits = word_bits(N)
     popcount = bits.sum(axis=1)
@@ -152,8 +148,7 @@ def sigma_n_2(sym: Symbol, N: int) -> float:
 def sigma_n_q_walsh(sym: Symbol, N: int, q: int) -> float:
     """Brute-force sum over q-tuples of subsets weighted by the parity
     coefficient; oracle-grade only (cost 2^((q-1)N) tuple folds)."""
-    if q < 2 or int(q) != q:
-        raise ValueError("sigma_n_q_walsh: need integer q >= 2")
+    q = require_int(q, 2, None, "sigma_n_q_walsh: need integer q >= 2")
     if q * N > WALSH_CAP_BITS:
         raise SizeCapError(f"sigma_n_q_walsh: 2^(q*N) exceeds 2^{WALSH_CAP_BITS}")
     a = subset_dets(sym, N)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dimension, sampler
+from .errors import require_bits, require_int
 from .symbol import Symbol
 
 LOG2 = math.log(2.0)
@@ -33,22 +34,18 @@ WINDOW = 64  # bits per packed window code
 DIM2_NMAX = 12  # depth of the moment sums behind a default dim2
 
 
-def _prefix_bits(x, n: int) -> np.ndarray:
-    """x[:n] as a uint8 array, after checking that all of x is binary."""
-    if isinstance(x, sampler.BinarySequence):
-        x = x.bits
-    if isinstance(x, str):
-        bits = np.frombuffer(x.encode(), dtype=np.uint8) - np.uint8(ord("0"))
-    else:
-        bits = np.asarray(x)
-        if bits.ndim != 1:
-            raise ValueError("sequences must be binary")
-        bits = bits.astype(np.int64)
-    if np.any((bits < 0) | (bits > 1)):
-        raise ValueError("sequences must be binary")
-    if bits.size < n:
-        raise ValueError(f"sequence of length {bits.size} shorter than n = {n}")
-    return bits[:n].astype(np.uint8)
+def _prefixes(x, y, n: int | None, need: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """n (by default the shorter length) with x[:n] and y[:n] as uint8 arrays,
+    after checking n (``need`` is its message) and that all of x and y is binary."""
+    if n is None:
+        n = min(len(x), len(y))
+    n = require_int(n, 1, None, need)
+    xs, ys = (require_bits(s.bits if isinstance(s, sampler.BinarySequence) else s, "lcs sequence")
+              for s in (x, y))
+    for bits in (xs, ys):
+        if bits.size < n:
+            raise ValueError(f"sequence of length {bits.size} shorter than n = {n}")
+    return n, xs[:n], ys[:n]
 
 
 def _window_codes(bits: np.ndarray) -> np.ndarray:
@@ -97,12 +94,7 @@ def lcs_length(x, y, n: int | None = None) -> int:
     Answers below WINDOW come from sorted window codes; an answer of
     WINDOW or more is recomputed by the suffix automaton.
     """
-    if n is None:
-        n = min(len(x), len(y))
-    if n < 1:
-        raise ValueError("lcs_length: need n >= 1")
-    xs = _prefix_bits(x, n)
-    ys = _prefix_bits(y, n)
+    n, xs, ys = _prefixes(x, y, n, "lcs_length: need n >= 1")
     cx = _window_codes(xs)
     cy = _window_codes(ys)
     full = max(n - WINDOW + 1, 0)          # windows lying wholly inside
@@ -180,10 +172,7 @@ def _lcs_automaton(xs: list[int], ys: list[int]) -> int:
 
 def lcs_length_dp(x, y, n: int | None = None) -> int:
     """Quadratic dynamic-programming oracle for lcs_length."""
-    if n is None:
-        n = min(len(x), len(y))
-    xs = np.asarray(_prefix_bits(x, n))
-    ys = np.asarray(_prefix_bits(y, n))
+    n, xs, ys = _prefixes(x, y, n, "lcs_length_dp: need n >= 1")
     prev = np.zeros(n + 1, dtype=np.int32)
     cur = np.zeros(n + 1, dtype=np.int32)
     best = 0
@@ -227,11 +216,11 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
     lower bound (it is not for two-sided symbols).  Trial t of row j derives its two
     sampling seeds from SeedSequence((seed, (j, t))).
     """
-    ns = [int(v) for v in n_grid]
-    if not ns or any(v < 2 for v in ns):
-        raise ValueError("rate_experiment: n_grid must contain integers >= 2")
-    if trials < 1:
-        raise ValueError("rate_experiment: need trials >= 1")
+    need = "rate_experiment: n_grid must contain integers >= 2"
+    ns = [require_int(v, 2, None, need) for v in n_grid]
+    if not ns:
+        raise ValueError(need)
+    trials = require_int(trials, 1, None, "rate_experiment: need trials >= 1")
     certified = True
     if dim2 is None:
         est = dimension.dim_q_estimate(sym, 2, DIM2_NMAX)

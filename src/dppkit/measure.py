@@ -26,23 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import toeplitz
-from .errors import ConditioningError, NumericsError, SizeCapError
+from .errors import ConditioningError, NumericsError, require_bits, require_int
 from .symbol import Symbol, g_coeff_fn
 
 IMAG_TOL = 1e-10
 # g-coefficients a full-state prefix caches at first (see ``_GData``)
 COEFF_BLOCK = 64
-
-
-def _parse_word(word) -> np.ndarray:
-    if isinstance(word, str):
-        if not word or any(ch not in "01" for ch in word):
-            raise ValueError(f"cylinder word must be a non-empty 0/1 string, got {word!r}")
-        return np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
-    eps = np.asarray(word, dtype=np.int64)
-    if eps.ndim != 1 or eps.size == 0 or np.any((eps != 0) & (eps != 1)):
-        raise ValueError("cylinder word must be a non-empty 0/1 sequence")
-    return eps.astype(np.uint8)
 
 
 def _word_str(eps: np.ndarray) -> str:
@@ -87,7 +76,7 @@ def _log_probs(mats: np.ndarray) -> np.ndarray:
 
 def cylinder_log_prob(sym: Symbol, word) -> float:
     """Natural log of mu([word])."""
-    eps = _parse_word(word)
+    eps = require_bits(word, "cylinder word")
     theta = 2.0 * eps - 1.0
     mats = _signed_windows(sym, theta[None], np.arange(1, eps.size + 1))
     return float(_log_probs(mats)[0])
@@ -100,12 +89,11 @@ def cylinder_prob(sym: Symbol, word) -> float:
 
 def _joint_window(sym: Symbol, word, word_prime, gap_ell: int) -> np.ndarray:
     """The 2N x 2N signed joint window D(theta) T_J(g) + I of a word pair across a gap."""
-    eps = _parse_word(word)
-    eps_p = _parse_word(word_prime)
+    eps = require_bits(word, "cylinder word")
+    eps_p = require_bits(word_prime, "cylinder word")
     if eps.size != eps_p.size:
         raise ValueError("joint cylinder words must have equal length")
-    if gap_ell < 1:
-        raise ValueError("gap ell must be >= 1")
+    gap_ell = require_int(gap_ell, 1, None, "gap ell must be >= 1")
     theta = np.concatenate([2.0 * eps - 1.0, 2.0 * eps_p - 1.0])
     return _signed_windows(sym, theta, toeplitz.joint_index_set(eps.size, gap_ell))
 
@@ -385,9 +373,9 @@ class PrefixState:
     @classmethod
     def root(cls, sym: Symbol, *, window: int | None = None) -> "PrefixState":
         """The empty prefix; ``window`` is None (the full state) or an int >= 0."""
-        if window is not None and (isinstance(window, bool) or not isinstance(window, (int, np.integer))
-                                   or window < 0):
-            raise ValueError(f"prefix state window must be None or an int >= 0, got {window!r}")
+        if window is not None:
+            window = require_int(window, 0, None,
+                                 f"prefix state window must be None or an int >= 0, got {window!r}")
         one_number = _one_number(sym, window)
         gd = _GData(sym, window, one_number)
         if one_number:
@@ -474,7 +462,7 @@ def conditional_next(sym: Symbol, word) -> float:
     """P(x_N = 1 | the first N bits equal word); word may be empty."""
     state = PrefixState.root(sym)
     if word is not None and len(word) > 0:
-        for bit in _parse_word(word):
+        for bit in require_bits(word, "cylinder word"):
             state = state.extend(int(bit))
     return state.conditional_one()
 
@@ -485,7 +473,5 @@ def cylinder_log_probs_direct(sym: Symbol, N: int) -> np.ndarray:
     Word index m encodes bit k as (m >> k) & 1 (bit 0 first).  Memory is
     O(2^N N^2); intended as an oracle and for CLI enumeration at small N.
     """
-    if not (1 <= N <= 14):
-        error = ValueError if N < 1 else SizeCapError
-        raise error("cylinder_log_probs_direct: need 1 <= N <= 14")
+    N = require_int(N, 1, 14, "cylinder_log_probs_direct: need 1 <= N <= 14")
     return _log_probs(_signed_windows(sym, 2.0 * word_bits(N) - 1.0, np.arange(1, N + 1)))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, toeplitz
-from .errors import NumericsError, SizeCapError
+from .errors import NumericsError, SizeCapError, require_int
 from .symbol import (DEFAULT_TRUNCATION, Symbol, TailSum, contraction_margin, g_coeff_fn,
                      require_range, tail_log_bound, tail_sum)
 
@@ -73,8 +73,7 @@ def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION
     up so that it is never below the exact value of that formula.  Where the
     tail passes below the normal float range, the upper bound is formed from
     the tail's logarithm (``tail_log_bound``), so it stays positive."""
-    if ell < 1:
-        raise ValueError("psi_bound_report: need ell >= 1")
+    ell = require_int(ell, 1, None, "psi_bound_report: need ell >= 1")
     require_range(sym)
     t = tail_sum(sym, ell, truncation)
     lower = -math.expm1(-t.value / (ell + 1.0))
@@ -90,7 +89,7 @@ def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION
             upper = _upper_from_log(log_total - 2.0 * math.log(tau))
         else:
             upper = _upper_rounded_up(t.value if approx else t.certified_total, tau)
-    return PsiBoundReport(int(ell), lower, upper, tau, t, approx)
+    return PsiBoundReport(ell, lower, upper, tau, t, approx)
 
 
 def _upper_rounded_up(total: float, tau: float) -> float:
@@ -155,8 +154,8 @@ def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndar
     for every word, with A(eps) = D(theta) T_N(g) + I; two stacks of shape
     (2^N, r, r).  At r = 0 no solve is needed, but the marginals are still
     checked."""
-    if ell < 1 or N < 1:
-        raise ValueError("finite-window search: need ell >= 1 and N >= 1")
+    need = "finite-window search: need ell >= 1 and N >= 1"
+    ell, N = require_int(ell, 1, None, need), require_int(N, 1, None, need)
     if N > FINITE_WINDOW_CAP:
         raise SizeCapError(f"finite-window size {N} exceeds cap {FINITE_WINDOW_CAP}")
     base = toeplitz.build_T(g_coeff_fn(sym), toeplitz.joint_index_set(N, ell))
@@ -209,8 +208,8 @@ def allones_lower_witness(sym: Symbol, ell: int, N: int) -> float:
     certified contribution to psi(ell) at window size N.  Formed as
     -expm1(sum log1p(-lambda_i)) over the eigenvalues of K, which lie in
     [0, 1], so it keeps its relative accuracy as the witness gets small."""
-    if ell < 1 or N < 1:
-        raise ValueError("allones_lower_witness: need ell >= 1 and N >= 1")
+    need = "allones_lower_witness: need ell >= 1 and N >= 1"
+    ell, N = require_int(ell, 1, None, need), require_int(N, 1, None, need)
     m = measure._signed_windows(sym, np.ones(2 * N), toeplitz.joint_index_set(N, ell))
     sol = np.linalg.solve(m[:N, :N], np.hstack([m[N:, :N], m[:N, N:]]))
     k = sol[:, :N] @ sol[:, N:]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, SizeCapError
+from .errors import ConditioningError, SizeCapError, require_int
 from .measure import PrefixState, _word_str, cylinder_log_probs_direct
 from .symbol import Symbol
 
@@ -64,8 +64,7 @@ def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "
     strictly sequential internally.  ``window`` is "auto", None (the full
     state) or an int >= 0 (see ``measure.PrefixState``).
     """
-    if n < 1:
-        raise ValueError("sample_prefix: need n >= 1")
+    n = require_int(n, 1, None, "sample_prefix: need n >= 1")
     if window == "auto":
         window = _auto_window(sym, n)
     state = PrefixState.root(sym, window=window)  # the range gate, also for the i.i.d. path
@@ -87,8 +86,7 @@ def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "
 
 def sample_many(sym: Symbol, n: int, count: int, seed: int) -> list[BinarySequence]:
     """Independent trajectories; trajectory i uses stream seed ^ i."""
-    if count < 1:
-        raise ValueError("sample_many: need count >= 1")
+    count = require_int(count, 1, None, "sample_many: need count >= 1")
     return [sample_prefix(sym, n, int(seed) ^ i) for i in range(count)]
 
 
@@ -129,10 +127,8 @@ def empirical_cylinder_test(sym: Symbol, word_len: int, n_samples: int, seed: in
     Disjoint windows of a fast-mixing process are close enough to independent
     for the test sizes used here; fixed seeds make the check reproducible.
     """
-    if not (1 <= word_len <= 6):
-        raise ValueError("empirical_cylinder_test: need 1 <= word_len <= 6")
-    if n_samples < 100:
-        raise ValueError("empirical_cylinder_test: need n_samples >= 100")
+    word_len = require_int(word_len, 1, 6, "empirical_cylinder_test: need 1 <= word_len <= 6")
+    n_samples = require_int(n_samples, 100, None, "empirical_cylinder_test: need n_samples >= 100")
     model = sym if model is None else model
     traj = sample_prefix(sym, word_len * n_samples, seed)
     windows = traj.bits.reshape(n_samples, word_len)

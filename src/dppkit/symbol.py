@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisError, SymbolSpecError
+from .errors import HypothesisError, SymbolSpecError, require_int
 
 RANGE_TOL = 1e-10
 RANGE_GRID = 4096
@@ -400,8 +400,9 @@ def _power_remainder(sym: Symbol, truncation: int) -> float | None:
 
 def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> TailSum:
     """Sum of n*|fhat(n)|^2 for ell < n <= truncation."""
-    if not (0 <= ell < truncation):
-        raise ValueError("tail_sum: need 0 <= ell < truncation")
+    need = "tail_sum: need 0 <= ell < truncation"
+    if (ell := require_int(ell, 0, None, need)) >= truncation:  # an argument, not a size cap
+        raise ValueError(need)
     bw = sym.bandwidth
     hi = truncation if bw is None else min(truncation, bw)
     value = None
@@ -412,7 +413,7 @@ def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> Tai
     if value is None:
         ns = np.arange(ell + 1, hi + 1)
         value = float(np.sum(ns * np.abs(sym.coeffs(ns)) ** 2)) if hi > ell else 0.0
-    return TailSum(int(ell), int(truncation), value, _tail_remainder(sym, truncation))
+    return TailSum(ell, int(truncation), value, _tail_remainder(sym, truncation))
 
 
 def g_coeff_fn(sym: Symbol) -> Callable[[np.ndarray], np.ndarray]:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dppkit import dimension, measure, toeplitz
-from dppkit.errors import ConditioningError, NumericsError, SizeCapError, SymbolSpecError
-from dppkit.measure import IMAG_TOL, _GData, _parse_word, _unresolved, cylinder_log_probs_direct
+from dppkit.errors import ConditioningError, NumericsError, SizeCapError, SymbolSpecError, require_bits
+from dppkit.measure import IMAG_TOL, _GData, _unresolved, cylinder_log_probs_direct
 from dppkit.mixing import FINITE_WINDOW_CAP
 from dppkit.symbol import Symbol, g_coeff_fn, require_range
 
@@ -43,7 +43,7 @@ def build_lambda(sym: Symbol, N: int, ell: int) -> np.ndarray:
 def ratio_h(sym: Symbol, word, word_prime, ell: int) -> np.ndarray:
     """H = [T + D(eps' - 1)]^-1 Lambda* [T + D(eps - 1)]^-1 Lambda, so that
     R(eps, eps') = det(I - H), from the f-route builders."""
-    eps, eps_p = _parse_word(word), _parse_word(word_prime)
+    eps, eps_p = require_bits(word, "cylinder word"), require_bits(word_prime, "cylinder word")
     t = build_T_window(sym, eps.size)
     lam = build_lambda(sym, eps.size, ell)
     return np.linalg.solve(t + np.diag(eps_p - 1.0), lam.conj().T) @ np.linalg.solve(
@@ -59,7 +59,7 @@ def allones_witness(sym: Symbol, ell: int, N: int) -> float:
 def cylinder_prob_direct(sym: Symbol, word) -> float:
     """mu([word]) from det(D(2 eps - 1) T_N(f) + D(1 - eps))."""
     require_range(sym)
-    eps = _parse_word(word)
+    eps = require_bits(word, "cylinder word")
     t = build_T_window(sym, eps.size)
     val = np.linalg.det((2.0 * eps - 1.0)[:, None] * t + np.diag(1.0 - eps))
     if np.iscomplexobj(val):

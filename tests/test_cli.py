@@ -371,6 +371,13 @@ def _readme_option_table() -> dict[str, set[str]]:
     return {name.strip(" `"): set(re.findall(r"`([^`]+)`", options)) for name, options in rows}
 
 
+def test_readme_quick_tour_runs():
+    # the README's python block runs as written, as the CLI block does
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    assert "dk.lcs_length(seq, " in block
+    exec(compile(block, str(README), "exec"), {})
+
+
 def test_readme_option_table_matches_parser():
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))

@@ -1,0 +1,135 @@
+"""Every public entry point reads its counts through ``errors.require_int``
+and its 0/1 words through ``errors.require_bits``: a non-integer count or a
+non-binary bit is a ValueError, never a number, while numpy integers and
+numpy 0/1 arrays keep working."""
+import numpy as np
+import pytest
+
+from dppkit import (
+    PrefixState,
+    SizeCapError,
+    Symbol,
+    allones_lower_witness,
+    build_T,
+    conditional_next,
+    correlation_ratio,
+    cylinder_log_prob,
+    empirical_cylinder_test,
+    joint_cylinder_log_prob,
+    lcs_length,
+    lcs_length_dp,
+    psi_bound_report,
+    psi_finite_window,
+    rate_experiment,
+    s_n_q_table,
+    sample_many,
+    sample_prefix,
+    sigma_n_q_walsh,
+    tail_sum,
+)
+from dppkit.dimension import subset_dets
+from dppkit.errors import require_bits, require_int
+from dppkit.measure import cylinder_log_probs_direct
+
+SYM = Symbol.poisson(0.5, 0.25)
+X = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8)
+Y = np.array([1, 1, 0, 0, 1, 0, 1, 1], dtype=np.uint8)
+
+# each call with one count replaced by v, and a valid v; the other arguments are valid
+COUNT_CALLS = {
+    "s_n_q_table.n_max": (lambda v: s_n_q_table(SYM, v, 2), 2),
+    "subset_dets.N": (lambda v: subset_dets(SYM, v), 2),
+    "sigma_n_q_walsh.q": (lambda v: sigma_n_q_walsh(SYM, 2, v), 2),
+    "joint_cylinder_log_prob.gap": (lambda v: joint_cylinder_log_prob(SYM, "1", "0", v), 2),
+    "correlation_ratio.gap": (lambda v: correlation_ratio(SYM, "1", "1", v), 2),
+    "cylinder_log_probs_direct.N": (lambda v: cylinder_log_probs_direct(SYM, v), 2),
+    "PrefixState.root.window": (lambda v: PrefixState.root(SYM, window=v).window, 2),
+    "psi_bound_report.ell": (lambda v: psi_bound_report(SYM, v), 2),
+    "psi_finite_window.ell": (lambda v: psi_finite_window(SYM, v, 2), 2),
+    "psi_finite_window.N": (lambda v: psi_finite_window(SYM, 1, v), 2),
+    "allones_lower_witness.ell": (lambda v: allones_lower_witness(SYM, v, 2), 2),
+    "allones_lower_witness.N": (lambda v: allones_lower_witness(SYM, 1, v), 2),
+    "sample_prefix.n": (lambda v: sample_prefix(SYM, v, 1), 2),
+    "sample_many.count": (lambda v: sample_many(SYM, 8, v, 1), 2),
+    "empirical_cylinder_test.word_len": (lambda v: empirical_cylinder_test(SYM, v, 100, 1), 2),
+    "empirical_cylinder_test.n_samples": (lambda v: empirical_cylinder_test(SYM, 2, v, 1), 100),
+    "lcs_length.n": (lambda v: lcs_length(X, Y, v), 2),
+    "lcs_length_dp.n": (lambda v: lcs_length_dp(X, Y, v), 2),
+    "rate_experiment.n_grid": (lambda v: rate_experiment(SYM, [v], 1, 1, dim2=1.0), 16),
+    "rate_experiment.trials": (lambda v: rate_experiment(SYM, [16], v, 1, dim2=1.0), 2),
+    "tail_sum.ell": (lambda v: tail_sum(SYM, v), 2),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 4.0, True, np.float64(2.0), np.True_],
+                         ids=["1.5", "4.0", "True", "float64", "np.True_"])
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_entry_point_refuses_non_integer_count(name, value):
+    with pytest.raises(ValueError, match=r"; got .*, not an integer$"):
+        COUNT_CALLS[name][0](value)
+
+
+def _canonical(result):
+    """Arrays by their bytes, everything else by its repr."""
+    return result.tobytes() if isinstance(result, np.ndarray) else repr(result)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_entry_point_takes_numpy_integer_count(name):
+    call, good = COUNT_CALLS[name]
+    assert _canonical(call(np.int64(good))) == _canonical(call(good))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cylinder_log_prob(SYM, [0.5, 1]),
+    lambda: conditional_next(SYM, [1.9]),
+    lambda: joint_cylinder_log_prob(SYM, "1", [0.5], 1),
+    lambda: lcs_length([0.5] * 8, np.zeros(8), 8),
+    lambda: lcs_length_dp(np.zeros(8), [1, 0, 2, 0, 1, 0, 1, 0], 8),
+    lambda: build_T(SYM.coeffs, [1.0, 2.5]),
+], ids=["cylinder_log_prob", "conditional_next", "joint_cylinder_log_prob", "lcs_length",
+        "lcs_length_dp", "build_T"])
+def test_non_integer_bit_or_index_is_refused(call):
+    with pytest.raises(ValueError, match="0/1|integer set"):
+        call()
+
+
+def test_numpy_words_read_as_their_bits():
+    want = cylinder_log_prob(SYM, "1011")
+    for word in ([1, 0, 1, 1], np.array([1, 0, 1, 1]), np.array([1, 0, 1, 1], dtype=np.uint8),
+                 np.array([True, False, True, True]), [1.0, 0.0, 1.0, 1.0]):
+        assert cylinder_log_prob(SYM, word) == want
+    assert conditional_next(SYM, np.array([1, 0])) == conditional_next(SYM, "10")
+    assert lcs_length(X.astype(bool), Y.astype(np.int64)) == lcs_length(X, Y) == lcs_length_dp(X, Y)
+    assert lcs_length("".join(map(str, X)), "".join(map(str, Y))) == lcs_length(X, Y)
+
+
+def test_require_int_messages_and_classes():
+    assert require_int(np.int64(3), 1, 5, "need") == 3
+    assert type(require_int(np.int64(3), 1, 5, "need")) is int
+    with pytest.raises(ValueError, match="^need$") as info:
+        require_int(0, 1, 5, "need")
+    assert type(info.value) is ValueError
+    with pytest.raises(SizeCapError, match="^need$"):
+        require_int(6, 1, 5, "need")
+    with pytest.raises(ValueError, match=r"^need; got '3', not an integer$"):
+        require_int("3", 1, 5, "need")
+    assert require_int(10 ** 30, 1, None, "need") == 10 ** 30
+
+
+@pytest.mark.parametrize("word", ["", "012", " 01", [], [[0, 1]], ["0", "1"], [0, -1], [np.nan],
+                                  np.array([0, 2], dtype=np.uint8), [1 + 0j]])
+def test_require_bits_refuses(word):
+    with pytest.raises(ValueError, match="^w must be a non-empty 0/1 (string|sequence)"):
+        require_bits(word, "w")
+
+
+def test_require_bits_keeps_a_uint8_array():
+    bits = np.array([0, 1, 1], dtype=np.uint8)
+    assert require_bits(bits, "w") is bits
+    assert require_bits("011", "w").tolist() == [0, 1, 1]
+
+
+def test_lcs_length_dp_refuses_n_0():
+    with pytest.raises(ValueError, match="^lcs_length_dp: need n >= 1$"):
+        lcs_length_dp(X, Y, 0)

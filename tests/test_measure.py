@@ -544,3 +544,44 @@ def test_joint_log_prob_direct_block_form(poi_half):
         joint_cylinder_log_prob(poi_half, "".join(map(str, eps)), "".join(map(str, eps_p)), ell)
     )
     assert packaged == pytest.approx(float(direct.real), rel=1e-12)
+
+
+TREE_LEVELS = 9
+
+
+@pytest.mark.parametrize("window", [None, 2, 3])
+@pytest.mark.parametrize("name", ["power_decay", "trig_poly-complex"])
+def test_tree_level_corners_match_eager_oracle(name, window):
+    # every node of a prefix tree, extended level by level as s_n_q_table
+    # extends it, has the eager route's corner, theta and log_prob.  Moment
+    # sums alone would not show a wrong corner: on the complex symbol,
+    # forming the children of 1 x 1 corners in one stacked update (numpy's
+    # SIMD loop, with a fused multiply-add) leaves an imaginary residue of
+    # -3.2e-18 where the eager route has 0, and every later level inherits
+    # it, while every log_prob and moment sum stays byte-equal
+    sym = LAZY_SYMBOLS[name]
+    lazy, eager = [PrefixState.root(sym, window=window)], [EagerPrefixState.root(sym, window=window)]
+    for _ in range(TREE_LEVELS):
+        lazy = [state.extend(bit) for state in lazy for bit in (0, 1)]
+        eager = [state.extend(bit) for state in eager for bit in (0, 1)]
+        for a, b in zip(lazy, eager):
+            assert a.log_prob == b.log_prob
+            assert _same(a.corner, b.corner) and _same(a.theta, b.theta)
+
+
+def test_tree_level_corners_match_eager_oracle_up_to_the_first_error():
+    # arc_indicator(0.3,0.7) meets a vanishing extension factor on a 15-bit
+    # prefix: every node above it matches, and both routes raise there alike
+    sym = LAZY_SYMBOLS["arc_indicator"]
+    lazy, eager = [PrefixState.root(sym)], [EagerPrefixState.root(sym)]
+    while True:
+        got = _outcome(lambda: [state.extend(bit) for state in lazy for bit in (0, 1)])
+        want = _outcome(lambda: [state.extend(bit) for state in eager for bit in (0, 1)])
+        if isinstance(want, str):
+            assert got == want
+            break
+        lazy, eager = got, want
+        for a, b in zip(lazy, eager):
+            assert a.log_prob == b.log_prob
+            assert _same(a.corner, b.corner) and _same(a.theta, b.theta)
+    assert lazy[0].length == ORACLE_DEPTH["arc_indicator"]
