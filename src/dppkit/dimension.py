@@ -37,7 +37,6 @@ SNQ_CAP = 22
 STACK_BYTES = 256 * 1024
 SIGMA_CAP = 18
 WALSH_CAP_BITS = 20
-BETA_POINTS = 41
 BETA_XATOL = 1e-10
 
 LOG2 = math.log(2.0)
@@ -130,11 +129,8 @@ def subset_dets(sym: Symbol, N: int) -> np.ndarray:
     out[0] = 1.0  # empty subset convention
     for size in range(1, N + 1):
         group = np.nonzero(popcount == size)[0]
-        stack = np.empty((group.size, size, size), dtype=tg.dtype)
-        for row, m in enumerate(group):
-            ix = np.nonzero(bits[m])[0]
-            stack[row] = tg[np.ix_(ix, ix)]
-        dets = np.linalg.det(stack)
+        ix = np.nonzero(bits[group])[1].reshape(group.size, size)
+        dets = np.linalg.det(tg[ix[:, :, None], ix[:, None, :]])
         out[group] = dets.real if np.iscomplexobj(dets) else dets
     return out
 
@@ -239,11 +235,14 @@ def _upper_bound_at_beta(g: np.ndarray, beta: float) -> tuple[float, bool]:
 def corr_dim_szego_upper(sym: Symbol) -> float:
     """min over beta in [-1,1] of 1 - (1/log 2) integral log((1+beta*g)^2/(1+beta^2)).
 
-    Every beta yields a valid upper bound, and the objective is convex in
-    beta (log(1+beta*g)^2 and -log(1+beta^2) are concave on [-1, 1]), so a
-    grid scan bracketed by a golden-section search returns the minimum.
-    Betas whose integrand needed clamping count as +inf (clamping would
-    spoil validity); beta = 0 always gives the safe value 1.
+    Every beta yields a valid upper bound; betas whose integrand needed
+    clamping count as +inf (clamping would spoil validity), and beta = 0
+    gives exactly 1.  The objective is convex in beta where it is finite
+    (log(1+beta*g)^2 and -log(1+beta^2) are concave on [-1, 1]).  A node
+    clamps only where |1+beta*g| < sqrt(SZEGO_CLAMP (1+beta^2)), within about
+    1.5e-7 of beta = -1/g, and the range gate keeps |1/g| >= 1 - 2e-10; so the
+    clamped betas form two intervals touching -1 and 1, the objective is
+    unimodal on [-1, 1], and one golden-section search over it finds the minimum.
     """
     g = _g_on_szego_grid(sym)
 
@@ -251,13 +250,7 @@ def corr_dim_szego_upper(sym: Symbol) -> float:
         val, clamped = _upper_bound_at_beta(g, beta)
         return math.inf if clamped else val
 
-    best, best_beta = 1.0, 0.0  # beta = 0
-    for beta in np.linspace(-1.0, 1.0, BETA_POINTS):
-        val = objective(float(beta))
-        if val < best:
-            best, best_beta = val, float(beta)
-    # golden-section search on the bracket around the best grid point
-    a, b = max(-1.0, best_beta - 0.1), min(1.0, best_beta + 0.1)
+    a, b = -1.0, 1.0
     c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
     fc, fd = objective(c), objective(d)
     while b - a > BETA_XATOL:
@@ -269,4 +262,4 @@ def corr_dim_szego_upper(sym: Symbol) -> float:
             a, c, fc = c, d, fd
             d = a + INV_PHI * (b - a)
             fd = objective(d)
-    return min(best, fc, fd)
+    return min(1.0, fc, fd)

@@ -200,7 +200,7 @@ class LcsExperimentRow:
 
 
 def _trial_seeds(seed: int, n_index: int, trial: int) -> tuple[int, int]:
-    ss = np.random.SeedSequence(entropy=int(seed) & (2 ** 64 - 1),
+    ss = np.random.SeedSequence(entropy=seed & (2 ** 64 - 1),
                                 spawn_key=(n_index, trial))
     a, b = ss.generate_state(2, dtype=np.uint64)
     return int(a), int(b)
@@ -221,6 +221,7 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
     if not ns:
         raise ValueError(need)
     trials = require_int(trials, 1, None, "rate_experiment: need trials >= 1")
+    seed = require_int(seed, 0, None, "rate_experiment: need seed >= 0")
     certified = True
     if dim2 is None:
         est = dimension.dim_q_estimate(sym, 2, DIM2_NMAX)

@@ -65,6 +65,7 @@ def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "
     state) or an int >= 0 (see ``measure.PrefixState``).
     """
     n = require_int(n, 1, None, "sample_prefix: need n >= 1")
+    seed = require_int(seed, 0, None, "sample_prefix: need seed >= 0")
     if window == "auto":
         window = _auto_window(sym, n)
     state = PrefixState.root(sym, window=window)  # the range gate, also for the i.i.d. path
@@ -73,21 +74,21 @@ def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "
     bits = np.empty(n, dtype=np.uint8)
     if window == 0:
         # conditionals are constant: i.i.d. Bernoulli(fhat(0)) fast path
-        p1 = 0.5 * (1.0 + state.gd.g0.real)
-        np.less(uni, p1, out=bits.view(bool))
+        np.less(uni, state.conditional_one(), out=bits.view(bool))
     else:
         for k in range(n):
             p1 = state.conditional_one()
             bit = 1 if uni[k] < p1 else 0
             bits[k] = bit
             state = state.extend(bit)
-    return BinarySequence(bits, int(seed), sym.fingerprint)
+    return BinarySequence(bits, seed, sym.fingerprint)
 
 
 def sample_many(sym: Symbol, n: int, count: int, seed: int) -> list[BinarySequence]:
     """Independent trajectories; trajectory i uses stream seed ^ i."""
     count = require_int(count, 1, None, "sample_many: need count >= 1")
-    return [sample_prefix(sym, n, int(seed) ^ i) for i in range(count)]
+    seed = require_int(seed, 0, None, "sample_many: need seed >= 0")
+    return [sample_prefix(sym, n, seed ^ i) for i in range(count)]
 
 
 def _chi2_sf_odd(x: float, dof: int) -> float:

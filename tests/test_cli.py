@@ -264,6 +264,7 @@ def _raising(exc_type):
          "cylinder: give --word or --N, not both"),
         (["dimension", "--symbol", FAIR, "--nmax", "0"], None, 64,
          "s_n_q_table: need 1 <= n_max <= 22"),
+        (["psi", "--symbol", POISSON, "--ell", "5..3"], None, 64, "empty --ell"),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):

@@ -50,13 +50,16 @@ COUNT_CALLS = {
     "allones_lower_witness.ell": (lambda v: allones_lower_witness(SYM, v, 2), 2),
     "allones_lower_witness.N": (lambda v: allones_lower_witness(SYM, 1, v), 2),
     "sample_prefix.n": (lambda v: sample_prefix(SYM, v, 1), 2),
+    "sample_prefix.seed": (lambda v: sample_prefix(SYM, 8, v), 2),
     "sample_many.count": (lambda v: sample_many(SYM, 8, v, 1), 2),
+    "sample_many.seed": (lambda v: sample_many(SYM, 8, 2, v), 2),
     "empirical_cylinder_test.word_len": (lambda v: empirical_cylinder_test(SYM, v, 100, 1), 2),
     "empirical_cylinder_test.n_samples": (lambda v: empirical_cylinder_test(SYM, 2, v, 1), 100),
     "lcs_length.n": (lambda v: lcs_length(X, Y, v), 2),
     "lcs_length_dp.n": (lambda v: lcs_length_dp(X, Y, v), 2),
     "rate_experiment.n_grid": (lambda v: rate_experiment(SYM, [v], 1, 1, dim2=1.0), 16),
     "rate_experiment.trials": (lambda v: rate_experiment(SYM, [16], v, 1, dim2=1.0), 2),
+    "rate_experiment.seed": (lambda v: rate_experiment(SYM, [16], 1, v, dim2=1.0), 2),
     "tail_sum.ell": (lambda v: tail_sum(SYM, v), 2),
 }
 
@@ -78,6 +81,14 @@ def _canonical(result):
 def test_entry_point_takes_numpy_integer_count(name):
     call, good = COUNT_CALLS[name]
     assert _canonical(call(np.int64(good))) == _canonical(call(good))
+
+
+@pytest.mark.parametrize("name", ["sample_prefix", "sample_many", "rate_experiment"])
+def test_entry_point_refuses_negative_seed(name):
+    # rate_experiment once masked -1 to 2^64 - 1 and ran it
+    call = COUNT_CALLS[f"{name}.seed"][0]
+    with pytest.raises(ValueError, match=f"^{name}: need seed >= 0$"):
+        call(-1)
 
 
 @pytest.mark.parametrize("call", [

@@ -27,6 +27,8 @@ def test_input_validation(fair):
     short = sample_prefix(fair, 10, seed=3)
     with pytest.raises(ValueError):
         lcs_length(short, short, 11)
+    with pytest.raises(ValueError, match="n_grid must contain integers >= 2"):
+        rate_experiment(fair, [], 1, 1, dim2=1.0)
 
 
 def _oracle_cases(rng):
@@ -51,6 +53,8 @@ def _oracle_cases(rng):
     for n in (1, 63, 64, 65, 300):
         zeros = np.zeros(n, dtype=int)
         yield zeros, zeros.copy(), n
+    # M_n = 100 >= 64, and y's ones, which x lacks, reset the automaton scan
+    yield np.zeros(130, dtype=int), np.r_[np.zeros(100, dtype=int), np.ones(30, dtype=int)], 130
 
 
 def test_oracle_agreement_random_pairs():

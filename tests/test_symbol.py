@@ -126,6 +126,13 @@ def test_tail_sum_monotone_and_bandlimited(rc_half, poi_half):
     assert tail_sum(rc_half, 1, 50).remainder_bound == 0.0
 
 
+def test_tail_sum_refuses_ell_at_truncation(poi_half):
+    # truncation is an argument, not a size cap: a plain ValueError
+    with pytest.raises(ValueError, match="^tail_sum: need 0 <= ell < truncation$") as info:
+        tail_sum(poi_half, 10, 10)
+    assert type(info.value) is ValueError
+
+
 def test_poisson_remainder_is_a_true_bound(poi_half):
     short = tail_sum(poi_half, 1, truncation=5)
     long = tail_sum(poi_half, 1, truncation=500)
