@@ -125,12 +125,9 @@ def _cmd_cylinder(sym: Symbol, args):
     if args.word:
         logs = [(w, measure.cylinder_log_prob(sym, w)) for w in args.word]
     elif args.N is not None:
-        if args.N < 1:
-            raise ValueError("cylinder: --N must be at least 1")
-        if args.N > 12:
-            raise SizeCapError("cylinder enumeration caps at N = 12")
-        logs = zip(map(measure._word_str, measure.word_bits(args.N)),
-                   measure.cylinder_log_probs_direct(sym, args.N))
+        # first, so the library's 1 <= N <= 14 gate runs before word_bits forms 2^N words
+        log_probs = measure.cylinder_log_probs_direct(sym, args.N)
+        logs = zip(map(measure._word_str, measure.word_bits(args.N)), log_probs)
     else:
         raise ValueError("cylinder: provide --word or --N")
     rows = [(w, math.exp(lp), lp / math.log(2)) for w, lp in logs]
@@ -150,8 +147,9 @@ def _cmd_psi(sym: Symbol, args):
 
 def _cmd_dimension(sym: Symbol, args):
     est = dimension.dim_q_estimate(sym, args.q, args.nmax)
-    summary = (est.fekete_lower, est.last_estimate, est.certified, est.szego_lower,
-               est.szego_upper)
+    szego = ((dimension.corr_dim_szego_lower(sym), dimension.corr_dim_szego_upper(sym))
+             if args.q == 2 else (None, None))
+    summary = (est.fekete_lower, est.last_estimate, est.certified) + szego
     rows = [(args.q, int(n), float(l2), float(e)) + summary
             for n, l2, e in zip(est.table.N, est.table.log2_S_N, est.table.estimate_N)]
     return ("q", "N", "log2_S_N", "estimate_N", "fekete_lower", "last_estimate", "certified",

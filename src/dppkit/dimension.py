@@ -173,12 +173,14 @@ class SNQTable:
 
 @dataclass(frozen=True)
 class DimensionEstimate:
-    """Finite-N dimension estimates with a Fekete-certified lower bound.
+    """Finite-N dimension estimates from the moment sums, with a
+    Fekete-certified lower bound.
 
     ``certified`` is True when the symbol is one-sided around 1/2 and q is
     an integer >= 2, the regime where sub-multiplicativity makes
-    ``fekete_lower`` a true lower bound.  Quadrature bounds on the
-    correlation dimension are attached for q = 2.
+    ``fekete_lower`` a true lower bound.  The quadrature bounds on the
+    correlation dimension depend on the symbol alone and are their own
+    calls, ``corr_dim_szego_lower`` and ``corr_dim_szego_upper``.
     """
 
     q: float
@@ -186,29 +188,18 @@ class DimensionEstimate:
     fekete_lower: float
     last_estimate: float
     certified: bool
-    szego_lower: float | None
-    szego_upper: float | None
 
 
 def dim_q_estimate(sym: Symbol, q: float, n_max: int) -> DimensionEstimate:
     log2s = s_n_q_table(sym, n_max, q)
     ns = np.arange(1, n_max + 1)
     est = -log2s / ((q - 1.0) * ns)
-    table = SNQTable(q, ns, log2s, est)
-    certified = one_sidedness(sym) != 0 and q >= 2 and float(q).is_integer()
-    lower = None
-    upper = None
-    if q == 2:
-        lower = corr_dim_szego_lower(sym)
-        upper = corr_dim_szego_upper(sym)
     return DimensionEstimate(
         q=q,
-        table=table,
+        table=SNQTable(q, ns, log2s, est),
         fekete_lower=float(est.max()),
         last_estimate=float(est[-1]),
-        certified=certified,
-        szego_lower=lower,
-        szego_upper=upper,
+        certified=one_sidedness(sym) != 0 and q >= 2 and float(q).is_integer(),
     )
 
 

@@ -252,8 +252,10 @@ def _bordered(source, pick, tp, s, window):
 class _CornerStack:
     """The inverse corners of n prefixes of one length, as one (n, k, k)
     stack, with their signs theta as one (n, k) stack.  A stack of one (a
-    chain) keeps its arrays without the leading axis, as numpy sets up 2-D
-    arithmetic faster than 3-D.
+    chain) keeps its arrays without the leading axis: numpy sets up 2-D
+    arithmetic faster than 3-D, and a (1, k, k) chain changes corner bytes
+    (on an arc_indicator chain a diagonal entry got imaginary part 5.2e-33
+    where the eager route has 0).
 
     ``PrefixState.extend`` appends each child of a row to the stack's
     ``pending`` child stack: its parent row, bit sign tp and extension

@@ -94,10 +94,12 @@ class Symbol:
     def power_decay(cls, a: float, c: float, p: float, cutoff: int) -> "Symbol":
         """fhat(0) = a, fhat(n) = c/|n|^p for 1 <= |n| <= cutoff."""
         _require(all(math.isfinite(v) for v in (a, c, p)), "power_decay: non-finite parameter")
-        _require(float(cutoff).is_integer() and int(cutoff) >= 1,
-                 "power_decay: cutoff must be an integer >= 1")
+        try:
+            cutoff = require_int(cutoff, 1, None, "power_decay: cutoff must be an integer >= 1")
+        except ValueError as exc:
+            raise SymbolSpecError(str(exc)) from exc
         _require(p > 0, "power_decay: need p > 0")
-        return cls("power_decay", {"a": float(a), "c": float(c), "p": float(p), "cutoff": int(cutoff)})
+        return cls("power_decay", {"a": float(a), "c": float(c), "p": float(p), "cutoff": cutoff})
 
     @classmethod
     def arc_indicator(cls, alpha: float, beta: float) -> "Symbol":

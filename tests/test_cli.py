@@ -258,7 +258,8 @@ def _raising(exc_type):
          "ConditioningError"),
         (["psi", "--symbol", POISSON, "--ell", "1"], dppkit.NumericsError, 1, "NumericsError"),
         (["psi", "--symbol", POISSON, "--ell", "1"], np.linalg.LinAlgError, 1, "LinAlgError"),
-        (["cylinder", "--symbol", POISSON, "--N", "0"], None, 64, "cylinder: --N must be at least 1"),
+        (["cylinder", "--symbol", POISSON, "--N", "0"], None, 64,
+         "cylinder_log_probs_direct: need 1 <= N <= 14"),
         (["coeffs", "--symbol", POISSON, "--out", "nodir/x.csv"], None, 64, "cannot write --out: "),
         (["cylinder", "--symbol", POISSON, "--word", "1", "--N", "3"], None, 64,
          "cylinder: give --word or --N, not both"),
@@ -342,13 +343,17 @@ GOLDEN_CASES = {
     "usage-unknown-field": ["cylinder", "--symbol",
                             '{"family":"constant","params":{"a":0.5},"mystery":1}', "--word", "1"],
     "usage-out-nodir": ["coeffs", "--symbol", POISSON, "--out", "nodir/x.csv"],
-    "cap-cylinder-N13": ["cylinder", "--symbol", POISSON, "--N", "13"],
+    "cap-cylinder-N15": ["cylinder", "--symbol", POISSON, "--N", "15"],
     "cap-psi-N8": ["psi", "--symbol", POISSON, "--ell", "1", "--N", "8"],
     "cap-dimension-nmax30": ["dimension", "--symbol", FAIR, "--nmax", "30"],
     # moment sums below 2^(N - 1022), which subnormal terms can move by more than one ulp
     "underflow-dimension-q200": ["dimension", "--symbol",
                                  '{"family":"poisson","params":{"c":0.75,"r":0.125}}',
                                  "--q", "200", "--nmax", "14"],
+    # Szego columns of a symbol whose quadrature bounds are not 1.0
+    "dimension-poisson-q2": ["dimension", "--symbol",
+                             '{"family":"poisson","params":{"c":0.75,"r":0.125}}',
+                             "--q", "2", "--nmax", "8"],
     # symbols with range exactly [0, 1], and a complex band-limited symbol
     "arc-cylinder-N8": ["cylinder", "--symbol", ARC, "--N", "8"],
     "arc-cylinder-N10": ["cylinder", "--symbol", ARC, "--N", "10"],

@@ -18,7 +18,7 @@ from dppkit.dimension import subset_dets
 from dppkit.measure import cylinder_log_probs_direct
 from dppkit.mixing import SizeCapError
 from dppkit.symbol import g_coeff_fn
-from dppkit import build_T
+from dppkit import build_T, dimension, rate_experiment
 
 from conftest import random_interior_symbol
 from oracles import (corr_dim_szego_upper_brent, corr_dim_szego_upper_grid, s_n_q_direct,
@@ -176,8 +176,21 @@ def test_corr_dim_szego_bounds_check_range(bound):
 def test_corr_dim_bounds_bracket_one_sided_symbols(poi_high):
     for sym in (Symbol.constant(0.75), poi_high, Symbol.raised_cosine(0.75, 0.25)):
         est = dim_q_estimate(sym, 2, 12)
-        assert est.szego_lower - 1e-6 <= est.fekete_lower
-        assert est.last_estimate <= est.szego_upper + 1e-6
+        assert corr_dim_szego_lower(sym) - 1e-6 <= est.fekete_lower
+        assert est.last_estimate <= corr_dim_szego_upper(sym) + 1e-6
+
+
+def test_estimate_computes_no_quadrature_bound(monkeypatch):
+    # the Szego bounds depend on the symbol alone; neither the estimator nor
+    # rate_experiment's default dim2 computes them
+    def planted(sym):
+        raise AssertionError("quadrature bound computed")
+
+    monkeypatch.setattr(dimension, "corr_dim_szego_lower", planted)
+    monkeypatch.setattr(dimension, "corr_dim_szego_upper", planted)
+    sym = Symbol.poisson(0.75, 0.125)
+    assert dim_q_estimate(sym, 2, 6).table.N.size == 6
+    assert len(rate_experiment(sym, [16], 1, 1)) == 1
 
 
 def test_submult_margins_from_s_n_q_table(poi_high):

@@ -44,6 +44,7 @@ COUNT_CALLS = {
     "correlation_ratio.gap": (lambda v: correlation_ratio(SYM, "1", "1", v), 2),
     "cylinder_log_probs_direct.N": (lambda v: cylinder_log_probs_direct(SYM, v), 2),
     "PrefixState.root.window": (lambda v: PrefixState.root(SYM, window=v).window, 2),
+    "power_decay.cutoff": (lambda v: Symbol.power_decay(0.5, 0.1, 2, v), 2),
     "psi_bound_report.ell": (lambda v: psi_bound_report(SYM, v), 2),
     "psi_finite_window.ell": (lambda v: psi_finite_window(SYM, v, 2), 2),
     "psi_finite_window.N": (lambda v: psi_finite_window(SYM, 1, v), 2),
