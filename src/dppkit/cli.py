@@ -81,8 +81,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy floats too, printed as plain floats
+        return repr(float(value))
     return str(value)
 
 

@@ -43,7 +43,7 @@ import numpy as np
 from . import measure, toeplitz
 from .errors import NumericsError, SizeCapError, require_int
 from .symbol import (DEFAULT_TRUNCATION, Symbol, TailSum, contraction_margin, g_coeff_fn,
-                     require_range, tail_log_bound, tail_sum)
+                     require_range, tail_sum)
 
 FINITE_WINDOW_CAP = 7
 
@@ -55,8 +55,9 @@ class PsiBoundReport:
     ``upper_bound`` is 0.0 for a band-limited symbol at ell >= its
     bandwidth, at any tau, where psi(ell) = 0 exactly; otherwise it is None
     when the contraction margin tau is not positive (the sufficient
-    condition fails).  ``upper_approximate`` flags a missing analytic
-    remainder for the truncated tail.
+    condition fails), and inf where it passes the float range.
+    ``upper_approximate`` flags a missing analytic remainder for the
+    truncated tail.
     """
 
     ell: int
@@ -72,7 +73,8 @@ def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION
     upper = (tail/tau^2) exp(1 + tail/tau^2), or None when tau <= 0, rounded
     up so that it is never below the exact value of that formula.  Where the
     tail passes below the normal float range, the upper bound is formed from
-    the tail's logarithm (``tail_log_bound``), so it stays positive."""
+    the tail's logarithm (``TailSum.log_total``), so it stays positive.  An
+    upper bound past the float range is inf."""
     ell = require_int(ell, 1, None, "psi_bound_report: need ell >= 1")
     require_range(sym)
     t = tail_sum(sym, ell, truncation)
@@ -84,11 +86,13 @@ def psi_bound_report(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION
         upper = 0.0  # Lambda_g = 0: the two windows are independent
     elif tau > 0.0:
         approx = t.remainder_bound is None
-        log_total = tail_log_bound(sym, t)
-        if log_total is not None:
-            upper = _upper_from_log(log_total - 2.0 * math.log(tau))
-        else:
-            upper = _upper_rounded_up(t.value if approx else t.certified_total, tau)
+        try:
+            if t.log_total is not None:
+                upper = _upper_from_log(t.log_total - 2.0 * math.log(tau))
+            else:
+                upper = _upper_rounded_up(t.value if approx else t.certified_total, tau)
+        except OverflowError:  # an exponential past the float range: still never below
+            upper = math.inf
     return PsiBoundReport(ell, lower, upper, tau, t, approx)
 
 

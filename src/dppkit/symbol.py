@@ -318,12 +318,21 @@ class TailSum:
     p > 1: closed form; otherwise None and the sum is flagged approximate).
     A geometric remainder may underflow to 0.0, so 0.0 does not mean the
     sum is exact.
+
+    ``log_total`` is the log of ``value`` + ``remainder_bound`` (0 when
+    None), formed from the log-coefficients, where that total passes below
+    the normal float range (so its linear form loses digits or reads 0.0);
+    None elsewhere.  A non-degenerate poisson symbol gives the log of its
+    full tail sum_{n > ell} n |fhat(n)|^2 once the factor c^2 r^(2 ell + 2)
+    is below the normal range.  It is None, too, where every coefficient in
+    the range is exactly 0: the linear 0.0 is then exact.
     """
 
     cutoff_ell: int
     truncation_n: int
     value: float
     remainder_bound: float | None
+    log_total: float | None
 
     @property
     def certified_total(self) -> float | None:
@@ -333,89 +342,49 @@ class TailSum:
         return self.value + self.remainder_bound
 
 
-def _geometric_tail(sym: Symbol, t: int) -> float:
-    """sum_{n > t} n |fhat(n)|^2 = c^2 x^{t+1} (1 + t y) / y^2 with x = r^2 and
-    y = 1 - x, formed as (1 - r)(1 + r) so that it keeps its digits as r -> 1."""
-    c, r = sym.geometric
-    r = abs(r)
-    y = (1.0 - r) * (1.0 + r)
-    return c * c * r ** (2 * t + 2) * (1.0 + t * y) / (y * y)
-
-
-def tail_log_bound(sym: Symbol, t: TailSum) -> float | None:
-    """log of the tail that ``t`` bounds, formed from the log-coefficients,
-    where that tail passes below the normal float range (so its linear form
-    loses digits or reads 0.0); None elsewhere, at no cost beyond a compare.
-
-    A non-degenerate poisson symbol gives the closed form of its full tail
-    sum_{n > ell} n |fhat(n)|^2 once its factor c^2 r^(2 ell + 2) is below
-    the normal range.  Any other symbol whose linear total ``t.value`` +
-    ``t.remainder_bound`` is below it gives the log of the same sum over
-    ell < n <= truncation, plus the remainder bound (recomputed in log form
-    for power_decay, whose coefficient lookup itself reads 0.0 once
-    c / n^p underflows).  A band-limited symbol needs ell < its bandwidth.
-    """
-    ell, bw = t.cutoff_ell, sym.bandwidth
-    if sym.geometric is not None:
-        c, r = map(abs, sym.geometric)
-        log_head = 2.0 * math.log(c) + (2 * ell + 2) * math.log(r)
-        if log_head >= LOG_MIN_NORMAL:
-            return None
-        y = (1.0 - r) * (1.0 + r)
-        return log_head + math.log1p(ell * y) - 2.0 * math.log(y)
-    if t.value + (t.remainder_bound or 0.0) >= sys.float_info.min:
-        return None
-    hi = t.truncation_n if bw is None else min(t.truncation_n, bw)
-    ns = np.arange(ell + 1, hi + 1)
-    if sym.family == "power_decay":
-        log_c, p = math.log(abs(sym.params["c"])), sym.params["p"]
-        terms = np.log(ns) + 2.0 * (log_c - p * np.log(ns))
-        if hi < bw and p > 1.0:  # the remainder bound c^2 hi^(2-2p) / (2p-2)
-            terms = np.append(terms, 2.0 * log_c + (2.0 - 2.0 * p) * math.log(hi)
-                              - math.log(2.0 * p - 2.0))
-    else:
-        with np.errstate(divide="ignore"):
-            terms = np.log(ns) + 2.0 * np.log(np.abs(sym.coeffs(ns)))
-    top = float(terms.max())
-    return top + math.log(float(np.sum(np.exp(terms - top))))
-
-
-def _tail_remainder(sym: Symbol, truncation: int) -> float | None:
-    """Bound on sum_{n > truncation} n |fhat(n)|^2, or None when unknown."""
-    bw = sym.bandwidth
-    if bw is not None:
-        return 0.0 if truncation >= bw else _power_remainder(sym, truncation)
-    if sym.geometric is not None:
-        return _geometric_tail(sym, truncation)
-    return None
-
-
-def _power_remainder(sym: Symbol, truncation: int) -> float | None:
-    if sym.family != "power_decay":
-        return None
-    c, p = sym.params["c"], sym.params["p"]
-    if p <= 1.0:
-        return None
-    # sum_{t < n <= cutoff} c^2 n^{1-2p} <= c^2 integral_t^inf x^{1-2p} dx
-    return c * c * truncation ** (2 - 2 * p) / (2 * p - 2)
-
-
 def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> TailSum:
-    """Sum of n*|fhat(n)|^2 for ell < n <= truncation."""
+    """Sum of n*|fhat(n)|^2 for ell < n <= truncation, with its remainder
+    bound and log total (see ``TailSum``), each family's formula in one place."""
     need = "tail_sum: need 0 <= ell < truncation"
     if (ell := require_int(ell, 0, None, need)) >= truncation:  # an argument, not a size cap
         raise ValueError(need)
     bw = sym.bandwidth
     hi = truncation if bw is None else min(truncation, bw)
-    value = None
+    value = log_total = None
+    rest = 0.0 if hi == bw else None  # a truncation at or past the bandwidth drops nothing
     if sym.geometric is not None:
-        head, rest = _geometric_tail(sym, ell), _geometric_tail(sym, truncation)
+        # sum_{n > t} n |fhat(n)|^2 = c^2 x^(t+1) (1 + t y) / y^2 with x = r^2 and
+        # y = 1 - x, formed as (1 - r)(1 + r) so that it keeps its digits as r -> 1
+        c, r = map(abs, sym.geometric)
+        y = (1.0 - r) * (1.0 + r)
+        head, rest = (c * c * r ** (2 * t + 2) * (1.0 + t * y) / (y * y) for t in (ell, truncation))
         if 2.0 * rest <= head:  # the difference cancels at most one bit
             value = head - rest
-    if value is None:
+        log_head = 2.0 * math.log(c) + (2 * ell + 2) * math.log(r)
+        if log_head < LOG_MIN_NORMAL:
+            log_total = log_head + math.log1p(ell * y) - 2.0 * math.log(y)
+    elif sym.family == "power_decay" and rest is None and sym.params["p"] > 1.0:
+        # sum_{t < n <= cutoff} c^2 n^(1-2p) <= c^2 integral_t^inf x^(1-2p) dx
+        c, p = sym.params["c"], sym.params["p"]
+        rest = c * c * truncation ** (2 - 2 * p) / (2 * p - 2)
+    if value is None and hi > ell:
         ns = np.arange(ell + 1, hi + 1)
-        value = float(np.sum(ns * np.abs(sym.coeffs(ns)) ** 2)) if hi > ell else 0.0
-    return TailSum(ell, int(truncation), value, _tail_remainder(sym, truncation))
+        mags = np.abs(sym.coeffs(ns))
+        value = float(np.sum(ns * mags ** 2))
+        if sym.geometric is None and value + (rest or 0.0) < sys.float_info.min:
+            if sym.family == "power_decay":  # its lookup reads 0.0 once c / n^p underflows
+                log_c, p = math.log(abs(sym.params["c"])), sym.params["p"]
+                terms = np.log(ns) + 2.0 * (log_c - p * np.log(ns))
+                if hi < bw and p > 1.0:  # the remainder, even where its linear form reads 0.0
+                    terms = np.append(terms, 2.0 * log_c + (2.0 - 2.0 * p) * math.log(hi)
+                                      - math.log(2.0 * p - 2.0))
+            else:
+                with np.errstate(divide="ignore"):
+                    terms = np.log(ns) + 2.0 * np.log(mags)
+            top = float(terms.max())
+            if top > -math.inf:
+                log_total = top + math.log(float(np.sum(np.exp(terms - top))))
+    return TailSum(ell, int(truncation), 0.0 if value is None else value, rest, log_total)
 
 
 def g_coeff_fn(sym: Symbol) -> Callable[[np.ndarray], np.ndarray]:

@@ -76,6 +76,14 @@ def test_cylinder_enumeration_sums_to_one(capsys):
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def test_cylinder_enumeration_prints_plain_floats(capsys):
+    # every field after the word parses as a float: the log2 column read np.float64(...)
+    code, out, _ = run_cli(["cylinder", "--symbol", POISSON, "--N", "3"], capsys)
+    assert code == 0
+    for line in out.strip().splitlines()[1:]:
+        assert all(math.isfinite(float(field)) for field in line.split(",")[1:]), line
+
+
 def test_psi_rows(capsys):
     code, out, _ = run_cli(["psi", "--symbol", POISSON, "--ell", "1..3", "--N", "2"], capsys)
     assert code == 0
@@ -105,6 +113,23 @@ def test_psi_rows_flag_approximate_upper_bound(capsys, spec, approximate):
         ["psi", "--symbol", spec, "--ell", "1", "--N", "1", "--format", "json"], capsys
     )
     assert json.loads(out)["rows"][0]["upper_approximate"] is approximate
+
+
+def test_psi_zero_coefficients_in_truncated_range(capsys):
+    # fhat(2) = fhat(3) = 0: the upper bound read nan
+    spec = '{"family":"trig_poly","coeffs":[{"n":0,"re":0.5},{"n":1,"re":0.1},{"n":4,"re":0.01}]}'
+    code, out, err = run_cli(["psi", "--symbol", spec, "--ell", "1", "--N", "2",
+                              "--truncation", "3"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "1,0.0,2,0.00043402777777777786,5e-324,0.28,True"
+
+
+def test_psi_small_margin_prints_inf(capsys):
+    # tau = 2e-4 > 0, and the upper bound passes the float range: it exited 1
+    spec = '{"family":"trig_poly","coeffs":[{"n":0,"re":0.5},{"n":1,"re":0.2},{"n":2,"re":0.0499}]}'
+    code, out, err = run_cli(["psi", "--symbol", spec, "--ell", "1..2", "--N", "2"], capsys)
+    assert code == 0 and err == ""
+    assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["inf", "0.0"]
 
 
 def test_psi_upper_not_applicable_is_empty_field(capsys):
@@ -362,6 +387,7 @@ GOLDEN_CASES = {
     "trig-cylinder-N": ["cylinder", "--symbol", TRIG, "--N", "5"],
     "trig-cylinder-word": ["cylinder", "--symbol", TRIG, "--word", "0110", "--word", "111"],
     "trig-psi": ["psi", "--symbol", TRIG, "--ell", "1..3", "--N", "3", "--format", "json"],
+    "trig-sample": ["sample", "--symbol", TRIG, "--n", "64", "--seed", "5", "--trajectories", "2"],
 }
 
 

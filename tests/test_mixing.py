@@ -117,6 +117,25 @@ def test_psi_upper_bound_from_log_keeps_the_remainder():
         assert want <= rep.upper_bound <= max(want * (1 + 1e-8), want + 2 * 5e-324)
 
 
+def test_psi_upper_bound_with_zero_coefficients_takes_the_linear_route():
+    # every coefficient over 1 < n <= 3 is exactly 0, so the tail is an exact
+    # 0.0 and has no log; the bound read nan from log terms that are all -inf
+    rep = psi_bound_report(Symbol.trig_poly([0.5, 0.1, 0.0, 0.0, 0.01]), 1, truncation=3)
+    assert rep.tail.value == 0.0 and rep.tail.log_total is None
+    assert rep.upper_bound == math.nextafter(0.0, 1.0) and rep.upper_approximate
+
+
+@pytest.mark.parametrize("sym", [
+    Symbol.trig_poly([0.5, 0.2, 0.0499]), Symbol.poisson(1e-170, 1 - 1e-15),
+], ids=["linear", "log"])
+def test_psi_upper_bound_past_float_range_is_inf(sym):
+    # tau > 0 (2e-4 and 5e-186), so the hypothesis holds, but the bound's
+    # exponential overflows, from the linear tail and from its log; inf is
+    # never below the exact value
+    rep = psi_bound_report(sym, 1)
+    assert rep.tau > 0.0 and rep.upper_bound == math.inf and not rep.upper_approximate
+
+
 @pytest.mark.parametrize("sym, ells", [
     (Symbol.poisson(0.5, 0.25), range(1, 40)),
     (Symbol.poisson(0.75, 0.125), range(1, 30)),

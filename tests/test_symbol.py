@@ -140,6 +140,26 @@ def test_poisson_remainder_is_a_true_bound(poi_half):
     assert 0.0 <= dropped <= short.remainder_bound
 
 
+def test_tail_log_total_matches_mpmath():
+    # the log of value + remainder_bound where that total underflows, at 50
+    # digits.  For power_decay the remainder c^2 10^(2-2p) / (2p - 2) = c^2/10
+    # reads 0.0 in linear form, but the log total keeps it.  The poisson sum
+    # is scaled by c^2 outside nsum, which stops early on terms near 1e-320
+    cases = [
+        (Symbol.power_decay(0.5, 1e-170, 1.5, 10 ** 6), 10,
+         lambda c: mpmath.fsum(c ** 2 / mpmath.mpf(n) ** 2 for n in range(2, 11)) + c ** 2 / 10),
+        (Symbol.poisson(1e-160, 0.5), 100_000,
+         lambda c: c ** 2 * mpmath.nsum(lambda n: n * mpmath.mpf(0.25) ** n, [2, mpmath.inf])),
+    ]
+    for sym, truncation, total in cases:
+        got = tail_sum(sym, 1, truncation)
+        assert got.value + got.remainder_bound < 2.3e-308
+        with mpmath.workdps(50):
+            want = mpmath.log(total(mpmath.mpf(sym.params["c"])))
+            assert abs(got.log_total - want) <= 1e-15 * abs(want)
+    assert tail_sum(Symbol.poisson(0.5, 0.25), 1).log_total is None
+
+
 def test_contraction_margin(fair, poi_half):
     assert contraction_margin(fair) == pytest.approx(0.5)
     assert contraction_margin(poi_half) == pytest.approx(1.0 / 6.0, rel=1e-12)
@@ -238,6 +258,14 @@ def test_range_information():
     assert Symbol.raised_cosine(0.5, 0.6).range_ok is False
     assert Symbol.raised_cosine(0.5, 0.5).range_ok is True
     assert Symbol.arc_indicator(0.0, 0.5).range_ok is True
+
+
+def test_trig_poly_spec_dict_round_trip():
+    # a complex trig_poly through spec_dict and back keeps its table and fingerprint
+    sym = Symbol.trig_poly([0.5, 0.1 + 0.12j, -0.05 + 0.07j])
+    back = symbol_from_json(json.dumps(sym.spec_dict()))
+    assert back.table.dtype == sym.table.dtype and np.array_equal(back.table, sym.table)
+    assert back.fingerprint == sym.fingerprint
 
 
 def test_fingerprint_distinguishes_symbols():
