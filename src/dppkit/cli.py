@@ -13,8 +13,9 @@ but sample and selftest, ``--seed`` on sample and lcs-experiment only;
 selftest takes none.
 
 Exit codes: 0 success; 1 internal numeric failure; 2 hypothesis or size-cap
-violation; 64 malformed symbol spec / usage.  ``main`` maps error classes to
-them through ``_EXIT_CODES``.
+violation, or an input too large for memory (``MemoryError``); 64 malformed
+symbol spec / usage.  ``main`` maps error classes to them through
+``_EXIT_CODES``.
 """
 from __future__ import annotations
 
@@ -235,6 +236,9 @@ def _json_diagnostic(exc: Exception) -> str:
 # (error classes, exit code, stderr line); the first row that matches wins
 _EXIT_CODES = (
     ((HypothesisError, SizeCapError, ConditioningError), EXIT_HYPOTHESIS, _json_diagnostic),
+    # an input too large to hold; numpy raises a private subclass, named here by its base
+    ((MemoryError,), EXIT_HYPOTHESIS,
+     lambda exc: json.dumps({"error": "MemoryError", "message": str(exc)})),
     ((ArithmeticError, np.linalg.LinAlgError), EXIT_NUMERIC, _json_diagnostic),
     ((ValueError,), EXIT_USAGE, lambda exc: f"error: {exc}"),
 )
@@ -250,7 +254,7 @@ def main(argv=None) -> int:
         return EXIT_OK if selftest.run_selftest() else EXIT_NUMERIC
     try:
         _emit(args, *args.fn(_load_symbol(args.symbol), args))
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         _, code, line = next(row for row in _EXIT_CODES if isinstance(exc, row[0]))
         print(line(exc), file=sys.stderr)
         return code

@@ -131,7 +131,7 @@ def subset_dets(sym: Symbol, N: int) -> np.ndarray:
         group = np.nonzero(popcount == size)[0]
         ix = np.nonzero(bits[group])[1].reshape(group.size, size)
         dets = np.linalg.det(tg[ix[:, :, None], ix[:, None, :]])
-        out[group] = dets.real if np.iscomplexobj(dets) else dets
+        out[group] = dets.real
     return out
 
 

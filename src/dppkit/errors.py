@@ -32,10 +32,9 @@ class NumericsError(ArithmeticError):
 def require_int(value, lo: int, cap: int | None, need: str) -> int:
     """``value`` as an int in [lo, cap] (no cap when None).  A bool or a non-integer, 4.0
     too, is a ValueError naming it; below lo, ValueError(need); above cap, SizeCapError(need)."""
-    if type(value) is not int:
-        if isinstance(value, bool) or not hasattr(value, "__index__"):
-            raise ValueError(f"{need}; got {value!r}, not an integer")
-        value = value.__index__()
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{need}; got {value!r}, not an integer")
+    value = value.__index__()
     if value < lo:
         raise ValueError(need)
     if cap is not None and value > cap:

@@ -196,7 +196,9 @@ class LcsExperimentRow:
     ratio: float            # mean_Mn / ln(n)
     ratio_loglog: float     # mean over trials of log(M_n) / log(n)
     target: float           # (2/ln 2) / dim2
-    target_certified: bool  # dim2 was given, or its estimate is certified
+    # dim2 was given, or it is a certified Fekete lower bound on D2, so that
+    # target is an upper bound on the limit of M_n / ln n
+    target_certified: bool
 
 
 def _trial_seeds(seed: int, n_index: int, trial: int) -> tuple[int, int]:
@@ -213,8 +215,10 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
     The target column divides 2/ln 2 by ``dim2``.  When ``dim2`` is not
     supplied it is the ``fekete_lower`` of the dimension module up to
     N = DIM2_NMAX, and ``target_certified`` says whether that is a certified
-    lower bound (it is not for two-sided symbols).  Trial t of row j derives its two
-    sampling seeds from SeedSequence((seed, (j, t))).
+    lower bound on D2 (it is not for two-sided symbols); the target is then an
+    upper bound on the limit of M_n / ln n.  ``seed`` is an int in [0, 2^64).
+    Trial t of row j derives its two sampling seeds from
+    SeedSequence((seed, (j, t))).
     """
     need = "rate_experiment: n_grid must contain integers >= 2"
     ns = [require_int(v, 2, None, need) for v in n_grid]
@@ -222,6 +226,8 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
         raise ValueError(need)
     trials = require_int(trials, 1, None, "rate_experiment: need trials >= 1")
     seed = require_int(seed, 0, None, "rate_experiment: need seed >= 0")
+    if seed >= 2 ** 64:  # _trial_seeds keeps the low 64 bits
+        raise ValueError("rate_experiment: need seed < 2^64")
     certified = True
     if dim2 is None:
         est = dimension.dim_q_estimate(sym, 2, DIM2_NMAX)

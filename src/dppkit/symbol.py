@@ -190,11 +190,7 @@ class Symbol:
         scalar = np.isscalar(t)
         t = np.atleast_1d(np.asarray(t, dtype=float)) % 1.0
         fam, p = self.family, self.params
-        if fam == "constant":
-            out = np.full(t.shape, p["a"])
-        elif fam == "raised_cosine":
-            out = p["a"] + p["b"] * np.cos(2 * np.pi * t)
-        elif fam == "poisson":
+        if fam == "poisson":
             c, r = p["c"], p["r"]
             out = c * (1 - r * r) / (1 - 2 * r * np.cos(2 * np.pi * t) + r * r)
         elif fam == "arc_indicator":
@@ -220,9 +216,7 @@ class Symbol:
         if fam in ("constant", "raised_cosine", "poisson", "arc_indicator"):
             return np.asarray(self.eval(np.arange(m) / m), dtype=float)
         bw = self.bandwidth
-        big = m
-        while big < 2 * bw + 2:
-            big += m
+        big = -(-(2 * bw + 2) // m) * m  # the least multiple of m that is >= 2 bw + 2
         c = np.zeros(big // 2 + 1, dtype=complex)
         c[: bw + 1] = self.coeffs(np.arange(bw + 1))
         vals = np.fft.irfft(c * big, n=big)

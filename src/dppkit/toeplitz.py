@@ -9,7 +9,6 @@ when the symbol has real coefficients).
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -54,8 +53,6 @@ def log_det(m: np.ndarray) -> LogDet:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("log_det: need a square matrix")
     sign, logabs = np.linalg.slogdet(m)
-    if sign == 0:
-        return LogDet(-math.inf, 0.0 + 0.0j)
     return LogDet(float(logabs), complex(sign))
 
 

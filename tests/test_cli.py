@@ -291,6 +291,7 @@ def _raising(exc_type):
         (["dimension", "--symbol", FAIR, "--nmax", "0"], None, 64,
          "s_n_q_table: need 1 <= n_max <= 22"),
         (["psi", "--symbol", POISSON, "--ell", "5..3"], None, 64, "empty --ell"),
+        (["psi", "--symbol", POISSON, "--ell", "1"], MemoryError, 2, "MemoryError"),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):
@@ -303,6 +304,43 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, err
         assert err.startswith(f"error: {error}") and err.count("\n") == 1
     else:
         assert json.loads(err) == {"error": error, "message": "planted"}
+
+
+def _array_memory_error() -> MemoryError:
+    """numpy's own MemoryError subclass, as an allocation too large for
+    memory raises it, built without allocating anything."""
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError((2 ** 40,), np.dtype(np.float64))
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["sample", "--symbol", FAIR, "--n", str(2 ** 40)], "sampler.sample_many"),
+    (["lcs-experiment", "--symbol", FAIR, "--ngrid", "2^40"], "lcs.rate_experiment"),
+])
+def test_numpy_memory_error_exits_2(monkeypatch, capsys, argv, where):
+    # planted where the CLI calls the library: no test allocates a large array
+    exc = _array_memory_error()
+    assert isinstance(exc, MemoryError) and type(exc) is not MemoryError
+
+    def raise_planted(*args, **kwargs):
+        raise exc
+
+    module, name = where.split(".")
+    monkeypatch.setattr(getattr(dppkit, module), name, raise_planted)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "MemoryError", "message": str(exc)}
+
+
+def test_lcs_experiment_refuses_a_seed_past_64_bits(capsys):
+    argv = ["lcs-experiment", "--symbol", FAIR, "--ngrid", "2^4", "--trials", "1"]
+    code, out, err = run_cli(argv + ["--seed", str(2 ** 64)], capsys)
+    assert (code, out, err) == (64, "", "error: rate_experiment: need seed < 2^64\n")
+    code, out, _ = run_cli(argv + ["--seed", str(2 ** 64 - 1)], capsys)
+    assert code == 0 and len(out.splitlines()) == 2
 
 
 def _readme_cli_examples() -> list[list[str]]:

@@ -110,6 +110,15 @@ def test_rate_experiment_flags_uncertified_target():
     assert not rows[0].target_certified
 
 
+def test_rate_experiment_refuses_a_seed_past_64_bits(fair):
+    # the trial seeds keep the seed's low 64 bits, so 2^64 would rerun seed 0
+    with pytest.raises(ValueError, match=r"^rate_experiment: need seed < 2\^64$") as info:
+        rate_experiment(fair, [16], 1, 2 ** 64, dim2=1.0)
+    assert info.type is ValueError
+    rows = rate_experiment(fair, [16], 1, 2 ** 64 - 1, dim2=1.0)
+    assert [r.n for r in rows] == [16]
+
+
 def test_identical_pair_guard():
     # degenerate harness self-check: x = y gives M_n = n, ratio n/ln n
     x = "01" * 64

@@ -8,6 +8,7 @@ import pytest
 from dppkit import (
     ConditioningError,
     HypothesisError,
+    NumericsError,
     Symbol,
     conditional_next,
     contraction_margin,
@@ -17,7 +18,8 @@ from dppkit import (
     dimension,
     s_n_q_table,
 )
-from dppkit.measure import COEFF_BLOCK, PrefixState, _one_number, cylinder_log_probs_direct
+from dppkit.measure import (COEFF_BLOCK, PrefixState, _log_probs, _one_number,
+                            cylinder_log_probs_direct)
 from dppkit import build_T, joint_cylinder_log_prob
 from dppkit.symbol import g_coeff_fn
 
@@ -448,6 +450,32 @@ def test_lazy_extend_raises_where_eager_does(route):
     with pytest.raises(ConditioningError,
                        match="^prefix probability vanishes extending with bit 0 at position 1$"):
         state.extend(0)
+
+
+@pytest.mark.parametrize("route", [PrefixState, EagerPrefixState])
+def test_conditional_one_refuses_an_imaginary_residue(route):
+    # alpha itself, not an extension factor, carries the residue here
+    state = route.root(Symbol.arc_indicator(0.1, 0.45))
+    for bit in "111111110":
+        state = state.extend(int(bit))
+    with pytest.raises(ConditioningError, match=r"^prefix mass 3\.62e-19 too small to resolve at "
+                       r"position 9: \|s\| = 0\.00135, imaginary residue 6\.36e-10$"):
+        state.conditional_one()
+    if route is PrefixState:
+        with pytest.raises(ConditioningError, match=r"^prefix mass 3\.62e-19 .* residue 6\.36e-10$"):
+            conditional_next(Symbol.arc_indicator(0.1, 0.45), "111111110")
+
+
+def test_log_probs_negative_determinant_boundary():
+    # a negative determinant is mass 0 only below log|det| = -200
+    with pytest.raises(NumericsError, match="^cylinder determinant is negative$"):
+        _log_probs(np.array([[[-1e-80]]]))
+    assert _log_probs(np.array([[[-1e-90]]])).tolist() == [-math.inf]
+
+
+def test_correlation_ratio_refuses_a_vanishing_marginal():
+    with pytest.raises(ConditioningError, match="^marginal cylinder probability vanishes$"):
+        correlation_ratio(Symbol.constant(1.0), "0", "0", 1)
 
 
 def _first_subtree_depth(sym) -> int:
