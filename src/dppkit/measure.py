@@ -30,7 +30,7 @@ from .errors import ConditioningError, NumericsError, require_bits, require_int
 from .symbol import Symbol, g_coeff_fn
 
 IMAG_TOL = 1e-10
-# g-coefficients a full-state prefix caches at first (see ``_GData``)
+# g-coefficients a corner prefix state caches at first (see ``_GData``)
 COEFF_BLOCK = 64
 
 
@@ -176,14 +176,14 @@ class _GData:
     kept (see ``PrefixState``): ``kx`` with alpha = g0 - kx x, and for a
     geometric symbol ``c2`` = 2c and ``r2`` = r^2 (``c2`` is None at
     bandwidth <= 1).  Otherwise ``gpos`` and ``gneg`` hold ghat(n) and
-    ghat(-n) for n = 0 .. size - 1, of the symbol's coefficient dtype: window
-    + 1 of them for a windowed state, else COEFF_BLOCK at first, doubled
-    whenever a corner outgrows them (see ``reversed_rows``).
+    ghat(-n) for n = 0 .. size - 1, of the symbol's coefficient dtype:
+    COEFF_BLOCK at first, doubled whenever a corner outgrows them (see
+    ``reversed_rows``), so a prefix reads only as many as its corner needs.
     """
 
     __slots__ = ("ghat", "g0", "gpos", "gneg", "real", "kx", "c2", "r2")
 
-    def __init__(self, sym: Symbol, window: int | None, one_number: bool = False):
+    def __init__(self, sym: Symbol, one_number: bool = False):
         ghat = self.ghat = g_coeff_fn(sym)
         self.real = sym.has_real_coeffs
         self.kx = self.c2 = self.r2 = None
@@ -197,7 +197,7 @@ class _GData:
                 self.kx = g1
             return
         self.gpos = np.zeros(0)
-        self.reversed_rows(COEFF_BLOCK - 1 if window is None else window)
+        self.reversed_rows(COEFF_BLOCK - 1)
         self.g0 = self.gpos[0]
 
     def reversed_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +379,7 @@ class PrefixState:
             window = require_int(window, 0, None,
                                  f"prefix state window must be None or an int >= 0, got {window!r}")
         one_number = _one_number(sym, window)
-        gd = _GData(sym, window, one_number)
+        gd = _GData(sym, one_number)
         if one_number:
             return cls(gd, window, 0, 0.0, x=0.0)
         dtype = np.float64 if gd.real else np.complex128

@@ -9,11 +9,12 @@ the stream seed ^ i.
 The automatic window is the symbol's exact bandwidth, or None (the full
 state) when it has none, so automatic sampling is always exact.  A poisson
 symbol, or a real one of bandwidth <= 1, has a one-number state there (see
-``measure.PrefixState``): O(1) per bit, with no length cap.  A band-limited
-symbol keeps a trailing window of the inverse as wide as its bandwidth.
-Any other symbol runs with the full state (quadratic cost per step) under
-a length cap, or with an explicit window chosen by the caller, which
-truncates the coefficients beyond it.
+``measure.PrefixState``): O(1) per bit.  A band-limited symbol keeps a
+trailing window of the inverse as wide as its bandwidth; any other symbol
+runs with the full state.  Either corner, min(n, bandwidth) or n wide,
+costs quadratic time per bit, so the automatic window caps its width at
+EXACT_LENGTH_CAP; poisson is exempt.  An explicit window chosen by the
+caller truncates the coefficients beyond it and is never capped.
 """
 from __future__ import annotations
 
@@ -49,9 +50,10 @@ class BinarySequence:
 
 def _auto_window(sym: Symbol, n: int) -> int | None:
     bw = sym.bandwidth
-    if bw is None and sym.geometric is None and n > EXACT_LENGTH_CAP:
+    width = n if bw is None else min(n, bw)  # the inverse corner's width
+    if sym.geometric is None and width > EXACT_LENGTH_CAP:
         raise SizeCapError(
-            f"no usable coefficient decay: exact sampling caps at n = {EXACT_LENGTH_CAP}; "
+            f"exact sampling caps the corner width at {EXACT_LENGTH_CAP}, got {width}; "
             "pass an explicit window for approximate sampling"
         )
     return bw

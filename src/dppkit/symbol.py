@@ -227,10 +227,6 @@ class Symbol:
     @cached_property
     def _extrema(self) -> tuple[float, float]:
         fam, p = self.family, self.params
-        if fam == "constant":
-            return p["a"], p["a"]
-        if fam == "raised_cosine":
-            return p["a"] - abs(p["b"]), p["a"] + abs(p["b"])
         if fam == "poisson":
             c, r = p["c"], abs(p["r"])
             lo, hi = c * (1 - r) / (1 + r), c * (1 + r) / (1 - r)
@@ -238,6 +234,9 @@ class Symbol:
         if fam == "arc_indicator":
             width = p["beta"] - p["alpha"]
             return (1.0, 1.0) if width >= 1.0 else (0.0, 1.0)
+        if self.bandwidth <= 1:  # fhat(0) + 2 |fhat(1)| cos(2 pi t + phase)
+            amp = 2.0 * abs(self.coeff(1))
+            return self.fhat0 - amp, self.fhat0 + amp
         vals = self.values_on_grid(RANGE_GRID)
         return float(vals.min()), float(vals.max())
 
@@ -270,12 +269,6 @@ class Symbol:
     def fingerprint(self) -> str:
         blob = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.family == "trig_poly":
-            return f"Symbol.trig_poly(<{self.table.size} coeffs>)"
-        args = ", ".join(f"{k}={v}" for k, v in self.params.items())
-        return f"Symbol.{self.family}({args})"
 
 
 # -- operations ------------------------------------------------------------

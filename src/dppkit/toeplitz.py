@@ -21,15 +21,13 @@ SZEGO_CLAMP = 1e-14
 
 def build_T(coeffs: Callable[[np.ndarray], np.ndarray], J) -> np.ndarray:
     """Window matrix [coeffs(i - j)] for i, j in the strictly increasing set J,
-    of the dtype that ``coeffs`` returns (float64 for an empty J)."""
+    of the dtype that ``coeffs`` returns."""
     J = np.asarray(J)
     if J.ndim != 1 or (J.size and J.dtype.kind not in "iu"):
         raise ValueError("J must be a 1-d integer set")
     J = J.astype(np.int64, copy=False)
     if J.size and np.any(np.diff(J) <= 0):
         raise ValueError("J must be strictly increasing")
-    if J.size == 0:
-        return np.zeros((0, 0))
     gaps = np.subtract.outer(J, J)
     return np.asarray(coeffs(gaps))
 

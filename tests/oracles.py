@@ -194,7 +194,7 @@ class EagerPrefixState:
 
     @classmethod
     def root(cls, sym: Symbol, *, window: int | None = None) -> "EagerPrefixState":
-        gd = _GData(sym, window)
+        gd = _GData(sym)
         dtype = np.float64 if gd.real else np.complex128
         empty = np.zeros(0, dtype=dtype)
         return cls(gd, window, 0, empty, np.zeros((0, 0), dtype=dtype), 0.0)

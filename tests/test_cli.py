@@ -247,6 +247,18 @@ def test_cap_violation_exit_2(capsys):
     assert "SizeCapError" in err
 
 
+@pytest.mark.parametrize("argv", [["sample", "--n", "4096"], ["lcs-experiment", "--ngrid", "4096"]],
+                         ids=["sample", "lcs-experiment"])
+def test_wide_band_limited_sample_cap_exit_2(argv, capsys):
+    wide = '{"family":"power_decay","params":{"a":0.5,"c":0.01,"p":2,"cutoff":1000000}}'
+    code, out, err = run_cli(argv[:1] + ["--symbol", wide] + argv[1:], capsys)
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "SizeCapError"
+    assert "4096" in diag["message"]
+
+
 def test_unresolved_prefix_mass_exit_2(capsys):
     # arc_indicator(0.1, 0.45) has range exactly [0, 1]: past N = 9 some words
     # are too improbable for the prefix recursion and the batched determinant

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from dppkit import (
     sample_many,
     sample_prefix,
 )
+from dppkit.errors import ConditioningError
 from dppkit.mixing import SizeCapError
-from dppkit.sampler import _chi2_sf_odd
+from dppkit.sampler import EXACT_LENGTH_CAP, _auto_window, _chi2_sf_odd
+from dppkit.symbol import require_range
 
 from oracles import EagerPrefixState
 
@@ -171,6 +174,39 @@ def test_no_decay_needs_cap_or_window():
     assert short.bits.shape == (64,)
 
 
+def test_cap_keys_on_the_corner_width():
+    # a band-limited symbol as wide as n keeps the same n x n corner as a
+    # symbol with no bandwidth, so it meets the same cap
+    wide = Symbol.power_decay(0.5, 0.01, 2, 1_000_000)
+    with pytest.raises(SizeCapError, match="got 4096"):
+        sample_prefix(wide, 4096, seed=1)
+    with pytest.raises(SizeCapError, match="got 4096"):
+        sample_prefix(Symbol.arc_indicator(0.1, 0.9), 4096, seed=1)
+    # the width is min(n, bandwidth)
+    table = np.zeros(3001, dtype=complex)
+    table[0], table[3000] = 0.5, 0.01
+    with pytest.raises(SizeCapError, match="got 3000"):
+        _auto_window(Symbol.trig_poly(table), 4096)
+    assert _auto_window(wide, EXACT_LENGTH_CAP) == 1_000_000
+    assert _auto_window(Symbol.poisson(0.5, 0.25), 10 * EXACT_LENGTH_CAP) is None
+    # an explicit window is never capped
+    assert len(sample_prefix(wide, 4096, seed=1, window=2)) == 4096
+
+
+def test_short_sample_of_a_wide_symbol_reads_only_its_coefficients():
+    # the automatic window is the cutoff, 10^6, but 100 bits need a 99-wide corner
+    wide = Symbol.power_decay(0.5, 0.01, 2, 1_000_000)
+    require_range(wide)  # its 4,096-point range grid is not the sampler's
+    tracemalloc.start()
+    try:
+        auto = sample_prefix(wide, 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+    assert np.array_equal(auto.bits, sample_prefix(wide, 100, seed=1, window=None).bits)
+
+
 def test_empirical_word_distribution_small(rc_half):
     # every 2-cylinder frequency near its exact value
     rep = empirical_cylinder_test(rc_half, 2, 50_000, seed=77)
@@ -189,3 +225,8 @@ def test_chi2_sf_odd_matches_scipy(word_len):
     got = np.array([_chi2_sf_odd(float(x), dof) for x in xs])
     want = chi2.sf(xs, dof)
     assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_cylinder_test_refuses_sparse_cells(poi_half):
+    with pytest.raises(ConditioningError, match="^expected cell counts below 5; increase n_samples$"):
+        empirical_cylinder_test(poi_half, 6, 100, seed=1)

@@ -133,6 +133,10 @@ def test_tail_sum_refuses_ell_at_truncation(poi_half):
     assert type(info.value) is ValueError
 
 
+def test_tail_without_decay_has_no_certified_total():
+    assert tail_sum(Symbol.arc_indicator(0.3, 0.7), 1).certified_total is None
+
+
 def test_poisson_remainder_is_a_true_bound(poi_half):
     short = tail_sum(poi_half, 1, truncation=5)
     long = tail_sum(poi_half, 1, truncation=500)
@@ -220,6 +224,8 @@ def test_coefficient_dtype_follows_has_real_coeffs(name):
     assert sym.coeffs(np.arange(-5, 6)).dtype == want
     assert build_T(g_coeff_fn(sym), [1, 2]).dtype == want
     assert type(sym.coeff(2)) is complex
+    # an empty window too, from either coefficient function
+    assert build_T(sym.coeffs, []).dtype == build_T(g_coeff_fn(sym), []).dtype == want
 
 
 def test_json_roundtrip():
@@ -247,6 +253,7 @@ def test_json_roundtrip():
         {"family": "trig_poly", "coeffs": [{"n": 1, "re": 0.1, "im": 0.0}, {"n": 1, "re": 0.2, "im": 0.0}]},
         {"family": "arc_indicator", "params": {"alpha": 0.7, "beta": 0.2}},
         {"family": "constant", "params": {"a": "half"}},
+        "[1]",
     ],
 )
 def test_json_rejects_bad_specs(spec):
@@ -258,6 +265,25 @@ def test_range_information():
     assert Symbol.raised_cosine(0.5, 0.6).range_ok is False
     assert Symbol.raised_cosine(0.5, 0.5).range_ok is True
     assert Symbol.arc_indicator(0.0, 0.5).range_ok is True
+
+
+@pytest.mark.parametrize("sym", [Symbol.trig_poly([0.5, 0.1 + 0.12j]), Symbol.power_decay(0.5, 0.2, 3.0, 1)],
+                         ids=["trig_poly", "power_decay"])
+def test_bandwidth_one_range_is_exact(sym):
+    # f = fhat(0) + 2 |fhat(1)| cos(2 pi t + phase), so its range is closed form;
+    # the 4,096-point grid can only miss the extremum, never pass it
+    c1 = sym.coeff(1)
+    with mpmath.workdps(50):
+        amp = 2 * abs(mpmath.mpc(c1.real, c1.imag))
+        for got, want in zip((sym.f_min, sym.f_max), (sym.fhat0 - amp, sym.fhat0 + amp)):
+            assert abs(mpmath.mpf(got) - want) <= 2 * np.spacing(got)
+    grid = sym.values_on_grid()
+    assert grid.min() >= sym.f_min and grid.max() <= sym.f_max
+
+
+def test_unknown_family_has_no_coefficients():
+    with pytest.raises(SymbolSpecError, match="^unknown family 'foo'$"):
+        Symbol("foo").coeffs([0])
 
 
 def test_trig_poly_spec_dict_round_trip():

@@ -91,6 +91,17 @@ def test_trace_norm_examples():
     assert trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("kernel, m, need", [
+    (log_det, np.eye(2, 3), "^log_det: need a square matrix$"),
+    (trace_norm, np.ones(3), "^trace_norm: need a square matrix$"),
+    (szego_log_integral, np.ones((2, 2)), "^szego_log_integral: phi must give a 1-d grid of values$"),
+    (szego_log_integral, [], "^szego_log_integral: phi must give a 1-d grid of values$"),
+], ids=["log_det", "trace_norm", "szego-2d", "szego-empty"])
+def test_kernels_refuse_bad_shapes(kernel, m, need):
+    with pytest.raises(ValueError, match=need):
+        kernel(m)
+
+
 def test_hs_norm_closed_form(rc_half, poi_half):
     assert hs_norm_sq_lambda(rc_half, 2, 1) == 0.0
     assert hs_norm_sq_lambda(poi_half, 1, 1) == pytest.approx(1.0 / 1024.0)
