@@ -14,11 +14,14 @@ computed N is reported as ``fekete_lower``.
 ``s_n_q_table`` walks the prefix tree level by level inside subtrees whose
 deepest stack of inverse corners fits in STACK_BYTES, so the corners of a
 whole level are formed in one stacked update (see ``measure.PrefixState``),
-and walks the subtree roots depth first.  Each level is Kahan-summed in
-lexicographic order, as a depth-first walk sums it, so the sums do not
-depend on the cut.  On a tree that meets an unresolvable prefix the
-ConditioningError names the first such prefix in level order within its
-subtree (a depth-first walk names the first in depth-first order).
+and walks the subtree roots depth first.  Its states keep a window as wide
+as the symbol's bandwidth B (at least 2), which is exact: a band-limited
+symbol carries B x B corners, not corners as long as the prefix (the cut
+stays keyed on the prefix length).  Each level is Kahan-summed in lexicographic order, as
+a depth-first walk sums it, so the sums do not depend on the cut.  On a
+tree that meets an unresolvable prefix the ConditioningError names the
+first such prefix in level order within its subtree (a depth-first walk
+names the first in depth-first order).
 """
 from __future__ import annotations
 
@@ -69,13 +72,19 @@ def _level_accumulate(level: list, n_max: int, q: float, sums: np.ndarray,
         total, c = float(sums[depth]), float(comp[depth])
         children = []
         for state in level:
-            for bit in (0, 1):
-                child = state.extend(bit)
-                y = math.exp(q * child.log_prob) - c
-                t = total + y
-                c = (t - total) - y
-                total = t
-                children.append(child)
+            # both children in turn, unrolled: this loop is the tree's per-node cost
+            child = state.extend(0)
+            y = math.exp(q * child.log_prob) - c
+            t = total + y
+            c = (t - total) - y
+            total = t
+            children.append(child)
+            child = state.extend(1)
+            y = math.exp(q * child.log_prob) - c
+            t = total + y
+            c = (t - total) - y
+            total = t
+            children.append(child)
         sums[depth], comp[depth] = total, c
         if depth + 1 == n_max:
             return
@@ -100,7 +109,11 @@ def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
         raise ValueError("s_n_q_table: need finite q > 1")
     sums = np.zeros(n_max)
     comp = np.zeros(n_max)
-    _level_accumulate([PrefixState.root(sym)], n_max, q, sums, comp)
+    bw = sym.bandwidth
+    # exact, and at least 2 wide: 1 x 1 corners form child by child (see
+    # measure._CornerStack._form), which made a complex B = 1 walk 2x slower
+    root = PrefixState.root(sym, window=None if bw is None else max(bw, 2))
+    _level_accumulate([root], n_max, q, sums, comp)
     with np.errstate(divide="ignore"):
         log2s = np.log2(sums)
     low = np.nonzero(log2s < np.arange(1, n_max + 1) - 1022)[0]

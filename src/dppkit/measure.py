@@ -32,6 +32,8 @@ from .symbol import Symbol, g_coeff_fn
 IMAG_TOL = 1e-10
 # g-coefficients a corner prefix state caches at first (see ``_GData``)
 COEFF_BLOCK = 64
+# builds an instance without running its __init__ (see ``PrefixState.extend``)
+_new_state = object.__new__
 
 
 def _word_str(eps: np.ndarray) -> str:
@@ -357,8 +359,10 @@ class PrefixState:
     children of a whole tree level form theirs in one stacked update, and a
     chain (a stack of one) holds at most one parent corner.  The corner
     recursion is exact when the window is None or covers the symbol's
-    bandwidth; any other window truncates the coefficients beyond it (a
-    geometric symbol too, whose one-number state needs window None).
+    bandwidth, so ``conditional_next`` roots its states at window =
+    bandwidth, and the moment-sum walk at a window of at least 2 that covers
+    it; any other window truncates the coefficients beyond it (a geometric
+    symbol too, whose one-number state needs window None).
     """
 
     __slots__ = ("gd", "window", "length", "log_prob", "_stack", "_row", "_x")
@@ -426,11 +430,16 @@ class PrefixState:
 
     def extend(self, bit: int) -> "PrefixState":
         """The child prefix with ``bit`` appended: its one number at once, or
-        its row of the pending child stack."""
-        alpha = self._alpha()
+        its row of the pending child stack.  The child is built slot by slot,
+        which costs less than half of the keyword constructor."""
+        gd, x = self.gd, self._x
+        if x is None:
+            stack = self._stack
+            alpha = (stack.alphas or stack.extension())[self._row]
+        else:
+            alpha = gd.g0 - gd.kx * x
         tp = 2.0 * bit - 1.0
         s = 1.0 + tp * alpha
-        gd = self.gd
         if gd.real:
             s_real = s
         else:
@@ -442,27 +451,33 @@ class PrefixState:
                 f"prefix probability vanishes extending with bit {bit} at position {self.length}"
             )
         log_prob = self.log_prob + math.log(s_real / 2.0)
-        x = self._x
         if x is None:
-            stack = self._stack
-            child = stack.pending
-            if child is None or child.corner is not None:
-                child = stack.pending = _CornerStack(gd, self.window, parent=stack)
-            kids = child.kids
+            child_stack = stack.pending
+            if child_stack is None or child_stack.corner is not None:
+                child_stack = stack.pending = _CornerStack(gd, self.window, parent=stack)
+            kids = child_stack.kids
             kids.append((self._row, tp, s))
-            return PrefixState(gd, self.window, self.length + 1, log_prob, stack=child,
-                               row=len(kids) - 1)
-        if gd.c2 is None:
-            x = tp / s * gd.kx
+            row = len(kids) - 1
         else:
-            d = 1.0 - gd.c2 * x
-            x = gd.r2 * (x + tp * d * d / s)
-        return PrefixState(gd, self.window, self.length + 1, log_prob, x=x)
+            child_stack, row = None, 0
+            if gd.c2 is None:
+                x = tp / s * gd.kx
+            else:
+                d = 1.0 - gd.c2 * x
+                x = gd.r2 * (x + tp * d * d / s)
+        # allocated last: built before the child stack's entry, the state
+        # raised a long sampled chain's peak resident memory by 1.1 MB
+        child = _new_state(PrefixState)
+        child.gd, child.window, child.length = gd, self.window, self.length + 1
+        child.log_prob, child._stack, child._row = log_prob, child_stack, row
+        child._x = x
+        return child
 
 
 def conditional_next(sym: Symbol, word) -> float:
-    """P(x_N = 1 | the first N bits equal word); word may be empty."""
-    state = PrefixState.root(sym)
+    """P(x_N = 1 | the first N bits equal word); word may be empty.  The
+    walk keeps a window as wide as the bandwidth, which is exact."""
+    state = PrefixState.root(sym, window=sym.bandwidth)
     if word is not None and len(word) > 0:
         for bit in require_bits(word, "cylinder word"):
             state = state.extend(int(bit))

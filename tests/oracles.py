@@ -281,15 +281,17 @@ def _dfs_accumulate(state, n_max: int, qs: tuple, sums: np.ndarray, comp: np.nda
             _dfs_accumulate(child, n_max, qs, sums, comp)
 
 
-def s_n_q_table_dfs(sym: Symbol, n_max: int, q, route=EagerPrefixState) -> np.ndarray:
+def s_n_q_table_dfs(sym: Symbol, n_max: int, q, route=EagerPrefixState,
+                    window: int | None = None) -> np.ndarray:
     """log2 S_N^(q) for N = 1..n_max by a depth-first walk of the prefix
-    tree of ``route`` states: every level's terms in lexicographic order,
-    each level Kahan-summed, as the level-order walk must sum them.  A tuple
-    of q gives one row per q from the one walk."""
+    tree of ``route`` states rooted at ``window`` (None: the full state):
+    every level's terms in lexicographic order, each level Kahan-summed, as
+    the level-order walk must sum them.  The library walks at window =
+    bandwidth.  A tuple of q gives one row per q from the one walk."""
     qs = q if isinstance(q, tuple) else (q,)
     sums = np.zeros((len(qs), n_max))
     comp = np.zeros((len(qs), n_max))
-    _dfs_accumulate(route.root(sym), n_max, qs, sums, comp)
+    _dfs_accumulate(route.root(sym, window=window), n_max, qs, sums, comp)
     out = np.log2(sums)
     return out if isinstance(q, tuple) else out[0]
 

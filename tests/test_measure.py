@@ -504,19 +504,20 @@ def test_level_order_moment_sums_match_dfs_oracle(dfs_oracle, name, n_max):
     # byte for byte, for every q: one whole subtree (h - 1 and h levels),
     # the first cut into runs (h + 1), and a tree of many runs (16 levels).
     # A level's sum does not depend on n_max, so one depth-first walk of
-    # the eager route is the oracle of every n_max up to its depth
+    # the eager route, at the library's window = bandwidth, is the oracle
+    # of every n_max up to its depth
     sym = LAZY_SYMBOLS[name]
     h = _first_subtree_depth(sym)
     n = n_max if isinstance(n_max, int) else h + {"h-1": -1, "h": 0, "h+1": 1}[n_max]
     depth = ORACLE_DEPTH[name]
     if n > depth:
         # past it both walks raise the same error
-        want = _outcome(lambda: s_n_q_table_dfs(sym, n, QS))
+        want = _outcome(lambda: s_n_q_table_dfs(sym, n, QS, window=sym.bandwidth))
         assert isinstance(want, str)
         assert all(_outcome(lambda: s_n_q_table(sym, n, q)) == want for q in QS)
         return
     if name not in dfs_oracle:
-        dfs_oracle[name] = s_n_q_table_dfs(sym, depth, QS)
+        dfs_oracle[name] = s_n_q_table_dfs(sym, depth, QS, window=sym.bandwidth)
     for q, want in zip(QS, dfs_oracle[name]):
         assert s_n_q_table(sym, n, q).tobytes() == want[:n].tobytes()
 
@@ -555,6 +556,97 @@ def test_level_order_walk_holds_no_whole_level():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * dimension.STACK_BYTES
+
+
+# band-limited symbols whose corners the window = bandwidth walk trims:
+# complex B = 3 and B = 1 (walked at window 2), and real B = 4 and B = 2
+WINDOWED_SYMBOLS = {
+    "trig_poly-complex": LAZY_SYMBOLS["trig_poly-complex"],
+    "trig_poly(complex,B=1)": Symbol.trig_poly([0.5, 0.1 + 0.1j]),
+    "power_decay(0.5,0.1,2,4)": Symbol.power_decay(0.5, 0.1, 2.0, 4),
+    "trig_poly(real,B=2)": Symbol.trig_poly([0.5, 0.15, -0.1]),
+}
+
+
+def _within_ulps(got, want, ulps=2):
+    return np.all(np.abs(np.asarray(got) - want) <= ulps * np.spacing(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED_SYMBOLS))
+def test_windowed_moment_sums_match_the_full_state_walk(name):
+    # the library walks at window = bandwidth, exact in exact arithmetic;
+    # against the full-state route it replaced only rounding may differ.
+    # Two values move, by 1 ulp each: S_8^(2.5) of the complex symbol (see
+    # the next test) and S_10^(2) of the B = 2 one, both toward 50 digits
+    sym = WINDOWED_SYMBOLS[name]
+    full = s_n_q_table_dfs(sym, 12, QS)
+    for q, want in zip(QS, full):
+        assert _within_ulps(s_n_q_table(sym, 12, q), want)
+
+
+def test_windowed_moment_sum_that_moves_is_nearer_mpmath():
+    # S_8^(2.5) of the complex trig_poly from its 256 word determinants at
+    # 50 digits: the window = bandwidth walk is nearer than the full state
+    sym, n, q = LAZY_SYMBOLS["trig_poly-complex"], 8, 2.5
+    ghat = dict(zip(range(-n, n + 1), g_coeff_fn(sym)(np.arange(-n, n + 1)).tolist()))
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for word in _all_words(n):
+            m = mpmath.matrix(n, n)
+            for i in range(n):
+                t = 1 if word[i] == "1" else -1
+                for j in range(n):
+                    m[i, j] = t * mpmath.mpc(ghat[i - j]) + (1 if i == j else 0)
+            total += (mpmath.re(mpmath.det(m)) / 2 ** n) ** q
+        want = mpmath.log(total, 2)
+        new = abs(s_n_q_table(sym, n, q)[-1] - want)
+        old = abs(s_n_q_table_dfs(sym, n, q)[-1] - want)
+    assert new < old
+
+
+def test_moment_sum_walk_extends_once_per_node(monkeypatch):
+    # one PrefixState.extend call per tree node, 2^(n+1) - 2 in all, for a
+    # one-number state, a corner trimmed to the bandwidth and a full corner
+    calls = []
+    extend = PrefixState.extend
+
+    def counting(self, bit):
+        calls.append(bit)
+        return extend(self, bit)
+
+    monkeypatch.setattr(PrefixState, "extend", counting)
+    for name in ("poisson", "trig_poly-complex", "arc_indicator"):
+        for n in (1, 5, 9):
+            calls.clear()
+            s_n_q_table(LAZY_SYMBOLS[name], n, 2)
+            assert len(calls) == 2 ** (n + 1) - 2
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED_SYMBOLS))
+def test_conditional_next_matches_the_full_state(name):
+    sym = WINDOWED_SYMBOLS[name]
+    rng = np.random.default_rng(64)
+    for _ in range(20):
+        word = "".join(rng.choice(["0", "1"], int(rng.integers(0, 13))))
+        state = PrefixState.root(sym)
+        for bit in word:
+            state = state.extend(int(bit))
+        assert _within_ulps(conditional_next(sym, word), state.conditional_one())
+
+
+def test_conditional_next_holds_a_bandwidth_corner():
+    # a 600-bit word: the full state would hold corners of 600 x 600
+    # complex entries (5.8 MB each)
+    sym = LAZY_SYMBOLS["trig_poly-complex"]
+    word = "".join(np.random.default_rng(5).choice(["0", "1"], 600))
+    conditional_next(sym, "1")
+    tracemalloc.start()
+    try:
+        conditional_next(sym, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
 
 
 def test_joint_log_prob_direct_block_form(poi_half):
