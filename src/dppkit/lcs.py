@@ -3,16 +3,19 @@ experiment that tracks mean M_n / ln(n) against (2/ln 2) / dim2.
 
 M_n is computed exactly from packed window codes.  Every length-64 window
 of each prefix becomes one uint64, most significant bit first, and the
-full windows of each prefix are sorted.  Two windows share as many leading
-bits as their XOR has leading zeros, and the closest code to a query in a
-sorted set is one of its two searchsorted neighbours, so the best match of
-every window costs one search.  The last 63 windows of each prefix, which
-run past its end, are capped at their own length: against the other
-prefix's full windows through the same search, and against its tail
-windows pair by pair.  The result is exact whenever M_n < 64.  An answer
-of 64 or more falls back to a suffix automaton over x's prefix scanned
-with y's prefix (linear time, pure Python).  A quadratic
-dynamic-programming oracle validates both routes on small inputs.
+full windows of each prefix are sorted in place.  Two windows share as many
+leading bits as their XOR has leading zeros.  The two sorted sets are merged
+into one run, x's codes tagged by a cleared last bit and y's by a set one.
+For sorted a <= b <= c the common prefix of a and c is no longer than that
+of a and b or of b and c, so some adjacent pair of the run from different
+prefixes matches as long as the best pair, and one pass over adjacent XORs
+finds it.  The last 63 windows of each prefix, which run past its end, are
+capped at their own length: against the other prefix's full windows
+through their searchsorted neighbours, and against its tail windows pair
+by pair.  The tag costs the last bit, so the result is exact whenever
+M_n < 63.  An answer of 63 or more falls back to a suffix automaton over
+x's prefix scanned with y's prefix (linear time, pure Python).  A
+quadratic dynamic-programming oracle validates both routes on small inputs.
 
 The experiment reports both normalizations, mean M_n / ln(n) and
 log(M_n) / log(n); the former is the one with a finite limiting target,
@@ -79,20 +82,46 @@ def _nearest_xor(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Smallest XOR of each query with any of the sorted codes.
 
     The smallest XOR has the most leading zeros, i.e. the longest common
-    leading bits, and over a sorted set it sits at a searchsorted
-    neighbour.  Sorted queries make the search itself several times faster.
+    leading bits, and over a sorted set it sits at one of the query's two
+    searchsorted neighbours.  Only the 63 tail windows of a prefix are
+    queried this way; the full windows meet in _cross_min_xor.
     """
     idx = np.searchsorted(sorted_codes, queries)
-    below = sorted_codes[np.maximum(idx - 1, 0)]
-    above = sorted_codes[np.minimum(idx, sorted_codes.size - 1)]
-    return np.minimum(queries ^ below, queries ^ above)
+    above = np.take(sorted_codes, idx, mode="clip")  # clipped to the last code
+    above ^= queries
+    idx -= 1
+    below = np.take(sorted_codes, idx, mode="clip")  # clipped to the first code
+    below ^= queries
+    return np.minimum(above, below, out=above)
+
+
+def _cross_min_xor(sx: np.ndarray, sy: np.ndarray) -> int:
+    """Smallest XOR of a code of sorted sx with one of sorted sy, each with
+    its last bit replaced by the side's tag, so the result is odd.
+
+    x's codes with the last bit cleared and y's with it set stay sorted, and
+    a stable sort of the two runs is one linear merge.  An odd XOR of
+    adjacent codes comes from a cross pair; each even one is lifted past
+    2^63, so the minimum is the best cross pair's whenever that has a
+    leading zero, and has no leading zero exactly when that has none.
+    """
+    buf = np.empty(sx.size + sy.size, dtype=np.uint64)
+    np.bitwise_and(sx, ~np.uint64(1), out=buf[:sx.size])
+    np.bitwise_or(sy, np.uint64(1), out=buf[sx.size:])
+    buf.sort(kind="stable")
+    d = buf[1:] ^ buf[:-1]
+    lifted = np.bitwise_and(d, np.uint64(1), out=buf[:-1])
+    lifted ^= np.uint64(1)
+    lifted <<= np.uint64(WINDOW - 1)
+    lifted |= d
+    return int(lifted.min())
 
 
 def lcs_length(x, y, n: int | None = None) -> int:
     """Exact length of the longest common substring of x[:n] and y[:n].
 
-    Answers below WINDOW come from sorted window codes; an answer of
-    WINDOW or more is recomputed by the suffix automaton.
+    Answers below WINDOW - 1 come from sorted window codes; an answer of
+    WINDOW - 1 or more is recomputed by the suffix automaton.
     """
     n, xs, ys = _prefixes(x, y, n, "lcs_length: need n >= 1")
     cx = _window_codes(xs)
@@ -101,9 +130,10 @@ def lcs_length(x, y, n: int | None = None) -> int:
     tail_len = np.arange(n - full, 0, -1)  # own lengths of the tail windows
     best = 0
     if full:
-        sx = np.sort(cx[:full])
-        sy = np.sort(cy[:full])
-        best = WINDOW - int(_nearest_xor(sx, sy).min()).bit_length()
+        sx, sy = cx[:full], cy[:full]
+        sx.sort()
+        sy.sort()
+        best = WINDOW - _cross_min_xor(sx, sy).bit_length()
         # a tail window's own length caps every candidate alike, so the
         # nearest neighbour still gives its best match
         for sorted_full, tail in ((sx, cy[full:]), (sy, cx[full:])):
@@ -112,7 +142,7 @@ def lcs_length(x, y, n: int | None = None) -> int:
     common = _leading_zeros(cx[full:, None] ^ cy[None, full:])
     common = np.minimum(common, np.minimum(tail_len[:, None], tail_len[None, :]))
     best = max(best, int(common.max()))
-    if best >= WINDOW:
+    if best >= WINDOW - 1:
         return _lcs_automaton(xs.tolist(), ys.tolist())
     return best
 

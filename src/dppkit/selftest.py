@@ -128,6 +128,13 @@ def _check_lcs() -> None:
         x = rng.integers(0, 2, n)
         y = rng.integers(0, 2, n)
         _require(lcs.lcs_length(x, y, n) == lcs.lcs_length_dp(x, y, n), f"n = {n}")
+    for length in (62, 63):  # the longest fast-route answer, the shortest fallback
+        x = rng.integers(0, 2, 300)
+        y = rng.integers(0, 2, 300)
+        y[200:200 + length] = x[50:50 + length]
+        y[199], y[200 + length] = 1 - x[49], 1 - x[50 + length]  # ends the match
+        _require(lcs.lcs_length(x, y, 300) == lcs.lcs_length_dp(x, y, 300) == length,
+                 f"planted M_n = {length}")
     z = rng.integers(0, 2, 130)
     _require(lcs.lcs_length(z, z, 130) == 130, "identical pair")  # automaton fallback
     _require(lcs.lcs_length("0110", "1001", 4) == 2, "0110 vs 1001")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dppkit import Symbol, lcs_length, lcs_length_dp, rate_experiment, sample_prefix
+from dppkit import Symbol, lcs, lcs_length, lcs_length_dp, rate_experiment, sample_prefix
 
 
 def test_examples():
@@ -31,8 +31,23 @@ def test_input_validation(fair):
         rate_experiment(fair, [], 1, 1, dim2=1.0)
 
 
+def _planted(rng, n, length, i, j):
+    """Random x, y of length n sharing the same `length` bits at x[i:] and
+    y[j:], with the bits on either side of the match made to differ."""
+    x = rng.integers(0, 2, n)
+    y = rng.integers(0, 2, n)
+    word = rng.integers(0, 2, length)
+    x[i:i + length] = word
+    y[j:j + length] = word
+    if i and j:
+        y[j - 1] = 1 - x[i - 1]
+    if i + length < n and j + length < n:
+        y[j + length] = 1 - x[i + length]
+    return x, y
+
+
 def _oracle_cases(rng):
-    """(x, y, n) pairs covering both sides of the 64-bit window code."""
+    """(x, y, n) pairs covering both sides of the 63-bit fast route."""
     for _ in range(200):
         n = max(1, int(np.exp(rng.uniform(0, math.log(2000)))))
         yield rng.integers(0, 2, n), rng.integers(0, 2, n), n
@@ -41,19 +56,23 @@ def _oracle_cases(rng):
     for bias in (0.02, 0.98):  # long runs of one symbol
         for n in (50, 200, 1000):
             yield (rng.random(n) < bias).astype(int), (rng.random(n) < bias).astype(int), n
-    for length in (63, 64, 65):  # a planted common substring either side of 64
+    for length in (61, 62, 63, 64, 65):  # a planted common substring either side of 63
         for n in (length, 100, 700):
-            x = rng.integers(0, 2, n)
-            y = rng.integers(0, 2, n)
-            word = rng.integers(0, 2, length)
             i, j = rng.integers(0, n - length + 1, 2)
-            x[i:i + length] = word
-            y[j:j + length] = word
-            yield x, y, n
+            yield *_planted(rng, n, length, i, j), n
+    for length in (5, 40, 62, 63, 64):  # a match ending on the last bit of x, of y, of both
+        for n in (length, 100, 700):
+            i, j = rng.integers(0, n - length + 1, 2)
+            for a, b in ((n - length, j), (i, n - length), (n - length, n - length)):
+                yield *_planted(rng, n, length, a, b), n
+    n = 2 ** 12  # many equal windows on each side
+    for bx, by in ((0.98, 0.98), (0.98, 0.02)):
+        yield (rng.random(n) < bx).astype(int), (rng.random(n) < by).astype(int), n
+    yield np.arange(n) % 2, rng.integers(0, 2, n), n  # two distinct windows in x
     for n in (1, 63, 64, 65, 300):
         zeros = np.zeros(n, dtype=int)
         yield zeros, zeros.copy(), n
-    # M_n = 100 >= 64, and y's ones, which x lacks, reset the automaton scan
+    # M_n = 100 >= 63, and y's ones, which x lacks, reset the automaton scan
     yield np.zeros(130, dtype=int), np.r_[np.zeros(100, dtype=int), np.ones(30, dtype=int)], 130
 
 
@@ -61,6 +80,46 @@ def test_oracle_agreement_random_pairs():
     rng = np.random.default_rng(55)
     for x, y, n in _oracle_cases(rng):
         assert lcs_length(x, y, n) == lcs_length_dp(x, y, n), n
+
+
+def test_automaton_only_from_63(monkeypatch):
+    # 62 is the longest answer the window codes give; 63 or more is recomputed
+    rng = np.random.default_rng(58)
+    n = 700
+    cases = []
+    for length in (62, 63):
+        # full windows; a match ending on x's last bit; on y's; on both
+        for i, j in ((100, 400), (n - length, 300), (250, n - length), (n - length, n - length)):
+            x, y = _planted(rng, n, length, i, j)
+            assert lcs_length_dp(x, y, n) == length
+            cases.append((length, x, y))
+
+    def refuse(xs, ys):
+        raise RuntimeError("suffix automaton reached")
+
+    monkeypatch.setattr(lcs, "_lcs_automaton", refuse)
+    for length, x, y in cases:
+        if length == 62:
+            assert lcs_length(x, y, n) == 62
+        else:
+            with pytest.raises(RuntimeError, match="suffix automaton reached"):
+                lcs_length(x, y, n)
+
+
+def test_inputs_left_unchanged(fair):
+    # the window codes are sorted in place; the caller's bits must not be
+    rng = np.random.default_rng(59)
+    x = rng.integers(0, 2, 500).astype(np.uint8)
+    y = rng.integers(0, 2, 500).astype(np.uint8)
+    sx = sample_prefix(fair, 500, seed=1)
+    sy = sample_prefix(fair, 500, seed=2)
+    before = [a.copy() for a in (x, y, sx.bits, sy.bits)]
+    lcs_length(x, y, 400)
+    lcs_length(x, y)
+    lcs_length(sx, sy, 500)
+    for a, b in zip((x, y, sx.bits, sy.bits), before):
+        assert a.dtype == np.uint8
+        assert np.array_equal(a, b)
 
 
 def test_monotone_in_n():
