@@ -2,20 +2,21 @@
 experiment that tracks mean M_n / ln(n) against (2/ln 2) / dim2.
 
 M_n is computed exactly from packed window codes.  Every length-64 window
-of each prefix becomes one uint64, most significant bit first, and the
-full windows of each prefix are sorted in place.  Two windows share as many
-leading bits as their XOR has leading zeros.  The two sorted sets are merged
-into one run, x's codes tagged by a cleared last bit and y's by a set one.
-For sorted a <= b <= c the common prefix of a and c is no longer than that
-of a and b or of b and c, so some adjacent pair of the run from different
-prefixes matches as long as the best pair, and one pass over adjacent XORs
-finds it.  The last 63 windows of each prefix, which run past its end, are
-capped at their own length: against the other prefix's full windows
-through their searchsorted neighbours, and against its tail windows pair
-by pair.  The tag costs the last bit, so the result is exact whenever
-M_n < 63.  An answer of 63 or more falls back to a suffix automaton over
-x's prefix scanned with y's prefix (linear time, pure Python).  A
-quadratic dynamic-programming oracle validates both routes on small inputs.
+of each prefix becomes one uint64, most significant bit first, and two
+windows share as many leading bits as their XOR has leading zeros.  Both
+prefixes' codes are written into one buffer, the full windows of x tagged
+by a cleared last bit and those of y by a set one, and this tagged union is
+sorted in place.  For sorted a <= b <= c the common prefix of a and c is no
+longer than that of a and b or of b and c, so some adjacent pair of the
+union from different prefixes matches as long as the best pair, and one
+pass over adjacent XORs finds it.  The last 63 windows of each prefix,
+which run past its end, are capped at their own length: against the other
+prefix's full windows through their two neighbours in the sorted union,
+and against its tail windows pair by pair.  The tag costs the last bit, so
+the result is exact whenever M_n < 63.  An answer of 63 or more falls back
+to a suffix automaton over x's prefix scanned with y's prefix (linear time,
+pure Python).  A quadratic dynamic-programming oracle validates both routes
+on small inputs.
 
 The experiment reports both normalizations, mean M_n / ln(n) and
 log(M_n) / log(n); the former is the one with a finite limiting target,
@@ -34,6 +35,7 @@ from .symbol import Symbol
 
 LOG2 = math.log(2.0)
 WINDOW = 64  # bits per packed window code
+CHUNK = 8192  # union entries per pass of the adjacent-XOR minimum
 DIM2_NMAX = 12  # depth of the moment sums behind a default dim2
 
 
@@ -51,9 +53,11 @@ def _prefixes(x, y, n: int | None, need: str) -> tuple[int, np.ndarray, np.ndarr
     return n, xs[:n], ys[:n]
 
 
-def _window_codes(bits: np.ndarray) -> np.ndarray:
-    """uint64 code of the WINDOW bits starting at each position, most
-    significant bit first; windows running past the end are padded with 0s."""
+def _window_codes(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the uint64 code of the WINDOW bits starting at each position,
+    most significant bit first, into out[:n] and return that view; windows
+    running past the end are padded with 0s.  out needs 8 * ceil(n / 8)
+    entries, and the ones past n are overwritten too."""
     n = bits.size
     nbytes = -(-n // 8)
     packed = np.zeros(nbytes + 9, dtype=np.uint64)
@@ -63,11 +67,11 @@ def _window_codes(bits: np.ndarray) -> np.ndarray:
     for j in range(8):
         words |= packed[j:j + nbytes] << np.uint64(56 - 8 * j)
     spill = packed[8:8 + nbytes]
-    codes = np.empty((nbytes, 8), dtype=np.uint64)
+    codes = out[:8 * nbytes].reshape(nbytes, 8)
     codes[:, 0] = words
     for r in range(1, 8):
         codes[:, r] = (words << np.uint64(r)) | (spill >> np.uint64(8 - r))
-    return codes.ravel()[:n]
+    return out[:n]
 
 
 def _leading_zeros(v: np.ndarray) -> np.ndarray:
@@ -78,43 +82,23 @@ def _leading_zeros(v: np.ndarray) -> np.ndarray:
     return WINDOW - np.bitwise_count(v).astype(np.int64)
 
 
-def _nearest_xor(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Smallest XOR of each query with any of the sorted codes.
+def _tail_xor(union: np.ndarray, tails: np.ndarray, tag: int) -> np.ndarray:
+    """Smallest XOR of each tail code with its two neighbours in the sorted
+    union that carry ``tag``, i.e. are full windows of the other prefix
+    (all ones where neither does).
 
-    The smallest XOR has the most leading zeros, i.e. the longest common
-    leading bits, and over a sorted set it sits at one of the query's two
-    searchsorted neighbours.  Only the 63 tail windows of a prefix are
-    queried this way; the full windows meet in _cross_min_xor.
+    Only those two can matter.  Past a neighbour e of the tail's own prefix,
+    every code s of the other lies beyond e, and for t <= e <= s the common
+    prefix of t and s is no longer than that of e and s, a cross pair of
+    full windows that the adjacent-XOR minimum has already counted.
     """
-    idx = np.searchsorted(sorted_codes, queries)
-    above = np.take(sorted_codes, idx, mode="clip")  # clipped to the last code
-    above ^= queries
-    idx -= 1
-    below = np.take(sorted_codes, idx, mode="clip")  # clipped to the first code
-    below ^= queries
-    return np.minimum(above, below, out=above)
-
-
-def _cross_min_xor(sx: np.ndarray, sy: np.ndarray) -> int:
-    """Smallest XOR of a code of sorted sx with one of sorted sy, each with
-    its last bit replaced by the side's tag, so the result is odd.
-
-    x's codes with the last bit cleared and y's with it set stay sorted, and
-    a stable sort of the two runs is one linear merge.  An odd XOR of
-    adjacent codes comes from a cross pair; each even one is lifted past
-    2^63, so the minimum is the best cross pair's whenever that has a
-    leading zero, and has no leading zero exactly when that has none.
-    """
-    buf = np.empty(sx.size + sy.size, dtype=np.uint64)
-    np.bitwise_and(sx, ~np.uint64(1), out=buf[:sx.size])
-    np.bitwise_or(sy, np.uint64(1), out=buf[sx.size:])
-    buf.sort(kind="stable")
-    d = buf[1:] ^ buf[:-1]
-    lifted = np.bitwise_and(d, np.uint64(1), out=buf[:-1])
-    lifted ^= np.uint64(1)
-    lifted <<= np.uint64(WINDOW - 1)
-    lifted |= d
-    return int(lifted.min())
+    idx = np.searchsorted(union, tails)
+    # clipped at either end to the one neighbour there is
+    near = np.take(union, np.stack((idx - 1, idx)), mode="clip")
+    mine = (near & np.uint64(1)) == tag
+    near ^= tails
+    near[~mine] = ~np.uint64(0)
+    return near.min(axis=0)
 
 
 def lcs_length(x, y, n: int | None = None) -> int:
@@ -124,22 +108,40 @@ def lcs_length(x, y, n: int | None = None) -> int:
     WINDOW - 1 or more is recomputed by the suffix automaton.
     """
     n, xs, ys = _prefixes(x, y, n, "lcs_length: need n >= 1")
-    cx = _window_codes(xs)
-    cy = _window_codes(ys)
     full = max(n - WINDOW + 1, 0)          # windows lying wholly inside
     tail_len = np.arange(n - full, 0, -1)  # own lengths of the tail windows
+    # x's codes at buf[0:], then y's at buf[full:] over x's tail and padding
+    buf = np.empty(full + 8 * -(-n // 8), dtype=np.uint64)
+    tx = _window_codes(xs, buf)[full:].copy()
+    np.bitwise_and(buf[:full], ~np.uint64(1), out=buf[:full])
+    ty = _window_codes(ys, buf[full:])[full:].copy()
+    union = buf[:2 * full]
+    np.bitwise_or(union[full:], np.uint64(1), out=union[full:])
     best = 0
     if full:
-        sx, sy = cx[:full], cy[:full]
-        sx.sort()
-        sy.sort()
-        best = WINDOW - _cross_min_xor(sx, sy).bit_length()
-        # a tail window's own length caps every candidate alike, so the
-        # nearest neighbour still gives its best match
-        for sorted_full, tail in ((sx, cy[full:]), (sy, cx[full:])):
-            common = np.minimum(_leading_zeros(_nearest_xor(sorted_full, tail)), tail_len)
+        union.sort()
+        # an odd XOR of adjacent codes comes from a cross pair; each even
+        # one is lifted past 2^63 (d | ~d << 63), so the minimum is the best
+        # cross pair's whenever that has a leading zero, and has none exactly
+        # when that has none.  The run is read CHUNK entries at a time.
+        d = np.empty(min(CHUNK, 2 * full), dtype=np.uint64)
+        lifted = np.empty_like(d)
+        low = ~np.uint64(0)
+        for start in range(0, 2 * full - 1, CHUNK):
+            run = union[start:start + CHUNK + 1]
+            m = run.size - 1
+            np.bitwise_xor(run[1:], run[:-1], out=d[:m])
+            np.invert(d[:m], out=lifted[:m])
+            lifted[:m] <<= np.uint64(WINDOW - 1)
+            lifted[:m] |= d[:m]
+            low = min(low, lifted[:m].min())
+        best = WINDOW - int(low).bit_length()
+        # a tail window's own length caps every candidate alike, so the tag
+        # bit cannot matter and its union neighbours give its best match
+        for tail, tag in ((ty, 0), (tx, 1)):
+            common = np.minimum(_leading_zeros(_tail_xor(union, tail, tag)), tail_len)
             best = max(best, int(common.max()))
-    common = _leading_zeros(cx[full:, None] ^ cy[None, full:])
+    common = _leading_zeros(tx[:, None] ^ ty[None, :])
     common = np.minimum(common, np.minimum(tail_len[:, None], tail_len[None, :]))
     best = max(best, int(common.max()))
     if best >= WINDOW - 1:

@@ -138,6 +138,12 @@ def _check_lcs() -> None:
     z = rng.integers(0, 2, 130)
     _require(lcs.lcs_length(z, z, 130) == 130, "identical pair")  # automaton fallback
     _require(lcs.lcs_length("0110", "1001", 4) == 2, "0110 vs 1001")
+    # runs of one code, so some tail windows sit beside their own prefix's
+    # codes in the sorted union
+    x = np.zeros(300, dtype=int)
+    y = rng.integers(0, 2, 300)
+    x[-40:] = y[100:140]  # a planted match ending on x's last bit
+    _require(lcs.lcs_length(x, y, 300) == lcs.lcs_length_dp(x, y, 300) >= 40, "zeros vs random")
 
 
 CHECKS = [

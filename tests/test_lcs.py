@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,10 +32,11 @@ def test_input_validation(fair):
         rate_experiment(fair, [], 1, 1, dim2=1.0)
 
 
-def _planted(rng, n, length, i, j):
-    """Random x, y of length n sharing the same `length` bits at x[i:] and
-    y[j:], with the bits on either side of the match made to differ."""
-    x = rng.integers(0, 2, n)
+def _planted(rng, n, length, i, j, x=None):
+    """Random x (or the given one), y of length n sharing the same `length`
+    bits at x[i:] and y[j:], with the bits on either side of the match made
+    to differ."""
+    x = rng.integers(0, 2, n) if x is None else x
     y = rng.integers(0, 2, n)
     word = rng.integers(0, 2, length)
     x[i:i + length] = word
@@ -104,6 +106,82 @@ def test_automaton_only_from_63(monkeypatch):
         else:
             with pytest.raises(RuntimeError, match="suffix automaton reached"):
                 lcs_length(x, y, n)
+
+
+def test_tail_route_finds_a_match_ending_on_the_last_bit(monkeypatch):
+    # such a match starts in a tail window of that prefix, which no full
+    # window of it holds, so only the tail neighbours in the union find it
+    rng = np.random.default_rng(60)
+    n = 2 ** 12
+    cases = []
+    for length in (40, 62):
+        for i, j in ((n - length, 1000), (1000, n - length)):
+            x, y = _planted(rng, n, length, i, j)
+            assert lcs_length_dp(x, y, n) == length
+            cases.append((length, x, y))
+    for length, x, y in cases:
+        assert lcs_length(x, y, n) == length
+    monkeypatch.setattr(lcs, "_tail_xor", lambda union, tails, tag: np.full(tails.size, ~np.uint64(0)))
+    for length, x, y in cases:
+        assert lcs_length(x, y, n) < length
+
+
+def test_tails_beside_their_own_prefix_in_the_union(monkeypatch):
+    # long runs of one code leave a tail window with no neighbour from the
+    # other prefix; the union's cross pairs then bound its every match
+    rng = np.random.default_rng(61)
+    n = 2 ** 12
+    cases = [
+        (np.zeros(n, dtype=int), rng.integers(0, 2, n), None),
+        ((rng.random(n) < 0.999).astype(int), (rng.random(n) < 0.999).astype(int), None),
+    ]
+    for length in (40, 62):  # x all zeros but the planted word, ended by y's bits
+        for i, j in ((n - length, 1000), (1000, n - length), (n - length, n - length)):
+            cases.append((*_planted(rng, n, length, i, j, x=np.zeros(n, dtype=int)), length))
+    unmatched = []
+    tail_xor = lcs._tail_xor
+
+    def counted(union, tails, tag):
+        best = tail_xor(union, tails, tag)
+        unmatched.append(int(np.count_nonzero(best == ~np.uint64(0))))
+        return best
+
+    monkeypatch.setattr(lcs, "_tail_xor", counted)
+    for x, y, length in cases:
+        unmatched.clear()
+        expect = lcs_length_dp(x, y, n)
+        assert length in (None, expect)
+        assert lcs_length(x, y, n) == expect
+        assert sum(unmatched) > 0
+    assert lcs_length_dp(*cases[0][:2], n) < 63  # the window codes' answer, not the automaton's
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_adjacent_minimum_across_chunks(monkeypatch, chunk):
+    # the best adjacent pair may straddle two chunks of the sorted union
+    monkeypatch.setattr(lcs, "CHUNK", chunk)
+    rng = np.random.default_rng(62)
+    for n in (64, 65, 66, 130, 300):
+        for _ in range(4):
+            x, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
+            assert lcs_length(x, y, n) == lcs_length_dp(x, y, n), n
+        x, y = _planted(rng, n, 40, *rng.integers(0, n - 39, 2))
+        assert lcs_length(x, y, n) == lcs_length_dp(x, y, n) >= 40
+
+
+def test_one_call_peak_memory(fair):
+    # both prefixes' codes share one buffer of about 2n uint64s, sorted in place
+    n = 2 ** 16
+    x = sample_prefix(fair, n, seed=1).bits
+    y = sample_prefix(fair, n, seed=2).bits
+    lcs_length(x, y, 64)
+    tracemalloc.start()
+    try:
+        lcs_length(x, y, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n
 
 
 def test_inputs_left_unchanged(fair):
