@@ -15,13 +15,13 @@ computed N is reported as ``fekete_lower``.
 deepest stack of inverse corners fits in STACK_BYTES, so the corners of a
 whole level are formed in one stacked update (see ``measure.PrefixState``),
 and walks the subtree roots depth first.  Its states keep a window as wide
-as the symbol's bandwidth B (at least 2), which is exact: a band-limited
-symbol carries B x B corners, not corners as long as the prefix (the cut
-stays keyed on the prefix length).  Each level is Kahan-summed in lexicographic order, as
-a depth-first walk sums it, so the sums do not depend on the cut.  On a
-tree that meets an unresolvable prefix the ConditioningError names the
-first such prefix in level order within its subtree (a depth-first walk
-names the first in depth-first order).
+as the symbol's bandwidth B, which is exact: a band-limited symbol carries
+B x B corners (one number at B <= 1), not corners as long as the prefix
+(the cut stays keyed on the prefix length).  Each level is Kahan-summed in
+lexicographic order, as a depth-first walk sums it, so the sums do not
+depend on the cut.  On a tree that meets an unresolvable prefix the
+ConditioningError names the first such prefix in level order within its
+subtree (a depth-first walk names the first in depth-first order).
 """
 from __future__ import annotations
 
@@ -109,10 +109,7 @@ def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
         raise ValueError("s_n_q_table: need finite q > 1")
     sums = np.zeros(n_max)
     comp = np.zeros(n_max)
-    bw = sym.bandwidth
-    # exact, and at least 2 wide: 1 x 1 corners form child by child (see
-    # measure._CornerStack._form), which made a complex B = 1 walk 2x slower
-    root = PrefixState.root(sym, window=None if bw is None else max(bw, 2))
+    root = PrefixState.root(sym, window=sym.bandwidth)  # exact
     _level_accumulate([root], n_max, q, sums, comp)
     with np.errstate(divide="ignore"):
         log2s = np.log2(sums)

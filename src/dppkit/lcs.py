@@ -9,14 +9,15 @@ by a cleared last bit and those of y by a set one, and this tagged union is
 sorted in place.  For sorted a <= b <= c the common prefix of a and c is no
 longer than that of a and b or of b and c, so some adjacent pair of the
 union from different prefixes matches as long as the best pair, and one
-pass over adjacent XORs finds it.  The last 63 windows of each prefix,
-which run past its end, are capped at their own length: against the other
-prefix's full windows through their two neighbours in the sorted union,
-and against its tail windows pair by pair.  The tag costs the last bit, so
-the result is exact whenever M_n < 63.  An answer of 63 or more falls back
-to a suffix automaton over x's prefix scanned with y's prefix (linear time,
-pure Python).  A quadratic dynamic-programming oracle validates both routes
-on small inputs.
+pass over adjacent XORs finds it.  The last 63 windows of each prefix run
+past its end; one of own length L has the cap bit 1 << (63 - L), which
+leaves any XOR at most L leading zeros.  A tail meets the other prefix's
+full windows through its two union neighbours and its tails pair by pair,
+and every candidate feeds one running minimum whose bit length gives M_n.
+The tag costs the last bit, so the result is exact whenever M_n < 63.  An
+answer of 63 or more falls back to a suffix automaton over x's prefix
+scanned with y's prefix (linear time, pure Python).  A quadratic
+dynamic-programming oracle validates both routes on small inputs.
 
 The experiment reports both normalizations, mean M_n / ln(n) and
 log(M_n) / log(n); the former is the one with a finite limiting target,
@@ -74,14 +75,6 @@ def _window_codes(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out[:n]
 
 
-def _leading_zeros(v: np.ndarray) -> np.ndarray:
-    """Leading zero bits of each uint64 (WINDOW for 0)."""
-    v = v.copy()
-    for s in (1, 2, 4, 8, 16, 32):  # smear the highest set bit rightwards
-        v |= v >> np.uint64(s)
-    return WINDOW - np.bitwise_count(v).astype(np.int64)
-
-
 def _tail_xor(union: np.ndarray, tails: np.ndarray, tag: int) -> np.ndarray:
     """Smallest XOR of each tail code with its two neighbours in the sorted
     union that carry ``tag``, i.e. are full windows of the other prefix
@@ -108,8 +101,10 @@ def lcs_length(x, y, n: int | None = None) -> int:
     WINDOW - 1 or more is recomputed by the suffix automaton.
     """
     n, xs, ys = _prefixes(x, y, n, "lcs_length: need n >= 1")
-    full = max(n - WINDOW + 1, 0)          # windows lying wholly inside
-    tail_len = np.arange(n - full, 0, -1)  # own lengths of the tail windows
+    full = max(n - WINDOW + 1, 0)  # windows lying wholly inside
+    # a tail window of own length L (n - full .. 1) has the cap bit
+    # 1 << (63 - L): any XOR v has min(lz(v), L) leading zeros once it is set
+    cap = np.uint64(1) << np.arange(WINDOW - 1 - n + full, WINDOW - 1, dtype=np.uint64)
     # x's codes at buf[0:], then y's at buf[full:] over x's tail and padding
     buf = np.empty(full + 8 * -(-n // 8), dtype=np.uint64)
     tx = _window_codes(xs, buf)[full:].copy()
@@ -117,7 +112,8 @@ def lcs_length(x, y, n: int | None = None) -> int:
     ty = _window_codes(ys, buf[full:])[full:].copy()
     union = buf[:2 * full]
     np.bitwise_or(union[full:], np.uint64(1), out=union[full:])
-    best = 0
+    # the tail pairs start the one running minimum that every candidate feeds
+    low = ((tx[:, None] ^ ty[None, :]) | cap[:, None] | cap[None, :]).min()
     if full:
         union.sort()
         # an odd XOR of adjacent codes comes from a cross pair; each even
@@ -126,7 +122,6 @@ def lcs_length(x, y, n: int | None = None) -> int:
         # when that has none.  The run is read CHUNK entries at a time.
         d = np.empty(min(CHUNK, 2 * full), dtype=np.uint64)
         lifted = np.empty_like(d)
-        low = ~np.uint64(0)
         for start in range(0, 2 * full - 1, CHUNK):
             run = union[start:start + CHUNK + 1]
             m = run.size - 1
@@ -135,15 +130,11 @@ def lcs_length(x, y, n: int | None = None) -> int:
             lifted[:m] <<= np.uint64(WINDOW - 1)
             lifted[:m] |= d[:m]
             low = min(low, lifted[:m].min())
-        best = WINDOW - int(low).bit_length()
-        # a tail window's own length caps every candidate alike, so the tag
-        # bit cannot matter and its union neighbours give its best match
+        # the cap of L = 63 is the tag bit, so the tag cannot matter, and a
+        # tail window's union neighbours give its best match
         for tail, tag in ((ty, 0), (tx, 1)):
-            common = np.minimum(_leading_zeros(_tail_xor(union, tail, tag)), tail_len)
-            best = max(best, int(common.max()))
-    common = _leading_zeros(tx[:, None] ^ ty[None, :])
-    common = np.minimum(common, np.minimum(tail_len[:, None], tail_len[None, :]))
-    best = max(best, int(common.max()))
+            low = min(low, (_tail_xor(union, tail, tag) | cap).min())
+    best = WINDOW - int(low).bit_length()
     if best >= WINDOW - 1:
         return _lcs_automaton(xs.tolist(), ys.tolist())
     return best

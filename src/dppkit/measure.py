@@ -163,35 +163,35 @@ def correlation_ratio(sym: Symbol, word, word_prime, gap_ell: int) -> RatioRepor
 
 def _one_number(sym: Symbol, window: int | None) -> bool:
     """Whether the prefix state of ``sym`` is one number: for a geometric
-    (non-degenerate poisson) symbol at window None, and for a real one of
-    bandwidth <= 1 at window None or one that covers the bandwidth."""
+    (non-degenerate poisson) symbol at window None, and for one of bandwidth
+    <= 1 at window None or one that covers the bandwidth."""
     if sym.geometric is not None:
         return window is None
     bw = sym.bandwidth
-    return sym.has_real_coeffs and bw is not None and bw <= 1 and (window is None or window >= bw)
+    return bw is not None and bw <= 1 and (window is None or window >= bw)
 
 
 class _GData:
     """Cached g-coefficients for prefix extension.
 
     With ``one_number`` only the constants of the one-number recursion are
-    kept (see ``PrefixState``): ``kx`` with alpha = g0 - kx x, and for a
-    geometric symbol ``c2`` = 2c and ``r2`` = r^2 (``c2`` is None at
-    bandwidth <= 1).  Otherwise ``gpos`` and ``gneg`` hold ghat(n) and
-    ghat(-n) for n = 0 .. size - 1, of the symbol's coefficient dtype:
-    COEFF_BLOCK at first, doubled whenever a corner outgrows them (see
-    ``reversed_rows``), so a prefix reads only as many as its corner needs.
+    kept (see ``PrefixState``): ``kx`` with alpha = g0 - kx x, ``gm1`` =
+    ghat(-1), and for a geometric symbol ``c2`` = 2c and ``r2`` = r^2
+    (``c2`` is None at bandwidth <= 1).  Otherwise ``gpos`` and ``gneg``
+    hold ghat(n) and ghat(-n) for n = 0 .. size - 1, of the symbol's
+    coefficient dtype: COEFF_BLOCK at first, doubled whenever a corner
+    outgrows them (see ``reversed_rows``), so a prefix reads only as many
+    as its corner needs.
     """
 
-    __slots__ = ("ghat", "g0", "gpos", "gneg", "real", "kx", "c2", "r2")
+    __slots__ = ("ghat", "g0", "gpos", "gneg", "real", "kx", "c2", "r2", "gm1")
 
     def __init__(self, sym: Symbol, one_number: bool = False):
         ghat = self.ghat = g_coeff_fn(sym)
         self.real = sym.has_real_coeffs
         self.kx = self.c2 = self.r2 = None
         if one_number:
-            g0, g1 = ghat(np.arange(2)).tolist()
-            self.g0 = g0
+            self.gm1, self.g0, g1 = ghat(np.arange(-1, 2)).tolist()
             if sym.geometric is not None:
                 c, r = sym.geometric
                 self.kx, self.c2, self.r2 = 4.0 * c * c, 2.0 * c, r * r
@@ -333,18 +333,18 @@ class _CornerStack:
 class PrefixState:
     """State of one cylinder prefix, extended one bit at a time.
 
-    For a geometric symbol (``Symbol.geometric``) at window None, or a real
-    one of bandwidth <= 1 at window None or one that covers the bandwidth,
-    the state is one number x, exact at every length.  Each bit of sign tp
+    For a geometric symbol (``Symbol.geometric``) at window None, or one of
+    bandwidth <= 1 at window None or one that covers the bandwidth, the
+    state is one number x, exact at every length.  Each bit of sign tp
     costs O(1): alpha = g0 - kx x, s = 1 + tp alpha, and
 
       geometric (fhat(n) = c r^|n|, so every vector of the extension is
       geometric; kx = 4c^2):  x <- r^2 (x + tp (1 - 2c x)^2 / s);
-      bandwidth <= 1 (the 1 x 1 corner tp/s; kx = ghat(1)):  x <- ghat(1) tp/s,
+      bandwidth <= 1 (the 1 x 1 corner 1/s; kx = ghat(1)):  x <- (tp/s) ghat(-1),
 
-    both from x = 0.  At bandwidth <= 1 this rounds as the corner route does.
-    Such a state has no ``corner`` or ``theta``: reading them raises
-    AttributeError.
+    both from x = 0.  At bandwidth <= 1 this rounds as the corner route
+    does at window 1.  Such a state has no ``corner`` or ``theta``: reading
+    them raises AttributeError.
 
     Every other state is one row of a stack of prefixes of its length
     (``_CornerStack``).  Its row holds the trailing ``window`` x ``window``
@@ -359,10 +359,10 @@ class PrefixState:
     children of a whole tree level form theirs in one stacked update, and a
     chain (a stack of one) holds at most one parent corner.  The corner
     recursion is exact when the window is None or covers the symbol's
-    bandwidth, so ``conditional_next`` roots its states at window =
-    bandwidth, and the moment-sum walk at a window of at least 2 that covers
-    it; any other window truncates the coefficients beyond it (a geometric
-    symbol too, whose one-number state needs window None).
+    bandwidth, so ``conditional_next``, the moment-sum walk and the sampler
+    root their states at window = bandwidth; any other window truncates the
+    coefficients beyond it (a geometric symbol too, whose one-number state
+    needs window None).
     """
 
     __slots__ = ("gd", "window", "length", "log_prob", "_stack", "_row", "_x")
@@ -461,7 +461,7 @@ class PrefixState:
         else:
             child_stack, row = None, 0
             if gd.c2 is None:
-                x = tp / s * gd.kx
+                x = tp / s * gd.gm1
             else:
                 d = 1.0 - gd.c2 * x
                 x = gd.r2 * (x + tp * d * d / s)

@@ -8,7 +8,7 @@ the stream seed ^ i.
 
 The automatic window is the symbol's exact bandwidth, or None (the full
 state) when it has none, so automatic sampling is always exact.  A poisson
-symbol, or a real one of bandwidth <= 1, has a one-number state there (see
+symbol, or one of bandwidth <= 1, has a one-number state there (see
 ``measure.PrefixState``): O(1) per bit.  A band-limited symbol keeps a
 trailing window of the inverse as wide as its bandwidth; any other symbol
 runs with the full state.  Either corner, min(n, bandwidth) or n wide,

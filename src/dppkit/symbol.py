@@ -333,8 +333,8 @@ def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> Tai
     """Sum of n*|fhat(n)|^2 for ell < n <= truncation, with its remainder
     bound and log total (see ``TailSum``), each family's formula in one place."""
     need = "tail_sum: need 0 <= ell < truncation"
-    if (ell := require_int(ell, 0, None, need)) >= truncation:  # an argument, not a size cap
-        raise ValueError(need)
+    ell = require_int(ell, 0, None, need)
+    truncation = require_int(truncation, ell + 1, None, need)
     bw = sym.bandwidth
     hi = truncation if bw is None else min(truncation, bw)
     value = log_total = None

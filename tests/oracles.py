@@ -167,7 +167,7 @@ def finite_window_details(sym: Symbol, ell: int, N: int) -> FiniteWindowDetails:
 class EagerPrefixState:
     """The eager prefix extension: each ``extend`` forms the child's corner
     and theta at once.  The library's lazy ``PrefixState`` must match it
-    bit for bit.  It is also the matrix route for the poisson and real
+    bit for bit.  It is also the matrix route for the poisson and
     bandwidth <= 1 symbols whose ``PrefixState`` is one number: this class
     never takes that route.
 

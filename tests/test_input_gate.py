@@ -62,6 +62,8 @@ COUNT_CALLS = {
     "rate_experiment.trials": (lambda v: rate_experiment(SYM, [16], v, 1, dim2=1.0), 2),
     "rate_experiment.seed": (lambda v: rate_experiment(SYM, [16], 1, v, dim2=1.0), 2),
     "tail_sum.ell": (lambda v: tail_sum(SYM, v), 2),
+    "tail_sum.truncation": (lambda v: tail_sum(SYM, 1, v), 2),
+    "psi_bound_report.truncation": (lambda v: psi_bound_report(SYM, 1, v), 2),
 }
 
 

@@ -363,10 +363,10 @@ def _check_one_number_paths(sym, window, ulps, paths, bits, seed=62):
 
 
 def test_one_number_choice():
-    # a geometric symbol at window None, a real bandwidth <= 1 symbol at
-    # window None or one that covers the bandwidth; every other symbol or
-    # window keeps the corner (an explicit window truncates a geometric
-    # symbol, however wide)
+    # a geometric symbol at window None, a bandwidth <= 1 symbol, complex
+    # too, at window None or one that covers the bandwidth; every other
+    # symbol or window keeps the corner (an explicit window truncates a
+    # geometric symbol, however wide)
     poi = Symbol.poisson(0.5, 0.25)
     assert _one_number(poi, None) and not _one_number(poi, 27) and not _one_number(poi, 4096)
     rc = Symbol.raised_cosine(0.55, 0.3)
@@ -375,7 +375,8 @@ def test_one_number_choice():
     for name in ("power_decay", "trig_poly-complex", "arc_indicator"):
         assert not _one_number(LAZY_SYMBOLS[name], None)
     assert not _one_number(Symbol.trig_poly([0.5, 0.1, 0.05]), None)  # real, bandwidth 2
-    assert not _one_number(Symbol.trig_poly([0.5, 0.1j]), None)       # complex, bandwidth 1
+    cx = Symbol.trig_poly([0.5, 0.1j])                                 # complex, bandwidth 1
+    assert _one_number(cx, None) and _one_number(cx, 1) and not _one_number(cx, 0)
 
 
 @pytest.mark.parametrize("name", sorted(ONE_NUMBER_SYMBOLS))
@@ -384,6 +385,14 @@ def test_one_number_state_matches_eager_oracle(name):
     assert _one_number(sym, None)
     ulps = None if sym.bandwidth is not None else ULPS.get(name, WELL_CONDITIONED_ULPS)
     _check_one_number_paths(sym, None, ulps, paths=4, bits=160)
+
+
+def test_complex_bandwidth_one_state_matches_eager_oracle():
+    # x <- (tp/s) ghat(-1) and alpha = g0 - ghat(1) x: bit for bit the eager
+    # route's 1 x 1 corner at window 1, and within an ulp of its full state
+    sym = Symbol.trig_poly([0.5, 0.1 + 0.1j])
+    _check_one_number_paths(sym, 1, None, paths=4, bits=400)
+    _check_one_number_paths(sym, None, (1, 2), paths=2, bits=160)
 
 
 def test_one_number_state_has_no_corner():
@@ -559,7 +568,7 @@ def test_level_order_walk_holds_no_whole_level():
 
 
 # band-limited symbols whose corners the window = bandwidth walk trims:
-# complex B = 3 and B = 1 (walked at window 2), and real B = 4 and B = 2
+# complex B = 3 and B = 1 (one number at window 1), and real B = 4 and B = 2
 WINDOWED_SYMBOLS = {
     "trig_poly-complex": LAZY_SYMBOLS["trig_poly-complex"],
     "trig_poly(complex,B=1)": Symbol.trig_poly([0.5, 0.1 + 0.1j]),

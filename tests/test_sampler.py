@@ -124,15 +124,16 @@ def _eager_bits(monkeypatch, sym, n, seed, window):
 
 @pytest.mark.parametrize("sym", [
     Symbol.poisson(0.5, 0.25), Symbol.poisson(0.75, 0.125), Symbol.poisson(0.4, 0.4),
-    Symbol.poisson(0.5, -0.3), Symbol.raised_cosine(0.55, 0.3),
+    Symbol.poisson(0.5, -0.3), Symbol.raised_cosine(0.55, 0.3), Symbol.trig_poly([0.5, 0.1 + 0.1j]),
 ], ids=["poisson(0.5,0.25)", "poisson(0.75,0.125)", "poisson(0.4,0.4)", "poisson(0.5,-0.3)",
-        "raised_cosine(0.55,0.3)"])
+        "raised_cosine(0.55,0.3)", "trig_poly(complex,B=1)"])
 def test_one_number_samples_match_eager_oracle(monkeypatch, sym):
     # the one-number state draws the bits of the eager corner route.  At
     # 2,048 bits the eager full state costs about 30 s a trajectory, so it
-    # runs at a window: the bandwidth for raised_cosine (exact), and for
-    # poisson the last n with |fhat(n)| > 1e-16, so that it drops only
-    # coefficients below that (the full state is compared on 512 bits below)
+    # runs at a window: the bandwidth for raised_cosine and the complex
+    # trig_poly (exact), and for poisson the last n with |fhat(n)| > 1e-16,
+    # so that it drops only coefficients below that (the full state is
+    # compared on 512 bits below)
     if sym.geometric is None:
         window = sym.bandwidth
     else:
@@ -142,6 +143,12 @@ def test_one_number_samples_match_eager_oracle(monkeypatch, sym):
     for seed in range(5):
         fast = sample_prefix(sym, 2048, seed)
         assert np.array_equal(fast.bits, _eager_bits(monkeypatch, sym, 2048, seed, window))
+
+
+def test_complex_bandwidth_one_sample_is_pinned():
+    # drawn by the 1 x 1 corner route before this symbol's state was one number
+    seq = sample_prefix(Symbol.trig_poly([0.5, 0.1 + 0.1j]), 200, 11)
+    assert seq.to_hex() == "9b2645a5b5e3acfb65eb9de02c7795cbd84a174aa6d82b050a"
 
 
 def test_poisson_without_usable_decay_samples_past_the_cap(monkeypatch):
