@@ -136,8 +136,12 @@ def _cmd_cylinder(sym: Symbol, args):
 
 
 def _cmd_psi(sym: Symbol, args):
+    ells = _parse_int_list(args.ell, "--ell")
+    if args.truncation <= max(ells):
+        raise ValueError(
+            f"psi: --truncation {args.truncation} must exceed the largest --ell, {max(ells)}")
     rows = []
-    for ell in _parse_int_list(args.ell, "--ell"):
+    for ell in ells:
         rep = mixing.psi_bound_report(sym, ell, args.truncation)
         fin = mixing.psi_finite_window(sym, ell, args.N)
         rows.append((ell, rep.lower_bound, fin.N, fin.value, rep.upper_bound, rep.tau,

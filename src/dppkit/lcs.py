@@ -14,10 +14,10 @@ past its end; one of own length L has the cap bit 1 << (63 - L), which
 leaves any XOR at most L leading zeros.  A tail meets the other prefix's
 full windows through its two union neighbours and its tails pair by pair,
 and every candidate feeds one running minimum whose bit length gives M_n.
-The tag costs the last bit, so the result is exact whenever M_n < 63.  An
-answer of 63 or more falls back to a suffix automaton over x's prefix
-scanned with y's prefix (linear time, pure Python).  A quadratic
-dynamic-programming oracle validates both routes on small inputs.
+The tag costs the last bit, so the result is exact whenever M_n < 63.  A
+longer one is refined from the same codes by prefix doubling of the runs
+both prefixes share, then a descent to the exact length (``_lcs_doubling``).
+A quadratic dynamic-programming oracle checks both steps on small inputs.
 
 The experiment reports both normalizations, mean M_n / ln(n) and
 log(M_n) / log(n); the former is the one with a finite limiting target,
@@ -97,8 +97,8 @@ def _tail_xor(union: np.ndarray, tails: np.ndarray, tag: int) -> np.ndarray:
 def lcs_length(x, y, n: int | None = None) -> int:
     """Exact length of the longest common substring of x[:n] and y[:n].
 
-    Answers below WINDOW - 1 come from sorted window codes; an answer of
-    WINDOW - 1 or more is recomputed by the suffix automaton.
+    Answers below WINDOW - 1 come from sorted window codes; one of WINDOW - 1
+    or more is refined from the same codes by prefix doubling.
     """
     n, xs, ys = _prefixes(x, y, n, "lcs_length: need n >= 1")
     full = max(n - WINDOW + 1, 0)  # windows lying wholly inside
@@ -136,61 +136,53 @@ def lcs_length(x, y, n: int | None = None) -> int:
             low = min(low, (_tail_xor(union, tail, tag) | cap).min())
     best = WINDOW - int(low).bit_length()
     if best >= WINDOW - 1:
-        return _lcs_automaton(xs.tolist(), ys.tolist())
+        return _lcs_doubling(xs, ys)
     return best
 
 
-def _lcs_automaton(xs: list[int], ys: list[int]) -> int:
-    """Longest common substring by a suffix automaton of xs scanned with ys."""
-    # suffix automaton of xs over the binary alphabet
-    sa_len = [0]
-    sa_link = [-1]
-    sa_next = [[-1, -1]]
-    last = 0
-    for ch in xs:
-        cur = len(sa_len)
-        sa_len.append(sa_len[last] + 1)
-        sa_link.append(-1)
-        sa_next.append([-1, -1])
-        p = last
-        while p != -1 and sa_next[p][ch] == -1:
-            sa_next[p][ch] = cur
-            p = sa_link[p]
-        if p == -1:
-            sa_link[cur] = 0
-        else:
-            q = sa_next[p][ch]
-            if sa_len[p] + 1 == sa_len[q]:
-                sa_link[cur] = q
-            else:
-                clone = len(sa_len)
-                sa_len.append(sa_len[p] + 1)
-                sa_link.append(sa_link[q])
-                sa_next.append(sa_next[q].copy())
-                while p != -1 and sa_next[p][ch] == q:
-                    sa_next[p][ch] = clone
-                    p = sa_link[p]
-                sa_link[q] = clone
-                sa_link[cur] = clone
-        last = cur
+def _lcs_doubling(xs: np.ndarray, ys: np.ndarray) -> int:
+    """M_n, given that it is WINDOW - 1 or more, by prefix doubling (Karp,
+    Miller & Rosenberg 1972; Manber & Myers 1993): group the runs of 63 * 2^k
+    bits for k = 0, 1, ... until no cross group, one holding runs of both
+    prefixes, is left, then descend through the kept levels and 32, ..., 1 bits."""
+    n = xs.size  # x's windows at positions 0..n-1, y's at n..2n-1
+    codes = np.concatenate([_window_codes(b, np.empty(8 * -(-n // 8), dtype=np.uint64))
+                            for b in (xs, ys)])
 
-    # scan ys, tracking the longest suffix of the scanned part that occurs in xs
-    v = 0
-    length = 0
-    best = 0
-    for ch in ys:
-        while v and sa_next[v][ch] == -1:
-            v = sa_link[v]
-            length = sa_len[v]
-        if sa_next[v][ch] != -1:
-            v = sa_next[v][ch]
-            length += 1
-            if length > best:
-                best = length
-        else:
-            v = 0
-            length = 0
-    return best
+    def grow(pos, gid, cur, step, table, shift, base):
+        # the cross groups of the runs of cur + step bits lying inside at pos,
+        # keyed by gid, the group of their first cur bits, and table[pos +
+        # cur] >> shift, the id below base of the next step bits (-1 for
+        # none).  A group holds two of the 2n windows, so gid < n fits the
+        # int32 rank tables and a key below n * max(n, 2^32) fits int64 for
+        # any n < 2^31, past which the window codes alone fill 32 GiB.
+        nxt = (table.take(pos + cur, mode="clip") >> shift).astype(np.intp)
+        keep = (pos % n <= n - cur - step) & (nxt >= 0)
+        pos, key = pos[keep], gid[keep] * base + nxt[keep]
+        run = np.unique(key, return_inverse=True)[1]
+        in_y = np.bincount(run, pos >= n)
+        cross = (in_y > 0) & (in_y < np.bincount(run))
+        keep = cross[run]
+        return pos[keep], (np.cumsum(cross) - 1)[run[keep]]
+
+    # every window lies in the empty run, so the first keys are 63-bit codes,
+    # and the fast route has found a cross pair of them
+    grown = grow(np.arange(2 * n), np.zeros(2 * n, dtype=np.intp), 0, WINDOW - 1, codes, 1, 0)
+    levels = []  # (63 * 2^k, each position's cross group of that length or -1, 0, groups)
+    while grown[1].size:
+        (pos, gid), cur = grown, (WINDOW - 1) << len(levels)
+        rank = np.full(2 * n, -1, dtype=np.int32)
+        rank[pos] = gid
+        levels.append((cur, rank, 0, int(gid.max()) + 1))
+        grown = grow(pos, gid, cur, *levels[-1])
+    # cur <= M_n < 2 cur; the steps below sum to cur, each at most 1 more
+    # than all later ones together, so keeping each step that fits ends at M_n
+    bits = [(b, codes, WINDOW - b, 1 << b) for b in (32, 16, 8, 4, 2, 1)]
+    for step, *lookup in levels[-2::-1] + bits:
+        grown = grow(pos, gid, cur, step, *lookup)
+        if grown[1].size:
+            (pos, gid), cur = grown, cur + step
+    return cur
 
 
 def lcs_length_dp(x, y, n: int | None = None) -> int:

@@ -128,15 +128,15 @@ def _check_lcs() -> None:
         x = rng.integers(0, 2, n)
         y = rng.integers(0, 2, n)
         _require(lcs.lcs_length(x, y, n) == lcs.lcs_length_dp(x, y, n), f"n = {n}")
-    for length in (62, 63):  # the longest fast-route answer, the shortest fallback
-        x = rng.integers(0, 2, 300)
-        y = rng.integers(0, 2, 300)
+    for length, n in ((62, 300), (63, 300), (200, 500)):  # fast route; refined; all phases
+        x = rng.integers(0, 2, n)
+        y = rng.integers(0, 2, n)
         y[200:200 + length] = x[50:50 + length]
         y[199], y[200 + length] = 1 - x[49], 1 - x[50 + length]  # ends the match
-        _require(lcs.lcs_length(x, y, 300) == lcs.lcs_length_dp(x, y, 300) == length,
+        _require(lcs.lcs_length(x, y, n) == lcs.lcs_length_dp(x, y, n) == length,
                  f"planted M_n = {length}")
     z = rng.integers(0, 2, 130)
-    _require(lcs.lcs_length(z, z, 130) == 130, "identical pair")  # automaton fallback
+    _require(lcs.lcs_length(z, z, 130) == 130, "identical pair")  # refined by doubling
     _require(lcs.lcs_length("0110", "1001", 4) == 2, "0110 vs 1001")
     # runs of one code, so some tail windows sit beside their own prefix's
     # codes in the sorted union
@@ -157,7 +157,7 @@ CHECKS = [
     ("psi sandwich", _check_psi_sandwich),
     ("finite-window grid vs per-pair ratios", _check_finite_window_grid),
     ("sampler goodness of fit", _check_sampler_fit),
-    ("lcs packed codes and automaton vs dp", _check_lcs),
+    ("lcs packed codes and prefix doubling vs dp", _check_lcs),
 ]
 
 

@@ -59,8 +59,6 @@ def trace_norm(m: np.ndarray) -> float:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("trace_norm: need a square matrix")
-    if m.size == 0:
-        return 0.0
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 

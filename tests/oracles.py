@@ -9,9 +9,9 @@ word, the parity coefficient of the Walsh tuple sum, the complement symbol
 deviation and trace-norm grids, the closed-form Hilbert-Schmidt norm
 of the coupling block, the eager prefix extension that forms every
 child's inverse corner as soon as the child is created, the depth-first
-moment-sum walk of the prefix tree, and the Szego upper
+moment-sum walk of the prefix tree, the Szego upper
 bound on the correlation dimension by scipy's bounded Brent search and by a
-fine beta grid.
+fine beta grid, and the longest common substring by a suffix automaton.
 """
 from __future__ import annotations
 
@@ -323,3 +323,56 @@ def corr_dim_szego_upper_grid(sym: Symbol, points: int) -> float:
     g = dimension._g_on_szego_grid(sym)
     vals = [dimension._upper_bound_at_beta(g, float(b)) for b in np.linspace(-1.0, 1.0, points)]
     return min(val for val, clamped in vals if not clamped)
+
+
+def lcs_automaton(xs: list[int], ys: list[int]) -> int:
+    """Longest common substring by a suffix automaton of xs scanned with ys."""
+    # suffix automaton of xs over the binary alphabet
+    sa_len = [0]
+    sa_link = [-1]
+    sa_next = [[-1, -1]]
+    last = 0
+    for ch in xs:
+        cur = len(sa_len)
+        sa_len.append(sa_len[last] + 1)
+        sa_link.append(-1)
+        sa_next.append([-1, -1])
+        p = last
+        while p != -1 and sa_next[p][ch] == -1:
+            sa_next[p][ch] = cur
+            p = sa_link[p]
+        if p == -1:
+            sa_link[cur] = 0
+        else:
+            q = sa_next[p][ch]
+            if sa_len[p] + 1 == sa_len[q]:
+                sa_link[cur] = q
+            else:
+                clone = len(sa_len)
+                sa_len.append(sa_len[p] + 1)
+                sa_link.append(sa_link[q])
+                sa_next.append(sa_next[q].copy())
+                while p != -1 and sa_next[p][ch] == q:
+                    sa_next[p][ch] = clone
+                    p = sa_link[p]
+                sa_link[q] = clone
+                sa_link[cur] = clone
+        last = cur
+
+    # scan ys, tracking the longest suffix of the scanned part that occurs in xs
+    v = 0
+    length = 0
+    best = 0
+    for ch in ys:
+        while v and sa_next[v][ch] == -1:
+            v = sa_link[v]
+            length = sa_len[v]
+        if sa_next[v][ch] != -1:
+            v = sa_next[v][ch]
+            length += 1
+            if length > best:
+                best = length
+        else:
+            v = 0
+            length = 0
+    return best

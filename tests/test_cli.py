@@ -115,6 +115,17 @@ def test_psi_rows_flag_approximate_upper_bound(capsys, spec, approximate):
     assert json.loads(out)["rows"][0]["upper_approximate"] is approximate
 
 
+def test_psi_truncation_not_past_largest_ell_is_usage_error(capsys):
+    # the message named tail_sum, a function the command line never shows
+    code, out, err = run_cli(["psi", "--symbol", POISSON, "--ell", "1..8", "--N", "2",
+                              "--truncation", "5"], capsys)
+    assert code == 64 and out == ""
+    assert err == "error: psi: --truncation 5 must exceed the largest --ell, 8\n"
+    code, _, err = run_cli(["psi", "--symbol", POISSON, "--ell", "3", "--N", "2",
+                            "--truncation", "4"], capsys)
+    assert code == 0 and err == ""
+
+
 def test_psi_zero_coefficients_in_truncated_range(capsys):
     # fhat(2) = fhat(3) = 0: the upper bound read nan
     spec = '{"family":"trig_poly","coeffs":[{"n":0,"re":0.5},{"n":1,"re":0.1},{"n":4,"re":0.01}]}'

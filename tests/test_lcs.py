@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dppkit import Symbol, lcs, lcs_length, lcs_length_dp, rate_experiment, sample_prefix
+from oracles import lcs_automaton
 
 
 def test_examples():
@@ -74,7 +75,7 @@ def _oracle_cases(rng):
     for n in (1, 63, 64, 65, 300):
         zeros = np.zeros(n, dtype=int)
         yield zeros, zeros.copy(), n
-    # M_n = 100 >= 63, and y's ones, which x lacks, reset the automaton scan
+    # M_n = 100 >= 63, ended by y's ones, which x lacks
     yield np.zeros(130, dtype=int), np.r_[np.zeros(100, dtype=int), np.ones(30, dtype=int)], 130
 
 
@@ -93,8 +94,41 @@ def test_lcs_needs_no_bitwise_count(monkeypatch):
         assert lcs_length(x, y, n) == lcs_length_dp(x, y, n), n
 
 
-def test_automaton_only_from_63(monkeypatch):
-    # 62 is the longest answer the window codes give; 63 or more is recomputed
+def _differential_cases(family, rng):
+    """(x, y, n) pairs of one family, most with M_n past the 63 bits that
+    the window codes resolve."""
+    if family == "biased":  # long runs of one symbol
+        for _ in range(3000):
+            n, bias = int(rng.integers(64, 200)), rng.uniform(0.9, 0.999)
+            yield (rng.random(n) < bias).astype(int), (rng.random(n) < bias).astype(int), n
+    elif family == "planted":  # 60-300 bits, ending on neither, x's, y's or both last bits
+        for k in range(5600):
+            length = int(np.exp(rng.uniform(math.log(60), math.log(301))))
+            n = length + int(rng.integers(0, 40))
+            i, j = rng.integers(0, n - length + 1, 2)
+            i, j = n - length if k & 1 else i, n - length if k & 2 else j
+            yield *_planted(rng, n, length, i, j), n
+    elif family == "identical":  # M_n = n, at every n mod 8
+        for n in range(63, 131):
+            x = rng.integers(0, 2, n)
+            yield x, x.copy(), n
+    else:  # all-equal pairs, M_n = n
+        for n in range(1, 301):
+            for bit in (0, 1):
+                yield np.full(n, bit), np.full(n, bit), n
+
+
+@pytest.mark.parametrize("family, seed", [("biased", 70), ("planted", 71), ("identical", 72),
+                                          ("all-equal", 73)])
+def test_differential_against_both_oracles(family, seed):
+    # 9,268 pairs in all
+    for x, y, n in _differential_cases(family, np.random.default_rng(seed)):
+        expect = lcs_length_dp(x, y, n)
+        assert lcs_length(x, y, n) == expect == lcs_automaton(x.tolist(), y.tolist()), (family, n)
+
+
+def test_doubling_only_from_63(monkeypatch):
+    # 62 is the longest answer the window codes give; 63 or more is refined
     rng = np.random.default_rng(58)
     n = 700
     cases = []
@@ -106,14 +140,14 @@ def test_automaton_only_from_63(monkeypatch):
             cases.append((length, x, y))
 
     def refuse(xs, ys):
-        raise RuntimeError("suffix automaton reached")
+        raise RuntimeError("prefix doubling reached")
 
-    monkeypatch.setattr(lcs, "_lcs_automaton", refuse)
+    monkeypatch.setattr(lcs, "_lcs_doubling", refuse)
     for length, x, y in cases:
         if length == 62:
             assert lcs_length(x, y, n) == 62
         else:
-            with pytest.raises(RuntimeError, match="suffix automaton reached"):
+            with pytest.raises(RuntimeError, match="prefix doubling reached"):
                 lcs_length(x, y, n)
 
 
@@ -162,7 +196,7 @@ def test_tails_beside_their_own_prefix_in_the_union(monkeypatch):
         assert length in (None, expect)
         assert lcs_length(x, y, n) == expect
         assert sum(unmatched) > 0
-    assert lcs_length_dp(*cases[0][:2], n) < 63  # the window codes' answer, not the automaton's
+    assert lcs_length_dp(*cases[0][:2], n) < 63  # answered by the window codes, not the doubling
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
@@ -191,6 +225,23 @@ def test_one_call_peak_memory(fair):
     finally:
         tracemalloc.stop()
     assert peak <= 24 * n
+
+
+def test_doubling_peak_memory():
+    # M_n = 716: the refinement keeps one rank table per doubling level and
+    # sorts only the cross groups' windows; the suffix automaton it replaced
+    # peaked at 21.5 MB here
+    n = 2 ** 16
+    x = sample_prefix(Symbol.constant(0.99), n, seed=1).bits
+    y = sample_prefix(Symbol.constant(0.99), n, seed=2).bits
+    lcs_length(x, y, 64)
+    tracemalloc.start()
+    try:
+        assert lcs_length(x, y, n) == 716
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 260 * n
 
 
 def test_inputs_left_unchanged(fair):

@@ -89,6 +89,9 @@ def test_trace_norm_examples():
     assert trace_norm(np.diag([1.0, -2.0, 3.0])) == pytest.approx(6.0)
     assert trace_norm(np.zeros((3, 3))) == 0.0
     assert trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
+    # numpy sums the empty singular-value array of a 0 x 0 matrix to 0.0
+    empty = trace_norm(np.zeros((0, 0)))
+    assert empty == 0.0 and type(empty) is float
 
 
 @pytest.mark.parametrize("kernel, m, need", [
