@@ -18,23 +18,7 @@ from .symbol import (
     symbol_from_json,
     tail_sum,
 )
-from .toeplitz import (
-    LogDet,
-    SzegoIntegral,
-    build_T,
-    log_det,
-    szego_log_integral,
-    trace_norm,
-)
-from .measure import (
-    PrefixState,
-    RatioReport,
-    conditional_next,
-    correlation_ratio,
-    cylinder_log_prob,
-    cylinder_prob,
-    joint_cylinder_log_prob,
-)
+from .measure import PrefixState, RatioReport, correlation_ratio, cylinder_log_prob, cylinder_prob
 from .mixing import (
     FiniteWindowPsi,
     PsiBoundReport,

@@ -55,8 +55,23 @@ def _load_symbol(text: str) -> Symbol:
         raise SymbolSpecError(f"invalid symbol spec: {exc}") from exc
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    """Accept 'a', 'a..b', comma lists, and 2^k tokens."""
+def _bounded_int(lo: int, hi: int | None = None):
+    """An argparse ``type``: an int in [lo, hi] (no upper bound when None), so a value
+    out of range is a usage error naming its flag.  Size caps stay in the library."""
+    bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer reads "invalid int value", as with type=int
+    return parse
+
+
+def _parse_int_list(text: str, what: str, least: int) -> list[int]:
+    """Accept 'a', 'a..b', comma lists, and 2^k tokens, each at least ``least``."""
 
     def one(tok: str) -> int:
         tok = tok.strip()
@@ -76,6 +91,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValueError(f"cannot parse {what}: {text!r}") from exc
     if not out:
         raise ValueError(f"empty {what}")
+    if min(out) < least:
+        raise ValueError(f"{what} must be at least {least}, got {min(out)}")
     return out
 
 
@@ -136,7 +153,7 @@ def _cmd_cylinder(sym: Symbol, args):
 
 
 def _cmd_psi(sym: Symbol, args):
-    ells = _parse_int_list(args.ell, "--ell")
+    ells = _parse_int_list(args.ell, "--ell", 1)
     if args.truncation <= max(ells):
         raise ValueError(
             f"psi: --truncation {args.truncation} must exceed the largest --ell, {max(ells)}")
@@ -170,7 +187,7 @@ def _cmd_sample(sym: Symbol, args):
 
 
 def _cmd_lcs(sym: Symbol, args):
-    ns = _parse_int_list(args.ngrid, "--ngrid")
+    ns = _parse_int_list(args.ngrid, "--ngrid", 2)
     rows = [(r.n, r.trials, r.mean_Mn, r.std_Mn, r.ratio, r.ratio_loglog, r.target,
              r.target_certified) for r in lcs.rate_experiment(sym, ns, args.trials, args.seed)]
     return ("n", "trials", "mean_Mn", "std_Mn", "Mn_over_ln_n", "log_Mn_over_log_n", "target",
@@ -181,16 +198,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dppkit",
         description="Exact finite-window computations for stationary determinantal processes",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True, seed=False):
+    def common(p, fmt=True, seed=None):
+        p.exit_on_error = False  # main prints a bad option value as one line
         p.add_argument("--symbol", required=True, help="inline JSON symbol spec, or @file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=seed, default=0)
 
     p = sub.add_parser("coeffs", help="Fourier coefficients fhat(0..nmax)")
     common(p)
@@ -200,33 +219,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cylinder", help="exact cylinder probabilities")
     common(p)
     p.add_argument("--word", action="append", help="0/1 word (repeatable)")
-    p.add_argument("--N", type=int, default=None, help="enumerate all words of length N")
+    p.add_argument("--N", type=_bounded_int(1), default=None,
+                   help="enumerate all words of length N")
     p.set_defaults(fn=_cmd_cylinder)
 
     p = sub.add_parser("psi", help="mixing bounds per gap ell")
     common(p)
     p.add_argument("--ell", default="1..6", help="gaps, e.g. 3 or 1..8 or 1,2,5")
-    p.add_argument("--N", type=int, default=4, help="finite-window size")
+    p.add_argument("--N", type=_bounded_int(1), default=4, help="finite-window size")
     p.add_argument("--truncation", type=int, default=100_000)
     p.set_defaults(fn=_cmd_psi)
 
     p = sub.add_parser("dimension", help="moment sums and dimension estimates")
     common(p)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=12)
+    p.add_argument("--q", type=_bounded_int(2), default=2)
+    p.add_argument("--nmax", type=_bounded_int(1), default=12)
     p.set_defaults(fn=_cmd_dimension)
 
     p = sub.add_parser("sample", help="sample process prefixes")
-    common(p, fmt=False, seed=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trajectories", type=int, default=1)
+    common(p, fmt=False, seed=_bounded_int(0))
+    p.add_argument("--n", type=_bounded_int(1), required=True)
+    p.add_argument("--trajectories", type=_bounded_int(1), default=1)
     p.add_argument("--encoding", choices=("ascii", "hex"), default="ascii")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("lcs-experiment", help="longest-common-substring growth law")
-    common(p, seed=True)
+    common(p, seed=_bounded_int(0, 2 ** 64 - 1))
     p.add_argument("--ngrid", default="2^10,2^12", help="prefix lengths, e.g. 2^12..  or 1024,4096")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_bounded_int(1), default=20)
     p.set_defaults(fn=_cmd_lcs)
 
     sub.add_parser("selftest", help="run the built-in invariant battery")
@@ -252,6 +272,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     if args.command == "selftest":

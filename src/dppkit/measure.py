@@ -32,7 +32,8 @@ from .symbol import Symbol, g_coeff_fn
 IMAG_TOL = 1e-10
 # g-coefficients a corner prefix state caches at first (see ``_GData``)
 COEFF_BLOCK = 64
-# builds an instance without running its __init__ (see ``PrefixState.extend``)
+# a PrefixState with no slot set; ``root`` and ``extend`` store the slots one
+# by one, which costs ``extend`` less than half of a keyword constructor call
 _new_state = object.__new__
 
 
@@ -98,11 +99,6 @@ def _joint_window(sym: Symbol, word, word_prime, gap_ell: int) -> np.ndarray:
     gap_ell = require_int(gap_ell, 1, None, "gap ell must be >= 1")
     theta = np.concatenate([2.0 * eps - 1.0, 2.0 * eps_p - 1.0])
     return _signed_windows(sym, theta, toeplitz.joint_index_set(eps.size, gap_ell))
-
-
-def joint_cylinder_log_prob(sym: Symbol, word, word_prime, gap_ell: int) -> float:
-    """Natural log of mu([word] n shift^-(N+ell) [word_prime])."""
-    return float(_log_probs(_joint_window(sym, word, word_prime, gap_ell)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -359,22 +355,12 @@ class PrefixState:
     children of a whole tree level form theirs in one stacked update, and a
     chain (a stack of one) holds at most one parent corner.  The corner
     recursion is exact when the window is None or covers the symbol's
-    bandwidth, so ``conditional_next``, the moment-sum walk and the sampler
-    root their states at window = bandwidth; any other window truncates the
-    coefficients beyond it (a geometric symbol too, whose one-number state
-    needs window None).
+    bandwidth, so the moment-sum walk and the sampler root their states at
+    window = bandwidth; any other window truncates the coefficients beyond it
+    (a geometric symbol too, whose one-number state needs window None).
     """
 
     __slots__ = ("gd", "window", "length", "log_prob", "_stack", "_row", "_x")
-
-    def __init__(self, gd: _GData, window, length, log_prob, *, stack=None, row=0, x=None):
-        self.gd = gd
-        self.window = window
-        self.length = length
-        self.log_prob = log_prob
-        self._stack = stack
-        self._row = row
-        self._x = x
 
     @classmethod
     def root(cls, sym: Symbol, *, window: int | None = None) -> "PrefixState":
@@ -384,12 +370,13 @@ class PrefixState:
                                  f"prefix state window must be None or an int >= 0, got {window!r}")
         one_number = _one_number(sym, window)
         gd = _GData(sym, one_number)
-        if one_number:
-            return cls(gd, window, 0, 0.0, x=0.0)
         dtype = np.float64 if gd.real else np.complex128
-        stack = _CornerStack(gd, window, corner=np.zeros((0, 0), dtype=dtype),
-                             theta=np.zeros(0, dtype=dtype))
-        return cls(gd, window, 0, 0.0, stack=stack)
+        state = _new_state(cls)
+        state.gd, state.window, state.length, state.log_prob, state._row = gd, window, 0, 0.0, 0
+        state._x = 0.0 if one_number else None
+        state._stack = None if one_number else _CornerStack(
+            gd, window, corner=np.zeros((0, 0), dtype=dtype), theta=np.zeros(0, dtype=dtype))
+        return state
 
     def _formed_stack(self) -> _CornerStack:
         if self._x is not None:
@@ -430,8 +417,8 @@ class PrefixState:
 
     def extend(self, bit: int) -> "PrefixState":
         """The child prefix with ``bit`` appended: its one number at once, or
-        its row of the pending child stack.  The child is built slot by slot,
-        which costs less than half of the keyword constructor."""
+        its row of the pending child stack, built slot by slot as ``root``
+        builds the empty prefix."""
         gd, x = self.gd, self._x
         if x is None:
             stack = self._stack
@@ -472,16 +459,6 @@ class PrefixState:
         child.log_prob, child._stack, child._row = log_prob, child_stack, row
         child._x = x
         return child
-
-
-def conditional_next(sym: Symbol, word) -> float:
-    """P(x_N = 1 | the first N bits equal word); word may be empty.  The
-    walk keeps a window as wide as the bandwidth, which is exact."""
-    state = PrefixState.root(sym, window=sym.bandwidth)
-    if word is not None and len(word) > 0:
-        for bit in require_bits(word, "cylinder word"):
-            state = state.extend(int(bit))
-    return state.conditional_one()
 
 
 def cylinder_log_probs_direct(sym: Symbol, N: int) -> np.ndarray:

@@ -31,8 +31,8 @@ def _check_cylinder_values() -> None:
     rc = Symbol.raised_cosine(0.5, 0.5)
     _require(math.isclose(measure.cylinder_prob(rc, "11"), 3.0 / 16.0, rel_tol=1e-12), "P[11]")
     _require(math.isclose(measure.cylinder_prob(rc, "10"), 5.0 / 16.0, rel_tol=1e-12), "P[10]")
-    _require(math.isclose(measure.conditional_next(rc, "1"), 3.0 / 8.0, rel_tol=1e-12),
-             "P[1 | 1]")
+    p = measure.PrefixState.root(rc, window=rc.bandwidth).extend(1).conditional_one()
+    _require(math.isclose(p, 3.0 / 8.0, rel_tol=1e-12), "P[1 | 1]")
 
 
 def _check_normalization() -> None:
@@ -86,8 +86,8 @@ def _check_dimension_oracles() -> None:
     for sym in (Symbol.raised_cosine(0.5, 0.5), Symbol.poisson(0.75, 0.125),
                 Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])):
         s = dimension.s_n_q_table(sym, 6, 2)[-1]
-        sig = dimension.sigma_n_2(sym, 6)
-        _require(abs(s - (math.log2(sig) - 6)) < 1e-9, f"S_6 vs sigma_6 of {sym.family}")
+        direct = np.logaddexp.reduce(2.0 * measure.cylinder_log_probs_direct(sym, 6)) / math.log(2)
+        _require(abs(s - direct) < 1e-9, f"S_6 vs determinants of {sym.family}")
     est = dimension.dim_q_estimate(Symbol.constant(0.5), 2, 6)
     _require(np.allclose(est.table.estimate_N, 1.0, atol=1e-12), "fair-coin dimension")
 

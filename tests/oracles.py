@@ -3,15 +3,17 @@
 Each computes a quantity the library also computes, by a slower or more
 literal route: the f-route window and coupling-block builders with the
 correlation-ratio matrix H and the all-ones witness formed from them, the
-direct cylinder determinant, moment sums from one batched determinant per
-word, the parity coefficient of the Walsh tuple sum, the complement symbol
-1 - f, the N x N P/Q route of the finite-window search with its per-pair
-deviation and trace-norm grids, the closed-form Hilbert-Schmidt norm
-of the coupling block, the eager prefix extension that forms every
-child's inverse corner as soon as the child is created, the depth-first
-moment-sum walk of the prefix tree, the Szego upper
-bound on the correlation dimension by scipy's bounded Brent search and by a
-fine beta grid, and the longest common substring by a suffix automaton.
+direct cylinder determinant, the joint cylinder probability from the signed
+joint window alone, the next-bit conditional by a walk of prefix states,
+moment sums from one batched determinant per word, the parity coefficient
+of the Walsh tuple sum, the complement symbol 1 - f, the N x N P/Q route of
+the finite-window search with its per-pair deviation and trace-norm grids,
+the closed-form Hilbert-Schmidt norm of the coupling block, the eager
+prefix extension that forms every child's inverse corner as soon as the
+child is created, the depth-first moment-sum walk of the prefix tree, the
+Szego upper bound on the correlation dimension by scipy's bounded Brent
+search and by a fine beta grid, and the longest common substring by a
+suffix automaton.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ import numpy as np
 
 from dppkit import dimension, measure, toeplitz
 from dppkit.errors import ConditioningError, NumericsError, SizeCapError, SymbolSpecError, require_bits
-from dppkit.measure import IMAG_TOL, _GData, _unresolved, cylinder_log_probs_direct
+from dppkit.measure import (IMAG_TOL, PrefixState, _GData, _joint_window, _log_probs, _unresolved,
+                            cylinder_log_probs_direct)
 from dppkit.mixing import FINITE_WINDOW_CAP
 from dppkit.symbol import Symbol, g_coeff_fn, require_range
 
@@ -67,6 +70,21 @@ def cylinder_prob_direct(sym: Symbol, word) -> float:
             raise NumericsError(f"cylinder determinant has imaginary part {val.imag!r}")
         val = val.real
     return float(val)
+
+
+def joint_cylinder_log_prob(sym: Symbol, word, word_prime, gap_ell: int) -> float:
+    """Natural log of mu([word] n shift^-(N+ell) [word_prime])."""
+    return float(_log_probs(_joint_window(sym, word, word_prime, gap_ell)[None])[0])
+
+
+def conditional_next(sym: Symbol, word) -> float:
+    """P(x_N = 1 | the first N bits equal word); word may be empty.  The
+    walk keeps a window as wide as the bandwidth, which is exact."""
+    state = PrefixState.root(sym, window=sym.bandwidth)
+    if word is not None and len(word) > 0:
+        for bit in require_bits(word, "cylinder word"):
+            state = state.extend(int(bit))
+    return state.conditional_one()
 
 
 def s_n_q_direct(sym: Symbol, N: int, q: float) -> float:

@@ -18,7 +18,8 @@ from dppkit.dimension import subset_dets
 from dppkit.measure import cylinder_log_probs_direct
 from dppkit.mixing import SizeCapError
 from dppkit.symbol import g_coeff_fn
-from dppkit import build_T, dimension, rate_experiment
+from dppkit.toeplitz import build_T
+from dppkit import dimension, rate_experiment
 
 from conftest import random_interior_symbol
 from oracles import (corr_dim_szego_upper_brent, corr_dim_szego_upper_grid, s_n_q_direct,

@@ -10,12 +10,9 @@ from dppkit import (
     SizeCapError,
     Symbol,
     allones_lower_witness,
-    build_T,
-    conditional_next,
     correlation_ratio,
     cylinder_log_prob,
     empirical_cylinder_test,
-    joint_cylinder_log_prob,
     lcs_length,
     lcs_length_dp,
     psi_bound_report,
@@ -30,6 +27,9 @@ from dppkit import (
 from dppkit.dimension import subset_dets
 from dppkit.errors import require_bits, require_int
 from dppkit.measure import cylinder_log_probs_direct
+from dppkit.toeplitz import build_T
+
+from oracles import conditional_next, joint_cylinder_log_prob
 
 SYM = Symbol.poisson(0.5, 0.25)
 X = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8)

@@ -10,7 +10,6 @@ from dppkit import (
     HypothesisError,
     NumericsError,
     Symbol,
-    conditional_next,
     contraction_margin,
     correlation_ratio,
     cylinder_log_prob,
@@ -20,12 +19,13 @@ from dppkit import (
 )
 from dppkit.measure import (COEFF_BLOCK, PrefixState, _log_probs, _one_number,
                             cylinder_log_probs_direct)
-from dppkit import build_T, joint_cylinder_log_prob
 from dppkit.symbol import g_coeff_fn
+from dppkit.toeplitz import build_T
 
 from conftest import random_interior_symbol
-from oracles import (EagerPrefixState, build_T_window, build_lambda, complement,
-                     cylinder_prob_direct, hs_norm_sq_lambda, s_n_q_table_dfs)
+from oracles import (EagerPrefixState, build_T_window, build_lambda, complement, conditional_next,
+                     cylinder_prob_direct, hs_norm_sq_lambda, joint_cylinder_log_prob,
+                     s_n_q_table_dfs)
 
 
 def _all_words(n):
@@ -287,8 +287,9 @@ def test_lazy_prefix_state_matches_eager_oracle(name, window):
 
 
 def test_prefix_state_parent_is_keyword_only():
-    # the constructor's old positional form (gd, window, length, theta,
-    # corner, log_prob) fails at once instead of building a wrong state
+    # a state is built only by root and extend: the old positional
+    # constructor form (gd, window, length, theta, corner, log_prob) fails at
+    # once instead of building a wrong state
     root = PrefixState.root(LAZY_SYMBOLS["power_decay"])
     with pytest.raises(TypeError):
         PrefixState(root.gd, None, 0, root.theta, root.corner, 0.0)

@@ -10,21 +10,20 @@ from dppkit import (
     contraction_margin,
     correlation_ratio,
     cylinder_log_prob,
-    joint_cylinder_log_prob,
     mixing,
     psi_bound_report,
     psi_finite_window,
     toeplitz,
-    trace_norm,
 )
 from dppkit.errors import NumericsError
 from dppkit.measure import word_bits
 from dppkit.mixing import SizeCapError, _deviation_grid
 from dppkit.symbol import HypothesisError, g_coeff_fn
+from dppkit.toeplitz import trace_norm
 
 from conftest import random_interior_symbol
 from oracles import (_coupling_stacks, _log_ratio_grid, allones_witness, finite_window_details,
-                     ratio_h)
+                     joint_cylinder_log_prob, ratio_h)
 
 COMPLEX_TRIG = Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])  # bandwidth 3
 

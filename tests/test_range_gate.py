@@ -7,7 +7,6 @@ from dppkit import (
     PrefixState,
     Symbol,
     allones_lower_witness,
-    conditional_next,
     corr_dim_szego_lower,
     corr_dim_szego_upper,
     correlation_ratio,
@@ -15,7 +14,6 @@ from dppkit import (
     cylinder_prob,
     dim_q_estimate,
     empirical_cylinder_test,
-    joint_cylinder_log_prob,
     psi_bound_report,
     psi_finite_window,
     rate_experiment,
@@ -27,6 +25,8 @@ from dppkit import (
 )
 from dppkit.dimension import subset_dets
 from dppkit.measure import cylinder_log_probs_direct
+
+from oracles import conditional_next, joint_cylinder_log_prob
 
 RC_BAD = Symbol.raised_cosine(0.5, 0.9)  # range [-0.4, 1.4]
 

@@ -7,7 +7,6 @@ import pytest
 from dppkit import (
     Symbol,
     sampler,
-    conditional_next,
     cylinder_prob,
     empirical_cylinder_test,
     sample_many,
@@ -18,7 +17,7 @@ from dppkit.mixing import SizeCapError
 from dppkit.sampler import EXACT_LENGTH_CAP, _auto_window, _chi2_sf_odd
 from dppkit.symbol import require_range
 
-from oracles import EagerPrefixState
+from oracles import EagerPrefixState, conditional_next
 
 
 def test_reproducibility(poi_half):

@@ -7,7 +7,6 @@ import pytest
 
 from dppkit import (
     Symbol,
-    build_T,
     SymbolSpecError,
     contraction_margin,
     one_sidedness,
@@ -16,6 +15,7 @@ from dppkit import (
 )
 
 from dppkit.symbol import g_coeff_fn
+from dppkit.toeplitz import build_T
 
 from oracles import complement
 

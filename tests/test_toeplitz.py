@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dppkit import (
-    HypothesisError,
-    Symbol,
-    build_T,
-    log_det,
-    szego_log_integral,
-    tail_sum,
-    trace_norm,
-)
-from dppkit.toeplitz import SZEGO_GRID, joint_index_set
+from dppkit import HypothesisError, Symbol, tail_sum
+from dppkit.toeplitz import (SZEGO_GRID, build_T, joint_index_set, log_det, szego_log_integral,
+                             trace_norm)
 
 from conftest import random_interior_symbol
 from oracles import build_T_window, build_lambda, hs_norm_sq_lambda
