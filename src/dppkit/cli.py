@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import dimension, lcs, measure, mixing, sampler, selftest
-from .errors import ConditioningError, HypothesisError, SizeCapError, SymbolSpecError, require_int
+from .errors import ConditioningError, HypothesisError, SizeCapError, SymbolSpecError
 from .symbol import Symbol, symbol_from_json
 
 EXIT_OK = 0
@@ -131,8 +131,7 @@ def _emit(args, columns: tuple[str, ...] | None, rows: list) -> None:
 
 
 def _cmd_coeffs(sym: Symbol, args):
-    nmax = require_int(args.nmax, 0, None, "coeffs: --nmax must be at least 0")
-    ns = np.arange(0, nmax + 1)
+    ns = np.arange(0, args.nmax + 1)
     rows = [(int(n), float(c.real), float(c.imag)) for n, c in zip(ns, sym.coeffs(ns))]
     return ("n", "re", "im"), rows
 
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="Fourier coefficients fhat(0..nmax)")
     common(p)
-    p.add_argument("--nmax", type=int, default=16)
+    p.add_argument("--nmax", type=_bounded_int(0), default=16)
     p.set_defaults(fn=_cmd_coeffs)
 
     p = sub.add_parser("cylinder", help="exact cylinder probabilities")

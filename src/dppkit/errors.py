@@ -22,7 +22,7 @@ class SizeCapError(ValueError):
 
 
 class ConditioningError(ArithmeticError):
-    """A conditional probability could not be formed (vanishing prefix mass)."""
+    """A conditional probability could not be formed (vanishing prefix or window mass)."""
 
 
 class NumericsError(ArithmeticError):

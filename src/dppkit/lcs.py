@@ -188,16 +188,16 @@ def _lcs_doubling(xs: np.ndarray, ys: np.ndarray) -> int:
 def lcs_length_dp(x, y, n: int | None = None) -> int:
     """Quadratic dynamic-programming oracle for lcs_length."""
     n, xs, ys = _prefixes(x, y, n, "lcs_length_dp: need n >= 1")
-    prev = np.zeros(n + 1, dtype=np.int32)
+    matches = (ys == 0, ys == 1)
+    prev = np.zeros(n + 1, dtype=np.int32)  # entry 0 stays 0 in both rows
     cur = np.zeros(n + 1, dtype=np.int32)
-    best = 0
+    best = np.zeros(n, dtype=np.int32)  # the longest run ending at each position of y
     for xi in xs:
-        cur[0] = 0
         np.add(prev[:-1], 1, out=cur[1:])
-        cur[1:] *= ys == xi
-        best = max(best, int(cur.max()))
+        cur[1:] *= matches[xi]
+        np.maximum(best, cur[1:], out=best)
         prev, cur = cur, prev
-    return best
+    return int(best.max())
 
 
 @dataclass(frozen=True)

@@ -393,17 +393,14 @@ class PrefixState:
         theta = self._formed_stack().theta
         return theta if theta.ndim == 1 else theta[self._row]
 
-    def _alpha(self):
-        """alpha for appending position length+1, from x or the corner stack."""
+    def conditional_one(self) -> float:
+        """P(next bit = 1 | prefix), from alpha for position length+1 (x or the corner stack)."""
         x = self._x
         if x is None:
             stack = self._stack
-            return (stack.alphas or stack.extension())[self._row]
-        return self.gd.g0 - self.gd.kx * x
-
-    def conditional_one(self) -> float:
-        """P(next bit = 1 | prefix)."""
-        alpha = self._alpha()
+            alpha = (stack.alphas or stack.extension())[self._row]
+        else:
+            alpha = self.gd.g0 - self.gd.kx * x
         if not self.gd.real:
             if abs(alpha.imag) > IMAG_TOL:
                 raise _unresolved(self.length, self.log_prob, abs(1.0 + alpha), alpha.imag)

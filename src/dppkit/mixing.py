@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, toeplitz
-from .errors import NumericsError, SizeCapError, require_int
+from .errors import ConditioningError, NumericsError, SizeCapError, require_int
 from .symbol import (DEFAULT_TRUNCATION, Symbol, TailSum, contraction_margin, g_coeff_fn,
                      require_range, tail_sum)
 
@@ -166,7 +166,7 @@ def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndar
     theta = 2.0 * measure.word_bits(N) - 1.0
     a = theta[:, :, None] * base[:N, :N] + np.eye(N, dtype=base.dtype)
     if np.any(measure._log_probs(a) == -math.inf):
-        raise NumericsError("vanishing marginal in finite-window enumeration")
+        raise ConditioningError("vanishing marginal in finite-window enumeration")
     u, m, v = _coupling_factors(sym, base[:N, N:])
     r = m.shape[1]
     if r == 0:
@@ -188,11 +188,11 @@ def _deviation_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if r == 2:
             t -= np.multiply.outer(np.linalg.det(x), np.linalg.det(y))
         if np.any(np.real(t) >= 1.0):
-            raise NumericsError("vanishing joint in finite-window enumeration")
+            raise ConditioningError("vanishing joint in finite-window enumeration")
         return np.abs(t)
     sign, logabs = np.linalg.slogdet(np.eye(r, dtype=x.dtype) - y[None, :] @ x[:, None])
     if np.any(np.real(sign) <= 0):
-        raise NumericsError("vanishing joint in finite-window enumeration")
+        raise ConditioningError("vanishing joint in finite-window enumeration")
     return np.abs(np.expm1(logabs))
 
 

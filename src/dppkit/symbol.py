@@ -54,7 +54,8 @@ class Symbol:
 
     Use the classmethod constructors (``Symbol.constant`` etc.) or
     :func:`symbol_from_json`; the raw constructor performs no validation.
-    ``table`` holds the coefficients fhat(n) for n >= 0 (trig_poly only).
+    ``table`` holds fhat(0..B) for constant, raised_cosine and trig_poly, as
+    part of their representation (None for the other families).
     """
 
     family: str
@@ -66,13 +67,14 @@ class Symbol:
     @classmethod
     def constant(cls, a: float) -> "Symbol":
         _require(math.isfinite(a), "constant: a must be finite")
-        return cls("constant", {"a": float(a)})
+        return cls("constant", {"a": float(a)}, np.array([float(a)], dtype=complex))
 
     @classmethod
     def raised_cosine(cls, a: float, b: float) -> "Symbol":
         """f(t) = a + b*cos(2*pi*t)."""
         _require(math.isfinite(a) and math.isfinite(b), "raised_cosine: non-finite parameter")
-        return cls("raised_cosine", {"a": float(a), "b": float(b)})
+        a, b = float(a), float(b)  # + 0.0: a zero coefficient reads +0.0, whatever the sign
+        return cls("raised_cosine", {"a": a, "b": b}, np.array([a + 0.0, b / 2.0 + 0.0], dtype=complex))
 
     @classmethod
     def poisson(cls, c: float, r: float) -> "Symbol":
@@ -120,23 +122,19 @@ class Symbol:
         ns = np.asarray(ns)
         a = np.abs(ns)
         fam, p = self.family, self.params
-        if fam == "constant":
-            return np.where(ns == 0, p["a"], 0.0)
-        if fam == "raised_cosine":
-            return np.where(ns == 0, p["a"], 0.0) + np.where(a == 1, p["b"] / 2.0, 0.0)
-        if fam == "poisson":
-            return p["c"] * np.float_power(p["r"], a)
-        if fam == "power_decay":
-            mask = (a >= 1) & (a <= p["cutoff"])
-            return (np.where(ns == 0, p["a"], 0.0)
-                    + np.where(mask, p["c"] * np.float_power(np.maximum(a, 1), -p["p"]), 0.0))
-        if fam == "trig_poly":
+        if self.table is not None:
             tab = self.table.real if self.has_real_coeffs else self.table
             out = np.zeros(ns.shape, dtype=tab.dtype)
             mask = a < tab.size
             vals = tab[a[mask]]
             out[mask] = np.where(ns[mask] >= 0, vals, np.conj(vals))
             return out
+        if fam == "poisson":
+            return p["c"] * np.float_power(p["r"], a)
+        if fam == "power_decay":
+            mask = (a >= 1) & (a <= p["cutoff"])
+            return (np.where(ns == 0, p["a"], 0.0)
+                    + np.where(mask, p["c"] * np.float_power(np.maximum(a, 1), -p["p"]), 0.0))
         if fam == "arc_indicator":
             al, be = p["alpha"], p["beta"]
             out = np.full(ns.shape, be - al, dtype=complex)
@@ -154,11 +152,7 @@ class Symbol:
     def bandwidth(self) -> int | None:
         """Exact bandwidth for band-limited families, else None."""
         fam = self.family
-        if fam == "constant":
-            return 0
-        if fam == "raised_cosine":
-            return 1 if self.params["b"] != 0.0 else 0
-        if fam == "trig_poly":
+        if self.table is not None:
             nz = np.nonzero(self.table)[0]
             return int(nz[-1]) if nz.size else 0
         if fam == "power_decay":
@@ -179,7 +173,7 @@ class Symbol:
     def has_real_coeffs(self) -> bool:
         """True when every fhat(n) is real (even symbol): ``coeffs`` is then
         float64, and every matrix formed from it real."""
-        if self.family == "trig_poly":
+        if self.table is not None:
             return bool(np.all(self.table.imag == 0.0))
         return self.family != "arc_indicator"
 

@@ -153,7 +153,7 @@ def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndar
     theta = 2.0 * measure.word_bits(N) - 1.0
     a = theta[:, :, None] * base[:N, :N] + np.eye(N, dtype=base.dtype)
     if np.any(measure._log_probs(a) == -math.inf):
-        raise NumericsError("vanishing marginal in finite-window enumeration")
+        raise ConditioningError("vanishing marginal in finite-window enumeration")
     # columns 0..N-1 hold Lambda_g (top-right block), N..2N-1 Lambda_g* (bottom-left)
     pq = np.linalg.solve(a, theta[:, :, None] * np.hstack([base[:N, N:], base[N:, :N]]))
     return pq[:, :, :N], pq[:, :, N:]
@@ -170,7 +170,7 @@ def _log_ratio_grid(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         # sign of det(I - H) times the two positive marginal signs
         sign, out[lo:lo + chunk] = np.linalg.slogdet(eye - q[None, :] @ p[lo:lo + chunk, None])
         if np.any(np.real(sign) <= 0):
-            raise NumericsError("vanishing joint in finite-window enumeration")
+            raise ConditioningError("vanishing joint in finite-window enumeration")
     return out
 
 

@@ -47,7 +47,7 @@ def test_coeffs_empty_rows(capsys):
     # a negative --nmax is a usage error, not a header with no rows; --nmax 0
     # prints the one row fhat(0)
     code, out, err = run_cli(["coeffs", "--symbol", POISSON, "--nmax", "-1"], capsys)
-    assert code == 64 and out == "" and err == "error: coeffs: --nmax must be at least 0\n"
+    assert code == 64 and out == "" and err == "error: argument --nmax: must be at least 0, got -1\n"
     code, out, _ = run_cli(["coeffs", "--symbol", POISSON, "--nmax", "0"], capsys)
     assert code == 0 and out == "n,re,im\n0,0.5,0.0\n"
     code, out, _ = run_cli(["coeffs", "--symbol", POISSON, "--nmax", "0", "--format", "json"],
@@ -329,6 +329,20 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, err
         assert json.loads(err) == {"error": error, "message": "planted"}
 
 
+@pytest.mark.parametrize("spec, what", [
+    ('{"family":"constant","params":{"a":1.0}}', "marginal"),
+    ('{"family":"constant","params":{"a":0.0}}', "marginal"),
+    ('{"family":"arc_indicator","params":{"alpha":0.75,"beta":0.751}}', "joint"),
+], ids=["constant-1", "constant-0", "arc-0.75-0.751"])
+def test_psi_vanishing_cylinder_exit_2(capsys, spec, what):
+    # a word of zero mass passes the range gate: a conditioning failure, as in
+    # correlation_ratio, not an internal one
+    code, out, err = run_cli(["psi", "--symbol", spec, "--ell", "1..2", "--N", "2"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ConditioningError",
+                               "message": f"vanishing {what} in finite-window enumeration"}
+
+
 def _array_memory_error() -> MemoryError:
     """numpy's own MemoryError subclass, as an allocation too large for
     memory raises it, built without allocating anything."""
@@ -368,6 +382,7 @@ def test_lcs_experiment_refuses_a_seed_past_64_bits(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["coeffs", "--nmax", "-1"],
     ["psi", "--ell", "0"],
     ["psi", "--N", "0"],
     ["dimension", "--nmax", "0"],

@@ -15,7 +15,7 @@ from dppkit import (
     psi_finite_window,
     toeplitz,
 )
-from dppkit.errors import NumericsError
+from dppkit.errors import ConditioningError
 from dppkit.measure import word_bits
 from dppkit.mixing import SizeCapError, _deviation_grid
 from dppkit.symbol import HypothesisError, g_coeff_fn
@@ -235,7 +235,7 @@ def test_finite_window_rank_zero_needs_no_solve(monkeypatch):
                 got = psi_finite_window(sym, ell, n)
                 assert (got.value, got.argmax_word, got.argmax_word_prime) == (0.0, "0" * n, "0" * n)
     # the marginal check still runs: f = 1 gives the word "0" mass 0
-    with pytest.raises(NumericsError, match="^vanishing marginal in finite-window enumeration$"):
+    with pytest.raises(ConditioningError, match="^vanishing marginal in finite-window enumeration$"):
         psi_finite_window(Symbol.constant(1.0), 1, 3)
 
 
@@ -516,7 +516,7 @@ def test_deviation_grid_vanishing_joint_raises(r, k11):
     y[1, 0, 0] = 1.0
     assert np.all(_deviation_grid(x, y) == 0.0)
     x[2, 0, 0] = k11
-    with pytest.raises(NumericsError, match="^vanishing joint in finite-window enumeration$"):
+    with pytest.raises(ConditioningError, match="^vanishing joint in finite-window enumeration$"):
         _deviation_grid(x, y)
 
 

@@ -299,3 +299,53 @@ def test_fingerprint_distinguishes_symbols():
     b = Symbol.poisson(0.5, 0.2500001)
     assert a.fingerprint != b.fingerprint
     assert a.fingerprint == Symbol.poisson(0.5, 0.25).fingerprint
+
+
+# signed zeros among the parameters: the closed forms below read +0.0 for
+# raised_cosine wherever the sum of their two terms is zero
+SIGNED_A = (0.5, 0.0, -0.0, 0.3)
+SIGNED_B = (0.25, 0.0, -0.0, -0.2)
+FAR_NS = np.concatenate([np.arange(-70, 71), [10 ** 6 + 1, -(10 ** 6 + 1), 2 ** 40, -(2 ** 40)]])
+
+
+def _same_coeff_bytes(sym, want):
+    got = sym.coeffs(FAR_NS)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for k in (0, 69, 70, 71, 141):  # a scalar n reads the same entry
+        assert sym.coeffs(FAR_NS[k]).tobytes() == want[k].tobytes()
+
+
+@pytest.mark.parametrize("a", SIGNED_A, ids=repr)
+def test_constant_table_matches_closed_form(a):
+    sym = Symbol.constant(a)
+    _same_coeff_bytes(sym, np.where(FAR_NS == 0, a, 0.0))
+    assert sym.bandwidth == 0 and sym.has_real_coeffs
+
+
+@pytest.mark.parametrize("b", SIGNED_B, ids=repr)
+@pytest.mark.parametrize("a", SIGNED_A, ids=repr)
+def test_raised_cosine_table_matches_closed_form(a, b):
+    sym = Symbol.raised_cosine(a, b)
+    _same_coeff_bytes(sym, np.where(FAR_NS == 0, a, 0.0) + np.where(np.abs(FAR_NS) == 1, b / 2.0, 0.0))
+    assert sym.bandwidth == (0 if b == 0.0 else 1) and sym.has_real_coeffs
+
+
+@pytest.mark.parametrize("sym, spec, fingerprint", [
+    (Symbol.constant(0.5), {"family": "constant", "params": {"a": 0.5}}, "48a33150038d2579"),
+    (Symbol.raised_cosine(0.5, 0.25), {"family": "raised_cosine", "params": {"a": 0.5, "b": 0.25}},
+     "dde65a58afea7646"),
+    (Symbol.poisson(0.5, 0.25), {"family": "poisson", "params": {"c": 0.5, "r": 0.25}},
+     "cddc716d59b69a7a"),
+    (Symbol.trig_poly([0.5, 0.1 + 0.12j, 0.0, 0.05]),
+     {"family": "trig_poly", "coeffs": [{"n": 0, "re": 0.5, "im": 0.0}, {"n": 1, "re": 0.1, "im": 0.12},
+                                        {"n": 2, "re": 0.0, "im": 0.0}, {"n": 3, "re": 0.05, "im": 0.0}]},
+     "c7ac2efbfaf470b3"),
+    (Symbol.power_decay(0.5, 0.1, 2.0, 8),
+     {"family": "power_decay", "params": {"a": 0.5, "c": 0.1, "p": 2.0, "cutoff": 8}}, "f74d0aac68e1df39"),
+    (Symbol.arc_indicator(0.25, 0.75), {"family": "arc_indicator", "params": {"alpha": 0.25, "beta": 0.75}},
+     "87948b3ee3397492"),
+], ids=["constant", "raised_cosine", "poisson", "trig_poly", "power_decay", "arc_indicator"])
+def test_spec_dict_and_fingerprint_are_pinned(sym, spec, fingerprint):
+    # the coefficient table is not part of the spec: constant and
+    # raised_cosine keep their parameter specs, so their fingerprints hold
+    assert sym.spec_dict() == spec and sym.fingerprint == fingerprint
