@@ -44,13 +44,7 @@ def _load_symbol(text: str) -> Symbol:
         except OSError as exc:
             raise ValueError(f"cannot read symbol file: {exc}") from exc
     try:
-        spec = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"malformed symbol JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    try:
-        return symbol_from_json(spec)
+        return symbol_from_json(text)
     except SymbolSpecError as exc:
         raise SymbolSpecError(f"invalid symbol spec: {exc}") from exc
 

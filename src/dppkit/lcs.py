@@ -38,14 +38,15 @@ LOG2 = math.log(2.0)
 WINDOW = 64  # bits per packed window code
 CHUNK = 8192  # union entries per pass of the adjacent-XOR minimum
 DIM2_NMAX = 12  # depth of the moment sums behind a default dim2
+_N_CAP = 2 ** 31 - 1  # the largest n whose ``_lcs_doubling`` keys fit int64
 
 
-def _prefixes(x, y, n: int | None, need: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """n (by default the shorter length) with x[:n] and y[:n] as uint8 arrays,
-    after checking n (``need`` is its message) and that all of x and y is binary."""
+def _prefixes(x, y, n: int | None, need: str, cap: int | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+    """n (by default the shorter length) with x[:n] and y[:n] as uint8 arrays, after
+    checking n in [1, cap] (``need`` is its message) and that x and y are binary."""
     if n is None:
         n = min(len(x), len(y))
-    n = require_int(n, 1, None, need)
+    n = require_int(n, 1, cap, need)
     xs, ys = (require_bits(s.bits if isinstance(s, sampler.BinarySequence) else s, "lcs sequence")
               for s in (x, y))
     for bits in (xs, ys):
@@ -98,9 +99,9 @@ def lcs_length(x, y, n: int | None = None) -> int:
     """Exact length of the longest common substring of x[:n] and y[:n].
 
     Answers below WINDOW - 1 come from sorted window codes; one of WINDOW - 1
-    or more is refined from the same codes by prefix doubling.
+    or more is refined from the same codes by prefix doubling, for n < 2^31.
     """
-    n, xs, ys = _prefixes(x, y, n, "lcs_length: need n >= 1")
+    n, xs, ys = _prefixes(x, y, n, "lcs_length: need n >= 1 and n < 2^31", _N_CAP)
     full = max(n - WINDOW + 1, 0)  # windows lying wholly inside
     # a tail window of own length L (n - full .. 1) has the cap bit
     # 1 << (63 - L): any XOR v has min(lz(v), L) leading zeros once it is set
@@ -231,12 +232,12 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
     supplied it is the ``fekete_lower`` of the dimension module up to
     N = DIM2_NMAX, and ``target_certified`` says whether that is a certified
     lower bound on D2 (it is not for two-sided symbols); the target is then an
-    upper bound on the limit of M_n / ln n.  ``seed`` is an int in [0, 2^64).
-    Trial t of row j derives its two sampling seeds from
-    SeedSequence((seed, (j, t))).
+    upper bound on the limit of M_n / ln n.  ``seed`` is an int in [0, 2^64),
+    each n one in [2, 2^31).  Trial t of row j derives its two sampling seeds
+    from SeedSequence((seed, (j, t))).
     """
-    need = "rate_experiment: n_grid must contain integers >= 2"
-    ns = [require_int(v, 2, None, need) for v in n_grid]
+    need = "rate_experiment: n_grid must contain integers >= 2 and < 2^31"
+    ns = [require_int(v, 2, _N_CAP, need) for v in n_grid]
     if not ns:
         raise ValueError(need)
     trials = require_int(trials, 1, None, "rate_experiment: need trials >= 1")

@@ -170,38 +170,31 @@ def _one_number(sym: Symbol, window: int | None) -> bool:
 class _GData:
     """Cached g-coefficients for prefix extension.
 
-    With ``one_number`` only the constants of the one-number recursion are
-    kept (see ``PrefixState``): ``kx`` with alpha = g0 - kx x, ``gm1`` =
-    ghat(-1), and for a geometric symbol ``c2`` = 2c and ``r2`` = r^2
-    (``c2`` is None at bandwidth <= 1).  Otherwise ``gpos`` and ``gneg``
-    hold ghat(n) and ghat(-n) for n = 0 .. size - 1, of the symbol's
-    coefficient dtype: COEFF_BLOCK at first, doubled whenever a corner
-    outgrows them (see ``reversed_rows``), so a prefix reads only as many
-    as its corner needs.
+    ``g0`` = ghat(0) and the constants of the one-number recursion (see
+    ``PrefixState``): ``kx`` with alpha = g0 - kx x, ``gm1`` = ghat(-1), and
+    for a geometric symbol ``c2`` = 2c and ``r2`` = r^2 (``c2`` is None
+    otherwise).  ``gpos`` and ``gneg`` hold ghat(n) and ghat(-n) for n = 0 ..
+    size - 1, of the symbol's coefficient dtype: empty at first, then
+    COEFF_BLOCK, doubled whenever a corner outgrows them (see
+    ``reversed_rows``), so a prefix reads only as many as its corner needs.
     """
 
     __slots__ = ("ghat", "g0", "gpos", "gneg", "real", "kx", "c2", "r2", "gm1")
 
-    def __init__(self, sym: Symbol, one_number: bool = False):
+    def __init__(self, sym: Symbol):
         ghat = self.ghat = g_coeff_fn(sym)
         self.real = sym.has_real_coeffs
-        self.kx = self.c2 = self.r2 = None
-        if one_number:
-            self.gm1, self.g0, g1 = ghat(np.arange(-1, 2)).tolist()
-            if sym.geometric is not None:
-                c, r = sym.geometric
-                self.kx, self.c2, self.r2 = 4.0 * c * c, 2.0 * c, r * r
-            else:
-                self.kx = g1
-            return
+        self.gm1, self.g0, self.kx = ghat(np.arange(-1, 2)).tolist()
+        self.c2 = self.r2 = None
+        if sym.geometric is not None:
+            c, r = sym.geometric
+            self.kx, self.c2, self.r2 = 4.0 * c * c, 2.0 * c, r * r
         self.gpos = np.zeros(0)
-        self.reversed_rows(COEFF_BLOCK - 1)
-        self.g0 = self.gpos[0]
 
     def reversed_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """ghat(-j) .. ghat(-1) and ghat(j) .. ghat(1), as reversed views."""
         if j >= self.gpos.size:
-            ns = np.arange(max(j + 1, 2 * self.gpos.size))
+            ns = np.arange(max(j + 1, COEFF_BLOCK, 2 * self.gpos.size))
             self.gpos, self.gneg = self.ghat(ns), self.ghat(-ns)
         return self.gneg[j:0:-1], self.gpos[j:0:-1]
 
@@ -369,7 +362,7 @@ class PrefixState:
             window = require_int(window, 0, None,
                                  f"prefix state window must be None or an int >= 0, got {window!r}")
         one_number = _one_number(sym, window)
-        gd = _GData(sym, one_number)
+        gd = _GData(sym)
         dtype = np.float64 if gd.real else np.complex128
         state = _new_state(cls)
         state.gd, state.window, state.length, state.log_prob, state._row = gd, window, 0, 0.0, 0

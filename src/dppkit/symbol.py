@@ -8,8 +8,10 @@ every family (symbols are real-valued).
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,18 +36,23 @@ FAMILIES = (
     "arc_indicator",
 )
 
-_FAMILY_PARAMS = {
-    "constant": ("a",),
-    "raised_cosine": ("a", "b"),
-    "poisson": ("c", "r"),
-    "power_decay": ("a", "c", "p", "cutoff"),
-    "arc_indicator": ("alpha", "beta"),
-}
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise SymbolSpecError(msg)
+
+
+def _finite(family: str, **params) -> list[float]:
+    """Each parameter as a float; a bool, a value that is not a ``numbers.Real``
+    (numpy's bool, a complex, a string, None) or a non-finite one is refused."""
+    out = []
+    for name, v in params.items():
+        try:
+            out.append(float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan)
+        except OverflowError:  # an int past the float range
+            out.append(math.nan)
+        _require(math.isfinite(out[-1]), f"{family}: parameter {name} must be a finite number")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,27 +73,29 @@ class Symbol:
 
     @classmethod
     def constant(cls, a: float) -> "Symbol":
-        _require(math.isfinite(a), "constant: a must be finite")
-        return cls("constant", {"a": float(a)}, np.array([float(a)], dtype=complex))
+        (a,) = _finite("constant", a=a)
+        return cls("constant", {"a": a}, np.array([a], dtype=complex))
 
     @classmethod
     def raised_cosine(cls, a: float, b: float) -> "Symbol":
         """f(t) = a + b*cos(2*pi*t)."""
-        _require(math.isfinite(a) and math.isfinite(b), "raised_cosine: non-finite parameter")
-        a, b = float(a), float(b)  # + 0.0: a zero coefficient reads +0.0, whatever the sign
+        a, b = _finite("raised_cosine", a=a, b=b)  # + 0.0: a zero coefficient reads +0.0, whatever the sign
         return cls("raised_cosine", {"a": a, "b": b}, np.array([a + 0.0, b / 2.0 + 0.0], dtype=complex))
 
     @classmethod
     def poisson(cls, c: float, r: float) -> "Symbol":
         """f(t) = c*(1-r^2)/(1-2r*cos(2*pi*t)+r^2); fhat(n) = c*r^|n|."""
-        _require(math.isfinite(c) and math.isfinite(r), "poisson: non-finite parameter")
+        c, r = _finite("poisson", c=c, r=r)
         _require(abs(r) < 1, "poisson: need |r| < 1")
-        return cls("poisson", {"c": float(c), "r": float(r)})
+        return cls("poisson", {"c": c, "r": r})
 
     @classmethod
     def trig_poly(cls, coeffs: "np.ndarray | list[complex]") -> "Symbol":
         """Band-limited symbol from the coefficients fhat(0..B); fhat(-n) = conj(fhat(n))."""
-        table = np.asarray(coeffs, dtype=complex).ravel().copy()
+        table = np.asarray(coeffs, dtype=object).ravel()  # as given: numpy reads [True, 0.1] as floats
+        _require(all(isinstance(v, numbers.Complex) and not isinstance(v, bool) for v in table),
+                 "trig_poly: coefficients must be numbers")
+        table = table.astype(complex)
         _require(table.size >= 1, "trig_poly: need at least fhat(0)")
         _require(bool(np.all(np.isfinite(table))), "trig_poly: non-finite coefficient")
         _require(abs(table[0].imag) == 0.0, "trig_poly: fhat(0) must be real")
@@ -95,20 +104,21 @@ class Symbol:
     @classmethod
     def power_decay(cls, a: float, c: float, p: float, cutoff: int) -> "Symbol":
         """fhat(0) = a, fhat(n) = c/|n|^p for 1 <= |n| <= cutoff."""
-        _require(all(math.isfinite(v) for v in (a, c, p)), "power_decay: non-finite parameter")
+        a, c, p = _finite("power_decay", a=a, c=c, p=p)
         try:
             cutoff = require_int(cutoff, 1, None, "power_decay: cutoff must be an integer >= 1")
         except ValueError as exc:
             raise SymbolSpecError(str(exc)) from exc
         _require(p > 0, "power_decay: need p > 0")
-        return cls("power_decay", {"a": float(a), "c": float(c), "p": float(p), "cutoff": cutoff})
+        return cls("power_decay", {"a": a, "c": c, "p": p, "cutoff": cutoff})
 
     @classmethod
     def arc_indicator(cls, alpha: float, beta: float) -> "Symbol":
-        """Indicator of the arc [alpha, beta) on [0,1)."""
-        _require(math.isfinite(alpha) and math.isfinite(beta), "arc_indicator: non-finite endpoint")
+        """Indicator of the arc [alpha, beta) on [0,1); the whole circle has constant(1.0)'s table."""
+        alpha, beta = _finite("arc_indicator", alpha=alpha, beta=beta)
         _require(0.0 <= alpha < beta <= 1.0, "arc_indicator: need 0 <= alpha < beta <= 1")
-        return cls("arc_indicator", {"alpha": float(alpha), "beta": float(beta)})
+        table = np.array([1.0], dtype=complex) if beta - alpha >= 1.0 else None
+        return cls("arc_indicator", {"alpha": alpha, "beta": beta}, table)
 
     # -- coefficients ---------------------------------------------------
 
@@ -225,9 +235,8 @@ class Symbol:
             c, r = p["c"], abs(p["r"])
             lo, hi = c * (1 - r) / (1 + r), c * (1 + r) / (1 - r)
             return (lo, hi) if c >= 0 else (hi, lo)
-        if fam == "arc_indicator":
-            width = p["beta"] - p["alpha"]
-            return (1.0, 1.0) if width >= 1.0 else (0.0, 1.0)
+        if self.bandwidth is None:  # an arc short of the whole circle
+            return 0.0, 1.0
         if self.bandwidth <= 1:  # fhat(0) + 2 |fhat(1)| cos(2 pi t + phase)
             amp = 2.0 * abs(self.coeff(1))
             return self.fhat0 - amp, self.fhat0 + amp
@@ -244,8 +253,10 @@ class Symbol:
 
     @property
     def range_ok(self) -> bool:
-        """Whether min/max of f lie in [0 - tol, 1 + tol]."""
-        return self.f_min >= -RANGE_TOL and self.f_max <= 1.0 + RANGE_TOL
+        """Whether min/max of f lie in [0 - tol, 1 + tol]: tol is RANGE_TOL where
+        they come from the grid (bandwidth >= 2), and 0 where they are closed form."""
+        tol = RANGE_TOL if (self.bandwidth or 0) >= 2 else 0.0
+        return self.f_min >= -tol and self.f_max <= 1.0 + tol
 
     # -- identity ---------------------------------------------------------
 
@@ -392,10 +403,16 @@ def symbol_from_json(spec) -> Symbol:
 
     Accepted shapes: {"family": <name>, "params": {...}} and
     {"family": "trig_poly", "coeffs": [{"n": 0, "re": 0.5, "im": 0.0}, ...]}
-    with only n >= 0 entries (Hermitian completion is implied).
+    with only n >= 0 entries (Hermitian completion is implied).  Bad JSON text
+    is a plain ValueError; this checks the shape, the constructors the values.
     """
     if isinstance(spec, (str, bytes)):
-        spec = json.loads(spec)
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"malformed symbol JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
     if not isinstance(spec, dict):
         raise SymbolSpecError("symbol spec must be a JSON object")
     family = spec.get("family")
@@ -415,27 +432,17 @@ def symbol_from_json(spec) -> Symbol:
             _require(isinstance(n, int) and not isinstance(n, bool), "coefficient index n must be an integer")
             _require(n >= 0, f"coefficient index n={n} rejected: only n >= 0 accepted")
             _require(n not in seen, f"duplicate coefficient index n={n}")
-            re = ent.get("re", 0.0)
-            im = ent.get("im", 0.0)
-            _require(isinstance(re, (int, float)) and isinstance(im, (int, float)),
-                     "coefficient re/im must be numbers")
-            if n == 0:
-                _require(im == 0.0, "fhat(0) must be real (im = 0)")
-            seen[n] = complex(re, im)
+            seen[n] = complex(*_finite("trig_poly", re=ent.get("re", 0.0), im=ent.get("im", 0.0)))
         table = np.zeros(max(seen) + 1, dtype=complex)
-        for n, c in seen.items():
-            table[n] = c
+        table[list(seen)] = list(seen.values())
         return Symbol.trig_poly(table)
 
     extra = set(spec) - {"family", "params"}
     _require(not extra, f"unknown fields in symbol spec: {sorted(extra)}")
     params = spec.get("params")
     _require(isinstance(params, dict), "'params' must be an object")
-    expected = _FAMILY_PARAMS[family]
+    ctor = getattr(Symbol, family)
+    expected = inspect.signature(ctor).parameters
     _require(set(params) == set(expected),
              f"{family}: expected params {sorted(expected)}, got {sorted(params)}")
-    for k, v in params.items():
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
-                 f"{family}: parameter {k} must be a finite number")
-    ctor = getattr(Symbol, family)
-    return ctor(**{k: params[k] for k in expected})
+    return ctor(**params)

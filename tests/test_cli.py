@@ -329,11 +329,22 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, err
         assert json.loads(err) == {"error": error, "message": "planted"}
 
 
+WHOLE_ARC = '{"family":"arc_indicator","params":{"alpha":0.0,"beta":1.0}}'
+
+
+def test_whole_arc_cylinders_are_those_of_constant_one(capsys):
+    # the arc that covers the circle is the constant 1, coefficient for coefficient
+    code, out, _ = run_cli(["cylinder", "--symbol", WHOLE_ARC, "--N", "2"], capsys)
+    one = run_cli(["cylinder", "--symbol", '{"family":"constant","params":{"a":1.0}}', "--N", "2"], capsys)
+    assert code == 0 and (code, out) == one[:2] and len(out.splitlines()) == 5
+
+
 @pytest.mark.parametrize("spec, what", [
     ('{"family":"constant","params":{"a":1.0}}', "marginal"),
     ('{"family":"constant","params":{"a":0.0}}', "marginal"),
     ('{"family":"arc_indicator","params":{"alpha":0.75,"beta":0.751}}', "joint"),
-], ids=["constant-1", "constant-0", "arc-0.75-0.751"])
+    (WHOLE_ARC, "marginal"),
+], ids=["constant-1", "constant-0", "arc-0.75-0.751", "whole-arc"])
 def test_psi_vanishing_cylinder_exit_2(capsys, spec, what):
     # a word of zero mass passes the range gate: a conditioning failure, as in
     # correlation_ratio, not an internal one

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dppkit import Symbol, lcs, lcs_length, lcs_length_dp, rate_experiment, sample_prefix
+from dppkit import SizeCapError, Symbol, lcs, lcs_length, lcs_length_dp, rate_experiment, sample_prefix
 from oracles import lcs_automaton
 
 
@@ -31,6 +31,14 @@ def test_input_validation(fair):
         lcs_length(short, short, 11)
     with pytest.raises(ValueError, match="n_grid must contain integers >= 2"):
         rate_experiment(fair, [], 1, 1, dim2=1.0)
+
+
+def test_lcs_refuses_n_from_2_31(fair):
+    # the doubling keys fit int64 below 2^31; every n is checked before any sampling
+    with pytest.raises(SizeCapError, match=r"^lcs_length: need n >= 1 and n < 2\^31$"):
+        lcs_length([0, 1], [0, 1], 2 ** 31)
+    with pytest.raises(SizeCapError, match=r"^rate_experiment: n_grid must contain integers >= 2 and < 2\^31$"):
+        rate_experiment(fair, [16, 2 ** 31], 1, 1, dim2=1.0)
 
 
 def _planted(rng, n, length, i, j, x=None):

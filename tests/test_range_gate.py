@@ -63,3 +63,13 @@ CASES.append(("sample_prefix", Symbol.constant(1.5)))
 def test_entry_point_refuses_out_of_range_symbol(name, sym):
     with pytest.raises(HypothesisError, match=r"leaves \[0,1\]"):
         CALLS[name](sym)
+
+
+@pytest.mark.parametrize("sym", [Symbol.poisson(-1e-12, 0.9), Symbol.raised_cosine(0.5, 0.5 + 1e-12)],
+                         ids=["poisson", "raised_cosine"])
+@pytest.mark.parametrize("name", ["cylinder_prob", "psi_finite_window", "sample_prefix"])
+def test_closed_form_range_takes_no_tolerance(name, sym):
+    # these leave [0, 1] by less than RANGE_TOL, and their extrema are closed form
+    assert sym.bandwidth is None or sym.bandwidth <= 1
+    with pytest.raises(HypothesisError, match=r"leaves \[0,1\]"):
+        CALLS[name](sym)

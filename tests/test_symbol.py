@@ -253,6 +253,7 @@ def test_json_roundtrip():
         {"family": "trig_poly", "coeffs": [{"n": 1, "re": 0.1, "im": 0.0}, {"n": 1, "re": 0.2, "im": 0.0}]},
         {"family": "arc_indicator", "params": {"alpha": 0.7, "beta": 0.2}},
         {"family": "constant", "params": {"a": "half"}},
+        {"family": "trig_poly", "coeffs": [{"n": 0, "re": 0.5}, {"n": 1, "re": True}]},
         "[1]",
     ],
 )
@@ -349,3 +350,63 @@ def test_spec_dict_and_fingerprint_are_pinned(sym, spec, fingerprint):
     # the coefficient table is not part of the spec: constant and
     # raised_cosine keep their parameter specs, so their fingerprints hold
     assert sym.spec_dict() == spec and sym.fingerprint == fingerprint
+
+
+# each parameter family with arguments that it accepts
+GOOD_PARAMS = {
+    "constant": {"a": 0.5},
+    "raised_cosine": {"a": 0.5, "b": 0.25},
+    "poisson": {"c": 0.5, "r": 0.25},
+    "power_decay": {"a": 0.5, "c": 0.1, "p": 2.0, "cutoff": 8},
+    "arc_indicator": {"alpha": 0.25, "beta": 0.75},
+}
+NOT_NUMBERS = [True, np.True_, "0.5", None]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("family", sorted(GOOD_PARAMS))
+def test_constructor_refuses_a_parameter_that_is_not_a_number(family, bad):
+    # the constructor is the one gate for parameter values, from Python as from JSON
+    for name in GOOD_PARAMS[family]:
+        params = dict(GOOD_PARAMS[family], **{name: bad})
+        with pytest.raises(SymbolSpecError, match=f"^{family}: (parameter )?{name} must be"):
+            getattr(Symbol, family)(**params)
+
+
+@pytest.mark.parametrize("bad", [1j, math.inf, -math.nan, np.float32("inf"), 10 ** 400], ids=repr)
+def test_constructor_refuses_a_non_finite_or_non_real_parameter(bad):
+    with pytest.raises(SymbolSpecError, match="^poisson: parameter c must be a finite number$"):
+        Symbol.poisson(bad, 0.25)
+
+
+def test_constructor_reads_numpy_numbers_as_floats():
+    sym = Symbol.power_decay(np.float32(0.5), np.int64(0), 2, np.int64(8))
+    assert sym.params == {"a": 0.5, "c": 0.0, "p": 2.0, "cutoff": 8}
+    assert all(type(v) is float for k, v in sym.params.items() if k != "cutoff")
+
+
+@pytest.mark.parametrize("coeffs", [["0.5"], [True, 0.1], [0.5, np.True_], np.array([True]), [None]], ids=repr)
+def test_trig_poly_refuses_coefficients_that_are_not_numbers(coeffs):
+    with pytest.raises(SymbolSpecError, match="^trig_poly: coefficients must be numbers$"):
+        Symbol.trig_poly(coeffs)
+
+
+def test_json_text_that_is_not_json_is_a_plain_value_error():
+    # the CLI prints this message as it is, with no "invalid symbol spec" prefix
+    with pytest.raises(ValueError) as info:
+        symbol_from_json("{oops")
+    assert type(info.value) is ValueError
+    assert str(info.value) == ("malformed symbol JSON at line 1 column 2: "
+                               "Expecting property name enclosed in double quotes")
+
+
+def test_whole_arc_has_the_table_of_constant_one():
+    arc, one = Symbol.arc_indicator(0.0, 1.0), Symbol.constant(1.0)
+    assert arc.table.tobytes() == one.table.tobytes()
+    _same_coeff_bytes(arc, one.coeffs(FAR_NS))
+    assert arc.bandwidth == 0 and arc.has_real_coeffs and arc.range_ok
+    assert (arc.f_min, arc.f_max) == (1.0, 1.0)
+    assert arc.spec_dict() == {"family": "arc_indicator", "params": {"alpha": 0.0, "beta": 1.0}}
+    assert arc.fingerprint == "e532292d10d1e0bf"
+    with pytest.raises(SymbolSpecError, match="^arc_indicator: parameter alpha must be a finite number$"):
+        Symbol.arc_indicator(False, True)
