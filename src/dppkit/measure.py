@@ -58,7 +58,9 @@ def _unresolved(position: int, log_mass: float, s_abs: float, residue: float) ->
 def _signed_windows(sym: Symbol, theta: np.ndarray, J: np.ndarray) -> np.ndarray:
     """D(theta) T_J(g) + I for each row of signs theta (shape (..., |J|))."""
     tg = toeplitz.build_T(g_coeff_fn(sym), J)
-    return theta[..., None] * tg + np.eye(len(J), dtype=tg.dtype)
+    mats = theta[..., None] * tg
+    mats += np.eye(len(J), dtype=tg.dtype)  # in place: one stack, not two
+    return mats
 
 
 def _log_probs(mats: np.ndarray) -> np.ndarray:
@@ -207,10 +209,13 @@ def _bordered(source, pick, tp, s, window):
     scalar s, or a stack of them, with arrays tp and s.
 
     A child's bordered inverse is [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].
-    When the window is full its oldest row and column fall out: that row is
-    never formed, and the kept rows are formed at their untrimmed length, so
-    numpy rounds every entry as it would in the untrimmed inverse of one
-    prefix on its own.
+    When no row is trimmed, C + (tp/s) u w is formed in the child's own
+    leading block, so a chain step holds the parent's corner and the
+    child's, and nothing else of that size.  When the window is full its
+    oldest row and column fall out: that row is never formed, and the kept
+    rows are formed at their untrimmed length in a temporary, so numpy
+    rounds every entry as it would in the untrimmed inverse of one prefix
+    on its own.
     """
     corner, theta, u, w = source
     if pick is not None:
@@ -223,15 +228,19 @@ def _bordered(source, pick, tp, s, window):
         s_col, mts_col, ts_blk, w_row = s[:, None], (-ts)[:, None], ts[:, None, None], w[:, None, :]
     else:  # numpy scalars broadcast against one child as they are
         s_col, mts_col, ts_blk, w_row = s, -ts, ts, w
-    # the lasting arrays before the temporary rows: the other order fragments
+    # the lasting arrays before any temporary rows: the other order fragments
     # the C heap of a long full-window chain (7% more peak resident memory)
     e = np.empty(s.shape + (keep, keep), dtype=corner.dtype)
     th = np.empty(s.shape + (keep,), dtype=corner.dtype)
-    rows = u[..., lo:, None] * w_row
+    if lo:
+        rows = u[..., lo:, None] * w_row
+    else:  # formed where they stay (lo == 0 implies keep >= 1)
+        rows = np.multiply(u[..., None], w_row, out=e[..., :-1, :-1])
     rows *= ts_blk
     rows += corner[lo:] if pick is None else corner[pick, lo:]
     if keep:
-        e[..., :-1, :-1] = rows[..., lo:]
+        if lo:
+            e[..., :-1, :-1] = rows[..., lo:]
         np.divide(u[..., lo:], -s_col, out=e[..., :-1, -1])
         e[..., -1, :-1] = (mts_col * w)[..., lo:]
         e[..., -1, -1] = 1.0 / s

@@ -95,7 +95,10 @@ class Symbol:
         table = np.asarray(coeffs, dtype=object).ravel()  # as given: numpy reads [True, 0.1] as floats
         _require(all(isinstance(v, numbers.Complex) and not isinstance(v, bool) for v in table),
                  "trig_poly: coefficients must be numbers")
-        table = table.astype(complex)
+        try:
+            table = table.astype(complex)
+        except OverflowError:  # an int past the float range
+            raise SymbolSpecError("trig_poly: non-finite coefficient") from None
         _require(table.size >= 1, "trig_poly: need at least fhat(0)")
         _require(bool(np.all(np.isfinite(table))), "trig_poly: non-finite coefficient")
         _require(abs(table[0].imag) == 0.0, "trig_poly: fhat(0) must be real")

@@ -16,6 +16,7 @@ from dppkit import (
     cylinder_prob,
     dimension,
     s_n_q_table,
+    sample_prefix,
 )
 from dppkit.measure import (COEFF_BLOCK, PrefixState, _log_probs, _one_number,
                             cylinder_log_probs_direct)
@@ -566,6 +567,37 @@ def test_level_order_walk_holds_no_whole_level():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * dimension.STACK_BYTES
+
+
+def _traced_peak(route):
+    route()  # warm-up: coefficient caches and numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        route()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sym", [Symbol.arc_indicator(0.1, 0.45), LAZY_SYMBOLS["power_decay"]],
+                         ids=["arc_indicator-complex", "power_decay-real"])
+def test_full_state_chain_holds_two_corners(sym):
+    # a chain step holds its parent's inverse corner and its child's, and no
+    # third array of that size: this reads 2.38 corners, a temporary child
+    # corner 3.24
+    n = 256
+    peak = _traced_peak(lambda: sample_prefix(sym, n, 3, window=None))
+    assert peak < 2.75 * n * n * (8 if sym.has_real_coeffs else 16)
+
+
+@pytest.mark.parametrize("sym", [LAZY_SYMBOLS["trig_poly-complex"], Symbol.poisson(0.5, 0.25)],
+                         ids=["trig_poly-complex", "poisson-real"])
+def test_direct_enumeration_holds_one_window_stack(sym):
+    # the identity is added to the (2^N, N, N) stack of signed windows in
+    # place: this reads 1.07-1.11 stacks, a second stack 2.06-2.10
+    N = 12
+    peak = _traced_peak(lambda: cylinder_log_probs_direct(sym, N))
+    assert peak < 1.5 * 2 ** N * N * N * (8 if sym.has_real_coeffs else 16)
 
 
 # band-limited symbols whose corners the window = bandwidth walk trims:

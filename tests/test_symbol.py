@@ -391,6 +391,14 @@ def test_trig_poly_refuses_coefficients_that_are_not_numbers(coeffs):
         Symbol.trig_poly(coeffs)
 
 
+@pytest.mark.parametrize("coeffs", [[math.inf], [0.5, complex(0.1, math.nan)], [0.5, 10 ** 400]],
+                         ids=["inf", "nan-imag", "10^400"])
+def test_trig_poly_refuses_a_non_finite_coefficient(coeffs):
+    # an int past the float range is refused as a non-finite one, not as an OverflowError
+    with pytest.raises(SymbolSpecError, match="^trig_poly: non-finite coefficient$"):
+        Symbol.trig_poly(coeffs)
+
+
 def test_json_text_that_is_not_json_is_a_plain_value_error():
     # the CLI prints this message as it is, with no "invalid symbol spec" prefix
     with pytest.raises(ValueError) as info:
