@@ -35,6 +35,7 @@ bandwidth (r = 0) give exactly 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,6 +154,20 @@ def _coupling_factors(sym: Symbol, lam: np.ndarray) -> tuple[np.ndarray, np.ndar
     return eye[:, rows], lam[np.ix_(rows, cols)], eye[:, cols]
 
 
+@functools.lru_cache(maxsize=1)
+def _marginal_stack(sym: Symbol, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The signs theta (2^N, N) and windows A(eps) = D(theta) T_N(g) + I
+    (2^N, N, N) of every word, read-only, after checking that no word has
+    mass 0.  They do not depend on the gap, so a run over gaps at one (sym, N)
+    forms and checks them once; a failed check is not cached."""
+    theta = 2.0 * measure.word_bits(N) - 1.0
+    a = measure._signed_windows(sym, theta, np.arange(1, N + 1))
+    if np.any(measure._log_probs(a) == -math.inf):
+        raise ConditioningError("vanishing marginal in finite-window enumeration")
+    theta.flags.writeable = a.flags.writeable = False
+    return theta, a
+
+
 def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """X(eps) = U* A(eps)^-1 D(theta) U M and Y(eps') = V^T A(eps')^-1 D(theta') conj(V) M*
     for every word, with A(eps) = D(theta) T_N(g) + I; two stacks of shape
@@ -162,12 +177,9 @@ def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndar
     ell, N = require_int(ell, 1, None, need), require_int(N, 1, None, need)
     if N > FINITE_WINDOW_CAP:
         raise SizeCapError(f"finite-window size {N} exceeds cap {FINITE_WINDOW_CAP}")
-    base = toeplitz.build_T(g_coeff_fn(sym), toeplitz.joint_index_set(N, ell))
-    theta = 2.0 * measure.word_bits(N) - 1.0
-    a = theta[:, :, None] * base[:N, :N] + np.eye(N, dtype=base.dtype)
-    if np.any(measure._log_probs(a) == -math.inf):
-        raise ConditioningError("vanishing marginal in finite-window enumeration")
-    u, m, v = _coupling_factors(sym, base[:N, N:])
+    theta, a = _marginal_stack(sym, N)
+    lam = toeplitz.build_T(g_coeff_fn(sym), toeplitz.joint_index_set(N, ell))[:N, N:]
+    u, m, v = _coupling_factors(sym, lam)
     r = m.shape[1]
     if r == 0:
         empty = np.zeros((2 ** N, 0, 0), dtype=a.dtype)
@@ -198,7 +210,10 @@ def _deviation_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def psi_finite_window(sym: Symbol, ell: int, N: int) -> FiniteWindowPsi:
     """Exhaustive max of |R - 1| over the 4^N word pairs, N <= FINITE_WINDOW_CAP."""
-    dev = _deviation_grid(*_coupling_stacks(sym, ell, N))
+    x, y = _coupling_stacks(sym, ell, N)
+    if x.shape[1] == 0:  # Lambda_g = 0: R = 1 for every pair, so the first pair is the argmax
+        return FiniteWindowPsi(int(ell), int(N), 0.0, "0" * int(N), "0" * int(N))
+    dev = _deviation_grid(x, y)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     words = measure.word_bits(N)
     return FiniteWindowPsi(

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import HypothesisError
+from .errors import HypothesisError, require_int
 
 SZEGO_GRID = 16384
 SZEGO_CLAMP = 1e-14
@@ -33,7 +33,9 @@ def build_T(coeffs: Callable[[np.ndarray], np.ndarray], J) -> np.ndarray:
 
 
 def joint_index_set(N: int, ell: int) -> np.ndarray:
-    """{1..N} followed by {N+ell+1 .. N+ell+N}."""
+    """{1..N} followed by {N+ell+1 .. N+ell+N}.  A gap past 2^62 is a
+    SizeCapError: the indices must stay inside int64."""
+    ell = require_int(ell, 1, 2 ** 62, "gap ell must be in [1, 2^62]")
     return np.concatenate([np.arange(1, N + 1), np.arange(N + ell + 1, 2 * N + ell + 1)])
 
 

@@ -315,6 +315,8 @@ def _raising(exc_type):
          "argument --nmax: must be at least 1, got 0"),
         (["psi", "--symbol", POISSON, "--ell", "5..3"], None, 64, "empty --ell"),
         (["psi", "--symbol", POISSON, "--ell", "1"], MemoryError, 2, "MemoryError"),
+        (["psi", "--symbol", POISSON, "--ell", str(2 ** 63 - 1), "--N", "2", "--truncation",
+          str(2 ** 63)], None, 2, "SizeCapError: gap ell must be in [1, 2^62]"),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):
@@ -326,7 +328,8 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, err
     if code == 64:
         assert err.startswith(f"error: {error}") and err.count("\n") == 1
     else:
-        assert json.loads(err) == {"error": error, "message": "planted"}
+        name, _, message = error.partition(": ")
+        assert json.loads(err) == {"error": name, "message": message or "planted"}
 
 
 WHOLE_ARC = '{"family":"arc_indicator","params":{"alpha":0.0,"beta":1.0}}'

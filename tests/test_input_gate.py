@@ -118,6 +118,23 @@ def test_numpy_words_read_as_their_bits():
     assert lcs_length("".join(map(str, X)), "".join(map(str, Y))) == lcs_length(X, Y)
 
 
+@pytest.mark.parametrize("ell", [2 ** 62 + 1, 2 ** 63 - 1], ids=["2^62+1", "2^63-1"])
+@pytest.mark.parametrize("call", [
+    lambda ell: psi_finite_window(SYM, ell, 2),
+    lambda ell: allones_lower_witness(SYM, ell, 2),
+    lambda ell: correlation_ratio(SYM, "01", "10", ell),
+], ids=["psi_finite_window", "allones_lower_witness", "correlation_ratio"])
+def test_gap_past_int64_indices_is_a_size_cap(call, ell):
+    # the joint index set reaches 2N + ell: past 2^62 it is refused by name,
+    # not by the index check of the window builder
+    with pytest.raises(SizeCapError, match=r"^gap ell must be in \[1, 2\^62\]$"):
+        call(ell)
+
+
+def test_gap_at_the_int64_cap_computes():
+    assert psi_finite_window(SYM, 2 ** 62, 2).value == 0.0
+
+
 def test_require_int_messages_and_classes():
     assert require_int(np.int64(3), 1, 5, "need") == 3
     assert type(require_int(np.int64(3), 1, 5, "need")) is int

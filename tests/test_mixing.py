@@ -228,7 +228,11 @@ def test_finite_window_rank_zero_needs_no_solve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("linear solve at coupling rank 0")
 
+    def no_grid(*args):
+        raise AssertionError("deviation grid at coupling rank 0")
+
     monkeypatch.setattr(np.linalg, "solve", no_solve)
+    monkeypatch.setattr(mixing, "_deviation_grid", no_grid)
     for sym in (Symbol.trig_poly([0.5, 0.08, 0.05, 0.02]), COMPLEX_TRIG):  # bandwidth 3
         for ell in (3, 4, 8):
             for n in (1, 4, 7):
@@ -237,6 +241,50 @@ def test_finite_window_rank_zero_needs_no_solve(monkeypatch):
     # the marginal check still runs: f = 1 gives the word "0" mass 0
     with pytest.raises(ConditioningError, match="^vanishing marginal in finite-window enumeration$"):
         psi_finite_window(Symbol.constant(1.0), 1, 3)
+
+
+@pytest.mark.parametrize("pair, n", [
+    ((Symbol.poisson(0.75, 0.125), COMPLEX_TRIG), 5),
+    ((Symbol.power_decay(0.5, 0.1, 2, 8), Symbol.arc_indicator(0.1, 0.45)), 5),  # r >= 3, r = N
+], ids=["poisson-trig", "power_decay-arc"])
+def test_finite_window_shared_marginals_match_cold_route(pair, n):
+    # gaps 1..8 of two symbols in a fixed shuffled order, so the one-entry
+    # marginal cache both hits and evicts; each result must equal, field for
+    # field, the one computed with the cache emptied just before
+    order = [(sym, ell) for sym in pair for ell in range(1, 9)]
+    np.random.default_rng(11).shuffle(order)
+    mixing._marginal_stack.cache_clear()
+    shared = [psi_finite_window(sym, ell, n) for sym, ell in order]
+    info = mixing._marginal_stack.cache_info()
+    assert info.hits > 0 and info.misses > len(pair)
+    for (sym, ell), got in zip(order, shared):
+        mixing._marginal_stack.cache_clear()
+        assert got == psi_finite_window(sym, ell, n)
+
+
+def test_marginal_stack_is_read_only():
+    theta, a = mixing._marginal_stack(COMPLEX_TRIG, 3)
+    assert mixing._marginal_stack(COMPLEX_TRIG, 3)[1] is a
+    with pytest.raises(ValueError, match="read-only"):
+        theta[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0, 0] = 1.0
+
+
+def test_vanishing_marginal_is_not_cached(poi_half):
+    # f = 1 gives the word "0" mass 0: a failed check raises on every call,
+    # also after a passing call on another symbol
+    one = Symbol.constant(1.0)
+
+    def vanishing():
+        with pytest.raises(ConditioningError,
+                           match="^vanishing marginal in finite-window enumeration$"):
+            psi_finite_window(one, 1, 3)
+
+    vanishing()
+    vanishing()
+    psi_finite_window(poi_half, 1, 3)
+    vanishing()
 
 
 def test_allones_witness_values(fair, rc_half, poi_half):
