@@ -36,7 +36,7 @@ from .dimension import (
     sigma_n_2,
     sigma_n_q_walsh,
 )
-from .sampler import BinarySequence, empirical_cylinder_test, sample_many, sample_prefix
+from .sampler import BinarySequence, sample_many, sample_prefix
 from .lcs import LcsExperimentRow, lcs_length, lcs_length_dp, rate_experiment
 
 __version__ = "0.1.0"

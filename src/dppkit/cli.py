@@ -52,11 +52,11 @@ def _load_symbol(text: str) -> Symbol:
 def _bounded_int(lo: int, hi: int | None = None):
     """An argparse ``type``: an int in [lo, hi] (no upper bound when None), so a value
     out of range is a usage error naming its flag.  Size caps stay in the library."""
-    bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
 
     def parse(text: str) -> int:
         value = int(text)
         if value < lo or (hi is not None and value > hi):
+            bound = f"at least {lo}" if value < lo else f"in [{lo}, {hi}]"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="Fourier coefficients fhat(0..nmax)")
     common(p)
-    p.add_argument("--nmax", type=_bounded_int(0), default=16)
+    p.add_argument("--nmax", type=_bounded_int(0, 2 ** 62), default=16)
     p.set_defaults(fn=_cmd_coeffs)
 
     p = sub.add_parser("cylinder", help="exact cylinder probabilities")

@@ -26,6 +26,7 @@ the latter is kept for reference output.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,9 +233,9 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
     supplied it is the ``fekete_lower`` of the dimension module up to
     N = DIM2_NMAX, and ``target_certified`` says whether that is a certified
     lower bound on D2 (it is not for two-sided symbols); the target is then an
-    upper bound on the limit of M_n / ln n.  ``seed`` is an int in [0, 2^64),
-    each n one in [2, 2^31).  Trial t of row j derives its two sampling seeds
-    from SeedSequence((seed, (j, t))).
+    upper bound on the limit of M_n / ln n.  A given ``dim2`` is a real number
+    in (0, 1], ``seed`` an int in [0, 2^64), each n one in [2, 2^31).  Trial
+    t of row j derives its two sampling seeds from SeedSequence((seed, (j, t))).
     """
     need = "rate_experiment: n_grid must contain integers >= 2 and < 2^31"
     ns = [require_int(v, 2, _N_CAP, need) for v in n_grid]
@@ -248,6 +249,8 @@ def rate_experiment(sym: Symbol, n_grid, trials: int, seed: int,
     if dim2 is None:
         est = dimension.dim_q_estimate(sym, 2, DIM2_NMAX)
         dim2, certified = est.fekete_lower, est.certified
+    elif isinstance(dim2, bool) or not isinstance(dim2, numbers.Real) or not 0.0 < dim2 <= 1.0:
+        raise ValueError(f"rate_experiment: need dim2 in (0, 1], got {dim2!r}")
     target = (2.0 / LOG2) / dim2
 
     def one_trial(n_index: int, n: int, trial: int) -> int:

@@ -15,16 +15,18 @@ runs with the full state.  Either corner, min(n, bandwidth) or n wide,
 costs quadratic time per bit, so the automatic window caps its width at
 EXACT_LENGTH_CAP; poisson is exempt.  An explicit window chosen by the
 caller truncates the coefficients beyond it and is never capped.
+
+The selftest replays sampled prefixes exactly against ratios of cylinder
+determinants; the chi-square fit of word frequencies is a test oracle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, SizeCapError, require_int
-from .measure import PrefixState, _word_str, cylinder_log_probs_direct
+from .errors import SizeCapError, require_int
+from .measure import PrefixState, _word_str
 from .symbol import Symbol
 
 EXACT_LENGTH_CAP = 2048
@@ -66,7 +68,7 @@ def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "
     strictly sequential internally.  ``window`` is "auto", None (the full
     state) or an int >= 0 (see ``measure.PrefixState``).
     """
-    n = require_int(n, 1, None, "sample_prefix: need n >= 1")
+    n = require_int(n, 1, 2 ** 62, "sample_prefix: need 1 <= n <= 2^62")
     seed = require_int(seed, 0, None, "sample_prefix: need seed >= 0")
     if window == "auto":
         window = _auto_window(sym, n)
@@ -91,56 +93,3 @@ def sample_many(sym: Symbol, n: int, count: int, seed: int) -> list[BinarySequen
     count = require_int(count, 1, None, "sample_many: need count >= 1")
     seed = require_int(seed, 0, None, "sample_many: need seed >= 0")
     return [sample_prefix(sym, n, seed ^ i) for i in range(count)]
-
-
-def _chi2_sf_odd(x: float, dof: int) -> float:
-    """P(chi^2_dof > x) for odd dof (Abramowitz-Stegun 26.4.4):
-    erfc(sqrt(x/2)) plus the positive terms sqrt(2/pi) e^(-x/2) x^(r-1/2) / (2r-1)!!
-    for r = 1 .. (dof-1)/2.  Past x of about 1400 the factor e^(-x/2) is
-    subnormal, so the value loses digits and then reads 0.0; the true value
-    there is below 1e-250."""
-    total = math.erfc(math.sqrt(0.5 * x))
-    term = math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x)
-    for r in range(1, (dof + 1) // 2):
-        total += term
-        term *= x / (2 * r + 1)
-    return total
-
-
-@dataclass(frozen=True)
-class CylinderFitReport:
-    """Chi-square goodness of fit of sampled word frequencies against the
-    exact cylinder probabilities of ``model`` (the sampling symbol itself
-    unless a deliberate mismatch is being tested)."""
-
-    word_len: int
-    n_samples: int
-    statistic: float
-    dof: int
-    p_value: float
-    counts: np.ndarray
-    expected: np.ndarray
-
-
-def empirical_cylinder_test(sym: Symbol, word_len: int, n_samples: int, seed: int,
-                            model: Symbol | None = None) -> CylinderFitReport:
-    """Sample one trajectory, split it into disjoint length-``word_len``
-    windows, and chi-square the window histogram against exact probabilities.
-
-    Disjoint windows of a fast-mixing process are close enough to independent
-    for the test sizes used here; fixed seeds make the check reproducible.
-    """
-    word_len = require_int(word_len, 1, 6, "empirical_cylinder_test: need 1 <= word_len <= 6")
-    n_samples = require_int(n_samples, 100, None, "empirical_cylinder_test: need n_samples >= 100")
-    model = sym if model is None else model
-    traj = sample_prefix(sym, word_len * n_samples, seed)
-    windows = traj.bits.reshape(n_samples, word_len)
-    codes = windows @ (1 << np.arange(word_len))
-    counts = np.bincount(codes, minlength=2 ** word_len).astype(float)
-    expected = np.exp(cylinder_log_probs_direct(model, word_len)) * n_samples
-    if np.any(expected < 5.0):
-        raise ConditioningError("expected cell counts below 5; increase n_samples")
-    statistic = float(np.sum((counts - expected) ** 2 / expected))
-    dof = 2 ** word_len - 1
-    p_value = _chi2_sf_odd(statistic, dof)
-    return CylinderFitReport(word_len, n_samples, statistic, dof, p_value, counts, expected)

@@ -1,7 +1,8 @@
 """Built-in invariant battery behind the `dppkit selftest` subcommand.
 
 Each check is a small, fast version of a module invariant; the full
-randomized suites live in the test tree.
+randomized suites live in the test tree.  No check is statistical: the
+sampler's replays sampled bits against ratios of cylinder determinants.
 """
 from __future__ import annotations
 
@@ -112,13 +113,20 @@ def _check_finite_window_grid() -> None:
             _require(abs(fin - brute) <= 1e-12, f"finite-window grid at ell = {ell}")
 
 
-def _check_sampler_fit() -> None:
-    rep = sampler.empirical_cylinder_test(Symbol.poisson(0.5, 0.25), 2, 20_000, seed=2024)
-    _require(rep.p_value > 1e-3, "fit p-value")
-    neg = sampler.empirical_cylinder_test(
-        Symbol.poisson(0.5, 0.25), 3, 20_000, seed=2024, model=Symbol.constant(0.5)
-    )
-    _require(neg.p_value < 1e-6, "misfit p-value")
+def _check_sampler_replay() -> None:
+    # a one-number state, a trimmed corner chain (window 3) and a full-state chain
+    for sym in (Symbol.poisson(0.5, 0.25), Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]),
+                Symbol.arc_indicator(0.1, 0.45)):
+        for seed in (2024, 7):
+            uni = np.random.Generator(np.random.PCG64(seed)).random(24)
+            state, word, log_w = measure.PrefixState.root(sym, window=sym.bandwidth), "", 0.0
+            for k, bit in enumerate(sampler.sample_prefix(sym, 24, seed).bits.tolist()):
+                p = state.conditional_one()
+                exact = math.exp(measure.cylinder_log_prob(sym, word + "1") - log_w)
+                _require(abs(p - exact) <= 1e-12, f"P[1 | {word!r}] of {sym.family}")
+                _require(bit == (uni[k] < p), f"bit {k} of {sym.family} at seed {seed}")
+                state, word = state.extend(bit), word + str(bit)
+                log_w = measure.cylinder_log_prob(sym, word)
 
 
 def _check_lcs() -> None:
@@ -156,7 +164,7 @@ CHECKS = [
     ("dimension oracle equivalence", _check_dimension_oracles),
     ("psi sandwich", _check_psi_sandwich),
     ("finite-window grid vs per-pair ratios", _check_finite_window_grid),
-    ("sampler goodness of fit", _check_sampler_fit),
+    ("sampled chain replay vs cylinder determinants", _check_sampler_replay),
     ("lcs packed codes and prefix doubling vs dp", _check_lcs),
 ]
 

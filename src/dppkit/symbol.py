@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisError, SymbolSpecError, require_int
+from .errors import HypothesisError, SizeCapError, SymbolSpecError, require_int
 
 RANGE_TOL = 1e-10
 RANGE_GRID = 4096
@@ -363,6 +363,8 @@ def tail_sum(sym: Symbol, ell: int, truncation: int = DEFAULT_TRUNCATION) -> Tai
         c, p = sym.params["c"], sym.params["p"]
         rest = c * c * truncation ** (2 - 2 * p) / (2 * p - 2)
     if value is None and hi > ell:
+        if hi > 2 ** 62:  # past int64 indices; the closed forms above form no array
+            raise SizeCapError(f"tail_sum: a summed truncation must be at most 2^62, got {truncation}")
         ns = np.arange(ell + 1, hi + 1)
         mags = np.abs(sym.coeffs(ns))
         value = float(np.sum(ns * mags ** 2))
@@ -434,6 +436,7 @@ def symbol_from_json(spec) -> Symbol:
             n = ent.get("n")
             _require(isinstance(n, int) and not isinstance(n, bool), "coefficient index n must be an integer")
             _require(n >= 0, f"coefficient index n={n} rejected: only n >= 0 accepted")
+            _require(n <= 2 ** 62, f"coefficient index n={n} rejected: past the cap 2^62")
             _require(n not in seen, f"duplicate coefficient index n={n}")
             seen[n] = complex(*_finite("trig_poly", re=ent.get("re", 0.0), im=ent.get("im", 0.0)))
         table = np.zeros(max(seen) + 1, dtype=complex)

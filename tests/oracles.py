@@ -12,8 +12,9 @@ the closed-form Hilbert-Schmidt norm of the coupling block, the eager
 prefix extension that forms every child's inverse corner as soon as the
 child is created, the depth-first moment-sum walk of the prefix tree, the
 Szego upper bound on the correlation dimension by scipy's bounded Brent
-search and by a fine beta grid, and the longest common substring by a
-suffix automaton.
+search and by a fine beta grid, the chi-square fit of sampled word
+frequencies against the exact cylinder probabilities, and the longest
+common substring by a suffix automaton.
 """
 from __future__ import annotations
 
@@ -23,10 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from dppkit import dimension, measure, toeplitz
-from dppkit.errors import ConditioningError, NumericsError, SizeCapError, SymbolSpecError, require_bits
+from dppkit.errors import (ConditioningError, NumericsError, SizeCapError, SymbolSpecError, require_bits,
+                           require_int)
 from dppkit.measure import (IMAG_TOL, PrefixState, _GData, _joint_window, _log_probs, _unresolved,
                             cylinder_log_probs_direct)
 from dppkit.mixing import FINITE_WINDOW_CAP
+from dppkit.sampler import sample_prefix
 from dppkit.symbol import Symbol, g_coeff_fn, require_range
 
 
@@ -341,6 +344,47 @@ def corr_dim_szego_upper_grid(sym: Symbol, points: int) -> float:
     g = dimension._g_on_szego_grid(sym)
     vals = [dimension._upper_bound_at_beta(g, float(b)) for b in np.linspace(-1.0, 1.0, points)]
     return min(val for val, clamped in vals if not clamped)
+
+
+@dataclass(frozen=True)
+class CylinderFitReport:
+    """Chi-square goodness of fit of sampled word frequencies against the
+    exact cylinder probabilities of ``model`` (the sampling symbol itself
+    unless a deliberate mismatch is being tested)."""
+
+    word_len: int
+    n_samples: int
+    statistic: float
+    dof: int
+    p_value: float
+    counts: np.ndarray
+    expected: np.ndarray
+
+
+def empirical_cylinder_test(sym: Symbol, word_len: int, n_samples: int, seed: int,
+                            model: Symbol | None = None) -> CylinderFitReport:
+    """Sample one trajectory, split it into disjoint length-``word_len``
+    windows, and chi-square the window histogram against exact probabilities.
+
+    Disjoint windows of a fast-mixing process are close enough to independent
+    for the test sizes used here; fixed seeds make the check reproducible.
+    """
+    from scipy.stats import chi2
+
+    word_len = require_int(word_len, 1, 6, "empirical_cylinder_test: need 1 <= word_len <= 6")
+    n_samples = require_int(n_samples, 100, None, "empirical_cylinder_test: need n_samples >= 100")
+    model = sym if model is None else model
+    traj = sample_prefix(sym, word_len * n_samples, seed)
+    windows = traj.bits.reshape(n_samples, word_len)
+    codes = windows @ (1 << np.arange(word_len))
+    counts = np.bincount(codes, minlength=2 ** word_len).astype(float)
+    expected = np.exp(cylinder_log_probs_direct(model, word_len)) * n_samples
+    if np.any(expected < 5.0):
+        raise ConditioningError("expected cell counts below 5; increase n_samples")
+    statistic = float(np.sum((counts - expected) ** 2 / expected))
+    dof = 2 ** word_len - 1
+    return CylinderFitReport(word_len, n_samples, statistic, dof, float(chi2.sf(statistic, dof)),
+                             counts, expected)
 
 
 def lcs_automaton(xs: list[int], ys: list[int]) -> int:

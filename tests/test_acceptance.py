@@ -16,7 +16,6 @@ from dppkit import (
     correlation_ratio,
     cylinder_prob,
     dim_q_estimate,
-    empirical_cylinder_test,
     psi_bound_report,
     psi_finite_window,
     rate_experiment,
@@ -27,7 +26,7 @@ from dppkit import (
 from dppkit.measure import cylinder_log_probs_direct
 
 from conftest import random_interior_symbol
-from oracles import finite_window_details
+from oracles import empirical_cylinder_test, finite_window_details
 
 IID_34_DIM2 = -math.log2(5.0 / 8.0)
 

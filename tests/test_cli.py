@@ -270,6 +270,30 @@ def test_wide_band_limited_sample_cap_exit_2(argv, capsys):
     assert "4096" in diag["message"]
 
 
+@pytest.mark.parametrize("argv, code, error", [
+    (["sample", "--symbol", POISSON, "--n", str(10 ** 20)], 2, "sample_prefix: need 1 <= n <= 2^62"),
+    (["psi", "--symbol", '{"family":"arc_indicator","params":{"alpha":0.1,"beta":0.45}}',
+      "--truncation", str(10 ** 19), "--ell", "1", "--N", "1"], 2,
+     "tail_sum: a summed truncation must be at most 2^62"),
+    (["coeffs", "--symbol", FAIR, "--nmax", str(10 ** 20)], 64, "argument --nmax: must be in [0, "),
+    (["coeffs", "--symbol", '{"family":"trig_poly","coeffs":[{"n":0,"re":0.5},{"n":%d,"re":0.01}]}'
+      % 10 ** 20], 64, "coefficient index n=100000000000000000000 rejected: past the cap 2^62"),
+], ids=["sample-n", "psi-truncation", "coeffs-nmax", "trig-poly-n"])
+def test_oversized_count_is_refused_by_name(argv, code, error, capsys):
+    # each once exited 64 with numpy's "Maximum allowed size exceeded"
+    got, out, err = run_cli(argv, capsys)
+    assert got == code and out == ""
+    assert error in err
+    assert "Maximum allowed" not in err
+
+
+def test_closed_form_tail_takes_any_truncation(capsys):
+    # a poisson tail is a closed form: no array of the truncation's size is formed
+    code, out, _ = run_cli(["psi", "--symbol", POISSON, "--truncation", str(10 ** 20), "--ell", "1",
+                            "--N", "1"], capsys)
+    assert code == 0 and len(out.splitlines()) == 2
+
+
 def test_unresolved_prefix_mass_exit_2(capsys):
     # arc_indicator(0.1, 0.45) has range exactly [0, 1]: past N = 9 some words
     # are too improbable for the prefix recursion and the batched determinant
@@ -655,3 +679,28 @@ def test_selftest_catches_a_broken_stacked_corner_build_under_optimize():
     assert proc.returncode == 1
     assert "FAIL dimension oracle equivalence" in proc.stdout
     assert "S_6 vs determinants of trig_poly" in proc.stdout
+
+
+def test_selftest_catches_a_broken_chain_corner_under_optimize():
+    # a chain's corner (a stack of one, as the sampler forms it) that is off by
+    # one part in 10^6 moves the replayed conditionals of the trimmed and the
+    # full-state chain by about 4e-8 and 1e-6, and fails the replay, also under -O
+    src = os.path.dirname(os.path.dirname(dppkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import runpy, sys\n"
+        "from dppkit.measure import _CornerStack\n"
+        "form = _CornerStack._form\n"
+        "def skewed(self):\n"
+        "    chain = len(self.kids) == 1\n"
+        "    form(self)\n"
+        "    if chain:\n"
+        "        self.corner = self.corner * (1.0 + 1e-6)\n"
+        "_CornerStack._form = skewed\n"
+        "sys.argv = ['dppkit', 'selftest']\n"
+        "runpy.run_module('dppkit', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 1
+    assert "FAIL sampled chain replay vs cylinder determinants" in proc.stdout

@@ -12,7 +12,6 @@ from dppkit import (
     allones_lower_witness,
     correlation_ratio,
     cylinder_log_prob,
-    empirical_cylinder_test,
     lcs_length,
     lcs_length_dp,
     psi_bound_report,
@@ -29,7 +28,7 @@ from dppkit.errors import require_bits, require_int
 from dppkit.measure import cylinder_log_probs_direct
 from dppkit.toeplitz import build_T
 
-from oracles import conditional_next, joint_cylinder_log_prob
+from oracles import conditional_next, empirical_cylinder_test, joint_cylinder_log_prob
 
 SYM = Symbol.poisson(0.5, 0.25)
 X = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8)
@@ -133,6 +132,27 @@ def test_gap_past_int64_indices_is_a_size_cap(call, ell):
 
 def test_gap_at_the_int64_cap_computes():
     assert psi_finite_window(SYM, 2 ** 62, 2).value == 0.0
+
+
+@pytest.mark.parametrize("dim2", [-1.0, 0.0, 1.5, float("nan"), float("inf"), "1", True, np.True_, 1j],
+                         ids=["-1.0", "0.0", "1.5", "nan", "inf", "'1'", "True", "np.True_", "1j"])
+def test_rate_experiment_refuses_dim2_outside_0_1(dim2):
+    # -1.0, nan and inf once gave a target marked certified; 0.0 divided by zero
+    with pytest.raises(ValueError, match=r"^rate_experiment: need dim2 in \(0, 1\], got "):
+        rate_experiment(SYM, [16], 2, 0, dim2=dim2)
+
+
+def test_rate_experiment_takes_dim2_in_0_1():
+    rows = [rate_experiment(SYM, [16], 2, 0, dim2=v)[0] for v in (1, 1.0, np.float64(0.5))]
+    assert rows[0] == rows[1]
+    assert rows[2].target == pytest.approx(2.0 * rows[1].target, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2 ** 62 + 1, 10 ** 20], ids=["2^62+1", "10^20"])
+def test_sample_length_past_2_62_is_a_size_cap(n):
+    # refused by name before numpy is asked for n uniforms
+    with pytest.raises(SizeCapError, match=r"^sample_prefix: need 1 <= n <= 2\^62$"):
+        sample_prefix(SYM, n, 1)
 
 
 def test_require_int_messages_and_classes():

@@ -17,7 +17,7 @@ PUBLIC = [
     "RatioReport", "SNQTable", "SizeCapError", "Symbol", "SymbolSpecError", "TailSum",
     "allones_lower_witness", "contraction_margin", "corr_dim_szego_lower", "corr_dim_szego_upper",
     "correlation_ratio", "cylinder_log_prob", "cylinder_prob", "dim_q_estimate", "dimension",
-    "empirical_cylinder_test", "errors", "lcs", "lcs_length", "lcs_length_dp", "measure",
+    "errors", "lcs", "lcs_length", "lcs_length_dp", "measure",
     "mixing", "one_sidedness", "psi_bound_report", "psi_finite_window", "rate_experiment",
     "s_n_q_table", "sample_many", "sample_prefix", "sampler", "sigma_n_2", "sigma_n_q_walsh",
     "symbol", "symbol_from_json", "tail_sum", "toeplitz",

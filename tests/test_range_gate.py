@@ -13,7 +13,6 @@ from dppkit import (
     cylinder_log_prob,
     cylinder_prob,
     dim_q_estimate,
-    empirical_cylinder_test,
     psi_bound_report,
     psi_finite_window,
     rate_experiment,
@@ -26,7 +25,7 @@ from dppkit import (
 from dppkit.dimension import subset_dets
 from dppkit.measure import cylinder_log_probs_direct
 
-from oracles import conditional_next, joint_cylinder_log_prob
+from oracles import conditional_next, empirical_cylinder_test, joint_cylinder_log_prob
 
 RC_BAD = Symbol.raised_cosine(0.5, 0.9)  # range [-0.4, 1.4]
 

@@ -8,16 +8,15 @@ from dppkit import (
     Symbol,
     sampler,
     cylinder_prob,
-    empirical_cylinder_test,
     sample_many,
     sample_prefix,
 )
 from dppkit.errors import ConditioningError
 from dppkit.mixing import SizeCapError
-from dppkit.sampler import EXACT_LENGTH_CAP, _auto_window, _chi2_sf_odd
+from dppkit.sampler import EXACT_LENGTH_CAP, _auto_window
 from dppkit.symbol import require_range
 
-from oracles import EagerPrefixState, conditional_next
+from oracles import EagerPrefixState, conditional_next, empirical_cylinder_test
 
 
 def test_reproducibility(poi_half):
@@ -219,18 +218,6 @@ def test_empirical_word_distribution_small(rc_half):
     freq = rep.counts / rep.n_samples
     pexp = rep.expected / rep.n_samples
     assert np.all(np.abs(freq - pexp) <= 4 * np.sqrt(pexp * (1 - pexp) / rep.n_samples))
-
-
-@pytest.mark.parametrize("word_len", range(1, 7))
-def test_chi2_sf_odd_matches_scipy(word_len):
-    # the cylinder test's degrees of freedom, 2^word_len - 1, are odd
-    from scipy.stats import chi2
-
-    dof = 2 ** word_len - 1
-    xs = np.concatenate([np.geomspace(1e-12, 1.0, 200), np.linspace(0.0, 400.0, 4001)[1:]])
-    got = np.array([_chi2_sf_odd(float(x), dof) for x in xs])
-    want = chi2.sf(xs, dof)
-    assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 def test_cylinder_test_refuses_sparse_cells(poi_half):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dppkit import (
+    SizeCapError,
     Symbol,
     SymbolSpecError,
     contraction_margin,
@@ -133,6 +134,16 @@ def test_tail_sum_refuses_ell_at_truncation(poi_half):
     assert type(info.value) is ValueError
 
 
+def test_summed_tail_past_2_62_is_a_size_cap(poi_half, rc_half):
+    # only a tail that is summed term by term forms an array of the truncation's size
+    arc = Symbol.arc_indicator(0.1, 0.45)
+    with pytest.raises(SizeCapError, match=r"^tail_sum: a summed truncation must be at most 2\^62, "
+                                           r"got 10000000000000000000$"):
+        tail_sum(arc, 1, 10 ** 19)
+    assert tail_sum(poi_half, 1, 10 ** 20).value == tail_sum(poi_half, 1).value  # closed form
+    assert tail_sum(rc_half, 0, 10 ** 20).value == tail_sum(rc_half, 0, 2).value  # band-limited
+
+
 def test_tail_without_decay_has_no_certified_total():
     assert tail_sum(Symbol.arc_indicator(0.3, 0.7), 1).certified_total is None
 
@@ -255,6 +266,9 @@ def test_json_roundtrip():
         {"family": "constant", "params": {"a": "half"}},
         {"family": "trig_poly", "coeffs": [{"n": 0, "re": 0.5}, {"n": 1, "re": True}]},
         "[1]",
+        # an index past 2^62 once reached numpy's "Maximum allowed dimension exceeded"
+        {"family": "trig_poly", "coeffs": [{"n": 0, "re": 0.5}, {"n": 2 ** 62 + 1, "re": 0.01}]},
+        {"family": "trig_poly", "coeffs": [{"n": 0, "re": 0.5}, {"n": 10 ** 20, "re": 0.01}]},
     ],
 )
 def test_json_rejects_bad_specs(spec):
