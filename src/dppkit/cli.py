@@ -65,12 +65,16 @@ def _bounded_int(lo: int, hi: int | None = None):
 
 
 def _parse_int_list(text: str, what: str, least: int) -> list[int]:
-    """Accept 'a', 'a..b', comma lists, and 2^k tokens, each at least ``least``."""
+    """Accept 'a', 'a..b', comma lists, and 2^k tokens (0 <= k <= 63), each at
+    least ``least``."""
 
     def one(tok: str) -> int:
         tok = tok.strip()
         if tok.startswith("2^"):
-            return 2 ** int(tok[2:])
+            k = int(tok[2:])
+            if not 0 <= k <= 63:  # no count reaches 2^64, and 2^(10^8) takes seconds to form
+                raise ValueError(tok)
+            return 2 ** k
         return int(tok)
 
     out: list[int] = []

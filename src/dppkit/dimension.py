@@ -1,7 +1,8 @@
 """Moment sums S_N^(q) = sum over length-N words of mu([word])^q, the
 subset-determinant and parity-tuple sums Sigma_N that cross-check them
 (sigma_n_2, sigma_n_q_walsh), Fekete-certified dimension lower bounds, and
-quadrature bounds on the correlation dimension.
+the Szego bounds on the correlation dimension, whose log integrals are taken
+by the trapezoid rule on SZEGO_GRID nodes, clamped at SZEGO_CLAMP.
 
 For one-sided symbols (f >= 1/2 or f <= 1/2) S_N is sub-multiplicative, so
 -log2 S_N is superadditive and every finite-N estimate
@@ -41,6 +42,8 @@ STACK_BYTES = 256 * 1024
 SIGMA_CAP = 18
 WALSH_CAP_BITS = 20
 BETA_XATOL = 1e-10
+SZEGO_GRID = 16384
+SZEGO_CLAMP = 1e-14
 
 LOG2 = math.log(2.0)
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -219,17 +222,25 @@ def dim_q_estimate(sym: Symbol, q: float, n_max: int) -> DimensionEstimate:
 def _g_on_szego_grid(sym: Symbol) -> np.ndarray:
     """g = 2f - 1 at the quadrature nodes; the range gate of the pointwise route."""
     require_range(sym)
-    return 2.0 * sym.values_on_grid(toeplitz.SZEGO_GRID) - 1.0
+    return 2.0 * sym.values_on_grid(SZEGO_GRID) - 1.0
+
+
+def _szego_log_integral(values: np.ndarray) -> tuple[float, bool]:
+    """(integral_0^1 log(phi), clamped) from phi >= 0 at t_k = k/SZEGO_GRID: the
+    trapezoid rule, which is the node mean on a periodic grid.  ``clamped`` says
+    a value was raised to SZEGO_CLAMP, so the true integral may be -inf."""
+    return (float(np.mean(np.log(np.maximum(values, SZEGO_CLAMP)))),
+            bool(np.any(values < SZEGO_CLAMP)))
 
 
 def corr_dim_szego_lower(sym: Symbol) -> float:
     """(1/log 2) * integral of log(2 / (1 + g^2)), g = 2f - 1; always <= 1."""
     g = _g_on_szego_grid(sym)
-    return toeplitz.szego_log_integral(2.0 / (1.0 + g * g)).value / LOG2
+    return _szego_log_integral(2.0 / (1.0 + g * g))[0] / LOG2
 
 
 def _upper_bound_at_beta(g: np.ndarray, beta: float) -> tuple[float, bool]:
-    integral, clamped = toeplitz.szego_log_integral((1.0 + beta * g) ** 2 / (1.0 + beta * beta))
+    integral, clamped = _szego_log_integral((1.0 + beta * g) ** 2 / (1.0 + beta * beta))
     return 1.0 - integral / LOG2, clamped
 
 

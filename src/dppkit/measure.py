@@ -65,7 +65,8 @@ def _signed_windows(sym: Symbol, theta: np.ndarray, J: np.ndarray) -> np.ndarray
 
 def _log_probs(mats: np.ndarray) -> np.ndarray:
     """log mu for a stack of det(D(theta) T_J(g) + I), under the module's one rule."""
-    sign, logabs = np.linalg.slogdet(mats)
+    with np.errstate(divide="ignore"):  # a zero determinant is mass 0 below, not a warning
+        sign, logabs = np.linalg.slogdet(mats)
     n_bits = mats.shape[-1]
     out = logabs - n_bits * math.log(2.0)
     bad = np.nonzero(np.abs(np.imag(sign)) > IMAG_TOL)[0]
@@ -368,8 +369,7 @@ class PrefixState:
     def root(cls, sym: Symbol, *, window: int | None = None) -> "PrefixState":
         """The empty prefix; ``window`` is None (the full state) or an int >= 0."""
         if window is not None:
-            window = require_int(window, 0, None,
-                                 f"prefix state window must be None or an int >= 0, got {window!r}")
+            window = require_int(window, 0, None, "prefix state window must be None or an int >= 0")
         one_number = _one_number(sym, window)
         gd = _GData(sym)
         dtype = np.float64 if gd.real else np.complex128

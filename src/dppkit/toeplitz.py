@@ -1,5 +1,6 @@
-"""Dense Toeplitz windows over an index set, and the log-determinant /
-norm / quadrature kernels behind the probability layer.
+"""Dense Toeplitz windows over an index set, the joint index set of a word
+pair across a gap, and the log-determinant and trace-norm kernels behind
+the correlation ratio.
 
 The window builder takes a coefficient function, not a symbol: the
 library passes ``symbol.g_coeff_fn``, so every window it forms is one of
@@ -9,14 +10,11 @@ when the symbol has real coefficients).
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisError, require_int
-
-SZEGO_GRID = 16384
-SZEGO_CLAMP = 1e-14
+from .errors import require_int
 
 
 def build_T(coeffs: Callable[[np.ndarray], np.ndarray], J) -> np.ndarray:
@@ -39,21 +37,14 @@ def joint_index_set(N: int, ell: int) -> np.ndarray:
     return np.concatenate([np.arange(1, N + 1), np.arange(N + ell + 1, 2 * N + ell + 1)])
 
 
-class LogDet(NamedTuple):
-    """log|det| plus the unit phase (sign for real input); singular
-    matrices report log_abs = -inf with phase 0."""
-
-    log_abs: float
-    phase: complex
-
-
-def log_det(m: np.ndarray) -> LogDet:
-    """Determinant in log space via pivoted LU (LAPACK slogdet)."""
+def log_det(m: np.ndarray) -> tuple[float, complex]:
+    """(log|det|, unit phase) via pivoted LU (LAPACK slogdet); the phase is
+    the sign for real input, and a singular matrix gives (-inf, 0)."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("log_det: need a square matrix")
     sign, logabs = np.linalg.slogdet(m)
-    return LogDet(float(logabs), complex(sign))
+    return float(logabs), complex(sign)
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -62,26 +53,3 @@ def trace_norm(m: np.ndarray) -> float:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("trace_norm: need a square matrix")
     return float(np.linalg.svd(m, compute_uv=False).sum())
-
-
-class SzegoIntegral(NamedTuple):
-    """Quadrature of log(phi); ``clamped`` flags nodes pushed up to the
-    clamp floor (the true integral may be -inf)."""
-
-    value: float
-    clamped: bool
-
-
-def szego_log_integral(values) -> SzegoIntegral:
-    """Trapezoid quadrature of integral_0^1 log(phi(t)) dt for phi >= 0,
-    from the values of phi on a uniform grid t_k = k/grid.  Values below
-    SZEGO_CLAMP are clamped and flagged."""
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("szego_log_integral: phi must give a 1-d grid of values")
-    if np.any(vals < 0):
-        raise HypothesisError("szego_log_integral: phi must be non-negative")
-    clamped = bool(np.any(vals < SZEGO_CLAMP))
-    vals = np.maximum(vals, SZEGO_CLAMP)
-    # uniform periodic grid: trapezoid == mean of node values
-    return SzegoIntegral(float(np.mean(np.log(vals))), clamped)

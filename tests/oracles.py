@@ -13,8 +13,9 @@ prefix extension that forms every child's inverse corner as soon as the
 child is created, the depth-first moment-sum walk of the prefix tree, the
 Szego upper bound on the correlation dimension by scipy's bounded Brent
 search and by a fine beta grid, the chi-square fit of sampled word
-frequencies against the exact cylinder probabilities, and the longest
-common substring by a suffix automaton.
+frequencies against the exact cylinder probabilities, the longest common
+substring by a suffix automaton, and the correlation dimension of
+poisson(0.75, 0.125) from its transfer operator.
 """
 from __future__ import annotations
 
@@ -31,6 +32,14 @@ from dppkit.measure import (IMAG_TOL, PrefixState, _GData, _joint_window, _log_p
 from dppkit.mixing import FINITE_WINDOW_CAP
 from dppkit.sampler import sample_prefix
 from dppkit.symbol import Symbol, g_coeff_fn, require_range
+
+# D2 of poisson(0.75, 0.125): -log2 of the spectral radius of the one-number
+# state's transfer operator (L phi)(x) = sum over tp = +-1 of
+# (s(x, tp) / 2)^2 phi(T_tp(x)), by Chebyshev collocation on 16 nodes, which
+# agrees to 12 digits with 8 and 32 nodes (ROADMAP direction 4)
+POISSON_D2 = 0.692960209233
+# the i.i.d. constant(a) with the same D2, -log2(a^2 + (1 - a)^2)
+POISSON_D2_CONTROL_A = 0.7434987681349194
 
 
 def build_T_window(sym: Symbol, N: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dppkit
-from dppkit import Symbol, cylinder_prob
+from dppkit import Symbol, cli, cylinder_prob
 from dppkit.cli import build_parser, main
 
 POISSON = '{"family":"poisson","params":{"c":0.5,"r":0.25}}'
@@ -341,6 +341,15 @@ def _raising(exc_type):
         (["psi", "--symbol", POISSON, "--ell", "1"], MemoryError, 2, "MemoryError"),
         (["psi", "--symbol", POISSON, "--ell", str(2 ** 63 - 1), "--N", "2", "--truncation",
           str(2 ** 63)], None, 2, "SizeCapError: gap ell must be in [1, 2^62]"),
+        # a 2^k token takes k in [0, 63]; 2^300000 once escaped as Python's
+        # integer-string limit, and 2^1000 reached the --truncation message
+        (["psi", "--symbol", POISSON, "--ell", "2^300000"], None, 64, "cannot parse --ell: '2^300000'"),
+        (["psi", "--symbol", POISSON, "--ell", "2^1000"], None, 64, "cannot parse --ell: '2^1000'"),
+        (["psi", "--symbol", POISSON, "--ell", "1,2^-1"], None, 64, "cannot parse --ell: '1,2^-1'"),
+        (["lcs-experiment", "--symbol", FAIR, "--ngrid", "2^4..2^64"], None, 64,
+         "cannot parse --ngrid: '2^4..2^64'"),
+        (["lcs-experiment", "--symbol", FAIR, "--ngrid", "2^63"], None, 2,
+         "SizeCapError: rate_experiment: n_grid must contain integers >= 2 and < 2^31"),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):
@@ -443,6 +452,12 @@ def test_usage_errors_name_the_flag(capsys, argv):
     assert code == 64 and out == "" and err.count("\n") == 1
     assert re.match(rf"error: (argument )?{argv[-2]}[: ]", err)
     assert not re.search(r"[a-z]+_[a-z_]+:", err)
+
+
+def test_power_of_two_tokens_take_k_from_0_to_63():
+    # past 2^63 a token is a parse error (see test_exit_code_table); up to it,
+    # the library's caps see the value
+    assert cli._parse_int_list("2^0,2^63", "--ell", 1) == [1, 2 ** 63]
 
 
 def _readme_cli_examples() -> list[list[str]]:
@@ -604,6 +619,17 @@ def test_console_entry_point():
         env=env,
     )
     assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "word,probability,log2_probability"
+
+
+def test_zero_determinant_writes_nothing_to_stderr():
+    # a window of determinant 0 is mass 0 by the probability rule, not a numpy warning
+    src = os.path.dirname(os.path.dirname(dppkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    spec = '{"family":"poisson","params":{"c":1e-300,"r":-1e-12}}'
+    proc = subprocess.run([sys.executable, "-m", "dppkit", "cylinder", "--symbol", spec, "--word", "10"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[0] == "word,probability,log2_probability"
 
 

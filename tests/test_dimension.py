@@ -18,12 +18,12 @@ from dppkit.dimension import subset_dets
 from dppkit.measure import cylinder_log_probs_direct
 from dppkit.mixing import SizeCapError
 from dppkit.symbol import g_coeff_fn
-from dppkit.toeplitz import build_T
+from dppkit.toeplitz import build_T, log_det
 from dppkit import dimension, rate_experiment
 
 from conftest import random_interior_symbol
-from oracles import (corr_dim_szego_upper_brent, corr_dim_szego_upper_grid, s_n_q_direct,
-                     walsh_tuple_coefficient)
+from oracles import (POISSON_D2, POISSON_D2_CONTROL_A, build_T_window, corr_dim_szego_upper_brent,
+                     corr_dim_szego_upper_grid, s_n_q_direct, walsh_tuple_coefficient)
 
 LOG2 = math.log(2.0)
 IID_34_DIM2 = -math.log2(5.0 / 8.0)  # i.i.d. Bernoulli(3/4) correlation dimension
@@ -131,9 +131,40 @@ def test_dim_q_estimate_uncertified_for_two_sided(poi_half):
     assert not est.certified
 
 
+def test_increment_matches_the_transfer_operator_d2():
+    # the q = 2 increment of log2 S_N converges geometrically to D2
+    log2s = s_n_q_table(Symbol.poisson(0.75, 0.125), 14, 2)
+    assert abs(-(log2s[13] - log2s[12]) - POISSON_D2) <= 1e-10
+    a = POISSON_D2_CONTROL_A
+    assert abs(-math.log2(a * a + (1.0 - a) ** 2) - POISSON_D2) <= 1e-15
+
+
 def test_fekete_monotone_in_nmax(poi_high):
     vals = [dim_q_estimate(poi_high, 2, n).fekete_lower for n in (4, 6, 8, 10)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+GRID_T = np.arange(dimension.SZEGO_GRID) / dimension.SZEGO_GRID
+
+
+def test_szego_examples():
+    value, clamped = dimension._szego_log_integral(np.ones(dimension.SZEGO_GRID))
+    assert value == pytest.approx(0.0, abs=1e-14)
+    assert not clamped
+    value, _ = dimension._szego_log_integral(np.full(dimension.SZEGO_GRID, 0.5))
+    assert value == pytest.approx(math.log(0.5), rel=1e-14)
+
+
+def test_szego_fejer_against_finite_window_determinant(rc_half):
+    quad, _ = dimension._szego_log_integral(rc_half.eval(GRID_T))
+    assert quad == pytest.approx(-2.0 * math.log(2.0), abs=1e-2)
+    finite = log_det(build_T_window(rc_half, 256))[0] / 256.0
+    # first-order agreement; the finite-window correction at N=256 is ~0.022
+    assert quad == pytest.approx(finite, abs=0.05)
+
+
+def test_szego_clamp_flag():
+    assert dimension._szego_log_integral(Symbol.arc_indicator(0.0, 0.5).eval(GRID_T))[1]
 
 
 def test_corr_dim_szego_lower_values(fair):

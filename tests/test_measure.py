@@ -484,6 +484,13 @@ def test_log_probs_negative_determinant_boundary():
     assert _log_probs(np.array([[[-1e-90]]])).tolist() == [-math.inf]
 
 
+def test_zero_determinant_is_mass_0_without_a_warning():
+    # slogdet of an exactly singular window divides by zero; the module's rule
+    # reads it as mass 0, so under filterwarnings = error no warning may escape
+    sym = Symbol.poisson(1e-300, -1e-12)
+    assert cylinder_log_prob(sym, "10") == -math.inf
+
+
 def test_correlation_ratio_refuses_a_vanishing_marginal():
     with pytest.raises(ConditioningError, match="^marginal cylinder probability vanishes$"):
         correlation_ratio(Symbol.constant(1.0), "0", "0", 1)

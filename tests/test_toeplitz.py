@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dppkit import HypothesisError, Symbol, tail_sum
-from dppkit.toeplitz import (SZEGO_GRID, build_T, joint_index_set, log_det, szego_log_integral,
-                             trace_norm)
+from dppkit import Symbol, tail_sum
+from dppkit.toeplitz import build_T, joint_index_set, log_det, trace_norm
 
 from conftest import random_interior_symbol
 from oracles import build_T_window, build_lambda, hs_norm_sq_lambda
-
-GRID_T = np.arange(SZEGO_GRID) / SZEGO_GRID
 
 
 # -- builders ----------------------------------------------------------------
@@ -90,9 +87,7 @@ def test_trace_norm_examples():
 @pytest.mark.parametrize("kernel, m, need", [
     (log_det, np.eye(2, 3), "^log_det: need a square matrix$"),
     (trace_norm, np.ones(3), "^trace_norm: need a square matrix$"),
-    (szego_log_integral, np.ones((2, 2)), "^szego_log_integral: phi must give a 1-d grid of values$"),
-    (szego_log_integral, [], "^szego_log_integral: phi must give a 1-d grid of values$"),
-], ids=["log_det", "trace_norm", "szego-2d", "szego-empty"])
+], ids=["log_det", "trace_norm"])
 def test_kernels_refuse_bad_shapes(kernel, m, need):
     with pytest.raises(ValueError, match=need):
         kernel(m)
@@ -116,30 +111,6 @@ def test_hs_norm_matches_frobenius_and_brackets():
         lower = float(sum(k * abs(sym.coeff(ell + k)) ** 2 for k in range(1, n + 1)))
         upper = tail_sum(sym, ell).value
         assert lower - 1e-15 <= closed <= upper + 1e-12
-
-
-def test_szego_examples():
-    const = szego_log_integral(np.ones(SZEGO_GRID))
-    assert const.value == pytest.approx(0.0, abs=1e-14)
-    assert not const.clamped
-    half = szego_log_integral(np.full(SZEGO_GRID, 0.5))
-    assert half.value == pytest.approx(math.log(0.5), rel=1e-14)
-
-
-def test_szego_fejer_against_finite_window_determinant(rc_half):
-    quad = szego_log_integral(rc_half.eval(GRID_T))
-    assert quad.value == pytest.approx(-2.0 * math.log(2.0), abs=1e-2)
-    finite = log_det(build_T_window(rc_half, 256)).log_abs / 256.0
-    # first-order agreement; the finite-window correction at N=256 is ~0.022
-    assert quad.value == pytest.approx(finite, abs=0.05)
-
-
-def test_szego_clamp_flag_and_negativity():
-    arc = Symbol.arc_indicator(0.0, 0.5)
-    res = szego_log_integral(arc.eval(GRID_T))
-    assert res.clamped
-    with pytest.raises(HypothesisError):
-        szego_log_integral(np.cos(2 * np.pi * GRID_T))
 
 
 # -- determinant identity property suite --------------------------------------
