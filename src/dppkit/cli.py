@@ -22,6 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
+import reprlib  # an error line quotes a rejected value cut to 30 characters
 import sys
 
 import numpy as np
@@ -49,49 +51,53 @@ def _load_symbol(text: str) -> Symbol:
         raise SymbolSpecError(f"invalid symbol spec: {exc}") from exc
 
 
+_INT_TOKEN = re.compile(r"[+-]?[0-9]{1,24}|2\^(?:6[0-3]|[1-5]?[0-9])")
+
+
+def _int(text: str) -> int:
+    """One integer token, as every integer option reads it: a decimal of at most 24
+    digits (every bound checked is below 10^20, so a value past one is still refused
+    by name), or 2^k for 0 <= k <= 63, its form checked before ``int`` reads it."""
+    tok = text.strip()
+    if not _INT_TOKEN.fullmatch(tok):
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}")
+    return 2 ** int(tok[2:]) if tok.startswith("2^") else int(tok)
+
+
 def _bounded_int(lo: int, hi: int | None = None):
     """An argparse ``type``: an int in [lo, hi] (no upper bound when None), so a value
     out of range is a usage error naming its flag.  Size caps stay in the library."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = _int(text)
         if value < lo or (hi is not None and value > hi):
             bound = f"at least {lo}" if value < lo else f"in [{lo}, {hi}]"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
-    parse.__name__ = "int"  # a non-integer reads "invalid int value", as with type=int
     return parse
 
 
 def _parse_int_list(text: str, what: str, least: int) -> list[int]:
-    """Accept 'a', 'a..b', comma lists, and 2^k tokens (0 <= k <= 63), each at
-    least ``least``."""
-
-    def one(tok: str) -> int:
-        tok = tok.strip()
-        if tok.startswith("2^"):
-            k = int(tok[2:])
-            if not 0 <= k <= 63:  # no count reaches 2^64, and 2^(10^8) takes seconds to form
-                raise ValueError(tok)
-            return 2 ** k
-        return int(tok)
-
-    out: list[int] = []
+    """Accept 'a', 'a..b' and comma lists of them, each value at least ``least``.
+    Each range is checked by its ends, and the count against 2^20, before any
+    is expanded."""
+    spans = []
     try:
         for part in text.split(","):
-            if ".." in part:
-                lo, hi = part.split("..")
-                out.extend(range(one(lo), one(hi) + 1))
-            else:
-                out.append(one(part))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {what}: {text!r}") from exc
-    if not out:
+            ends = part.split("..")
+            lo, hi = map(_int, ends if len(ends) == 2 else ends * 2)
+            if lo <= hi:
+                spans.append((lo, hi))
+    except (ValueError, argparse.ArgumentTypeError) as exc:  # a bad token, or a part 'a..b..c'
+        raise ValueError(f"cannot parse {what}: {reprlib.repr(text)}") from exc
+    if not spans:
         raise ValueError(f"empty {what}")
-    if min(out) < least:
-        raise ValueError(f"{what} must be at least {least}, got {min(out)}")
-    return out
+    if min(lo for lo, _ in spans) < least:
+        raise ValueError(f"{what} must be at least {least}, got {min(lo for lo, _ in spans)}")
+    if sum(hi - lo + 1 for lo, hi in spans) > 2 ** 20:
+        raise ValueError(f"{what} lists more than 2^20 values")
+    return [value for lo, hi in spans for value in range(lo, hi + 1)]
 
 
 def _fmt(value) -> str:
@@ -224,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--ell", default="1..6", help="gaps, e.g. 3 or 1..8 or 1,2,5")
     p.add_argument("--N", type=_bounded_int(1), default=4, help="finite-window size")
-    p.add_argument("--truncation", type=int, default=100_000)
+    p.add_argument("--truncation", type=_bounded_int(2), default=100_000)
     p.set_defaults(fn=_cmd_psi)
 
     p = sub.add_parser("dimension", help="moment sums and dimension estimates")

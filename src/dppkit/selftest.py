@@ -2,7 +2,9 @@
 
 Each check is a small, fast version of a module invariant; the full
 randomized suites live in the test tree.  No check is statistical: the
-sampler's replays sampled bits against ratios of cylinder determinants.
+sampler's replays sampled bits against ratios of cylinder determinants, and
+the finite-window psi that `dppkit psi` prints is recomputed from the
+cylinder enumeration that `dppkit cylinder --N` prints, summed over the gap.
 """
 from __future__ import annotations
 
@@ -36,34 +38,17 @@ def _check_cylinder_values() -> None:
     _require(math.isclose(p, 3.0 / 8.0, rel_tol=1e-12), "P[1 | 1]")
 
 
-def _check_normalization() -> None:
-    for sym in (Symbol.poisson(0.5, 0.25), Symbol.raised_cosine(0.5, 0.25)):
-        logs = measure.cylinder_log_probs_direct(sym, 8)
-        _require(abs(np.exp(logs).sum() - 1.0) < 1e-10, "cylinder sum")
-
-
 def _check_one_number_state() -> None:
     for sym in (Symbol.poisson(0.5, 0.25), Symbol.raised_cosine(0.5, 0.25)):
         _require(measure._one_number(sym, None), "one-number state chosen")
         direct = measure.cylinder_log_probs_direct(sym, 8)
+        _require(abs(np.exp(direct).sum() - 1.0) < 1e-10, "cylinder sum")
         root = measure.PrefixState.root(sym)
         for m in range(2 ** 8):
             state = root
             for k in range(8):
                 state = state.extend((m >> k) & 1)
             _require(abs(state.log_prob - direct[m]) <= 1e-12, f"log mu of word {m}")
-
-
-def _check_ratio_identity() -> None:
-    rng = np.random.default_rng(1729)
-    sym = Symbol.poisson(0.5, 0.3)
-    for _ in range(10):
-        n = int(rng.integers(1, 6))
-        ell = int(rng.integers(1, 4))
-        w1 = "".join(rng.choice(["0", "1"], n))
-        w2 = "".join(rng.choice(["0", "1"], n))
-        rep = measure.correlation_ratio(sym, w1, w2, ell)
-        _require(abs(rep.ratio - 1.0) <= rep.simon_bound + 1e-9, "Simon bound")
 
 
 def _check_determinant_identities() -> None:
@@ -93,24 +78,24 @@ def _check_dimension_oracles() -> None:
     _require(np.allclose(est.table.estimate_N, 1.0, atol=1e-12), "fair-coin dimension")
 
 
-def _check_psi_sandwich() -> None:
-    sym = Symbol.poisson(0.5, 0.25)
-    for ell in (1, 2):
-        upper = mixing.psi_bound_report(sym, ell).upper_bound
-        for n in (1, 2, 3):
-            wit = mixing.allones_lower_witness(sym, ell, n)
-            fin = mixing.psi_finite_window(sym, ell, n).value
-            _require(wit <= fin + 1e-12 and fin <= upper + 1e-9, "psi sandwich")
-
-
-def _check_finite_window_grid() -> None:
-    words = [measure._word_str(bits) for bits in measure.word_bits(2)]
-    for sym in (Symbol.poisson(0.5, 0.25), Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])):
+def _check_finite_window_psi() -> None:
+    # R(eps, eps') = sum over gap words gamma of mu[eps gamma eps'] / (mu[eps] mu[eps']),
+    # every mu from the enumeration `cylinder --N` prints; the symbols give
+    # r = 1, r = 2 then 1, and r = N (a per-pair slogdet)
+    N = 3
+    for sym in (Symbol.poisson(0.5, 0.25), Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]),
+                Symbol.arc_indicator(0.1, 0.45)):
+        marginal = measure.cylinder_log_probs_direct(sym, N)
         for ell in (1, 2):
-            brute = max(abs(measure.correlation_ratio(sym, w1, w2, ell).ratio - 1.0)
-                        for w1 in words for w2 in words)
-            fin = mixing.psi_finite_window(sym, ell, 2).value
-            _require(abs(fin - brute) <= 1e-12, f"finite-window grid at ell = {ell}")
+            # word index m holds bit k at (m >> k) & 1, so axis 0 is eps', axis 2 is eps
+            words = measure.cylinder_log_probs_direct(sym, 2 * N + ell).reshape(2 ** N, 2 ** ell, 2 ** N)
+            joint = np.logaddexp.reduce(words, axis=1)
+            sums = np.abs(np.expm1(joint - marginal[:, None] - marginal[None, :])).max()
+            fin = mixing.psi_finite_window(sym, ell, N).value
+            _require(abs(fin - sums) <= 1e-12, f"psi_{N}({ell}) of {sym.family}")
+            if contraction_margin(sym) > 0.0:  # else there is no upper bound
+                upper = mixing.psi_bound_report(sym, ell).upper_bound
+                _require(fin <= upper + 1e-9, f"psi_{N}({ell}) of {sym.family} under the upper bound")
 
 
 def _check_sampler_replay() -> None:
@@ -157,13 +142,10 @@ def _check_lcs() -> None:
 CHECKS = [
     ("symbol closed-form values", _check_symbol_values),
     ("cylinder hand values", _check_cylinder_values),
-    ("cylinder normalization", _check_normalization),
     ("one-number prefix state vs determinants", _check_one_number_state),
-    ("ratio identity and Simon bound", _check_ratio_identity),
     ("determinant identities", _check_determinant_identities),
     ("dimension oracle equivalence", _check_dimension_oracles),
-    ("psi sandwich", _check_psi_sandwich),
-    ("finite-window grid vs per-pair ratios", _check_finite_window_grid),
+    ("finite-window psi vs cylinder sums", _check_finite_window_psi),
     ("sampled chain replay vs cylinder determinants", _check_sampler_replay),
     ("lcs packed codes and prefix doubling vs dp", _check_lcs),
 ]
