@@ -21,6 +21,7 @@ NumericsError.  Otherwise log mu = log|det| - n log 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,12 @@ from .symbol import Symbol, g_coeff_fn
 IMAG_TOL = 1e-10
 # g-coefficients a corner prefix state caches at first (see ``_GData``)
 COEFF_BLOCK = 64
+# least bytes of rows a chain step formed in its parent's memory updates at a
+# time (a chunk is also at least 1/16 of the corner, so a wide corner takes
+# at most 17; numpy's ufunc buffers for the broadcast product add two chunks
+# more, of up to 8,192 entries each), and the bytes of rows past which a
+# tree level adds its parents' corners through a view, not a gathered copy
+CHUNK_BYTES = 32 * 1024
 # a PrefixState with no slot set; ``root`` and ``extend`` store the slots one
 # by one, which costs ``extend`` less than half of a keyword constructor call
 _new_state = object.__new__
@@ -211,12 +218,18 @@ def _bordered(source, pick, tp, s, window):
 
     A child's bordered inverse is [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].
     When no row is trimmed, C + (tp/s) u w is formed in the child's own
-    leading block, so a chain step holds the parent's corner and the
-    child's, and nothing else of that size.  When the window is full its
-    oldest row and column fall out: that row is never formed, and the kept
-    rows are formed at their untrimmed length in a temporary, so numpy
-    rounds every entry as it would in the untrimmed inverse of one prefix
-    on its own.
+    leading block, so a step holds the parent's corners and the child's,
+    and nothing else of that size (a chain step whose parent is gone forms
+    its child in the parent's memory instead: see ``_formed_in_place``).
+    When ``pick`` holds each of a run of parent rows twice in turn, as a
+    tree level extends every parent by 0 and then 1, each parent corner is
+    added to both its children through a (parents, 2, j, j) view, not
+    gathered into a copy the size of the children's rows (below
+    CHUNK_BYTES of rows the copy costs less than checking ``pick``).  When
+    the window is full its oldest row and column fall out: that row is
+    never formed, and the kept rows are formed at their untrimmed length in
+    a temporary, so numpy rounds every entry as it would in the untrimmed
+    inverse of one prefix on its own.
     """
     corner, theta, u, w = source
     if pick is not None:
@@ -238,7 +251,14 @@ def _bordered(source, pick, tp, s, window):
     else:  # formed where they stay (lo == 0 implies keep >= 1)
         rows = np.multiply(u[..., None], w_row, out=e[..., :-1, :-1])
     rows *= ts_blk
-    rows += corner[lo:] if pick is None else corner[pick, lo:]
+    if pick is None:
+        rows += corner[lo:]
+    elif (s.ndim and rows.nbytes > CHUNK_BYTES and pick.size % 2 == 0
+          and np.array_equal(pick, (np.arange(pick.size) >> 1) + pick[0])):
+        both = rows.reshape(pick.size // 2, 2, *rows.shape[1:])  # a view: only axis 0 is split
+        both += corner[pick[0]:pick[0] + pick.size // 2, None, lo:]
+    else:
+        rows += corner[pick, lo:]
     if keep:
         if lo:
             e[..., :-1, :-1] = rows[..., lo:]
@@ -248,6 +268,57 @@ def _bordered(source, pick, tp, s, window):
         th[..., :-1] = theta[..., lo:]
         th[..., -1] = tp
     return e, th
+
+
+# referenced by this module alone: what sys.getrefcount reads for one holder
+_PROBE = object()
+
+
+def _held_once(a) -> bool:
+    """Whether ``a``, passed as a temporary, has one holder: its count is
+    compared with that of the probe, which has one and is read the same way,
+    so no interpreter's counting convention is assumed."""
+    probe = _PROBE
+    return sys.getrefcount(a) == sys.getrefcount(probe)
+
+
+def _unshared(source) -> bool:
+    """Whether a chain's parent corner is held by ``source`` alone, and its
+    memory by the corner alone: the parent's state and stack are gone, and
+    no caller holds the corner or any view of it."""
+    return _held_once(source[0]) and (source[0].base is None or _held_once(source[0].base))
+
+
+def _formed_in_place(buf, theta, u, w, tp, s):
+    """The corner and theta of a chain's child, ``_bordered``'s byte for
+    byte, formed in ``buf``: the memory of the parent's j x j corner, held
+    row-major at its start (a 1-d buffer, or the corner itself while it owns
+    its memory), which no one else may reference (``_unshared``).  ``buf``
+    grows by realloc, by an eighth (at least 64 entries), so a step holds
+    one corner and its slack.  Rows move from width j to j + 1 last first, so none is
+    overwritten before it is read, a chunk at a time through a contiguous
+    temporary.  numpy rounds a complex product there as in ``_bordered``'s
+    strided rows: the same on its AVX-512, AVX2 and baseline loops."""
+    j = u.size
+    k = j + 1
+    if buf.size < k * k:  # no other array views buf (``_unshared``)
+        buf.resize(max(k * k, buf.size + max(64, buf.size // 8)), refcheck=False)
+    out = buf[:k * k].reshape(k, k)
+    ts = tp / s
+    step = max(CHUNK_BYTES // (k * buf.itemsize), j // 16)
+    for r1 in range(j, 0, -step):
+        r0 = max(r1 - step, 0)
+        rows = np.multiply(u[r0:r1, None], w)
+        rows *= ts
+        rows += buf[r0 * j:r1 * j].reshape(r1 - r0, j)
+        out[r0:r1, :-1] = rows
+        np.divide(u[r0:r1], -s, out=out[r0:r1, -1])
+    out[-1, :-1] = -ts * w
+    out[-1, -1] = 1.0 / s
+    th = np.empty(k, dtype=buf.dtype)
+    th[:-1] = theta
+    th[-1] = tp
+    return out, th
 
 
 class _CornerStack:
@@ -270,6 +341,14 @@ class _CornerStack:
     use (``formed``), then drops ``source``; a child appended after that
     starts a new stack.  ``extension`` forms every row's (u, w, alpha) in
     one stacked update too.
+
+    The one child of a chain whose row is not trimmed (window None, or a
+    chain still shorter than its window) is formed in its parent's memory
+    when ``source`` is the only holder of the parent corner and the corner
+    the only holder of its memory (``_unshared``): that is, when the
+    parent's state is gone and no caller holds its corner or a view of it.
+    Otherwise the child is formed beside the parent (``_bordered``).
+    Either way every corner and theta byte is the same.
     """
 
     __slots__ = ("gd", "window", "source", "kids", "corner", "theta", "uw", "alphas", "pending")
@@ -297,7 +376,14 @@ class _CornerStack:
         """
         source, kids, window = self.source, self.kids, self.window
         dtype, chain = source[0].dtype, source[2].ndim == 1
-        if len(kids) == 1 or source[2].shape[-1] == 1:
+        if (chain and len(kids) == 1 and (window is None or source[2].size < window)
+                and _unshared(source)):
+            corner, theta, u, w = source
+            buf = corner if corner.base is None else corner.base
+            self.source = source = corner = None  # no view of buf may outlive a resize
+            _, tp, s = kids[0]
+            self.corner, self.theta = _formed_in_place(buf, theta, u, w, tp, dtype.type(s))
+        elif len(kids) == 1 or source[2].shape[-1] == 1:
             parts = []
             for row, tp, s in kids:  # on Python 3.11 a comprehension costs a chain 0.4 us a bit
                 parts.append(_bordered(source, None if chain else row, tp, dtype.type(s), window))
@@ -354,9 +440,13 @@ class PrefixState:
     That stack forms the corners of all its children together, at O(window^2)
     each, on the first ``conditional_one`` or ``extend`` of any of them, or
     when ``corner`` or ``theta`` is first read, and then drops the parent
-    arrays it kept.  So the leaves of a prefix tree never form a corner, the
-    children of a whole tree level form theirs in one stacked update, and a
-    chain (a stack of one) holds at most one parent corner.  The corner
+    arrays it kept.  So the leaves of a prefix tree never form a corner, and
+    the children of a whole tree level form theirs in one stacked update.  A
+    chain (a stack of one) that drops each state once it has extended it,
+    as the sampler does, forms each child's corner in its parent's memory:
+    it holds one corner, grown in place, where a step that keeps its parent
+    holds two.  A state that is still referenced, or whose ``corner`` (or a
+    view of it) is, keeps its corner and its values.  The corner
     recursion is exact when the window is None or covers the symbol's
     bandwidth, so the moment-sum walk and the sampler root their states at
     window = bandwidth; any other window truncates the coefficients beyond it

@@ -14,7 +14,11 @@ trailing window of the inverse as wide as its bandwidth; any other symbol
 runs with the full state.  Either corner, min(n, bandwidth) or n wide,
 costs quadratic time per bit, so the automatic window caps its width at
 EXACT_LENGTH_CAP; poisson is exempt.  An explicit window chosen by the
-caller truncates the coefficients beyond it and is never capped.
+caller truncates the coefficients beyond it and is never capped.  The
+sampler keeps no state once it has extended it, so an untrimmed corner
+forms each child in its parent's memory (see ``measure.PrefixState``):
+a sample holds about one corner of width k, k^2 * 16 bytes for a complex
+symbol, not the parent's and the child's.
 
 The selftest replays sampled prefixes exactly against ratios of cylinder
 determinants; the chi-square fit of word frequencies is a test oracle.

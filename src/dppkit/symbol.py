@@ -109,7 +109,7 @@ class Symbol:
         """fhat(0) = a, fhat(n) = c/|n|^p for 1 <= |n| <= cutoff."""
         a, c, p = _finite("power_decay", a=a, c=c, p=p)
         try:
-            cutoff = require_int(cutoff, 1, None, "power_decay: cutoff must be an integer >= 1")
+            cutoff = require_int(cutoff, 1, 2 ** 62, "power_decay: cutoff must be an integer in [1, 2^62]")
         except ValueError as exc:
             raise SymbolSpecError(str(exc)) from exc
         _require(p > 0, "power_decay: need p > 0")

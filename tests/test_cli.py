@@ -5,6 +5,7 @@ import os
 import pathlib
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -364,6 +365,10 @@ def _raising(exc_type):
          "argument --truncation: must be at least 2, got 1"),
         (["psi", "--symbol", POISSON, "--ell", "1..2^63"], None, 64,
          "--ell lists more than 2^20 values"),
+        # once numpy's "Maximum allowed dimension exceeded", from the range gate's grid
+        (["psi", "--symbol", '{"family":"power_decay","params":{"a":0.5,"c":0.1,"p":2,"cutoff":'
+          + str(10 ** 20) + "}}", "--ell", "1", "--N", "1"], None, 64,
+         "invalid symbol spec: power_decay: cutoff must be an integer in [1, 2^62]"),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):
@@ -796,7 +801,7 @@ def test_selftest_catches_a_broken_stacked_corner_build_under_optimize():
     assert "S_6 vs determinants of trig_poly" in proc.stdout
 
 
-def test_selftest_catches_a_broken_chain_corner_under_optimize():
+def test_selftest_catches_a_broken_chain_corner_under_optimize(tmp_path):
     # a chain's corner (a stack of one, as the sampler forms it) that is off by
     # one part in 10^6 moves the replayed conditionals of the trimmed and the
     # full-state chain by about 4e-8 and 1e-6, and fails the replay, also under -O
@@ -819,6 +824,20 @@ def test_selftest_catches_a_broken_chain_corner_under_optimize():
                           env=env, timeout=300)
     assert proc.returncode == 1
     assert "FAIL sampled chain replay vs cylinder determinants" in proc.stdout
+    # a chain step formed in its parent's memory that subtracts (tp/s) u w
+    # where it should add it, in a copy of the package: the replay fails with
+    # and without -O (the replayed chains run that route)
+    copy = tmp_path / "dppkit"
+    shutil.copytree(os.path.dirname(dppkit.__file__), copy, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (copy / "measure.py").read_text()
+    assert text.count("        rows *= ts\n") == 1
+    (copy / "measure.py").write_text(text.replace("        rows *= ts\n", "        rows *= -ts\n"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "dppkit", "selftest"], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        assert "FAIL sampled chain replay vs cylinder determinants" in proc.stdout
 
 
 @pytest.mark.parametrize("least_r", [0, 3], ids=["every-r", "slogdet-route"])

@@ -9,6 +9,7 @@ from dppkit import (
     PrefixState,
     SizeCapError,
     Symbol,
+    SymbolSpecError,
     allones_lower_witness,
     correlation_ratio,
     cylinder_log_prob,
@@ -155,6 +156,15 @@ def test_sample_length_past_2_62_is_a_size_cap(n):
     # refused by name before numpy is asked for n uniforms
     with pytest.raises(SizeCapError, match=r"^sample_prefix: need 1 <= n <= 2\^62$"):
         sample_prefix(SYM, n, 1)
+
+
+@pytest.mark.parametrize("cutoff", [2 ** 62 + 1, 10 ** 20], ids=["2^62+1", "10^20"])
+def test_power_decay_cutoff_past_2_62_is_refused_by_name(cutoff):
+    # the range gate's grid once reached numpy's "Maximum allowed dimension
+    # exceeded" for such a cutoff
+    with pytest.raises(SymbolSpecError, match=r"^power_decay: cutoff must be an integer in \[1, 2\^62\]$"):
+        Symbol.power_decay(0.5, 0.1, 2, cutoff)
+    assert Symbol.power_decay(0.5, 0.1, 2, 2 ** 62).params["cutoff"] == 2 ** 62
 
 
 def test_require_int_messages_and_classes():

@@ -586,15 +586,78 @@ def _traced_peak(route):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("n", [256, 269])
 @pytest.mark.parametrize("sym", [Symbol.arc_indicator(0.1, 0.45), LAZY_SYMBOLS["power_decay"]],
                          ids=["arc_indicator-complex", "power_decay-real"])
-def test_full_state_chain_holds_two_corners(sym):
-    # a chain step holds its parent's inverse corner and its child's, and no
-    # third array of that size: this reads 2.38 corners, a temporary child
-    # corner 3.24
-    n = 256
+def test_full_state_chain_holds_one_corner(sym, n):
+    # the sampler drops each state, so a chain step forms its child in the
+    # parent's memory: one corner with up to an eighth of slack, and rows a
+    # chunk at a time.  This reads 1.35-1.39 corners (the corner of 268 bits
+    # grows the buffer, so n = 269 holds the most slack); forming the child
+    # beside its parent read 2.35-2.38, a temporary child corner 3.24
     peak = _traced_peak(lambda: sample_prefix(sym, n, 3, window=None))
-    assert peak < 2.75 * n * n * (8 if sym.has_real_coeffs else 16)
+    assert peak < 1.5 * n * n * (8 if sym.has_real_coeffs else 16)
+
+
+def _eager_chain_check(lazy, eager):
+    assert lazy.log_prob == eager.log_prob
+    assert _same(lazy.corner, eager.corner) and _same(lazy.theta, eager.theta)
+
+
+# ways a caller can keep an old chain state's arrays without the state
+HOLD = {
+    "corner-and-theta": lambda state: (state.corner, state.theta),
+    "view-of-corner": lambda state: (state.corner[1:, ::2],),
+}
+
+
+@pytest.mark.parametrize("hold", sorted(HOLD))
+def test_held_chain_arrays_keep_their_values(hold):
+    # a chain forms a child in its parent's memory only when no one else
+    # holds the parent's corner: arrays kept from the states of 20 and 21
+    # bits (one a view of a grown buffer, one a corner that owns its memory)
+    # keep their values 50 steps on, and every state has the eager bytes
+    sym = LAZY_SYMBOLS["trig_poly-complex"]
+    lazy, eager = PrefixState.root(sym), EagerPrefixState.root(sym)
+    held = []
+    for k, bit in enumerate(sample_prefix(sym, 72, 65, window=None).bits.tolist()):
+        if k in (20, 21):
+            arrays = HOLD[hold](lazy)
+            held.append((arrays, [a.copy() for a in arrays]))
+        lazy, eager = lazy.extend(bit), eager.extend(bit)
+        _eager_chain_check(lazy, eager)
+    for arrays, copies in held:
+        assert all(_same(a, c) for a, c in zip(arrays, copies))
+
+
+def test_sibling_of_a_formed_chain_child_has_the_eager_bytes():
+    # the first child forms beside its held parent; the parent, extended
+    # again and then dropped, leaves the second child the sole holder of
+    # its corner, which that child forms in place: both keep the eager bytes
+    sym = LAZY_SYMBOLS["arc_indicator"]
+    parent, eager = PrefixState.root(sym), EagerPrefixState.root(sym)
+    for bit in (1, 0, 1, 1, 0, 0, 1, 0):
+        parent, eager = parent.extend(bit), eager.extend(bit)
+    first = parent.extend(0)
+    first.conditional_one()
+    second = parent.extend(1)
+    del parent
+    _eager_chain_check(second, eager.extend(1))
+    _eager_chain_check(first, eager.extend(0))
+    _eager_chain_check(first.extend(1), eager.extend(0).extend(1))
+
+
+def test_long_full_state_chain_grows_its_buffer_with_the_eager_bytes():
+    # 600 bits: the corner's buffer is reallocated many times (64 entries at
+    # first, then an eighth at a time), and every state has the eager bytes
+    sym = LAZY_SYMBOLS["trig_poly-complex"]
+    lazy, eager = PrefixState.root(sym), EagerPrefixState.root(sym)
+    sizes = set()
+    for bit in sample_prefix(sym, 600, 66, window=None).bits.tolist():
+        lazy, eager = lazy.extend(bit), eager.extend(bit)
+        _eager_chain_check(lazy, eager)
+        sizes.add(lazy.corner.base.size)
+    assert len(sizes) > 2
 
 
 @pytest.mark.parametrize("sym", [LAZY_SYMBOLS["trig_poly-complex"], Symbol.poisson(0.5, 0.25)],
