@@ -6,6 +6,8 @@ hypothesis, an enumeration past its size cap, or a count or 0/1 word that
 input through them.  A computation that went wrong numerically is an
 ``ArithmeticError``.  The CLI maps each class to an exit code.
 """
+import operator
+
 import numpy as np
 
 
@@ -31,10 +33,14 @@ class NumericsError(ArithmeticError):
 
 def require_int(value, lo: int, cap: int | None, need: str) -> int:
     """``value`` as an int in [lo, cap] (no cap when None).  A bool or a non-integer, 4.0
-    too, is a ValueError naming it; below lo, ValueError(need); above cap, SizeCapError(need)."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{need}; got {value!r}, not an integer")
-    value = value.__index__()
+    or a numpy array other than a 0-d integer too, is a ValueError naming it; below lo,
+    ValueError(need); above cap, SizeCapError(need)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{need}; got {value!r}, not an integer") from None
     if value < lo:
         raise ValueError(need)
     if cap is not None and value > cap:

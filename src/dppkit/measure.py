@@ -21,7 +21,6 @@ NumericsError.  Otherwise log mu = log|det| - n log 2.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,17 +218,15 @@ def _bordered(source, pick, tp, s, window):
     A child's bordered inverse is [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].
     When no row is trimmed, C + (tp/s) u w is formed in the child's own
     leading block, so a step holds the parent's corners and the child's,
-    and nothing else of that size (a chain step whose parent is gone forms
-    its child in the parent's memory instead: see ``_formed_in_place``).
-    When ``pick`` holds each of a run of parent rows twice in turn, as a
-    tree level extends every parent by 0 and then 1, each parent corner is
-    added to both its children through a (parents, 2, j, j) view, not
-    gathered into a copy the size of the children's rows (below
-    CHUNK_BYTES of rows the copy costs less than checking ``pick``).  When
-    the window is full its oldest row and column fall out: that row is
-    never formed, and the kept rows are formed at their untrimmed length in
-    a temporary, so numpy rounds every entry as it would in the untrimmed
-    inverse of one prefix on its own.
+    and nothing else of that size.  When ``pick`` holds each of a run of
+    parent rows twice in turn, as a tree level extends every parent by 0
+    and then 1, each parent corner is added to both its children through a
+    (parents, 2, j, j) view, not gathered into a copy the size of the
+    children's rows (below CHUNK_BYTES of rows the copy costs less than
+    checking ``pick``).  When the window is full its oldest row and column
+    fall out: that row is never formed, and the kept rows are formed at
+    their untrimmed length in a temporary, so numpy rounds every entry as it
+    would in the untrimmed inverse of one prefix on its own.
     """
     corner, theta, u, w = source
     if pick is not None:
@@ -270,38 +267,19 @@ def _bordered(source, pick, tp, s, window):
     return e, th
 
 
-# referenced by this module alone: what sys.getrefcount reads for one holder
-_PROBE = object()
-
-
-def _held_once(a) -> bool:
-    """Whether ``a``, passed as a temporary, has one holder: its count is
-    compared with that of the probe, which has one and is read the same way,
-    so no interpreter's counting convention is assumed."""
-    probe = _PROBE
-    return sys.getrefcount(a) == sys.getrefcount(probe)
-
-
-def _unshared(source) -> bool:
-    """Whether a chain's parent corner is held by ``source`` alone, and its
-    memory by the corner alone: the parent's state and stack are gone, and
-    no caller holds the corner or any view of it."""
-    return _held_once(source[0]) and (source[0].base is None or _held_once(source[0].base))
-
-
 def _formed_in_place(buf, theta, u, w, tp, s):
-    """The corner and theta of a chain's child, ``_bordered``'s byte for
-    byte, formed in ``buf``: the memory of the parent's j x j corner, held
-    row-major at its start (a 1-d buffer, or the corner itself while it owns
-    its memory), which no one else may reference (``_unshared``).  ``buf``
-    grows by realloc, by an eighth (at least 64 entries), so a step holds
-    one corner and its slack.  Rows move from width j to j + 1 last first, so none is
+    """The corner and theta of a sampled chain's child (see ``_sampled_bits``),
+    ``_bordered``'s byte for byte, formed in ``buf``: the memory of the
+    parent's j x j corner, held row-major at its start (a 1-d buffer, or the
+    corner itself while it owns its memory).  ``buf`` grows by realloc, by
+    an eighth (at least 64 entries), so a step holds one corner and its
+    slack.  Rows move from width j to j + 1 last first, so none is
     overwritten before it is read, a chunk at a time through a contiguous
     temporary.  numpy rounds a complex product there as in ``_bordered``'s
     strided rows: the same on its AVX-512, AVX2 and baseline loops."""
     j = u.size
     k = j + 1
-    if buf.size < k * k:  # no other array views buf (``_unshared``)
+    if buf.size < k * k:  # no array views buf: ``_form`` dropped the parent corner
         buf.resize(max(k * k, buf.size + max(64, buf.size // 8)), refcheck=False)
     out = buf[:k * k].reshape(k, k)
     ts = tp / s
@@ -342,20 +320,16 @@ class _CornerStack:
     starts a new stack.  ``extension`` forms every row's (u, w, alpha) in
     one stacked update too.
 
-    The one child of a chain whose row is not trimmed (window None, or a
-    chain still shorter than its window) is formed in its parent's memory
-    when ``source`` is the only holder of the parent corner and the corner
-    the only holder of its memory (``_unshared``): that is, when the
-    parent's state is gone and no caller holds its corner or a view of it.
-    Otherwise the child is formed beside the parent (``_bordered``).
-    Either way every corner and theta byte is the same.
+    ``owned`` marks the stacks of the chain that ``_sampled_bits`` walks,
+    from its root on: a child stack takes the mark from its parent.
     """
 
-    __slots__ = ("gd", "window", "source", "kids", "corner", "theta", "uw", "alphas", "pending")
+    __slots__ = ("gd", "window", "owned", "source", "kids", "corner", "theta", "uw", "alphas", "pending")
 
     def __init__(self, gd: _GData, window, parent=None, corner=None, theta=None):
         self.gd = gd
         self.window = window
+        self.owned = parent is not None and parent.owned
         self.source = None if parent is None else (parent.corner, parent.theta, *parent.uw)
         self.kids = []
         self.corner = corner
@@ -372,12 +346,13 @@ class _CornerStack:
         drop them.  The only child, and each child of a 1 x 1 corner, is
         formed on its own: numpy rounds a 1 x 1 complex product of one prefix
         in its scalar loop, but those of several prefixes in its SIMD loop,
-        whose fused multiply-add rounds differently.
+        whose fused multiply-add rounds differently.  The child of an owned
+        chain whose row is not trimmed (window None, or a chain still
+        shorter than its window) is formed in its parent's memory.
         """
         source, kids, window = self.source, self.kids, self.window
         dtype, chain = source[0].dtype, source[2].ndim == 1
-        if (chain and len(kids) == 1 and (window is None or source[2].size < window)
-                and _unshared(source)):
+        if self.owned and (window is None or source[2].size < window):
             corner, theta, u, w = source
             buf = corner if corner.base is None else corner.base
             self.source = source = corner = None  # no view of buf may outlive a resize
@@ -441,16 +416,17 @@ class PrefixState:
     each, on the first ``conditional_one`` or ``extend`` of any of them, or
     when ``corner`` or ``theta`` is first read, and then drops the parent
     arrays it kept.  So the leaves of a prefix tree never form a corner, and
-    the children of a whole tree level form theirs in one stacked update.  A
-    chain (a stack of one) that drops each state once it has extended it,
-    as the sampler does, forms each child's corner in its parent's memory:
-    it holds one corner, grown in place, where a step that keeps its parent
-    holds two.  A state that is still referenced, or whose ``corner`` (or a
-    view of it) is, keeps its corner and its values.  The corner
-    recursion is exact when the window is None or covers the symbol's
-    bandwidth, so the moment-sum walk and the sampler root their states at
-    window = bandwidth; any other window truncates the coefficients beyond it
-    (a geometric symbol too, whose one-number state needs window None).
+    the children of a whole tree level form theirs in one stacked update.
+    The children of a state built by ``root`` are formed beside their
+    parent, so a state and its corner keep their values however long a
+    caller holds them, and a chain step holds two corners.  The sampler's
+    chain (``_sampled_bits``) owns its states by construction, since none
+    leaves its loop, so it forms each untrimmed child in its parent's
+    memory and holds one corner.  The corner recursion is exact when the
+    window is None or covers the symbol's bandwidth, so the moment-sum walk
+    and the sampler root their states at window = bandwidth; any other
+    window truncates the coefficients beyond it (a geometric symbol too,
+    whose one-number state needs window None).
     """
 
     __slots__ = ("gd", "window", "length", "log_prob", "_stack", "_row", "_x")
@@ -548,6 +524,29 @@ class PrefixState:
         child.log_prob, child._stack, child._row = log_prob, child_stack, row
         child._x = x
         return child
+
+
+def _sampled_bits(sym: Symbol, window: int | None, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n bits sampled by the chain rule at ``window``: bit k is 1 when the
+    k-th of n uniforms drawn from ``rng`` is below P(1 | bits 0..k-1).  No
+    state leaves this loop, and each is dropped once extended, so the
+    chain owns its corner stacks (``_CornerStack.owned``) and forms each
+    untrimmed child in its parent's memory (``_formed_in_place``).  At
+    window 0 the conditionals are constant: i.i.d. Bernoulli(fhat(0))."""
+    state = PrefixState.root(sym, window=window)  # the range gate, also for the i.i.d. path
+    uni = rng.random(n)
+    bits = np.empty(n, dtype=np.uint8)
+    if window == 0:
+        np.less(uni, state.conditional_one(), out=bits.view(bool))
+        return bits
+    if state._stack is not None:
+        state._stack.owned = True
+    for k in range(n):
+        p1 = state.conditional_one()
+        bit = 1 if uni[k] < p1 else 0
+        bits[k] = bit
+        state = state.extend(bit)
+    return bits
 
 
 def cylinder_log_probs_direct(sym: Symbol, N: int) -> np.ndarray:

@@ -15,10 +15,10 @@ runs with the full state.  Either corner, min(n, bandwidth) or n wide,
 costs quadratic time per bit, so the automatic window caps its width at
 EXACT_LENGTH_CAP; poisson is exempt.  An explicit window chosen by the
 caller truncates the coefficients beyond it and is never capped.  The
-sampler keeps no state once it has extended it, so an untrimmed corner
-forms each child in its parent's memory (see ``measure.PrefixState``):
-a sample holds about one corner of width k, k^2 * 16 bytes for a complex
-symbol, not the parent's and the child's.
+chain loop is ``measure._sampled_bits``, which hands no state out, so the
+chain owns its corners by construction and forms each untrimmed child in
+its parent's memory: a sample holds about one corner of width k, k^2 * 16
+bytes for a complex symbol, not the parent's and the child's.
 
 The selftest replays sampled prefixes exactly against ratios of cylinder
 determinants; the chi-square fit of word frequencies is a test oracle.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapError, require_int
-from .measure import PrefixState, _word_str
+from .measure import _sampled_bits, _word_str
 from .symbol import Symbol
 
 EXACT_LENGTH_CAP = 2048
@@ -76,19 +76,7 @@ def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "
     seed = require_int(seed, 0, None, "sample_prefix: need seed >= 0")
     if window == "auto":
         window = _auto_window(sym, n)
-    state = PrefixState.root(sym, window=window)  # the range gate, also for the i.i.d. path
-    rng = np.random.Generator(np.random.PCG64(seed))
-    uni = rng.random(n)
-    bits = np.empty(n, dtype=np.uint8)
-    if window == 0:
-        # conditionals are constant: i.i.d. Bernoulli(fhat(0)) fast path
-        np.less(uni, state.conditional_one(), out=bits.view(bool))
-    else:
-        for k in range(n):
-            p1 = state.conditional_one()
-            bit = 1 if uni[k] < p1 else 0
-            bits[k] = bit
-            state = state.extend(bit)
+    bits = _sampled_bits(sym, window, n, np.random.Generator(np.random.PCG64(seed)))
     return BinarySequence(bits, seed, sym.fingerprint)
 
 

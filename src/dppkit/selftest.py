@@ -99,7 +99,8 @@ def _check_finite_window_psi() -> None:
 
 
 def _check_sampler_replay() -> None:
-    # a one-number state, a trimmed corner chain (window 3) and a full-state chain
+    # a one-number state, a trimmed corner chain (window 3) and a full-state chain;
+    # the replay forms each corner beside its parent, the sampler in its parent's memory
     for sym in (Symbol.poisson(0.5, 0.25), Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]),
                 Symbol.arc_indicator(0.1, 0.45)):
         for seed in (2024, 7):

@@ -67,8 +67,8 @@ COUNT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [1.5, 4.0, True, np.float64(2.0), np.True_],
-                         ids=["1.5", "4.0", "True", "float64", "np.True_"])
+@pytest.mark.parametrize("value", [1.5, 4.0, True, np.float64(2.0), np.True_, np.array([2]), np.array(2.0)],
+                         ids=["1.5", "4.0", "True", "float64", "np.True_", "array([2])", "array(2.0)"])
 @pytest.mark.parametrize("name", sorted(COUNT_CALLS))
 def test_entry_point_refuses_non_integer_count(name, value):
     with pytest.raises(ValueError, match=r"; got .*, not an integer$") as info:

@@ -15,6 +15,7 @@ from dppkit import (
     cylinder_log_prob,
     cylinder_prob,
     dimension,
+    measure,
     s_n_q_table,
     sample_prefix,
 )
@@ -613,10 +614,9 @@ HOLD = {
 
 @pytest.mark.parametrize("hold", sorted(HOLD))
 def test_held_chain_arrays_keep_their_values(hold):
-    # a chain forms a child in its parent's memory only when no one else
-    # holds the parent's corner: arrays kept from the states of 20 and 21
-    # bits (one a view of a grown buffer, one a corner that owns its memory)
-    # keep their values 50 steps on, and every state has the eager bytes
+    # a caller's chain forms each child beside its parent, never in the
+    # parent's memory: arrays kept from the states of 20 and 21 bits keep
+    # their values 50 steps on, and every state has the eager bytes
     sym = LAZY_SYMBOLS["trig_poly-complex"]
     lazy, eager = PrefixState.root(sym), EagerPrefixState.root(sym)
     held = []
@@ -631,9 +631,10 @@ def test_held_chain_arrays_keep_their_values(hold):
 
 
 def test_sibling_of_a_formed_chain_child_has_the_eager_bytes():
-    # the first child forms beside its held parent; the parent, extended
-    # again and then dropped, leaves the second child the sole holder of
-    # its corner, which that child forms in place: both keep the eager bytes
+    # the first child forms beside its parent; the parent, extended again
+    # once that stack is formed, starts a second stack of one, and the
+    # second child forms beside the parent too, also after the parent is
+    # dropped: both keep the eager bytes
     sym = LAZY_SYMBOLS["arc_indicator"]
     parent, eager = PrefixState.root(sym), EagerPrefixState.root(sym)
     for bit in (1, 0, 1, 1, 0, 0, 1, 0):
@@ -647,17 +648,54 @@ def test_sibling_of_a_formed_chain_child_has_the_eager_bytes():
     _eager_chain_check(first.extend(1), eager.extend(0).extend(1))
 
 
-def test_long_full_state_chain_grows_its_buffer_with_the_eager_bytes():
-    # 600 bits: the corner's buffer is reallocated many times (64 entries at
-    # first, then an eighth at a time), and every state has the eager bytes
+def test_long_full_state_chain_grows_its_buffer_with_the_eager_bytes(monkeypatch):
+    # 600 sampled bits: the chain's buffer is reallocated many times (64
+    # entries at first, then an eighth at a time), and every corner and
+    # theta formed in it has the eager bytes of the same bits
     sym = LAZY_SYMBOLS["trig_poly-complex"]
+    form = measure._formed_in_place
+    sizes, formed = set(), []
+
+    def recording(buf, *args):
+        corner, theta = form(buf, *args)
+        sizes.add(buf.size)
+        formed.append((corner.copy(), theta.copy()))
+        return corner, theta
+
+    monkeypatch.setattr(measure, "_formed_in_place", recording)
+    bits = sample_prefix(sym, 600, 66, window=None).bits.tolist()
+    assert len(formed) == 599  # every child but the last, which is never queried
+    eager = EagerPrefixState.root(sym)
+    for bit, (corner, theta) in zip(bits, formed):
+        eager = eager.extend(bit)
+        assert _same(corner, eager.corner) and _same(theta, eager.theta)
+    assert len(sizes) > 2
+
+
+def test_callers_chain_never_forms_in_place(monkeypatch):
+    # only the sampler's own loop owns its chain: a caller's full-state walk
+    # that drops every state still forms each child beside its parent, while
+    # the sampler forms every untrimmed child in its parent's memory
+    sym = Symbol.arc_indicator(0.1, 0.45)
+    bits = sample_prefix(sym, 300, 12, window=None).bits.tolist()
+    form, calls = measure._formed_in_place, []
+
+    def counting(*args):
+        calls.append(args[0].size)
+        return form(*args)
+
+    monkeypatch.setattr(measure, "_formed_in_place", counting)
+    assert sample_prefix(sym, 300, 12, window=None).bits.tolist() == bits
+    assert len(calls) == 299
+
+    def refused(*args):
+        raise AssertionError("a caller's chain formed a child in its parent's memory")
+
+    monkeypatch.setattr(measure, "_formed_in_place", refused)
     lazy, eager = PrefixState.root(sym), EagerPrefixState.root(sym)
-    sizes = set()
-    for bit in sample_prefix(sym, 600, 66, window=None).bits.tolist():
+    for bit in bits:
         lazy, eager = lazy.extend(bit), eager.extend(bit)
         _eager_chain_check(lazy, eager)
-        sizes.add(lazy.corner.base.size)
-    assert len(sizes) > 2
 
 
 @pytest.mark.parametrize("sym", [LAZY_SYMBOLS["trig_poly-complex"], Symbol.poisson(0.5, 0.25)],

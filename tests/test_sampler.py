@@ -6,7 +6,6 @@ import pytest
 
 from dppkit import (
     Symbol,
-    sampler,
     cylinder_prob,
     sample_many,
     sample_prefix,
@@ -113,11 +112,15 @@ def test_encodings(fair):
     assert seq.to01() == format(int(seq.to_hex(), 16), "016b")
 
 
-def _eager_bits(monkeypatch, sym, n, seed, window):
-    """The sampler's bits with every prefix state formed by the eager corner route."""
-    with monkeypatch.context() as patch:
-        patch.setattr(sampler, "PrefixState", EagerPrefixState)
-        return sample_prefix(sym, n, seed, window=window).bits
+def _eager_bits(sym, n, seed, window):
+    """The sampler's bits drawn by the chain rule on the eager corner route,
+    from the same n uniforms of the trajectory's PCG64 stream."""
+    uni = np.random.Generator(np.random.PCG64(seed)).random(n)
+    state, bits = EagerPrefixState.root(sym, window=window), np.empty(n, dtype=np.uint8)
+    for k in range(n):
+        bits[k] = uni[k] < state.conditional_one()
+        state = state.extend(int(bits[k]))
+    return bits
 
 
 @pytest.mark.parametrize("sym", [
@@ -125,7 +128,7 @@ def _eager_bits(monkeypatch, sym, n, seed, window):
     Symbol.poisson(0.5, -0.3), Symbol.raised_cosine(0.55, 0.3), Symbol.trig_poly([0.5, 0.1 + 0.1j]),
 ], ids=["poisson(0.5,0.25)", "poisson(0.75,0.125)", "poisson(0.4,0.4)", "poisson(0.5,-0.3)",
         "raised_cosine(0.55,0.3)", "trig_poly(complex,B=1)"])
-def test_one_number_samples_match_eager_oracle(monkeypatch, sym):
+def test_one_number_samples_match_eager_oracle(sym):
     # the one-number state draws the bits of the eager corner route.  At
     # 2,048 bits the eager full state costs about 30 s a trajectory, so it
     # runs at a window: the bandwidth for raised_cosine and the complex
@@ -140,7 +143,7 @@ def test_one_number_samples_match_eager_oracle(monkeypatch, sym):
         assert abs(sym.coeff(window + 1)) <= 1e-16 < abs(sym.coeff(window - 1))
     for seed in range(5):
         fast = sample_prefix(sym, 2048, seed)
-        assert np.array_equal(fast.bits, _eager_bits(monkeypatch, sym, 2048, seed, window))
+        assert np.array_equal(fast.bits, _eager_bits(sym, 2048, seed, window))
 
 
 def test_complex_bandwidth_one_sample_is_pinned():
@@ -149,7 +152,7 @@ def test_complex_bandwidth_one_sample_is_pinned():
     assert seq.to_hex() == "9b2645a5b5e3acfb65eb9de02c7795cbd84a174aa6d82b050a"
 
 
-def test_poisson_without_usable_decay_samples_past_the_cap(monkeypatch):
+def test_poisson_without_usable_decay_samples_past_the_cap():
     # |fhat(n)| stays above 1e-16 up to n = 6,000: the one-number state is
     # exact at O(1) per bit, so the length cap of the matrix states does not
     # apply
@@ -157,7 +160,7 @@ def test_poisson_without_usable_decay_samples_past_the_cap(monkeypatch):
     assert abs(sym.coeff(6000)) > 1e-16
     seq = sample_prefix(sym, 4096, 1)
     assert seq.bits.shape == (4096,)
-    assert np.array_equal(seq.bits[:512], _eager_bits(monkeypatch, sym, 512, 1, None))
+    assert np.array_equal(seq.bits[:512], _eager_bits(sym, 512, 1, None))
 
 
 @pytest.mark.parametrize("window", [-1, -3, 2.5, True, False, 0.0, "3"])
