@@ -27,6 +27,7 @@ subtree (a depth-first walk names the first in depth-first order).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,8 @@ def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
     ulp, and a sum of 0.0 has no logarithm.
     """
     n_max = require_int(n_max, 1, SNQ_CAP, f"s_n_q_table: need 1 <= n_max <= {SNQ_CAP}")
-    if not (math.isfinite(q) and q > 1):
-        raise ValueError("s_n_q_table: need finite q > 1")
+    if isinstance(q, bool) or not isinstance(q, numbers.Real) or not (math.isfinite(q) and q > 1):
+        raise ValueError(f"s_n_q_table: need finite q > 1, got {q!r}")
     sums = np.zeros(n_max)
     comp = np.zeros(n_max)
     root = PrefixState.root(sym, window=sym.bandwidth)  # exact

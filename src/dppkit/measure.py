@@ -32,11 +32,8 @@ from .symbol import Symbol, g_coeff_fn
 IMAG_TOL = 1e-10
 # g-coefficients a corner prefix state caches at first (see ``_GData``)
 COEFF_BLOCK = 64
-# least bytes of rows a chain step formed in its parent's memory updates at a
-# time (a chunk is also at least 1/16 of the corner, so a wide corner takes
-# at most 17; numpy's ufunc buffers for the broadcast product add two chunks
-# more, of up to 8,192 entries each), and the bytes of rows past which a
-# tree level adds its parents' corners through a view, not a gathered copy
+# bytes of a child corner's rows formed at a time, in a contiguous temporary
+# (a chain step's chunk is also at least 1/16 of its corner)
 CHUNK_BYTES = 32 * 1024
 # a PrefixState with no slot set; ``root`` and ``extend`` store the slots one
 # by one, which costs ``extend`` less than half of a keyword constructor call
@@ -208,95 +205,81 @@ class _GData:
         return self.gneg[j:0:-1], self.gpos[j:0:-1]
 
 
+def _chain_child(corner, theta, u, w, tp, s, window, owned):
+    """The corner and theta of one child of a prefix, from its parent's
+    (corner, theta, u, w), bit sign tp and extension factor s (a numpy
+    scalar), as ``_bordered`` forms a stack of them, but a chunk of rows at
+    a time, last first.  The untrimmed child of an owned chain
+    (``_CornerStack.owned``) is formed in its parent's memory: the j x j
+    corner, row-major at the start of its buffer (a 1-d buffer, or the
+    corner itself while it owns its memory), grown by realloc by an eighth
+    (at least 64 entries), so a step holds one corner and its slack; rows
+    move from width j to j + 1 last first, so none is overwritten before it
+    is read.  Every other child gets an array of its own."""
+    j = u.size
+    keep = j + 1 if window is None else min(j + 1, window)
+    lo = j + 1 - keep
+    # the lasting arrays before any temporary rows: the other order fragments
+    # the C heap of a long full-window chain (7% more peak resident memory)
+    if owned and not lo:
+        buf = corner if corner.base is None else corner.base
+        if buf.size < keep * keep:  # no view of buf taken before this is read after it
+            buf.resize(max(keep * keep, buf.size + max(64, buf.size // 8)), refcheck=False)
+        corner, out = buf[:j * j].reshape(j, j), buf[:keep * keep].reshape(keep, keep)
+    else:
+        out = np.empty((keep, keep), dtype=corner.dtype)
+    th = np.empty(keep, dtype=corner.dtype)
+    ts = tp / s
+    step = max(CHUNK_BYTES // ((j + 1) * corner.itemsize), j // 16)
+    for r1 in range(j, lo, -step):
+        r0 = max(r1 - step, lo)
+        rows = np.multiply(u[r0:r1, None], w)
+        rows *= ts
+        rows += corner[r0:r1]
+        out[r0 - lo:r1 - lo, :-1] = rows[:, lo:]
+    if keep:
+        np.divide(u[lo:], -s, out=out[:-1, -1])
+        out[-1, :-1] = (-ts * w)[lo:]
+        out[-1, -1] = 1.0 / s
+        th[:-1] = theta[lo:]
+        th[-1] = tp
+    return out, th
+
+
 def _bordered(source, pick, tp, s, window):
-    """The trailing corners and thetas of children formed from ``source``,
-    the (corner, theta, u, w) of their parents: one child per entry of
-    ``pick`` (its parent's row; None for the one row of a stack of one),
-    of bit sign tp and extension factor s.  Either one child, with a numpy
-    scalar s, or a stack of them, with arrays tp and s.
+    """The trailing corners and thetas of a stack of children formed from
+    ``source``, the (corner, theta, u, w) stacks of their parents (corners
+    of at least 2 x 2): one child per entry of ``pick`` (its parent's row),
+    of bit sign tp and extension factor s (arrays).
 
     A child's bordered inverse is [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].
-    When no row is trimmed, C + (tp/s) u w is formed in the child's own
-    leading block, so a step holds the parent's corners and the child's,
-    and nothing else of that size.  When ``pick`` holds each of a run of
-    parent rows twice in turn, as a tree level extends every parent by 0
-    and then 1, each parent corner is added to both its children through a
-    (parents, 2, j, j) view, not gathered into a copy the size of the
-    children's rows (below CHUNK_BYTES of rows the copy costs less than
-    checking ``pick``).  When the window is full its oldest row and column
-    fall out: that row is never formed, and the kept rows are formed at
-    their untrimmed length in a temporary, so numpy rounds every entry as it
-    would in the untrimmed inverse of one prefix on its own.
+    The rows C + (tp/s) u w are formed a chunk of children at a time in a
+    contiguous temporary, at their untrimmed length, so numpy rounds every
+    entry as in the untrimmed inverse of one prefix on its own.  When the
+    window is full the oldest row and column fall out: that row is never
+    formed.
     """
     corner, theta, u, w = source
-    if pick is not None:
-        theta, u, w = theta[pick], u[pick], w[pick]
-    j = u.shape[-1]
+    theta, u, w = theta[pick], u[pick], w[pick]
+    n, j = u.shape
     keep = j + 1 if window is None else min(j + 1, window)
     lo = j + 1 - keep
     ts = tp / s
-    if s.ndim:  # one tp and s per child: shape them against its rows
-        s_col, mts_col, ts_blk, w_row = s[:, None], (-ts)[:, None], ts[:, None, None], w[:, None, :]
-    else:  # numpy scalars broadcast against one child as they are
-        s_col, mts_col, ts_blk, w_row = s, -ts, ts, w
-    # the lasting arrays before any temporary rows: the other order fragments
-    # the C heap of a long full-window chain (7% more peak resident memory)
-    e = np.empty(s.shape + (keep, keep), dtype=corner.dtype)
-    th = np.empty(s.shape + (keep,), dtype=corner.dtype)
-    if lo:
-        rows = u[..., lo:, None] * w_row
-    else:  # formed where they stay (lo == 0 implies keep >= 1)
-        rows = np.multiply(u[..., None], w_row, out=e[..., :-1, :-1])
-    rows *= ts_blk
-    if pick is None:
-        rows += corner[lo:]
-    elif (s.ndim and rows.nbytes > CHUNK_BYTES and pick.size % 2 == 0
-          and np.array_equal(pick, (np.arange(pick.size) >> 1) + pick[0])):
-        both = rows.reshape(pick.size // 2, 2, *rows.shape[1:])  # a view: only axis 0 is split
-        both += corner[pick[0]:pick[0] + pick.size // 2, None, lo:]
-    else:
-        rows += corner[pick, lo:]
-    if keep:
-        if lo:
-            e[..., :-1, :-1] = rows[..., lo:]
-        np.divide(u[..., lo:], -s_col, out=e[..., :-1, -1])
-        e[..., -1, :-1] = (mts_col * w)[..., lo:]
-        e[..., -1, -1] = 1.0 / s
-        th[..., :-1] = theta[..., lo:]
-        th[..., -1] = tp
+    e = np.empty((n, keep, keep), dtype=corner.dtype)
+    th = np.empty((n, keep), dtype=corner.dtype)
+    step = max(1, CHUNK_BYTES // ((j - lo) * j * corner.itemsize))
+    for c0 in range(0, n, step):
+        c = slice(c0, c0 + step)
+        rows = np.multiply(u[c, lo:, None], w[c, None])
+        rows *= ts[c, None, None]
+        rows += corner[pick[c], lo:]
+        e[c, :-1, :-1] = rows[..., lo:]
+    np.divide(u[:, lo:], -s[:, None], out=e[:, :-1, -1])
+    e[:, -1, :-1] = ((-ts)[:, None] * w)[:, lo:]
+    e[:, -1, -1] = 1.0 / s
+    th[:, :-1] = theta[:, lo:]
+    th[:, -1] = tp
     return e, th
-
-
-def _formed_in_place(buf, theta, u, w, tp, s):
-    """The corner and theta of a sampled chain's child (see ``_sampled_bits``),
-    ``_bordered``'s byte for byte, formed in ``buf``: the memory of the
-    parent's j x j corner, held row-major at its start (a 1-d buffer, or the
-    corner itself while it owns its memory).  ``buf`` grows by realloc, by
-    an eighth (at least 64 entries), so a step holds one corner and its
-    slack.  Rows move from width j to j + 1 last first, so none is
-    overwritten before it is read, a chunk at a time through a contiguous
-    temporary.  numpy rounds a complex product there as in ``_bordered``'s
-    strided rows: the same on its AVX-512, AVX2 and baseline loops."""
-    j = u.size
-    k = j + 1
-    if buf.size < k * k:  # no array views buf: ``_form`` dropped the parent corner
-        buf.resize(max(k * k, buf.size + max(64, buf.size // 8)), refcheck=False)
-    out = buf[:k * k].reshape(k, k)
-    ts = tp / s
-    step = max(CHUNK_BYTES // (k * buf.itemsize), j // 16)
-    for r1 in range(j, 0, -step):
-        r0 = max(r1 - step, 0)
-        rows = np.multiply(u[r0:r1, None], w)
-        rows *= ts
-        rows += buf[r0 * j:r1 * j].reshape(r1 - r0, j)
-        out[r0:r1, :-1] = rows
-        np.divide(u[r0:r1], -s, out=out[r0:r1, -1])
-    out[-1, :-1] = -ts * w
-    out[-1, -1] = 1.0 / s
-    th = np.empty(k, dtype=buf.dtype)
-    th[:-1] = theta
-    th[-1] = tp
-    return out, th
 
 
 class _CornerStack:
@@ -342,33 +325,27 @@ class _CornerStack:
         return self
 
     def _form(self) -> None:
-        """Form corner and theta from the parent's (see ``_bordered``), then
-        drop them.  The only child, and each child of a 1 x 1 corner, is
-        formed on its own: numpy rounds a 1 x 1 complex product of one prefix
-        in its scalar loop, but those of several prefixes in its SIMD loop,
-        whose fused multiply-add rounds differently.  The child of an owned
-        chain whose row is not trimmed (window None, or a chain still
-        shorter than its window) is formed in its parent's memory.
+        """Form corner and theta from the parent's, then drop them.  The only
+        child, and each child of a corner of at most 1 x 1, is formed on its
+        own (``_chain_child``): numpy rounds a 1 x 1 complex product of one
+        prefix in its scalar loop, but those of several prefixes in its SIMD
+        loop, whose fused multiply-add rounds differently.  Other children
+        are formed as one stack (``_bordered``).
         """
         source, kids, window = self.source, self.kids, self.window
+        self.source = self.kids = None
         dtype, chain = source[0].dtype, source[2].ndim == 1
-        if self.owned and (window is None or source[2].size < window):
-            corner, theta, u, w = source
-            buf = corner if corner.base is None else corner.base
-            self.source = source = corner = None  # no view of buf may outlive a resize
-            _, tp, s = kids[0]
-            self.corner, self.theta = _formed_in_place(buf, theta, u, w, tp, dtype.type(s))
-        elif len(kids) == 1 or source[2].shape[-1] == 1:
+        if len(kids) == 1 or source[2].shape[-1] <= 1:
             parts = []
             for row, tp, s in kids:  # on Python 3.11 a comprehension costs a chain 0.4 us a bit
-                parts.append(_bordered(source, None if chain else row, tp, dtype.type(s), window))
+                parent = source if chain else [a[row] for a in source]
+                parts.append(_chain_child(*parent, tp, dtype.type(s), window, self.owned))
             self.corner, self.theta = parts[0] if len(parts) == 1 else map(np.stack, zip(*parts))
         else:
             source = [a[None] for a in source] if chain else source
             rows, tp, s = zip(*kids)
             self.corner, self.theta = _bordered(source, np.array(rows), np.array(tp),
                                                 np.array(s, dtype=dtype), window)
-        self.source = self.kids = None
 
     def extension(self) -> list:
         """alpha of every row, forming each row's (u, w) for appending the
@@ -531,7 +508,7 @@ def _sampled_bits(sym: Symbol, window: int | None, n: int, rng: np.random.Genera
     k-th of n uniforms drawn from ``rng`` is below P(1 | bits 0..k-1).  No
     state leaves this loop, and each is dropped once extended, so the
     chain owns its corner stacks (``_CornerStack.owned``) and forms each
-    untrimmed child in its parent's memory (``_formed_in_place``).  At
+    untrimmed child in its parent's memory (``_chain_child``).  At
     window 0 the conditionals are constant: i.i.d. Bernoulli(fhat(0))."""
     state = PrefixState.root(sym, window=window)  # the range gate, also for the i.i.d. path
     uni = rng.random(n)

@@ -224,6 +224,9 @@ class Symbol:
             return np.asarray(self.eval(np.arange(m) / m), dtype=float)
         bw = self.bandwidth
         big = -(-(2 * bw + 2) // m) * m  # the least multiple of m that is >= 2 bw + 2
+        if (big // 2 + 1) * 16 > np.iinfo(np.intp).max:  # numpy's "array is too big"
+            raise SizeCapError(f"{self.family}: cutoff {bw} needs a range-grid FFT of {big} points, "
+                               "past what an array can index")
         c = np.zeros(big // 2 + 1, dtype=complex)
         c[: bw + 1] = self.coeffs(np.arange(bw + 1))
         vals = np.fft.irfft(c * big, n=big)

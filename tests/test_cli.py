@@ -369,6 +369,11 @@ def _raising(exc_type):
         (["psi", "--symbol", '{"family":"power_decay","params":{"a":0.5,"c":0.1,"p":2,"cutoff":'
           + str(10 ** 20) + "}}", "--ell", "1", "--N", "1"], None, 64,
          "invalid symbol spec: power_decay: cutoff must be an integer in [1, 2^62]"),
+        # once numpy's "array is too big" at exit 64, from the range grid's FFT
+        (["psi", "--symbol", '{"family":"power_decay","params":{"a":0.5,"c":0.1,"p":2,"cutoff":'
+          + str(2 ** 60) + "}}", "--ell", "1", "--N", "1"], None, 2,
+         f"SizeCapError: power_decay: cutoff {2 ** 60} needs a range-grid FFT of {2 ** 61 + 4096} points, "
+         "past what an array can index"),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, planted, code, error):

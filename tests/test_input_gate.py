@@ -13,6 +13,7 @@ from dppkit import (
     allones_lower_witness,
     correlation_ratio,
     cylinder_log_prob,
+    dim_q_estimate,
     lcs_length,
     lcs_length_dp,
     psi_bound_report,
@@ -151,6 +152,21 @@ def test_rate_experiment_takes_dim2_in_0_1():
     assert rows[2].target == pytest.approx(2.0 * rows[1].target, rel=1e-15)
 
 
+@pytest.mark.parametrize("q", ["2", 2 + 0j, None, np.array([2.0]), True],
+                         ids=["'2'", "2+0j", "None", "array([2.0])", "True"])
+@pytest.mark.parametrize("call", [lambda q: s_n_q_table(SYM, 4, q), lambda q: dim_q_estimate(SYM, q, 4)],
+                         ids=["s_n_q_table", "dim_q_estimate"])
+def test_moment_sums_refuse_a_q_that_is_not_a_real_number(call, q):
+    # each but True was once numpy's or math's TypeError
+    with pytest.raises(ValueError, match=r"^s_n_q_table: need finite q > 1, got "):
+        call(q)
+
+
+def test_moment_sums_take_a_numpy_real_q():
+    want = s_n_q_table(SYM, 4, 2).tobytes()
+    assert s_n_q_table(SYM, 4, np.float64(2.0)).tobytes() == s_n_q_table(SYM, 4, np.int64(2)).tobytes() == want
+
+
 @pytest.mark.parametrize("n", [2 ** 62 + 1, 10 ** 20], ids=["2^62+1", "10^20"])
 def test_sample_length_past_2_62_is_a_size_cap(n):
     # refused by name before numpy is asked for n uniforms
@@ -165,6 +181,15 @@ def test_power_decay_cutoff_past_2_62_is_refused_by_name(cutoff):
     with pytest.raises(SymbolSpecError, match=r"^power_decay: cutoff must be an integer in \[1, 2\^62\]$"):
         Symbol.power_decay(0.5, 0.1, 2, cutoff)
     assert Symbol.power_decay(0.5, 0.1, 2, 2 ** 62).params["cutoff"] == 2 ** 62
+
+
+@pytest.mark.parametrize("k", [59, 60, 62])
+def test_power_decay_cutoff_past_the_range_grid_is_a_size_cap(k):
+    # accepted by the constructor, but the range grid's FFT would need more
+    # bytes than an array can index: once numpy's "array is too big"
+    sym = Symbol.power_decay(0.5, 0.1, 2, 2 ** k)
+    with pytest.raises(SizeCapError, match=rf"^power_decay: cutoff {2 ** k} needs a range-grid FFT of \d+ points"):
+        sym.f_min
 
 
 def test_require_int_messages_and_classes():

@@ -653,16 +653,17 @@ def test_long_full_state_chain_grows_its_buffer_with_the_eager_bytes(monkeypatch
     # entries at first, then an eighth at a time), and every corner and
     # theta formed in it has the eager bytes of the same bits
     sym = LAZY_SYMBOLS["trig_poly-complex"]
-    form = measure._formed_in_place
+    form = measure._chain_child
     sizes, formed = set(), []
 
-    def recording(buf, *args):
-        corner, theta = form(buf, *args)
-        sizes.add(buf.size)
-        formed.append((corner.copy(), theta.copy()))
+    def recording(*args):
+        corner, theta = form(*args)
+        if corner.base is not None:  # formed in its parent's memory: a view of the buffer
+            sizes.add(corner.base.size)
+            formed.append((corner.copy(), theta.copy()))
         return corner, theta
 
-    monkeypatch.setattr(measure, "_formed_in_place", recording)
+    monkeypatch.setattr(measure, "_chain_child", recording)
     bits = sample_prefix(sym, 600, 66, window=None).bits.tolist()
     assert len(formed) == 599  # every child but the last, which is never queried
     eager = EagerPrefixState.root(sym)
@@ -678,20 +679,24 @@ def test_callers_chain_never_forms_in_place(monkeypatch):
     # the sampler forms every untrimmed child in its parent's memory
     sym = Symbol.arc_indicator(0.1, 0.45)
     bits = sample_prefix(sym, 300, 12, window=None).bits.tolist()
-    form, calls = measure._formed_in_place, []
+    form, calls = measure._chain_child, []
 
     def counting(*args):
-        calls.append(args[0].size)
-        return form(*args)
+        corner, theta = form(*args)
+        calls.append(corner.base is not None)  # formed in its parent's memory
+        return corner, theta
 
-    monkeypatch.setattr(measure, "_formed_in_place", counting)
+    monkeypatch.setattr(measure, "_chain_child", counting)
     assert sample_prefix(sym, 300, 12, window=None).bits.tolist() == bits
-    assert len(calls) == 299
+    assert calls == [True] * 299
 
     def refused(*args):
-        raise AssertionError("a caller's chain formed a child in its parent's memory")
+        corner, theta = form(*args)
+        if corner.base is not None:
+            raise AssertionError("a caller's chain formed a child in its parent's memory")
+        return corner, theta
 
-    monkeypatch.setattr(measure, "_formed_in_place", refused)
+    monkeypatch.setattr(measure, "_chain_child", refused)
     lazy, eager = PrefixState.root(sym), EagerPrefixState.root(sym)
     for bit in bits:
         lazy, eager = lazy.extend(bit), eager.extend(bit)
