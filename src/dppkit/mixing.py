@@ -15,11 +15,12 @@ with A(eps) = D(theta) T_N(g) + I:
     R(eps, eps') = det(I - Q(eps') P(eps)),
     P(eps) = A(eps)^-1 D(theta) Lambda,  Q(eps') = A(eps')^-1 D(theta') Lambda*.
 
-Lambda = Lambda_g is factored exactly as U M V^T with the smallest inner
-size r the symbol gives: r = 1 for a non-degenerate poisson (geometric
-coefficients), the nonzero rows and columns of Lambda otherwise (r =
-max(0, B - ell) for bandwidth B, r = N with U = V = I for a full block).
-Sylvester's identity det(I - AB) = det(I - BA) then gives
+Lambda = Lambda_g, read from the 2N-1 coefficients that fix it, is factored
+exactly as U M V^T with the smallest inner size r the symbol gives: r = 1
+for a non-degenerate poisson (geometric coefficients), the nonzero columns
+of Lambda otherwise, mirrored by its nonzero rows (r <= max(0, B - ell) for
+bandwidth B, r = N with U = V = I for a full block).  Sylvester's identity
+det(I - AB) = det(I - BA) then gives
 
     R(eps, eps') = det(I_r - Y(eps') X(eps)),
     X(eps) = U* A(eps)^-1 D(theta) U M,  Y(eps') = V^T A(eps')^-1 D(theta') conj(V) M*,
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, toeplitz
-from .errors import ConditioningError, NumericsError, SizeCapError, require_int
+from .errors import ConditioningError, SizeCapError, require_int
 from .symbol import (DEFAULT_TRUNCATION, Symbol, TailSum, contraction_margin, g_coeff_fn,
                      require_range, tail_sum)
 
@@ -132,26 +133,23 @@ class FiniteWindowPsi:
     argmax_word_prime: str
 
 
-def _coupling_factors(sym: Symbol, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real U and V (N x r) and M (r x r), with lam = Lambda_g = U M V^T.
-
-    A non-degenerate poisson has lam[i, j] = ghat(ell + 1) r^(N-1-i) r^j, so
-    M is the corner entry ghat(ell + 1) and every entry of U and V is at most
-    1 in modulus.  Any other symbol keeps the nonzero rows and columns of lam
-    (exact zeros of the coefficient lookup), so U and V are columns of I.
-    Row N-1-k and column k of the Toeplitz block lam hold the same entries
-    ghat(-(ell+1+k)) .. ghat(-(ell+N+k)), so the nonzero rows mirror the
-    nonzero columns and M is square."""
-    N = lam.shape[0]
+def _coupling_factors(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real U and V (N x r) and M (r x r), with Lambda_g = U M V^T, from the
+    2N-1 coefficients g_k = ghat(-(ell+1+k)) in one lookup: Lambda_g[i, j] =
+    g_{N-1-i+j}.  A non-degenerate poisson has g_k = g_0 r^k, so M = g_0 and
+    every entry of U and V is at most 1 in modulus.  Any other symbol keeps
+    the columns j whose g_j .. g_{j+N-1} hold a nonzero (an exact zero of the
+    lookup), so U and V are columns of I; column j and row N-1-j hold the
+    same entries, so the rows kept mirror the columns and M is square.  A gap
+    past 2^62 is a SizeCapError: the indices must stay inside int64."""
+    ell = require_int(ell, 1, 2 ** 62, "gap ell must be in [1, 2^62]")
+    g = g_coeff_fn(sym)(-(ell + 1) - np.arange(2 * N - 1))
     if sym.geometric is not None:
         r = sym.geometric[1]
-        return r ** np.arange(N - 1, -1, -1)[:, None], lam[N - 1:, :1], r ** np.arange(N)[:, None]
-    rows = np.flatnonzero(np.any(lam != 0, axis=1))
-    cols = np.flatnonzero(np.any(lam != 0, axis=0))
-    if not np.array_equal(rows, N - 1 - cols[::-1]):
-        raise NumericsError("coupling block rows and columns do not mirror")
+        return r ** np.arange(N - 1, -1, -1)[:, None], g[:1, None], r ** np.arange(N)[:, None]
+    cols = np.flatnonzero(np.lib.stride_tricks.sliding_window_view(g, N).any(axis=1))
     eye = np.eye(N)
-    return eye[:, rows], lam[np.ix_(rows, cols)], eye[:, cols]
+    return eye[:, N - 1 - cols[::-1]], g[cols[::-1, None] + cols], eye[:, cols]
 
 
 @functools.lru_cache(maxsize=1)
@@ -178,8 +176,7 @@ def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndar
     if N > FINITE_WINDOW_CAP:
         raise SizeCapError(f"finite-window size {N} exceeds cap {FINITE_WINDOW_CAP}")
     theta, a = _marginal_stack(sym, N)
-    lam = toeplitz.build_T(g_coeff_fn(sym), toeplitz.joint_index_set(N, ell))[:N, N:]
-    u, m, v = _coupling_factors(sym, lam)
+    u, m, v = _coupling_factors(sym, ell, N)
     r = m.shape[1]
     if r == 0:
         empty = np.zeros((2 ** N, 0, 0), dtype=a.dtype)

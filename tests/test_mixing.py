@@ -22,8 +22,8 @@ from dppkit.symbol import HypothesisError, g_coeff_fn
 from dppkit.toeplitz import trace_norm
 
 from conftest import random_interior_symbol
-from oracles import (_coupling_stacks, _log_ratio_grid, allones_witness, finite_window_details,
-                     joint_cylinder_log_prob, ratio_h)
+from oracles import (_coupling_stacks, _log_ratio_grid, allones_witness, build_lambda,
+                     finite_window_details, joint_cylinder_log_prob, ratio_h)
 
 COMPLEX_TRIG = Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])  # bandwidth 3
 
@@ -451,6 +451,30 @@ def test_finite_window_matches_full_window_oracle(name):
             tol = max(1e-12 * dev.max(), 1e-15)
             assert dev.max() - dev[pair] <= tol
             assert abs(got.value - dev.max()) <= tol
+
+
+INTERIOR_ZERO_TRIGS = {
+    "trig-interior-zeros": Symbol.trig_poly([0.5, 0, 0, 0.1]),
+    "trig-long-interior-zeros": Symbol.trig_poly([0.5, 0.1, 0, 0, 0, 0, 0, 0, 0.01]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_CASES) + sorted(INTERIOR_ZERO_TRIGS))
+def test_coupling_factors_rebuild_the_oracle_block(name):
+    # Lambda_g = 2 Lambda_f, since the gap block holds no fhat(0); away from
+    # poisson U and V are columns of I, so U M V^T places each entry exactly,
+    # and r counts the nonzero columns of the block
+    sym = FACTOR_CASES[name][0] if name in FACTOR_CASES else INTERIOR_ZERO_TRIGS[name]
+    for n in range(1, 8):
+        for ell in (1, 2, 3, 5, 8):
+            u, m, v = mixing._coupling_factors(sym, ell, n)
+            want = 2 * build_lambda(sym, n, ell)
+            got = u @ m @ v.T
+            if sym.family == "poisson":
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+            else:
+                assert np.array_equal(got, want)
+                assert m.shape[1] == np.count_nonzero(np.any(want != 0, axis=0))
 
 
 @pytest.mark.parametrize("name", sorted(FACTOR_CASES))
