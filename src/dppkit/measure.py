@@ -32,8 +32,9 @@ from .symbol import Symbol, g_coeff_fn
 IMAG_TOL = 1e-10
 # g-coefficients a corner prefix state caches at first (see ``_GData``)
 COEFF_BLOCK = 64
-# bytes of a child corner's rows formed at a time, in a contiguous temporary
-# (a chain step's chunk is also at least 1/16 of its corner)
+# bytes of a child corner's rows formed at a time, in a contiguous temporary,
+# and of a Schur chain's rows updated at a time (a chain step's chunk is also
+# at least 1/16 of its corner or block)
 CHUNK_BYTES = 32 * 1024
 # a PrefixState with no slot set; ``root`` and ``extend`` store the slots one
 # by one, which costs ``extend`` less than half of a keyword constructor call
@@ -205,29 +206,17 @@ class _GData:
         return self.gneg[j:0:-1], self.gpos[j:0:-1]
 
 
-def _chain_child(corner, theta, u, w, tp, s, window, owned):
+def _chain_child(corner, theta, u, w, tp, s, window):
     """The corner and theta of one child of a prefix, from its parent's
     (corner, theta, u, w), bit sign tp and extension factor s (a numpy
     scalar), as ``_bordered`` forms a stack of them, but a chunk of rows at
-    a time, last first.  The untrimmed child of an owned chain
-    (``_CornerStack.owned``) is formed in its parent's memory: the j x j
-    corner, row-major at the start of its buffer (a 1-d buffer, or the
-    corner itself while it owns its memory), grown by realloc by an eighth
-    (at least 64 entries), so a step holds one corner and its slack; rows
-    move from width j to j + 1 last first, so none is overwritten before it
-    is read.  Every other child gets an array of its own."""
+    a time, last first, beside the parent."""
     j = u.size
     keep = j + 1 if window is None else min(j + 1, window)
     lo = j + 1 - keep
     # the lasting arrays before any temporary rows: the other order fragments
     # the C heap of a long full-window chain (7% more peak resident memory)
-    if owned and not lo:
-        buf = corner if corner.base is None else corner.base
-        if buf.size < keep * keep:  # no view of buf taken before this is read after it
-            buf.resize(max(keep * keep, buf.size + max(64, buf.size // 8)), refcheck=False)
-        corner, out = buf[:j * j].reshape(j, j), buf[:keep * keep].reshape(keep, keep)
-    else:
-        out = np.empty((keep, keep), dtype=corner.dtype)
+    out = np.empty((keep, keep), dtype=corner.dtype)
     th = np.empty(keep, dtype=corner.dtype)
     ts = tp / s
     step = max(CHUNK_BYTES // ((j + 1) * corner.itemsize), j // 16)
@@ -301,18 +290,15 @@ class _CornerStack:
     forms the corners of all its children in one stacked update on first
     use (``formed``), then drops ``source``; a child appended after that
     starts a new stack.  ``extension`` forms every row's (u, w, alpha) in
-    one stacked update too.
-
-    ``owned`` marks the stacks of the chain that ``_sampled_bits`` walks,
-    from its root on: a child stack takes the mark from its parent.
+    one stacked update too.  The sampler's chain is no stack of these but a
+    ``_SchurChain``.
     """
 
-    __slots__ = ("gd", "window", "owned", "source", "kids", "corner", "theta", "uw", "alphas", "pending")
+    __slots__ = ("gd", "window", "source", "kids", "corner", "theta", "uw", "alphas", "pending")
 
     def __init__(self, gd: _GData, window, parent=None, corner=None, theta=None):
         self.gd = gd
         self.window = window
-        self.owned = parent is not None and parent.owned
         self.source = None if parent is None else (parent.corner, parent.theta, *parent.uw)
         self.kids = []
         self.corner = corner
@@ -339,7 +325,7 @@ class _CornerStack:
             parts = []
             for row, tp, s in kids:  # on Python 3.11 a comprehension costs a chain 0.4 us a bit
                 parent = source if chain else [a[row] for a in source]
-                parts.append(_chain_child(*parent, tp, dtype.type(s), window, self.owned))
+                parts.append(_chain_child(*parent, tp, dtype.type(s), window))
             self.corner, self.theta = parts[0] if len(parts) == 1 else map(np.stack, zip(*parts))
         else:
             source = [a[None] for a in source] if chain else source
@@ -365,6 +351,75 @@ class _CornerStack:
                 self.alphas = (gd.g0 - (r @ u[..., None])[..., 0]).tolist()
             self.uw = (u, r @ corner)
         return self.alphas
+
+
+class _SchurChain:
+    """The sampler's chain state: the Schur complement
+
+        Z = T_F(g) - T_FK (T_KK + D(theta_K))^-1 T_KF
+
+    of the drawn positions K in the positions F still to draw within the
+    window's reach, k .. min(k + window, n - 1) before bit k (every
+    remaining one at window None).  At an exact window Z = 2 K_F - I for
+    the kernel K_F of F given the drawn bits: Hermitian, of norm <= 1, so
+    elimination without pivoting has no growth.  alpha is Z[0, 0], read as
+    a Python number.
+
+    ``step`` eliminates position k in place, Z[1:, 1:] -= (tp/s) Z[1:, 0]
+    Z[0, 1:], a chunk of rows at a time.  At a finite window position
+    k + window + 1 then comes in, with column, row and diagonal
+    ghat(-window .. -1), ghat(window .. 1) and g0, since no drawn position
+    reaches it; otherwise Z shrinks by one.  Z lies in a flat buffer with
+    row stride L, its starting width, at an origin that advances by L + 1 a
+    step, so Z[1:, 1:] is the next Z where it lies: a new column takes the
+    last entry of each of its rows (Z[2:, 0], read first), and a new row
+    the L entries after them.  When the buffer has no room left, Z moves to
+    its start.
+    """
+
+    __slots__ = ("alphas", "buf", "origin", "stride", "size", "left", "row", "col")
+
+    def __init__(self, gd: _GData, window, n: int):
+        m = n if window is None else min(n, window + 1)
+        dtype = np.dtype(np.float64 if gd.real else np.complex128)
+        b = gd.ghat(np.arange(m - 1, -m, -1))  # ghat(m - 1) .. ghat(1 - m)
+        # steps between two moves of Z to the start of its buffer; at least
+        # m, so the move never overlaps itself
+        spare = max(m, CHUNK_BYTES // ((m + 1) * dtype.itemsize)) if n > m else 0
+        self.buf = np.zeros((m + 1) * (m + spare), dtype)
+        # T_m(g)[i, j] = ghat(i - j) = b[m - 1 - i + j], from b's 2m - 1 entries
+        self.buf[:m * m].reshape(m, m)[...] = np.lib.stride_tricks.sliding_window_view(b, m)[::-1]
+        self.row, self.col = b[:m], b[:m - 1:-1]
+        self.origin, self.stride, self.size, self.left = 0, m, m, n - m
+        self.alphas = [self.buf.item(0)]
+
+    def step(self, tp: float, s) -> None:
+        """Eliminate the position just drawn, of bit sign tp and factor s."""
+        buf, o, L, size, left = self.buf, self.origin, self.stride, self.size, self.left
+        if size == 1:  # the last bit: nothing is left to draw
+            return
+        k = size - 1
+        width = size if left else k  # of Z after this step
+        if o + L + 1 + width * L > buf.size:
+            buf[:size * L] = buf[o:o + size * L]
+            o = 0
+        y = buf[o + 1:o + 1 + width] * (tp / s)  # (tp/s) Z[0, 1:], and Z[1, 0] as a position comes in
+        x = buf[o + L:o + size * L:L, None]  # Z[1:, 0]
+        o += L + 1
+        block = buf[o:o + k * L].reshape(k, L)[:, :width]
+        chunk = max(CHUNK_BYTES // (k * buf.itemsize), k // 16)
+        for r1 in range(k, 0, -chunk):  # last first: a chunk's last column is x of the rows below it
+            r0 = max(r1 - chunk, 0)
+            rows = block[r0:r1]
+            rows -= np.multiply(x[r0:r1], y)
+        if left:
+            block[:, -1] = self.col
+            buf[o + k * L:o + L * L] = self.row
+            self.left = left - 1
+        else:
+            self.size = k
+        self.origin = o
+        self.alphas[0] = buf.item(o)
 
 
 class PrefixState:
@@ -397,13 +452,14 @@ class PrefixState:
     The children of a state built by ``root`` are formed beside their
     parent, so a state and its corner keep their values however long a
     caller holds them, and a chain step holds two corners.  The sampler's
-    chain (``_sampled_bits``) owns its states by construction, since none
-    leaves its loop, so it forms each untrimmed child in its parent's
-    memory and holds one corner.  The corner recursion is exact when the
-    window is None or covers the symbol's bandwidth, so the moment-sum walk
-    and the sampler root their states at window = bandwidth; any other
-    window truncates the coefficients beyond it (a geometric symbol too,
-    whose one-number state needs window None).
+    chain (``_sampled_bits``) hands no state out, so its states share one
+    ``_SchurChain`` instead of a corner stack: ``conditional_one`` reads its
+    alpha as a stack's, and ``extend`` steps it in place, forming no
+    corner.  Either recursion is exact when the window is None or covers
+    the symbol's bandwidth, so the moment-sum walk and the sampler root
+    their states at window = bandwidth; any other window truncates the
+    coefficients beyond it (a geometric symbol too, whose one-number state
+    needs window None).
     """
 
     __slots__ = ("gd", "window", "length", "log_prob", "_stack", "_row", "_x")
@@ -453,7 +509,7 @@ class PrefixState:
         p1 = 0.5 * (1.0 + alpha)
         if p1 < -1e-9 or p1 > 1.0 + 1e-9:
             raise ConditioningError(
-                f"conditional probability {p1!r} out of range at position {self.length}"
+                f"conditional probability {float(p1)!r} out of range at position {self.length}"
             )
         return min(max(p1, 0.0), 1.0)
 
@@ -481,12 +537,16 @@ class PrefixState:
             )
         log_prob = self.log_prob + math.log(s_real / 2.0)
         if x is None:
-            child_stack = stack.pending
-            if child_stack is None or child_stack.corner is not None:
-                child_stack = stack.pending = _CornerStack(gd, self.window, parent=stack)
-            kids = child_stack.kids
-            kids.append((self._row, tp, s))
-            row = len(kids) - 1
+            if type(stack) is _SchurChain:  # the sampler's chain steps in place
+                stack.step(tp, s)
+                child_stack, row = stack, 0
+            else:
+                child_stack = stack.pending
+                if child_stack is None or child_stack.corner is not None:
+                    child_stack = stack.pending = _CornerStack(gd, self.window, parent=stack)
+                kids = child_stack.kids
+                kids.append((self._row, tp, s))
+                row = len(kids) - 1
         else:
             child_stack, row = None, 0
             if gd.c2 is None:
@@ -506,10 +566,9 @@ class PrefixState:
 def _sampled_bits(sym: Symbol, window: int | None, n: int, rng: np.random.Generator) -> np.ndarray:
     """n bits sampled by the chain rule at ``window``: bit k is 1 when the
     k-th of n uniforms drawn from ``rng`` is below P(1 | bits 0..k-1).  No
-    state leaves this loop, and each is dropped once extended, so the
-    chain owns its corner stacks (``_CornerStack.owned``) and forms each
-    untrimmed child in its parent's memory (``_chain_child``).  At
-    window 0 the conditionals are constant: i.i.d. Bernoulli(fhat(0))."""
+    state leaves this loop, and each is dropped once extended, so a matrix
+    state's chain is one ``_SchurChain``, stepped in place.  At window 0
+    the conditionals are constant: i.i.d. Bernoulli(fhat(0))."""
     state = PrefixState.root(sym, window=window)  # the range gate, also for the i.i.d. path
     uni = rng.random(n)
     bits = np.empty(n, dtype=np.uint8)
@@ -517,7 +576,7 @@ def _sampled_bits(sym: Symbol, window: int | None, n: int, rng: np.random.Genera
         np.less(uni, state.conditional_one(), out=bits.view(bool))
         return bits
     if state._stack is not None:
-        state._stack.owned = True
+        state._stack = _SchurChain(state.gd, window, n)
     for k in range(n):
         p1 = state.conditional_one()
         bit = 1 if uni[k] < p1 else 0

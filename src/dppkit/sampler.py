@@ -9,16 +9,18 @@ the stream seed ^ i.
 The automatic window is the symbol's exact bandwidth, or None (the full
 state) when it has none, so automatic sampling is always exact.  A poisson
 symbol, or one of bandwidth <= 1, has a one-number state there (see
-``measure.PrefixState``): O(1) per bit.  A band-limited symbol keeps a
-trailing window of the inverse as wide as its bandwidth; any other symbol
-runs with the full state.  Either corner, min(n, bandwidth) or n wide,
-costs quadratic time per bit, so the automatic window caps its width at
-EXACT_LENGTH_CAP; poisson is exempt.  An explicit window chosen by the
-caller truncates the coefficients beyond it and is never capped.  The
-chain loop is ``measure._sampled_bits``, which hands no state out, so the
-chain owns its corners by construction and forms each untrimmed child in
-its parent's memory: a sample holds about one corner of width k, k^2 * 16
-bytes for a complex symbol, not the parent's and the child's.
+``measure.PrefixState``): O(1) per bit.  Any other symbol draws each bit
+from the Schur complement of the drawn positions in the positions still to
+draw within the window's reach (``measure._SchurChain``): the next
+bandwidth + 1 positions for a band-limited symbol, every remaining one
+(the full state) for a symbol with no bandwidth.  Either window,
+min(n, bandwidth) or n wide, costs quadratic time per bit, so the
+automatic window caps its width at EXACT_LENGTH_CAP; poisson is exempt.
+An explicit window chosen by the caller truncates the coefficients beyond
+it and is never capped.  The chain loop is ``measure._sampled_bits``,
+which hands no state out, so it steps its one block in place: a
+full-state sample of n bits holds one n x n block, n^2 * 16 bytes for a
+complex symbol, that shrinks by one position a bit.
 
 The selftest replays sampled prefixes exactly against ratios of cylinder
 determinants; the chi-square fit of word frequencies is a test oracle.
@@ -56,7 +58,7 @@ class BinarySequence:
 
 def _auto_window(sym: Symbol, n: int) -> int | None:
     bw = sym.bandwidth
-    width = n if bw is None else min(n, bw)  # the inverse corner's width
+    width = n if bw is None else min(n, bw)  # the window's width
     if sym.geometric is None and width > EXACT_LENGTH_CAP:
         raise SizeCapError(
             f"exact sampling caps the corner width at {EXACT_LENGTH_CAP}, got {width}; "

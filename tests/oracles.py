@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from dppkit import dimension, measure, toeplitz
@@ -97,6 +98,31 @@ def conditional_next(sym: Symbol, word) -> float:
         for bit in require_bits(word, "cylinder word"):
             state = state.extend(int(bit))
     return state.conditional_one()
+
+
+def conditional_alphas_mp(sym: Symbol, bits, dps: int = 40) -> list:
+    """alpha_k = g0 - T_kK (T_KK + D(theta_K))^-1 T_Kk for k = 0 .. len(bits) - 1,
+    where K = 0 .. k - 1 holds the bits before k, so that
+    P(bit k = 1 | bits 0 .. k - 1) = (1 + alpha_k) / 2.  The inverse is
+    bordered one position at a time at ``dps`` digits, from the double
+    coefficients ghat(i - j) taken as exact, with no window: the sampler
+    matches it where its window covers the bandwidth."""
+    n = len(bits)
+    ghat = g_coeff_fn(sym)(np.arange(-n, n + 1)).tolist()  # ghat(d) at n + d
+    alphas, inv = [], []  # inv: rows of (T_KK + D(theta_K))^-1
+    with mpmath.workdps(dps):
+        g = [mpmath.mpmathify(v) for v in ghat]
+        for k in range(n):
+            col = [g[n + i - k] for i in range(k)]
+            row = [g[n + k - j] for j in range(k)]
+            u = [mpmath.fsum(a * c for a, c in zip(line, col)) for line in inv]
+            w = [mpmath.fsum(row[i] * inv[i][j] for i in range(k)) for j in range(k)]
+            alpha = g[n] - mpmath.fsum(r * x for r, x in zip(row, u))
+            alphas.append(alpha)
+            sigma = alpha + (1 if bits[k] else -1)  # the Schur complement of T_KK + D(theta_K)
+            inv = [[a + u[i] * w[j] / sigma for j, a in enumerate(line)] + [-u[i] / sigma]
+                   for i, line in enumerate(inv)] + [[-x / sigma for x in w] + [1 / sigma]]
+    return alphas
 
 
 def s_n_q_direct(sym: Symbol, N: int, q: float) -> float:
@@ -257,7 +283,7 @@ class EagerPrefixState:
         p1 = 0.5 * (1.0 + alpha)
         if p1 < -1e-9 or p1 > 1.0 + 1e-9:
             raise ConditioningError(
-                f"conditional probability {p1!r} out of range at position {self.length}"
+                f"conditional probability {float(p1)!r} out of range at position {self.length}"
             )
         return min(max(p1, 0.0), 1.0)
 

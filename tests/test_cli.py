@@ -807,9 +807,10 @@ def test_selftest_catches_a_broken_stacked_corner_build_under_optimize():
 
 
 def test_selftest_catches_a_broken_chain_corner_under_optimize(tmp_path):
-    # a chain's corner (a stack of one, as the sampler forms it) that is off by
-    # one part in 10^6 moves the replayed conditionals of the trimmed and the
-    # full-state chain by about 4e-8 and 1e-6, and fails the replay, also under -O
+    # a caller's chain corner (a stack of one, as the replay forms it) that is
+    # off by one part in 10^6 moves the replayed conditionals of the trimmed
+    # and the full-state chain by about 4e-8 and 1e-6, and fails the replay,
+    # also under -O
     src = os.path.dirname(os.path.dirname(dppkit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
@@ -829,14 +830,27 @@ def test_selftest_catches_a_broken_chain_corner_under_optimize(tmp_path):
                           env=env, timeout=300)
     assert proc.returncode == 1
     assert "FAIL sampled chain replay vs cylinder determinants" in proc.stdout
-    # a chain step formed in its parent's memory that subtracts (tp/s) u w
-    # where it should add it, in a copy of the package: the replay fails with
-    # and without -O (the replayed chains run that route)
+    # a caller's chain step (``_chain_child``, the route the replay walks)
+    # that subtracts (tp/s) u w where it should add it fails the replay
+    _selftest_of_a_broken_copy(tmp_path, "        rows *= ts\n", "        rows *= -ts\n")
+
+
+def test_selftest_catches_a_broken_schur_step(tmp_path):
+    # the sampler's Schur chain adding its rank-1 update where it should
+    # subtract it: the replay's trig_poly chain draws another bit at seed 7
+    # (bit 14), and the arc_indicator chain leaves [0, 1] at both seeds
+    _selftest_of_a_broken_copy(tmp_path, "            rows -= np.multiply(x[r0:r1], y)\n",
+                               "            rows += np.multiply(x[r0:r1], y)\n")
+
+
+def _selftest_of_a_broken_copy(tmp_path, line, broken):
+    """In a copy of the package whose measure.py has ``broken`` for its one
+    ``line``, selftest fails the sampled chain replay, with and without -O."""
     copy = tmp_path / "dppkit"
     shutil.copytree(os.path.dirname(dppkit.__file__), copy, ignore=shutil.ignore_patterns("__pycache__"))
     text = (copy / "measure.py").read_text()
-    assert text.count("        rows *= ts\n") == 1
-    (copy / "measure.py").write_text(text.replace("        rows *= ts\n", "        rows *= -ts\n"))
+    assert text.count(line) == 1
+    (copy / "measure.py").write_text(text.replace(line, broken))
     env = dict(os.environ, PYTHONPATH=str(tmp_path))
     for flags in ([], ["-O"]):
         proc = subprocess.run([sys.executable, *flags, "-m", "dppkit", "selftest"], capture_output=True,

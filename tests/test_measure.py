@@ -591,13 +591,11 @@ def _traced_peak(route):
 @pytest.mark.parametrize("sym", [Symbol.arc_indicator(0.1, 0.45), LAZY_SYMBOLS["power_decay"]],
                          ids=["arc_indicator-complex", "power_decay-real"])
 def test_full_state_chain_holds_one_corner(sym, n):
-    # the sampler drops each state, so a chain step forms its child in the
-    # parent's memory: one corner with up to an eighth of slack, and rows a
-    # chunk at a time.  This reads 1.35-1.39 corners (the corner of 268 bits
-    # grows the buffer, so n = 269 holds the most slack); forming the child
-    # beside its parent read 2.35-2.38, a temporary child corner 3.24
+    # the sampler's Schur chain holds one n x n block, eliminated in place a
+    # chunk of rows at a time: this reads 1.20-1.21 corners, the block and
+    # its chunk's temporaries
     peak = _traced_peak(lambda: sample_prefix(sym, n, 3, window=None))
-    assert peak < 1.5 * n * n * (8 if sym.has_real_coeffs else 16)
+    assert peak < 1.3 * n * n * (8 if sym.has_real_coeffs else 16)
 
 
 def _eager_chain_check(lazy, eager):
@@ -648,47 +646,25 @@ def test_sibling_of_a_formed_chain_child_has_the_eager_bytes():
     _eager_chain_check(first.extend(1), eager.extend(0).extend(1))
 
 
-def test_long_full_state_chain_grows_its_buffer_with_the_eager_bytes(monkeypatch):
-    # 600 sampled bits: the chain's buffer is reallocated many times (64
-    # entries at first, then an eighth at a time), and every corner and
-    # theta formed in it has the eager bytes of the same bits
-    sym = LAZY_SYMBOLS["trig_poly-complex"]
-    form = measure._chain_child
-    sizes, formed = set(), []
+@pytest.mark.parametrize("name,window", [("trig_poly-complex", 3), ("power_decay", 64), ("power_decay", None),
+                                         ("arc_indicator", None)])
+def test_sampler_forms_no_corner(monkeypatch, name, window):
+    # the sampler draws each bit from its Schur chain: no chain step and no
+    # stacked level forms an inverse corner
+    def refused(*args):
+        raise AssertionError("the sampler formed an inverse corner")
 
-    def recording(*args):
-        corner, theta = form(*args)
-        if corner.base is not None:  # formed in its parent's memory: a view of the buffer
-            sizes.add(corner.base.size)
-            formed.append((corner.copy(), theta.copy()))
-        return corner, theta
-
-    monkeypatch.setattr(measure, "_chain_child", recording)
-    bits = sample_prefix(sym, 600, 66, window=None).bits.tolist()
-    assert len(formed) == 599  # every child but the last, which is never queried
-    eager = EagerPrefixState.root(sym)
-    for bit, (corner, theta) in zip(bits, formed):
-        eager = eager.extend(bit)
-        assert _same(corner, eager.corner) and _same(theta, eager.theta)
-    assert len(sizes) > 2
+    monkeypatch.setattr(measure, "_chain_child", refused)
+    monkeypatch.setattr(measure, "_bordered", refused)
+    assert len(sample_prefix(LAZY_SYMBOLS[name], 150, 12, window=window)) == 150
 
 
 def test_callers_chain_never_forms_in_place(monkeypatch):
-    # only the sampler's own loop owns its chain: a caller's full-state walk
-    # that drops every state still forms each child beside its parent, while
-    # the sampler forms every untrimmed child in its parent's memory
+    # a caller's full-state walk that drops every state still forms each
+    # child beside its parent, with the eager bytes
     sym = Symbol.arc_indicator(0.1, 0.45)
     bits = sample_prefix(sym, 300, 12, window=None).bits.tolist()
-    form, calls = measure._chain_child, []
-
-    def counting(*args):
-        corner, theta = form(*args)
-        calls.append(corner.base is not None)  # formed in its parent's memory
-        return corner, theta
-
-    monkeypatch.setattr(measure, "_chain_child", counting)
-    assert sample_prefix(sym, 300, 12, window=None).bits.tolist() == bits
-    assert calls == [True] * 299
+    form = measure._chain_child
 
     def refused(*args):
         corner, theta = form(*args)

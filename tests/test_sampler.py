@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,11 +12,12 @@ from dppkit import (
     sample_prefix,
 )
 from dppkit.errors import ConditioningError
+from dppkit.measure import PrefixState
 from dppkit.mixing import SizeCapError
 from dppkit.sampler import EXACT_LENGTH_CAP, _auto_window
 from dppkit.symbol import require_range
 
-from oracles import EagerPrefixState, conditional_next, empirical_cylinder_test
+from oracles import EagerPrefixState, conditional_alphas_mp, conditional_next, empirical_cylinder_test
 
 
 def test_reproducibility(poi_half):
@@ -112,11 +114,12 @@ def test_encodings(fair):
     assert seq.to01() == format(int(seq.to_hex(), 16), "016b")
 
 
-def _eager_bits(sym, n, seed, window):
-    """The sampler's bits drawn by the chain rule on the eager corner route,
-    from the same n uniforms of the trajectory's PCG64 stream."""
+def _eager_bits(sym, n, seed, window, route=EagerPrefixState):
+    """The sampler's bits drawn by the chain rule on the eager corner route
+    (or on a caller's chain of ``route``), from the same n uniforms of the
+    trajectory's PCG64 stream."""
     uni = np.random.Generator(np.random.PCG64(seed)).random(n)
-    state, bits = EagerPrefixState.root(sym, window=window), np.empty(n, dtype=np.uint8)
+    state, bits = route.root(sym, window=window), np.empty(n, dtype=np.uint8)
     for k in range(n):
         bits[k] = uni[k] < state.conditional_one()
         state = state.extend(int(bits[k]))
@@ -161,6 +164,73 @@ def test_poisson_without_usable_decay_samples_past_the_cap():
     seq = sample_prefix(sym, 4096, 1)
     assert seq.bits.shape == (4096,)
     assert np.array_equal(seq.bits[:512], _eager_bits(sym, 512, 1, None))
+
+
+SCHUR_SYMBOLS = {
+    "power_decay(0.5,0.1,2,64)": Symbol.power_decay(0.5, 0.1, 2, 64),
+    "trig_poly(complex,B=3)": Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]),
+    "trig_poly(trig-sample,B=2)": Symbol.trig_poly([0.5, 0.1 + 0.12j, -0.05 + 0.07j]),
+    "arc_indicator(0.3,0.7)": Symbol.arc_indicator(0.3, 0.7),
+}
+
+
+def _drawn(route):
+    """The bits a route draws, or the class and position of its error (a
+    value in the message may differ in its last digits between routes)."""
+    try:
+        return route().tolist()
+    except ConditioningError as exc:
+        return type(exc).__name__, re.search(r"at position (\d+)", str(exc)).group(1)
+
+
+@pytest.mark.parametrize("name,window", [(name, w) for name, sym in SCHUR_SYMBOLS.items()
+                                         for w in sorted({1, 2, sym.bandwidth or 1}) + [None]])
+def test_schur_chain_bits_match_the_eager_route(name, window):
+    # the sampler's Schur chain draws the bits of the eager corner route, or
+    # fails at the same position (arc_indicator at windows 1 and 2, which
+    # truncate it).  n = w and w + 1 bring no position in; w + 2 brings one
+    # in; at 300 and 1,500 bits Z moves back to the start of its buffer
+    # (every 65 steps at window 64, every 409-1,365 steps at windows 1-3)
+    sym = SCHUR_SYMBOLS[name]
+    ns = [1, 2, 3, 300] if window is None else [1, 2, window, window + 1, window + 2, 300, 1500]
+    for n in ns:
+        for seed in range(5):
+            fast = _drawn(lambda: sample_prefix(sym, n, seed, window=window).bits)
+            assert fast == _drawn(lambda: _eager_bits(sym, n, seed, window)), (n, seed)
+
+
+@pytest.mark.parametrize("sym,window", [
+    (Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]), 3),
+    (Symbol.arc_indicator(0.1, 0.45), None),
+    (Symbol.power_decay(0.5, 0.1, 2, 64), 64),
+], ids=["trig_poly(complex,B=3)-w3", "arc_indicator(0.1,0.45)-None", "power_decay(0.5,0.1,2,64)-w64"])
+def test_schur_chain_alphas_match_mpmath(monkeypatch, sym, window):
+    # every alpha the sampler reads off its pivot lies within 1e-14 of the
+    # 40-digit conditional of the bits before it: at most 1.4e-17, 7.8e-16
+    # and 3.5e-17 here (the corner route: 1.4e-17, 3.3e-16, 1.4e-17)
+    read = PrefixState.conditional_one
+    alphas = []
+
+    def recording(state):
+        alphas.append(state._stack.alphas[0])
+        return read(state)
+
+    monkeypatch.setattr(PrefixState, "conditional_one", recording)
+    bits = sample_prefix(sym, 40, 2, window=window).bits.tolist()
+    assert 0 < sum(bits) < 40
+    for got, want in zip(alphas, conditional_alphas_mp(sym, bits), strict=True):
+        assert abs(got - complex(want)) <= 1e-14
+
+
+def test_out_of_range_conditional_names_a_plain_float():
+    # window 8 truncates arc_indicator: the conditional leaves [0, 1] at
+    # bit 1,249, on the sampler's chain and on a caller's corner chain alike
+    sym = Symbol.arc_indicator(0.1, 0.45)
+    message = r"^conditional probability -0\.00164795862436\d* out of range at position 1249$"
+    with pytest.raises(ConditioningError, match=message):
+        sample_prefix(sym, 4096, 0, window=8)
+    with pytest.raises(ConditioningError, match=message):
+        _eager_bits(sym, 4096, 0, 8, route=PrefixState)
 
 
 @pytest.mark.parametrize("window", [-1, -3, 2.5, True, False, 0.0, "3"])
