@@ -32,9 +32,9 @@ from .symbol import Symbol, g_coeff_fn
 IMAG_TOL = 1e-10
 # g-coefficients a corner prefix state caches at first (see ``_GData``)
 COEFF_BLOCK = 64
-# bytes of a child corner's rows formed at a time, in a contiguous temporary,
-# and of a Schur chain's rows updated at a time (a chain step's chunk is also
-# at least 1/16 of its corner or block)
+# bytes of a child corner's rows formed at a time, in a contiguous temporary
+# (a chain step's chunk is also at least 1/16 of its corner), and at least
+# those of the rows a windowed Schur chain spares between two moves
 CHUNK_BYTES = 32 * 1024
 # a PrefixState with no slot set; ``root`` and ``extend`` store the slots one
 # by one, which costs ``extend`` less than half of a keyword constructor call
@@ -354,72 +354,76 @@ class _CornerStack:
 
 
 class _SchurChain:
-    """The sampler's chain state: the Schur complement
+    """The sampler's chain state.  Before bit k it stands for the Schur
+    complement
 
-        Z = T_F(g) - T_FK (T_KK + D(theta_K))^-1 T_KF
+        Z_k = T_F(g) - T_FK (T_KK + D(theta_K))^-1 T_KF
 
     of the drawn positions K in the positions F still to draw within the
-    window's reach, k .. min(k + window, n - 1) before bit k (every
-    remaining one at window None).  At an exact window Z = 2 K_F - I for
-    the kernel K_F of F given the drawn bits: Hermitian, of norm <= 1, so
-    elimination without pivoting has no growth.  alpha is Z[0, 0], read as
-    a Python number.
+    window's reach, k .. min(k + window, n - 1) (every remaining one at
+    window None).  At an exact window Z_k = 2 K_F - I for the kernel K_F of
+    F given the drawn bits: Hermitian, of norm <= 1, so elimination without
+    pivoting has no growth.  alpha is Z_k[0, 0], read as a Python number.
 
-    ``step`` eliminates position k in place, Z[1:, 1:] -= (tp/s) Z[1:, 0]
-    Z[0, 1:], a chunk of rows at a time.  At a finite window position
-    k + window + 1 then comes in, with column, row and diagonal
-    ghat(-window .. -1), ghat(window .. 1) and g0, since no drawn position
-    reaches it; otherwise Z shrinks by one.  Z lies in a flat buffer with
-    row stride L, its starting width, at an origin that advances by L + 1 a
-    step, so Z[1:, 1:] is the next Z where it lies: a new column takes the
-    last entry of each of its rows (Z[2:, 0], read first), and a new row
-    the L entries after them.  When the buffer has no room left, Z moves to
-    its start.
+    The chain looks left: it forms no Z_k, only its pivot column c_k =
+    Z_k[:, 0], and keeps those of the positions that still reach a later
+    one, with d_i = tp_i / s_i.  Eliminating position i subtracts
+    d_i c_i conj(c_i)^T (Z_i is Hermitian, so its pivot row is conj(c_i)),
+    so
+
+        c_k[j] = ghat(j) - sum_i d_i conj(c_i[k - i]) c_i[k - i + j]
+
+    over the drawn positions i that reach k: one gemv against their stored
+    columns, with zeros for the positions past each one's reach.
+
+    Row p of ``rows`` holds the column of position base + p from its start,
+    then zeros, and ``skew[p, q] = rows[p, q - p]`` is that column's entry
+    at position base + q: the columns that reach k, over positions k ..,
+    are one strided view.  At window None ``rows`` is n x n.  At a finite
+    window a row holds 2 window + 1 entries, a column's window + 1 and the
+    zeros the view reads past them, and when no row is left for c_k the
+    last window rows move to the start.
     """
 
-    __slots__ = ("alphas", "buf", "origin", "stride", "size", "left", "row", "col")
+    __slots__ = ("alphas", "rows", "skew", "d", "g", "reach", "row", "left")
 
     def __init__(self, gd: _GData, window, n: int):
-        m = n if window is None else min(n, window + 1)
+        reach = n - 1 if window is None else min(n - 1, window)
+        width = max(2, min(2 * reach + 1, n))  # 2 at n = 1, so that skew has a row step
         dtype = np.dtype(np.float64 if gd.real else np.complex128)
-        b = gd.ghat(np.arange(m - 1, -m, -1))  # ghat(m - 1) .. ghat(1 - m)
-        # steps between two moves of Z to the start of its buffer; at least
-        # m, so the move never overlaps itself
-        spare = max(m, CHUNK_BYTES // ((m + 1) * dtype.itemsize)) if n > m else 0
-        self.buf = np.zeros((m + 1) * (m + spare), dtype)
-        # T_m(g)[i, j] = ghat(i - j) = b[m - 1 - i + j], from b's 2m - 1 entries
-        self.buf[:m * m].reshape(m, m)[...] = np.lib.stride_tricks.sliding_window_view(b, m)[::-1]
-        self.row, self.col = b[:m], b[:m - 1:-1]
-        self.origin, self.stride, self.size, self.left = 0, m, m, n - m
-        self.alphas = [self.buf.item(0)]
+        # at a finite window, rows to spare between two moves: at least
+        # reach, so the move never overlaps itself
+        spare = max(reach, CHUNK_BYTES // (width * dtype.itemsize))
+        size = n if width >= n else min(n, reach + 1 + spare)
+        buf = np.zeros(size * width, dtype)
+        self.rows = buf.reshape(size, width)
+        self.skew = np.lib.stride_tricks.sliding_window_view(buf, size + width - 1)[::width - 1]
+        self.d = np.zeros(size, dtype)
+        self.g = gd.ghat(np.arange(reach + 1))
+        buf[:reach + 1] = self.g
+        self.reach, self.row, self.left = reach, 0, n
+        self.alphas = [buf.item(0)]
 
     def step(self, tp: float, s) -> None:
-        """Eliminate the position just drawn, of bit sign tp and factor s."""
-        buf, o, L, size, left = self.buf, self.origin, self.stride, self.size, self.left
-        if size == 1:  # the last bit: nothing is left to draw
+        """Eliminate the position just drawn, of bit sign tp and factor s,
+        and form the pivot column of the next."""
+        rows, d, reach, row = self.rows, self.d, self.reach, self.row
+        left = self.left = self.left - 1  # positions still to draw
+        if not left:
             return
-        k = size - 1
-        width = size if left else k  # of Z after this step
-        if o + L + 1 + width * L > buf.size:
-            buf[:size * L] = buf[o:o + size * L]
-            o = 0
-        y = buf[o + 1:o + 1 + width] * (tp / s)  # (tp/s) Z[0, 1:], and Z[1, 0] as a position comes in
-        x = buf[o + L:o + size * L:L, None]  # Z[1:, 0]
-        o += L + 1
-        block = buf[o:o + k * L].reshape(k, L)[:, :width]
-        chunk = max(CHUNK_BYTES // (k * buf.itemsize), k // 16)
-        for r1 in range(k, 0, -chunk):  # last first: a chunk's last column is x of the rows below it
-            r0 = max(r1 - chunk, 0)
-            rows = block[r0:r1]
-            rows -= np.multiply(x[r0:r1], y)
-        if left:
-            block[:, -1] = self.col
-            buf[o + k * L:o + L * L] = self.row
-            self.left = left - 1
-        else:
-            self.size = k
-        self.origin = o
-        self.alphas[0] = buf.item(o)
+        d[row] = tp / s
+        row += 1
+        if row == len(rows):  # no row left for c_k
+            rows[:reach] = rows[row - reach:]
+            d[:reach] = d[row - reach:]
+            row = reach
+        lo, cols = max(row - reach, 0), min(reach + 1, left)
+        a = self.skew[lo:row, row:row + cols]  # the columns that reach k, over positions k ..
+        v = d[lo:row] * a[:, 0].conj()
+        c = rows[row, :cols]
+        np.subtract(self.g[:cols], v @ a, out=c)
+        self.row = row
+        self.alphas[0] = c.item(0)
 
 
 class PrefixState:
@@ -454,12 +458,12 @@ class PrefixState:
     caller holds them, and a chain step holds two corners.  The sampler's
     chain (``_sampled_bits``) hands no state out, so its states share one
     ``_SchurChain`` instead of a corner stack: ``conditional_one`` reads its
-    alpha as a stack's, and ``extend`` steps it in place, forming no
-    corner.  Either recursion is exact when the window is None or covers
-    the symbol's bandwidth, so the moment-sum walk and the sampler root
-    their states at window = bandwidth; any other window truncates the
-    coefficients beyond it (a geometric symbol too, whose one-number state
-    needs window None).
+    alpha as a stack's, and ``extend`` steps it, one gemv forming the next
+    pivot column, with no corner.  Either recursion is exact when the
+    window is None or covers the symbol's bandwidth, so the moment-sum walk
+    and the sampler root their states at window = bandwidth; any other
+    window truncates the coefficients beyond it (a geometric symbol too,
+    whose one-number state needs window None).
     """
 
     __slots__ = ("gd", "window", "length", "log_prob", "_stack", "_row", "_x")

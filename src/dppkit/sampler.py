@@ -18,9 +18,10 @@ min(n, bandwidth) or n wide, costs quadratic time per bit, so the
 automatic window caps its width at EXACT_LENGTH_CAP; poisson is exempt.
 An explicit window chosen by the caller truncates the coefficients beyond
 it and is never capped.  The chain loop is ``measure._sampled_bits``,
-which hands no state out, so it steps its one block in place: a
-full-state sample of n bits holds one n x n block, n^2 * 16 bytes for a
-complex symbol, that shrinks by one position a bit.
+which hands no state out, so it keeps only the pivot columns of the drawn
+positions that reach a later one, and forms each bit's column by one gemv
+against them: a full-state sample of n bits holds one n x n array of
+them, n^2 * 16 bytes for a complex symbol.
 
 The selftest replays sampled prefixes exactly against ratios of cylinder
 determinants; the chi-square fit of word frequencies is a test oracle.

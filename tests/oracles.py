@@ -115,13 +115,14 @@ def conditional_alphas_mp(sym: Symbol, bits, dps: int = 40) -> list:
         for k in range(n):
             col = [g[n + i - k] for i in range(k)]
             row = [g[n + k - j] for j in range(k)]
-            u = [mpmath.fsum(a * c for a, c in zip(line, col)) for line in inv]
-            w = [mpmath.fsum(row[i] * inv[i][j] for i in range(k)) for j in range(k)]
-            alpha = g[n] - mpmath.fsum(r * x for r, x in zip(row, u))
+            u = [mpmath.fdot(line, col) for line in inv]
+            w = [mpmath.fdot(row, column) for column in zip(*inv)]
+            alpha = g[n] - mpmath.fdot(row, u)
             alphas.append(alpha)
             sigma = alpha + (1 if bits[k] else -1)  # the Schur complement of T_KK + D(theta_K)
-            inv = [[a + u[i] * w[j] / sigma for j, a in enumerate(line)] + [-u[i] / sigma]
-                   for i, line in enumerate(inv)] + [[-x / sigma for x in w] + [1 / sigma]]
+            us = [x / sigma for x in u]
+            inv = [[a + ui * wj for a, wj in zip(line, w)] + [-ui]
+                   for ui, line in zip(us, inv)] + [[-x / sigma for x in w] + [1 / sigma]]
     return alphas
 
 

@@ -836,11 +836,12 @@ def test_selftest_catches_a_broken_chain_corner_under_optimize(tmp_path):
 
 
 def test_selftest_catches_a_broken_schur_step(tmp_path):
-    # the sampler's Schur chain adding its rank-1 update where it should
-    # subtract it: the replay's trig_poly chain draws another bit at seed 7
-    # (bit 14), and the arc_indicator chain leaves [0, 1] at both seeds
-    _selftest_of_a_broken_copy(tmp_path, "            rows -= np.multiply(x[r0:r1], y)\n",
-                               "            rows += np.multiply(x[r0:r1], y)\n")
+    # the sampler's Schur chain adding its gemv against the stored columns
+    # where it should subtract it: the replay's trig_poly chain draws
+    # another bit at seed 7 (bit 14), and the arc_indicator chain leaves
+    # [0, 1] at both seeds
+    _selftest_of_a_broken_copy(tmp_path, "        np.subtract(self.g[:cols], v @ a, out=c)\n",
+                               "        np.add(self.g[:cols], v @ a, out=c)\n")
 
 
 def _selftest_of_a_broken_copy(tmp_path, line, broken):

@@ -591,9 +591,10 @@ def _traced_peak(route):
 @pytest.mark.parametrize("sym", [Symbol.arc_indicator(0.1, 0.45), LAZY_SYMBOLS["power_decay"]],
                          ids=["arc_indicator-complex", "power_decay-real"])
 def test_full_state_chain_holds_one_corner(sym, n):
-    # the sampler's Schur chain holds one n x n block, eliminated in place a
-    # chunk of rows at a time: this reads 1.20-1.21 corners, the block and
-    # its chunk's temporaries
+    # the sampler's Schur chain holds one n x n array, the pivot column of
+    # each position in a row, and forms each column by one gemv against the
+    # rows before it: this reads 1.03-1.04 corners, the array and the
+    # vectors of one step
     peak = _traced_peak(lambda: sample_prefix(sym, n, 3, window=None))
     assert peak < 1.3 * n * n * (8 if sym.has_real_coeffs else 16)
 

@@ -12,7 +12,7 @@ from dppkit import (
     sample_prefix,
 )
 from dppkit.errors import ConditioningError
-from dppkit.measure import PrefixState
+from dppkit.measure import PrefixState, _GData, _SchurChain
 from dppkit.mixing import SizeCapError
 from dppkit.sampler import EXACT_LENGTH_CAP, _auto_window
 from dppkit.symbol import require_range
@@ -188,26 +188,61 @@ def _drawn(route):
 def test_schur_chain_bits_match_the_eager_route(name, window):
     # the sampler's Schur chain draws the bits of the eager corner route, or
     # fails at the same position (arc_indicator at windows 1 and 2, which
-    # truncate it).  n = w and w + 1 bring no position in; w + 2 brings one
-    # in; at 300 and 1,500 bits Z moves back to the start of its buffer
-    # (every 65 steps at window 64, every 409-1,365 steps at windows 1-3)
+    # truncate it).  n = w and w + 1 fit in one window, and w + 2 does not.
+    # A long chain's buffer holds `rows` columns, and its last w move back
+    # to the start to form position rows, and again to form position
+    # 2 rows - w.  At windows 3 and 64 (rows = 296 and 129) n runs just
+    # before, at and after both moves; at windows 1 and 2 (rows = 412 to
+    # 1,367) 1,500 bits pass the first move
     sym = SCHUR_SYMBOLS[name]
     ns = [1, 2, 3, 300] if window is None else [1, 2, window, window + 1, window + 2, 300, 1500]
+    if window in (3, 64):
+        rows = len(_SchurChain(_GData(sym), window, 10 ** 6).rows)
+        ns += [k + dk for k in (rows, 2 * rows - window) for dk in range(3)]
     for n in ns:
         for seed in range(5):
             fast = _drawn(lambda: sample_prefix(sym, n, seed, window=window).bits)
             assert fast == _drawn(lambda: _eager_bits(sym, n, seed, window)), (n, seed)
 
 
-@pytest.mark.parametrize("sym,window", [
-    (Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]), 3),
-    (Symbol.arc_indicator(0.1, 0.45), None),
-    (Symbol.power_decay(0.5, 0.1, 2, 64), 64),
-], ids=["trig_poly(complex,B=3)-w3", "arc_indicator(0.1,0.45)-None", "power_decay(0.5,0.1,2,64)-w64"])
-def test_schur_chain_alphas_match_mpmath(monkeypatch, sym, window):
+@pytest.mark.parametrize("sym,window,n", [
+    (Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]), 3, 40),
+    (Symbol.arc_indicator(0.1, 0.45), None, 40),
+    (Symbol.power_decay(0.5, 0.1, 2, 64), 64, 40),
+    (Symbol.arc_indicator(0.1, 0.45), None, 120),
+], ids=["trig_poly(complex,B=3)-w3", "arc_indicator(0.1,0.45)-None", "power_decay(0.5,0.1,2,64)-w64",
+        "arc_indicator(0.1,0.45)-None-n120"])
+def test_schur_chain_alphas_match_mpmath(monkeypatch, sym, window, n):
     # every alpha the sampler reads off its pivot lies within 1e-14 of the
-    # 40-digit conditional of the bits before it: at most 1.4e-17, 7.8e-16
-    # and 3.5e-17 here (the corner route: 1.4e-17, 3.3e-16, 1.4e-17)
+    # 40-digit conditional of the bits before it: at most 1.4e-17, 7.8e-16,
+    # 1.4e-17 and 1.0e-15 here (the corner route: 1.4e-17, 3.3e-16,
+    # 1.4e-17 and 5.7e-16)
+    bits, alphas = _sampled_alphas(monkeypatch, sym, n, 2, window)
+    assert 0 < sum(bits) < n
+    for got, want in zip(alphas, conditional_alphas_mp(sym, bits), strict=True):
+        assert abs(got - complex(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("name,window", [("trig_poly(complex,B=3)", 3), ("power_decay(0.5,0.1,2,64)", 64)])
+def test_schur_chain_alphas_hold_across_buffer_moves(monkeypatch, name, window):
+    # the bits alone can miss a slip in the buffer's move: columns moved one
+    # row off, or d left behind, shift the next alphas by 1e-3 to 1e-2, and
+    # the bits of the test above held at window 64 for both.  Through two
+    # moves every alpha lies within 1e-13 of a caller's corner chain's
+    # (at most 2.1e-17 here)
+    sym = SCHUR_SYMBOLS[name]
+    rows = len(_SchurChain(_GData(sym), window, 10 ** 6).rows)
+    bits, alphas = _sampled_alphas(monkeypatch, sym, 2 * rows - window + 3, 5, window)
+    monkeypatch.undo()
+    state = PrefixState.root(sym, window=window)
+    for got, bit in zip(alphas, bits, strict=True):
+        stack = state._stack
+        assert abs(got - (stack.alphas or stack.extension())[state._row]) <= 1e-13
+        state = state.extend(bit)
+
+
+def _sampled_alphas(monkeypatch, sym, n, seed, window):
+    """The bits of a sampled prefix and the alpha its chain read for each."""
     read = PrefixState.conditional_one
     alphas = []
 
@@ -216,10 +251,7 @@ def test_schur_chain_alphas_match_mpmath(monkeypatch, sym, window):
         return read(state)
 
     monkeypatch.setattr(PrefixState, "conditional_one", recording)
-    bits = sample_prefix(sym, 40, 2, window=window).bits.tolist()
-    assert 0 < sum(bits) < 40
-    for got, want in zip(alphas, conditional_alphas_mp(sym, bits), strict=True):
-        assert abs(got - complex(want)) <= 1e-14
+    return sample_prefix(sym, n, seed, window=window).bits.tolist(), alphas
 
 
 def test_out_of_range_conditional_names_a_plain_float():
