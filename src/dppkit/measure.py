@@ -382,10 +382,17 @@ class _SchurChain:
     are one strided view.  At window None ``rows`` is n x n.  At a finite
     window a row holds 2 window + 1 entries, a column's window + 1 and the
     zeros the view reads past them, and when no row is left for c_k the
-    last window rows move to the start.
+    last window rows move to the start.  Such a buffer then steps rows
+    window .. len(rows) - 1 again and again, so it forms their views once
+    (``views``: the stored columns, their first column, d and the target
+    row).  The step slices them as before only where a view would change
+    shape, in the first window rows and the last window bits, and in a
+    buffer that never moves (the full state, or a chain that fits in its
+    buffer), whose rows are each used once.  Both routes feed the same
+    arrays, with the same strides, into one update line.
     """
 
-    __slots__ = ("alphas", "rows", "skew", "d", "g", "reach", "row", "left")
+    __slots__ = ("alphas", "rows", "skew", "d", "g", "reach", "row", "left", "views")
 
     def __init__(self, gd: _GData, window, n: int):
         reach = n - 1 if window is None else min(n - 1, window)
@@ -403,6 +410,10 @@ class _SchurChain:
         buf[:reach + 1] = self.g
         self.reach, self.row, self.left = reach, 0, n
         self.alphas = [buf.item(0)]
+        self.views = []  # of rows reach .. size - 1, in a buffer that moves
+        for p in range(reach, size if size < n else reach):
+            a = self.skew[p - reach:p, p:p + reach + 1]
+            self.views.append((a, a[:, 0], self.d[p - reach:p], self.rows[p, :reach + 1]))
 
     def step(self, tp: float, s) -> None:
         """Eliminate the position just drawn, of bit sign tp and factor s,
@@ -417,11 +428,14 @@ class _SchurChain:
             rows[:reach] = rows[row - reach:]
             d[:reach] = d[row - reach:]
             row = reach
-        lo, cols = max(row - reach, 0), min(reach + 1, left)
-        a = self.skew[lo:row, row:row + cols]  # the columns that reach k, over positions k ..
-        v = d[lo:row] * a[:, 0].conj()
-        c = rows[row, :cols]
-        np.subtract(self.g[:cols], v @ a, out=c)
+        g = self.g
+        if left > reach and self.views and row >= reach:
+            a, a0, dk, c = self.views[row - reach]
+        else:
+            lo, cols = max(row - reach, 0), min(reach + 1, left)
+            a = self.skew[lo:row, row:row + cols]  # the columns that reach k, over positions k ..
+            a0, dk, c, g = a[:, 0], d[lo:row], rows[row, :cols], g[:cols]
+        np.subtract(g, (dk * a0.conj()) @ a, out=c)
         self.row = row
         self.alphas[0] = c.item(0)
 
@@ -575,18 +589,18 @@ def _sampled_bits(sym: Symbol, window: int | None, n: int, rng: np.random.Genera
     the conditionals are constant: i.i.d. Bernoulli(fhat(0))."""
     state = PrefixState.root(sym, window=window)  # the range gate, also for the i.i.d. path
     uni = rng.random(n)
-    bits = np.empty(n, dtype=np.uint8)
     if window == 0:
+        bits = np.empty(n, dtype=np.uint8)
         np.less(uni, state.conditional_one(), out=bits.view(bool))
         return bits
     if state._stack is not None:
         state._stack = _SchurChain(state.gd, window, n)
-    for k in range(n):
-        p1 = state.conditional_one()
-        bit = 1 if uni[k] < p1 else 0
+    bits = bytearray(n)
+    for k, u in enumerate(uni.tolist()):
+        bit = 1 if u < state.conditional_one() else 0
         bits[k] = bit
         state = state.extend(bit)
-    return bits
+    return np.frombuffer(bits, np.uint8)
 
 
 def cylinder_log_probs_direct(sym: Symbol, N: int) -> np.ndarray:

@@ -21,7 +21,10 @@ it and is never capped.  The chain loop is ``measure._sampled_bits``,
 which hands no state out, so it keeps only the pivot columns of the drawn
 positions that reach a later one, and forms each bit's column by one gemv
 against them: a full-state sample of n bits holds one n x n array of
-them, n^2 * 16 bytes for a complex symbol.
+them, n^2 * 16 bytes for a complex symbol.  A windowed chain longer than
+its buffer steps on views of the buffer's rows formed once, so a bit costs
+a few numpy calls on arrays of window + 1 entries; the loop reads its
+uniforms as Python floats and collects the bits in a bytearray.
 
 The selftest replays sampled prefixes exactly against ratios of cylinder
 determinants; the chi-square fit of word frequencies is a test oracle.

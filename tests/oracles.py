@@ -5,7 +5,8 @@ literal route: the f-route window and coupling-block builders with the
 correlation-ratio matrix H and the all-ones witness formed from them, the
 direct cylinder determinant, the joint cylinder probability from the signed
 joint window alone, the next-bit conditional by a walk of prefix states,
-moment sums from one batched determinant per word, the parity coefficient
+the sampler's Schur chain step that slices its buffer on every bit, moment
+sums from one batched determinant per word, the parity coefficient
 of the Walsh tuple sum, the complement symbol 1 - f, the N x N P/Q route of
 the finite-window search with its per-pair deviation and trace-norm grids,
 the closed-form Hilbert-Schmidt norm of the coupling block, the eager
@@ -124,6 +125,29 @@ def conditional_alphas_mp(sym: Symbol, bits, dps: int = 40) -> list:
             inv = [[a + ui * wj for a, wj in zip(line, w)] + [-ui]
                    for ui, line in zip(us, inv)] + [[-x / sigma for x in w] + [1 / sigma]]
     return alphas
+
+
+def sliced_schur_step(chain: measure._SchurChain, tp: float, s) -> None:
+    """``measure._SchurChain.step`` as it was before a moving buffer formed
+    its rows' views once: it slices the stored columns, their first column,
+    d, the target row and g from the buffer again on every bit."""
+    rows, d, reach, row = chain.rows, chain.d, chain.reach, chain.row
+    left = chain.left = chain.left - 1  # positions still to draw
+    if not left:
+        return
+    d[row] = tp / s
+    row += 1
+    if row == len(rows):  # no row left for c_k
+        rows[:reach] = rows[row - reach:]
+        d[:reach] = d[row - reach:]
+        row = reach
+    lo, cols = max(row - reach, 0), min(reach + 1, left)
+    a = chain.skew[lo:row, row:row + cols]  # the columns that reach k, over positions k ..
+    v = d[lo:row] * a[:, 0].conj()
+    c = rows[row, :cols]
+    np.subtract(chain.g[:cols], v @ a, out=c)
+    chain.row = row
+    chain.alphas[0] = c.item(0)
 
 
 def s_n_q_direct(sym: Symbol, N: int, q: float) -> float:

@@ -839,9 +839,11 @@ def test_selftest_catches_a_broken_schur_step(tmp_path):
     # the sampler's Schur chain adding its gemv against the stored columns
     # where it should subtract it: the replay's trig_poly chain draws
     # another bit at seed 7 (bit 14), and the arc_indicator chain leaves
-    # [0, 1] at both seeds
-    _selftest_of_a_broken_copy(tmp_path, "        np.subtract(self.g[:cols], v @ a, out=c)\n",
-                               "        np.add(self.g[:cols], v @ a, out=c)\n")
+    # [0, 1] at both seeds.  The replay's 24-bit chains never reach a formed
+    # view (their buffer holds every row, so it never moves), but both
+    # routes share this one update line
+    _selftest_of_a_broken_copy(tmp_path, "        np.subtract(g, (dk * a0.conj()) @ a, out=c)\n",
+                               "        np.add(g, (dk * a0.conj()) @ a, out=c)\n")
 
 
 def _selftest_of_a_broken_copy(tmp_path, line, broken):

@@ -1,9 +1,9 @@
-"""A seeded contract fuzz of ``dppkit psi``.
+"""A seeded contract fuzz of ``dppkit psi`` and ``dppkit sample``.
 
-Argument lists are drawn from one fixed-seed numpy Generator over the six
+Argument lists are drawn from fixed-seed numpy Generators over the six
 symbol families, with parameters at their edges: |r| near 1, c near 0,
-coefficients at the range edge, and interior zero coefficients.  Every case
-must meet the exit-code and bytes contract:
+coefficients at the range edge, and interior zero coefficients.  Every psi
+case must meet the exit-code and bytes contract:
 
 - the exit code is 0, 2 or 64, the same for CSV and JSON;
 - at a nonzero exit, stdout is empty;
@@ -12,6 +12,16 @@ must meet the exit-code and bytes contract:
 - every printed upper_bound is at least finite_window_value and at least
   lower_bound.  The finite-window value may sit below the lower bound: it is
   psi_N(ell) <= psi(ell).
+
+Every sample case, at 1-3 trajectories and up to 400 bits (past the first
+move of a complex window-3 chain's buffer), must meet its own:
+
+- the exit code is 0, 2 or 64, the same for both encodings;
+- at a nonzero exit, stdout is empty;
+- at exit 0, stderr is empty, the header is valid JSON, every bit line is
+  n long (hex: n bits padded to whole bytes), hex and ascii carry the same
+  bits, a rerun prints the same bytes, and line i is the one-trajectory
+  run at seed s ^ i.
 """
 import csv
 import io
@@ -25,6 +35,8 @@ from dppkit.cli import main
 
 SEED = 20261020
 CASES = 200
+SAMPLE_SEED = SEED + 1
+SAMPLE_CASES = 100
 
 # draws that exit 1 with "cylinder determinant is negative": each diagonal
 # 1 +- g0 of a window is formed from g0 = 2 fhat(0) - 1 after it is rounded
@@ -138,3 +150,48 @@ def test_psi_contract(argv, capsys):
         if row["upper_bound"] is not None:
             assert row["upper_bound"] >= row["finite_window_value"]
             assert row["upper_bound"] >= row["lower_bound"]
+
+
+def _sample_argv(rng) -> list[str]:
+    return ["sample", "--symbol", json.dumps(_symbol(rng)), "--n", str(int(rng.integers(1, 401))),
+            "--trajectories", str(int(rng.integers(1, 4))), "--seed", str(int(rng.integers(2 ** 32)))]
+
+
+def _sample_draws() -> list:
+    rng = np.random.default_rng(SAMPLE_SEED)
+    out = []
+    for i in range(SAMPLE_CASES):
+        argv = _sample_argv(rng)
+        out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}"))
+    return out
+
+
+def _bit_lines(argv, capsys, encoding):
+    code, out, err = _run(argv + ["--encoding", encoding], capsys)
+    lines = out.splitlines()
+    if code == 0:
+        assert err == ""
+        assert json.loads(lines[0])["n"] == int(argv[argv.index("--n") + 1])
+    return code, out, lines[1:]
+
+
+@pytest.mark.parametrize("argv", _sample_draws())
+def test_sample_contract(argv, capsys):
+    n, seed = (int(argv[argv.index(flag) + 1]) for flag in ("--n", "--seed"))
+    code, out, ascii_lines = _bit_lines(argv, capsys, "ascii")
+    hex_code, hex_out, hex_lines = _bit_lines(argv, capsys, "hex")
+    assert code in (0, 2, 64)
+    assert hex_code == code
+    if code != 0:
+        assert out == hex_out == ""
+        return
+    assert len(ascii_lines) == len(hex_lines) == int(argv[argv.index("--trajectories") + 1])
+    for text, packed in zip(ascii_lines, hex_lines):
+        assert len(text) == n and set(text) <= {"0", "1"}
+        assert len(packed) == 2 * -(-n // 8)
+        assert np.array_equal(np.unpackbits(np.frombuffer(bytes.fromhex(packed), np.uint8))[:n],
+                              np.array(list(text), dtype=np.uint8))
+    assert _run(argv + ["--encoding", "ascii"], capsys)[1] == out
+    for i, text in enumerate(ascii_lines):
+        single = argv[:argv.index("--trajectories")] + ["--seed", str(seed ^ i)]
+        assert _bit_lines(single, capsys, "ascii")[2] == [text]

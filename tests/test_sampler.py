@@ -17,7 +17,8 @@ from dppkit.mixing import SizeCapError
 from dppkit.sampler import EXACT_LENGTH_CAP, _auto_window
 from dppkit.symbol import require_range
 
-from oracles import EagerPrefixState, conditional_alphas_mp, conditional_next, empirical_cylinder_test
+from oracles import (EagerPrefixState, conditional_alphas_mp, conditional_next, empirical_cylinder_test,
+                     sliced_schur_step)
 
 
 def test_reproducibility(poi_half):
@@ -105,6 +106,20 @@ def test_stream_independence(poi_half):
     # trajectory i is the single trajectory with stream seed ^ i
     direct = sample_prefix(poi_half, 300, seed=1000 ^ 2)
     assert np.array_equal(seqs[2].bits, direct.bits)
+
+
+@pytest.mark.parametrize("name,window", [("trig_poly(complex,B=3)", 3), ("power_decay(0.5,0.1,2,64)", 64)])
+def test_sample_many_on_a_matrix_state(name, window):
+    # trajectory i of a Schur chain is the single trajectory with stream
+    # seed ^ i, at a length past the buffer's first move
+    sym = SCHUR_SYMBOLS[name]
+    assert _auto_window(sym, 10 ** 3) == window
+    n = len(_SchurChain(_GData(sym), window, 10 ** 6).rows) + window + 2
+    seqs = sample_many(sym, n, count=3, seed=1000)
+    assert len({s.to01() for s in seqs}) == 3
+    for i, seq in enumerate(seqs):
+        assert seq.seed == 1000 ^ i
+        assert np.array_equal(seq.bits, sample_prefix(sym, n, seed=1000 ^ i).bits)
 
 
 def test_encodings(fair):
@@ -239,6 +254,33 @@ def test_schur_chain_alphas_hold_across_buffer_moves(monkeypatch, name, window):
         stack = state._stack
         assert abs(got - (stack.alphas or stack.extension())[state._row]) <= 1e-13
         state = state.extend(bit)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 64])
+@pytest.mark.parametrize("name", ["power_decay(0.5,0.1,2,64)", "trig_poly(complex,B=3)"])
+def test_schur_step_on_formed_views_matches_the_sliced_step(name, window):
+    # a buffer that moves steps rows reach .. rows - 1 on views it formed
+    # once; every alpha is == the step that slices them on every bit
+    # (the same arrays, with the same strides, into the same gemv).  The
+    # lengths hold no move, or end just before, at and after the first and
+    # second moves (the points the bit test above reads off the chain), with
+    # the last reach bits, sliced again, on either side of a move
+    sym = SCHUR_SYMBOLS[name]
+    gd = _GData(sym)
+    rows = len(_SchurChain(gd, window, 10 ** 6).rows)
+    ns = [window + 2, rows] + [m + dk for m in (rows, 2 * rows - window)
+                               for dk in (1, 2, window, window + 1, window + 2, window + 3)]
+    rng = np.random.default_rng(3)
+    for n in ns:
+        chain, oracle = _SchurChain(gd, window, n), _SchurChain(gd, window, n)
+        assert bool(chain.views) == (n > rows)
+        for k in range(n):
+            alpha = chain.alphas[0]
+            assert alpha == oracle.alphas[0], (n, k)
+            tp = 1.0 if rng.random() < 0.5 * (1.0 + alpha.real) else -1.0
+            s = 1.0 + tp * alpha
+            chain.step(tp, s)
+            sliced_schur_step(oracle, tp, s)
 
 
 def _sampled_alphas(monkeypatch, sym, n, seed, window):
