@@ -214,8 +214,6 @@ def _chain_child(corner, theta, u, w, tp, s, window):
     j = u.size
     keep = j + 1 if window is None else min(j + 1, window)
     lo = j + 1 - keep
-    # the lasting arrays before any temporary rows: the other order fragments
-    # the C heap of a long full-window chain (7% more peak resident memory)
     out = np.empty((keep, keep), dtype=corner.dtype)
     th = np.empty(keep, dtype=corner.dtype)
     ts = tp / s
@@ -273,15 +271,8 @@ def _bordered(source, pick, tp, s, window):
 
 class _CornerStack:
     """The inverse corners of n prefixes of one length, as one (n, k, k)
-    stack, with their signs theta as one (n, k) stack.  A stack of one (a
-    chain) keeps its arrays without the leading axis, for speed: numpy sets
-    up 2-D arithmetic faster than 3-D.  A (1, k, k) chain formed child by
-    child, as the 1 x 1 rule of ``_form`` does, keeps every corner and theta
-    byte, but it cost 1.4-1.5x more per bit on the complex trig_poly chain
-    (25.7-43.7 against 17.7-29.0 us; min of 5, one BLAS thread, 2-CPU
-    machine).  Formed through the stacked ``_bordered`` route, it also
-    changes corner bytes (on an arc_indicator chain a diagonal entry got
-    imaginary part 5.2e-33 where the eager route has 0).
+    stack, with their signs theta as one (n, k) stack, for every n: the
+    root and a caller's chain are stacks of one.
 
     ``PrefixState.extend`` appends each child of a row to the stack's
     ``pending`` child stack: its parent row, bit sign tp and extension
@@ -320,15 +311,14 @@ class _CornerStack:
         """
         source, kids, window = self.source, self.kids, self.window
         self.source = self.kids = None
-        dtype, chain = source[0].dtype, source[2].ndim == 1
-        if len(kids) == 1 or source[2].shape[-1] <= 1:
-            parts = []
-            for row, tp, s in kids:  # on Python 3.11 a comprehension costs a chain 0.4 us a bit
-                parent = source if chain else [a[row] for a in source]
-                parts.append(_chain_child(*parent, tp, dtype.type(s), window))
-            self.corner, self.theta = parts[0] if len(parts) == 1 else map(np.stack, zip(*parts))
+        dtype = source[0].dtype
+        if len(kids) == 1 or source[2].shape[1] <= 1:
+            parts = [_chain_child(*[a[row] for a in source], tp, dtype.type(s), window)
+                     for row, tp, s in kids]
+            # a lone child's arrays as views, not copies: a chain holds two corners
+            self.corner, self.theta = ([a[None] for a in parts[0]] if len(parts) == 1
+                                       else map(np.stack, zip(*parts)))
         else:
-            source = [a[None] for a in source] if chain else source
             rows, tp, s = zip(*kids)
             self.corner, self.theta = _bordered(source, np.array(rows), np.array(tp),
                                                 np.array(s, dtype=dtype), window)
@@ -342,13 +332,8 @@ class _CornerStack:
             # corner covers rows/cols k-j+1..k; new column entries are
             # theta_i * ghat(i - (k+1)), new row entries ghat(k+1 - j')
             gneg, r = gd.reversed_rows(j)
-            b = theta * gneg
-            if corner.ndim == 2:
-                u = corner @ b
-                self.alphas = [gd.g0 - r @ u]
-            else:
-                u = (corner @ b[..., None])[..., 0]
-                self.alphas = (gd.g0 - (r @ u[..., None])[..., 0]).tolist()
+            u = (corner @ (theta * gneg)[..., None])[..., 0]
+            self.alphas = (gd.g0 - (r @ u[..., None])[..., 0]).tolist()
             self.uw = (u, r @ corner)
         return self.alphas
 
@@ -494,7 +479,7 @@ class PrefixState:
         state.gd, state.window, state.length, state.log_prob, state._row = gd, window, 0, 0.0, 0
         state._x = 0.0 if one_number else None
         state._stack = None if one_number else _CornerStack(
-            gd, window, corner=np.zeros((0, 0), dtype=dtype), theta=np.zeros(0, dtype=dtype))
+            gd, window, corner=np.zeros((1, 0, 0), dtype=dtype), theta=np.zeros((1, 0), dtype=dtype))
         return state
 
     def _formed_stack(self) -> _CornerStack:
@@ -504,13 +489,11 @@ class PrefixState:
 
     @property
     def corner(self) -> np.ndarray:
-        corner = self._formed_stack().corner
-        return corner if corner.ndim == 2 else corner[self._row]
+        return self._formed_stack().corner[self._row]
 
     @property
     def theta(self) -> np.ndarray:
-        theta = self._formed_stack().theta
-        return theta if theta.ndim == 1 else theta[self._row]
+        return self._formed_stack().theta[self._row]
 
     def conditional_one(self) -> float:
         """P(next bit = 1 | prefix), from alpha for position length+1 (x or the corner stack)."""
@@ -572,8 +555,6 @@ class PrefixState:
             else:
                 d = 1.0 - gd.c2 * x
                 x = gd.r2 * (x + tp * d * d / s)
-        # allocated last: built before the child stack's entry, the state
-        # raised a long sampled chain's peak resident memory by 1.1 MB
         child = _new_state(PrefixState)
         child.gd, child.window, child.length = gd, self.window, self.length + 1
         child.log_prob, child._stack, child._row = log_prob, child_stack, row

@@ -22,6 +22,16 @@ move of a complex window-3 chain's buffer), must meet its own:
   n long (hex: n bits padded to whole bytes), hex and ascii carry the same
   bits, a rerun prints the same bytes, and line i is the one-trajectory
   run at seed s ^ i.
+
+Every dimension case, at q in {2, 3} and --nmax 1-10, must meet its own:
+
+- the exit code is 0, 2 or 64, the same for CSV and JSON;
+- at a nonzero exit, stdout is empty;
+- at exit 0, stderr is empty, the JSON rows carry the CSV's numbers, a
+  rerun prints the same bytes, the N column runs 1..nmax, log2_S_N does
+  not increase with N (within 1e-12 relative), fekete_lower is the largest
+  estimate_N and last_estimate the last one, and the Szego columns are
+  filled only at q = 2.
 """
 import csv
 import io
@@ -37,6 +47,8 @@ SEED = 20261020
 CASES = 200
 SAMPLE_SEED = SEED + 1
 SAMPLE_CASES = 100
+DIMENSION_SEED = SEED + 2
+DIMENSION_CASES = 100
 
 # draws that exit 1 with "cylinder determinant is negative": each diagonal
 # 1 +- g0 of a window is formed from g0 = 2 fhat(0) - 1 after it is rounded
@@ -195,3 +207,43 @@ def test_sample_contract(argv, capsys):
     for i, text in enumerate(ascii_lines):
         single = argv[:argv.index("--trajectories")] + ["--seed", str(seed ^ i)]
         assert _bit_lines(single, capsys, "ascii")[2] == [text]
+
+
+def _dimension_argv(rng) -> list[str]:
+    return ["dimension", "--symbol", json.dumps(_symbol(rng)), "--q", str(_pick(rng, 2, 3)),
+            "--nmax", str(int(rng.integers(1, 11)))]
+
+
+def _dimension_draws() -> list:
+    rng = np.random.default_rng(DIMENSION_SEED)
+    out = []
+    for i in range(DIMENSION_CASES):
+        argv = _dimension_argv(rng)
+        out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}"))
+    return out
+
+
+@pytest.mark.parametrize("argv", _dimension_draws())
+def test_dimension_contract(argv, capsys):
+    q, nmax = (int(argv[argv.index(flag) + 1]) for flag in ("--q", "--nmax"))
+    code, out, err = _run(argv, capsys)
+    json_code, json_out, json_err = _run(argv + ["--format", "json"], capsys)
+    assert code in (0, 2, 64), (code, err)
+    assert (json_code, json_err) == (code, err)
+    if code != 0:
+        assert out == json_out == ""
+        return
+    assert err == ""
+    rows = [{k: _csv_value(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(out))]
+    assert rows == json.loads(json_out)["rows"]
+    assert _run(argv, capsys)[1] == out
+    assert [row["N"] for row in rows] == list(range(1, nmax + 1))
+    log2s = [row["log2_S_N"] for row in rows]
+    for a, b in zip(log2s, log2s[1:]):
+        assert b <= a + 1e-12 * max(abs(a), abs(b)), (a, b)
+    estimates = [row["estimate_N"] for row in rows]
+    assert all(row["fekete_lower"] == max(estimates) for row in rows)
+    assert all(row["last_estimate"] == estimates[-1] for row in rows)
+    for row in rows:
+        assert row["q"] == q
+        assert (row["szego_lower"] is not None, row["szego_upper"] is not None) == (q == 2, q == 2)

@@ -599,6 +599,25 @@ def test_full_state_chain_holds_one_corner(sym, n):
     assert peak < 1.3 * n * n * (8 if sym.has_real_coeffs else 16)
 
 
+@pytest.mark.parametrize("n", [256, 269])
+@pytest.mark.parametrize("sym", [Symbol.arc_indicator(0.1, 0.45), LAZY_SYMBOLS["power_decay"]],
+                         ids=["arc_indicator-complex", "power_decay-real"])
+def test_callers_full_state_chain_holds_two_corners(sym, n):
+    # a caller's chain that drops each state forms each child beside its
+    # parent, a chunk of rows at a time, and keeps a lone child's (1, k, k)
+    # corner as a view of the formed one: this reads 2.25-2.27 corners, a
+    # copy of each lone child 3.02-3.03
+    bits = sample_prefix(sym, n, 3, window=None).bits.tolist()
+
+    def chain():
+        state = PrefixState.root(sym)
+        for bit in bits:
+            state = state.extend(bit)
+        assert state.corner.shape == (n, n)
+
+    assert _traced_peak(chain) < 2.5 * n * n * (8 if sym.has_real_coeffs else 16)
+
+
 def _eager_chain_check(lazy, eager):
     assert lazy.log_prob == eager.log_prob
     assert _same(lazy.corner, eager.corner) and _same(lazy.theta, eager.theta)
