@@ -13,16 +13,17 @@ is a certified lower bound on the limiting dimension; the supremum over
 computed N is reported as ``fekete_lower``.
 
 ``s_n_q_table`` walks the prefix tree level by level inside subtrees whose
-deepest stack of inverse corners fits in STACK_BYTES, so the corners of a
-whole level are formed in one stacked update (see ``measure.PrefixState``),
-and walks the subtree roots depth first.  Its states keep a window as wide
-as the symbol's bandwidth B, which is exact: a band-limited symbol carries
-B x B corners (one number at B <= 1), not corners as long as the prefix
-(the cut stays keyed on the prefix length).  Each level is Kahan-summed in
-lexicographic order, as a depth-first walk sums it, so the sums do not
-depend on the cut.  On a tree that meets an unresolvable prefix the
-ConditioningError names the first such prefix in level order within its
-subtree (a depth-first walk names the first in depth-first order).
+levels each hold at most STACK_ROWS prefixes, whose Schur blocks fit in
+STACK_BYTES, so the blocks of a level are formed together (see
+``measure._SchurBlocks``), and walks the subtree roots depth first.  Its
+states keep a window as wide as the symbol's bandwidth B, which is exact: a
+prefix of length k of a band-limited symbol carries a block of
+min(B + 1, n_max - k) rows (one number at B <= 1), and of any other symbol
+one of n_max - k rows.  Each level is Kahan-summed in lexicographic order,
+as a depth-first walk sums it, so the sums do not depend on the cut.  On a
+tree that meets an unresolvable prefix the ConditioningError names the
+first such prefix in level order within its subtree (a depth-first walk
+names the first in depth-first order).
 """
 from __future__ import annotations
 
@@ -34,12 +35,15 @@ import numpy as np
 
 from . import toeplitz
 from .errors import ConditioningError, SizeCapError, require_int
-from .measure import PrefixState, word_bits
+from .measure import PrefixState, _moment_root, word_bits
 from .symbol import Symbol, g_coeff_fn, one_sidedness, require_range
 
 SNQ_CAP = 22
-# bytes of the deepest level of inverse corners a level-order subtree holds
+# bytes of the Schur blocks of one level that a level-order subtree holds,
+# and the most prefixes of one level it holds (their states, log-probabilities
+# and child entries cost some hundreds of bytes each)
 STACK_BYTES = 256 * 1024
+STACK_ROWS = 512
 SIGMA_CAP = 18
 WALSH_CAP_BITS = 20
 BETA_XATOL = 1e-10
@@ -53,10 +57,14 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # -- S_N^{(q)} via level-order prefix-tree traversal --------------------------
 
 
-def _stack_rows(state: PrefixState, length: int) -> int:
-    """How many inverse corners of prefixes of ``length`` fit in STACK_BYTES."""
-    itemsize = 8 if state.gd.real else 16
-    return STACK_BYTES // (length * length * itemsize)
+def _stack_rows(state: PrefixState, length: int, n_max: int) -> int:
+    """How many prefixes of ``length`` a level of a walk to n_max holds: at
+    most STACK_ROWS, and only as many as whose Schur blocks fit in
+    STACK_BYTES (a one-number state has none)."""
+    if state._x is not None:
+        return STACK_ROWS
+    m = n_max - length if state.window is None else min(state.window + 1, n_max - length)
+    return min(STACK_ROWS, STACK_BYTES // (m * m * (8 if state.gd.real else 16)))
 
 
 def _level_accumulate(level: list, n_max: int, q: float, sums: np.ndarray,
@@ -64,12 +72,12 @@ def _level_accumulate(level: list, n_max: int, q: float, sums: np.ndarray,
     """Add exp(q * log mu) for every descendant prefix of the prefixes in
     ``level``, which are consecutive in lexicographic order.
 
-    The descendants are walked level by level while the next level's corner
-    stack fits in STACK_BYTES (the leaves form no corners).  Then the
+    The descendants are walked level by level while the next level's
+    blocks fit (``_stack_rows``; the leaves form no blocks).  Then the
     deepest level held is cut into runs of consecutive prefixes whose whole
-    subtrees fit, or into single prefixes, and each is walked in turn.  So
-    every level's terms arrive in lexicographic order and are Kahan-summed
-    in it.
+    subtrees fit, level by level, or into single prefixes, and each is
+    walked in turn.  So every level's terms arrive in lexicographic order
+    and are Kahan-summed in it.
     """
     while True:
         depth = level[0].length
@@ -93,10 +101,10 @@ def _level_accumulate(level: list, n_max: int, q: float, sums: np.ndarray,
         if depth + 1 == n_max:
             return
         level = children
-        if depth + 2 < n_max and 2 * len(level) > _stack_rows(level[0], depth + 2):
+        if depth + 2 < n_max and 2 * len(level) > _stack_rows(level[0], depth + 2, n_max):
             break
-    # a run of r prefixes holds r 2^(n_max - 2 - depth) corners at length n_max - 1
-    run = max(1, _stack_rows(level[0], n_max - 1) >> (n_max - 2 - depth))
+    # a run of r prefixes of length depth + 1 holds r 2^(n - depth - 1) at length n
+    run = max(1, min(_stack_rows(level[0], n, n_max) >> (n - depth - 1) for n in range(depth + 1, n_max)))
     for i in range(0, len(level), run):
         _level_accumulate(level[i:i + run], n_max, q, sums, comp)
 
@@ -113,8 +121,7 @@ def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
         raise ValueError(f"s_n_q_table: need finite q > 1, got {q!r}")
     sums = np.zeros(n_max)
     comp = np.zeros(n_max)
-    root = PrefixState.root(sym, window=sym.bandwidth)  # exact
-    _level_accumulate([root], n_max, q, sums, comp)
+    _level_accumulate([_moment_root(sym, n_max)], n_max, q, sums, comp)
     with np.errstate(divide="ignore"):
         log2s = np.log2(sums)
     low = np.nonzero(log2s < np.arange(1, n_max + 1) - 1022)[0]

@@ -209,8 +209,14 @@ class _GData:
 def _chain_child(corner, theta, u, w, tp, s, window):
     """The corner and theta of one child of a prefix, from its parent's
     (corner, theta, u, w), bit sign tp and extension factor s (a numpy
-    scalar), as ``_bordered`` forms a stack of them, but a chunk of rows at
-    a time, last first, beside the parent."""
+    scalar), beside the parent.
+
+    The child's bordered inverse is [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].
+    The rows C + (tp/s) u w are formed a chunk at a time, last first, at
+    their untrimmed length, so numpy rounds every entry as in the untrimmed
+    inverse.  When the window is full the oldest row and column fall out:
+    that row is never formed.
+    """
     j = u.size
     keep = j + 1 if window is None else min(j + 1, window)
     lo = j + 1 - keep
@@ -233,55 +239,23 @@ def _chain_child(corner, theta, u, w, tp, s, window):
     return out, th
 
 
-def _bordered(source, pick, tp, s, window):
-    """The trailing corners and thetas of a stack of children formed from
-    ``source``, the (corner, theta, u, w) stacks of their parents (corners
-    of at least 2 x 2): one child per entry of ``pick`` (its parent's row),
-    of bit sign tp and extension factor s (arrays).
-
-    A child's bordered inverse is [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].
-    The rows C + (tp/s) u w are formed a chunk of children at a time in a
-    contiguous temporary, at their untrimmed length, so numpy rounds every
-    entry as in the untrimmed inverse of one prefix on its own.  When the
-    window is full the oldest row and column fall out: that row is never
-    formed.
-    """
-    corner, theta, u, w = source
-    theta, u, w = theta[pick], u[pick], w[pick]
-    n, j = u.shape
-    keep = j + 1 if window is None else min(j + 1, window)
-    lo = j + 1 - keep
-    ts = tp / s
-    e = np.empty((n, keep, keep), dtype=corner.dtype)
-    th = np.empty((n, keep), dtype=corner.dtype)
-    step = max(1, CHUNK_BYTES // ((j - lo) * j * corner.itemsize))
-    for c0 in range(0, n, step):
-        c = slice(c0, c0 + step)
-        rows = np.multiply(u[c, lo:, None], w[c, None])
-        rows *= ts[c, None, None]
-        rows += corner[pick[c], lo:]
-        e[c, :-1, :-1] = rows[..., lo:]
-    np.divide(u[:, lo:], -s[:, None], out=e[:, :-1, -1])
-    e[:, -1, :-1] = ((-ts)[:, None] * w)[:, lo:]
-    e[:, -1, -1] = 1.0 / s
-    th[:, :-1] = theta[:, lo:]
-    th[:, -1] = tp
-    return e, th
-
-
 class _CornerStack:
     """The inverse corners of n prefixes of one length, as one (n, k, k)
-    stack, with their signs theta as one (n, k) stack, for every n: the
-    root and a caller's chain are stacks of one.
+    stack, with their signs theta as one (n, k) stack: the states of a
+    caller's held chain or tree (``PrefixState.root``), whose ``corner``
+    and ``theta`` a caller may read.  The root and a chain are stacks of
+    one.
 
     ``PrefixState.extend`` appends each child of a row to the stack's
-    ``pending`` child stack: its parent row, bit sign tp and extension
-    factor s.  A child stack keeps the arrays of its parent that it needs
-    (``source``), not the parent itself, so no reference cycle forms.  It
-    forms the corners of all its children in one stacked update on first
-    use (``formed``), then drops ``source``; a child appended after that
+    ``pending`` child stack, as 2 row + bit; its extension factor s is read
+    back from the parent's alpha.  A child stack keeps the arrays of its
+    parent that it needs (``source``), not the parent itself, so no
+    reference cycle forms.  It
+    forms the corners of its children on first use (``formed``), each
+    beside its parent, then drops ``source``; a child appended after that
     starts a new stack.  ``extension`` forms every row's (u, w, alpha) in
-    one stacked update too.  The sampler's chain is no stack of these but a
+    one stacked update.  The library's own walks form no corner: the
+    moment-sum walk steps ``_SchurBlocks`` and the sampler a
     ``_SchurChain``.
     """
 
@@ -290,7 +264,7 @@ class _CornerStack:
     def __init__(self, gd: _GData, window, parent=None, corner=None, theta=None):
         self.gd = gd
         self.window = window
-        self.source = None if parent is None else (parent.corner, parent.theta, *parent.uw)
+        self.source = None if parent is None else (parent.corner, parent.theta, *parent.uw, parent.alphas)
         self.kids = []
         self.corner = corner
         self.theta = theta
@@ -302,26 +276,23 @@ class _CornerStack:
         return self
 
     def _form(self) -> None:
-        """Form corner and theta from the parent's, then drop them.  The only
-        child, and each child of a corner of at most 1 x 1, is formed on its
-        own (``_chain_child``): numpy rounds a 1 x 1 complex product of one
-        prefix in its scalar loop, but those of several prefixes in its SIMD
-        loop, whose fused multiply-add rounds differently.  Other children
-        are formed as one stack (``_bordered``).
-        """
-        source, kids, window = self.source, self.kids, self.window
+        """Form corner and theta from the parent's, then drop them: each
+        child on its own, beside its parent (``_chain_child``), so that numpy
+        rounds every entry as in the eager route."""
+        *source, alphas = self.source
+        kids, window, scalar = self.kids, self.window, source[0].dtype.type
         self.source = self.kids = None
-        dtype = source[0].dtype
-        if len(kids) == 1 or source[2].shape[1] <= 1:
-            parts = [_chain_child(*[a[row] for a in source], tp, dtype.type(s), window)
-                     for row, tp, s in kids]
-            # a lone child's arrays as views, not copies: a chain holds two corners
-            self.corner, self.theta = ([a[None] for a in parts[0]] if len(parts) == 1
-                                       else map(np.stack, zip(*parts)))
-        else:
-            rows, tp, s = zip(*kids)
-            self.corner, self.theta = _bordered(source, np.array(rows), np.array(tp),
-                                                np.array(s, dtype=dtype), window)
+        parts = []
+        for kid in kids:
+            row, tp = kid >> 1, 2.0 * (kid & 1) - 1.0
+            parts.append(_chain_child(*[a[row] for a in source], tp, scalar(1.0 + tp * alphas[row]), window))
+        # a lone child's arrays as views, not copies: a chain holds two corners
+        self.corner, self.theta = ([a[None] for a in parts[0]] if len(parts) == 1
+                                   else map(np.stack, zip(*parts)))
+
+    def children(self) -> "_CornerStack":
+        """A new pending child stack."""
+        return _CornerStack(self.gd, self.window, parent=self)
 
     def extension(self) -> list:
         """alpha of every row, forming each row's (u, w) for appending the
@@ -336,6 +307,77 @@ class _CornerStack:
             self.alphas = (gd.g0 - (r @ u[..., None])[..., 0]).tolist()
             self.uw = (u, r @ corner)
         return self.alphas
+
+
+class _SchurBlocks:
+    """The moment-sum walk's matrix states (``_moment_root``): the n
+    prefixes of one length k as one (n, m, m) stack of the Schur complements
+
+        Z = T_F(g) - T_FK (T_KK + D(theta_K))^-1 T_KF
+
+    of each prefix's drawn positions K = 0 .. k - 1 in the positions F it
+    has still to draw within reach, k .. min(k + window, n_max - 1) (every
+    one up to n_max - 1 at window None), so m = min(window + 1, n_max - k).
+    A row's alpha is its pivot Z[0, 0].  Z is Hermitian, so the pivots are
+    real: ``extension`` checks their imaginary residues against IMAG_TOL
+    once and hands ``PrefixState.extend`` real alphas, keeping the complex
+    value only on a row whose residue passes it, where ``extend`` raises.
+
+    As ``_CornerStack`` does, a stack appends each child of a row to its
+    ``pending`` child stack, which keeps the parent's blocks (``source``)
+    until it forms its own, on first use, all at once.  Each child's block
+    is one subtract, Z[1:, 1:] - (tp/s) Z[1:, 0] Z[0, 1:], with the outer
+    product formed once per parent row for all of its children.  At a
+    finite window a position comes into reach at each step while one is
+    left: no drawn position reaches it, so its row ghat(m - 1) .. ghat(1),
+    column ghat(1 - m) .. ghat(-1) and diagonal g0 are constant (``edge``),
+    and are written in.  No inverse corner is formed.
+    """
+
+    __slots__ = ("edge", "left", "source", "kids", "block", "alphas", "pending")
+
+    def __init__(self, edge: tuple, left: int, block=None, source=None):
+        self.edge, self.left, self.block, self.source = edge, left, block, source
+        self.kids, self.alphas, self.pending = [], None, None
+
+    @classmethod
+    def root(cls, ghat, window, n_max: int) -> "_SchurBlocks":
+        """The empty prefix of a walk to n_max bits: T_F(g) itself."""
+        reach = n_max - 1 if window is None else min(window, n_max - 1)
+        top = toeplitz.build_T(ghat, np.arange(reach + 1))
+        return cls((reach, top[-1].copy(), top[:-1, -1].copy()), n_max, block=top[None])
+
+    def children(self) -> "_SchurBlocks":
+        """A new pending child stack."""
+        return _SchurBlocks(self.edge, self.left - 1, source=(self.block, self.block[:, 0, 0].real))
+
+    def _form(self) -> None:
+        """Form every child's block from its parent's, then drop the parents'."""
+        (z, alphas), kids = self.source, np.array(self.kids)
+        self.source = self.kids = None
+        reach, edge_row, edge_col = self.edge
+        pick, tp = kids >> 1, 2.0 * (kids & 1) - 1.0
+        j = z.shape[1] - 1
+        upd = (z[:, 1:, :1] * z[:, :1, 1:])[pick]  # the outer product once per parent row
+        upd *= (tp / (1.0 + tp * alphas[pick]))[:, None, None]  # tp / s, as extend rounds it
+        m = min(reach + 1, self.left)
+        block = np.empty((kids.size, m, m), z.dtype)
+        np.subtract(z[pick, 1:, 1:], upd, out=block[:, :j, :j])
+        if m > j:  # the position that comes into reach
+            block[:, j] = edge_row
+            block[:, :j, j] = edge_col
+        self.block = block
+
+    def extension(self) -> list:
+        """alpha of every row, forming the rows' blocks first."""
+        if self.block is None:
+            self._form()
+        a = self.block[:, 0, 0]
+        alphas = self.alphas = a.real.tolist()
+        if a.dtype.kind == "c":
+            for i in np.flatnonzero(np.abs(a.imag) > IMAG_TOL).tolist():
+                alphas[i] = complex(a[i])  # extend raises on this row
+        return alphas
 
 
 class _SchurChain:
@@ -441,28 +483,33 @@ class PrefixState:
     does at window 1.  Such a state has no ``corner`` or ``theta``: reading
     them raises AttributeError.
 
-    Every other state is one row of a stack of prefixes of its length
-    (``_CornerStack``).  Its row holds the trailing ``window`` x ``window``
-    corner of the inverse of D(theta) T_k(g) + I (the full inverse when
-    window is None), which is all the next conditional probability needs.
+    Every other state is one row of a stack of prefixes of its length.
     ``extend`` does only scalar work: the extension factor s, its checks and
-    ``log_prob``; it appends the child to its row's pending child stack.
-    That stack forms the corners of all its children together, at O(window^2)
-    each, on the first ``conditional_one`` or ``extend`` of any of them, or
-    when ``corner`` or ``theta`` is first read, and then drops the parent
-    arrays it kept.  So the leaves of a prefix tree never form a corner, and
-    the children of a whole tree level form theirs in one stacked update.
-    The children of a state built by ``root`` are formed beside their
-    parent, so a state and its corner keep their values however long a
-    caller holds them, and a chain step holds two corners.  The sampler's
-    chain (``_sampled_bits``) hands no state out, so its states share one
-    ``_SchurChain`` instead of a corner stack: ``conditional_one`` reads its
-    alpha as a stack's, and ``extend`` steps it, one gemv forming the next
-    pivot column, with no corner.  Either recursion is exact when the
-    window is None or covers the symbol's bandwidth, so the moment-sum walk
-    and the sampler root their states at window = bandwidth; any other
-    window truncates the coefficients beyond it (a geometric symbol too,
-    whose one-number state needs window None).
+    ``log_prob``; it appends the child to its row's pending child stack,
+    which forms the arrays of all its children together, on the first
+    ``conditional_one`` or ``extend`` of any of them, and then drops the
+    parent arrays it kept.  So the leaves of a prefix tree never form one.
+    Three kinds of stack serve three walks:
+
+    - a caller's held chain or tree (``root``) steps ``_CornerStack``: its
+      row holds the trailing ``window`` x ``window`` corner of the inverse
+      of D(theta) T_k(g) + I (the full inverse when window is None), which
+      a caller may read as ``corner`` and ``theta``.  Each child is formed
+      beside its parent, so a state and its corner keep their values
+      however long a caller holds them, and a chain step holds two corners;
+    - the moment-sum walk (``_moment_root``) steps ``_SchurBlocks``: its row
+      holds the Schur complement of the drawn positions in those still to
+      draw within reach, and a whole tree level forms its children's blocks
+      at once, with no inverse corner;
+    - the sampler's chain (``_sampled_bits``) hands no state out, so its
+      states share one ``_SchurChain``: ``conditional_one`` reads its alpha
+      as a stack's, and ``extend`` steps it, one gemv forming the next pivot
+      column.
+
+    Each recursion is exact when the window is None or covers the symbol's
+    bandwidth, so the moment-sum walk and the sampler root their states at
+    window = bandwidth; any other window truncates the coefficients beyond
+    it (a geometric symbol too, whose one-number state needs window None).
     """
 
     __slots__ = ("gd", "window", "length", "log_prob", "_stack", "_row", "_x")
@@ -543,10 +590,10 @@ class PrefixState:
                 child_stack, row = stack, 0
             else:
                 child_stack = stack.pending
-                if child_stack is None or child_stack.corner is not None:
-                    child_stack = stack.pending = _CornerStack(gd, self.window, parent=stack)
+                if child_stack is None or child_stack.kids is None:
+                    child_stack = stack.pending = stack.children()
                 kids = child_stack.kids
-                kids.append((self._row, tp, s))
+                kids.append(2 * self._row + (tp > 0.0))  # the row and the bit
                 row = len(kids) - 1
         else:
             child_stack, row = None, 0
@@ -560,6 +607,15 @@ class PrefixState:
         child.log_prob, child._stack, child._row = log_prob, child_stack, row
         child._x = x
         return child
+
+
+def _moment_root(sym: Symbol, n_max: int) -> PrefixState:
+    """The empty prefix of the moment-sum walk to n_max bits, at window =
+    bandwidth (exact): one number, or a row of ``_SchurBlocks``."""
+    state = PrefixState.root(sym, window=sym.bandwidth)
+    if state._stack is not None:
+        state._stack = _SchurBlocks.root(state.gd.ghat, state.window, n_max)
+    return state
 
 
 def _sampled_bits(sym: Symbol, window: int | None, n: int, rng: np.random.Generator) -> np.ndarray:

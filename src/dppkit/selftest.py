@@ -67,10 +67,11 @@ def _check_determinant_identities() -> None:
 
 
 def _check_dimension_oracles() -> None:
-    # two one-number states, and a complex band-limited symbol whose moment
-    # sums take the stacked inverse-corner route
+    # two one-number states, and two symbols whose moment sums take the
+    # Schur-block route: a complex band-limited one (4 x 4 blocks) and one
+    # with no bandwidth (full-state blocks, shrinking with the depth)
     for sym in (Symbol.raised_cosine(0.5, 0.5), Symbol.poisson(0.75, 0.125),
-                Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])):
+                Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]), Symbol.arc_indicator(0.1, 0.45)):
         s = dimension.s_n_q_table(sym, 6, 2)[-1]
         direct = np.logaddexp.reduce(2.0 * measure.cylinder_log_probs_direct(sym, 6)) / math.log(2)
         _require(abs(s - direct) < 1e-9, f"S_6 vs determinants of {sym.family}")

@@ -6,17 +6,18 @@ correlation-ratio matrix H and the all-ones witness formed from them, the
 direct cylinder determinant, the joint cylinder probability from the signed
 joint window alone, the next-bit conditional by a walk of prefix states,
 the sampler's Schur chain step that slices its buffer on every bit, moment
-sums from one batched determinant per word, the parity coefficient
-of the Walsh tuple sum, the complement symbol 1 - f, the N x N P/Q route of
-the finite-window search with its per-pair deviation and trace-norm grids,
-the closed-form Hilbert-Schmidt norm of the coupling block, the eager
-prefix extension that forms every child's inverse corner as soon as the
-child is created, the depth-first moment-sum walk of the prefix tree, the
-Szego upper bound on the correlation dimension by scipy's bounded Brent
-search and by a fine beta grid, the chi-square fit of sampled word
-frequencies against the exact cylinder probabilities, the longest common
-substring by a suffix automaton, and the correlation dimension of
-poisson(0.75, 0.125) from its transfer operator.
+sums from one batched determinant per word and at 50 digits from a Schur
+tree walk, the parity coefficient of the Walsh tuple sum, the complement
+symbol 1 - f, the N x N P/Q route of the finite-window search with its
+per-pair deviation and trace-norm grids, the closed-form Hilbert-Schmidt norm
+of the coupling block, the eager prefix extension that forms every child's
+inverse corner, or its Schur block, as soon as the child is created, the
+depth-first moment-sum walk of the prefix tree, the Szego upper bound on
+the correlation dimension by scipy's bounded Brent search and by a fine
+beta grid, the chi-square fit of sampled word frequencies against the exact
+cylinder probabilities, the longest common substring by a suffix automaton,
+and the correlation dimension of poisson(0.75, 0.125) from its transfer
+operator.
 """
 from __future__ import annotations
 
@@ -155,6 +156,61 @@ def s_n_q_direct(sym: Symbol, N: int, q: float) -> float:
     logs = cylinder_log_probs_direct(sym, N)
     finite = logs[logs > -math.inf]
     return float(np.log2(np.sum(np.exp(q * finite))))
+
+
+def s_n_q_mp(sym: Symbol, n_max: int, q, dps: int = 50) -> list:
+    """log2 S_N^(q) for N = 1..n_max at ``dps`` digits, from the double
+    coefficients ghat taken as exact: the prefix tree walked level by level
+    on the Schur complement of each prefix in every position still to draw
+    (no window), each mu the product of its factors s / 2."""
+    ghat = g_coeff_fn(sym)(np.arange(-n_max, n_max + 1)).tolist()  # ghat(d) at n_max + d
+    out = []
+    with mpmath.workdps(dps):
+        g = [mpmath.mpmathify(v) for v in ghat]
+        q = mpmath.mpmathify(q)
+        level = [(mpmath.mpf(1), [[g[n_max + i - j] for j in range(n_max)] for i in range(n_max)])]
+        for n in range(1, n_max + 1):
+            total, children = mpmath.mpf(0), []
+            for mass, z in level:
+                for tp in (-1, 1):
+                    s = mpmath.re(1 + tp * z[0][0])
+                    if s <= 0:
+                        raise ValueError("a word of mass 0")
+                    total += (mass * s / 2) ** q
+                    if n < n_max:
+                        d = tp / s
+                        children.append((mass * s / 2, [[z[i][j] - d * z[i][0] * z[0][j]
+                                                         for j in range(1, len(z))] for i in range(1, len(z))]))
+            out.append(mpmath.log(total, 2))
+            level = children
+    return out
+
+
+def psi_finite_window_mp(sym: Symbol, ell: int, N: int, dps: int = 50) -> float:
+    """psi_N(ell) = max over word pairs of |R - 1|, R = mu[eps, gap, eps'] /
+    (mu[eps] mu[eps']), from determinants of the f-form windows
+    det(D(2 eps - 1) T_J(f) + D(1 - eps)) at ``dps`` digits, the double
+    coefficients fhat taken as exact."""
+    J = toeplitz.joint_index_set(N, ell)
+    fhat = sym.coeffs(np.subtract.outer(J, J)).tolist()
+    bits = measure.word_bits(N).tolist()
+    with mpmath.workdps(dps):
+        f = [[mpmath.mpmathify(v) for v in row] for row in fhat]
+
+        def mu(word, rows):
+            m = mpmath.matrix(len(rows), len(rows))
+            for a, (i, e) in enumerate(zip(rows, word)):
+                for b, j in enumerate(rows):
+                    m[a, b] = (2 * e - 1) * f[i][j] + (1 - e if a == b else 0)
+            return mpmath.re(mpmath.det(m))
+
+        inner, outer = list(range(N)), list(range(N, 2 * N))
+        marginal = [mu(word, inner) for word in bits]
+        worst = mpmath.mpf(0)
+        for eps, p in zip(bits, marginal):
+            for eps_p, p_p in zip(bits, marginal):
+                worst = max(worst, abs(mu(eps + eps_p, inner + outer) / (p * p_p) - 1))
+        return float(worst)
 
 
 def walsh_tuple_coefficient(masks: "list[int]", N: int) -> int:
@@ -346,6 +402,68 @@ class EagerPrefixState:
         )
 
 
+class EagerSchurState:
+    """The eager Schur route of the moment-sum walk: each ``extend`` forms
+    the child's Schur block at once, one prefix at a time, by the rule that
+    the library's ``measure._SchurBlocks`` applies to a whole level.
+
+    The block is the Schur complement of the drawn positions 0 .. k - 1 in
+    the positions k .. min(k + window, n_max - 1) still to draw within
+    reach (every one up to n_max - 1 at window None).  alpha is its pivot,
+    and extend checks the extension factor s as ``PrefixState.extend``
+    does.  The child's block is Z[1:, 1:] - (tp / Re s) Z[1:, 0] Z[0, 1:],
+    with the row, column and diagonal of a position that comes into reach
+    read from the coefficients: no drawn position reaches it.  On real
+    symbols the library matches it byte for byte.  On complex ones numpy
+    may round a product of one prefix's block (its scalar loop) unlike one
+    of a stack (its SIMD loop, with a fused multiply-add), so the moment
+    sums agree within a few ulps.
+    """
+
+    __slots__ = ("ghat", "reach", "n_max", "length", "block", "log_prob")
+
+    @classmethod
+    def root(cls, sym: Symbol, *, window: int | None = None, n_max: int) -> "EagerSchurState":
+        state = cls()
+        state.ghat = g_coeff_fn(sym)
+        state.reach = n_max - 1 if window is None else min(window, n_max - 1)
+        state.n_max, state.length, state.log_prob = n_max, 0, 0.0
+        state.block = toeplitz.build_T(state.ghat, np.arange(state.reach + 1))
+        return state
+
+    def conditional_one(self) -> float:
+        """P(next bit = 1 | prefix), unclamped."""
+        alpha = self.block[0, 0].item()
+        if abs(alpha.imag) > IMAG_TOL:
+            raise _unresolved(self.length, self.log_prob, abs(1.0 + alpha), alpha.imag)
+        return 0.5 * (1.0 + alpha.real)
+
+    def extend(self, bit: int) -> "EagerSchurState":
+        z = self.block
+        tp = 2.0 * bit - 1.0
+        s = 1.0 + tp * z[0, 0].item()
+        if abs(s.imag) > IMAG_TOL:
+            raise _unresolved(self.length, self.log_prob, abs(s), s.imag)
+        s = s.real
+        if s <= 0.0:
+            raise ConditioningError(
+                f"prefix probability vanishes extending with bit {bit} at position {self.length}"
+            )
+        child = EagerSchurState()
+        child.ghat, child.reach, child.n_max = self.ghat, self.reach, self.n_max
+        child.length, child.log_prob = self.length + 1, self.log_prob + math.log(s / 2.0)
+        m = min(self.reach + 1, self.n_max - child.length)
+        j = z.shape[0] - 1
+        block = np.empty((m, m), dtype=z.dtype)
+        if j:
+            block[:j, :j] = z[1:, 1:] - (tp / s) * np.multiply.outer(z[1:, 0], z[0, 1:])
+        if m > j:
+            block[j] = self.ghat(np.arange(j, -1, -1))
+            block[:j, j] = self.ghat(np.arange(-j, 0))
+        child.block = block
+        return child
+
+
 def _dfs_accumulate(state, n_max: int, qs: tuple, sums: np.ndarray, comp: np.ndarray) -> None:
     """Add exp(q * log mu) for every descendant prefix and every q in qs,
     Kahan-compensated per level."""
@@ -367,12 +485,15 @@ def s_n_q_table_dfs(sym: Symbol, n_max: int, q, route=EagerPrefixState,
     """log2 S_N^(q) for N = 1..n_max by a depth-first walk of the prefix
     tree of ``route`` states rooted at ``window`` (None: the full state):
     every level's terms in lexicographic order, each level Kahan-summed, as
-    the level-order walk must sum them.  The library walks at window =
-    bandwidth.  A tuple of q gives one row per q from the one walk."""
+    the level-order walk must sum them.  The library walks the Schur route
+    (``EagerSchurState``) at window = bandwidth.  A tuple of q gives one row
+    per q from the one walk."""
     qs = q if isinstance(q, tuple) else (q,)
     sums = np.zeros((len(qs), n_max))
     comp = np.zeros((len(qs), n_max))
-    _dfs_accumulate(route.root(sym, window=window), n_max, qs, sums, comp)
+    root = (route.root(sym, window=window, n_max=n_max) if route is EagerSchurState
+            else route.root(sym, window=window))
+    _dfs_accumulate(root, n_max, qs, sums, comp)
     out = np.log2(sums)
     return out if isinstance(q, tuple) else out[0]
 

@@ -16,6 +16,8 @@ import dppkit
 from dppkit import Symbol, cli, cylinder_prob
 from dppkit.cli import build_parser, main
 
+from oracles import s_n_q_mp
+
 POISSON = '{"family":"poisson","params":{"c":0.5,"r":0.25}}'
 FAIR = '{"family":"constant","params":{"a":0.5}}'
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -296,20 +298,21 @@ def test_closed_form_tail_takes_any_truncation(capsys):
 
 
 def test_unresolved_prefix_mass_exit_2(capsys):
-    # arc_indicator(0.1, 0.45) has range exactly [0, 1]: past N = 9 some words
-    # are too improbable for the prefix recursion and the batched determinant
+    # arc_indicator(0.1, 0.45) has range exactly [0, 1]: some words are too
+    # improbable to resolve, past N = 9 for the batched determinant and past
+    # N = 10 for the moment-sum walk's Schur blocks
     arc = '{"family":"arc_indicator","params":{"alpha":0.1,"beta":0.45}}'
-    for argv in (["dimension", "--symbol", arc, "--q", "2", "--nmax", "10"],
-                 ["cylinder", "--symbol", arc, "--N", "10"]):
+    for argv, position in ((["dimension", "--symbol", arc, "--q", "2", "--nmax", "11"], 10),
+                           (["cylinder", "--symbol", arc, "--N", "10"], 9)):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         diag = json.loads(err)
         assert diag["error"] == "ConditioningError"
-        assert re.fullmatch(r"prefix mass \S+ too small to resolve at position 9: "
+        assert re.fullmatch(rf"prefix mass \S+ too small to resolve at position {position}: "
                             r"\|s\| = \S+, imaginary residue \S+", diag["message"])
         assert "np.float64" not in diag["message"]
-    code, out, _ = run_cli(["dimension", "--symbol", arc, "--q", "2", "--nmax", "9"], capsys)
-    assert code == 0 and len(out.splitlines()) == 10
+    code, out, _ = run_cli(["dimension", "--symbol", arc, "--q", "2", "--nmax", "10"], capsys)
+    assert code == 0 and len(out.splitlines()) == 11
     code, out, _ = run_cli(["cylinder", "--symbol", arc, "--N", "8"], capsys)
     assert code == 0 and len(out.splitlines()) == 2 ** 8 + 1
 
@@ -610,13 +613,25 @@ def test_cli_bytes_match_golden(tmp_path, monkeypatch, capsys, name):
     _golden_bytes(name, GOLDEN_CASES[name], tmp_path, monkeypatch, capsys)
 
 
+def test_arc_dimension_golden_is_within_an_ulp_of_mpmath():
+    # the ten moment sums the golden prints, from the full-state Schur
+    # blocks of a symbol with range exactly [0, 1], against 50 digits
+    text = (GOLDEN / "arc-dimension-nmax10.txt").read_text(encoding="utf-8")
+    rows = text.split("--- stdout\n", 1)[1].split("--- stderr", 1)[0].splitlines()[1:]
+    got = np.array([float(row.split(",")[2]) for row in rows])
+    want = np.array([float(v) for v in s_n_q_mp(Symbol.arc_indicator(0.1, 0.45), 10, 2)])
+    assert got.size == 10
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
 # The goldens whose bytes the CPU kernel decides.  An AVX2-only CPU is
 # emulated by OpenBLAS's Haswell kernel with numpy's AVX-512 loops off; on
 # this setting LAPACK's determinants of the ill-conditioned arc windows and of
 # the complex trig_poly windows round differently, and nothing else moves.
-# Turning numpy's AVX2 loops off too (x86-64-v2) moves the same five.
-KERNEL_DEPENDENT_GOLDENS = {"arc-cylinder-N8", "arc-cylinder-N10", "arc-dimension-nmax10", "arc-psi",
-                            "trig-cylinder-N"}
+# The moment-sum walk runs no LAPACK or BLAS call, so arc-dimension-nmax10
+# holds there; turning numpy's AVX2 loops off too (x86-64-v2) moves it, as
+# numpy's complex products then round its Schur blocks differently.
+KERNEL_DEPENDENT_GOLDENS = {"arc-cylinder-N8", "arc-cylinder-N10", "arc-psi", "trig-cylinder-N"}
 EMULATED_AVX2 = {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 
@@ -782,28 +797,28 @@ def test_selftest_catches_a_broken_one_number_state_under_optimize():
 
 
 def test_selftest_catches_a_broken_stacked_corner_build_under_optimize():
-    # a stacked corner update (several children formed together) that is off
-    # by one part in 10^6 fails the battery's moment-sum check, also under -O
+    # the moment-sum walk's Schur blocks (a whole level's children formed
+    # together) off by one part in 10^6 fail the battery's moment-sum
+    # check, with and without -O
     src = os.path.dirname(os.path.dirname(dppkit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
         "import runpy, sys\n"
-        "from dppkit.measure import _CornerStack\n"
-        "form = _CornerStack._form\n"
+        "from dppkit.measure import _SchurBlocks\n"
+        "form = _SchurBlocks._form\n"
         "def skewed(self):\n"
-        "    stacked = len(self.kids) > 1\n"
         "    form(self)\n"
-        "    if stacked:\n"
-        "        self.corner = self.corner * (1.0 + 1e-6)\n"
-        "_CornerStack._form = skewed\n"
+        "    self.block = self.block * (1.0 + 1e-6)\n"
+        "_SchurBlocks._form = skewed\n"
         "sys.argv = ['dppkit', 'selftest']\n"
         "runpy.run_module('dppkit', run_name='__main__')\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 1
-    assert "FAIL dimension oracle equivalence" in proc.stdout
-    assert "S_6 vs determinants of trig_poly" in proc.stdout
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 1
+        assert "FAIL dimension oracle equivalence" in proc.stdout
+        assert "S_6 vs determinants of trig_poly" in proc.stdout
 
 
 def test_selftest_catches_a_broken_chain_corner_under_optimize(tmp_path):

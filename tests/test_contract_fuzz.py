@@ -1,4 +1,5 @@
-"""A seeded contract fuzz of ``dppkit psi`` and ``dppkit sample``.
+"""A seeded contract fuzz of ``dppkit psi``, ``sample``, ``dimension`` and
+``cylinder``.
 
 Argument lists are drawn from fixed-seed numpy Generators over the six
 symbol families, with parameters at their edges: |r| near 1, c near 0,
@@ -32,16 +33,30 @@ Every dimension case, at q in {2, 3} and --nmax 1-10, must meet its own:
   not increase with N (within 1e-12 relative), fekete_lower is the largest
   estimate_N and last_estimate the last one, and the Szego columns are
   filled only at q = 2.
+
+Every cylinder case, at --N 1-10 or 1-3 --word of length 1-40, must meet
+its own:
+
+- the exit code is 0, 1, 2 or 64, the same for CSV and JSON;
+- at a nonzero exit, stdout is empty;
+- at exit 0, stderr is empty, the JSON rows carry the CSV's values, a rerun
+  prints the same bytes, log2_probability is log2 of probability within
+  1e-12 relative wherever the probability is positive, and at --N the
+  probabilities sum to 1 within 1e-9.
 """
 import csv
 import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from dppkit import Symbol
 from dppkit.cli import main
+
+from oracles import psi_finite_window_mp
 
 SEED = 20261020
 CASES = 200
@@ -49,12 +64,8 @@ SAMPLE_SEED = SEED + 1
 SAMPLE_CASES = 100
 DIMENSION_SEED = SEED + 2
 DIMENSION_CASES = 100
-
-# draws that exit 1 with "cylinder determinant is negative": each diagonal
-# 1 +- g0 of a window is formed from g0 = 2 fhat(0) - 1 after it is rounded
-DIRECTION_6 = pytest.mark.xfail(
-    strict=True, reason="ROADMAP direction 6: 1 +- g0 cancellation at |r| near 1 and c near 0")
-KNOWN_FAILURES = {149}  # poisson(1e-12, -0.999999)
+CYLINDER_SEED = SEED + 3
+CYLINDER_CASES = 100
 
 
 def _pick(rng, *options):
@@ -121,8 +132,7 @@ def _draws() -> list:
     out = []
     for i in range(CASES):
         argv = _argv(rng)
-        marks = [DIRECTION_6] if i in KNOWN_FAILURES else []
-        out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}", marks=marks))
+        out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}"))
     return out
 
 
@@ -247,3 +257,63 @@ def test_dimension_contract(argv, capsys):
     for row in rows:
         assert row["q"] == q
         assert (row["szego_lower"] is not None, row["szego_upper"] is not None) == (q == 2, q == 2)
+
+
+def test_psi_draw_149_matches_mpmath(capsys):
+    # poisson(1e-12, -0.999999), once refused with "cylinder determinant is
+    # negative": each marginal window's diagonal came from the rounded g0.
+    # Its three finite-window values against 50-digit determinants
+    argv = _draws()[149].values[0]
+    code, out, err = _run(argv, capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(row["ell"]) for row in rows] == [6, 7, 8]
+    sym = Symbol.poisson(1e-12, -0.999999)
+    assert json.loads(argv[2]) == {"family": "poisson", "params": {"c": 1e-12, "r": -0.999999}}
+    for row in rows:
+        want = psi_finite_window_mp(sym, int(row["ell"]), 4)
+        assert float(row["finite_window_value"]) == pytest.approx(want, rel=1e-15)
+
+
+def _cylinder_argv(rng) -> list[str]:
+    argv = ["cylinder", "--symbol", json.dumps(_symbol(rng))]
+    if rng.uniform() < 0.5:
+        return argv + ["--N", str(int(rng.integers(1, 11)))]
+    for _ in range(int(rng.integers(1, 4))):
+        argv += ["--word", "".join(map(str, rng.integers(0, 2, int(rng.integers(1, 41)))))]
+    return argv
+
+
+def _cylinder_draws() -> list:
+    rng = np.random.default_rng(CYLINDER_SEED)
+    out = []
+    for i in range(CYLINDER_CASES):
+        argv = _cylinder_argv(rng)
+        out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}"))
+    return out
+
+
+@pytest.mark.parametrize("argv", _cylinder_draws())
+def test_cylinder_contract(argv, capsys):
+    code, out, err = _run(argv, capsys)
+    json_code, json_out, json_err = _run(argv + ["--format", "json"], capsys)
+    assert code in (0, 1, 2, 64), (code, err)
+    assert (json_code, json_err) == (code, err)
+    if code != 0:
+        assert out == json_out == ""
+        return
+    assert err == ""
+    rows = [{"word": row["word"], "probability": float(row["probability"]),
+             "log2_probability": float(row["log2_probability"])}
+            for row in csv.DictReader(io.StringIO(out))]
+    assert rows == json.loads(json_out)["rows"]
+    assert _run(argv, capsys)[1] == out
+    for row in rows:
+        if row["probability"] > 0.0:
+            assert row["log2_probability"] == pytest.approx(math.log2(row["probability"]), rel=1e-12)
+    if "--N" in argv:
+        n = int(argv[argv.index("--N") + 1])
+        assert len(rows) == 2 ** n
+        assert math.fsum(row["probability"] for row in rows) == pytest.approx(1.0, abs=1e-9)
+    else:
+        assert [row["word"] for row in rows] == argv[4::2]

@@ -25,9 +25,9 @@ from dppkit.symbol import g_coeff_fn
 from dppkit.toeplitz import build_T
 
 from conftest import random_interior_symbol
-from oracles import (EagerPrefixState, build_T_window, build_lambda, complement, conditional_next,
-                     cylinder_prob_direct, hs_norm_sq_lambda, joint_cylinder_log_prob,
-                     s_n_q_table_dfs)
+from oracles import (EagerPrefixState, EagerSchurState, build_T_window, build_lambda, complement,
+                     conditional_next, cylinder_prob_direct, hs_norm_sq_lambda, joint_cylinder_log_prob,
+                     s_n_q_mp, s_n_q_table_dfs)
 
 
 def _all_words(n):
@@ -435,11 +435,30 @@ def test_one_number_log_prob_matches_mpmath(name):
         assert abs(state.log_prob - want) <= ULPS.get(name, WELL_CONDITIONED_ULPS)[1] * U * abs(want)
 
 
+def _schur_walk(sym, n_max, q):
+    """The depth-first walk of the eager Schur route at window = bandwidth."""
+    return s_n_q_table_dfs(sym, n_max, q, route=EagerSchurState, window=sym.bandwidth)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("name", ["poisson", "raised_cosine", "trig_poly-complex"])
 def test_moment_sums_match_eager_oracle_walk(name, q):
+    # the one-number states walk as the eager corner route does, byte for
+    # byte.  The complex symbol's Schur blocks match the eager Schur route
+    # within COMPLEX_ULPS (numpy may round a complex product of a stack
+    # unlike one of a single block), and the eager corner route, a
+    # different elimination, within one ulp; where a sum moves off the
+    # corner route it is within one ulp of 50 digits
     sym = LAZY_SYMBOLS[name]
-    assert s_n_q_table(sym, 10, q).tobytes() == s_n_q_table_dfs(sym, 10, q).tobytes()
+    got, corner = s_n_q_table(sym, 10, q), s_n_q_table_dfs(sym, 10, q)
+    if name != "trig_poly-complex":
+        assert got.tobytes() == corner.tobytes()
+        return
+    assert _within_ulps(got, _schur_walk(sym, 10, q), COMPLEX_ULPS)
+    assert _within_ulps(got, corner, 1)
+    moved = np.nonzero(got != corner)[0]  # natively 2 of 10 sums at q = 2, 1 at q = 3
+    want = np.array([float(v) for v in s_n_q_mp(sym, 10, q)])
+    assert _within_ulps(got[moved], want[moved], 1)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -452,12 +471,13 @@ def test_one_number_moment_sums_match_eager_oracle_walk(name, q):
 @pytest.mark.parametrize("route", [PrefixState, EagerPrefixState])
 def test_lazy_extend_raises_where_eager_does(route):
     # the same ConditioningError at the same bit: an imaginary residue on a
-    # tree walk (the library's level-order walk, and the depth-first walk
-    # of the eager route), and a vanishing factor on a chain
-    walk = s_n_q_table if route is PrefixState else s_n_q_table_dfs
-    with pytest.raises(ConditioningError, match=r"^prefix mass 3\.62e-19 too small to resolve "
-                       r"at position 9: \|s\| = 2, imaginary residue -6\.36e-10$"):
-        walk(Symbol.arc_indicator(0.1, 0.45), 10, 2)
+    # tree walk (the library's level-order walk on Schur blocks, and the
+    # depth-first walk of the eager Schur route; n_max 11 is the first
+    # they refuse), and a vanishing factor on a chain of ``route`` states
+    walk = s_n_q_table if route is PrefixState else _schur_walk
+    with pytest.raises(ConditioningError, match=r"^prefix mass 5\.66e-24 too small to resolve "
+                       r"at position 10: \|s\| = 2, imaginary residue 1\.11e-10$"):
+        walk(Symbol.arc_indicator(0.1, 0.45), 11, 2)
     state = route.root(Symbol.constant(1.0)).extend(1)
     with pytest.raises(ConditioningError,
                        match="^prefix probability vanishes extending with bit 0 at position 1$"):
@@ -498,47 +518,49 @@ def test_correlation_ratio_refuses_a_vanishing_marginal():
 
 
 def _first_subtree_depth(sym) -> int:
-    """How many levels the level-order walk takes before it first cuts a
-    level into runs: every level whose corner stack fits in STACK_BYTES,
-    and the leaves below the deepest one (leaves form no corners)."""
-    itemsize = 8 if sym.has_real_coeffs else 16
-    return 1 + max(d for d in range(1, 23) if 2 ** d * d * d * itemsize <= dimension.STACK_BYTES)
+    """The deepest tree the level-order walk takes whole, with no cut into
+    runs: every level that forms blocks (all but the leaves) fits."""
+    return max(n for n in range(1, 23)
+               if all(2 ** k <= dimension._stack_rows(measure._moment_root(sym, n), k, n)
+                      for k in range(2, n)))
 
 
 QS = (2, 3, 2.5)
-# the deepest oracle walk per symbol: arc_indicator(0.3,0.7) meets a
-# vanishing extension factor on a 15-bit prefix
+# the deepest corner-route walk per symbol: arc_indicator(0.3,0.7) meets a
+# vanishing extension factor on a 15-bit prefix there (the Schur route
+# resolves it to 16 bits)
 ORACLE_DEPTH = {"power_decay": 16, "trig_poly-complex": 16, "arc_indicator": 14}
+# how far apart numpy may round a complex product of a stack of Schur blocks
+# and one of a single block, in ulps of a moment sum (0 on the machines measured)
+COMPLEX_ULPS = 2
 
 
 @pytest.fixture(scope="module")
 def dfs_oracle():
-    """The depth-first eager walk of each symbol to its oracle depth, on first use."""
+    """The depth-first eager Schur walk of each symbol to 16 levels, on first use."""
     return {}
 
 
 @pytest.mark.parametrize("n_max", ["h-1", "h", "h+1", 16])
 @pytest.mark.parametrize("name", sorted(ORACLE_DEPTH))
 def test_level_order_moment_sums_match_dfs_oracle(dfs_oracle, name, n_max):
-    # byte for byte, for every q: one whole subtree (h - 1 and h levels),
-    # the first cut into runs (h + 1), and a tree of many runs (16 levels).
-    # A level's sum does not depend on n_max, so one depth-first walk of
-    # the eager route, at the library's window = bandwidth, is the oracle
-    # of every n_max up to its depth
+    # for every q: one whole subtree (h - 1 and h levels), the first cut
+    # into runs (h + 1), and a tree of many runs (16 levels), against the
+    # depth-first walk of the eager Schur route at the library's window =
+    # bandwidth: byte for byte on the real symbols, within COMPLEX_ULPS on
+    # the complex one.  A level's sum does not depend on n_max (no entry of
+    # a block does), so one 16-level walk is the oracle of every n_max
     sym = LAZY_SYMBOLS[name]
     h = _first_subtree_depth(sym)
     n = n_max if isinstance(n_max, int) else h + {"h-1": -1, "h": 0, "h+1": 1}[n_max]
-    depth = ORACLE_DEPTH[name]
-    if n > depth:
-        # past it both walks raise the same error
-        want = _outcome(lambda: s_n_q_table_dfs(sym, n, QS, window=sym.bandwidth))
-        assert isinstance(want, str)
-        assert all(_outcome(lambda: s_n_q_table(sym, n, q)) == want for q in QS)
-        return
     if name not in dfs_oracle:
-        dfs_oracle[name] = s_n_q_table_dfs(sym, depth, QS, window=sym.bandwidth)
+        dfs_oracle[name] = s_n_q_table_dfs(sym, 16, QS, route=EagerSchurState, window=sym.bandwidth)
     for q, want in zip(QS, dfs_oracle[name]):
-        assert s_n_q_table(sym, n, q).tobytes() == want[:n].tobytes()
+        got = s_n_q_table(sym, n, q)
+        if sym.has_real_coeffs:
+            assert got.tobytes() == want[:n].tobytes()
+        else:
+            assert _within_ulps(got, want[:n], COMPLEX_ULPS)
 
 
 def test_level_order_walk_visits_each_level_in_lexicographic_order(monkeypatch):
@@ -548,7 +570,7 @@ def test_level_order_walk_visits_each_level_in_lexicographic_order(monkeypatch):
     sym = LAZY_SYMBOLS["power_decay"]
     n_max = _first_subtree_depth(sym) + 3
     seen = {}
-    for route in (PrefixState, EagerPrefixState):
+    for route in (PrefixState, EagerSchurState):
         extend = route.extend
 
         def recording(self, bit, extend=extend, route=route):
@@ -558,14 +580,16 @@ def test_level_order_walk_visits_each_level_in_lexicographic_order(monkeypatch):
 
         monkeypatch.setattr(route, "extend", recording)
     s_n_q_table(sym, n_max, 2)
-    s_n_q_table_dfs(sym, n_max, 2)
-    assert seen[PrefixState] == seen[EagerPrefixState]
+    _schur_walk(sym, n_max, 2)
+    assert seen[PrefixState] == seen[EagerSchurState]
     assert [len(seen[PrefixState][n]) for n in range(1, n_max + 1)] == [2 ** n for n in range(1, n_max + 1)]
 
 
 def test_level_order_walk_holds_no_whole_level():
-    # the deepest level at n_max 16 holds 2^15 corners of 15 x 15 (59 MB);
-    # the walk holds a few stacks of at most STACK_BYTES each
+    # at n_max 16 a whole level holds up to 2^15 states (some MB) and 2^13
+    # Schur blocks of 3 x 3 (0.6 MB); the walk holds a few levels of at most
+    # STACK_ROWS states whose blocks fit in STACK_BYTES: this reads 3.2
+    # STACK_BYTES
     sym = LAZY_SYMBOLS["power_decay"]
     s_n_q_table(sym, 4, 2)
     tracemalloc.start()
@@ -669,13 +693,12 @@ def test_sibling_of_a_formed_chain_child_has_the_eager_bytes():
 @pytest.mark.parametrize("name,window", [("trig_poly-complex", 3), ("power_decay", 64), ("power_decay", None),
                                          ("arc_indicator", None)])
 def test_sampler_forms_no_corner(monkeypatch, name, window):
-    # the sampler draws each bit from its Schur chain: no chain step and no
-    # stacked level forms an inverse corner
+    # the sampler draws each bit from its Schur chain: no step forms an
+    # inverse corner
     def refused(*args):
         raise AssertionError("the sampler formed an inverse corner")
 
     monkeypatch.setattr(measure, "_chain_child", refused)
-    monkeypatch.setattr(measure, "_bordered", refused)
     assert len(sample_prefix(LAZY_SYMBOLS[name], 150, 12, window=window)) == 150
 
 
@@ -725,39 +748,40 @@ def _within_ulps(got, want, ulps=2):
 
 @pytest.mark.parametrize("name", sorted(WINDOWED_SYMBOLS))
 def test_windowed_moment_sums_match_the_full_state_walk(name):
-    # the library walks at window = bandwidth, exact in exact arithmetic;
-    # against the full-state route it replaced only rounding may differ.
-    # Two values move, by 1 ulp each: S_8^(2.5) of the complex symbol (see
-    # the next test) and S_10^(2) of the B = 2 one, both toward 50 digits
+    # the library walks Schur blocks at window = bandwidth, exact in exact
+    # arithmetic; against the full-state corner route only rounding may
+    # differ (the next test checks each sum that moves against 50 digits)
     sym = WINDOWED_SYMBOLS[name]
     full = s_n_q_table_dfs(sym, 12, QS)
     for q, want in zip(QS, full):
         assert _within_ulps(s_n_q_table(sym, 12, q), want)
 
 
-def test_windowed_moment_sum_that_moves_is_nearer_mpmath():
-    # S_8^(2.5) of the complex trig_poly from its 256 word determinants at
-    # 50 digits: the window = bandwidth walk is nearer than the full state
-    sym, n, q = LAZY_SYMBOLS["trig_poly-complex"], 8, 2.5
-    ghat = dict(zip(range(-n, n + 1), g_coeff_fn(sym)(np.arange(-n, n + 1)).tolist()))
-    with mpmath.workdps(50):
-        total = mpmath.mpf(0)
-        for word in _all_words(n):
-            m = mpmath.matrix(n, n)
-            for i in range(n):
-                t = 1 if word[i] == "1" else -1
-                for j in range(n):
-                    m[i, j] = t * mpmath.mpc(ghat[i - j]) + (1 if i == j else 0)
-            total += (mpmath.re(mpmath.det(m)) / 2 ** n) ** q
-        want = mpmath.log(total, 2)
-        new = abs(s_n_q_table(sym, n, q)[-1] - want)
-        old = abs(s_n_q_table_dfs(sym, n, q)[-1] - want)
-    assert new < old
+def test_windowed_moment_sums_that_move_are_within_an_ulp_of_mpmath():
+    # every sum of the window = bandwidth Schur walk that moves off the
+    # full-state corner route is within one ulp of its 50-digit value (eight
+    # sums move natively, on all but the B = 1 symbol, each by one ulp; six
+    # with numpy's AVX2 loops off)
+    moved = 0
+    for sym in WINDOWED_SYMBOLS.values():
+        for q, full in zip(QS, s_n_q_table_dfs(sym, 12, QS)):
+            got = s_n_q_table(sym, 12, q)
+            n = np.nonzero(got != full)[0]
+            if n.size:
+                want = np.array([float(v) for v in s_n_q_mp(sym, 12, q)])
+                assert _within_ulps(got[n], want[n], 1)
+                moved += n.size
+    assert moved  # the test sees a moved sum
+
+
+# a symbol whose bandwidth passes every n_max the walk takes
+WIDE_BAND = Symbol.power_decay(0.5, 0.01, 2, 10 ** 6)
 
 
 def test_moment_sum_walk_extends_once_per_node(monkeypatch):
     # one PrefixState.extend call per tree node, 2^(n+1) - 2 in all, for a
-    # one-number state, a corner trimmed to the bandwidth and a full corner
+    # one-number state, a block trimmed to the bandwidth, a full block and
+    # the block of a bandwidth past n_max
     calls = []
     extend = PrefixState.extend
 
@@ -766,13 +790,38 @@ def test_moment_sum_walk_extends_once_per_node(monkeypatch):
         return extend(self, bit)
 
     monkeypatch.setattr(PrefixState, "extend", counting)
-    for name in ("poisson", "trig_poly-complex", "arc_indicator"):
+    for sym in (*(LAZY_SYMBOLS[name] for name in ("poisson", "trig_poly-complex", "arc_indicator")),
+                WIDE_BAND):
         for n in (1, 5, 9):
             calls.clear()
-            s_n_q_table(LAZY_SYMBOLS[name], n, 2)
+            s_n_q_table(sym, n, 2)
             assert len(calls) == 2 ** (n + 1) - 2
 
 
+@pytest.mark.parametrize("sym", [LAZY_SYMBOLS["trig_poly-complex"], WINDOWED_SYMBOLS["trig_poly(real,B=2)"],
+                                 LAZY_SYMBOLS["arc_indicator"], WIDE_BAND],
+                         ids=["B=3", "B=2", "full-state", "B-past-n_max"])
+def test_moment_sum_blocks_reach_no_further_than_the_walk(monkeypatch, sym):
+    # every Schur block the walk forms, at every depth of the tree, has
+    # min(B + 1, n_max - depth) rows: the positions the prefix has still to
+    # draw within the bandwidth's reach, and none past n_max.  A block
+    # sized B + 1 from the root would hold a wide band's 10^6 + 1 rows
+    form, seen = measure._SchurBlocks._form, []
+
+    def recording(self):
+        form(self)
+        seen.append((self.left, self.block.shape))
+
+    monkeypatch.setattr(measure._SchurBlocks, "_form", recording)
+    n_max = 9
+    s_n_q_table(sym, n_max, 2)
+    reach = n_max if sym.bandwidth is None else sym.bandwidth + 1
+    m = min(reach, n_max)
+    assert measure._moment_root(sym, n_max)._stack.block.shape == (1, m, m)
+    assert sorted({left for left, _ in seen}) == list(range(1, n_max))  # every depth
+    for left, shape in seen:
+        m = min(reach, left)
+        assert shape[1:] == (m, m)
 @pytest.mark.parametrize("name", sorted(WINDOWED_SYMBOLS))
 def test_conditional_next_matches_the_full_state(name):
     sym = WINDOWED_SYMBOLS[name]
