@@ -18,7 +18,7 @@ from .symbol import (
     symbol_from_json,
     tail_sum,
 )
-from .measure import PrefixState, RatioReport, correlation_ratio, cylinder_log_prob, cylinder_prob
+from .measure import RatioReport, correlation_ratio, cylinder_log_prob, cylinder_prob
 from .mixing import (
     FiniteWindowPsi,
     PsiBoundReport,

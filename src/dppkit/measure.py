@@ -30,11 +30,8 @@ from .errors import ConditioningError, NumericsError, require_bits, require_int
 from .symbol import Symbol, g_coeff_fn
 
 IMAG_TOL = 1e-10
-# g-coefficients a corner prefix state caches at first (see ``_GData``)
-COEFF_BLOCK = 64
-# bytes of a child corner's rows formed at a time, in a contiguous temporary
-# (a chain step's chunk is also at least 1/16 of its corner), and at least
-# those of the rows a windowed Schur chain spares between two moves
+# at least the bytes of the rows a windowed Schur chain spares between two
+# moves of its buffer (``_SchurChain``)
 CHUNK_BYTES = 32 * 1024
 # a PrefixState with no slot set; ``root`` and ``extend`` store the slots one
 # by one, which costs ``extend`` less than half of a keyword constructor call
@@ -177,16 +174,13 @@ def _one_number(sym: Symbol, window: int | None) -> bool:
 class _GData:
     """Cached g-coefficients for prefix extension.
 
-    ``g0`` = ghat(0) and the constants of the one-number recursion (see
-    ``PrefixState``): ``kx`` with alpha = g0 - kx x, ``gm1`` = ghat(-1), and
-    for a geometric symbol ``c2`` = 2c and ``r2`` = r^2 (``c2`` is None
-    otherwise).  ``gpos`` and ``gneg`` hold ghat(n) and ghat(-n) for n = 0 ..
-    size - 1, of the symbol's coefficient dtype: empty at first, then
-    COEFF_BLOCK, doubled whenever a corner outgrows them (see
-    ``reversed_rows``), so a prefix reads only as many as its corner needs.
+    ``ghat`` reads them (``g_coeff_fn``); ``g0`` = ghat(0) and the constants
+    of the one-number recursion (see ``PrefixState``): ``kx`` with alpha =
+    g0 - kx x, ``gm1`` = ghat(-1), and for a geometric symbol ``c2`` = 2c and
+    ``r2`` = r^2 (``c2`` is None otherwise).
     """
 
-    __slots__ = ("ghat", "g0", "gpos", "gneg", "real", "kx", "c2", "r2", "gm1")
+    __slots__ = ("ghat", "g0", "real", "kx", "c2", "r2", "gm1")
 
     def __init__(self, sym: Symbol):
         ghat = self.ghat = g_coeff_fn(sym)
@@ -196,117 +190,6 @@ class _GData:
         if sym.geometric is not None:
             c, r = sym.geometric
             self.kx, self.c2, self.r2 = 4.0 * c * c, 2.0 * c, r * r
-        self.gpos = np.zeros(0)
-
-    def reversed_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """ghat(-j) .. ghat(-1) and ghat(j) .. ghat(1), as reversed views."""
-        if j >= self.gpos.size:
-            ns = np.arange(max(j + 1, COEFF_BLOCK, 2 * self.gpos.size))
-            self.gpos, self.gneg = self.ghat(ns), self.ghat(-ns)
-        return self.gneg[j:0:-1], self.gpos[j:0:-1]
-
-
-def _chain_child(corner, theta, u, w, tp, s, window):
-    """The corner and theta of one child of a prefix, from its parent's
-    (corner, theta, u, w), bit sign tp and extension factor s (a numpy
-    scalar), beside the parent.
-
-    The child's bordered inverse is [[C + (tp/s) u w, -u/s], [-(tp/s) w, 1/s]].
-    The rows C + (tp/s) u w are formed a chunk at a time, last first, at
-    their untrimmed length, so numpy rounds every entry as in the untrimmed
-    inverse.  When the window is full the oldest row and column fall out:
-    that row is never formed.
-    """
-    j = u.size
-    keep = j + 1 if window is None else min(j + 1, window)
-    lo = j + 1 - keep
-    out = np.empty((keep, keep), dtype=corner.dtype)
-    th = np.empty(keep, dtype=corner.dtype)
-    ts = tp / s
-    step = max(CHUNK_BYTES // ((j + 1) * corner.itemsize), j // 16)
-    for r1 in range(j, lo, -step):
-        r0 = max(r1 - step, lo)
-        rows = np.multiply(u[r0:r1, None], w)
-        rows *= ts
-        rows += corner[r0:r1]
-        out[r0 - lo:r1 - lo, :-1] = rows[:, lo:]
-    if keep:
-        np.divide(u[lo:], -s, out=out[:-1, -1])
-        out[-1, :-1] = (-ts * w)[lo:]
-        out[-1, -1] = 1.0 / s
-        th[:-1] = theta[lo:]
-        th[-1] = tp
-    return out, th
-
-
-class _CornerStack:
-    """The inverse corners of n prefixes of one length, as one (n, k, k)
-    stack, with their signs theta as one (n, k) stack: the states of a
-    caller's held chain or tree (``PrefixState.root``), whose ``corner``
-    and ``theta`` a caller may read.  The root and a chain are stacks of
-    one.
-
-    ``PrefixState.extend`` appends each child of a row to the stack's
-    ``pending`` child stack, as 2 row + bit; its extension factor s is read
-    back from the parent's alpha.  A child stack keeps the arrays of its
-    parent that it needs (``source``), not the parent itself, so no
-    reference cycle forms.  It
-    forms the corners of its children on first use (``formed``), each
-    beside its parent, then drops ``source``; a child appended after that
-    starts a new stack.  ``extension`` forms every row's (u, w, alpha) in
-    one stacked update.  The library's own walks form no corner: the
-    moment-sum walk steps ``_SchurBlocks`` and the sampler a
-    ``_SchurChain``.
-    """
-
-    __slots__ = ("gd", "window", "source", "kids", "corner", "theta", "uw", "alphas", "pending")
-
-    def __init__(self, gd: _GData, window, parent=None, corner=None, theta=None):
-        self.gd = gd
-        self.window = window
-        self.source = None if parent is None else (parent.corner, parent.theta, *parent.uw, parent.alphas)
-        self.kids = []
-        self.corner = corner
-        self.theta = theta
-        self.uw = self.alphas = self.pending = None
-
-    def formed(self) -> "_CornerStack":
-        if self.corner is None:
-            self._form()
-        return self
-
-    def _form(self) -> None:
-        """Form corner and theta from the parent's, then drop them: each
-        child on its own, beside its parent (``_chain_child``), so that numpy
-        rounds every entry as in the eager route."""
-        *source, alphas = self.source
-        kids, window, scalar = self.kids, self.window, source[0].dtype.type
-        self.source = self.kids = None
-        parts = []
-        for kid in kids:
-            row, tp = kid >> 1, 2.0 * (kid & 1) - 1.0
-            parts.append(_chain_child(*[a[row] for a in source], tp, scalar(1.0 + tp * alphas[row]), window))
-        # a lone child's arrays as views, not copies: a chain holds two corners
-        self.corner, self.theta = ([a[None] for a in parts[0]] if len(parts) == 1
-                                   else map(np.stack, zip(*parts)))
-
-    def children(self) -> "_CornerStack":
-        """A new pending child stack."""
-        return _CornerStack(self.gd, self.window, parent=self)
-
-    def extension(self) -> list:
-        """alpha of every row, forming each row's (u, w) for appending the
-        next position in one stacked update."""
-        if self.alphas is None:
-            gd, corner, theta = self.gd, self.formed().corner, self.theta
-            j = corner.shape[-1]
-            # corner covers rows/cols k-j+1..k; new column entries are
-            # theta_i * ghat(i - (k+1)), new row entries ghat(k+1 - j')
-            gneg, r = gd.reversed_rows(j)
-            u = (corner @ (theta * gneg)[..., None])[..., 0]
-            self.alphas = (gd.g0 - (r @ u[..., None])[..., 0]).tolist()
-            self.uw = (u, r @ corner)
-        return self.alphas
 
 
 class _SchurBlocks:
@@ -323,15 +206,15 @@ class _SchurBlocks:
     once and hands ``PrefixState.extend`` real alphas, keeping the complex
     value only on a row whose residue passes it, where ``extend`` raises.
 
-    As ``_CornerStack`` does, a stack appends each child of a row to its
-    ``pending`` child stack, which keeps the parent's blocks (``source``)
-    until it forms its own, on first use, all at once.  Each child's block
+    A stack appends each child of a row to its ``pending`` child stack,
+    which keeps the parent's blocks (``source``) until it forms its own, on
+    first use, all at once.  Each child's block
     is one subtract, Z[1:, 1:] - (tp/s) Z[1:, 0] Z[0, 1:], with the outer
     product formed once per parent row for all of its children.  At a
     finite window a position comes into reach at each step while one is
     left: no drawn position reaches it, so its row ghat(m - 1) .. ghat(1),
     column ghat(1 - m) .. ghat(-1) and diagonal g0 are constant (``edge``),
-    and are written in.  No inverse corner is formed.
+    and are written in.
     """
 
     __slots__ = ("edge", "left", "source", "kids", "block", "alphas", "pending")
@@ -468,7 +351,8 @@ class _SchurChain:
 
 
 class PrefixState:
-    """State of one cylinder prefix, extended one bit at a time.
+    """State of one cylinder prefix, extended one bit at a time: a node of
+    the moment-sum walk's tree, or a state of a sampled chain.
 
     For a geometric symbol (``Symbol.geometric``) at window None, or one of
     bandwidth <= 1 at window None or one that covers the bandwidth, the
@@ -479,32 +363,27 @@ class PrefixState:
       geometric; kx = 4c^2):  x <- r^2 (x + tp (1 - 2c x)^2 / s);
       bandwidth <= 1 (the 1 x 1 corner 1/s; kx = ghat(1)):  x <- (tp/s) ghat(-1),
 
-    both from x = 0.  At bandwidth <= 1 this rounds as the corner route
-    does at window 1.  Such a state has no ``corner`` or ``theta``: reading
-    them raises AttributeError.
+    both from x = 0.  At bandwidth <= 1 this rounds as the inverse-corner
+    recursion does at window 1.  ``root`` sets up such a state, after the
+    range gate and the window gate.
 
-    Every other state is one row of a stack of prefixes of its length.
-    ``extend`` does only scalar work: the extension factor s, its checks and
-    ``log_prob``; it appends the child to its row's pending child stack,
-    which forms the arrays of all its children together, on the first
-    ``conditional_one`` or ``extend`` of any of them, and then drops the
-    parent arrays it kept.  So the leaves of a prefix tree never form one.
-    Three kinds of stack serve three walks:
+    Every other state is backed by a matrix, set up by ``_moment_root`` or
+    ``_chain_root`` alone: it is one row of a stack of prefixes of its
+    length.  ``extend`` does only scalar work: the extension factor s, its
+    checks and ``log_prob``.  Two kinds of stack serve the two walks:
 
-    - a caller's held chain or tree (``root``) steps ``_CornerStack``: its
-      row holds the trailing ``window`` x ``window`` corner of the inverse
-      of D(theta) T_k(g) + I (the full inverse when window is None), which
-      a caller may read as ``corner`` and ``theta``.  Each child is formed
-      beside its parent, so a state and its corner keep their values
-      however long a caller holds them, and a chain step holds two corners;
     - the moment-sum walk (``_moment_root``) steps ``_SchurBlocks``: its row
       holds the Schur complement of the drawn positions in those still to
-      draw within reach, and a whole tree level forms its children's blocks
-      at once, with no inverse corner;
-    - the sampler's chain (``_sampled_bits``) hands no state out, so its
-      states share one ``_SchurChain``: ``conditional_one`` reads its alpha
-      as a stack's, and ``extend`` steps it, one gemv forming the next pivot
-      column.
+      draw within reach.  ``extend`` appends the child to its row's pending
+      child stack, which forms the blocks of all its children together, on
+      the first ``conditional_one`` or ``extend`` of any of them, and then
+      drops the parent blocks it kept.  So the leaves of a tree never form
+      one;
+    - a chain (``_chain_root``: the sampler's, and selftest's replay) drops
+      each state once extended, so its states share one ``_SchurChain``:
+      ``conditional_one`` reads its alpha as a stack's, and ``extend`` steps
+      it in place, one gemv forming the next pivot column.  Only the newest
+      state of a chain may be read.
 
     Each recursion is exact when the window is None or covers the symbol's
     bandwidth, so the moment-sum walk and the sampler root their states at
@@ -516,34 +395,18 @@ class PrefixState:
 
     @classmethod
     def root(cls, sym: Symbol, *, window: int | None = None) -> "PrefixState":
-        """The empty prefix; ``window`` is None (the full state) or an int >= 0."""
+        """The empty prefix; ``window`` is None (the full state) or an int >= 0.
+        A matrix state's stack is left unset here (see the class)."""
         if window is not None:
             window = require_int(window, 0, None, "prefix state window must be None or an int >= 0")
-        one_number = _one_number(sym, window)
-        gd = _GData(sym)
-        dtype = np.float64 if gd.real else np.complex128
         state = _new_state(cls)
-        state.gd, state.window, state.length, state.log_prob, state._row = gd, window, 0, 0.0, 0
-        state._x = 0.0 if one_number else None
-        state._stack = None if one_number else _CornerStack(
-            gd, window, corner=np.zeros((1, 0, 0), dtype=dtype), theta=np.zeros((1, 0), dtype=dtype))
+        state.gd, state.window, state.length, state.log_prob, state._row = _GData(sym), window, 0, 0.0, 0
+        state._x = 0.0 if _one_number(sym, window) else None
+        state._stack = None
         return state
 
-    def _formed_stack(self) -> _CornerStack:
-        if self._x is not None:
-            raise AttributeError("a one-number prefix state has no inverse corner or theta")
-        return self._stack.formed()
-
-    @property
-    def corner(self) -> np.ndarray:
-        return self._formed_stack().corner[self._row]
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._formed_stack().theta[self._row]
-
     def conditional_one(self) -> float:
-        """P(next bit = 1 | prefix), from alpha for position length+1 (x or the corner stack)."""
+        """P(next bit = 1 | prefix), from alpha for position length+1 (x or the stack's row)."""
         x = self._x
         if x is None:
             stack = self._stack
@@ -613,27 +476,32 @@ def _moment_root(sym: Symbol, n_max: int) -> PrefixState:
     """The empty prefix of the moment-sum walk to n_max bits, at window =
     bandwidth (exact): one number, or a row of ``_SchurBlocks``."""
     state = PrefixState.root(sym, window=sym.bandwidth)
-    if state._stack is not None:
+    if state._x is None:
         state._stack = _SchurBlocks.root(state.gd.ghat, state.window, n_max)
+    return state
+
+
+def _chain_root(sym: Symbol, window: int | None, n: int) -> PrefixState:
+    """The empty prefix of a chain of n bits at ``window``: one number, or a
+    ``_SchurChain`` that each ``extend`` steps in place."""
+    state = PrefixState.root(sym, window=window)
+    if state._x is None:
+        state._stack = _SchurChain(state.gd, state.window, n)
     return state
 
 
 def _sampled_bits(sym: Symbol, window: int | None, n: int, rng: np.random.Generator) -> np.ndarray:
     """n bits sampled by the chain rule at ``window``: bit k is 1 when the
-    k-th of n uniforms drawn from ``rng`` is below P(1 | bits 0..k-1).  No
-    state leaves this loop, and each is dropped once extended, so a matrix
-    state's chain is one ``_SchurChain``, stepped in place.  At window 0
-    the conditionals are constant: i.i.d. Bernoulli(fhat(0))."""
-    state = PrefixState.root(sym, window=window)  # the range gate, also for the i.i.d. path
-    uni = rng.random(n)
+    k-th of n uniforms drawn from ``rng`` is below P(1 | bits 0..k-1).  At
+    window 0 the conditionals are constant: i.i.d. Bernoulli(fhat(0))."""
     if window == 0:
+        p1 = _chain_root(sym, window, 1).conditional_one()  # the gates, also for this path
         bits = np.empty(n, dtype=np.uint8)
-        np.less(uni, state.conditional_one(), out=bits.view(bool))
+        np.less(rng.random(n), p1, out=bits.view(bool))
         return bits
-    if state._stack is not None:
-        state._stack = _SchurChain(state.gd, window, n)
+    state = _chain_root(sym, window, n)
     bits = bytearray(n)
-    for k, u in enumerate(uni.tolist()):
+    for k, u in enumerate(rng.random(n).tolist()):
         bit = 1 if u < state.conditional_one() else 0
         bits[k] = bit
         state = state.extend(bit)

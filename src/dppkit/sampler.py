@@ -75,8 +75,11 @@ def sample_prefix(sym: Symbol, n: int, seed: int, window: "int | None | str" = "
     """Sample the first n coordinates of the one-sided process.
 
     Same (seed, symbol, n) always yields identical bits; trajectories are
-    strictly sequential internally.  ``window`` is "auto", None (the full
-    state) or an int >= 0 (see ``measure.PrefixState``).
+    strictly sequential internally.  ``window`` is "auto" (the exact
+    bandwidth, or None when the symbol has none), None (the full state: no
+    coefficient is dropped) or an int w >= 0 (the coefficients past w are
+    dropped: exact when w covers the bandwidth, a truncation otherwise, and
+    i.i.d. Bernoulli(fhat(0)) bits at w = 0).
     """
     n = require_int(n, 1, 2 ** 62, "sample_prefix: need 1 <= n <= 2^62")
     seed = require_int(seed, 0, None, "sample_prefix: need seed >= 0")

@@ -100,15 +100,15 @@ def _check_finite_window_psi() -> None:
 
 
 def _check_sampler_replay() -> None:
-    # a one-number state, a trimmed chain (window 3) and a full-state chain.  The
-    # sampler draws each bit from a Schur complement, the replay from a caller's
-    # inverse-corner chain: the corner replay and the cylinder determinants are
-    # two independent checks of the sampler
+    # a one-number state, a trimmed chain (window 3) and a full-state chain,
+    # walked as the sampler walks them (``_chain_root``): each conditional
+    # against a ratio of cylinder determinants, the check independent of the
+    # chain, and each sampled bit against its uniform
     for sym in (Symbol.poisson(0.5, 0.25), Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]),
                 Symbol.arc_indicator(0.1, 0.45)):
         for seed in (2024, 7):
             uni = np.random.Generator(np.random.PCG64(seed)).random(24)
-            state, word, log_w = measure.PrefixState.root(sym, window=sym.bandwidth), "", 0.0
+            state, word, log_w = measure._chain_root(sym, sym.bandwidth, 24), "", 0.0
             for k, bit in enumerate(sampler.sample_prefix(sym, 24, seed).bits.tolist()):
                 p = state.conditional_one()
                 exact = math.exp(measure.cylinder_log_prob(sym, word + "1") - log_w)

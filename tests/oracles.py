@@ -4,7 +4,8 @@ Each computes a quantity the library also computes, by a slower or more
 literal route: the f-route window and coupling-block builders with the
 correlation-ratio matrix H and the all-ones witness formed from them, the
 direct cylinder determinant, the joint cylinder probability from the signed
-joint window alone, the next-bit conditional by a walk of prefix states,
+joint window alone, the next-bit conditional by a walk of the eager
+inverse-corner route,
 the sampler's Schur chain step that slices its buffer on every bit, moment
 sums from one batched determinant per word and at 50 digits from a Schur
 tree walk, the parity coefficient of the Walsh tuple sum, the complement
@@ -30,8 +31,7 @@ import numpy as np
 from dppkit import dimension, measure, toeplitz
 from dppkit.errors import (ConditioningError, NumericsError, SizeCapError, SymbolSpecError, require_bits,
                            require_int)
-from dppkit.measure import (IMAG_TOL, PrefixState, _GData, _joint_window, _log_probs, _unresolved,
-                            cylinder_log_probs_direct)
+from dppkit.measure import IMAG_TOL, _GData, _joint_window, _log_probs, _unresolved, cylinder_log_probs_direct
 from dppkit.mixing import FINITE_WINDOW_CAP
 from dppkit.sampler import sample_prefix
 from dppkit.symbol import Symbol, g_coeff_fn, require_range
@@ -94,8 +94,9 @@ def joint_cylinder_log_prob(sym: Symbol, word, word_prime, gap_ell: int) -> floa
 
 def conditional_next(sym: Symbol, word) -> float:
     """P(x_N = 1 | the first N bits equal word); word may be empty.  The
-    walk keeps a window as wide as the bandwidth, which is exact."""
-    state = PrefixState.root(sym, window=sym.bandwidth)
+    eager corner route walks it at a window as wide as the bandwidth, which
+    is exact."""
+    state = EagerPrefixState.root(sym, window=sym.bandwidth)
     if word is not None and len(word) > 0:
         for bit in require_bits(word, "cylinder word"):
             state = state.extend(int(bit))
@@ -302,11 +303,12 @@ def finite_window_details(sym: Symbol, ell: int, N: int) -> FiniteWindowDetails:
 
 
 class EagerPrefixState:
-    """The eager prefix extension: each ``extend`` forms the child's corner
-    and theta at once.  The library's lazy ``PrefixState`` must match it
-    bit for bit.  It is also the matrix route for the poisson and
-    bandwidth <= 1 symbols whose ``PrefixState`` is one number: this class
-    never takes that route.
+    """The eager inverse-corner route: each ``extend`` forms the child's
+    corner and theta at once.  It is the tests' reference for the library's
+    other eliminations: the sampler's Schur chain draws its bits, and the
+    one-number states of the poisson and bandwidth <= 1 symbols match it
+    (bit for bit at bandwidth <= 1).  This class never takes the one-number
+    route.
 
     State of one cylinder prefix, extended one bit at a time.
 
@@ -347,7 +349,11 @@ class EagerPrefixState:
             else:
                 # corner covers rows/cols k-j+1..k; new column entries are
                 # theta_i * ghat(i - (k+1)), new row entries ghat(k+1 - j')
-                gneg, r = gd.reversed_rows(j)
+                # as reversed views: numpy's matmul rounds a complex product of
+                # negatively strided rows unlike one of contiguous rows, and
+                # the tests pin a residue of this route
+                ns = np.arange(1, j + 1)
+                gneg, r = gd.ghat(-ns)[::-1], gd.ghat(ns)[::-1]
                 b = self.theta[-j:] * gneg
                 u = self.corner @ b
                 w = r @ self.corner

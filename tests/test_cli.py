@@ -821,23 +821,23 @@ def test_selftest_catches_a_broken_stacked_corner_build_under_optimize():
         assert "S_6 vs determinants of trig_poly" in proc.stdout
 
 
-def test_selftest_catches_a_broken_chain_corner_under_optimize(tmp_path):
-    # a caller's chain corner (a stack of one, as the replay forms it) that is
-    # off by one part in 10^6 moves the replayed conditionals of the trimmed
-    # and the full-state chain by about 4e-8 and 1e-6, and fails the replay,
-    # also under -O
+def test_selftest_catches_a_skewed_chain_pivot_column_under_optimize():
+    # the replay walks the sampler's own Schur chain; each pivot column it
+    # forms, off by one part in 10^6, moves the replayed conditionals of the
+    # trimmed and the full-state chain off the cylinder-determinant ratios,
+    # and fails the replay, also under -O
     src = os.path.dirname(os.path.dirname(dppkit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
         "import runpy, sys\n"
-        "from dppkit.measure import _CornerStack\n"
-        "form = _CornerStack._form\n"
-        "def skewed(self):\n"
-        "    chain = len(self.kids) == 1\n"
-        "    form(self)\n"
-        "    if chain:\n"
-        "        self.corner = self.corner * (1.0 + 1e-6)\n"
-        "_CornerStack._form = skewed\n"
+        "from dppkit.measure import _SchurChain\n"
+        "step = _SchurChain.step\n"
+        "def skewed(self, tp, s):\n"
+        "    step(self, tp, s)\n"
+        "    if self.left:\n"
+        "        self.rows[self.row] *= 1.0 + 1e-6\n"
+        "        self.alphas[0] = self.rows.item(self.row, 0)\n"
+        "_SchurChain.step = skewed\n"
         "sys.argv = ['dppkit', 'selftest']\n"
         "runpy.run_module('dppkit', run_name='__main__')\n"
     )
@@ -845,9 +845,7 @@ def test_selftest_catches_a_broken_chain_corner_under_optimize(tmp_path):
                           env=env, timeout=300)
     assert proc.returncode == 1
     assert "FAIL sampled chain replay vs cylinder determinants" in proc.stdout
-    # a caller's chain step (``_chain_child``, the route the replay walks)
-    # that subtracts (tp/s) u w where it should add it fails the replay
-    _selftest_of_a_broken_copy(tmp_path, "        rows *= ts\n", "        rows *= -ts\n")
+    assert proc.stdout.count("FAIL") == 1
 
 
 def test_selftest_catches_a_broken_schur_step(tmp_path):

@@ -1,5 +1,5 @@
-"""A seeded contract fuzz of ``dppkit psi``, ``sample``, ``dimension`` and
-``cylinder``.
+"""A seeded contract fuzz of ``dppkit psi``, ``sample``, ``dimension``,
+``cylinder`` and ``lcs-experiment``.
 
 Argument lists are drawn from fixed-seed numpy Generators over the six
 symbol families, with parameters at their edges: |r| near 1, c near 0,
@@ -43,6 +43,16 @@ its own:
   prints the same bytes, log2_probability is log2 of probability within
   1e-12 relative wherever the probability is positive, and at --N the
   probabilities sum to 1 within 1e-9.
+
+Every lcs-experiment case, at 1-4 --ngrid values in 2..2^8 and --trials
+2-3, runs both matrix roots: the moment sums of the default dim2 (to
+DIM2_NMAX) and the sampler's chains.  It must meet its own:
+
+- the exit code is 0, 2 or 64, the same for CSV and JSON;
+- at a nonzero exit, stdout is empty;
+- at exit 0, stderr is empty, the JSON rows carry the CSV's numbers, a
+  rerun prints the same bytes, and the n column lists the --ngrid values
+  with the --trials count on each row.
 """
 import csv
 import io
@@ -66,6 +76,8 @@ DIMENSION_SEED = SEED + 2
 DIMENSION_CASES = 100
 CYLINDER_SEED = SEED + 3
 CYLINDER_CASES = 100
+LCS_SEED = SEED + 4
+LCS_CASES = 60
 
 
 def _pick(rng, *options):
@@ -317,3 +329,47 @@ def test_cylinder_contract(argv, capsys):
         assert math.fsum(row["probability"] for row in rows) == pytest.approx(1.0, abs=1e-9)
     else:
         assert [row["word"] for row in rows] == argv[4::2]
+
+
+def _lcs_argv(rng) -> list[str]:
+    spec = json.dumps(_symbol(rng))
+    lo = int(rng.integers(2, 2 ** 8 + 1))
+    powers = sorted({int(k) for k in rng.integers(1, 9, int(rng.integers(1, 4)))})
+    ngrid = _pick(rng, ",".join(f"2^{k}" for k in powers), str(lo),
+                  f"{lo}..{min(lo + int(rng.integers(1, 4)), 2 ** 8)}")
+    return ["lcs-experiment", "--symbol", spec, "--ngrid", ngrid, "--trials", str(int(rng.integers(2, 4))),
+            "--seed", str(int(rng.integers(2 ** 32)))]
+
+
+def _lcs_draws() -> list:
+    rng = np.random.default_rng(LCS_SEED)
+    out = []
+    for i in range(LCS_CASES):
+        argv = _lcs_argv(rng)
+        out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}"))
+    return out
+
+
+def _ngrid_values(text: str) -> list[int]:
+    """The n of each row, read off the --ngrid forms the draws use."""
+    if ".." in text:
+        lo, hi = map(int, text.split(".."))
+        return list(range(lo, hi + 1))
+    return [2 ** int(v[2:]) if v.startswith("2^") else int(v) for v in text.split(",")]
+
+
+@pytest.mark.parametrize("argv", _lcs_draws())
+def test_lcs_experiment_contract(argv, capsys):
+    code, out, err = _run(argv, capsys)
+    json_code, json_out, json_err = _run(argv + ["--format", "json"], capsys)
+    assert code in (0, 2, 64), (code, err)
+    assert (json_code, json_err) == (code, err)
+    if code != 0:
+        assert out == json_out == ""
+        return
+    assert err == ""
+    rows = [{k: _csv_value(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(out))]
+    assert rows == json.loads(json_out)["rows"]
+    assert _run(argv, capsys)[1] == out
+    assert [row["n"] for row in rows] == _ngrid_values(argv[argv.index("--ngrid") + 1])
+    assert all(row["trials"] == int(argv[argv.index("--trials") + 1]) for row in rows)

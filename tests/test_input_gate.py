@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dppkit import (
-    PrefixState,
     SizeCapError,
     Symbol,
     SymbolSpecError,
@@ -44,7 +43,6 @@ COUNT_CALLS = {
     "joint_cylinder_log_prob.gap": (lambda v: joint_cylinder_log_prob(SYM, "1", "0", v), 2),
     "correlation_ratio.gap": (lambda v: correlation_ratio(SYM, "1", "1", v), 2),
     "cylinder_log_probs_direct.N": (lambda v: cylinder_log_probs_direct(SYM, v), 2),
-    "PrefixState.root.window": (lambda v: PrefixState.root(SYM, window=v).window, 2),
     "power_decay.cutoff": (lambda v: Symbol.power_decay(0.5, 0.1, 2, v), 2),
     "psi_bound_report.ell": (lambda v: psi_bound_report(SYM, v), 2),
     "psi_finite_window.ell": (lambda v: psi_finite_window(SYM, v, 2), 2),
@@ -53,6 +51,7 @@ COUNT_CALLS = {
     "allones_lower_witness.N": (lambda v: allones_lower_witness(SYM, 1, v), 2),
     "sample_prefix.n": (lambda v: sample_prefix(SYM, v, 1), 2),
     "sample_prefix.seed": (lambda v: sample_prefix(SYM, 8, v), 2),
+    "sample_prefix.window": (lambda v: sample_prefix(SYM, 8, 1, window=v), 2),
     "sample_many.count": (lambda v: sample_many(SYM, 8, v, 1), 2),
     "sample_many.seed": (lambda v: sample_many(SYM, 8, 2, v), 2),
     "empirical_cylinder_test.word_len": (lambda v: empirical_cylinder_test(SYM, v, 100, 1), 2),

@@ -13,7 +13,7 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # dppkit/__init__.py must be added here as well, so the change shows in review.
 PUBLIC = [
     "BinarySequence", "ConditioningError", "DimensionEstimate", "FiniteWindowPsi",
-    "HypothesisError", "LcsExperimentRow", "NumericsError", "PrefixState", "PsiBoundReport",
+    "HypothesisError", "LcsExperimentRow", "NumericsError", "PsiBoundReport",
     "RatioReport", "SNQTable", "SizeCapError", "Symbol", "SymbolSpecError", "TailSum",
     "allones_lower_witness", "contraction_margin", "corr_dim_szego_lower", "corr_dim_szego_upper",
     "correlation_ratio", "cylinder_log_prob", "cylinder_prob", "dim_q_estimate", "dimension",

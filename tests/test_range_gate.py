@@ -4,7 +4,6 @@ import pytest
 
 from dppkit import (
     HypothesisError,
-    PrefixState,
     Symbol,
     allones_lower_witness,
     corr_dim_szego_lower,
@@ -35,7 +34,6 @@ CALLS = {
     "joint_cylinder_log_prob": lambda s: joint_cylinder_log_prob(s, "1", "0", 1),
     "correlation_ratio": lambda s: correlation_ratio(s, "1", "1", 1),
     "conditional_next": lambda s: conditional_next(s, "1"),
-    "PrefixState.root": lambda s: PrefixState.root(s),
     "cylinder_log_probs_direct": lambda s: cylinder_log_probs_direct(s, 3),
     "psi_bound_report": lambda s: psi_bound_report(s, 1),
     "psi_finite_window": lambda s: psi_finite_window(s, 1, 2),

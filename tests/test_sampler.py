@@ -129,12 +129,11 @@ def test_encodings(fair):
     assert seq.to01() == format(int(seq.to_hex(), 16), "016b")
 
 
-def _eager_bits(sym, n, seed, window, route=EagerPrefixState):
-    """The sampler's bits drawn by the chain rule on the eager corner route
-    (or on a caller's chain of ``route``), from the same n uniforms of the
-    trajectory's PCG64 stream."""
+def _eager_bits(sym, n, seed, window):
+    """The sampler's bits drawn by the chain rule on the eager corner route,
+    from the same n uniforms of the trajectory's PCG64 stream."""
     uni = np.random.Generator(np.random.PCG64(seed)).random(n)
-    state, bits = route.root(sym, window=window), np.empty(n, dtype=np.uint8)
+    state, bits = EagerPrefixState.root(sym, window=window), np.empty(n, dtype=np.uint8)
     for k in range(n):
         bits[k] = uni[k] < state.conditional_one()
         state = state.extend(int(bits[k]))
@@ -243,16 +242,15 @@ def test_schur_chain_alphas_hold_across_buffer_moves(monkeypatch, name, window):
     # the bits alone can miss a slip in the buffer's move: columns moved one
     # row off, or d left behind, shift the next alphas by 1e-3 to 1e-2, and
     # the bits of the test above held at window 64 for both.  Through two
-    # moves every alpha lies within 1e-13 of a caller's corner chain's
+    # moves every alpha lies within 1e-13 of the eager corner route's
     # (at most 2.1e-17 here)
     sym = SCHUR_SYMBOLS[name]
     rows = len(_SchurChain(_GData(sym), window, 10 ** 6).rows)
     bits, alphas = _sampled_alphas(monkeypatch, sym, 2 * rows - window + 3, 5, window)
     monkeypatch.undo()
-    state = PrefixState.root(sym, window=window)
+    state = EagerPrefixState.root(sym, window=window)
     for got, bit in zip(alphas, bits, strict=True):
-        stack = state._stack
-        assert abs(got - (stack.alphas or stack.extension())[state._row]) <= 1e-13
+        assert abs(got - state._extension()[2]) <= 1e-13
         state = state.extend(bit)
 
 
@@ -298,20 +296,20 @@ def _sampled_alphas(monkeypatch, sym, n, seed, window):
 
 def test_out_of_range_conditional_names_a_plain_float():
     # window 8 truncates arc_indicator: the conditional leaves [0, 1] at
-    # bit 1,249, on the sampler's chain and on a caller's corner chain alike
+    # bit 1,249, on the sampler's chain and on the eager corner route alike
     sym = Symbol.arc_indicator(0.1, 0.45)
     message = r"^conditional probability -0\.00164795862436\d* out of range at position 1249$"
     with pytest.raises(ConditioningError, match=message):
         sample_prefix(sym, 4096, 0, window=8)
     with pytest.raises(ConditioningError, match=message):
-        _eager_bits(sym, 4096, 0, 8, route=PrefixState)
+        _eager_bits(sym, 4096, 0, 8)
 
 
 @pytest.mark.parametrize("window", [-1, -3, 2.5, True, False, 0.0, "3"])
 @pytest.mark.parametrize("sym", [Symbol.raised_cosine(0.5, 0.25), Symbol.power_decay(0.5, 0.1, 2, 64)],
                          ids=["raised_cosine", "power_decay"])
 def test_window_must_be_none_or_an_int_at_least_0(sym, window):
-    # PrefixState.root refuses it, before the i.i.d. path at window 0 too
+    # the window gate refuses it, before the i.i.d. path at window 0 too
     with pytest.raises(ValueError, match="window must be None or an int >= 0"):
         sample_prefix(sym, 40, 1, window=window)
     assert np.array_equal(sample_prefix(sym, 40, 1, window=np.int64(2)).bits,
