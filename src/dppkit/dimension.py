@@ -59,12 +59,13 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _stack_rows(state: PrefixState, length: int, n_max: int) -> int:
     """How many prefixes of ``length`` a level of a walk to n_max holds: at
-    most STACK_ROWS, and only as many as whose Schur blocks fit in
-    STACK_BYTES (a one-number state has none)."""
-    if state._x is not None:
+    most STACK_ROWS, and only as many as whose Schur blocks, sized by the
+    walk's ``_SchurBlocks.edge``, fit in STACK_BYTES (a one-number state has none)."""
+    if state._stack is None:
         return STACK_ROWS
-    m = n_max - length if state.window is None else min(state.window + 1, n_max - length)
-    return min(STACK_ROWS, STACK_BYTES // (m * m * (8 if state.gd.real else 16)))
+    reach, row, _ = state._stack.edge
+    m = min(reach + 1, n_max - length)
+    return min(STACK_ROWS, STACK_BYTES // (m * m * row.itemsize))
 
 
 def _level_accumulate(level: list, n_max: int, q: float, sums: np.ndarray,

@@ -33,7 +33,7 @@ IMAG_TOL = 1e-10
 # at least the bytes of the rows a windowed Schur chain spares between two
 # moves of its buffer (``_SchurChain``)
 CHUNK_BYTES = 32 * 1024
-# a PrefixState with no slot set; ``root`` and ``extend`` store the slots one
+# a PrefixState with no slot set; ``_root`` and ``extend`` store the slots one
 # by one, which costs ``extend`` less than half of a keyword constructor call
 _new_state = object.__new__
 
@@ -57,10 +57,12 @@ def _unresolved(position: int, log_mass: float, s_abs: float, residue: float) ->
 
 
 def _signed_windows(sym: Symbol, theta: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """D(theta) T_J(g) + I for each row of signs theta (shape (..., |J|))."""
-    tg = toeplitz.build_T(g_coeff_fn(sym), J)
-    mats = theta[..., None] * tg
-    mats += np.eye(len(J), dtype=tg.dtype)  # in place: one stack, not two
+    """D(theta) T_J(g) + I for each row of signs theta (shape (..., |J|)),
+    its diagonal 1 + theta g0 read from f as 2 fhat(0) or 2 (1 - fhat(0)):
+    g0 = 2 fhat(0) - 1 is rounded, and 1 + theta g0 cancels near fhat(0) = 0 or 1."""
+    mats = theta[..., None] * toeplitz.build_T(g_coeff_fn(sym), J)
+    f0 = sym.fhat0
+    np.einsum("...ii->...i", mats)[...] = np.where(theta > 0.0, 2.0 * f0, 2.0 * (1.0 - f0))
     return mats
 
 
@@ -213,8 +215,9 @@ class _SchurBlocks:
     product formed once per parent row for all of its children.  At a
     finite window a position comes into reach at each step while one is
     left: no drawn position reaches it, so its row ghat(m - 1) .. ghat(1),
-    column ghat(1 - m) .. ghat(-1) and diagonal g0 are constant (``edge``),
-    and are written in.
+    column ghat(1 - m) .. ghat(-1) and diagonal g0 are constant, and are
+    written in.  ``edge`` = (reach, row, column) is shared by every level of
+    a walk and sizes its blocks (``dimension._stack_rows``).
     """
 
     __slots__ = ("edge", "left", "source", "kids", "block", "alphas", "pending")
@@ -224,10 +227,10 @@ class _SchurBlocks:
         self.kids, self.alphas, self.pending = [], None, None
 
     @classmethod
-    def root(cls, ghat, window, n_max: int) -> "_SchurBlocks":
+    def root(cls, gd: _GData, window, n_max: int) -> "_SchurBlocks":
         """The empty prefix of a walk to n_max bits: T_F(g) itself."""
         reach = n_max - 1 if window is None else min(window, n_max - 1)
-        top = toeplitz.build_T(ghat, np.arange(reach + 1))
+        top = toeplitz.build_T(gd.ghat, np.arange(reach + 1))
         return cls((reach, top[-1].copy(), top[:-1, -1].copy()), n_max, block=top[None])
 
     def children(self) -> "_SchurBlocks":
@@ -364,13 +367,13 @@ class PrefixState:
       bandwidth <= 1 (the 1 x 1 corner 1/s; kx = ghat(1)):  x <- (tp/s) ghat(-1),
 
     both from x = 0.  At bandwidth <= 1 this rounds as the inverse-corner
-    recursion does at window 1.  ``root`` sets up such a state, after the
-    range gate and the window gate.
+    recursion does at window 1.
 
-    Every other state is backed by a matrix, set up by ``_moment_root`` or
-    ``_chain_root`` alone: it is one row of a stack of prefixes of its
-    length.  ``extend`` does only scalar work: the extension factor s, its
-    checks and ``log_prob``.  Two kinds of stack serve the two walks:
+    Every other state is one row of a stack of prefixes of its length.
+    ``extend`` does only scalar work: the extension factor s, its checks
+    and ``log_prob``.  Only ``_moment_root`` and ``_chain_root`` build an
+    empty prefix, both through ``_root``, so no matrix state lacks its
+    stack.  Two kinds of stack serve the two walks:
 
     - the moment-sum walk (``_moment_root``) steps ``_SchurBlocks``: its row
       holds the Schur complement of the drawn positions in those still to
@@ -391,19 +394,7 @@ class PrefixState:
     it (a geometric symbol too, whose one-number state needs window None).
     """
 
-    __slots__ = ("gd", "window", "length", "log_prob", "_stack", "_row", "_x")
-
-    @classmethod
-    def root(cls, sym: Symbol, *, window: int | None = None) -> "PrefixState":
-        """The empty prefix; ``window`` is None (the full state) or an int >= 0.
-        A matrix state's stack is left unset here (see the class)."""
-        if window is not None:
-            window = require_int(window, 0, None, "prefix state window must be None or an int >= 0")
-        state = _new_state(cls)
-        state.gd, state.window, state.length, state.log_prob, state._row = _GData(sym), window, 0, 0.0, 0
-        state._x = 0.0 if _one_number(sym, window) else None
-        state._stack = None
-        return state
+    __slots__ = ("gd", "length", "log_prob", "_stack", "_row", "_x")
 
     def conditional_one(self) -> float:
         """P(next bit = 1 | prefix), from alpha for position length+1 (x or the stack's row)."""
@@ -426,7 +417,7 @@ class PrefixState:
 
     def extend(self, bit: int) -> "PrefixState":
         """The child prefix with ``bit`` appended: its one number at once, or
-        its row of the pending child stack, built slot by slot as ``root``
+        its row of the pending child stack, built slot by slot as ``_root``
         builds the empty prefix."""
         gd, x = self.gd, self._x
         if x is None:
@@ -466,28 +457,34 @@ class PrefixState:
                 d = 1.0 - gd.c2 * x
                 x = gd.r2 * (x + tp * d * d / s)
         child = _new_state(PrefixState)
-        child.gd, child.window, child.length = gd, self.window, self.length + 1
-        child.log_prob, child._stack, child._row = log_prob, child_stack, row
-        child._x = x
+        child.gd, child.length, child.log_prob = gd, self.length + 1, log_prob
+        child._stack, child._row, child._x = child_stack, row, x
         return child
+
+
+def _root(sym: Symbol, window: int | None, n: int, stack) -> PrefixState:
+    """The empty prefix of a walk of n bits at ``window``, after the range
+    gate (``_GData``): one number, or row 0 of ``stack(gd, window, n)``."""
+    gd = _GData(sym)
+    state = _new_state(PrefixState)
+    state.gd, state.length, state.log_prob, state._row = gd, 0, 0.0, 0
+    state._x, state._stack = (0.0, None) if _one_number(sym, window) else (None, stack(gd, window, n))
+    return state
 
 
 def _moment_root(sym: Symbol, n_max: int) -> PrefixState:
     """The empty prefix of the moment-sum walk to n_max bits, at window =
     bandwidth (exact): one number, or a row of ``_SchurBlocks``."""
-    state = PrefixState.root(sym, window=sym.bandwidth)
-    if state._x is None:
-        state._stack = _SchurBlocks.root(state.gd.ghat, state.window, n_max)
-    return state
+    return _root(sym, sym.bandwidth, n_max, _SchurBlocks.root)
 
 
 def _chain_root(sym: Symbol, window: int | None, n: int) -> PrefixState:
     """The empty prefix of a chain of n bits at ``window``: one number, or a
-    ``_SchurChain`` that each ``extend`` steps in place."""
-    state = PrefixState.root(sym, window=window)
-    if state._x is None:
-        state._stack = _SchurChain(state.gd, state.window, n)
-    return state
+    ``_SchurChain`` that each ``extend`` steps in place.  The only root a
+    caller's window reaches, so the window gate (None or an int >= 0) is here."""
+    if window is not None:
+        window = require_int(window, 0, None, "prefix state window must be None or an int >= 0")
+    return _root(sym, window, n, _SchurChain)
 
 
 def _sampled_bits(sym: Symbol, window: int | None, n: int, rng: np.random.Generator) -> np.ndarray:

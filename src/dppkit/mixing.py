@@ -156,15 +156,10 @@ def _coupling_factors(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.nda
 def _marginal_stack(sym: Symbol, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The signs theta (2^N, N) and windows A(eps) = D(theta) T_N(g) + I
     (2^N, N, N) of every word, read-only, after checking that no word has
-    mass 0.  The diagonal 1 + theta g0 is read from f: 2 fhat(0) where
-    theta = 1 and 2 (1 - fhat(0)) where theta = -1, since g0 = 2 fhat(0) - 1
-    is rounded and 1 + theta g0 cancels near fhat(0) = 0 or 1.  They do not
-    depend on the gap, so a run over gaps at one (sym, N) forms and checks
-    them once; a failed check is not cached."""
+    mass 0.  They do not depend on the gap, so a run over gaps at one
+    (sym, N) forms and checks them once; a failed check is not cached."""
     theta = 2.0 * measure.word_bits(N) - 1.0
     a = measure._signed_windows(sym, theta, np.arange(1, N + 1))
-    f0 = sym.fhat0
-    np.einsum("wii->wi", a)[...] = np.where(theta > 0.0, 2.0 * f0, 2.0 * (1.0 - f0))
     if np.any(measure._log_probs(a) == -math.inf):
         raise ConditioningError("vanishing marginal in finite-window enumeration")
     theta.flags.writeable = a.flags.writeable = False

@@ -34,7 +34,7 @@ def _check_cylinder_values() -> None:
     rc = Symbol.raised_cosine(0.5, 0.5)
     _require(math.isclose(measure.cylinder_prob(rc, "11"), 3.0 / 16.0, rel_tol=1e-12), "P[11]")
     _require(math.isclose(measure.cylinder_prob(rc, "10"), 5.0 / 16.0, rel_tol=1e-12), "P[10]")
-    p = measure.PrefixState.root(rc, window=rc.bandwidth).extend(1).conditional_one()
+    p = measure._chain_root(rc, rc.bandwidth, 2).extend(1).conditional_one()
     _require(math.isclose(p, 3.0 / 8.0, rel_tol=1e-12), "P[1 | 1]")
 
 
@@ -43,7 +43,7 @@ def _check_one_number_state() -> None:
         _require(measure._one_number(sym, None), "one-number state chosen")
         direct = measure.cylinder_log_probs_direct(sym, 8)
         _require(abs(np.exp(direct).sum() - 1.0) < 1e-10, "cylinder sum")
-        root = measure.PrefixState.root(sym)
+        root = measure._moment_root(sym, 8)
         for m in range(2 ** 8):
             state = root
             for k in range(8):

@@ -3,7 +3,7 @@
 Each computes a quantity the library also computes, by a slower or more
 literal route: the f-route window and coupling-block builders with the
 correlation-ratio matrix H and the all-ones witness formed from them, the
-direct cylinder determinant, the joint cylinder probability from the signed
+direct cylinder determinant, and at 60 digits for poisson, the joint cylinder probability from the signed
 joint window alone, the next-bit conditional by a walk of the eager
 inverse-corner route,
 the sampler's Schur chain step that slices its buffer on every bit, moment
@@ -187,6 +187,26 @@ def s_n_q_mp(sym: Symbol, n_max: int, q, dps: int = 50) -> list:
     return out
 
 
+def _f_form_mu_mp(f, word, rows):
+    """det(D(2 eps - 1) T(f) + D(1 - eps)) over the positions ``rows`` of
+    the mp coefficient grid f[i][j] = fhat(J_i - J_j)."""
+    m = mpmath.matrix(len(rows), len(rows))
+    for a, (i, e) in enumerate(zip(rows, word)):
+        for b, j in enumerate(rows):
+            m[a, b] = (2 * e - 1) * f[i][j] + (1 - e if a == b else 0)
+    return mpmath.re(mpmath.det(m))
+
+
+def cylinder_log_probs_mp(c: float, r: float, N: int, dps: int = 60) -> list:
+    """log mu of every length-N word of poisson(c, r), in ``word_bits``
+    order, from the f-form windows at ``dps`` digits, with the exact
+    coefficients fhat(n) = c r^|n| of the double c and r."""
+    with mpmath.workdps(dps):
+        c, r = mpmath.mpmathify(c), mpmath.mpmathify(r)
+        f = [[c * r ** abs(i - j) for j in range(N)] for i in range(N)]
+        return [mpmath.log(_f_form_mu_mp(f, word, range(N))) for word in measure.word_bits(N).tolist()]
+
+
 def psi_finite_window_mp(sym: Symbol, ell: int, N: int, dps: int = 50) -> float:
     """psi_N(ell) = max over word pairs of |R - 1|, R = mu[eps, gap, eps'] /
     (mu[eps] mu[eps']), from determinants of the f-form windows
@@ -197,20 +217,12 @@ def psi_finite_window_mp(sym: Symbol, ell: int, N: int, dps: int = 50) -> float:
     bits = measure.word_bits(N).tolist()
     with mpmath.workdps(dps):
         f = [[mpmath.mpmathify(v) for v in row] for row in fhat]
-
-        def mu(word, rows):
-            m = mpmath.matrix(len(rows), len(rows))
-            for a, (i, e) in enumerate(zip(rows, word)):
-                for b, j in enumerate(rows):
-                    m[a, b] = (2 * e - 1) * f[i][j] + (1 - e if a == b else 0)
-            return mpmath.re(mpmath.det(m))
-
         inner, outer = list(range(N)), list(range(N, 2 * N))
-        marginal = [mu(word, inner) for word in bits]
+        marginal = [_f_form_mu_mp(f, word, inner) for word in bits]
         worst = mpmath.mpf(0)
         for eps, p in zip(bits, marginal):
             for eps_p, p_p in zip(bits, marginal):
-                worst = max(worst, abs(mu(eps + eps_p, inner + outer) / (p * p_p) - 1))
+                worst = max(worst, abs(_f_form_mu_mp(f, eps + eps_p, inner + outer) / (p * p_p) - 1))
         return float(worst)
 
 

@@ -15,8 +15,9 @@ import pytest
 import dppkit
 from dppkit import Symbol, cli, cylinder_prob
 from dppkit.cli import build_parser, main
+from dppkit.measure import word_bits
 
-from oracles import s_n_q_mp
+from oracles import cylinder_log_probs_mp, s_n_q_mp
 
 POISSON = '{"family":"poisson","params":{"c":0.5,"r":0.25}}'
 FAIR = '{"family":"constant","params":{"a":0.5}}'
@@ -728,12 +729,27 @@ def test_console_entry_point():
     assert proc.stdout.splitlines()[0] == "word,probability,log2_probability"
 
 
+@pytest.mark.parametrize("c,r,N", [(1e-12, -0.999999, 4), (1e-17, -1e-12, 3)])
+def test_cylinder_enumeration_of_a_near_empty_process_matches_mpmath(capsys, c, r, N):
+    # f <= 2e-6 and f <= 1e-17: a diagonal 1 + theta g0 from the rounded g0
+    # once made some determinants negative ("cylinder determinant is
+    # negative", exit 1); each word against 60 digits from the exact
+    # fhat(n) = c r^|n| (the worst reads 9.0e-11 and 7.1e-15)
+    spec = json.dumps({"family": "poisson", "params": {"c": c, "r": r}})
+    code, out, err = run_cli(["cylinder", "--symbol", spec, "--N", str(N)], capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [word for word, _, _ in rows] == ["".join(map(str, bits)) for bits in word_bits(N).tolist()]
+    for (_, _, log2_p), want in zip(rows, cylinder_log_probs_mp(c, r, N)):
+        assert abs(float(log2_p) * math.log(2.0) - float(want)) <= 1e-10
+
+
 def test_zero_determinant_writes_nothing_to_stderr():
     # a window of determinant 0 is mass 0 by the probability rule, not a numpy warning
     src = os.path.dirname(os.path.dirname(dppkit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    spec = '{"family":"poisson","params":{"c":1e-300,"r":-1e-12}}'
-    proc = subprocess.run([sys.executable, "-m", "dppkit", "cylinder", "--symbol", spec, "--word", "10"],
+    spec = '{"family":"constant","params":{"a":1.0}}'
+    proc = subprocess.run([sys.executable, "-m", "dppkit", "cylinder", "--symbol", spec, "--word", "0"],
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[0] == "word,probability,log2_probability"

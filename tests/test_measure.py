@@ -20,7 +20,8 @@ from dppkit import (
     s_n_q_table,
     sample_prefix,
 )
-from dppkit.measure import PrefixState, _chain_root, _log_probs, _moment_root, _one_number, cylinder_log_probs_direct
+from dppkit.measure import (IMAG_TOL, PrefixState, _chain_root, _log_probs, _moment_root, _one_number,
+                            cylinder_log_probs_direct)
 from dppkit.symbol import g_coeff_fn
 from dppkit.toeplitz import build_T
 
@@ -213,8 +214,8 @@ def test_windowed_prefix_state_exact_for_band_limited():
     sym = Symbol.raised_cosine(0.55, 0.3)
     rng = np.random.default_rng(27)
     bits = rng.integers(0, 2, 60)
-    full = PrefixState.root(sym)
-    windowed = PrefixState.root(sym, window=sym.bandwidth)
+    full = _chain_root(sym, None, 60)
+    windowed = _chain_root(sym, sym.bandwidth, 60)
     for b in bits:
         assert windowed.conditional_one() == pytest.approx(full.conditional_one(), abs=1e-13)
         full = full.extend(int(b))
@@ -294,12 +295,38 @@ def test_lazy_prefix_state_matches_eager_oracle(name, window):
 
 
 def test_prefix_state_parent_is_keyword_only():
-    # a state is built only by root, the two matrix roots and extend: the
-    # old positional constructor form (gd, window, length, theta, corner,
-    # log_prob) fails at once instead of building a wrong state
-    root = PrefixState.root(LAZY_SYMBOLS["poisson"])
+    # a state is built only by the two roots and extend: the old positional
+    # constructor form (gd, window, length, theta, corner, log_prob) fails
+    # at once instead of building a wrong state
+    root = _chain_root(LAZY_SYMBOLS["poisson"], None, 4)
     with pytest.raises(TypeError):
         PrefixState(root.gd, None, 0, None, None, 0.0)
+
+
+@pytest.mark.parametrize("window", [True, 1.5, -1])
+def test_chain_root_refuses_a_bad_window_before_reading_a_coefficient(monkeypatch, window):
+    # the window gate runs in ``_chain_root``, the only root a caller's window
+    # reaches, before the range gate reads the symbol
+    def refused(self, ns):
+        raise AssertionError("a coefficient was read")
+
+    monkeypatch.setattr(Symbol, "coeffs", refused)
+    with pytest.raises(ValueError, match=r"^prefix state window must be None or an int >= 0(; got .*)?$"):
+        _chain_root(Symbol.poisson(0.5, 0.25), window, 8)
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_SYMBOLS) + ["arc_indicator(0.1,0.45)"])
+def test_every_root_answers_conditional_one(name):
+    # a one-number root, and a matrix root with its stack, from either root:
+    # P(x_1 = 1) = fhat(0) at every window, and a walk of two bits or more
+    # answers for its second bit too
+    sym = LAZY_SYMBOLS.get(name) or Symbol.arc_indicator(0.1, 0.45)
+    roots = [(n, _moment_root(sym, n)) for n in (1, 2, 9)]
+    roots += [(n, _chain_root(sym, window, n)) for window in (None, 0, 1, 2, 3, sym.bandwidth) for n in (1, 2, 9)]
+    for n, root in roots:
+        assert (root._x is None) == (root._stack is not None)
+        assert root.conditional_one() == pytest.approx(sym.fhat0, abs=1e-15)
+        assert n == 1 or 0.0 <= root.extend(1).conditional_one() <= 1.0
 
 
 def test_lazy_child_drops_its_parent():
@@ -339,7 +366,7 @@ def _check_one_number_paths(sym, window, ulps, paths, bits, seed=62):
     (bandwidth <= 1 rounds the same), else within the given ulps."""
     rng = np.random.default_rng(seed)
     for _ in range(paths):
-        state = PrefixState.root(sym, window=window)
+        state = _chain_root(sym, window, bits)
         eager = EagerPrefixState.root(sym, window=window)
         for bit in rng.integers(0, 2, bits):
             p1, want = state.conditional_one(), eager.conditional_one()
@@ -413,7 +440,7 @@ def test_one_number_log_prob_matches_mpmath(name):
     rng = np.random.default_rng(63)
     words = ["1" * 14, "0" * 14, "10" * 7] + ["".join(rng.choice(["0", "1"], 14)) for _ in range(3)]
     for word in words:
-        state = PrefixState.root(sym)
+        state = _chain_root(sym, None, len(word))
         for ch in word:
             state = state.extend(int(ch))
         want = _mp_log_prob(sym, word)
@@ -463,7 +490,8 @@ def test_lazy_extend_raises_where_eager_does(route):
     with pytest.raises(ConditioningError, match=r"^prefix mass 5\.66e-24 too small to resolve "
                        r"at position 10: \|s\| = 2, imaginary residue 1\.11e-10$"):
         walk(Symbol.arc_indicator(0.1, 0.45), 11, 2)
-    state = route.root(Symbol.constant(1.0)).extend(1)
+    one = Symbol.constant(1.0)
+    state = (_chain_root(one, None, 2) if route is PrefixState else route.root(one)).extend(1)
     with pytest.raises(ConditioningError,
                        match="^prefix probability vanishes extending with bit 0 at position 1$"):
         state.extend(0)
@@ -474,21 +502,27 @@ def test_conditional_one_refuses_an_imaginary_residue(route):
     # alpha itself, not an extension factor, carries the residue here.  The
     # full-state chain (``_chain_root``) meets one after eight 1s, the eager
     # corner route after 111111110 (its alphas before that pass), as
-    # conditional_next, which walks it, does too
+    # conditional_next, which walks it, does too.  The residue is rounding
+    # noise of a prefix of mass 3.6e-19, whose digits move with the CPU's
+    # BLAS kernel (6.36e-10 on one, -3.05e-10 on another, for the corner
+    # route), so only its size against IMAG_TOL is checked
     sym = Symbol.arc_indicator(0.1, 0.45)
     if route is PrefixState:
         state, word = _chain_root(sym, None, 10), "11111111"
-        message = r"position 8: \|s\| = 3\.13e-05, imaginary residue 1\.12e-10"
+        at = r"position 8: \|s\| = 3\.13e-05"
     else:
         state, word = route.root(sym), "111111110"
-        message = r"position 9: \|s\| = 0\.00135, imaginary residue 6\.36e-10"
+        at = r"position 9: \|s\| = 0\.00135"
     for bit in word:
         state = state.extend(int(bit))
-    with pytest.raises(ConditioningError, match=rf"^prefix mass 3\.62e-19 too small to resolve at {message}$"):
-        state.conditional_one()
+    message = rf"^prefix mass 3\.62e-19 too small to resolve at {at}, imaginary residue (\S+)$"
+    calls = [state.conditional_one]
     if route is EagerPrefixState:
-        with pytest.raises(ConditioningError, match=rf"^prefix mass 3\.62e-19 .* {message}$"):
-            conditional_next(sym, word)
+        calls.append(lambda: conditional_next(sym, word))
+    for call in calls:
+        with pytest.raises(ConditioningError, match=message) as err:
+            call()
+        assert abs(float(re.match(message, str(err.value)).group(1))) > IMAG_TOL
 
 
 def test_log_probs_negative_determinant_boundary():
@@ -500,9 +534,18 @@ def test_log_probs_negative_determinant_boundary():
 
 def test_zero_determinant_is_mass_0_without_a_warning():
     # slogdet of an exactly singular window divides by zero; the module's rule
-    # reads it as mass 0, so under filterwarnings = error no warning may escape
+    # reads it as mass 0, so under filterwarnings = error no warning may escape.
+    # At f = 1 the word "0" has the window [2 (1 - fhat(0))] = [0]
+    assert cylinder_log_prob(Symbol.constant(1.0), "0") == -math.inf
+    assert cylinder_log_probs_direct(Symbol.constant(1.0), 2).tolist() == [-math.inf] * 3 + [0.0]
+
+
+def test_signed_window_diagonal_resolves_a_tiny_mass():
+    # mu([10]) = fhat(0) (1 - fhat(0)) + |fhat(1)|^2 = 1e-300 here (fhat(1)^2
+    # underflows): a diagonal 1 + theta g0 from the rounded g0 = 2e-300 - 1
+    # would read 1 - 1 = 0 and give mass 0
     sym = Symbol.poisson(1e-300, -1e-12)
-    assert cylinder_log_prob(sym, "10") == -math.inf
+    assert cylinder_log_prob(sym, "10") == pytest.approx(math.log(1e-300), rel=1e-14)
 
 
 def test_correlation_ratio_refuses_a_vanishing_marginal():
@@ -516,6 +559,25 @@ def _first_subtree_depth(sym) -> int:
     return max(n for n in range(1, 23)
                if all(2 ** k <= dimension._stack_rows(_moment_root(sym, n), k, n)
                       for k in range(2, n)))
+
+
+@pytest.mark.parametrize("window", [None, 2, 3])
+@pytest.mark.parametrize("name", sorted(LAZY_SYMBOLS))
+def test_stack_rows_sizes_each_level_from_its_schur_blocks(name, window):
+    # a level's rows are sized by its stack's edge alone: the same as from
+    # the window and the coefficients' dtype, at every length of every walk
+    sym = LAZY_SYMBOLS[name]
+    for n_max in range(1, 23):
+        root = _schur_root(sym, window, n_max)
+        states = [root] if n_max == 1 else [root, root.extend(1)]
+        for length in range(n_max):
+            if _one_number(sym, window):
+                want = dimension.STACK_ROWS
+            else:
+                m = n_max - length if window is None else min(window + 1, n_max - length)
+                want = min(dimension.STACK_ROWS,
+                           dimension.STACK_BYTES // (m * m * (8 if sym.has_real_coeffs else 16)))
+            assert all(dimension._stack_rows(state, length, n_max) == want for state in states)
 
 
 QS = (2, 3, 2.5)
@@ -816,9 +878,7 @@ TREE_LEVELS = 9
 
 def _schur_root(sym, window, n_max):
     """The moment-sum walk's root at ``window`` (``_moment_root`` takes the bandwidth)."""
-    state = PrefixState.root(sym, window=window)
-    state._stack = measure._SchurBlocks.root(state.gd.ghat, window, n_max)
-    return state
+    return measure._root(sym, window, n_max, measure._SchurBlocks.root)
 
 
 @pytest.mark.parametrize("window", [None, 2, 3])

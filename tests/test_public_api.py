@@ -1,13 +1,17 @@
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dppkit
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+RUN = TRACER.parent / "run.py"
 
 # Every public name of the package.  A name added to or restored in
 # dppkit/__init__.py must be added here as well, so the change shows in review.
@@ -39,9 +43,26 @@ def test_traced_names_resolve(monkeypatch):
     for module, attr, _, _ in tracer.TARGETS:
         obj = importlib.import_module(f"dppkit.{module}")
         for part in attr.split("."):
-            assert hasattr(obj, part), f"perfbench traces dppkit.{module}.{attr}"
-            obj = getattr(obj, part)
+            # the tracer reads a method from its own class's __dict__, so one
+            # inherited from a base class would pass hasattr and fail there
+            assert part in vars(obj), f"perfbench traces dppkit.{module}.{attr}"
+            obj = vars(obj)[part]
         assert callable(obj)
+
+
+@pytest.mark.parametrize("workload, extends", [("dimension-tree", 344_028), ("sample-chain", 53_248)])
+def test_benchmark_count_self_check(workload, extends):
+    # the traced benchmark run checks its count of PrefixState.extend calls,
+    # one per tree node and one per sampled bit, against its inputs: a change
+    # that drops a call fails here, not first in a benchmark run
+    proc = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seed", "31",
+                           "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, timeout=600,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0)
+    assert result["metrics"]["measure.extend.calls"]["value"] == extends
 
 
 def test_import_loads_no_scipy():

@@ -12,7 +12,7 @@ from dppkit import (
     sample_prefix,
 )
 from dppkit.errors import ConditioningError
-from dppkit.measure import PrefixState, _GData, _SchurChain
+from dppkit.measure import PrefixState, _GData, _SchurChain, _chain_root
 from dppkit.mixing import SizeCapError
 from dppkit.sampler import EXACT_LENGTH_CAP, _auto_window
 from dppkit.symbol import require_range
@@ -70,12 +70,10 @@ def test_adjacent_pair_frequency(rc_half):
 
 def test_sampler_conditionals_match_measure(poi_half):
     # the sampler's internal conditionals are the measure module's
-    from dppkit.measure import PrefixState
-
     seq = sample_prefix(poi_half, 12, seed=99)
     for k in range(1, 9):
         word = "".join(str(int(b)) for b in seq.bits[:k])
-        state = PrefixState.root(poi_half)
+        state = _chain_root(poi_half, None, k + 1)
         for b in seq.bits[:k]:
             state = state.extend(int(b))
         assert state.conditional_one() == pytest.approx(conditional_next(poi_half, word), abs=1e-12)
