@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dimension, lcs, measure, mixing, sampler, selftest
 from .errors import ConditioningError, HypothesisError, SizeCapError, SymbolSpecError
-from .symbol import Symbol, symbol_from_json
+from .symbol import DEFAULT_TRUNCATION, Symbol, symbol_from_json
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="Fourier coefficients fhat(0..nmax)")
     common(p)
-    p.add_argument("--nmax", type=_bounded_int(0, 2 ** 62), default=16)
+    p.add_argument("--nmax", type=_bounded_int(0, 2 ** 59), default=16)  # 0..nmax fit an array
     p.set_defaults(fn=_cmd_coeffs)
 
     p = sub.add_parser("cylinder", help="exact cylinder probabilities")
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--ell", default="1..6", help="gaps, e.g. 3 or 1..8 or 1,2,5")
     p.add_argument("--N", type=_bounded_int(1), default=4, help="finite-window size")
-    p.add_argument("--truncation", type=_bounded_int(2), default=100_000)
+    p.add_argument("--truncation", type=_bounded_int(2), default=DEFAULT_TRUNCATION)
     p.set_defaults(fn=_cmd_psi)
 
     p = sub.add_parser("dimension", help="moment sums and dimension estimates")

@@ -497,12 +497,13 @@ def _sampled_bits(sym: Symbol, window: int | None, n: int, rng: np.random.Genera
         np.less(rng.random(n), p1, out=bits.view(bool))
         return bits
     state = _chain_root(sym, window, n)
-    bits = bytearray(n)
+    bits = np.empty(n, dtype=np.uint8)  # before the uniforms, as above: numpy names an n too large
+    out = bits.data  # a memoryview, whose item store costs less than the array's
     for k, u in enumerate(rng.random(n).tolist()):
         bit = 1 if u < state.conditional_one() else 0
-        bits[k] = bit
+        out[k] = bit
         state = state.extend(bit)
-    return np.frombuffer(bits, np.uint8)
+    return bits
 
 
 def cylinder_log_probs_direct(sym: Symbol, N: int) -> np.ndarray:

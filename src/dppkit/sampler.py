@@ -9,22 +9,12 @@ the stream seed ^ i.
 The automatic window is the symbol's exact bandwidth, or None (the full
 state) when it has none, so automatic sampling is always exact.  A poisson
 symbol, or one of bandwidth <= 1, has a one-number state there (see
-``measure.PrefixState``): O(1) per bit.  Any other symbol draws each bit
-from the Schur complement of the drawn positions in the positions still to
-draw within the window's reach (``measure._SchurChain``): the next
-bandwidth + 1 positions for a band-limited symbol, every remaining one
-(the full state) for a symbol with no bandwidth.  Either window,
+``measure.PrefixState``): O(1) per bit.  Any other symbol's window,
 min(n, bandwidth) or n wide, costs quadratic time per bit, so the
 automatic window caps its width at EXACT_LENGTH_CAP; poisson is exempt.
 An explicit window chosen by the caller truncates the coefficients beyond
-it and is never capped.  The chain loop is ``measure._sampled_bits``,
-which hands no state out, so it keeps only the pivot columns of the drawn
-positions that reach a later one, and forms each bit's column by one gemv
-against them: a full-state sample of n bits holds one n x n array of
-them, n^2 * 16 bytes for a complex symbol.  A windowed chain longer than
-its buffer steps on views of the buffer's rows formed once, so a bit costs
-a few numpy calls on arrays of window + 1 entries; the loop reads its
-uniforms as Python floats and collects the bits in a bytearray.
+it and is never capped.  The chain loop is ``measure._sampled_bits``, and
+what its chain keeps per bit is ``measure._SchurChain``'s.
 
 The selftest replays sampled prefixes exactly against ratios of cylinder
 determinants; the chi-square fit of word frequencies is a test oracle.
@@ -65,7 +55,7 @@ def _auto_window(sym: Symbol, n: int) -> int | None:
     width = n if bw is None else min(n, bw)  # the window's width
     if sym.geometric is None and width > EXACT_LENGTH_CAP:
         raise SizeCapError(
-            f"exact sampling caps the corner width at {EXACT_LENGTH_CAP}, got {width}; "
+            f"exact sampling caps the window width at {EXACT_LENGTH_CAP}, got {width}; "
             "pass an explicit window for approximate sampling"
         )
     return bw

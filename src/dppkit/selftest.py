@@ -1,8 +1,9 @@
 """Built-in invariant battery behind the `dppkit selftest` subcommand.
 
 Each check is a small, fast version of a module invariant; the full
-randomized suites live in the test tree.  No check is statistical: the
-sampler's replays sampled bits against ratios of cylinder determinants, and
+randomized suites live in the test tree.  No check is statistical: every
+kind of prefix state, walked as the moment-sum tree and as the sampler's
+chain, is held to the cylinder determinants word by word, bit by bit, and
 the finite-window psi that `dppkit psi` prints is recomputed from the
 cylinder enumeration that `dppkit cylinder --N` prints, summed over the gap.
 """
@@ -38,17 +39,44 @@ def _check_cylinder_values() -> None:
     _require(math.isclose(p, 3.0 / 8.0, rel_tol=1e-12), "P[1 | 1]")
 
 
-def _check_one_number_state() -> None:
-    for sym in (Symbol.poisson(0.5, 0.25), Symbol.raised_cosine(0.5, 0.25)):
-        _require(measure._one_number(sym, None), "one-number state chosen")
+def _check_prefix_states() -> None:
+    # one-number states (reach None: geometric, then bandwidth 1), then the Schur blocks and
+    # chains of a complex band-limited symbol (reach 3) and of one with no bandwidth (every position)
+    for sym, reach in ((Symbol.poisson(0.5, 0.25), None), (Symbol.raised_cosine(0.5, 0.5), None),
+                       (Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]), 3),
+                       (Symbol.arc_indicator(0.1, 0.45), math.inf)):
+        root, chain = measure._moment_root(sym, 8), measure._chain_root(sym, sym.bandwidth, 24)
+        kinds = (root._stack and root._stack.edge[0], chain._stack and chain._stack.reach)
+        _require(kinds == ((None, None) if reach is None else (min(reach, 7), min(reach, 23))),
+                 f"state kinds of {sym.family}")
         direct = measure.cylinder_log_probs_direct(sym, 8)
-        _require(abs(np.exp(direct).sum() - 1.0) < 1e-10, "cylinder sum")
-        root = measure._moment_root(sym, 8)
-        for m in range(2 ** 8):
-            state = root
-            for k in range(8):
-                state = state.extend((m >> k) & 1)
-            _require(abs(state.log_prob - direct[m]) <= 1e-12, f"log mu of word {m}")
+        _require(abs(np.exp(direct).sum() - 1.0) < 1e-10, f"cylinder sum of {sym.family}")
+        s = dimension.s_n_q_table(sym, 8, 2)[-1]
+        _require(abs(s - np.logaddexp.reduce(2.0 * direct) / math.log(2)) < 1e-9,
+                 f"S_8 vs determinants of {sym.family}")
+        todo = [(root, 0, 1), (root, 0, 0)]
+        while todo:  # depth first, so each stack forms one child, as a word-by-word walk does
+            state, m, bit = todo.pop()
+            m, state = m | bit << state.length, state.extend(bit)
+            if state.length < 8:
+                todo += [(state, m, 1), (state, m, 0)]
+            else:
+                tol = 1e-12 if reach is None else 1e-10 * abs(direct[m])
+                _require(abs(state.log_prob - direct[m]) <= tol, f"log mu of word {m} of {sym.family}")
+        # the sampler's chain: each conditional against a ratio of cylinder
+        # determinants, and each sampled bit against its uniform
+        for seed in (2024, 7):
+            uni = np.random.Generator(np.random.PCG64(seed)).random(24)
+            state, word, log_w = measure._chain_root(sym, sym.bandwidth, 24), "", 0.0
+            for u, bit in zip(uni, sampler.sample_prefix(sym, 24, seed).bits.tolist()):
+                p = state.conditional_one()
+                exact = math.exp(measure.cylinder_log_prob(sym, word + "1") - log_w)
+                _require(abs(p - exact) <= 1e-12, f"P[1 | {word!r}] of {sym.family}")
+                _require(bit == (u < p), f"bit {len(word)} of {sym.family} at seed {seed}")
+                state, word = state.extend(bit), word + str(bit)
+                log_w = measure.cylinder_log_prob(sym, word)
+    est = dimension.dim_q_estimate(Symbol.constant(0.5), 2, 6)
+    _require(np.allclose(est.table.estimate_N, 1.0, atol=1e-12), "fair-coin dimension")
 
 
 def _check_determinant_identities() -> None:
@@ -64,19 +92,6 @@ def _check_determinant_identities() -> None:
         for j in range(32)
     )
     _require(abs(np.linalg.det(np.eye(5) + m) - total) <= 1e-9, "principal-minor expansion")
-
-
-def _check_dimension_oracles() -> None:
-    # two one-number states, and two symbols whose moment sums take the
-    # Schur-block route: a complex band-limited one (4 x 4 blocks) and one
-    # with no bandwidth (full-state blocks, shrinking with the depth)
-    for sym in (Symbol.raised_cosine(0.5, 0.5), Symbol.poisson(0.75, 0.125),
-                Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]), Symbol.arc_indicator(0.1, 0.45)):
-        s = dimension.s_n_q_table(sym, 6, 2)[-1]
-        direct = np.logaddexp.reduce(2.0 * measure.cylinder_log_probs_direct(sym, 6)) / math.log(2)
-        _require(abs(s - direct) < 1e-9, f"S_6 vs determinants of {sym.family}")
-    est = dimension.dim_q_estimate(Symbol.constant(0.5), 2, 6)
-    _require(np.allclose(est.table.estimate_N, 1.0, atol=1e-12), "fair-coin dimension")
 
 
 def _check_finite_window_psi() -> None:
@@ -97,25 +112,6 @@ def _check_finite_window_psi() -> None:
             if contraction_margin(sym) > 0.0:  # else there is no upper bound
                 upper = mixing.psi_bound_report(sym, ell).upper_bound
                 _require(fin <= upper + 1e-9, f"psi_{N}({ell}) of {sym.family} under the upper bound")
-
-
-def _check_sampler_replay() -> None:
-    # a one-number state, a trimmed chain (window 3) and a full-state chain,
-    # walked as the sampler walks them (``_chain_root``): each conditional
-    # against a ratio of cylinder determinants, the check independent of the
-    # chain, and each sampled bit against its uniform
-    for sym in (Symbol.poisson(0.5, 0.25), Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]),
-                Symbol.arc_indicator(0.1, 0.45)):
-        for seed in (2024, 7):
-            uni = np.random.Generator(np.random.PCG64(seed)).random(24)
-            state, word, log_w = measure._chain_root(sym, sym.bandwidth, 24), "", 0.0
-            for k, bit in enumerate(sampler.sample_prefix(sym, 24, seed).bits.tolist()):
-                p = state.conditional_one()
-                exact = math.exp(measure.cylinder_log_prob(sym, word + "1") - log_w)
-                _require(abs(p - exact) <= 1e-12, f"P[1 | {word!r}] of {sym.family}")
-                _require(bit == (uni[k] < p), f"bit {k} of {sym.family} at seed {seed}")
-                state, word = state.extend(bit), word + str(bit)
-                log_w = measure.cylinder_log_prob(sym, word)
 
 
 def _check_lcs() -> None:
@@ -146,11 +142,9 @@ def _check_lcs() -> None:
 CHECKS = [
     ("symbol closed-form values", _check_symbol_values),
     ("cylinder hand values", _check_cylinder_values),
-    ("one-number prefix state vs determinants", _check_one_number_state),
+    ("prefix states vs cylinder determinants", _check_prefix_states),
     ("determinant identities", _check_determinant_identities),
-    ("dimension oracle equivalence", _check_dimension_oracles),
     ("finite-window psi vs cylinder sums", _check_finite_window_psi),
-    ("sampled chain replay vs cylinder determinants", _check_sampler_replay),
     ("lcs packed codes and prefix doubling vs dp", _check_lcs),
 ]
 

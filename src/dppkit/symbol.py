@@ -442,7 +442,11 @@ def symbol_from_json(spec) -> Symbol:
             _require(n <= 2 ** 62, f"coefficient index n={n} rejected: past the cap 2^62")
             _require(n not in seen, f"duplicate coefficient index n={n}")
             seen[n] = complex(*_finite("trig_poly", re=ent.get("re", 0.0), im=ent.get("im", 0.0)))
-        table = np.zeros(max(seen) + 1, dtype=complex)
+        top = max(seen)
+        if (top + 1) * 16 > np.iinfo(np.intp).max:  # numpy's "array is too big"
+            raise SizeCapError(f"trig_poly: coefficient index n={top} needs a table of {top + 1} "
+                               "coefficients, past what an array can index")
+        table = np.zeros(top + 1, dtype=complex)
         table[list(seen)] = list(seen.values())
         return Symbol.trig_poly(table)
 

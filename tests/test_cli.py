@@ -282,13 +282,25 @@ def test_wide_band_limited_sample_cap_exit_2(argv, capsys):
     (["coeffs", "--symbol", FAIR, "--nmax", str(10 ** 20)], 64, "argument --nmax: must be in [0, "),
     (["coeffs", "--symbol", '{"family":"trig_poly","coeffs":[{"n":0,"re":0.5},{"n":%d,"re":0.01}]}'
       % 10 ** 20], 64, "coefficient index n=100000000000000000000 rejected: past the cap 2^62"),
-], ids=["sample-n", "psi-truncation", "coeffs-nmax", "trig-poly-n"])
+    # a trig_poly table or an --nmax index range numpy cannot index once exited 64 with
+    # its "array is too big", and a one-number sample 2 with an empty MemoryError
+    *[(["coeffs", "--symbol", '{"family":"trig_poly","coeffs":[{"n":0,"re":0.5},{"n":%d,"re":0.01}]}' % n],
+       2, f"trig_poly: coefficient index n={n} needs a table of {n + 1} coefficients, past what an array "
+       "can index")
+      for n in (2 ** 59 - 1, 2 ** 62)],
+    (["coeffs", "--symbol", FAIR, "--nmax", "2^60"], 64,
+     f"argument --nmax: must be in [0, {2 ** 59}], got {2 ** 60}"),
+    (["sample", "--symbol", POISSON, "--n", "2^60"], 2,
+     "Unable to allocate 1.00 EiB for an array with shape (1152921504606846976,)"),
+], ids=["sample-n", "psi-truncation", "coeffs-nmax", "trig-poly-n", "trig-poly-n-2^59-1", "trig-poly-n-2^62",
+        "coeffs-nmax-2^60", "sample-n-2^60"])
 def test_oversized_count_is_refused_by_name(argv, code, error, capsys):
-    # each once exited 64 with numpy's "Maximum allowed size exceeded"
+    # each once exited 64 with numpy's "Maximum allowed size exceeded" or
+    # "array is too big", or with an empty message; no allocation named succeeds
     got, out, err = run_cli(argv, capsys)
     assert got == code and out == ""
     assert error in err
-    assert "Maximum allowed" not in err
+    assert "Maximum allowed" not in err and "array is too big" not in err
 
 
 def test_closed_form_tail_takes_any_truncation(capsys):
@@ -761,11 +773,9 @@ def test_selftest_passes(capsys):
     assert out.splitlines() == [f"PASS {name}" for name in (
         "symbol closed-form values",
         "cylinder hand values",
-        "one-number prefix state vs determinants",
+        "prefix states vs cylinder determinants",
         "determinant identities",
-        "dimension oracle equivalence",
         "finite-window psi vs cylinder sums",
-        "sampled chain replay vs cylinder determinants",
         "lcs packed codes and prefix doubling vs dp",
     )]
 
@@ -809,7 +819,7 @@ def test_selftest_catches_a_broken_one_number_state_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 1
-    assert "FAIL one-number prefix state vs determinants" in proc.stdout
+    assert "FAIL prefix states vs cylinder determinants" in proc.stdout
 
 
 def test_selftest_catches_a_broken_stacked_corner_build_under_optimize():
@@ -833,8 +843,37 @@ def test_selftest_catches_a_broken_stacked_corner_build_under_optimize():
         proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
                               env=env, timeout=300)
         assert proc.returncode == 1
-        assert "FAIL dimension oracle equivalence" in proc.stdout
-        assert "S_6 vs determinants of trig_poly" in proc.stdout
+        assert "FAIL prefix states vs cylinder determinants" in proc.stdout
+        assert "S_8 vs determinants of trig_poly" in proc.stdout
+
+
+def test_selftest_catches_a_skewed_lone_child_stack():
+    # the blocks of a Schur-block stack formed for one child, the shape a
+    # depth-first or word-by-word walk forms, off by one part in 10^6: the
+    # level-order moment sums never form such a stack, so only the walk of
+    # every word catches it, with and without -O
+    src = os.path.dirname(os.path.dirname(dppkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import runpy, sys\n"
+        "from dppkit.measure import _SchurBlocks\n"
+        "form = _SchurBlocks._form\n"
+        "def skewed(self):\n"
+        "    lone = len(self.kids) == 1\n"
+        "    form(self)\n"
+        "    if lone:\n"
+        "        self.block = self.block * (1.0 + 1e-6)\n"
+        "_SchurBlocks._form = skewed\n"
+        "sys.argv = ['dppkit', 'selftest']\n"
+        "runpy.run_module('dppkit', run_name='__main__')\n"
+    )
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 1
+        assert "FAIL prefix states vs cylinder determinants" in proc.stdout
+        assert "log mu of word 0 of trig_poly" in proc.stdout
+        assert proc.stdout.count("FAIL") == 1
 
 
 def test_selftest_catches_a_skewed_chain_pivot_column_under_optimize():
@@ -860,7 +899,7 @@ def test_selftest_catches_a_skewed_chain_pivot_column_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 1
-    assert "FAIL sampled chain replay vs cylinder determinants" in proc.stdout
+    assert "FAIL prefix states vs cylinder determinants" in proc.stdout
     assert proc.stdout.count("FAIL") == 1
 
 
@@ -877,7 +916,7 @@ def test_selftest_catches_a_broken_schur_step(tmp_path):
 
 def _selftest_of_a_broken_copy(tmp_path, line, broken):
     """In a copy of the package whose measure.py has ``broken`` for its one
-    ``line``, selftest fails the sampled chain replay, with and without -O."""
+    ``line``, selftest fails the prefix-state check, with and without -O."""
     copy = tmp_path / "dppkit"
     shutil.copytree(os.path.dirname(dppkit.__file__), copy, ignore=shutil.ignore_patterns("__pycache__"))
     text = (copy / "measure.py").read_text()
@@ -888,7 +927,7 @@ def _selftest_of_a_broken_copy(tmp_path, line, broken):
         proc = subprocess.run([sys.executable, *flags, "-m", "dppkit", "selftest"], capture_output=True,
                               text=True, env=env, timeout=300)
         assert proc.returncode == 1
-        assert "FAIL sampled chain replay vs cylinder determinants" in proc.stdout
+        assert "FAIL prefix states vs cylinder determinants" in proc.stdout
 
 
 @pytest.mark.parametrize("least_r", [0, 3], ids=["every-r", "slogdet-route"])
