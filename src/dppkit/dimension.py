@@ -28,7 +28,6 @@ names the first in depth-first order).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from . import toeplitz
 from .errors import ConditioningError, SizeCapError, require_int
 from .measure import PrefixState, _moment_root, word_bits
-from .symbol import Symbol, g_coeff_fn, one_sidedness, require_range
+from .symbol import Symbol, _real, g_coeff_fn, one_sidedness, require_range
 
 SNQ_CAP = 22
 # bytes of the Schur blocks of one level that a level-order subtree holds,
@@ -118,7 +117,7 @@ def s_n_q_table(sym: Symbol, n_max: int, q: float) -> np.ndarray:
     ulp, and a sum of 0.0 has no logarithm.
     """
     n_max = require_int(n_max, 1, SNQ_CAP, f"s_n_q_table: need 1 <= n_max <= {SNQ_CAP}")
-    if isinstance(q, bool) or not isinstance(q, numbers.Real) or not (math.isfinite(q) and q > 1):
+    if not 1.0 < _real(q) < math.inf:  # nan for a q that is not a real number
         raise ValueError(f"s_n_q_table: need finite q > 1, got {q!r}")
     sums = np.zeros(n_max)
     comp = np.zeros(n_max)

@@ -227,9 +227,8 @@ class _SchurBlocks:
         self.kids, self.alphas, self.pending = [], None, None
 
     @classmethod
-    def root(cls, gd: _GData, window, n_max: int) -> "_SchurBlocks":
+    def root(cls, gd: _GData, reach: int, n_max: int) -> "_SchurBlocks":
         """The empty prefix of a walk to n_max bits: T_F(g) itself."""
-        reach = n_max - 1 if window is None else min(window, n_max - 1)
         top = toeplitz.build_T(gd.ghat, np.arange(reach + 1))
         return cls((reach, top[-1].copy(), top[:-1, -1].copy()), n_max, block=top[None])
 
@@ -307,8 +306,7 @@ class _SchurChain:
 
     __slots__ = ("alphas", "rows", "skew", "d", "g", "reach", "row", "left", "views")
 
-    def __init__(self, gd: _GData, window, n: int):
-        reach = n - 1 if window is None else min(n - 1, window)
+    def __init__(self, gd: _GData, reach: int, n: int):
         width = max(2, min(2 * reach + 1, n))  # 2 at n = 1, so that skew has a row step
         dtype = np.dtype(np.float64 if gd.real else np.complex128)
         # at a finite window, rows to spare between two moves: at least
@@ -366,8 +364,8 @@ class PrefixState:
       geometric; kx = 4c^2):  x <- r^2 (x + tp (1 - 2c x)^2 / s);
       bandwidth <= 1 (the 1 x 1 corner 1/s; kx = ghat(1)):  x <- (tp/s) ghat(-1),
 
-    both from x = 0.  At bandwidth <= 1 this rounds as the inverse-corner
-    recursion does at window 1.
+    both from x = 0.  At bandwidth <= 1 this rounds as the test oracle's
+    inverse-corner recursion (``EagerPrefixState``, tests/oracles.py) does at window 1.
 
     Every other state is one row of a stack of prefixes of its length.
     ``extend`` does only scalar work: the extension factor s, its checks
@@ -464,11 +462,12 @@ class PrefixState:
 
 def _root(sym: Symbol, window: int | None, n: int, stack) -> PrefixState:
     """The empty prefix of a walk of n bits at ``window``, after the range
-    gate (``_GData``): one number, or row 0 of ``stack(gd, window, n)``."""
+    gate (``_GData``): one number, or row 0 of ``stack(gd, reach, n)``."""
     gd = _GData(sym)
     state = _new_state(PrefixState)
     state.gd, state.length, state.log_prob, state._row = gd, 0, 0.0, 0
-    state._x, state._stack = (0.0, None) if _one_number(sym, window) else (None, stack(gd, window, n))
+    reach = n - 1 if window is None else min(window, n - 1)
+    state._x, state._stack = (0.0, None) if _one_number(sym, window) else (None, stack(gd, reach, n))
     return state
 
 

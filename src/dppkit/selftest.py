@@ -41,10 +41,13 @@ def _check_cylinder_values() -> None:
 
 def _check_prefix_states() -> None:
     # one-number states (reach None: geometric, then bandwidth 1), then the Schur blocks and
-    # chains of a complex band-limited symbol (reach 3) and of one with no bandwidth (every position)
+    # chains of a complex band-limited symbol (reach 3), of one with no bandwidth (every position)
+    # and of one at reach 64, whose 140-bit chain reads the formed views of its 129-row buffer
+    # (bits 64 .. 75) and moves it (bit 129)
     for sym, reach in ((Symbol.poisson(0.5, 0.25), None), (Symbol.raised_cosine(0.5, 0.5), None),
                        (Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]), 3),
-                       (Symbol.arc_indicator(0.1, 0.45), math.inf)):
+                       (Symbol.arc_indicator(0.1, 0.45), math.inf),
+                       (Symbol.power_decay(0.5, 0.1, 2, 64), 64)):
         root, chain = measure._moment_root(sym, 8), measure._chain_root(sym, sym.bandwidth, 24)
         kinds = (root._stack and root._stack.edge[0], chain._stack and chain._stack.reach)
         _require(kinds == ((None, None) if reach is None else (min(reach, 7), min(reach, 23))),
@@ -65,16 +68,16 @@ def _check_prefix_states() -> None:
                 _require(abs(state.log_prob - direct[m]) <= tol, f"log mu of word {m} of {sym.family}")
         # the sampler's chain: each conditional against a ratio of cylinder
         # determinants, and each sampled bit against its uniform
-        for seed in (2024, 7):
-            uni = np.random.Generator(np.random.PCG64(seed)).random(24)
-            state, word, log_w = measure._chain_root(sym, sym.bandwidth, 24), "", 0.0
-            for u, bit in zip(uni, sampler.sample_prefix(sym, 24, seed).bits.tolist()):
-                p = state.conditional_one()
-                exact = math.exp(measure.cylinder_log_prob(sym, word + "1") - log_w)
+        for seed, n in ((2024, 24), (7, 24)) if reach != 64 else ((2024, 140),):  # 140 bits once: 0.1 s
+            uni = np.random.Generator(np.random.PCG64(seed)).random(n)
+            state, word, log_w = measure._chain_root(sym, sym.bandwidth, n), "", 0.0
+            for u, bit in zip(uni, sampler.sample_prefix(sym, n, seed).bits.tolist()):
+                p, log_1 = state.conditional_one(), measure.cylinder_log_prob(sym, word + "1")
+                exact = math.exp(log_1 - log_w)
                 _require(abs(p - exact) <= 1e-12, f"P[1 | {word!r}] of {sym.family}")
                 _require(bit == (u < p), f"bit {len(word)} of {sym.family} at seed {seed}")
                 state, word = state.extend(bit), word + str(bit)
-                log_w = measure.cylinder_log_prob(sym, word)
+                log_w = log_1 if bit else measure.cylinder_log_prob(sym, word)
     est = dimension.dim_q_estimate(Symbol.constant(0.5), 2, 6)
     _require(np.allclose(est.table.estimate_N, 1.0, atol=1e-12), "fair-coin dimension")
 

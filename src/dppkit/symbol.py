@@ -42,16 +42,20 @@ def _require(cond: bool, msg: str) -> None:
         raise SymbolSpecError(msg)
 
 
+def _real(v) -> float:
+    """v as a float; nan for a bool, a value that is not a ``numbers.Real``
+    (numpy's bool, a complex, a string, None) and an int past the float range."""
+    try:
+        return float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
+    except OverflowError:
+        return math.nan
+
+
 def _finite(family: str, **params) -> list[float]:
-    """Each parameter as a float; a bool, a value that is not a ``numbers.Real``
-    (numpy's bool, a complex, a string, None) or a non-finite one is refused."""
-    out = []
-    for name, v in params.items():
-        try:
-            out.append(float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan)
-        except OverflowError:  # an int past the float range
-            out.append(math.nan)
-        _require(math.isfinite(out[-1]), f"{family}: parameter {name} must be a finite number")
+    """Each parameter as a float (``_real``); a non-finite one is refused."""
+    out = [_real(v) for v in params.values()]
+    for name, v in zip(params, out):
+        _require(math.isfinite(v), f"{family}: parameter {name} must be a finite number")
     return out
 
 
@@ -92,8 +96,10 @@ class Symbol:
     @classmethod
     def trig_poly(cls, coeffs: "np.ndarray | list[complex]") -> "Symbol":
         """Band-limited symbol from the coefficients fhat(0..B); fhat(-n) = conj(fhat(n))."""
-        table = np.asarray(coeffs, dtype=object).ravel()  # as given: numpy reads [True, 0.1] as floats
-        _require(all(isinstance(v, numbers.Complex) and not isinstance(v, bool) for v in table),
+        # a numeric array by its dtype, the rest value by value: numpy reads [True, 0.1] as floats
+        typed = isinstance(coeffs, np.ndarray) and coeffs.dtype.kind in "iufc"
+        table = (coeffs if typed else np.asarray(coeffs, dtype=object)).ravel()
+        _require(typed or all(isinstance(v, numbers.Complex) and not isinstance(v, bool) for v in table),
                  "trig_poly: coefficients must be numbers")
         try:
             table = table.astype(complex)

@@ -1,7 +1,27 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dppkit
 from dppkit import Symbol
+
+SRC = os.path.dirname(os.path.dirname(dppkit.__file__))
+
+
+@pytest.fixture
+def fresh_python():
+    """Runs ``python *flags *args`` in a fresh interpreter, with ``path`` (the
+    package's own by default) first on PYTHONPATH and ``env`` over this
+    process's environment; returns the finished process, its output as text."""
+    def run(*args, flags=(), path=SRC, timeout=300, **env):
+        env["PYTHONPATH"] = os.pathsep.join([str(path), os.environ.get("PYTHONPATH", "")])
+        return subprocess.run([sys.executable, *flags, *args], capture_output=True, text=True,
+                              env=dict(os.environ, **env), timeout=timeout)
+
+    return run
 
 
 @pytest.fixture

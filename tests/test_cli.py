@@ -1,13 +1,10 @@
 import argparse
 import json
 import math
-import os
 import pathlib
 import re
 import shlex
 import shutil
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -21,6 +18,7 @@ from oracles import cylinder_log_probs_mp, s_n_q_mp
 
 POISSON = '{"family":"poisson","params":{"c":0.5,"r":0.25}}'
 FAIR = '{"family":"constant","params":{"a":0.5}}'
+RC_BAD = '{"family":"raised_cosine","params":{"a":0.5,"b":0.9}}'
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -228,79 +226,54 @@ def test_output_file(tmp_path, capsys):
     assert out_path.read_text().splitlines()[0] == "n,re,im"
 
 
-def test_malformed_json_exit_64(capsys):
-    code, _, err = run_cli(["cylinder", "--symbol", "{oops", "--word", "1"], capsys)
-    assert code == 64
-    assert "line 1" in err and "column" in err
-
-
-def test_unknown_field_exit_64(capsys):
-    bad = '{"family":"constant","params":{"a":0.5},"mystery":1}'
-    code, _, err = run_cli(["cylinder", "--symbol", bad, "--word", "1"], capsys)
-    assert code == 64
-    assert "mystery" in err
-
-
-def test_range_violation_exit_2(capsys):
-    bad = '{"family":"raised_cosine","params":{"a":0.5,"b":0.9}}'
-    code, _, err = run_cli(["cylinder", "--symbol", bad, "--word", "1"], capsys)
-    assert code == 2
-    assert "HypothesisError" in err
-
-
-def test_psi_range_violation_exit_2(capsys):
-    bad = '{"family":"power_decay","params":{"a":0.5,"c":0.1,"p":0.75,"cutoff":1000000}}'
-    code, out, err = run_cli(["psi", "--symbol", bad], capsys)
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "HypothesisError"
-
-
-def test_cap_violation_exit_2(capsys):
-    code, _, err = run_cli(["dimension", "--symbol", FAIR, "--nmax", "30"], capsys)
-    assert code == 2
-    assert "SizeCapError" in err
-
-
-@pytest.mark.parametrize("argv", [["sample", "--n", "4096"], ["lcs-experiment", "--ngrid", "4096"]],
-                         ids=["sample", "lcs-experiment"])
-def test_wide_band_limited_sample_cap_exit_2(argv, capsys):
-    wide = '{"family":"power_decay","params":{"a":0.5,"c":0.01,"p":2,"cutoff":1000000}}'
-    code, out, err = run_cli(argv[:1] + ["--symbol", wide] + argv[1:], capsys)
-    assert code == 2
-    assert out == ""
-    diag = json.loads(err)
-    assert diag["error"] == "SizeCapError"
-    assert "4096" in diag["message"]
-
-
 @pytest.mark.parametrize("argv, code, error", [
-    (["sample", "--symbol", POISSON, "--n", str(10 ** 20)], 2, "sample_prefix: need 1 <= n <= 2^62"),
+    (["sample", "--symbol", POISSON, "--n", str(10 ** 20)], 2,
+     "SizeCapError: sample_prefix: need 1 <= n <= 2^62"),
     (["psi", "--symbol", '{"family":"arc_indicator","params":{"alpha":0.1,"beta":0.45}}',
       "--truncation", str(10 ** 19), "--ell", "1", "--N", "1"], 2,
-     "tail_sum: a summed truncation must be at most 2^62"),
+     "SizeCapError: tail_sum: a summed truncation must be at most 2^62"),
     (["coeffs", "--symbol", FAIR, "--nmax", str(10 ** 20)], 64, "argument --nmax: must be in [0, "),
     (["coeffs", "--symbol", '{"family":"trig_poly","coeffs":[{"n":0,"re":0.5},{"n":%d,"re":0.01}]}'
       % 10 ** 20], 64, "coefficient index n=100000000000000000000 rejected: past the cap 2^62"),
     # a trig_poly table or an --nmax index range numpy cannot index once exited 64 with
     # its "array is too big", and a one-number sample 2 with an empty MemoryError
     *[(["coeffs", "--symbol", '{"family":"trig_poly","coeffs":[{"n":0,"re":0.5},{"n":%d,"re":0.01}]}' % n],
-       2, f"trig_poly: coefficient index n={n} needs a table of {n + 1} coefficients, past what an array "
-       "can index")
+       2, f"SizeCapError: trig_poly: coefficient index n={n} needs a table of {n + 1} coefficients, past "
+       "what an array can index")
       for n in (2 ** 59 - 1, 2 ** 62)],
     (["coeffs", "--symbol", FAIR, "--nmax", "2^60"], 64,
      f"argument --nmax: must be in [0, {2 ** 59}], got {2 ** 60}"),
     (["sample", "--symbol", POISSON, "--n", "2^60"], 2,
-     "Unable to allocate 1.00 EiB for an array with shape (1152921504606846976,)"),
+     "MemoryError: Unable to allocate 1.00 EiB for an array with shape (1152921504606846976,)"),
+    # a malformed or unknown spec, a bad word, a symbol out of range and a capped count
+    (["cylinder", "--symbol", "{oops", "--word", "1"], 64, "malformed symbol JSON at line 1 column 2"),
+    (["cylinder", "--symbol", '{"family":"constant","params":{"a":0.5},"mystery":1}', "--word", "1"], 64,
+     "unknown fields in symbol spec: ['mystery']"),
+    (["cylinder", "--symbol", FAIR, "--word", "10a"], 64, "cylinder word must be a non-empty 0/1 string"),
+    (["cylinder", "--symbol", RC_BAD, "--word", "1"], 2, "HypothesisError: symbol range ["),
+    (["psi", "--symbol", '{"family":"power_decay","params":{"a":0.5,"c":0.1,"p":0.75,"cutoff":1000000}}'],
+     2, "HypothesisError: symbol range ["),
+    (["dimension", "--symbol", FAIR, "--nmax", "30"], 2, "SizeCapError: s_n_q_table: need 1 <= n_max <= 22"),
+    # a band-limited symbol whose window the sampler caps, for each command that samples
+    *[([command, "--symbol", '{"family":"power_decay","params":{"a":0.5,"c":0.01,"p":2,"cutoff":1000000}}',
+        flag, "4096"], 2, "SizeCapError: exact sampling caps the window width at 2048, got 4096")
+      for command, flag in (("sample", "--n"), ("lcs-experiment", "--ngrid"))],
 ], ids=["sample-n", "psi-truncation", "coeffs-nmax", "trig-poly-n", "trig-poly-n-2^59-1", "trig-poly-n-2^62",
-        "coeffs-nmax-2^60", "sample-n-2^60"])
+        "coeffs-nmax-2^60", "sample-n-2^60", "malformed-json", "unknown-field", "bad-word", "range-cylinder",
+        "range-psi", "cap-dimension-nmax", "wide-band-sample", "wide-band-lcs-experiment"])
 def test_oversized_count_is_refused_by_name(argv, code, error, capsys):
-    # each once exited 64 with numpy's "Maximum allowed size exceeded" or
-    # "array is too big", or with an empty message; no allocation named succeeds
+    # an oversized count once exited 64 with numpy's "Maximum allowed size exceeded"
+    # or "array is too big", or with an empty message; no allocation named succeeds.
+    # Exit 2 prints a JSON diagnostic, whose error class a row names before its ": "
     got, out, err = run_cli(argv, capsys)
     assert got == code and out == ""
-    assert error in err
     assert "Maximum allowed" not in err and "array is too big" not in err
+    if code == 2:
+        name, _, error = error.partition(": ")
+        diag = json.loads(err)
+        assert diag["error"] == name
+        err = diag["message"]
+    assert error in err
 
 
 def test_closed_form_tail_takes_any_truncation(capsys):
@@ -571,7 +544,6 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys, request, argv
     assert _golden_bytes(name, argv, tmp_path, monkeypatch, capsys) == 0
 
 
-RC_BAD = '{"family":"raised_cosine","params":{"a":0.5,"b":0.9}}'
 ARC = '{"family":"arc_indicator","params":{"alpha":0.1,"beta":0.45}}'
 TRIG = ('{"family":"trig_poly","coeffs":[{"n":0,"re":0.5},{"n":1,"re":0.1,"im":0.12},'
         '{"n":2,"re":-0.05,"im":0.07}]}')
@@ -657,17 +629,28 @@ def _emulates_avx2() -> bool:
 
 
 @pytest.mark.skipif(not _emulates_avx2(), reason="needs OpenBLAS and a CPU with AVX512F")
-def test_goldens_that_depend_on_the_cpu_kernel():
-    src = os.path.dirname(os.path.dirname(dppkit.__file__))
-    env = dict(os.environ, **EMULATED_AVX2,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", __file__, "-k",
-         "test_cli_bytes_match_golden or test_readme_cli_examples_exit_0"],
-        capture_output=True, text=True, env=env, timeout=300)
+def test_goldens_that_depend_on_the_cpu_kernel(fresh_python):
+    proc = fresh_python("-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", __file__, "-k",
+                        "test_cli_bytes_match_golden or test_readme_cli_examples_exit_0", **EMULATED_AVX2)
     moved = set(re.findall(r"^FAILED \S+::\w+\[([^\]]+)\]", proc.stdout, re.M))
     assert moved == KERNEL_DEPENDENT_GOLDENS, proc.stdout[-2000:]
     assert f"{len(GOLDEN_CASES) + len(_readme_cli_examples()) - len(moved)} passed" in proc.stdout
+
+
+def test_workflow_names_tests_that_exist_under_the_emulation_they_check(fresh_python):
+    # the CI step that runs tests under EMULATED_AVX2 names some by node ID and
+    # sets the emulation in two env blocks: a renamed test, or a changed
+    # feature list, would otherwise drop out of it silently
+    text = (README.parent / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    blocks = re.findall(r"^( +)env:\n((?:\1  .*\n)+)", text, re.M)
+    assert [dict(line.strip().split(": ", 1) for line in block.splitlines()) for _, block in blocks] == [
+        EMULATED_AVX2, EMULATED_AVX2]
+    named = re.findall(r"'(tests/[^']+::[^']+)'", text)
+    assert len(named) == 3
+    proc = fresh_python("-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+                        *[str(README.parent / node) for node in named])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert set(named) <= set(proc.stdout.splitlines())
 
 
 def _readme_option_table() -> dict[str, set[str]]:
@@ -719,24 +702,12 @@ def test_unread_options_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "f").exists()
 
 
-def test_bad_word_exit_64(capsys):
-    code, _, err = run_cli(["cylinder", "--symbol", FAIR, "--word", "10a"], capsys)
-    assert code == 64
-
-
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 64
 
 
-def test_console_entry_point():
-    src = os.path.dirname(os.path.dirname(dppkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dppkit.cli", "cylinder", "--symbol", FAIR, "--word", "101"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+def test_console_entry_point(fresh_python):
+    proc = fresh_python("-m", "dppkit.cli", "cylinder", "--symbol", FAIR, "--word", "101")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "word,probability,log2_probability"
 
@@ -756,13 +727,10 @@ def test_cylinder_enumeration_of_a_near_empty_process_matches_mpmath(capsys, c, 
         assert abs(float(log2_p) * math.log(2.0) - float(want)) <= 1e-10
 
 
-def test_zero_determinant_writes_nothing_to_stderr():
+def test_zero_determinant_writes_nothing_to_stderr(fresh_python):
     # a window of determinant 0 is mass 0 by the probability rule, not a numpy warning
-    src = os.path.dirname(os.path.dirname(dppkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    spec = '{"family":"constant","params":{"a":1.0}}'
-    proc = subprocess.run([sys.executable, "-m", "dppkit", "cylinder", "--symbol", spec, "--word", "0"],
-                          capture_output=True, text=True, env=env)
+    proc = fresh_python("-m", "dppkit", "cylinder", "--symbol", '{"family":"constant","params":{"a":1.0}}',
+                        "--word", "0")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[0] == "word,probability,log2_probability"
 
@@ -780,176 +748,114 @@ def test_selftest_passes(capsys):
     )]
 
 
-def test_selftest_fails_under_optimize():
+def _skewed_blocks(when: str) -> str:
+    """A plant that skews by one part in 10^6 the Schur blocks a stack forms where ``when`` holds."""
+    return ("from dppkit.measure import _SchurBlocks\n"
+            "form = _SchurBlocks._form\n"
+            "def skewed(self):\n"
+            "    lone = len(self.kids) == 1\n"
+            "    form(self)\n"
+            f"    if {when}:\n"
+            "        self.block = self.block * (1.0 + 1e-6)\n"
+            "_SchurBlocks._form = skewed\n")
+
+
+def _skewed_pivot(when: str) -> str:
+    """A plant that skews by one part in 10^6 the pivot column a chain step forms where ``when`` holds."""
+    return ("from dppkit.measure import _SchurChain\n"
+            "step = _SchurChain.step\n"
+            "def skewed(self, tp, s):\n"
+            "    step(self, tp, s)\n"
+            f"    if {when}:\n"
+            "        self.rows[self.row] *= 1.0 + 1e-6\n"
+            "        self.alphas[0] = self.rows.item(self.row, 0)\n"
+            "_SchurChain.step = skewed\n")
+
+
+def _skewed_psi_grid(least_r: int) -> str:
+    """A plant that skews by one part in 10^6 the finite-window deviation grids of r >= least_r."""
+    return ("import dppkit.mixing\n"
+            "grid = dppkit.mixing._deviation_grid\n"
+            "def skewed(x, y):\n"
+            "    dev = grid(x, y)\n"
+            f"    return dev * (1.0 + 1e-6) if x.shape[1] >= {least_r} else dev\n"
+            "dppkit.mixing._deviation_grid = skewed\n")
+
+
+# Each plant breaks one route that selftest must catch: a patch run before
+# selftest in the interpreter that runs it, or (line, broken) for the one line
+# of measure.py that a copy of the package breaks.  Under each set of
+# interpreter flags of its row, selftest exits 1 and prints FAIL for the row's
+# check and the row's text; with "only", that FAIL is the only one.
+BOTH, OPTIMIZED = ((), ("-O",)), (("-O",),)
+PREFIX_STATES, FINITE_WINDOW = "prefix states vs cylinder determinants", "finite-window psi vs cylinder sums"
+SELFTEST_PLANTS = {
     # python -O strips assert statements; the battery must still catch a
     # broken cylinder probability and exit 1
-    src = os.path.dirname(os.path.dirname(dppkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = (
-        "import runpy, sys\n"
-        "import dppkit.measure\n"
-        "dppkit.measure.cylinder_prob = lambda *args, **kwargs: 0.25\n"
-        "sys.argv = ['dppkit', 'selftest']\n"
-        "runpy.run_module('dppkit', run_name='__main__')\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 1
-    assert "FAIL cylinder hand values" in proc.stdout
-
-
-def test_selftest_catches_a_broken_one_number_state_under_optimize():
+    "cylinder-prob": ("import dppkit.measure\ndppkit.measure.cylinder_prob = lambda *args, **kwargs: 0.25\n",
+                      OPTIMIZED, "cylinder hand values", "", False),
     # a one-number extension whose log_prob drifts by 1e-11 per bit fails
     # the battery's check against the batched determinants, also under -O
-    src = os.path.dirname(os.path.dirname(dppkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = (
-        "import runpy, sys\n"
-        "from dppkit.measure import PrefixState\n"
-        "extend = PrefixState.extend\n"
-        "def drift(self, bit):\n"
-        "    child = extend(self, bit)\n"
-        "    if child._x is not None:\n"
-        "        child.log_prob += 1e-11\n"
-        "    return child\n"
-        "PrefixState.extend = drift\n"
-        "sys.argv = ['dppkit', 'selftest']\n"
-        "runpy.run_module('dppkit', run_name='__main__')\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 1
-    assert "FAIL prefix states vs cylinder determinants" in proc.stdout
-
-
-def test_selftest_catches_a_broken_stacked_corner_build_under_optimize():
+    "one-number-drift": ("from dppkit.measure import PrefixState\n"
+                         "extend = PrefixState.extend\n"
+                         "def drift(self, bit):\n"
+                         "    child = extend(self, bit)\n"
+                         "    if child._x is not None:\n"
+                         "        child.log_prob += 1e-11\n"
+                         "    return child\n"
+                         "PrefixState.extend = drift\n", OPTIMIZED, PREFIX_STATES, "", False),
     # the moment-sum walk's Schur blocks (a whole level's children formed
     # together) off by one part in 10^6 fail the battery's moment-sum
     # check, with and without -O
-    src = os.path.dirname(os.path.dirname(dppkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = (
-        "import runpy, sys\n"
-        "from dppkit.measure import _SchurBlocks\n"
-        "form = _SchurBlocks._form\n"
-        "def skewed(self):\n"
-        "    form(self)\n"
-        "    self.block = self.block * (1.0 + 1e-6)\n"
-        "_SchurBlocks._form = skewed\n"
-        "sys.argv = ['dppkit', 'selftest']\n"
-        "runpy.run_module('dppkit', run_name='__main__')\n"
-    )
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=300)
-        assert proc.returncode == 1
-        assert "FAIL prefix states vs cylinder determinants" in proc.stdout
-        assert "S_8 vs determinants of trig_poly" in proc.stdout
-
-
-def test_selftest_catches_a_skewed_lone_child_stack():
+    "skewed-blocks": (_skewed_blocks("True"), BOTH, PREFIX_STATES, "S_8 vs determinants of trig_poly", False),
     # the blocks of a Schur-block stack formed for one child, the shape a
     # depth-first or word-by-word walk forms, off by one part in 10^6: the
     # level-order moment sums never form such a stack, so only the walk of
     # every word catches it, with and without -O
-    src = os.path.dirname(os.path.dirname(dppkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = (
-        "import runpy, sys\n"
-        "from dppkit.measure import _SchurBlocks\n"
-        "form = _SchurBlocks._form\n"
-        "def skewed(self):\n"
-        "    lone = len(self.kids) == 1\n"
-        "    form(self)\n"
-        "    if lone:\n"
-        "        self.block = self.block * (1.0 + 1e-6)\n"
-        "_SchurBlocks._form = skewed\n"
-        "sys.argv = ['dppkit', 'selftest']\n"
-        "runpy.run_module('dppkit', run_name='__main__')\n"
-    )
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=300)
-        assert proc.returncode == 1
-        assert "FAIL prefix states vs cylinder determinants" in proc.stdout
-        assert "log mu of word 0 of trig_poly" in proc.stdout
-        assert proc.stdout.count("FAIL") == 1
-
-
-def test_selftest_catches_a_skewed_chain_pivot_column_under_optimize():
+    "skewed-lone-child": (_skewed_blocks("lone"), BOTH, PREFIX_STATES, "log mu of word 0 of trig_poly", True),
     # the replay walks the sampler's own Schur chain; each pivot column it
     # forms, off by one part in 10^6, moves the replayed conditionals of the
     # trimmed and the full-state chain off the cylinder-determinant ratios,
     # and fails the replay, also under -O
-    src = os.path.dirname(os.path.dirname(dppkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = (
-        "import runpy, sys\n"
-        "from dppkit.measure import _SchurChain\n"
-        "step = _SchurChain.step\n"
-        "def skewed(self, tp, s):\n"
-        "    step(self, tp, s)\n"
-        "    if self.left:\n"
-        "        self.rows[self.row] *= 1.0 + 1e-6\n"
-        "        self.alphas[0] = self.rows.item(self.row, 0)\n"
-        "_SchurChain.step = skewed\n"
-        "sys.argv = ['dppkit', 'selftest']\n"
-        "runpy.run_module('dppkit', run_name='__main__')\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 1
-    assert "FAIL prefix states vs cylinder determinants" in proc.stdout
-    assert proc.stdout.count("FAIL") == 1
-
-
-def test_selftest_catches_a_broken_schur_step(tmp_path):
+    "skewed-chain-pivot": (_skewed_pivot("self.left"), OPTIMIZED, PREFIX_STATES, "", True),
+    # the same skew only where a step reads a formed view of a buffer that
+    # moves, the route of every windowed chain longer than its buffer: of the
+    # replays, only the 140-bit power_decay chain at reach 64 takes it (bits
+    # 64 .. 75), so the 24-bit replays alone passed this plant
+    "skewed-formed-view": (
+        _skewed_pivot("self.views and self.left > self.reach and self.row >= self.reach"),
+        OPTIMIZED, PREFIX_STATES, "of power_decay", True),
     # the sampler's Schur chain adding its gemv against the stored columns
     # where it should subtract it: the replay's trig_poly chain draws
     # another bit at seed 7 (bit 14), and the arc_indicator chain leaves
-    # [0, 1] at both seeds.  The replay's 24-bit chains never reach a formed
-    # view (their buffer holds every row, so it never moves), but both
-    # routes share this one update line
-    _selftest_of_a_broken_copy(tmp_path, "        np.subtract(g, (dk * a0.conj()) @ a, out=c)\n",
-                               "        np.add(g, (dk * a0.conj()) @ a, out=c)\n")
-
-
-def _selftest_of_a_broken_copy(tmp_path, line, broken):
-    """In a copy of the package whose measure.py has ``broken`` for its one
-    ``line``, selftest fails the prefix-state check, with and without -O."""
-    copy = tmp_path / "dppkit"
-    shutil.copytree(os.path.dirname(dppkit.__file__), copy, ignore=shutil.ignore_patterns("__pycache__"))
-    text = (copy / "measure.py").read_text()
-    assert text.count(line) == 1
-    (copy / "measure.py").write_text(text.replace(line, broken))
-    env = dict(os.environ, PYTHONPATH=str(tmp_path))
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-m", "dppkit", "selftest"], capture_output=True,
-                              text=True, env=env, timeout=300)
-        assert proc.returncode == 1
-        assert "FAIL prefix states vs cylinder determinants" in proc.stdout
-
-
-@pytest.mark.parametrize("least_r", [0, 3], ids=["every-r", "slogdet-route"])
-def test_selftest_catches_a_skewed_finite_window_grid_under_optimize(least_r):
+    # [0, 1] at both seeds; the formed-view and the sliced route share this
+    # one update line
+    "broken-schur-step": (("        np.subtract(g, (dk * a0.conj()) @ a, out=c)\n",
+                           "        np.add(g, (dk * a0.conj()) @ a, out=c)\n"), BOTH, PREFIX_STATES, "", False),
     # a deviation grid off by one part in 10^6 fails the battery's check
     # against the cylinder sums, also under -O; at r >= 3 only the per-pair
     # slogdet route of arc_indicator is skewed
-    src = os.path.dirname(os.path.dirname(dppkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = (
-        "import runpy, sys\n"
-        "import dppkit.mixing\n"
-        "grid = dppkit.mixing._deviation_grid\n"
-        "def skewed(x, y):\n"
-        "    dev = grid(x, y)\n"
-        f"    return dev * (1.0 + 1e-6) if x.shape[1] >= {least_r} else dev\n"
-        "dppkit.mixing._deviation_grid = skewed\n"
-        "sys.argv = ['dppkit', 'selftest']\n"
-        "runpy.run_module('dppkit', run_name='__main__')\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 1
-    assert "FAIL finite-window psi vs cylinder sums" in proc.stdout
-    assert proc.stdout.count("FAIL") == 1
+    "skewed-psi-grid-every-r": (_skewed_psi_grid(0), OPTIMIZED, FINITE_WINDOW, "", True),
+    "skewed-psi-grid-slogdet-route": (_skewed_psi_grid(3), OPTIMIZED, FINITE_WINDOW, "", True),
+}
+
+
+@pytest.mark.parametrize("name", SELFTEST_PLANTS)
+def test_selftest_catches_a_plant(fresh_python, tmp_path, name):
+    plant, runs, check, text, only = SELFTEST_PLANTS[name]
+    path = pathlib.Path(dppkit.__file__).parents[1]  # the package's own, or a broken copy
+    if isinstance(plant, str):  # patched before selftest, in its interpreter
+        args = ["-c", plant + "import runpy, sys\nsys.argv = ['dppkit', 'selftest']\n"
+                "runpy.run_module('dppkit', run_name='__main__')\n"]
+    else:  # one line of measure.py broken in a copy of the package
+        line, broken = plant
+        shutil.copytree(path / "dppkit", tmp_path / "dppkit", ignore=shutil.ignore_patterns("__pycache__"))
+        source = (tmp_path / "dppkit" / "measure.py").read_text()
+        assert source.count(line) == 1
+        (tmp_path / "dppkit" / "measure.py").write_text(source.replace(line, broken))
+        args, path = ["-m", "dppkit", "selftest"], tmp_path
+    for flags in runs:
+        proc = fresh_python(*args, flags=flags, path=path)
+        assert proc.returncode == 1, (flags, proc.stdout + proc.stderr)
+        assert f"FAIL {check}" in proc.stdout and text in proc.stdout, (flags, proc.stdout)
+        assert not only or proc.stdout.count("FAIL") == 1, (flags, proc.stdout)

@@ -151,12 +151,13 @@ def test_rate_experiment_takes_dim2_in_0_1():
     assert rows[2].target == pytest.approx(2.0 * rows[1].target, rel=1e-15)
 
 
-@pytest.mark.parametrize("q", ["2", 2 + 0j, None, np.array([2.0]), True],
-                         ids=["'2'", "2+0j", "None", "array([2.0])", "True"])
+@pytest.mark.parametrize("q", ["2", 2 + 0j, None, np.array([2.0]), True, 10 ** 400, 2 ** 1024],
+                         ids=["'2'", "2+0j", "None", "array([2.0])", "True", "10^400", "2^1024"])
 @pytest.mark.parametrize("call", [lambda q: s_n_q_table(SYM, 4, q), lambda q: dim_q_estimate(SYM, q, 4)],
                          ids=["s_n_q_table", "dim_q_estimate"])
 def test_moment_sums_refuse_a_q_that_is_not_a_real_number(call, q):
-    # each but True was once numpy's or math's TypeError
+    # each but True was once numpy's or math's TypeError, and an int past the
+    # float range math's OverflowError, a numeric failure, not a refusal
     with pytest.raises(ValueError, match=r"^s_n_q_table: need finite q > 1, got "):
         call(q)
 

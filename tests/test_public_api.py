@@ -1,8 +1,6 @@
 import importlib
 import importlib.util
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -51,28 +49,23 @@ def test_traced_names_resolve(monkeypatch):
 
 
 @pytest.mark.parametrize("workload, extends", [("dimension-tree", 344_028), ("sample-chain", 53_248)])
-def test_benchmark_count_self_check(workload, extends):
+def test_benchmark_count_self_check(fresh_python, workload, extends):
     # the traced benchmark run checks its count of PrefixState.extend calls,
     # one per tree node and one per sampled bit, against its inputs: a change
     # that drops a call fails here, not first in a benchmark run
-    proc = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seed", "31",
-                           "--seconds", "1", "--trace", "1"],
-                          capture_output=True, text=True, timeout=600,
-                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    proc = fresh_python(str(RUN), "--workload", workload, "--seed", "31", "--seconds", "1", "--trace", "1",
+                        timeout=600, PYTHONDONTWRITEBYTECODE="1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0)
     assert result["metrics"]["measure.extend.calls"]["value"] == extends
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(fresh_python):
     # the package depends on numpy alone; scipy is only a test oracle, and
     # importing it would cost every CLI call and benchmark set-up a second
-    src = os.path.dirname(os.path.dirname(dppkit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = ("import sys, dppkit\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = fresh_python("-c", script, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -399,10 +400,26 @@ def test_constructor_reads_numpy_numbers_as_floats():
     assert all(type(v) is float for k, v in sym.params.items() if k != "cutoff")
 
 
-@pytest.mark.parametrize("coeffs", [["0.5"], [True, 0.1], [0.5, np.True_], np.array([True]), [None]], ids=repr)
+@pytest.mark.parametrize("coeffs", [["0.5"], [True, 0.1], [0.5, np.True_], np.array([True]), [None],
+                                    np.array([0.5, True], dtype=object)], ids=repr)
 def test_trig_poly_refuses_coefficients_that_are_not_numbers(coeffs):
     with pytest.raises(SymbolSpecError, match="^trig_poly: coefficients must be numbers$"):
         Symbol.trig_poly(coeffs)
+
+
+def test_json_trig_poly_table_is_read_by_its_dtype():
+    # symbol_from_json checks each entry and hands trig_poly a complex table,
+    # which was checked again one Python object at a time: 4.5 times the
+    # table's bytes at peak and 2.6 s here; now the table and its copy
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        sym = symbol_from_json({"family": "trig_poly", "coeffs": [{"n": 0, "re": 0.5}, {"n": n, "re": 0.01}]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sym.bandwidth == n and sym.coeff(n) == 0.01
+    assert peak <= 2.5 * 16 * (n + 1)
 
 
 @pytest.mark.parametrize("coeffs", [[math.inf], [0.5, complex(0.1, math.nan)], [0.5, 10 ** 400]],
