@@ -19,14 +19,17 @@ from .errors import require_int
 
 def build_T(coeffs: Callable[[np.ndarray], np.ndarray], J) -> np.ndarray:
     """Window matrix [coeffs(i - j)] for i, j in the strictly increasing set J,
-    of the dtype that ``coeffs`` returns."""
+    of the dtype that ``coeffs`` returns.  A contiguous J reads each of its
+    2|J| - 1 distinct gaps once; any other J reads all |J|^2 entries."""
     J = np.asarray(J)
     if J.ndim != 1 or (J.size and J.dtype.kind not in "iu"):
         raise ValueError("J must be a 1-d integer set")
     J = J.astype(np.int64, copy=False)
     if J.size and np.any(np.diff(J) <= 0):
         raise ValueError("J must be strictly increasing")
-    gaps = np.subtract.outer(J, J)
+    gaps, n = np.subtract.outer(J, J), J.size
+    if n and J[-1] - J[0] == n - 1:  # the gaps run 1 - n .. n - 1
+        return np.asarray(coeffs(np.arange(1 - n, n)))[gaps + (n - 1)]
     return np.asarray(coeffs(gaps))
 
 

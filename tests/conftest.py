@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ def poi_half():
 @pytest.fixture
 def poi_high():
     return Symbol.poisson(0.75, 0.125)
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory tracemalloc traces while it runs."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_interior_symbol(rng: np.random.Generator, max_bandwidth: int = 4) -> Symbol:

@@ -4,8 +4,8 @@ Each computes a quantity the library also computes, by a slower or more
 literal route: the f-route window and coupling-block builders with the
 correlation-ratio matrix H and the all-ones witness formed from them, the
 direct cylinder determinant, and at 60 digits for poisson, the joint cylinder probability from the signed
-joint window alone, the next-bit conditional by a walk of the eager
-inverse-corner route,
+joint window alone, a walk of a prefix state along given bits, the
+next-bit conditional by such a walk of the eager inverse-corner route,
 the sampler's Schur chain step that slices its buffer on every bit, moment
 sums from one batched determinant per word and at 50 digits from a Schur
 tree walk, the parity coefficient of the Walsh tuple sum, the complement
@@ -92,14 +92,30 @@ def joint_cylinder_log_prob(sym: Symbol, word, word_prime, gap_ell: int) -> floa
     return float(_log_probs(_joint_window(sym, word, word_prime, gap_ell)[None])[0])
 
 
+def walk(state, bits) -> tuple:
+    """Extend a prefix state by each bit of ``bits`` in turn: the
+    conditional_one read before each bit, the log_prob after it, the first
+    ConditioningError (the walk stops there; None if it meets none) and the
+    last state."""
+    ones, logs = [], []
+    try:
+        for bit in bits:
+            ones.append(state.conditional_one())
+            state = state.extend(int(bit))
+            logs.append(state.log_prob)
+    except ConditioningError as exc:
+        return ones, logs, exc, state
+    return ones, logs, None, state
+
+
 def conditional_next(sym: Symbol, word) -> float:
     """P(x_N = 1 | the first N bits equal word); word may be empty.  The
     eager corner route walks it at a window as wide as the bandwidth, which
     is exact."""
-    state = EagerPrefixState.root(sym, window=sym.bandwidth)
-    if word is not None and len(word) > 0:
-        for bit in require_bits(word, "cylinder word"):
-            state = state.extend(int(bit))
+    bits = require_bits(word, "cylinder word") if word is not None and len(word) > 0 else ()
+    *_, error, state = walk(EagerPrefixState.root(sym, window=sym.bandwidth), bits)
+    if error is not None:
+        raise error
     return state.conditional_one()
 
 

@@ -68,16 +68,7 @@ from dppkit.cli import main
 
 from oracles import psi_finite_window_mp
 
-SEED = 20261020
-CASES = 200
-SAMPLE_SEED = SEED + 1
-SAMPLE_CASES = 100
-DIMENSION_SEED = SEED + 2
-DIMENSION_CASES = 100
-CYLINDER_SEED = SEED + 3
-CYLINDER_CASES = 100
-LCS_SEED = SEED + 4
-LCS_CASES = 60
+SEED = 20261020  # psi; sample, dimension, cylinder and lcs-experiment draw from SEED + 1 .. SEED + 4
 
 
 def _pick(rng, *options):
@@ -129,7 +120,7 @@ def _symbol(rng) -> dict:
     return {"family": family, "params": {"alpha": alpha, "beta": alpha + width}}
 
 
-def _argv(rng) -> list[str]:
+def _psi_argv(rng) -> list[str]:
     spec = json.dumps(_symbol(rng))
     lo = int(rng.integers(1, 7))
     ell = _pick(rng, str(lo), f"{lo}..{lo + int(rng.integers(1, 4))}", f"{lo},{lo + 3}")
@@ -139,11 +130,13 @@ def _argv(rng) -> list[str]:
     return argv
 
 
-def _draws() -> list:
-    rng = np.random.default_rng(SEED)
+def _draws(seed: int, count: int, draw) -> list:
+    """``count`` argument lists drawn by ``draw`` from one Generator seeded
+    ``seed``, each with the id of its number and its symbol's family."""
+    rng = np.random.default_rng(seed)
     out = []
-    for i in range(CASES):
-        argv = _argv(rng)
+    for i in range(count):
+        argv = draw(rng)
         out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}"))
     return out
 
@@ -167,7 +160,10 @@ def _csv_value(text: str):
         return float(text)
 
 
-@pytest.mark.parametrize("argv", _draws())
+PSI_DRAWS = _draws(SEED, 200, _psi_argv)
+
+
+@pytest.mark.parametrize("argv", PSI_DRAWS)
 def test_psi_contract(argv, capsys):
     code, out, err = _run(argv, capsys)
     json_code, json_out, json_err = _run(argv + ["--format", "json"], capsys)
@@ -191,15 +187,6 @@ def _sample_argv(rng) -> list[str]:
             "--trajectories", str(int(rng.integers(1, 4))), "--seed", str(int(rng.integers(2 ** 32)))]
 
 
-def _sample_draws() -> list:
-    rng = np.random.default_rng(SAMPLE_SEED)
-    out = []
-    for i in range(SAMPLE_CASES):
-        argv = _sample_argv(rng)
-        out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}"))
-    return out
-
-
 def _bit_lines(argv, capsys, encoding):
     code, out, err = _run(argv + ["--encoding", encoding], capsys)
     lines = out.splitlines()
@@ -209,7 +196,7 @@ def _bit_lines(argv, capsys, encoding):
     return code, out, lines[1:]
 
 
-@pytest.mark.parametrize("argv", _sample_draws())
+@pytest.mark.parametrize("argv", _draws(SEED + 1, 100, _sample_argv))
 def test_sample_contract(argv, capsys):
     n, seed = (int(argv[argv.index(flag) + 1]) for flag in ("--n", "--seed"))
     code, out, ascii_lines = _bit_lines(argv, capsys, "ascii")
@@ -236,16 +223,7 @@ def _dimension_argv(rng) -> list[str]:
             "--nmax", str(int(rng.integers(1, 11)))]
 
 
-def _dimension_draws() -> list:
-    rng = np.random.default_rng(DIMENSION_SEED)
-    out = []
-    for i in range(DIMENSION_CASES):
-        argv = _dimension_argv(rng)
-        out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}"))
-    return out
-
-
-@pytest.mark.parametrize("argv", _dimension_draws())
+@pytest.mark.parametrize("argv", _draws(SEED + 2, 100, _dimension_argv))
 def test_dimension_contract(argv, capsys):
     q, nmax = (int(argv[argv.index(flag) + 1]) for flag in ("--q", "--nmax"))
     code, out, err = _run(argv, capsys)
@@ -275,7 +253,7 @@ def test_psi_draw_149_matches_mpmath(capsys):
     # poisson(1e-12, -0.999999), once refused with "cylinder determinant is
     # negative": each marginal window's diagonal came from the rounded g0.
     # Its three finite-window values against 50-digit determinants
-    argv = _draws()[149].values[0]
+    argv = PSI_DRAWS[149].values[0]
     code, out, err = _run(argv, capsys)
     assert (code, err) == (0, "")
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -296,16 +274,7 @@ def _cylinder_argv(rng) -> list[str]:
     return argv
 
 
-def _cylinder_draws() -> list:
-    rng = np.random.default_rng(CYLINDER_SEED)
-    out = []
-    for i in range(CYLINDER_CASES):
-        argv = _cylinder_argv(rng)
-        out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}"))
-    return out
-
-
-@pytest.mark.parametrize("argv", _cylinder_draws())
+@pytest.mark.parametrize("argv", _draws(SEED + 3, 100, _cylinder_argv))
 def test_cylinder_contract(argv, capsys):
     code, out, err = _run(argv, capsys)
     json_code, json_out, json_err = _run(argv + ["--format", "json"], capsys)
@@ -341,15 +310,6 @@ def _lcs_argv(rng) -> list[str]:
             "--seed", str(int(rng.integers(2 ** 32)))]
 
 
-def _lcs_draws() -> list:
-    rng = np.random.default_rng(LCS_SEED)
-    out = []
-    for i in range(LCS_CASES):
-        argv = _lcs_argv(rng)
-        out.append(pytest.param(argv, id=f"{i:03d}-{json.loads(argv[2])['family']}"))
-    return out
-
-
 def _ngrid_values(text: str) -> list[int]:
     """The n of each row, read off the --ngrid forms the draws use."""
     if ".." in text:
@@ -358,7 +318,7 @@ def _ngrid_values(text: str) -> list[int]:
     return [2 ** int(v[2:]) if v.startswith("2^") else int(v) for v in text.split(",")]
 
 
-@pytest.mark.parametrize("argv", _lcs_draws())
+@pytest.mark.parametrize("argv", _draws(SEED + 4, 60, _lcs_argv))
 def test_lcs_experiment_contract(argv, capsys):
     code, out, err = _run(argv, capsys)
     json_code, json_out, json_err = _run(argv + ["--format", "json"], capsys)

@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from dppkit import SizeCapError, Symbol, lcs, lcs_length, lcs_length_dp, rate_experiment, sample_prefix
+from conftest import traced_peak
 from oracles import lcs_automaton
 
 
@@ -226,13 +226,7 @@ def test_one_call_peak_memory(fair):
     x = sample_prefix(fair, n, seed=1).bits
     y = sample_prefix(fair, n, seed=2).bits
     lcs_length(x, y, 64)
-    tracemalloc.start()
-    try:
-        lcs_length(x, y, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * n
+    assert traced_peak(lambda: lcs_length(x, y, n))[1] <= 24 * n
 
 
 def test_doubling_peak_memory():
@@ -243,13 +237,8 @@ def test_doubling_peak_memory():
     x = sample_prefix(Symbol.constant(0.99), n, seed=1).bits
     y = sample_prefix(Symbol.constant(0.99), n, seed=2).bits
     lcs_length(x, y, 64)
-    tracemalloc.start()
-    try:
-        assert lcs_length(x, y, n) == 716
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 260 * n
+    got, peak = traced_peak(lambda: lcs_length(x, y, n))
+    assert got == 716 and peak <= 260 * n
 
 
 def test_inputs_left_unchanged(fair):

@@ -1,6 +1,7 @@
+import functools
+import itertools
 import math
 import re
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -25,10 +26,10 @@ from dppkit.measure import (IMAG_TOL, PrefixState, _chain_root, _log_probs, _mom
 from dppkit.symbol import g_coeff_fn
 from dppkit.toeplitz import build_T
 
-from conftest import random_interior_symbol
+from conftest import random_interior_symbol, traced_peak
 from oracles import (EagerPrefixState, EagerSchurState, build_T_window, build_lambda, complement,
                      conditional_alphas_mp, conditional_next, cylinder_prob_direct, hs_norm_sq_lambda,
-                     joint_cylinder_log_prob, s_n_q_mp, s_n_q_table_dfs)
+                     joint_cylinder_log_prob, s_n_q_mp, s_n_q_table_dfs, walk)
 
 
 def _all_words(n):
@@ -203,24 +204,9 @@ def test_prefix_state_log_prob_matches_direct():
         sym = random_interior_symbol(rng)
         n = int(rng.integers(1, 10))
         bits = rng.integers(0, 2, n)
-        state = _chain_root(sym, None, n)
-        for b in bits:
-            state = state.extend(int(b))
+        *_, error, state = walk(_chain_root(sym, None, n), bits)
         word = "".join(str(int(b)) for b in bits)
-        assert state.log_prob == pytest.approx(cylinder_log_prob(sym, word), abs=1e-11)
-
-
-def test_windowed_prefix_state_exact_for_band_limited():
-    sym = Symbol.raised_cosine(0.55, 0.3)
-    rng = np.random.default_rng(27)
-    bits = rng.integers(0, 2, 60)
-    full = _chain_root(sym, None, 60)
-    windowed = _chain_root(sym, sym.bandwidth, 60)
-    for b in bits:
-        assert windowed.conditional_one() == pytest.approx(full.conditional_one(), abs=1e-13)
-        full = full.extend(int(b))
-        windowed = windowed.extend(int(b))
-    assert windowed.log_prob == pytest.approx(full.log_prob, abs=1e-11)
+        assert error is None and state.log_prob == pytest.approx(cylinder_log_prob(sym, word), abs=1e-11)
 
 
 LAZY_SYMBOLS = {
@@ -245,53 +231,137 @@ def _outcome(call):
 
 def _error_at(exc):
     """The class of an error and the position it names (a value in the
-    message may differ in its last digits between two eliminations)."""
-    return type(exc).__name__, re.search(r"at position (\d+)", str(exc)).group(1)
+    message may differ in its last digits between two eliminations), or
+    None for no error."""
+    return None if exc is None else (type(exc).__name__, re.search(r"at position (\d+)", str(exc)).group(1))
 
 
-@pytest.mark.parametrize("window", [None, *range(13)])
-@pytest.mark.parametrize("name", sorted(LAZY_SYMBOLS))
-def test_lazy_prefix_state_matches_eager_oracle(name, window):
-    # a chain of prefix states (``_chain_root``, the sampler's Schur chain)
-    # along random paths, every window width up to 12: against the eager
-    # corner route, each conditional_one within 1e-14 and each log_prob
-    # within 1e-13 relative (two eliminations of one matrix), or the same
-    # error at the same bit (a truncated window can leave [0, 1]).  At
-    # window None, against the 40-digit conditionals instead: on these
-    # paths of arc_indicator, of mass down to 1e-18, the chain is within
-    # 2.7e-12 of them and the corner route 1.7e-10.  Where the state is one
-    # number (poisson at window None, raised_cosine at windows >= 1) the
-    # number is checked against the eager route
+def _within_ulps(got, want, ulps=2):
+    return np.all(np.abs(np.asarray(got) - want) <= ulps * np.spacing(np.abs(want)))
+
+
+# symbols whose prefix state is one number at window None, by name
+ONE_NUMBER_SYMBOLS = {
+    "poisson(0.002,0.995)": Symbol.poisson(0.002, 0.995),
+    "poisson(0.4,0.4)": Symbol.poisson(0.4, 0.4),
+    "poisson(0.5,-0.3)": Symbol.poisson(0.5, -0.3),
+    "poisson(0.75,0.125)": Symbol.poisson(0.75, 0.125),
+    "raised_cosine(0.55,0.3)": Symbol.raised_cosine(0.55, 0.3),
+    "raised_cosine(0.75,0.25)": Symbol.raised_cosine(0.75, 0.25),
+    "constant(0.3)": Symbol.constant(0.3),
+    "trig_poly(real,B=1)": Symbol.trig_poly([0.4, -0.2]),
+    "power_decay(cutoff=1)": Symbol.power_decay(0.5, 0.2, 3.0, 1),
+    "poisson(0.5,0)": Symbol.poisson(0.5, 0.0),
+}
+# tolerances against the eager route and a 50-digit determinant, in units
+# of u = 2^-53: (conditional_one absolute, log_prob relative).  The symbol
+# of poisson(0.002,0.995) dips to f = 5e-6, so its extension factors
+# s = 1 + tp alpha come near 1e-5 and lose digits in either route: on a
+# 14-bit word the eager route is 1,027 u from the 50-digit value
+ULPS = {"poisson(0.002,0.995)": (32, 8192)}
+WELL_CONDITIONED_ULPS = (8, 16)
+U = 2.0 ** -53
+# band-limited symbols whose corners the window = bandwidth walk trims:
+# complex B = 3 and B = 1 (one number at window 1), and real B = 4 and B = 2
+WINDOWED_SYMBOLS = {
+    "trig_poly-complex": LAZY_SYMBOLS["trig_poly-complex"],
+    "trig_poly(complex,B=1)": Symbol.trig_poly([0.5, 0.1 + 0.1j]),
+    "power_decay(0.5,0.1,2,4)": Symbol.power_decay(0.5, 0.1, 2.0, 4),
+    "trig_poly(real,B=2)": Symbol.trig_poly([0.5, 0.15, -0.1]),
+}
+QS = (2, 3, 2.5)
+# how far apart numpy may round a complex product of a stack of Schur blocks
+# and one of a single block, in ulps of a moment sum (0 on the machines measured)
+COMPLEX_ULPS = 2
+
+
+def _paths(seed, count, n):
+    """``count`` random paths of n bits from one Generator seeded ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 2, n).tolist() for _ in range(count)]
+
+
+def _table_test(check, table, test):
+    """The test that runs ``check`` on each row of ``table`` named ``test``,
+    one case by its id: the name and ids the rows' one-off tests had."""
+    def run(row):
+        check(*row)
+
+    return pytest.mark.parametrize("row", [pytest.param(row[2:], id=row[1]) for row in table if row[0] == test])(run)
+
+
+# The chain table: a chain of prefix states from ``_chain_root`` walked
+# along each path beside an oracle.  A row: its test, its id, the symbol,
+# the window, whether the state is one number, the paths, the oracle
+# (EAGER: the eager corner route at the same window; FULL: the chain at
+# window None; MP: the 40-digit conditionals) and the tolerances of each
+# conditional_one (absolute) and log_prob (relative), None for ==
+EAGER, FULL, MP = "eager", "full", "mp"
+
+
+def _one_number_tol(name, sym):
+    """== at bandwidth <= 1 (the one number rounds as the eager route), else ULPS."""
+    return None if sym.bandwidth is not None else tuple(k * U for k in ULPS.get(name, WELL_CONDITIONED_ULPS))
+
+
+def _lazy_row(name, window):
+    # every window up to 12 against the eager corner route: 1e-14 and 1e-13
+    # (two eliminations of one matrix), or the same error at the same bit
+    # (a truncated window can leave [0, 1]).  At window None against 40
+    # digits: on these paths of arc_indicator, of mass down to 1e-18, the
+    # chain is within 2.7e-12 of them and the corner route 1.7e-10.  A
+    # one-number state (poisson at window None, raised_cosine at windows
+    # >= 1) is checked as in the one-number rows
     sym = LAZY_SYMBOLS[name]
     if _one_number(sym, window):
-        ulps = None if sym.bandwidth is not None else WELL_CONDITIONED_ULPS
-        _check_one_number_paths(sym, window, ulps, paths=3, bits=24)
-        return
-    rng = np.random.default_rng(61)
-    for _ in range(3):
-        bits = rng.integers(0, 2, 24).tolist()
-        chain, eager = _chain_root(sym, window, 24), EagerPrefixState.root(sym, window=window)
-        exact = None if window is not None else conditional_alphas_mp(sym, bits)
-        log_mu = 0.0
-        for k, bit in enumerate(bits):
-            try:
-                p1 = chain.conditional_one()
-                chain = chain.extend(bit)
-            except ConditioningError as exc:
-                with pytest.raises(ConditioningError) as want:
-                    eager.conditional_one()
-                    eager.extend(bit)
-                assert _error_at(exc) == _error_at(want.value)
-                break
-            if exact is None:
-                assert abs(p1 - eager.conditional_one()) <= 1e-14
-                eager = eager.extend(bit)
-                assert abs(chain.log_prob - eager.log_prob) <= 1e-13 * abs(eager.log_prob)
-            else:
-                alpha = float(exact[k].real)
-                assert abs(p1 - 0.5 * (1.0 + alpha)) <= 1e-11
-                log_mu += math.log(0.5 * (1.0 + (2 * bit - 1) * alpha))
-                assert abs(chain.log_prob - log_mu) <= 1e-9 * abs(log_mu)
+        return "lazy", f"{name}-{window}", sym, window, True, _paths(62, 3, 24), EAGER, _one_number_tol(name, sym)
+    oracle, tol = (MP, (1e-11, 1e-9)) if window is None else (EAGER, (1e-14, 1e-13))
+    return "lazy", f"{name}-{window}", sym, window, False, _paths(61, 3, 24), oracle, tol
+
+
+COMPLEX_B1 = WINDOWED_SYMBOLS["trig_poly(complex,B=1)"]
+CHAIN_ROWS = [
+    *(_lazy_row(name, window) for name in sorted(LAZY_SYMBOLS) for window in [None, *range(13)]),
+    *(("one-number", name, sym, None, True, _paths(62, 4, 160), EAGER, _one_number_tol(name, sym))
+      for name, sym in sorted(ONE_NUMBER_SYMBOLS.items())),
+    # x <- (tp/s) ghat(-1) and alpha = g0 - ghat(1) x: bit for bit the eager
+    # route's 1 x 1 corner at window 1, and within an ulp of its full state
+    ("one-number", "trig_poly(complex,B=1)-w1", COMPLEX_B1, 1, True, _paths(62, 4, 400), EAGER, None),
+    ("one-number", "trig_poly(complex,B=1)-None", COMPLEX_B1, None, True, _paths(62, 2, 160), EAGER, (U, 2 * U)),
+    # the conditionals of the sampler's own bits are the measure's
+    ("one-number", "sampled-poisson(0.5,0.25)", Symbol.poisson(0.5, 0.25), None, True,
+     [sample_prefix(Symbol.poisson(0.5, 0.25), 12, seed=99).bits[:9].tolist()], EAGER, (1e-12, 1e-12)),
+    # a band-limited Schur chain is exact at window = bandwidth
+    *(("windowed", name, WINDOWED_SYMBOLS[name], WINDOWED_SYMBOLS[name].bandwidth, False, _paths(27, 1, 60),
+       FULL, (1e-13, 1e-13)) for name in ("trig_poly(real,B=2)", "trig_poly-complex")),
+]
+
+
+def _check_chain(sym, window, one_number, paths, oracle, tol):
+    """The state's kind, then along each path: the chain stops at the
+    oracle's error (class and position) or neither stops, and each
+    conditional_one and log_prob that both read agree within ``tol``."""
+    assert _one_number(sym, window) == one_number
+    one_tol, log_tol = tol or (None, None)
+    for bits in paths:
+        ones, logs, error, _ = walk(_chain_root(sym, window, len(bits)), bits)
+        if oracle == MP:
+            alphas = [float(alpha.real) for alpha in conditional_alphas_mp(sym, bits)]
+            want_ones, want_error = [0.5 * (1.0 + alpha) for alpha in alphas], None
+            want_logs = itertools.accumulate(math.log(0.5 * (1.0 + (2 * b - 1) * a)) for a, b in zip(alphas, bits))
+        else:
+            root = EagerPrefixState.root(sym, window=window) if oracle == EAGER else _chain_root(sym, None, len(bits))
+            want_ones, want_logs, want_error, _ = walk(root, bits)
+        assert _error_at(error) == _error_at(want_error)
+        for got, want in zip(ones, want_ones):
+            assert got == want if one_tol is None else abs(got - want) <= one_tol
+        for got, want in zip(logs, want_logs):
+            assert got == want if log_tol is None else abs(got - want) <= log_tol * abs(want)
+
+
+test_lazy_prefix_state_matches_eager_oracle = _table_test(_check_chain, CHAIN_ROWS, "lazy")
+test_one_number_state_matches_eager_oracle = _table_test(_check_chain, CHAIN_ROWS, "one-number")
+test_windowed_prefix_state_exact_for_band_limited = _table_test(_check_chain, CHAIN_ROWS, "windowed")
 
 
 def test_prefix_state_parent_is_keyword_only():
@@ -337,47 +407,6 @@ def test_lazy_child_drops_its_parent():
     assert state._stack.source is None
 
 
-# symbols whose prefix state is one number at window None, by name
-ONE_NUMBER_SYMBOLS = {
-    "poisson(0.002,0.995)": Symbol.poisson(0.002, 0.995),
-    "poisson(0.4,0.4)": Symbol.poisson(0.4, 0.4),
-    "poisson(0.5,-0.3)": Symbol.poisson(0.5, -0.3),
-    "poisson(0.75,0.125)": Symbol.poisson(0.75, 0.125),
-    "raised_cosine(0.55,0.3)": Symbol.raised_cosine(0.55, 0.3),
-    "raised_cosine(0.75,0.25)": Symbol.raised_cosine(0.75, 0.25),
-    "constant(0.3)": Symbol.constant(0.3),
-    "trig_poly(real,B=1)": Symbol.trig_poly([0.4, -0.2]),
-    "power_decay(cutoff=1)": Symbol.power_decay(0.5, 0.2, 3.0, 1),
-    "poisson(0.5,0)": Symbol.poisson(0.5, 0.0),
-}
-# tolerances against the eager route and a 50-digit determinant, in units
-# of u = 2^-53: (conditional_one absolute, log_prob relative).  The symbol
-# of poisson(0.002,0.995) dips to f = 5e-6, so its extension factors
-# s = 1 + tp alpha come near 1e-5 and lose digits in either route: on a
-# 14-bit word the eager route is 1,027 u from the 50-digit value
-ULPS = {"poisson(0.002,0.995)": (32, 8192)}
-WELL_CONDITIONED_ULPS = (8, 16)
-U = 2.0 ** -53
-
-
-def _check_one_number_paths(sym, window, ulps, paths, bits, seed=62):
-    """log_prob and conditional_one of the one-number state against the
-    eager corner route along random paths: equal when ulps is None
-    (bandwidth <= 1 rounds the same), else within the given ulps."""
-    rng = np.random.default_rng(seed)
-    for _ in range(paths):
-        state = _chain_root(sym, window, bits)
-        eager = EagerPrefixState.root(sym, window=window)
-        for bit in rng.integers(0, 2, bits):
-            p1, want = state.conditional_one(), eager.conditional_one()
-            assert p1 == want if ulps is None else abs(p1 - want) <= ulps[0] * U
-            state, eager = state.extend(int(bit)), eager.extend(int(bit))
-            if ulps is None:
-                assert state.log_prob == eager.log_prob
-            else:
-                assert abs(state.log_prob - eager.log_prob) <= ulps[1] * U * abs(eager.log_prob)
-
-
 def test_one_number_choice():
     # a geometric symbol at window None, a bandwidth <= 1 symbol, complex
     # too, at window None or one that covers the bandwidth; every other
@@ -393,22 +422,6 @@ def test_one_number_choice():
     assert not _one_number(Symbol.trig_poly([0.5, 0.1, 0.05]), None)  # real, bandwidth 2
     cx = Symbol.trig_poly([0.5, 0.1j])                                 # complex, bandwidth 1
     assert _one_number(cx, None) and _one_number(cx, 1) and not _one_number(cx, 0)
-
-
-@pytest.mark.parametrize("name", sorted(ONE_NUMBER_SYMBOLS))
-def test_one_number_state_matches_eager_oracle(name):
-    sym = ONE_NUMBER_SYMBOLS[name]
-    assert _one_number(sym, None)
-    ulps = None if sym.bandwidth is not None else ULPS.get(name, WELL_CONDITIONED_ULPS)
-    _check_one_number_paths(sym, None, ulps, paths=4, bits=160)
-
-
-def test_complex_bandwidth_one_state_matches_eager_oracle():
-    # x <- (tp/s) ghat(-1) and alpha = g0 - ghat(1) x: bit for bit the eager
-    # route's 1 x 1 corner at window 1, and within an ulp of its full state
-    sym = Symbol.trig_poly([0.5, 0.1 + 0.1j])
-    _check_one_number_paths(sym, 1, None, paths=4, bits=400)
-    _check_one_number_paths(sym, None, (1, 2), paths=2, bits=160)
 
 
 def test_one_number_state_has_no_corner():
@@ -440,44 +453,100 @@ def test_one_number_log_prob_matches_mpmath(name):
     rng = np.random.default_rng(63)
     words = ["1" * 14, "0" * 14, "10" * 7] + ["".join(rng.choice(["0", "1"], 14)) for _ in range(3)]
     for word in words:
-        state = _chain_root(sym, None, len(word))
-        for ch in word:
-            state = state.extend(int(ch))
+        *_, error, state = walk(_chain_root(sym, None, len(word)), word)
         want = _mp_log_prob(sym, word)
-        assert abs(state.log_prob - want) <= ULPS.get(name, WELL_CONDITIONED_ULPS)[1] * U * abs(want)
+        assert error is None and abs(state.log_prob - want) <= ULPS.get(name, WELL_CONDITIONED_ULPS)[1] * U * abs(want)
+
+
+def _first_subtree_depth(sym) -> int:
+    """The deepest tree the level-order walk takes whole, with no cut into
+    runs: every level that forms blocks (all but the leaves) fits."""
+    return max(n for n in range(1, 23)
+               if all(2 ** k <= dimension._stack_rows(_moment_root(sym, n), k, n)
+                      for k in range(2, n)))
+
+
+@functools.cache
+def _oracle_sums(sym, route, depth):
+    """log2 S_N^(q) for N = 1..depth, by q in QS, from one depth-first walk
+    of ``route``: CORNER, the eager corner route at window None, or SCHUR,
+    the eager Schur route at the library's window = bandwidth."""
+    window = sym.bandwidth if route is SCHUR else None
+    return dict(zip(QS, s_n_q_table_dfs(sym, depth, QS, route=route, window=window)))
+
+
+def _check_moment_sums(sym, n_max, qs, checks, mp):
+    """s_n_q_table(sym, n_max, q) for each q against each check's oracle,
+    walked to its depth: byte for byte at tolerance None, else within an
+    int of ulps or a float absolute.  With ``mp`` each sum that moves off
+    the corner route at n_max is within one ulp of 50 digits; returns how
+    many moved."""
+    moved = 0
+    for q in qs:
+        got = s_n_q_table(sym, n_max, q)
+        for route, depth, tol in checks:
+            want = _oracle_sums(sym, route, depth)[q][:n_max]
+            if tol is None:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert _within_ulps(got, want, tol) if isinstance(tol, int) else np.max(np.abs(got - want)) <= tol
+        if mp:
+            n = np.nonzero(got != _oracle_sums(sym, CORNER, n_max)[q])[0]
+            if n.size:
+                assert _within_ulps(got[n], np.array([float(v) for v in s_n_q_mp(sym, n_max, q)])[n], 1)
+            moved += n.size
+    return moved
+
+
+def _level_order_row(name, n_max):
+    # against the eager Schur route to 16 levels: one whole subtree (h - 1
+    # and h levels), the first cut into runs (h + 1) and a tree of many
+    # runs (16).  A level's sum does not depend on n_max (no entry of a
+    # block does): one 16-level walk is the oracle of every n_max
+    sym = LAZY_SYMBOLS[name]
+    n = n_max if isinstance(n_max, int) else _first_subtree_depth(sym) + {"h-1": -1, "h": 0, "h+1": 1}[n_max]
+    tol = None if sym.has_real_coeffs else COMPLEX_ULPS
+    return "level-order", f"{name}-{n_max}", sym, n, QS, ((SCHUR, 16, tol),), False
+
+
+# The moment-sum table: s_n_q_table against depth-first oracle walks.  A
+# row: its test, its id, the symbol, n_max, the qs, its checks (an oracle
+# route, the depth it walks to, a tolerance) and whether each sum that
+# moves off the corner route is checked at 50 digits
+CORNER, SCHUR = EagerPrefixState, EagerSchurState
+MOMENT_SUM_ROWS = [
+    # the one-number states walk as the eager corner route does, byte for
+    # byte; the complex symbol's Schur blocks match the eager Schur route
+    # within COMPLEX_ULPS, and the corner route, a different elimination,
+    # within one ulp (natively 2 of 10 sums move at q = 2, 1 at q = 3)
+    *(("eager-walk", f"{name}-{q}", LAZY_SYMBOLS[name], 10, (q,), ((CORNER, 10, None),), False)
+      for name in ("poisson", "raised_cosine") for q in (2, 3)),
+    *(("eager-walk", f"trig_poly-complex-{q}", LAZY_SYMBOLS["trig_poly-complex"], 10, (q,),
+       ((SCHUR, 10, COMPLEX_ULPS), (CORNER, 10, 1)), True) for q in (2, 3)),
+    *(("one-number", f"{name}-{q}", sym, 10, (q,), ((CORNER, 10, 1e-14),), False)
+      for name, sym in sorted(ONE_NUMBER_SYMBOLS.items()) for q in (2, 3)),
+    # Schur blocks at window = bandwidth are exact in exact arithmetic:
+    # against the full-state corner route only rounding may differ
+    *(("windowed", name, sym, 12, QS, ((CORNER, 12, 2),), False) for name, sym in sorted(WINDOWED_SYMBOLS.items())),
+    *(_level_order_row(name, n_max) for name in ("arc_indicator", "power_decay", "trig_poly-complex")
+      for n_max in ("h-1", "h", "h+1", 16)),
+]
+test_moment_sums_match_eager_oracle_walk = _table_test(_check_moment_sums, MOMENT_SUM_ROWS, "eager-walk")
+test_one_number_moment_sums_match_eager_oracle_walk = _table_test(_check_moment_sums, MOMENT_SUM_ROWS, "one-number")
+test_windowed_moment_sums_match_the_full_state_walk = _table_test(_check_moment_sums, MOMENT_SUM_ROWS, "windowed")
+test_level_order_moment_sums_match_dfs_oracle = _table_test(_check_moment_sums, MOMENT_SUM_ROWS, "level-order")
+
+
+def test_windowed_moment_sums_that_move_are_within_an_ulp_of_mpmath():
+    # the windowed rows, each sum that moves off the corner route within one
+    # ulp of 50 digits: eight move natively, on all but the B = 1 symbol,
+    # each by one ulp; six with numpy's AVX2 loops off.  Some sum moves
+    assert sum(_check_moment_sums(*row[2:-1], True) for row in MOMENT_SUM_ROWS if row[0] == "windowed")
 
 
 def _schur_walk(sym, n_max, q):
     """The depth-first walk of the eager Schur route at window = bandwidth."""
     return s_n_q_table_dfs(sym, n_max, q, route=EagerSchurState, window=sym.bandwidth)
-
-
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("name", ["poisson", "raised_cosine", "trig_poly-complex"])
-def test_moment_sums_match_eager_oracle_walk(name, q):
-    # the one-number states walk as the eager corner route does, byte for
-    # byte.  The complex symbol's Schur blocks match the eager Schur route
-    # within COMPLEX_ULPS (numpy may round a complex product of a stack
-    # unlike one of a single block), and the eager corner route, a
-    # different elimination, within one ulp; where a sum moves off the
-    # corner route it is within one ulp of 50 digits
-    sym = LAZY_SYMBOLS[name]
-    got, corner = s_n_q_table(sym, 10, q), s_n_q_table_dfs(sym, 10, q)
-    if name != "trig_poly-complex":
-        assert got.tobytes() == corner.tobytes()
-        return
-    assert _within_ulps(got, _schur_walk(sym, 10, q), COMPLEX_ULPS)
-    assert _within_ulps(got, corner, 1)
-    moved = np.nonzero(got != corner)[0]  # natively 2 of 10 sums at q = 2, 1 at q = 3
-    want = np.array([float(v) for v in s_n_q_mp(sym, 10, q)])
-    assert _within_ulps(got[moved], want[moved], 1)
-
-
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("name", sorted(ONE_NUMBER_SYMBOLS))
-def test_one_number_moment_sums_match_eager_oracle_walk(name, q):
-    sym = ONE_NUMBER_SYMBOLS[name]
-    assert np.max(np.abs(s_n_q_table(sym, 10, q) - s_n_q_table_dfs(sym, 10, q))) <= 1e-14
 
 
 @pytest.mark.parametrize("route", [PrefixState, EagerPrefixState])
@@ -486,10 +555,10 @@ def test_lazy_extend_raises_where_eager_does(route):
     # tree walk (the library's level-order walk on Schur blocks, and the
     # depth-first walk of the eager Schur route; n_max 11 is the first
     # they refuse), and a vanishing factor on a chain of ``route`` states
-    walk = s_n_q_table if route is PrefixState else _schur_walk
+    sums = s_n_q_table if route is PrefixState else _schur_walk
     with pytest.raises(ConditioningError, match=r"^prefix mass 5\.66e-24 too small to resolve "
                        r"at position 10: \|s\| = 2, imaginary residue 1\.11e-10$"):
-        walk(Symbol.arc_indicator(0.1, 0.45), 11, 2)
+        sums(Symbol.arc_indicator(0.1, 0.45), 11, 2)
     one = Symbol.constant(1.0)
     state = (_chain_root(one, None, 2) if route is PrefixState else route.root(one)).extend(1)
     with pytest.raises(ConditioningError,
@@ -513,8 +582,8 @@ def test_conditional_one_refuses_an_imaginary_residue(route):
     else:
         state, word = route.root(sym), "111111110"
         at = r"position 9: \|s\| = 0\.00135"
-    for bit in word:
-        state = state.extend(int(bit))
+    *_, error, state = walk(state, word)
+    assert error is None
     message = rf"^prefix mass 3\.62e-19 too small to resolve at {at}, imaginary residue (\S+)$"
     calls = [state.conditional_one]
     if route is EagerPrefixState:
@@ -553,14 +622,6 @@ def test_correlation_ratio_refuses_a_vanishing_marginal():
         correlation_ratio(Symbol.constant(1.0), "0", "0", 1)
 
 
-def _first_subtree_depth(sym) -> int:
-    """The deepest tree the level-order walk takes whole, with no cut into
-    runs: every level that forms blocks (all but the leaves) fits."""
-    return max(n for n in range(1, 23)
-               if all(2 ** k <= dimension._stack_rows(_moment_root(sym, n), k, n)
-                      for k in range(2, n)))
-
-
 @pytest.mark.parametrize("window", [None, 2, 3])
 @pytest.mark.parametrize("name", sorted(LAZY_SYMBOLS))
 def test_stack_rows_sizes_each_level_from_its_schur_blocks(name, window):
@@ -578,42 +639,6 @@ def test_stack_rows_sizes_each_level_from_its_schur_blocks(name, window):
                 want = min(dimension.STACK_ROWS,
                            dimension.STACK_BYTES // (m * m * (8 if sym.has_real_coeffs else 16)))
             assert all(dimension._stack_rows(state, length, n_max) == want for state in states)
-
-
-QS = (2, 3, 2.5)
-# the symbols whose moment sums the eager Schur route checks to 16 levels
-ORACLE_SYMBOLS = ("arc_indicator", "power_decay", "trig_poly-complex")
-# how far apart numpy may round a complex product of a stack of Schur blocks
-# and one of a single block, in ulps of a moment sum (0 on the machines measured)
-COMPLEX_ULPS = 2
-
-
-@pytest.fixture(scope="module")
-def dfs_oracle():
-    """The depth-first eager Schur walk of each symbol to 16 levels, on first use."""
-    return {}
-
-
-@pytest.mark.parametrize("n_max", ["h-1", "h", "h+1", 16])
-@pytest.mark.parametrize("name", ORACLE_SYMBOLS)
-def test_level_order_moment_sums_match_dfs_oracle(dfs_oracle, name, n_max):
-    # for every q: one whole subtree (h - 1 and h levels), the first cut
-    # into runs (h + 1), and a tree of many runs (16 levels), against the
-    # depth-first walk of the eager Schur route at the library's window =
-    # bandwidth: byte for byte on the real symbols, within COMPLEX_ULPS on
-    # the complex one.  A level's sum does not depend on n_max (no entry of
-    # a block does), so one 16-level walk is the oracle of every n_max
-    sym = LAZY_SYMBOLS[name]
-    h = _first_subtree_depth(sym)
-    n = n_max if isinstance(n_max, int) else h + {"h-1": -1, "h": 0, "h+1": 1}[n_max]
-    if name not in dfs_oracle:
-        dfs_oracle[name] = s_n_q_table_dfs(sym, 16, QS, route=EagerSchurState, window=sym.bandwidth)
-    for q, want in zip(QS, dfs_oracle[name]):
-        got = s_n_q_table(sym, n, q)
-        if sym.has_real_coeffs:
-            assert got.tobytes() == want[:n].tobytes()
-        else:
-            assert _within_ulps(got, want[:n], COMPLEX_ULPS)
 
 
 def test_level_order_walk_visits_each_level_in_lexicographic_order(monkeypatch):
@@ -645,23 +670,12 @@ def test_level_order_walk_holds_no_whole_level():
     # STACK_BYTES
     sym = LAZY_SYMBOLS["power_decay"]
     s_n_q_table(sym, 4, 2)
-    tracemalloc.start()
-    try:
-        s_n_q_table(sym, 16, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * dimension.STACK_BYTES
+    assert traced_peak(lambda: s_n_q_table(sym, 16, 2))[1] <= 8 * dimension.STACK_BYTES
 
 
 def _traced_peak(route):
     route()  # warm-up: coefficient caches and numpy's first-call allocations
-    tracemalloc.start()
-    try:
-        route()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(route)[1]
 
 
 @pytest.mark.parametrize("n", [256, 269])
@@ -694,9 +708,9 @@ def test_sibling_of_a_formed_chain_child_has_the_eager_bytes():
     # one, and the second child forms from the parent's block too, also
     # after the parent is dropped: both keep the eager Schur route's bytes
     sym = LAZY_SYMBOLS["power_decay"]
-    parent, eager = _moment_root(sym, 12), EagerSchurState.root(sym, window=sym.bandwidth, n_max=12)
-    for bit in (1, 0, 1, 1, 0, 0, 1, 0):
-        parent, eager = parent.extend(bit), eager.extend(bit)
+    path = (1, 0, 1, 1, 0, 0, 1, 0)
+    parent = walk(_moment_root(sym, 12), path)[3]
+    eager = walk(EagerSchurState.root(sym, window=sym.bandwidth, n_max=12), path)[3]
     first = parent.extend(0)
     first.conditional_one()
     second = parent.extend(1)
@@ -737,48 +751,6 @@ def test_direct_enumeration_holds_one_window_stack(sym):
     N = 12
     peak = _traced_peak(lambda: cylinder_log_probs_direct(sym, N))
     assert peak < 1.5 * 2 ** N * N * N * (8 if sym.has_real_coeffs else 16)
-
-
-# band-limited symbols whose corners the window = bandwidth walk trims:
-# complex B = 3 and B = 1 (one number at window 1), and real B = 4 and B = 2
-WINDOWED_SYMBOLS = {
-    "trig_poly-complex": LAZY_SYMBOLS["trig_poly-complex"],
-    "trig_poly(complex,B=1)": Symbol.trig_poly([0.5, 0.1 + 0.1j]),
-    "power_decay(0.5,0.1,2,4)": Symbol.power_decay(0.5, 0.1, 2.0, 4),
-    "trig_poly(real,B=2)": Symbol.trig_poly([0.5, 0.15, -0.1]),
-}
-
-
-def _within_ulps(got, want, ulps=2):
-    return np.all(np.abs(np.asarray(got) - want) <= ulps * np.spacing(np.abs(want)))
-
-
-@pytest.mark.parametrize("name", sorted(WINDOWED_SYMBOLS))
-def test_windowed_moment_sums_match_the_full_state_walk(name):
-    # the library walks Schur blocks at window = bandwidth, exact in exact
-    # arithmetic; against the full-state corner route only rounding may
-    # differ (the next test checks each sum that moves against 50 digits)
-    sym = WINDOWED_SYMBOLS[name]
-    full = s_n_q_table_dfs(sym, 12, QS)
-    for q, want in zip(QS, full):
-        assert _within_ulps(s_n_q_table(sym, 12, q), want)
-
-
-def test_windowed_moment_sums_that_move_are_within_an_ulp_of_mpmath():
-    # every sum of the window = bandwidth Schur walk that moves off the
-    # full-state corner route is within one ulp of its 50-digit value (eight
-    # sums move natively, on all but the B = 1 symbol, each by one ulp; six
-    # with numpy's AVX2 loops off)
-    moved = 0
-    for sym in WINDOWED_SYMBOLS.values():
-        for q, full in zip(QS, s_n_q_table_dfs(sym, 12, QS)):
-            got = s_n_q_table(sym, 12, q)
-            n = np.nonzero(got != full)[0]
-            if n.size:
-                want = np.array([float(v) for v in s_n_q_mp(sym, 12, q)])
-                assert _within_ulps(got[n], want[n], 1)
-                moved += n.size
-    assert moved  # the test sees a moved sum
 
 
 # a symbol whose bandwidth passes every n_max the walk takes
@@ -829,16 +801,16 @@ def test_moment_sum_blocks_reach_no_further_than_the_walk(monkeypatch, sym):
     for left, shape in seen:
         m = min(reach, left)
         assert shape[1:] == (m, m)
+
+
 @pytest.mark.parametrize("name", sorted(WINDOWED_SYMBOLS))
 def test_conditional_next_matches_the_full_state(name):
     sym = WINDOWED_SYMBOLS[name]
     rng = np.random.default_rng(64)
     for _ in range(20):
         word = "".join(rng.choice(["0", "1"], int(rng.integers(0, 13))))
-        state = _chain_root(sym, None, len(word) + 1)
-        for bit in word:
-            state = state.extend(int(bit))
-        assert _within_ulps(conditional_next(sym, word), state.conditional_one())
+        *_, error, state = walk(_chain_root(sym, None, len(word) + 1), word)
+        assert error is None and _within_ulps(conditional_next(sym, word), state.conditional_one())
 
 
 def test_conditional_next_holds_a_bandwidth_corner():
@@ -847,13 +819,7 @@ def test_conditional_next_holds_a_bandwidth_corner():
     sym = LAZY_SYMBOLS["trig_poly-complex"]
     word = "".join(np.random.default_rng(5).choice(["0", "1"], 600))
     conditional_next(sym, "1")
-    tracemalloc.start()
-    try:
-        conditional_next(sym, word)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 256 * 1024
+    assert traced_peak(lambda: conditional_next(sym, word))[1] <= 256 * 1024
 
 
 def test_joint_log_prob_direct_block_form(poi_half):

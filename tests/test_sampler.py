@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +11,13 @@ from dppkit import (
     sample_prefix,
 )
 from dppkit.errors import ConditioningError
-from dppkit.measure import PrefixState, _GData, _SchurChain, _chain_root
+from dppkit.measure import PrefixState, _GData, _SchurChain, _one_number
 from dppkit.mixing import SizeCapError
 from dppkit.sampler import EXACT_LENGTH_CAP, _auto_window
 from dppkit.symbol import require_range
 
-from oracles import (EagerPrefixState, conditional_alphas_mp, conditional_next, empirical_cylinder_test,
-                     sliced_schur_step)
+from conftest import traced_peak
+from oracles import EagerPrefixState, conditional_alphas_mp, empirical_cylinder_test, sliced_schur_step
 
 
 def test_reproducibility(poi_half):
@@ -30,11 +29,16 @@ def test_reproducibility(poi_half):
     assert not np.array_equal(a.bits, c.bits)
 
 
-def test_windowed_matches_full_state(rc_half):
-    # band-limited symbol: the trailing-window state is exact, so the
-    # sampled bits agree with the full-state path draw for draw
-    auto = sample_prefix(rc_half, 300, seed=11)           # window = bandwidth
-    full = sample_prefix(rc_half, 300, seed=11, window=None)
+@pytest.mark.parametrize("sym", [Symbol.trig_poly([0.5, 0.15, -0.1]),
+                                 Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j])],
+                         ids=["trig_poly(real,B=2)", "trig_poly(complex,B=3)"])
+def test_windowed_matches_full_state(sym):
+    # band-limited symbol of bandwidth 2 or more, so a Schur chain at both
+    # windows: the trailing-window state is exact, so the sampled bits
+    # agree with the full-state path draw for draw
+    assert _auto_window(sym, 300) == sym.bandwidth and not _one_number(sym, sym.bandwidth)
+    auto = sample_prefix(sym, 300, seed=11)
+    full = sample_prefix(sym, 300, seed=11, window=None)
     assert np.array_equal(auto.bits, full.bits)
 
 
@@ -66,17 +70,6 @@ def test_adjacent_pair_frequency(rc_half):
     freq = np.mean((pairs[:, 0] == 1) & (pairs[:, 1] == 1))
     p = cylinder_prob(rc_half, "11")
     assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / n_windows)
-
-
-def test_sampler_conditionals_match_measure(poi_half):
-    # the sampler's internal conditionals are the measure module's
-    seq = sample_prefix(poi_half, 12, seed=99)
-    for k in range(1, 9):
-        word = "".join(str(int(b)) for b in seq.bits[:k])
-        state = _chain_root(poi_half, None, k + 1)
-        for b in seq.bits[:k]:
-            state = state.extend(int(b))
-        assert state.conditional_one() == pytest.approx(conditional_next(poi_half, word), abs=1e-12)
 
 
 def test_three_cylinder_frequencies_within_four_se(poi_half):
@@ -345,12 +338,7 @@ def test_short_sample_of_a_wide_symbol_reads_only_its_coefficients():
     # the automatic window is the cutoff, 10^6, but 100 bits need a 99-wide corner
     wide = Symbol.power_decay(0.5, 0.01, 2, 1_000_000)
     require_range(wide)  # its 4,096-point range grid is not the sampler's
-    tracemalloc.start()
-    try:
-        auto = sample_prefix(wide, 100, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    auto, peak = traced_peak(lambda: sample_prefix(wide, 100, seed=1))
     assert peak <= 4 * 2 ** 20
     assert np.array_equal(auto.bits, sample_prefix(wide, 100, seed=1, window=None).bits)
 

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,6 +18,7 @@ from dppkit import (
 from dppkit.symbol import g_coeff_fn
 from dppkit.toeplitz import build_T
 
+from conftest import traced_peak
 from oracles import complement
 
 
@@ -412,12 +412,8 @@ def test_json_trig_poly_table_is_read_by_its_dtype():
     # which was checked again one Python object at a time: 4.5 times the
     # table's bytes at peak and 2.6 s here; now the table and its copy
     n = 10 ** 6
-    tracemalloc.start()
-    try:
-        sym = symbol_from_json({"family": "trig_poly", "coeffs": [{"n": 0, "re": 0.5}, {"n": n, "re": 0.01}]})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sym, peak = traced_peak(
+        lambda: symbol_from_json({"family": "trig_poly", "coeffs": [{"n": 0, "re": 0.5}, {"n": n, "re": 0.01}]}))
     assert sym.bandwidth == n and sym.coeff(n) == 0.01
     assert peak <= 2.5 * 16 * (n + 1)
 

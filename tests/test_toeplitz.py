@@ -34,6 +34,30 @@ def test_build_T_is_hermitian():
     assert np.max(np.abs(t - t.conj().T)) <= 1e-14
 
 
+@pytest.mark.parametrize("sym", [
+    Symbol.poisson(0.5, 0.25), Symbol.power_decay(0.5, 0.1, 2, 64), Symbol.arc_indicator(0.3, 0.7),
+    Symbol.arc_indicator(0.1, 0.45), Symbol.trig_poly([0.5, 0.1 + 0.05j, 0.02 - 0.01j, 0.03j]),
+    Symbol.raised_cosine(0.55, 0.3),
+], ids=["poisson", "power_decay", "arc_indicator(0.3,0.7)", "arc_indicator(0.1,0.45)", "trig_poly-complex",
+        "raised_cosine"])
+def test_build_T_reads_each_gap_of_a_contiguous_window_once(sym):
+    # a contiguous window reads its 2|J| - 1 distinct gaps in one call, a
+    # joint set all |J|^2; either way the window has the bytes of the
+    # coefficients read at every entry
+    reads = []
+
+    def recording(ns):
+        reads.append(np.size(ns))
+        return sym.coeffs(ns)
+
+    for n in (1, 2, 3, 39, 64, 65, 140):
+        for J, want in ((np.arange(5, 5 + n), 2 * n - 1), (joint_index_set(n, 3), 4 * n * n)):
+            reads.clear()
+            t, every = build_T(recording, J), sym.coeffs(np.subtract.outer(J, J))
+            assert reads == [want]
+            assert t.dtype == every.dtype and t.tobytes() == every.tobytes()
+
+
 def test_build_lambda_values(rc_half, poi_half):
     assert np.allclose(build_lambda(rc_half, 2, 1), np.zeros((2, 2)))
     # N=1, ell=1: single entry fhat(1 - (1+1+1)) = fhat(-2) = c r^2
