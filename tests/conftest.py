@@ -54,6 +54,24 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def _table_test(check, table, test):
+    """The test that runs ``check`` on the rows of ``table`` named ``test``,
+    one case by id, its rows in turn: the name and ids the rows' one-off
+    tests had (an unparametrized test where the only id is None)."""
+    cases = {}
+    for row in table:
+        if row[0] == test:
+            cases.setdefault(row[1], []).append(row[2:])
+
+    def run(rows):
+        for row in rows:
+            check(*row)
+
+    if list(cases) == [None]:
+        return lambda: run(cases[None])
+    return pytest.mark.parametrize("rows", [pytest.param(rows, id=key) for key, rows in cases.items()])(run)
+
+
 def random_interior_symbol(rng: np.random.Generator, max_bandwidth: int = 4) -> Symbol:
     """A random symbol with range inside (0.05, 0.95) (valid for every hypothesis)."""
     kind = rng.integers(0, 3)

@@ -1,24 +1,43 @@
 """Reference routes the tests compare the library against.
 
 Each computes a quantity the library also computes, by a slower or more
-literal route: the f-route window and coupling-block builders with the
-correlation-ratio matrix H and the all-ones witness formed from them, the
-direct cylinder determinant, and at 60 digits for poisson, the joint cylinder probability from the signed
-joint window alone, a walk of a prefix state along given bits, the
-next-bit conditional by such a walk of the eager inverse-corner route,
-the sampler's Schur chain step that slices its buffer on every bit, moment
-sums from one batched determinant per word and at 50 digits from a Schur
-tree walk, the parity coefficient of the Walsh tuple sum, the complement
-symbol 1 - f, the N x N P/Q route of the finite-window search with its
-per-pair deviation and trace-norm grids, the closed-form Hilbert-Schmidt norm
-of the coupling block, the eager prefix extension that forms every child's
-inverse corner, or its Schur block, as soon as the child is created, the
-depth-first moment-sum walk of the prefix tree, the Szego upper bound on
-the correlation dimension by scipy's bounded Brent search and by a fine
-beta grid, the chi-square fit of sampled word frequencies against the exact
-cylinder probabilities, the longest common substring by a suffix automaton,
-and the correlation dimension of poisson(0.75, 0.125) from its transfer
-operator.
+literal route:
+
+- windows: the f-route window and coupling block (``build_T_window``,
+  ``build_lambda``), the correlation-ratio matrix H (``ratio_h``) and the
+  all-ones witness 1 - det(I - K) (``allones_witness``) formed from them,
+  the direct cylinder determinant (``cylinder_prob_direct``) and the joint
+  one read off the signed joint window alone (``joint_cylinder_log_prob``);
+- prefix states: a walk of any prefix state along given bits (``walk``),
+  the next-bit conditional by a walk of the eager corner route
+  (``conditional_next``), the conditionals at 40 digits by a bordered
+  inverse (``conditional_alphas_mp``), the sampler's Schur chain step that
+  slices its buffer on every bit (``sliced_schur_step``), and the eager
+  routes that form every child's inverse corner (``EagerPrefixState``) or
+  Schur block (``EagerSchurState``) as soon as it is created;
+- moment sums: from one batched determinant per word (``s_n_q_direct``),
+  at 50 digits from a Schur tree walk (``s_n_q_mp``), and by a depth-first
+  walk of either eager route (``s_n_q_table_dfs``);
+- high precision: the one cylinder determinant at the working precision
+  (``cylinder_det_mp``, its coefficients from ``fhat_mp``), which gives
+  every word's log-probability for poisson at 60 digits
+  (``cylinder_log_probs_mp``), one word pair's |R - 1| (``deviation_mp``)
+  and the finite-window psi (``psi_finite_window_mp``) at 50 digits, and
+  the tail sum of n |fhat(n)|^2 from each family's exact terms
+  (``tail_mp``);
+- psi: the N x N P/Q route of the finite-window search with its per-pair
+  deviation and trace-norm grids (``finite_window_details``), and the
+  closed-form Hilbert-Schmidt norm of the coupling block
+  (``hs_norm_sq_lambda``);
+- the rest: the parity coefficient of the Walsh tuple sum
+  (``walsh_tuple_coefficient``), the complement symbol 1 - f
+  (``complement``), the Szego upper bound on the correlation dimension by
+  scipy's bounded Brent search and by a fine beta grid
+  (``corr_dim_szego_upper_brent``, ``corr_dim_szego_upper_grid``), the
+  correlation dimension of poisson(0.75, 0.125) from its transfer operator
+  (``POISSON_D2``), the chi-square fit of sampled word frequencies against
+  the exact cylinder probabilities (``empirical_cylinder_test``), and the
+  longest common substring by a suffix automaton (``lcs_automaton``).
 """
 from __future__ import annotations
 
@@ -29,10 +48,8 @@ import mpmath
 import numpy as np
 
 from dppkit import dimension, measure, toeplitz
-from dppkit.errors import (ConditioningError, NumericsError, SizeCapError, SymbolSpecError, require_bits,
-                           require_int)
+from dppkit.errors import ConditioningError, NumericsError, SymbolSpecError, require_bits, require_int
 from dppkit.measure import IMAG_TOL, _GData, _joint_window, _log_probs, _unresolved, cylinder_log_probs_direct
-from dppkit.mixing import FINITE_WINDOW_CAP
 from dppkit.sampler import sample_prefix
 from dppkit.symbol import Symbol, g_coeff_fn, require_range
 
@@ -203,43 +220,84 @@ def s_n_q_mp(sym: Symbol, n_max: int, q, dps: int = 50) -> list:
     return out
 
 
-def _f_form_mu_mp(f, word, rows):
-    """det(D(2 eps - 1) T(f) + D(1 - eps)) over the positions ``rows`` of
-    the mp coefficient grid f[i][j] = fhat(J_i - J_j)."""
-    m = mpmath.matrix(len(rows), len(rows))
-    for a, (i, e) in enumerate(zip(rows, word)):
-        for b, j in enumerate(rows):
-            m[a, b] = (2 * e - 1) * f[i][j] + (1 - e if a == b else 0)
+def fhat_mp(sym: Symbol, reach: int, exact: bool = False) -> dict:
+    """{n: fhat(n)} for |n| <= reach at the working precision: the lookup's
+    doubles taken as exact, or with ``exact`` poisson's c r^|n| from its
+    double parameters."""
+    gaps = range(-reach, reach + 1)
+    if exact and sym.family == "poisson":
+        c, r = mpmath.mpf(sym.params["c"]), mpmath.mpf(sym.params["r"])
+        return {n: c * r ** abs(n) for n in gaps}
+    return dict(zip(gaps, map(mpmath.mpmathify, sym.coeffs(np.array(gaps)).tolist())))
+
+
+def cylinder_det_mp(fhat, J, bits):
+    """det(D(2 eps - 1) T_J(f) + D(1 - eps)) at the working precision, the
+    cylinder probability of the bits eps at the positions J, with fhat a map
+    from each gap J_i - J_j to its coefficient; its real part."""
+    m = mpmath.matrix(len(J), len(J))
+    for a, (i, e) in enumerate(zip(J, bits)):
+        for b, j in enumerate(J):
+            m[a, b] = (2 * e - 1) * fhat[i - j] + (1 - e if a == b else 0)
     return mpmath.re(mpmath.det(m))
 
 
 def cylinder_log_probs_mp(c: float, r: float, N: int, dps: int = 60) -> list:
     """log mu of every length-N word of poisson(c, r), in ``word_bits``
-    order, from the f-form windows at ``dps`` digits, with the exact
-    coefficients fhat(n) = c r^|n| of the double c and r."""
+    order, at ``dps`` digits, with the exact coefficients fhat(n) = c r^|n|
+    of the double c and r."""
     with mpmath.workdps(dps):
-        c, r = mpmath.mpmathify(c), mpmath.mpmathify(r)
-        f = [[c * r ** abs(i - j) for j in range(N)] for i in range(N)]
-        return [mpmath.log(_f_form_mu_mp(f, word, range(N))) for word in measure.word_bits(N).tolist()]
+        fhat = fhat_mp(Symbol.poisson(c, r), N - 1, exact=True)
+        return [mpmath.log(cylinder_det_mp(fhat, range(N), word)) for word in measure.word_bits(N).tolist()]
+
+
+def deviation_mp(sym: Symbol, ell: int, word, word_prime, dps: int = 50):
+    """|R - 1| for one word pair at gap ell, R = mu[eps, gap, eps'] /
+    (mu[eps] mu[eps']) from three cylinder determinants at ``dps`` digits,
+    with poisson's exact coefficients and the other families' doubles."""
+    n = len(word)
+    J = toeplitz.joint_index_set(n, ell).tolist()
+    bits = [int(b) for b in word + word_prime]
+    with mpmath.workdps(dps):
+        fhat = fhat_mp(sym, J[-1] - J[0], exact=True)
+        marginals = cylinder_det_mp(fhat, J[:n], bits[:n]) * cylinder_det_mp(fhat, J[n:], bits[n:])
+        return abs(cylinder_det_mp(fhat, J, bits) / marginals - 1)
 
 
 def psi_finite_window_mp(sym: Symbol, ell: int, N: int, dps: int = 50) -> float:
-    """psi_N(ell) = max over word pairs of |R - 1|, R = mu[eps, gap, eps'] /
-    (mu[eps] mu[eps']), from determinants of the f-form windows
-    det(D(2 eps - 1) T_J(f) + D(1 - eps)) at ``dps`` digits, the double
-    coefficients fhat taken as exact."""
-    J = toeplitz.joint_index_set(N, ell)
-    fhat = sym.coeffs(np.subtract.outer(J, J)).tolist()
+    """psi_N(ell) = max over word pairs of |R - 1| at ``dps`` digits, as
+    ``deviation_mp`` but with every family's double coefficients, each
+    marginal determinant formed once."""
+    J = toeplitz.joint_index_set(N, ell).tolist()
     bits = measure.word_bits(N).tolist()
     with mpmath.workdps(dps):
-        f = [[mpmath.mpmathify(v) for v in row] for row in fhat]
-        inner, outer = list(range(N)), list(range(N, 2 * N))
-        marginal = [_f_form_mu_mp(f, word, inner) for word in bits]
+        fhat = fhat_mp(sym, J[-1] - J[0])
+        marginal = [cylinder_det_mp(fhat, J[:N], word) for word in bits]
         worst = mpmath.mpf(0)
         for eps, p in zip(bits, marginal):
             for eps_p, p_p in zip(bits, marginal):
-                worst = max(worst, abs(_f_form_mu_mp(f, eps + eps_p, inner + outer) / (p * p_p) - 1))
+                worst = max(worst, abs(cylinder_det_mp(fhat, J, eps + eps_p) / (p * p_p) - 1))
         return float(worst)
+
+
+def tail_mp(sym: Symbol, ell: int, hi: int | None = None):
+    """sum_{ell < n <= hi} n |fhat(n)|^2 at the working precision, from each
+    coefficient's exact formula (the lookup underflows for power_decay):
+    poisson's closed form c^2 x^(t+1) ((t+1) - t x) / (1 - x)^2, x = r^2, of
+    the tail past t, power_decay's terms n (c / n^p)^2, and the table
+    families' entries.  hi None sums the whole tail."""
+    if sym.family == "poisson":
+        c, x = mpmath.mpf(sym.params["c"]), mpmath.mpf(sym.params["r"]) ** 2
+
+        def past(t):
+            return c ** 2 * x ** (t + 1) * ((t + 1) - t * x) / (1 - x) ** 2
+
+        return past(ell) - (0 if hi is None else past(hi))
+    ns = range(ell + 1, (sym.bandwidth if hi is None else hi) + 1)
+    if sym.family == "power_decay":
+        c, p = mpmath.mpf(sym.params["c"]), mpmath.mpf(sym.params["p"])
+        return mpmath.fsum(n * (c / mpmath.mpf(n) ** p) ** 2 for n in ns)
+    return mpmath.fsum(n * mpmath.mpf(abs(complex(sym.table[n]))) ** 2 for n in ns)
 
 
 def walsh_tuple_coefficient(masks: "list[int]", N: int) -> int:
@@ -293,10 +351,6 @@ class FiniteWindowDetails:
 def _coupling_stacks(sym: Symbol, ell: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """P(eps) = A(eps)^-1 D(theta) Lambda_g and Q(eps') = A(eps')^-1 D(theta') Lambda_g*
     for every word, with A(eps) = D(theta) T_N(g) + I; stacks of shape (2^N, N, N)."""
-    if ell < 1 or N < 1:
-        raise ValueError("finite-window search: need ell >= 1 and N >= 1")
-    if N > FINITE_WINDOW_CAP:
-        raise SizeCapError(f"finite-window size {N} exceeds cap {FINITE_WINDOW_CAP}")
     base = toeplitz.build_T(g_coeff_fn(sym), toeplitz.joint_index_set(N, ell))
     theta = 2.0 * measure.word_bits(N) - 1.0
     a = theta[:, :, None] * base[:N, :N] + np.eye(N, dtype=base.dtype)

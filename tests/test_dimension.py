@@ -5,7 +5,6 @@ import pytest
 
 from dppkit import (
     ConditioningError,
-    HypothesisError,
     Symbol,
     corr_dim_szego_lower,
     corr_dim_szego_upper,
@@ -15,8 +14,8 @@ from dppkit import (
     sigma_n_q_walsh,
 )
 from dppkit.dimension import subset_dets
+from dppkit.errors import HypothesisError, SizeCapError
 from dppkit.measure import cylinder_log_probs_direct
-from dppkit.mixing import SizeCapError
 from dppkit.symbol import g_coeff_fn
 from dppkit.toeplitz import build_T, log_det
 from dppkit import dimension, rate_experiment

@@ -26,10 +26,10 @@ from dppkit.measure import (IMAG_TOL, PrefixState, _chain_root, _log_probs, _mom
 from dppkit.symbol import g_coeff_fn
 from dppkit.toeplitz import build_T
 
-from conftest import random_interior_symbol, traced_peak
+from conftest import _table_test, random_interior_symbol, traced_peak
 from oracles import (EagerPrefixState, EagerSchurState, build_T_window, build_lambda, complement,
-                     conditional_alphas_mp, conditional_next, cylinder_prob_direct, hs_norm_sq_lambda,
-                     joint_cylinder_log_prob, s_n_q_mp, s_n_q_table_dfs, walk)
+                     conditional_alphas_mp, conditional_next, cylinder_det_mp, cylinder_prob_direct,
+                     hs_norm_sq_lambda, joint_cylinder_log_prob, s_n_q_mp, s_n_q_table_dfs, walk)
 
 
 def _all_words(n):
@@ -281,15 +281,6 @@ def _paths(seed, count, n):
     return [rng.integers(0, 2, n).tolist() for _ in range(count)]
 
 
-def _table_test(check, table, test):
-    """The test that runs ``check`` on each row of ``table`` named ``test``,
-    one case by its id: the name and ids the rows' one-off tests had."""
-    def run(row):
-        check(*row)
-
-    return pytest.mark.parametrize("row", [pytest.param(row[2:], id=row[1]) for row in table if row[0] == test])(run)
-
-
 # The chain table: a chain of prefix states from ``_chain_root`` walked
 # along each path beside an oracle.  A row: its test, its id, the symbol,
 # the window, whether the state is one number, the paths, the oracle
@@ -433,28 +424,18 @@ def test_one_number_state_has_no_corner():
                 assert not hasattr(st, "corner") and not hasattr(st, "theta")
 
 
-def _mp_log_prob(sym, word):
-    """log mu([word]) = log det(D(theta) T_N(g) + I) - N log 2, at 50 digits."""
-    n = len(word)
-    ghat = g_coeff_fn(sym)
-    g = {d: mpmath.mpf(float(v.real)) for d, v in zip(range(-n, n + 1), ghat(np.arange(-n, n + 1)))}
-    with mpmath.workdps(50):
-        m = mpmath.matrix(n, n)
-        for i in range(n):
-            t = 1 if word[i] == "1" else -1
-            for j in range(n):
-                m[i, j] = t * g[i - j] + (1 if i == j else 0)
-        return mpmath.log(mpmath.det(m)) - n * mpmath.log(2)
-
-
 @pytest.mark.parametrize("name", sorted(ONE_NUMBER_SYMBOLS))
 def test_one_number_log_prob_matches_mpmath(name):
     sym = ONE_NUMBER_SYMBOLS[name]
     rng = np.random.default_rng(63)
     words = ["1" * 14, "0" * 14, "10" * 7] + ["".join(rng.choice(["0", "1"], 14)) for _ in range(3)]
+    ghat = g_coeff_fn(sym)(np.arange(-14, 15)).real.tolist()
+    with mpmath.workdps(50):  # fhat = (ghat + delta_0) / 2 from the doubles ghat, exactly
+        fhat = {n: (mpmath.mpf(g) + (n == 0)) / 2 for n, g in zip(range(-14, 15), ghat)}
     for word in words:
         *_, error, state = walk(_chain_root(sym, None, len(word)), word)
-        want = _mp_log_prob(sym, word)
+        with mpmath.workdps(50):
+            want = mpmath.log(cylinder_det_mp(fhat, range(14), [int(b) for b in word]))
         assert error is None and abs(state.log_prob - want) <= ULPS.get(name, WELL_CONDITIONED_ULPS)[1] * U * abs(want)
 
 

@@ -19,7 +19,7 @@ from dppkit.symbol import g_coeff_fn
 from dppkit.toeplitz import build_T
 
 from conftest import traced_peak
-from oracles import complement
+from oracles import complement, tail_mp
 
 
 def test_eval_closed_forms(fair, rc_half, poi_half):
@@ -104,20 +104,15 @@ def test_tail_sum_values(fair, rc_half, poi_half):
 
 @pytest.mark.parametrize("c, r", [(0.5, 0.25), (0.75, 0.125), (0.3, -0.6), (0.5, 0.9)])
 def test_poisson_tail_sum_matches_mpmath(c, r):
-    # sum_{n > t} n c^2 x^n = c^2 x^{t+1} ((t+1) - t x) / (1-x)^2, x = r^2, at 50 digits
+    # against the closed form of the tail at 50 digits
+    sym = Symbol.poisson(c, r)
     with mpmath.workdps(50):
-        x = mpmath.mpf(r) ** 2
-
-        def tail(t):
-            return mpmath.mpf(c) ** 2 * x ** (t + 1) * ((t + 1) - t * x) / (1 - x) ** 2
-
-        sym = Symbol.poisson(c, r)
         for ell in range(13):
             for truncation in (ell + 1, ell + 7, 200, 100_000):
                 got = tail_sum(sym, ell, truncation)
-                want = tail(ell) - tail(truncation)
+                want = tail_mp(sym, ell, truncation)
                 assert abs(got.value - want) <= 1e-15 * want
-                rem = tail(truncation)  # below the double range it rounds to 0
+                rem = tail_mp(sym, truncation)  # below the double range it rounds to 0
                 assert abs(got.remainder_bound - rem) <= 1e-15 * rem + 1e-300
 
 
@@ -159,19 +154,17 @@ def test_poisson_remainder_is_a_true_bound(poi_half):
 def test_tail_log_total_matches_mpmath():
     # the log of value + remainder_bound where that total underflows, at 50
     # digits.  For power_decay the remainder c^2 10^(2-2p) / (2p - 2) = c^2/10
-    # reads 0.0 in linear form, but the log total keeps it.  The poisson sum
-    # is scaled by c^2 outside nsum, which stops early on terms near 1e-320
+    # reads 0.0 in linear form, but the log total keeps it
     cases = [
         (Symbol.power_decay(0.5, 1e-170, 1.5, 10 ** 6), 10,
-         lambda c: mpmath.fsum(c ** 2 / mpmath.mpf(n) ** 2 for n in range(2, 11)) + c ** 2 / 10),
-        (Symbol.poisson(1e-160, 0.5), 100_000,
-         lambda c: c ** 2 * mpmath.nsum(lambda n: n * mpmath.mpf(0.25) ** n, [2, mpmath.inf])),
+         lambda sym: tail_mp(sym, 1, 10) + mpmath.mpf(1e-170) ** 2 / 10),
+        (Symbol.poisson(1e-160, 0.5), 100_000, lambda sym: tail_mp(sym, 1)),
     ]
     for sym, truncation, total in cases:
         got = tail_sum(sym, 1, truncation)
         assert got.value + got.remainder_bound < 2.3e-308
         with mpmath.workdps(50):
-            want = mpmath.log(total(mpmath.mpf(sym.params["c"])))
+            want = mpmath.log(total(sym))
             assert abs(got.log_total - want) <= 1e-15 * abs(want)
     assert tail_sum(Symbol.poisson(0.5, 0.25), 1).log_total is None
 
